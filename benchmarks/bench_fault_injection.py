@@ -5,8 +5,9 @@ four and five faults, respectively, and applied the generated test vectors.
 We repeated this process 10 000 times.  In these test cases, the test
 vectors captured all the faults."
 
-This bench reruns that campaign (trial count via REPRO_BENCH_TRIALS;
-default 100 per configuration for CI speed) and asserts 100 % detection.
+This bench reruns that campaign through the sharded campaign runner
+(trial count via REPRO_BENCH_TRIALS; default 100 per configuration for CI
+speed) and asserts 100 % detection.
 """
 
 from __future__ import annotations
@@ -16,7 +17,7 @@ import pytest
 from benchmarks.conftest import DEFAULT_SIZES, TRIALS, pedantic_once
 from repro.core import TestGenerator
 from repro.fpva import table1_layout
-from repro.sim import run_sweep
+from repro.engine import run_sweep
 
 _SIZES = [n for n in DEFAULT_SIZES if n <= 15] or [5]
 _SUITES: dict[int, object] = {}

@@ -10,10 +10,9 @@ comparing wall-clock:
   double-fault chips, object-engine ``Tester.run`` per chip vs one batched
   kernel evaluation (compile included).  Floor: >=3x.
 * **backend tiers** — the 16x16 (and, under ``REPRO_BENCH_FULL=1``, 20x20)
-  card-2 dictionary build per registry backend, tables asserted identical
-  across tiers.  Floor: tile >= 1.5x over the single-word sweep (1.3x in
-  smoke mode); optional jit/gpu tiers are recorded when their dependency
-  is present and noted absent otherwise — never a failure.
+  card-2 dictionary build under the ``word`` reference tier and the
+  ``tile`` production tier, tables asserted identical.  Floor: tile >=
+  1.5x over the single-word sweep (1.3x in smoke mode).
 * **scalar micro-benchmark** — the hoisted allocation-free single-query
   BFS (adaptive diagnosis's cost profile), pinned against an absolute
   queries/s floor plus a never-slower-than-the-allocating-formulation
@@ -47,7 +46,6 @@ from repro.sim import (
     ReachabilityKernel,
     Tester,
 )
-from repro.sim.backends import availability
 from repro.sim.faults import stuck_at_faults
 
 SIZE = 6 if SMOKE else 8
@@ -85,7 +83,6 @@ def _record(section: str, payload: dict) -> None:
         "size": SIZE,
         "smoke": SMOKE,
         "backend_sizes": list(BACKEND_SIZES),
-        "backend_availability": availability(),
     }
     with open(BENCH_JSON, "w") as fh:
         json.dump(data, fh, indent=2, sort_keys=True)
@@ -205,33 +202,28 @@ def test_campaign_throughput_speedup(benchmark, capsys):
 
 
 def _bench_backend_tiers(fpva, vectors, sample):
-    """Card-2 dictionary build per registry backend; tables must agree.
+    """Card-2 dictionary build per backend tier; tables must agree.
 
-    Each tier gets a fresh session (its own kernel compile + backend
-    attach), so the timed region covers exactly what a user selecting
-    that tier pays — including the tile backend's elimination-plan
-    compile.  Optional tiers without their dependency are recorded as
-    absent, never failed.
+    Each tier gets its own kernel compile, attaches the tier with
+    ``set_backend`` and runs under a fresh session adopting that kernel,
+    all inside the timed region — so it covers exactly what the tier
+    pays, including the tile backend's elimination-plan compile.
     """
     stats: dict = {}
     tables = {}
-    for name, why in availability().items():
-        if why is not None:
-            stats[name] = {"available": False, "reason": why}
-            continue
-        context = ExecutionContext(fpva, kernel_backend=name)
+    for name in ("word", "tile"):
         t0 = time.perf_counter()
+        kernel = ReachabilityKernel(fpva).set_backend(name)
         built = FaultDictionary(
             fpva,
             vectors,
             universe=sample,
             max_cardinality=2,
-            context=context,
+            context=ExecutionContext(fpva, kernel=kernel),
         )
         seconds = time.perf_counter() - t0
         tables[name] = list(built._table.items())
         stats[name] = {
-            "available": True,
             "seconds": seconds,
             "fault_sets": sum(len(v) for v in built._table.values()),
         }
@@ -258,8 +250,6 @@ def test_backend_tier_floors(benchmark, capsys, size):
     with capsys.disabled():
         per_tier = ", ".join(
             f"{name} {tier['seconds']:.2f}s"
-            if tier.get("available")
-            else f"{name} absent"
             for name, tier in stats.items()
             if isinstance(tier, dict)
         )
@@ -311,10 +301,8 @@ def _bench_scalar_readings(kernel, masks):
         return best
 
     for mask in masks[:100]:  # exactness before wall-clock, as everywhere
-        assert kernel._scalar_readings(mask) == _alloc_readings_reference(
-            kernel, mask
-        )
-    t_hoisted = best_of(lambda m: kernel._scalar_readings(m))
+        assert kernel.readings(mask) == _alloc_readings_reference(kernel, mask)
+    t_hoisted = best_of(lambda m: kernel.readings(m))
     t_alloc = best_of(lambda m: _alloc_readings_reference(kernel, m))
     return {
         "queries": len(masks),

@@ -10,7 +10,10 @@ The package is organized in four layers:
 * :mod:`repro.core` — the paper's test generation (flow paths, cut-sets,
   control-leakage, hierarchy, baseline, validation, rendering);
 * :mod:`repro.store` — content-addressed on-disk persistence of compiled
-  artifacts (kernels, fault dictionaries) for warm starts.
+  artifacts (kernels, fault dictionaries) for warm starts;
+* :mod:`repro.engine` — adaptive diagnosis, fault scenarios and the one
+  campaign API (``run_campaign``/``run_sweep``).  It is not re-exported
+  here, so ``import repro`` stays cheap.
 
 Quickstart::
 
@@ -69,8 +72,6 @@ from repro.sim import (
     StuckAt1,
     Tester,
     fault_universe,
-    run_campaign,
-    run_sweep,
 )
 from repro.store import ArtifactStore
 
@@ -115,8 +116,6 @@ __all__ = [
     "StuckAt1",
     "Tester",
     "fault_universe",
-    "run_campaign",
-    "run_sweep",
     "ArtifactStore",
     "__version__",
 ]

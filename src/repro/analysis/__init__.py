@@ -11,7 +11,6 @@ rule  name                      invariant protected
 R1    determinism               results are a pure function of (inputs, seed)
 R2    atomic-publish            readers never see torn artifacts
 R3    session-discipline        one kernel compile, via ExecutionContext
-R4    deprecated-spellings      internal code models the current API
 R5    broad-except              corruption errors reach the healer
 R6    lease-discipline          exactly one claim winner per shard
 R7    fork-safety               no shared mutable module state in workers

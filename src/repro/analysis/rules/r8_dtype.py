@@ -39,9 +39,7 @@ class DtypeHygieneRule(Rule):
             if tail not in _CONSTRUCTORS:
                 continue
             resolved = ctx.resolve(node.func)
-            if not (
-                resolved.startswith("numpy.") or resolved.startswith("cupy.")
-            ):
+            if not resolved.startswith("numpy."):
                 continue
             if any(kw.arg == "dtype" for kw in node.keywords):
                 continue

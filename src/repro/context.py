@@ -35,13 +35,12 @@ object-graph reference engine — consumers then take their serial
 reference paths and :meth:`evaluator` refuses service, which is what the
 batched-vs-reference equivalence tests lean on.
 
-Within the kernel engine, ``kernel_backend=`` picks the propagation
-*tier* from the :mod:`repro.sim.backends` registry (``tile`` multi-word
-elimination tiles by default, ``word`` single-word sweeps, optional
-``jit``/``gpu``), falling back through the ``REPRO_KERNEL_BACKEND``
-environment variable.  The stored kernel artifact is backend-agnostic;
-the session attaches its tier after load, so any tier replays a
-persisted kernel bit-identically.
+The context is the one place a layer learns *how* it simulates: the
+engine choice travels with the session, never as per-call keywords.
+Within the kernel engine, batched propagation runs on the ``tile`` tier
+of :mod:`repro.sim.backends`.  The ``word`` reference tier is attached
+only by tests and the kernel benchmark, on a kernel they compile
+themselves and adopt through ``kernel=``.
 
 Contexts deliberately stay cheap to create: nothing compiles until the
 first consumer asks, so passing ``context=None`` everywhere retains the
@@ -88,13 +87,8 @@ class ExecutionContext:
         streams from it per purpose.
     kernel:
         Optional pre-compiled kernel to adopt (it must have been
-        compiled for ``fpva``); the context then never compiles.
-    kernel_backend:
-        Propagation-backend tier for the compiled kernel (``"tile"``,
-        ``"word"``, ``"jit"``, ``"gpu"``).  ``None`` defers to the
-        ``REPRO_KERNEL_BACKEND`` environment variable, then to the
-        registry default; an unavailable tier warns and falls back
-        instead of failing.  Ignored by ``engine="object"`` sessions.
+        compiled for ``fpva``); the context then never compiles, and the
+        kernel keeps whatever backend tier it carries.
     """
 
     #: Most-recently-used :meth:`evaluator` entries kept per session
@@ -110,7 +104,6 @@ class ExecutionContext:
         cache_dir: str | os.PathLike | None = None,
         seed: int = 0,
         kernel: ReachabilityKernel | None = None,
-        kernel_backend: str | None = None,
     ) -> None:
         if engine not in ENGINES:
             raise ValueError(f"unknown engine {engine!r}; expected one of {ENGINES}")
@@ -118,27 +111,15 @@ class ExecutionContext:
             raise ValueError("pass either store= or cache_dir=, not both")
         if kernel is not None and kernel.fpva is not fpva:
             raise ValueError("kernel was compiled for a different array")
-        from repro.sim.backends import canonical_name, default_backend
         from repro.store import as_store
 
         self.fpva = fpva
         self.engine = engine
-        #: Whether a backend tier was selected explicitly (arg or env) —
-        #: only then is it re-attached to an adopted/loaded kernel.
-        self._backend_requested = bool(
-            kernel_backend is not None or os.environ.get("REPRO_KERNEL_BACKEND")
-        )
-        #: The resolved backend-tier name this session attaches to its
-        #: kernel (validated eagerly so typos fail at construction).
-        self.kernel_backend = (
-            canonical_name(kernel_backend) if kernel_backend else default_backend()
-        )
         self.seed = seed
         self.store: ArtifactStore | None = as_store(
             store if store is not None else cache_dir
         )
         self._kernel = kernel
-        self._backend_attached = False
         #: Cold kernel compiles this context paid (asserted == 1 by test).
         self.kernel_compiles = 0
         #: Kernel warm loads served from :attr:`store`.
@@ -193,9 +174,8 @@ class ExecutionContext:
         With a :attr:`store` configured, a stored artifact is loaded
         verbatim (bit-identical readings, no compile); a cold compile is
         persisted so the *next* session warm-starts.  Stored artifacts
-        are backend-agnostic — the session attaches its
-        :attr:`kernel_backend` tier after loading, so a kernel persisted
-        under one tier replays identically under any other.
+        hold only the arc table, so a loaded kernel attaches the ``tile``
+        tier on first batched use, exactly like a fresh compile.
 
         A stored artifact that fails checksum verification is
         quarantined and recompiled from the array — the session
@@ -220,26 +200,7 @@ class ExecutionContext:
                 self.kernel_compiles += 1
                 if self.store is not None:
                     self.store.kernels.save(self._kernel)
-        if not self._backend_attached:
-            self._attach_backend(self._kernel)
-            self._backend_attached = True
         return self._kernel
-
-    def _attach_backend(self, kernel: ReachabilityKernel) -> None:
-        """Bind the session's backend tier to ``kernel``.
-
-        An explicit selection (constructor arg or env var) always wins;
-        otherwise a kernel that already carries a backend (e.g. one
-        shipped into a campaign worker) keeps it, and a bare kernel gets
-        the session default.  Unavailable tiers warn and fall back.
-        """
-        from repro.sim.backends import create
-
-        if not self._backend_requested and kernel._backend is not None:
-            return
-        if kernel._backend is not None and kernel._backend.name == self.kernel_backend:
-            return
-        kernel.set_backend(create(self.kernel_backend, kernel, fallback=True))
 
     # -- shared derived machinery -------------------------------------------
     @property
@@ -336,31 +297,27 @@ class ExecutionContext:
             self.dictionary_cold_builds += 1
         return dictionary
 
-    def shipping_spec(self) -> tuple[str, object, str | None]:
+    def shipping_spec(self) -> tuple[str, object]:
         """What a shard payload headed to worker processes should carry.
 
-        Returns ``(mode, kernel, backend)``: ``("legacy", None, None)``
-        for an object-engine session; otherwise the session kernel — as
-        the persisted artifact's *path* when a store is configured (the
+        Returns ``(mode, kernel)``: ``("legacy", None)`` for an
+        object-engine session; otherwise the session kernel — as the
+        persisted artifact's *path* when a store is configured (the
         sharded pool and the campaign fabric then ship a string instead
         of pickling a kernel per process), or the compiled object itself
-        without one — plus the backend-tier name workers re-attach.
+        without one.
         """
         if not self.batched:
-            return "legacy", None, None
+            return "legacy", None
         # Materialize first: a cold compile persists itself through the
         # session store, so the has() check below only catches a kernel
         # the context adopted pre-compiled (never written anywhere).
         kernel = self.kernel
         if self.store is None:
-            return "kernel", kernel, self.kernel_backend
+            return "kernel", kernel
         if not self.store.kernels.has(self.fpva):
             self.store.kernels.save(kernel)
-        return (
-            "kernel",
-            str(self.store.kernels.path_for(self.fpva)),
-            self.kernel_backend,
-        )
+        return "kernel", str(self.store.kernels.path_for(self.fpva))
 
     def rng(self, *stream: int) -> random.Random:
         """A deterministic RNG for one purpose-stream of the session.
@@ -376,8 +333,7 @@ class ExecutionContext:
         store = repr(str(self.store.root)) if self.store is not None else None
         return (
             f"ExecutionContext({self.fpva.name!r}, engine={self.engine!r}, "
-            f"kernel={kernel}, backend={self.kernel_backend!r}, "
-            f"store={store}, seed={self.seed})"
+            f"kernel={kernel}, store={store}, seed={self.seed})"
         )
 
 

@@ -24,17 +24,14 @@ the original one-query-at-a-time object-BFS paths (per-candidate
 ``meter_readings`` for SA0, the shared dark-region flood for SA1) as the
 reference the batched path is property-tested against.
 
-Both observability functions take the same canonical arguments —
+Both observability functions take the same arguments —
 ``(source, vector, fpva=None)`` where ``source`` is an
 :class:`~repro.context.ExecutionContext` or a
-:class:`~repro.sim.pressure.PressureSimulator` — with keyword-compatible
-shims for the two historical (and mutually inconsistent) positional
-orders.
+:class:`~repro.sim.pressure.PressureSimulator`.
 """
 
 from __future__ import annotations
 
-import warnings
 from collections import deque
 from dataclasses import dataclass, field
 from typing import Iterable, Sequence
@@ -63,75 +60,19 @@ def open_edge_graph(fpva: FPVA, vector: TestVector) -> nx.Graph:
     return g
 
 
-def _resolve_observability_args(
-    source, vector, fpva, context, simulator, func_name: str
-) -> tuple[PressureSimulator, TestVector, FPVA]:
-    """Normalize the canonical and both historical argument orders.
-
-    Canonical: ``func(source, vector, fpva=None)`` with ``source`` an
-    :class:`ExecutionContext` or :class:`PressureSimulator`.  Historical:
-    ``sa0_observable_valves(simulator, vector, fpva)`` (already canonical)
-    and ``sa1_observable_valves(fpva, simulator, vector)`` (array first —
-    accepted with a :class:`DeprecationWarning`).  ``context=`` /
-    ``simulator=`` keywords always win over positional sources.
-    """
-    vec = ctx = sim = array = None
-    legacy_slot = False
-    for slot, value in enumerate((source, vector, fpva)):
-        if isinstance(value, TestVector):
-            vec = value if vec is None else vec
-        elif isinstance(value, ExecutionContext):
-            ctx = value if ctx is None else ctx
-            legacy_slot = legacy_slot or slot != 0
-        elif isinstance(value, PressureSimulator):
-            sim = value if sim is None else sim
-            legacy_slot = legacy_slot or slot != 0
-        elif isinstance(value, FPVA):
-            array = value if array is None else array
-        elif value is not None:
-            raise TypeError(
-                f"{func_name}() got an unexpected positional argument "
-                f"{value!r} in slot {slot}"
-            )
-    if legacy_slot:
-        warnings.warn(
-            f"{func_name}(fpva, simulator, vector) argument order is "
-            f"deprecated; call {func_name}(context_or_simulator, vector, "
-            f"fpva=None) instead",
-            DeprecationWarning,
-            stacklevel=3,
-        )
-    if vec is None:
-        raise TypeError(f"{func_name}() requires a TestVector")
-    if context is not None:
-        ctx = context
-    if ctx is not None:
-        resolved = ctx.simulator
-    elif simulator is not None:
-        resolved = simulator
-    elif sim is not None:
-        resolved = sim
-    elif array is not None:
-        resolved = ExecutionContext(array).simulator
-    else:
-        raise TypeError(
-            f"{func_name}() requires an ExecutionContext or PressureSimulator"
-        )
-    return resolved, vec, array or resolved.fpva
+def _simulator(source: ExecutionContext | PressureSimulator) -> PressureSimulator:
+    """The simulator behind an observability ``source``."""
+    return source.simulator if isinstance(source, ExecutionContext) else source
 
 
 def sa0_observable_valves(
-    source=None,
-    vector: TestVector | None = None,
+    source: ExecutionContext | PressureSimulator,
+    vector: TestVector,
     fpva: FPVA | None = None,
-    *,
-    context: ExecutionContext | None = None,
-    simulator: PressureSimulator | None = None,
 ) -> set[Edge]:
     """Open valves whose lone closure changes the vector's meter readings."""
-    sim, vector, fpva = _resolve_observability_args(
-        source, vector, fpva, context, simulator, "sa0_observable_valves"
-    )
+    sim = _simulator(source)
+    fpva = sim.fpva if fpva is None else fpva
     g = open_edge_graph(fpva, vector)
     sources = [p for p in fpva.sources]
     live_nodes: set = set()
@@ -174,21 +115,17 @@ def sa0_observable_valves(
 
 
 def sa1_observable_valves(
-    source=None,
-    vector: TestVector | None = None,
+    source: ExecutionContext | PressureSimulator,
+    vector: TestVector,
     fpva: FPVA | None = None,
-    *,
-    context: ExecutionContext | None = None,
-    simulator: PressureSimulator | None = None,
 ) -> set[Edge]:
     """Closed valves whose lone leak changes the vector's meter readings.
 
     Opening a valve can only *add* pressure, so a leak is observable exactly
     when it pressurizes a meter that expected no pressure.
     """
-    sim, vector, fpva = _resolve_observability_args(
-        source, vector, fpva, context, simulator, "sa1_observable_valves"
-    )
+    sim = _simulator(source)
+    fpva = sim.fpva if fpva is None else fpva
     dark_sinks = {name for name, hit in vector.expected.items() if not hit}
     if not dark_sinks:
         return set()

@@ -10,13 +10,14 @@ shard structure is a function of the *trial count* alone, the aggregated
 only changes wall-clock.
 
 The array is compiled into a
-:class:`~repro.sim.kernel.ReachabilityKernel` **once** per campaign.  By
-default the kernel rides to every shard pickled inside the payload; with
-``cache_dir`` set it is persisted through the
-:class:`~repro.store.KernelStore` instead and the payload carries only the
-artifact *path* — each worker process loads the flat arrays once and
-memoizes them across its shards, so wide sweeps stop serializing a kernel
-per task.  Scenario objects and arrays ride to the workers via pickling,
+:class:`~repro.sim.kernel.ReachabilityKernel` **once** per campaign, by
+the :class:`~repro.context.ExecutionContext` the caller passes (or a
+fresh one).  Without a store the kernel rides to every shard pickled
+inside the payload; when the session has a store it is persisted through
+the :class:`~repro.store.KernelStore` instead and the payload carries
+only the artifact *path* — each worker process loads the flat arrays once
+and memoizes them across its shards, so wide sweeps stop serializing a
+kernel per task.  Scenario objects and arrays ride to the workers via pickling,
 so custom scenarios must be defined at module top level (the registered
 ones are).
 
@@ -37,11 +38,7 @@ from typing import Sequence
 
 from repro.core.vectors import TestVector
 from repro.fpva.array import FPVA
-from repro.sim.campaign import (
-    CampaignResult,
-    merge_shards,
-    run_campaign as _run_serial,
-)
+from repro.sim.campaign import CampaignResult, merge_shards, run_trials
 from repro.sim.kernel import ReachabilityKernel
 from repro.sim.seeding import mix_seed as _mix_seed
 
@@ -57,50 +54,8 @@ _KERNEL_MEMO: dict[str, ReachabilityKernel] = {}
 #: Per-process session memo for path-shipped payloads: shards carrying the
 #: same artifact path share one ExecutionContext, so evaluator scenario
 #: pools (and any dictionary warm state) persist across a worker's shards.
-# repro: ignore[R7] -- deliberate per-process cache: populated only inside a worker, keyed by (artifact path, backend tier), never shared across processes
+# repro: ignore[R7] -- deliberate per-process cache: populated only inside a worker, keyed by artifact path, never shared across processes
 _CONTEXT_MEMO: dict = {}
-
-
-def _resolve_shipping(fpva, backend: str | None, cache_dir, context):
-    """Normalize (legacy kwargs | context) to
-    ``(backend, kernel_spec, kernel_backend)``.
-
-    The kernel spec is what rides in shard payloads: ``None`` for the
-    legacy backend, the compiled kernel object without a cache, or the
-    persisted artifact's path (a string) with one.  ``kernel_backend`` is
-    the propagation-tier *name* — the stored artifact is backend-agnostic,
-    so each worker re-attaches the tier to its memoized kernel (a no-op
-    after the first shard).  A context supplies its session kernel, store
-    and tier; the pre-context ``backend=``/``cache_dir=`` keywords remain
-    as deprecation shims for one release and warn when passed.
-    """
-    if context is not None:
-        if backend is not None or cache_dir is not None:
-            raise ValueError(
-                "pass either context= or the legacy backend=/cache_dir= "
-                "arguments, not both"
-            )
-        from repro.context import ExecutionContext
-
-        context = ExecutionContext.resolve(context, fpva)
-        return context.shipping_spec()
-    kernel_backend = None
-    if backend is not None:
-        from repro.sim.backends import resolve_legacy_engine
-
-        engine, kernel_backend = resolve_legacy_engine(backend, "sweep")
-        if engine == "object":
-            return "legacy", None, None
-    if cache_dir is None:
-        # repro: ignore[R3] -- legacy shipping shim: pre-context callers with no store get a pickled kernel, by design
-        return "kernel", ReachabilityKernel(fpva), kernel_backend
-    from repro.store import ArtifactStore
-
-    store = ArtifactStore(cache_dir)
-    if not store.kernels.has(fpva):
-        # repro: ignore[R3] -- legacy shipping shim: seeds the store for cache_dir= callers that bypass ExecutionContext
-        store.kernels.save(ReachabilityKernel(fpva))
-    return "kernel", str(store.kernels.path_for(fpva)), kernel_backend
 
 
 def _resolve_kernel(fpva, kernel):
@@ -133,40 +88,39 @@ def _resolve_kernel(fpva, kernel):
     return cached.fpva, cached
 
 
-def _shard_context(fpva, backend, kernel, kernel_backend):
+def _shard_context(fpva, mode, kernel):
     """The session a shard runs under, memoized for path-shipped kernels.
 
     Shards whose payloads name the same persisted kernel artifact share
     one :class:`~repro.context.ExecutionContext` per worker process, so
     the session's evaluator scenario pools survive across shards instead
     of re-deduplicating per task.  Safe for bit-identity: shard results
-    are a pure function of the payload's explicit seed (``run_campaign``
+    are a pure function of the payload's explicit seed (``run_trials``
     never consults the context's own seed).  Object-shipped kernels (no
     store) arrive as a fresh pickled copy per payload and keep a fresh
     context, exactly as before.
     """
     from repro.context import ExecutionContext
 
-    if backend == "legacy":
+    if mode == "legacy":
         return ExecutionContext(fpva, engine="object")
     if isinstance(kernel, str):
-        key = (kernel, kernel_backend)
-        context = _CONTEXT_MEMO.get(key)
+        context = _CONTEXT_MEMO.get(kernel)
         if context is None:
             fpva, resolved = _resolve_kernel(fpva, kernel)
-            context = _CONTEXT_MEMO[key] = ExecutionContext(
-                fpva, kernel=resolved, kernel_backend=kernel_backend
+            context = _CONTEXT_MEMO[kernel] = ExecutionContext(
+                fpva, kernel=resolved
             )
         return context
     fpva, resolved = _resolve_kernel(fpva, kernel)
-    return ExecutionContext(fpva, kernel=resolved, kernel_backend=kernel_backend)
+    return ExecutionContext(fpva, kernel=resolved)
 
 
 def _run_shard(payload) -> CampaignResult:
     (fpva, vectors, num_faults, trials, shard_seed, include_control_leaks,
-     keep_undetected, scenario, backend, kernel, kernel_backend) = payload
-    shard_context = _shard_context(fpva, backend, kernel, kernel_backend)
-    return _run_serial(
+     keep_undetected, scenario, mode, kernel) = payload
+    shard_context = _shard_context(fpva, mode, kernel)
+    return run_trials(
         shard_context.fpva,
         vectors,
         num_faults=num_faults,
@@ -189,9 +143,8 @@ def _shard_payloads(
     keep_undetected,
     scenario,
     shard_trials,
-    backend,
+    mode,
     kernel,
-    kernel_backend,
 ):
     payloads = []
     shard = 0
@@ -208,9 +161,8 @@ def _shard_payloads(
                 include_control_leaks,
                 keep_undetected,
                 scenario,
-                backend,
+                mode,
                 kernel,
-                kernel_backend,
             )
         )
         remaining -= size
@@ -245,12 +197,9 @@ def _run_journaled(
     shard_trials,
     mode,
     kernel,
-    kernel_backend,
     workers,
     journal_dir,
     resume,
-    scheduler,
-    max_attempts=None,
 ):
     """The fabric path shared by the journaled campaign and sweep."""
     from repro.fabric import CampaignSpec, run_journaled_sweep
@@ -266,17 +215,13 @@ def _run_journaled(
         scenario=scenario,
         shard_trials=shard_trials,
     )
-    extra = {} if max_attempts is None else {"max_attempts": max_attempts}
     results, _ = run_journaled_sweep(
         spec,
         journal_dir,
         workers=workers,
-        scheduler=scheduler,
         resume=resume,
         mode=mode,
         kernel=kernel,
-        kernel_backend=kernel_backend,
-        **extra,
     )
     return results
 
@@ -292,17 +237,13 @@ def run_campaign(
     keep_undetected: int = 10,
     scenario=None,
     shard_trials: int = SHARD_TRIALS,
-    backend: str | None = None,
-    cache_dir: str | os.PathLike | None = None,
     context=None,
     journal_dir: str | os.PathLike | None = None,
     resume: bool = False,
-    scheduler: str = "greedy",
 ) -> CampaignResult:
     """Sharded campaign; result is independent of ``workers`` *and* of
     whether the kernel ships by artifact path or by pickle.  ``context``
-    supplies the session kernel/store/backend tier; the ``backend=``/
-    ``cache_dir=`` keywords remain as deprecation shims for one release.
+    supplies the session engine, kernel and store.
 
     ``journal_dir`` reroutes the identical shard structure through the
     campaign fabric (:mod:`repro.fabric`): shards publish durably as they
@@ -311,36 +252,21 @@ def run_campaign(
     against the same (suite, scenario, seed) reuses these shards.  The
     no-journal path stays the in-memory fast case.
     """
-    backend, kernel, kernel_backend = _resolve_shipping(
-        fpva, backend, cache_dir, context
-    )
-    if journal_dir is not None:
-        return _run_journaled(
-            fpva, vectors, (num_faults,), trials, seed,
-            include_control_leaks, keep_undetected, scenario, shard_trials,
-            backend, kernel, kernel_backend, workers, journal_dir, resume,
-            scheduler,
-        )[num_faults]
-    payloads = _shard_payloads(
+    return run_sweep(
         fpva,
         vectors,
-        num_faults,
-        trials,
-        seed,
-        include_control_leaks,
-        keep_undetected,
-        scenario,
-        shard_trials,
-        backend,
-        kernel,
-        kernel_backend,
-    )
-    if workers <= 1 or len(payloads) <= 1:
-        shards = [_run_shard(p) for p in payloads]
-    else:
-        with ProcessPoolExecutor(max_workers=workers) as pool:
-            shards = list(pool.map(_run_shard, payloads))
-    return _merge(num_faults, shards, keep_undetected)
+        fault_counts=(num_faults,),
+        trials=trials,
+        seed=seed,
+        workers=workers,
+        include_control_leaks=include_control_leaks,
+        keep_undetected=keep_undetected,
+        scenario=scenario,
+        shard_trials=shard_trials,
+        context=context,
+        journal_dir=journal_dir,
+        resume=resume,
+    )[num_faults]
 
 
 def run_sweep(
@@ -354,12 +280,9 @@ def run_sweep(
     keep_undetected: int = 10,
     scenario=None,
     shard_trials: int = SHARD_TRIALS,
-    backend: str | None = None,
-    cache_dir: str | os.PathLike | None = None,
     context=None,
     journal_dir: str | os.PathLike | None = None,
     resume: bool = False,
-    scheduler: str = "greedy",
 ) -> dict[int, CampaignResult]:
     """The paper's k-faults sweep, with all (k, shard) tasks in one pool.
 
@@ -373,20 +296,17 @@ def run_sweep(
     campaign fabric: every completed shard publishes atomically into the
     journal, a killed sweep resumes from the last published shard (with
     any worker count — the merge is bit-identical regardless), and
-    re-running a finished sweep simulates nothing.  ``scheduler`` picks
-    the shard-to-worker assignment (``"greedy"`` cost model or ``"ilp"``
-    makespan solve over measured worker profiles); ``resume=True``
+    re-running a finished sweep simulates nothing.  ``resume=True``
     additionally insists the journal already exists.
     """
-    backend, kernel, kernel_backend = _resolve_shipping(
-        fpva, backend, cache_dir, context
-    )
+    from repro.context import ExecutionContext
+
+    mode, kernel = ExecutionContext.resolve(context, fpva).shipping_spec()
     if journal_dir is not None:
         return _run_journaled(
             fpva, vectors, tuple(fault_counts), trials, seed,
             include_control_leaks, keep_undetected, scenario, shard_trials,
-            backend, kernel, kernel_backend, workers, journal_dir, resume,
-            scheduler,
+            mode, kernel, workers, journal_dir, resume,
         )
     tagged: list[tuple[int, tuple]] = []
     for k in fault_counts:
@@ -400,9 +320,8 @@ def run_sweep(
             keep_undetected,
             scenario,
             shard_trials,
-            backend,
+            mode,
             kernel,
-            kernel_backend,
         ):
             tagged.append((k, payload))
     if workers <= 1 or len(tagged) <= 1:

@@ -359,12 +359,9 @@ class CampaignJournal:
         *,
         worker: str = "",
         elapsed: float = 0.0,
-        backend: str | None = None,
     ) -> None:
         """Atomically publish a completed shard, then release its lease."""
-        self.publish_result(
-            descriptor, result, worker=worker, elapsed=elapsed, backend=backend
-        )
+        self.publish_result(descriptor, result, worker=worker, elapsed=elapsed)
         self.release(descriptor)
 
     def publish_result(
@@ -374,15 +371,10 @@ class CampaignJournal:
         *,
         worker: str = "",
         elapsed: float = 0.0,
-        backend: str | None = None,
     ) -> None:
         """The store publish alone (no lease release) — the two-step spelling
         the crash-injection harness drives to model a death between them."""
         self._seen_done.add(descriptor.digest)  # our own work, not a cache hit
         self.store.publish(
-            descriptor,
-            result,
-            worker=worker or self.owner,
-            elapsed=elapsed,
-            backend=backend,
+            descriptor, result, worker=worker or self.owner, elapsed=elapsed
         )

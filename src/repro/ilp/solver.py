@@ -7,23 +7,22 @@ from dataclasses import dataclass
 from repro.ilp.model import Model
 from repro.ilp.status import Solution
 
-BACKEND_AUTO = "auto"
 BACKEND_HIGHS = "highs"
 BACKEND_BRANCH_AND_BOUND = "branch-and-bound"
 
-_BACKENDS = (BACKEND_AUTO, BACKEND_HIGHS, BACKEND_BRANCH_AND_BOUND)
+_BACKENDS = (BACKEND_HIGHS, BACKEND_BRANCH_AND_BOUND)
 
 
 @dataclass
 class SolveOptions:
     """Options shared by all backends.
 
-    ``backend`` selects the solver: ``"auto"`` prefers HiGHS
-    (:func:`scipy.optimize.milp`) and falls back to the built-in
-    branch-and-bound if scipy's MILP interface is unavailable.
+    ``backend`` selects the solver: ``"highs"`` (the default,
+    :func:`scipy.optimize.milp`) or the built-in ``"branch-and-bound"``
+    differential-testing oracle.
     """
 
-    backend: str = BACKEND_AUTO
+    backend: str = BACKEND_HIGHS
     time_limit: float | None = None
     mip_rel_gap: float | None = None
     node_limit: int = 200_000
@@ -35,24 +34,10 @@ class SolveOptions:
             )
 
 
-def _highs_available() -> bool:
-    try:
-        from scipy.optimize import milp  # noqa: F401
-    except ImportError:  # pragma: no cover - environment dependent
-        return False
-    return True
-
-
 def solve(model: Model, options: SolveOptions | None = None) -> Solution:
     """Solve ``model`` and return a :class:`Solution`."""
     options = options or SolveOptions()
-    backend = options.backend
-    if backend == BACKEND_AUTO:
-        backend = (
-            BACKEND_HIGHS if _highs_available() else BACKEND_BRANCH_AND_BOUND
-        )
-
-    if backend == BACKEND_HIGHS:
+    if options.backend == BACKEND_HIGHS:
         from repro.ilp.scipy_backend import solve_with_scipy
 
         return solve_with_scipy(

@@ -1,12 +1,6 @@
 """Pressure simulation, fault injection and diagnosis substrate."""
 
-from repro.sim.campaign import (
-    CampaignResult,
-    merge_shards,
-    run_campaign,
-    run_sweep,
-    sample_fault_set,
-)
+from repro.sim.campaign import CampaignResult, merge_shards, sample_fault_set
 from repro.sim.chip import ChipUnderTest
 from repro.sim.diagnosis import DiagnosisReport, FaultDictionary, iter_fault_sets
 from repro.sim.seeding import mix_seed
@@ -36,8 +30,6 @@ from repro.sim.tester import Tester, TestRunResult, VectorOutcome
 __all__ = [
     "CampaignResult",
     "merge_shards",
-    "run_campaign",
-    "run_sweep",
     "sample_fault_set",
     "ChipUnderTest",
     "DiagnosisReport",

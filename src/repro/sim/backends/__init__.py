@@ -1,197 +1,86 @@
-"""Kernel backend registry: pluggable propagation tiers behind one seam.
+"""Kernel backend registry: the propagation tiers behind one seam.
 
-Every backend answers the same two questions — batched reach words and
-scalar readings — against the same compiled CSR arc table, and every one
-is pinned bit-identical to the ``engine="object"`` reference by the
-equivalence suite.  What varies is the cost model:
+Every backend answers the same question — batched reach words — against
+the same compiled CSR arc table, and both are pinned bit-identical to
+the ``engine="object"`` reference by the equivalence suite.  What varies
+is the cost model:
 
 ======  ==================================================================
 name    strategy
 ======  ==================================================================
-word    single-word packed reduceat sweeps (the PR-3 path; the baseline
-        every floor is measured against)
-tile    **default** — elimination-scheduled multi-word tiles: two
+tile    **production** — elimination-scheduled multi-word tiles: two
         diameter-free passes over a precompiled shortcut schedule
-jit     numba-compiled scalar BFS + per-column frontier sweep (optional;
-        targets adaptive diagnosis, where batches are size-1)
-gpu     cupy padded-gather word sweeps (optional; wide dictionary builds)
+word    reference — single-word packed reduceat sweeps (the PR-3 path;
+        the baseline the ``tile`` floor is measured against)
 ======  ==================================================================
 
-Selection flows through one spelling everywhere: the
-``kernel_backend=`` session knob on
-:class:`~repro.context.ExecutionContext`, the ``REPRO_KERNEL_BACKEND``
-environment variable, and the CLI ``--kernel-backend`` flag.  Optional
-tiers degrade gracefully: :func:`availability` reports why a tier cannot
-run, and :func:`create` with ``fallback=True`` warns and substitutes the
-default instead of failing.
-
-The deprecated ``backend="kernel"`` spelling from the pre-session API
-routes here too (``"kernel"`` → ``tile``); :func:`warn_deprecated` is the
-single warning path every legacy shim funnels through.
+Production always propagates through ``tile``: a kernel attaches it on
+first batched use.  Tests and the kernel benchmark attach ``word``
+explicitly with :meth:`ReachabilityKernel.set_backend
+<repro.sim.kernel.ReachabilityKernel.set_backend>` and hand that kernel to
+a session as ``ExecutionContext(fpva, kernel=...)``.
 """
 
 from __future__ import annotations
 
-import os
-import warnings
-from typing import TYPE_CHECKING, Callable
+from typing import TYPE_CHECKING
 
-from repro.sim.backends.base import BackendUnavailable, KernelBackend
+from repro.sim.backends.base import KernelBackend
 from repro.sim.backends.tile import EliminationPlan, TileBackend, pick_tile_words
 from repro.sim.backends.word import WordBackend
 
 if TYPE_CHECKING:  # pragma: no cover - annotation-only dependency
     from repro.sim.kernel import ReachabilityKernel
 
-#: The session/env/CLI selection knob's environment spelling.
-ENV_VAR = "REPRO_KERNEL_BACKEND"
-
-#: Backend used when nothing selects one explicitly.
+#: The tier every kernel propagates through unless told otherwise.
 DEFAULT_BACKEND = "tile"
 
-#: Deprecated spellings accepted by :func:`create` (via the legacy shims).
-_ALIASES = {"kernel": "tile"}  # repro: ignore[R7] -- frozen alias table, never mutated after import
-
-
-def _make_jit(kernel):
-    from repro.sim.backends.jit import JitBackend
-
-    return JitBackend(kernel)
-
-
-def _probe_jit() -> str | None:
-    from repro.sim.backends.jit import probe
-
-    return probe()
-
-
-def _make_gpu(kernel):
-    from repro.sim.backends.gpu import GpuBackend
-
-    return GpuBackend(kernel)
-
-
-def _probe_gpu() -> str | None:
-    from repro.sim.backends.gpu import probe
-
-    return probe()
-
-
-#: name -> (factory, availability probe).  Probes return ``None`` when the
-#: tier can run here, else the human-readable reason it cannot.
 # repro: ignore[R7] -- backend registry: written once at import, read-only afterwards, identical in every worker
-_REGISTRY: dict[str, tuple[Callable, Callable[[], str | None]]] = {
-    "word": (WordBackend, lambda: None),
-    "tile": (TileBackend, lambda: None),
-    "jit": (_make_jit, _probe_jit),
-    "gpu": (_make_gpu, _probe_gpu),
+_REGISTRY: dict[str, type[KernelBackend]] = {
+    "word": WordBackend,
+    "tile": TileBackend,
 }
 
 
 def backend_names() -> tuple[str, ...]:
-    """Every registered backend name (available here or not)."""
+    """Every registered backend name."""
     return tuple(_REGISTRY)
 
 
 def availability() -> dict[str, str | None]:
-    """Per-backend availability: ``None`` = runnable, else the reason not."""
-    return {name: probe() for name, (_, probe) in _REGISTRY.items()}
+    """Per-backend availability: ``None`` = runnable, else the reason not.
 
-
-def canonical_name(name: str) -> str:
-    """Resolve aliases and validate; raises ``ValueError`` for unknowns."""
-    resolved = _ALIASES.get(name, name)
-    if resolved not in _REGISTRY:
-        raise ValueError(
-            f"unknown kernel backend {name!r}; expected one of {backend_names()}"
-        )
-    return resolved
+    Both tiers are plain numpy, so every entry is ``None``; the mapping
+    stays for callers that record it in a machine profile.
+    """
+    return {name: None for name in _REGISTRY}
 
 
 def default_backend() -> str:
-    """The session default: ``REPRO_KERNEL_BACKEND`` if set, else tile."""
-    env = os.environ.get(ENV_VAR)
-    return canonical_name(env) if env else DEFAULT_BACKEND
+    """The tier a kernel attaches when nothing selects one: ``tile``."""
+    return DEFAULT_BACKEND
 
 
-def create(
-    name: str, kernel: "ReachabilityKernel", *, fallback: bool = False
-) -> KernelBackend:
-    """Instantiate backend ``name`` for ``kernel``.
-
-    Unknown names always raise ``ValueError``.  A known-but-unavailable
-    tier raises :class:`BackendUnavailable` — or, with ``fallback=True``,
-    warns and substitutes :data:`DEFAULT_BACKEND` so an optional
-    dependency missing at runtime degrades instead of failing.
-    """
-    resolved = canonical_name(name)
-    factory, probe = _REGISTRY[resolved]
-    reason = probe()
-    if reason is not None:
-        if not fallback or resolved == DEFAULT_BACKEND:
-            raise BackendUnavailable(
-                f"kernel backend {resolved!r} is unavailable: {reason}"
-            )
-        warnings.warn(
-            f"kernel backend {resolved!r} is unavailable ({reason}); "
-            f"falling back to {DEFAULT_BACKEND!r}",
-            RuntimeWarning,
-            stacklevel=2,
-        )
-        factory, _ = _REGISTRY[DEFAULT_BACKEND]
+def create(name: str, kernel: "ReachabilityKernel") -> KernelBackend:
+    """Instantiate backend ``name`` for ``kernel``; unknown names raise."""
+    try:
+        factory = _REGISTRY[name]
+    except KeyError:
+        raise ValueError(
+            f"unknown kernel backend {name!r}; expected one of {backend_names()}"
+        ) from None
     return factory(kernel)
 
 
-def warn_deprecated(old: str, new: str) -> None:
-    """The one deprecation-warning path every legacy shim routes through.
-
-    ``old`` names the spelling being retired (e.g. ``backend='kernel'``),
-    ``new`` the session-era replacement.  Funnelling every shim through
-    one helper keeps the message format — and the promise that the shims
-    last one release — in a single place.
-    """
-    warnings.warn(
-        f"{old} is deprecated and will be removed; use {new} instead",
-        DeprecationWarning,
-        stacklevel=3,
-    )
-
-
-def resolve_legacy_engine(backend: str, kind: str) -> tuple[str, str | None]:
-    """Map a deprecated ``backend=`` string to ``(engine, kernel_backend)``.
-
-    The pre-session API spelled the engine choice ``backend="kernel"`` /
-    ``"legacy"``; sessions split that into ``engine=`` (kernel vs object
-    reference) and ``kernel_backend=`` (which kernel tier).  ``"kernel"``
-    routes to the registry default tier, ``"legacy"`` to the object
-    engine.  Emits the deprecation warning through the single shared
-    path; ``kind`` names the call site's argument for the message.
-    """
-    if backend not in ("kernel", "legacy"):
-        raise ValueError(f"unknown {kind} backend {backend!r}")
-    warn_deprecated(
-        f"{kind} backend={backend!r}",
-        "context=ExecutionContext(fpva, engine=..., kernel_backend=...)",
-    )
-    if backend == "legacy":
-        return "object", None
-    return "kernel", canonical_name("kernel")
-
-
 __all__ = [
-    "BackendUnavailable",
     "KernelBackend",
     "WordBackend",
     "TileBackend",
     "EliminationPlan",
     "pick_tile_words",
-    "ENV_VAR",
     "DEFAULT_BACKEND",
     "backend_names",
     "availability",
-    "canonical_name",
     "default_backend",
     "create",
-    "warn_deprecated",
-    "resolve_legacy_engine",
 ]

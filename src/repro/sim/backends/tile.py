@@ -1,4 +1,4 @@
-"""Multi-word tile backend: elimination-scheduled propagation (default).
+"""Multi-word tile backend: elimination-scheduled propagation (production).
 
 The word sweep's cost is ``O(diameter x arcs x words)``, and on real
 dictionary workloads the diameter term is brutal: suite vectors command
@@ -302,7 +302,7 @@ class EliminationPlan:
 
 
 class TileBackend(KernelBackend):
-    """Elimination-scheduled tiles — the default batched backend."""
+    """Elimination-scheduled tiles — the production batched backend."""
 
     name = "tile"
 

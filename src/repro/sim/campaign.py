@@ -21,7 +21,6 @@ from repro.sim.kernel import (
     CompiledFaultSet,
     SinkCoverageError,
 )
-from repro.sim.seeding import mix_seed
 
 
 @dataclass
@@ -91,13 +90,9 @@ def merge_shards(
     for _, shard in ordered:
         merged.trials += shard.trials
         merged.detected += shard.detected
-        trials = shard.undetected_trials
-        if len(trials) != len(shard.undetected_examples):
-            # Legacy shard results without per-example indices: fall back
-            # to per-shard arrival order (still deterministic, examples
-            # are appended in trial order).
-            trials = range(len(shard.undetected_examples))
-        for local, example in zip(trials, shard.undetected_examples):
+        for local, example in zip(
+            shard.undetected_trials, shard.undetected_examples, strict=True
+        ):
             entries.append((offset + local, example))
         offset += shard.trials
     entries.sort(key=lambda entry: entry[0])
@@ -118,43 +113,7 @@ def sample_fault_set(
     raise RuntimeError(f"could not sample {k} compatible faults")
 
 
-def _resolve_context(fpva, context, backend: str | None, kernel):
-    """Coerce the legacy ``backend=``/``kernel=`` plumbing to a session.
-
-    The old keyword arguments stay accepted as thin deprecation shims (one
-    release): explicitly passing either warns through the registry's
-    single deprecation path and parameterizes a fresh private
-    :class:`~repro.context.ExecutionContext` (``backend="kernel"`` routes
-    to the registry's default tier, ``"legacy"`` to the object engine).
-    Passing them *alongside* an explicit context is a contradiction and
-    raises.
-    """
-    from repro.context import ExecutionContext  # late: context sits above sim
-
-    if context is not None:
-        if backend is not None or kernel is not None:
-            raise ValueError(
-                "pass either context= or the legacy backend=/kernel= "
-                "arguments, not both"
-            )
-        return ExecutionContext.resolve(context, fpva)
-    if backend is None and kernel is None:
-        return ExecutionContext(fpva)
-    from repro.sim.backends import resolve_legacy_engine, warn_deprecated
-
-    engine, kernel_backend = "kernel", None
-    if backend is not None:
-        engine, kernel_backend = resolve_legacy_engine(backend, "campaign")
-    if kernel is not None:
-        warn_deprecated(
-            "campaign kernel=", "context=ExecutionContext(fpva, kernel=...)"
-        )
-    return ExecutionContext(
-        fpva, engine=engine, kernel=kernel, kernel_backend=kernel_backend
-    )
-
-
-def run_campaign(
+def run_trials(
     fpva: FPVA,
     vectors: Sequence[TestVector],
     num_faults: int,
@@ -163,29 +122,31 @@ def run_campaign(
     include_control_leaks: bool = True,
     keep_undetected: int = 10,
     scenario=None,
-    backend: str | None = None,
-    kernel=None,
     context=None,
 ) -> CampaignResult:
     """Inject ``num_faults`` random faults ``trials`` times; count detections.
+
+    One RNG stream seeded by ``seed`` draws every trial — this is the loop
+    each shard of :func:`repro.engine.run_campaign` runs, which is the
+    public, worker-count-invariant campaign entry point.
 
     ``scenario`` is any object implementing the
     :class:`repro.engine.scenarios.FaultScenario` protocol (``universe(fpva)``
     and ``sample(universe, rng, num_faults)``); when omitted the paper's
     stuck-at/control-leak fault space is sampled directly.
 
-    ``context`` supplies the compiled-kernel session every campaign in a
-    sweep shares (kernel, tester, batch-evaluation scenario pool).  A
-    kernel-engine session canonicalizes every trial chip to its per-vector
-    effective-state masks, deduplicates, and evaluates the whole campaign
-    through the compiled bitmask kernel — 64 scenarios per machine word;
-    an ``engine="object"`` session keeps the original chip-at-a-time loop.
+    ``context`` supplies the compiled-kernel session (kernel, tester,
+    batch-evaluation scenario pool).  A kernel-engine session
+    canonicalizes every trial chip to its per-vector effective-state
+    masks, deduplicates, and evaluates the whole campaign through the
+    compiled bitmask kernel — 64 scenarios per machine word; an
+    ``engine="object"`` session keeps the original chip-at-a-time loop.
     Both draw fault sets in the same RNG order and report bit-identical
-    :class:`CampaignResult`\\ s.  The pre-context ``backend=``/``kernel=``
-    keywords remain as deprecation shims for one release; they configure a
-    private session with the same semantics.
+    :class:`CampaignResult`\\ s.
     """
-    context = _resolve_context(fpva, context, backend, kernel)
+    from repro.context import ExecutionContext  # late: context sits above sim
+
+    context = ExecutionContext.resolve(context, fpva)
     rng = random.Random(seed)
     if scenario is None:
         universe = fault_universe(fpva, include_control_leaks=include_control_leaks)
@@ -252,40 +213,3 @@ def _run_batched(
         elif len(result.undetected_examples) < keep_undetected:
             result.undetected_examples.append(faults)
             result.undetected_trials.append(trial)
-
-
-def run_sweep(
-    fpva: FPVA,
-    vectors: Sequence[TestVector],
-    fault_counts: Sequence[int] = (1, 2, 3, 4, 5),
-    trials: int = 200,
-    seed: int = 0,
-    include_control_leaks: bool = True,
-    scenario=None,
-    backend: str | None = None,
-    kernel=None,
-    context=None,
-) -> dict[int, CampaignResult]:
-    """The paper's sweep: k = 1..5 faults, ``trials`` chips per k.
-
-    One session serves every fault count, so the kernel compiles once and
-    the per-campaign batch evaluations share a scenario-dedup pool.  Each
-    fault count draws from its own RNG stream seeded by
-    ``mix_seed(seed, k)`` — never by naive ``seed + k`` arithmetic, whose
-    streams collide across sweeps (``(seed=0, k=2)`` and ``(seed=1, k=1)``
-    would inject identical chips).
-    """
-    context = _resolve_context(fpva, context, backend, kernel)
-    return {
-        k: run_campaign(
-            fpva,
-            vectors,
-            num_faults=k,
-            trials=trials,
-            seed=mix_seed(seed, k),
-            include_control_leaks=include_control_leaks,
-            scenario=scenario,
-            context=context,
-        )
-        for k in fault_counts
-    }

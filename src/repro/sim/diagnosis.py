@@ -10,14 +10,14 @@ generated suite, then look up observed syndromes.
 Construction cost is dominated by repeated reachability simulation, and
 most fault sets induce states the suite has already seen — a stuck-at-0 on
 a valve a vector commands closed changes nothing, and thousands of double
-faults collapse onto the same effective ``(open, blocked)`` masks.  The
-default ``kernel`` backend therefore canonicalizes every (fault set,
-vector) pair to its effective-state masks, simulates each **distinct**
-scenario exactly once through the compiled bitmask kernel (64 scenarios
-per machine word), and assembles syndromes from the shared slot table.
-The ``legacy`` backend retains the original one-chip-at-a-time loop; both
-produce identical tables (asserted by the equivalence property test and
-``benchmarks/bench_kernel.py``).
+faults collapse onto the same effective ``(open, blocked)`` masks.  A
+kernel-engine session therefore canonicalizes every (fault set, vector)
+pair to its effective-state masks, simulates each **distinct** scenario
+exactly once through the compiled bitmask kernel (64 scenarios per
+machine word), and assembles syndromes from the shared slot table.  An
+``engine="object"`` session retains the original one-chip-at-a-time
+loop; both produce identical tables (asserted by the equivalence
+property test and ``benchmarks/bench_kernel.py``).
 
 Construction also **streams**: fault sets are enumerated lazily
 (:func:`iter_fault_sets`) and evaluated in bounded-size chunks, so the
@@ -305,14 +305,13 @@ class FaultDictionary:
     ``context`` binds the dictionary to an
     :class:`~repro.context.ExecutionContext`: the session's kernel, tester
     and artifact store are shared instead of re-derived, and the session's
-    engine choice selects the build backend.  The pre-context plumbing
-    stays as thin deprecation shims for one release: ``kernel`` supplies a
-    pre-compiled :class:`~repro.sim.kernel.ReachabilityKernel` directly;
-    ``backend="legacy"`` forces the object-engine build; ``store`` (an
-    :class:`~repro.store.ArtifactStore` or a cache-directory path) enables
-    the warm-start/streaming persistence described in the module
-    docstring.  Without any of them the kernel is compiled lazily, on
-    first need — a legacy build never pays for one.
+    engine choice selects the build path.  Without one the dictionary
+    resolves a private session, exactly as every other layer does.
+    ``store`` (an :class:`~repro.store.ArtifactStore` or a cache-directory
+    path) enables the warm-start/streaming persistence described in the
+    module docstring; it may supplement a store-less context, never
+    override a context's own store.  The kernel is compiled lazily, on
+    first need — an object-engine build never pays for one.
     """
 
     def __init__(
@@ -322,8 +321,6 @@ class FaultDictionary:
         include_control_leaks: bool = True,
         max_cardinality: int = 1,
         universe: Sequence[Fault] | None = None,
-        backend: str | None = None,
-        kernel: ReachabilityKernel | None = None,
         store=None,
         chunk_size: int = DEFAULT_CHUNK_SIZE,
         context=None,
@@ -338,18 +335,15 @@ class FaultDictionary:
             raise ValueError("chunk_size must be positive")
         if base_digest is not None and not incremental:
             raise ValueError("base_digest requires incremental builds")
-        from repro.store import as_store  # late: store sits above sim
+        # Late imports: context and store sit above sim.
+        from repro.context import ExecutionContext
+        from repro.store import as_store
 
-        if context is not None:
-            from repro.context import ExecutionContext
-
-            if backend is not None or kernel is not None:
-                raise ValueError(
-                    "pass either context= or the legacy backend=/kernel= "
-                    "arguments, not both"
-                )
+        if context is None:
+            context = ExecutionContext(fpva, store=store)
+            store = context.store
+        else:
             context = ExecutionContext.resolve(context, fpva)
-            backend = "kernel" if context.batched else "legacy"
             if store is None:
                 store = context.store
             elif context.store is not None:
@@ -360,29 +354,11 @@ class FaultDictionary:
                     "pass either context= (with its store) or store=, "
                     "not both"
                 )
-        elif backend is not None or kernel is not None:
-            from repro.sim.backends import resolve_legacy_engine, warn_deprecated
-
-            if backend is not None:
-                engine, _ = resolve_legacy_engine(backend, "dictionary")
-                backend = "kernel" if engine == "kernel" else "legacy"
-            else:
-                backend = "kernel"
-            if kernel is not None:
-                warn_deprecated(
-                    "dictionary kernel=",
-                    "context=ExecutionContext(fpva, kernel=...)",
-                )
-        else:
-            backend = "kernel"
         self._context = context
         self.fpva = fpva
         self.vectors = list(vectors)
-        self.backend = backend
         self.max_cardinality = max_cardinality
         self.chunk_size = chunk_size
-        self._kernel = kernel
-        self._tester: Tester | None = None
         self._table: dict[Syndrome, list[tuple[Fault, ...]]] = defaultdict(list)
 
         if universe is None:
@@ -426,7 +402,7 @@ class FaultDictionary:
                     return
             if (
                 incremental
-                and self.backend == "kernel"
+                and context.batched
                 and self.vectors
                 and self.universe
                 and self._build_delta(base_digest)
@@ -465,7 +441,7 @@ class FaultDictionary:
             self._fault_pos = {f: i for i, f in enumerate(self.universe)}
         self.build_stats = {"mode": "cold"}
         try:
-            if self.backend == "kernel":
+            if self._context.batched:
                 scenarios = self._build_batched(fault_sets, writer)
                 if scenarios is not None:
                     self.build_stats["simulated_scenarios"] = scenarios
@@ -515,7 +491,7 @@ class FaultDictionary:
         incremental build run its promotion region through a pre-checked
         evaluator without re-raising the coverage fallback mid-delta.
         """
-        kernel = self._require_kernel()
+        kernel = self._context.kernel
         if evaluator is None:
             try:
                 evaluator = BatchEvaluator(kernel, self.vectors)
@@ -589,7 +565,7 @@ class FaultDictionary:
         if plan is None:
             return False
         anc = plan.ancestor
-        kernel = self._require_kernel()
+        kernel = self._context.kernel
         try:
             evaluator = BatchEvaluator(kernel, self.vectors)
         except SinkCoverageError:
@@ -820,27 +796,10 @@ class FaultDictionary:
         }
         return True
 
-    def _require_kernel(self) -> ReachabilityKernel:
-        """The compiled kernel, built (or warm-loaded) on first need."""
-        if self._kernel is None:
-            if self._context is not None:
-                self._kernel = self._context.kernel
-            elif self.store is not None:
-                self._kernel = self.store.kernels.get_or_compile(self.fpva)
-            else:
-                self._kernel = ReachabilityKernel(self.fpva)
-        return self._kernel
-
     @property
     def tester(self) -> Tester:
-        """The session's tester (kernel-engine when built standalone),
-        constructed lazily on first use."""
-        if self._tester is None:
-            if self._context is not None:
-                self._tester = self._context.tester
-            else:
-                self._tester = Tester(self.fpva, kernel=self._require_kernel())
-        return self._tester
+        """The session's tester, constructed lazily on first use."""
+        return self._context.tester
 
     def _syndrome_of(
         self, faults: tuple[Fault, ...], tester: Tester | None = None

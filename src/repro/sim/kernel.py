@@ -33,13 +33,12 @@ visited map is a hoisted scratch buffer reset in O(visited)).
 :class:`BatchEvaluator` memoizes distinct ``(open, blocked)`` scenarios so
 equivalent fault sets are simulated exactly once.
 
-*How* packed words propagate is delegated to a pluggable
+*How* packed words propagate is delegated to a
 :mod:`~repro.sim.backends` tier (:meth:`ReachabilityKernel.set_backend`):
-the default ``tile`` backend runs diameter-free elimination-scheduled
-passes, ``word`` retains the level-synchronous reduceat sweep below as
-the baseline, and optional ``jit``/``gpu`` tiers compile the scalar and
-batched paths respectively.  Every backend shares this module's compiled
-CSR arrays and is pinned bit-identical to the object-graph reference.
+the production ``tile`` backend runs diameter-free elimination-scheduled
+passes, and ``word`` retains the level-synchronous reduceat sweep below
+as the reference.  Both share this module's compiled CSR arrays and are
+pinned bit-identical to the object-graph reference.
 """
 
 from __future__ import annotations
@@ -271,32 +270,26 @@ class ReachabilityKernel:
     # -- backend seam ------------------------------------------------------
     @property
     def backend(self):
-        """The propagation backend, resolved on first use.
-
-        Without an explicit :meth:`set_backend` the registry default
-        applies (``tile``, or whatever ``REPRO_KERNEL_BACKEND`` names).
-        """
+        """The propagation backend: ``tile`` unless :meth:`set_backend`
+        attached another tier first."""
         if self._backend is None:
-            from repro.sim.backends import create, default_backend
+            from repro.sim.backends import DEFAULT_BACKEND, create
 
-            self._backend = create(default_backend(), self, fallback=True)
+            self._backend = create(DEFAULT_BACKEND, self)
         return self._backend
 
     def set_backend(self, backend) -> "ReachabilityKernel":
         """Attach a propagation backend (name or instance); returns self.
 
-        Attaching the already-attached backend name is a no-op, so
-        campaign workers re-binding a memoized kernel per shard never
-        recompile a backend schedule.  Instances must have been built for
-        this kernel.
+        Attaching the already-attached backend name is a no-op, so a
+        compiled backend schedule is never rebuilt.  Instances must have
+        been built for this kernel.
         """
-        from repro.sim.backends import KernelBackend, canonical_name, create
+        from repro.sim.backends import KernelBackend, create
 
         if isinstance(backend, str):
-            name = canonical_name(backend)
-            if self._backend is not None and self._backend.name == name:
-                return self
-            self._backend = create(name, self)
+            if self._backend is None or self._backend.name != backend:
+                self._backend = create(backend, self)
             return self
         if not isinstance(backend, KernelBackend):
             raise TypeError(
@@ -310,15 +303,7 @@ class ReachabilityKernel:
 
     # -- scalar path (one scenario) ----------------------------------------
     def reach(self, open_mask: int, blocked_mask: int = 0) -> bytearray:
-        """Per-node reachability flags for one scenario."""
-        return self.backend.reach_mask(open_mask, blocked_mask)
-
-    def readings(self, open_mask: int, blocked_mask: int = 0) -> dict[str, bool]:
-        """Sink readings for one scenario, keyed by port name."""
-        return self.backend.readings(open_mask, blocked_mask)
-
-    def _scalar_reach(self, open_mask: int, blocked_mask: int = 0) -> bytearray:
-        """Reference scalar BFS over all nodes (pure-Python backends).
+        """Per-node reachability flags for one scenario.
 
         Uses the hoisted visited buffer (returning a fresh copy) and
         resets it with one C-level memset instead of re-allocating per
@@ -355,10 +340,8 @@ class ReachabilityKernel:
         seen[:] = self._scalar_zero
         return result
 
-    def _scalar_readings(
-        self, open_mask: int, blocked_mask: int = 0
-    ) -> dict[str, bool]:
-        """Reference scalar BFS with meter early-exit (pure-Python backends).
+    def readings(self, open_mask: int, blocked_mask: int = 0) -> dict[str, bool]:
+        """Sink readings for one scenario, keyed by port name.
 
         Early-exits once every meter has been reached, like the legacy
         BFS.  The visited buffer is the hoisted shared scratch — reset by

@@ -1,12 +1,13 @@
 """Deterministic seed derivation shared by every campaign runner.
 
-Both the serial multi-``k`` sweep (:func:`repro.sim.campaign.run_sweep`)
-and the sharded parallel runner (:mod:`repro.engine.parallel`) must derive
-one independent RNG stream per ``(seed, fault count, shard)`` coordinate.
-Naive arithmetic like ``seed + k`` collides across coordinates — the
-streams for ``(seed=0, k=2)`` and ``(seed=1, k=1)`` would be identical —
-so every runner routes through :func:`mix_seed`, a splitmix64 finalizer
-over the packed coordinates.  The finalizer is a bijection on 64-bit
+The sharded campaign runner (:mod:`repro.engine.parallel`) and the
+campaign fabric (:mod:`repro.fabric`) must derive one independent RNG
+stream per ``(seed, fault count, shard)`` coordinate, which seeds that
+shard's :func:`repro.sim.campaign.run_trials` loop.  Naive arithmetic
+like ``seed + k`` collides across coordinates — the streams for
+``(seed=0, k=2)`` and ``(seed=1, k=1)`` would be identical — so every
+runner routes through :func:`mix_seed`, a splitmix64 finalizer over the
+packed coordinates.  The finalizer is a bijection on 64-bit
 words applied to a linear combination with large odd constants, so nearby
 coordinates land in unrelated parts of the seed space.
 """

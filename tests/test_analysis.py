@@ -55,7 +55,7 @@ def codes(path: str, source: str) -> list[str]:
 # One test per rule id: deleting a rule module fails exactly these.
 
 @pytest.mark.parametrize(
-    "rule_id", ["R1", "R2", "R3", "R4", "R5", "R6", "R7", "R8"]
+    "rule_id", ["R1", "R2", "R3", "R5", "R6", "R7", "R8"]
 )
 def test_rule_is_registered(rule_id):
     assert rule_id in RULES, f"rule {rule_id} missing from the registry"
@@ -75,7 +75,7 @@ def test_registry_is_discovered_not_hardcoded():
         m.name for m in pkgutil.iter_modules(pkg.__path__)
         if m.name.startswith("r")
     ]
-    assert len(modules) >= 8
+    assert len(modules) >= 7
     assert len(RULES) >= len(modules)
 
 
@@ -181,19 +181,6 @@ def test_r3_allows_the_session_factories():
     assert codes("src/repro/context.py", source) == []
     assert codes("src/repro/sim/kernel.py", source) == []
     assert codes("src/repro/store/kernels.py", source) == []
-
-
-# -- R4: deprecated spellings -------------------------------------------------
-
-def test_r4_flags_shimmed_keywords_only_on_shimmed_callees():
-    source = "run_campaign(fpva, v, backend='kernel')\n"
-    assert "R4" in codes("src/repro/cli.py", source)
-    source = "FaultDictionary(fpva, v, kernel=k)\n"
-    assert "R4" in codes("examples/x.py", source)
-    # kernel= is real API elsewhere (Tester), and positional args are not
-    # the shim's concern.
-    assert codes("src/repro/cli.py", "Tester(fpva, kernel=k)\n") == []
-    assert codes("src/repro/cli.py", "run_campaign(fpva, v, context=ctx)\n") == []
 
 
 # -- R5: broad except ---------------------------------------------------------

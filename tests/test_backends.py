@@ -1,58 +1,36 @@
-"""The backend-registry spine: every tier pinned to the object reference.
+"""The backend-registry spine: both tiers pinned to the object reference.
 
-The PR-6 acceptance contract lives here:
-
-* each registered backend (word / tile / jit / gpu) produces **bit
-  identical** readings to the ``engine="object"`` reference — absent
-  optional dependencies *skip* with the probe's reason, never fail;
-* a :class:`~repro.store.KernelStore`-persisted kernel warm-loads into
-  any backend tier and replays identical readings (artifacts are
+* each registered backend (``tile``, the production tier, and ``word``,
+  the reference tier) produces **bit identical** readings to the
+  ``engine="object"`` reference;
+* a :class:`~repro.store.KernelStore`-persisted kernel warm-loads and
+  replays identical readings under either tier (artifacts are
   backend-agnostic);
-* selection flows through one spelling: ``kernel_backend=`` on the
-  session, ``REPRO_KERNEL_BACKEND`` in the environment, and the CLI
-  ``--kernel-backend`` flag;
-* unavailable tiers fall back to the default with a warning when asked
-  to, and the deprecated ``backend="kernel"``/``kernel=`` spellings
-  route into the registry through the single deprecation path,
-  bit-identically.
+* production kernels propagate through ``tile``; only an explicit
+  :meth:`~repro.sim.kernel.ReachabilityKernel.set_backend` attaches
+  ``word``, and a session adopting such a kernel keeps it.
 """
 
 from __future__ import annotations
 
 import pickle
 import random
-import warnings
 
 import numpy as np
 import pytest
-from hypothesis import HealthCheck, given, settings
-from hypothesis import strategies as st
 
 from repro.context import ExecutionContext
-from repro.core import generate_suite
-from repro.engine import get_scenario
 from repro.fpva import full_layout, table1_layout
-from repro.sim import ChipUnderTest, FaultDictionary, PressureSimulator
+from repro.sim import PressureSimulator
 from repro.sim.backends import (
-    DEFAULT_BACKEND,
-    BackendUnavailable,
     KernelBackend,
     availability,
     backend_names,
-    canonical_name,
     create,
     default_backend,
     pick_tile_words,
-    resolve_legacy_engine,
 )
-from repro.sim.campaign import run_campaign
 from repro.sim.kernel import ReachabilityKernel
-
-
-def _require(name: str):
-    reason = availability()[name]
-    if reason is not None:
-        pytest.skip(f"backend {name!r} unavailable: {reason}")
 
 
 def _random_scenarios(kernel, rng, count):
@@ -104,7 +82,6 @@ class TestBackendEquivalence:
     """Tentpole spine: every tier bit-identical to the object engine."""
 
     def test_batched_matches_object_reference(self, fpva, reference, name):
-        _require(name)
         scenarios, expected = reference
         kernel = ReachabilityKernel(fpva).set_backend(name)
         got = kernel.batch_readings(scenarios)
@@ -112,7 +89,6 @@ class TestBackendEquivalence:
         assert np.array_equal(got, expected)
 
     def test_scalar_matches_object_reference(self, fpva, reference, name):
-        _require(name)
         scenarios, expected = reference
         kernel = ReachabilityKernel(fpva).set_backend(name)
         for (open_mask, blocked_mask), row in zip(scenarios[:40], expected):
@@ -120,17 +96,25 @@ class TestBackendEquivalence:
             assert [readings[s] for s in kernel.sink_names] == list(row)
 
     def test_reach_matches_scalar_reference(self, fpva, name):
-        _require(name)
         kernel = ReachabilityKernel(fpva).set_backend(name)
+        sim = PressureSimulator(fpva, engine="object")
+        valve_order = list(kernel.valve_index)
+        edge_order = list(kernel.edge_index)
         rng = random.Random(11)
         for open_mask, blocked_mask in _random_scenarios(kernel, rng, 20):
-            assert bytes(kernel.reach(open_mask, blocked_mask)) == bytes(
-                kernel._scalar_reach(open_mask, blocked_mask)
+            opened = frozenset(
+                v for i, v in enumerate(valve_order) if (open_mask >> i) & 1
             )
+            blocked = frozenset(
+                e for i, e in enumerate(edge_order) if (blocked_mask >> i) & 1
+            )
+            reached = kernel.reach(open_mask, blocked_mask)
+            assert {
+                node for node, hit in zip(kernel.nodes, reached) if hit
+            } == sim.pressurized_nodes(opened, blocked=blocked)
 
     def test_odd_batch_widths(self, fpva, name):
         """Non-multiple-of-64 batches exercise the padded tail word."""
-        _require(name)
         kernel = ReachabilityKernel(fpva).set_backend(name)
         ref_kernel = ReachabilityKernel(fpva).set_backend("word")
         rng = random.Random(3)
@@ -143,20 +127,18 @@ class TestBackendEquivalence:
 
     def test_warm_start_roundtrip(self, fpva, reference, name, tmp_path):
         """Acceptance: a persisted kernel loads into any tier identically."""
-        _require(name)
         scenarios, expected = reference
         seed_ctx = ExecutionContext(fpva, cache_dir=tmp_path)
         seed_ctx.kernel  # cold compile persists the artifact
         assert seed_ctx.kernel_compiles == 1
-        ctx = ExecutionContext(fpva, cache_dir=tmp_path, kernel_backend=name)
-        kernel = ctx.kernel
+        ctx = ExecutionContext(fpva, cache_dir=tmp_path)
+        kernel = ctx.kernel.set_backend(name)
         assert ctx.kernel_loads == 1 and ctx.kernel_compiles == 0
         assert kernel.backend.name == name
         assert np.array_equal(kernel.batch_readings(scenarios), expected)
 
     def test_pickle_roundtrip(self, fpva, name):
         """Shard payloads carry the backend; readings survive the trip."""
-        _require(name)
         kernel = ReachabilityKernel(fpva).set_backend(name)
         scenarios = _random_scenarios(kernel, random.Random(5), 40)
         expected = kernel.batch_readings(scenarios)
@@ -166,56 +148,31 @@ class TestBackendEquivalence:
 
 
 class TestRegistry:
-    def test_registry_names_and_alias(self):
-        assert backend_names() == ("word", "tile", "jit", "gpu")
-        assert canonical_name("kernel") == "tile"
-        assert canonical_name("word") == "word"
-        with pytest.raises(ValueError, match="unknown kernel backend"):
-            canonical_name("warp")
+    def test_registry_names_and_alias(self, fpva):
+        assert backend_names() == ("word", "tile")
+        kernel = ReachabilityKernel(fpva)
+        # "kernel" (an alias before sessions existed) is not a tier name.
+        for name in ("kernel", "warp"):
+            with pytest.raises(ValueError, match="unknown kernel backend"):
+                kernel.set_backend(name)
 
     def test_always_available_tiers(self):
         status = availability()
         assert status["word"] is None and status["tile"] is None
 
-    def test_env_var_selects_backend(self, fpva, monkeypatch):
-        monkeypatch.setenv("REPRO_KERNEL_BACKEND", "word")
-        assert default_backend() == "word"
-        ctx = ExecutionContext(fpva)
-        assert ctx.kernel_backend == "word"
-        assert ctx.kernel.backend.name == "word"
-
-    def test_env_var_typo_fails_at_construction(self, fpva, monkeypatch):
-        monkeypatch.setenv("REPRO_KERNEL_BACKEND", "warp")
-        with pytest.raises(ValueError, match="unknown kernel backend"):
-            ExecutionContext(fpva)
-
-    def test_explicit_knob_beats_env(self, fpva, monkeypatch):
-        monkeypatch.setenv("REPRO_KERNEL_BACKEND", "tile")
-        ctx = ExecutionContext(fpva, kernel_backend="word")
-        assert ctx.kernel.backend.name == "word"
-
-    def test_unavailable_tier_raises_without_fallback(self, fpva):
-        missing = [n for n, why in availability().items() if why is not None]
-        if not missing:
-            pytest.skip("every optional backend is installed here")
-        kernel = ReachabilityKernel(fpva)
-        with pytest.raises(BackendUnavailable, match=missing[0]):
-            create(missing[0], kernel)
-
-    def test_unavailable_tier_falls_back_with_warning(self, fpva):
-        missing = [n for n, why in availability().items() if why is not None]
-        if not missing:
-            pytest.skip("every optional backend is installed here")
-        ctx = ExecutionContext(fpva, kernel_backend=missing[0])
-        with pytest.warns(RuntimeWarning, match="falling back"):
-            kernel = ctx.kernel
-        assert kernel.backend.name == DEFAULT_BACKEND
+    def test_production_kernels_propagate_through_tile(self, fpva):
+        assert default_backend() == "tile"
+        assert ReachabilityKernel(fpva).backend.name == "tile"
+        assert ExecutionContext(fpva).kernel.backend.name == "tile"
+        # A session adopting a kernel keeps the tier that kernel carries.
+        word = ReachabilityKernel(fpva).set_backend("word")
+        adopted = ExecutionContext(fpva, kernel=word).kernel
+        assert adopted is word and adopted.backend.name == "word"
 
     def test_set_backend_same_name_is_noop(self, fpva):
         kernel = ReachabilityKernel(fpva).set_backend("tile")
         attached = kernel.backend
         assert kernel.set_backend("tile").backend is attached
-        assert kernel.set_backend("kernel").backend is attached  # alias
 
     def test_set_backend_rejects_foreign_instances(self, fpva):
         kernel = ReachabilityKernel(fpva)
@@ -235,66 +192,6 @@ class TestRegistry:
         assert pick_tile_words(1024) == 16
         assert pick_tile_words(4096) == 32
         assert pick_tile_words(10**6) == 32
-
-
-class TestLegacyShims:
-    """Satellite: deprecated spellings route into the registry, warning once."""
-
-    def test_resolve_legacy_engine(self):
-        with pytest.warns(DeprecationWarning, match="backend='kernel'"):
-            assert resolve_legacy_engine("kernel", "campaign") == ("kernel", "tile")
-        with pytest.warns(DeprecationWarning, match="backend='legacy'"):
-            assert resolve_legacy_engine("legacy", "campaign") == ("object", None)
-        with pytest.raises(ValueError, match="unknown campaign backend"):
-            resolve_legacy_engine("warp", "campaign")
-
-    def test_default_spellings_do_not_warn(self, fpva):
-        vectors = generate_suite(fpva).all_vectors()[:4]
-        with warnings.catch_warnings():
-            warnings.simplefilter("error", DeprecationWarning)
-            run_campaign(fpva, vectors, num_faults=1, trials=3, seed=1)
-            FaultDictionary(fpva, vectors, universe=[])
-
-    def test_dictionary_shim_warns_and_matches(self, fpva):
-        vectors = generate_suite(fpva).all_vectors()
-        universe = get_scenario("stuck-at").universe(fpva)[:12]
-        with pytest.warns(DeprecationWarning, match="backend='kernel'"):
-            shimmed = FaultDictionary(
-                fpva, vectors, universe=universe, backend="kernel"
-            )
-        modern = FaultDictionary(
-            fpva, vectors, universe=universe, context=ExecutionContext(fpva)
-        )
-        assert shimmed.backend == "kernel"
-        assert list(shimmed._table.items()) == list(modern._table.items())
-
-    def test_dictionary_legacy_spelling_routes_to_object(self, fpva):
-        vectors = generate_suite(fpva).all_vectors()
-        with pytest.warns(DeprecationWarning, match="backend='legacy'"):
-            ref = FaultDictionary(fpva, vectors, universe=[], backend="legacy")
-        assert ref.backend == "legacy"
-
-    @settings(
-        max_examples=5,
-        deadline=None,
-        suppress_health_check=[HealthCheck.too_slow],
-    )
-    @given(st.integers(0, 2**16))
-    def test_campaign_shim_bit_identical(self, seed):
-        """Property: backend="kernel" == context spelling, trial for trial."""
-        fpva = full_layout(3, 3)
-        vectors = generate_suite(fpva).all_vectors()
-        kwargs = dict(num_faults=2, trials=10, seed=seed)
-        with pytest.warns(DeprecationWarning):
-            shimmed = run_campaign(fpva, vectors, backend="kernel", **kwargs)
-        modern = run_campaign(
-            fpva, vectors, context=ExecutionContext(fpva), **kwargs
-        )
-        assert (shimmed.trials, shimmed.detected) == (
-            modern.trials,
-            modern.detected,
-        )
-        assert shimmed.undetected_examples == modern.undetected_examples
 
 
 class TestBackendObjects:

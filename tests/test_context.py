@@ -4,14 +4,14 @@ Covers the PR-5 tentpole and satellites:
 
 * exactly **one** kernel compile per context across generation, coverage,
   hardening, campaigns and dictionary diagnosis;
-* the unified observability signatures (canonical order, both historical
-  orders via the keyword-compatible shim, deprecation warning);
+* the unified observability signatures: one ``(source, vector, fpva)``
+  order for both checks;
 * batched-vs-reference equivalence properties: kernel-session coverage
   observability sets and hardening output are identical to the
   ``engine="object"`` object-BFS reference across random layouts,
   vectors and seeds;
 * context plumbing (store warm starts, evaluator memoization, seed
-  streams, legacy-keyword conflict detection).
+  streams) and the kernel-vs-object engine choice it carries.
 """
 
 from __future__ import annotations
@@ -37,8 +37,8 @@ from repro.sim import (
     FaultDictionary,
     PressureSimulator,
     ReachabilityKernel,
-    run_campaign,
 )
+from repro.sim.campaign import run_trials
 from repro.engine import AdaptiveDiagnoser
 
 
@@ -156,7 +156,7 @@ class TestOneCompilePerContext:
         ).generate().testset
         vectors = suite.all_vectors()
         measure_coverage(fpva, vectors, context=ctx)
-        run_campaign(fpva, vectors, num_faults=2, trials=10, context=ctx)
+        run_trials(fpva, vectors, num_faults=2, trials=10, context=ctx)
         run_campaign_sharded(
             fpva, vectors, num_faults=2, trials=20, workers=1, context=ctx
         )
@@ -182,25 +182,6 @@ class TestUnifiedObservabilitySignatures:
         assert canonical  # a flow-path vector observes its own valves
         assert sa0_observable_valves(ctx.simulator, vector) == canonical
         assert sa0_observable_valves(ctx.simulator, vector, fpva) == canonical
-        assert (
-            sa0_observable_valves(
-                simulator=ctx.simulator, vector=vector, fpva=fpva
-            )
-            == canonical
-        )
-
-    def test_sa1_canonical_matches_legacy_order(self, setup):
-        fpva, ctx, vector = setup
-        canonical = sa1_observable_valves(ctx, vector)
-        with pytest.warns(DeprecationWarning, match="argument order"):
-            legacy = sa1_observable_valves(fpva, ctx.simulator, vector)
-        assert legacy == canonical
-        assert (
-            sa1_observable_valves(
-                fpva=fpva, simulator=ctx.simulator, vector=vector
-            )
-            == canonical
-        )
 
     def test_both_signatures_are_identical(self, setup):
         fpva, ctx, vector = setup
@@ -210,12 +191,12 @@ class TestUnifiedObservabilitySignatures:
 
     def test_missing_vector_rejected(self, setup):
         _, ctx, _ = setup
-        with pytest.raises(TypeError, match="TestVector"):
+        with pytest.raises(TypeError, match="vector"):
             sa0_observable_valves(ctx)
 
     def test_missing_simulator_rejected(self, setup):
         fpva, _, vector = setup
-        with pytest.raises(TypeError, match="ExecutionContext or PressureSimulator"):
+        with pytest.raises(TypeError, match="source"):
             sa0_observable_valves(vector=vector)
 
 
@@ -329,35 +310,20 @@ class TestBatchedEquivalenceProperties:
 
 
 class TestLegacyKeywordShims:
-    def test_campaign_context_conflicts_rejected(self, small):
-        ctx = ExecutionContext(small)
-        vectors = _random_vectors(small, seed=9, count=3)
-        with pytest.raises(ValueError, match="not both"):
-            run_campaign(
-                small, vectors, num_faults=1, trials=2,
-                context=ctx, backend="legacy",
-            )
-        with pytest.raises(ValueError, match="not both"):
-            FaultDictionary(
-                small, vectors, context=ctx, kernel=ReachabilityKernel(small)
-            )
-        with pytest.raises(ValueError, match="not both"):
-            run_campaign_sharded(
-                small, vectors, num_faults=1, trials=2,
-                context=ctx, cache_dir="/tmp/nope",
-            )
+    """Kernel sessions match ``engine="object"`` sessions."""
 
     def test_campaign_context_matches_legacy_kwargs(self, small):
         suite = TestGenerator(small, include_leakage=False).generate().testset
         vectors = suite.all_vectors()
-        via_context = run_campaign(
+        via_context = run_trials(
             small, vectors, num_faults=2, trials=40, seed=3,
             context=ExecutionContext(small),
         )
-        via_kwargs = run_campaign(
-            small, vectors, num_faults=2, trials=40, seed=3, backend="legacy"
+        via_object = run_trials(
+            small, vectors, num_faults=2, trials=40, seed=3,
+            context=ExecutionContext(small, engine="object"),
         )
-        assert via_context == via_kwargs
+        assert via_context == via_object
 
     def test_dictionary_context_matches_legacy(self, small, tmp_path):
         suite = TestGenerator(small, include_leakage=False).generate().testset
@@ -366,7 +332,8 @@ class TestLegacyKeywordShims:
             small, suite.all_vectors(), context=ctx
         )
         legacy = FaultDictionary(
-            small, suite.all_vectors(), backend="legacy"
+            small, suite.all_vectors(),
+            context=ExecutionContext(small, engine="object"),
         )
         assert list(with_context._table.items()) == list(legacy._table.items())
         # The context's store addressed the build: a rebuild warm-loads.

@@ -2,11 +2,14 @@
 
 import pytest
 
+import repro
+import repro.engine
+import repro.sim
 from repro.core import generate_suite
 from repro.engine import get_scenario, run_campaign, run_sweep
 from repro.engine.parallel import _mix_seed
 from repro.fpva import full_layout
-from repro.sim import run_campaign as run_campaign_serial
+from repro.sim.campaign import run_trials
 
 
 @pytest.fixture(scope="module")
@@ -22,6 +25,15 @@ def _result_key(result):
         result.detected,
         result.undetected_examples,
     )
+
+
+@pytest.mark.parametrize("name", ["run_campaign", "run_sweep"])
+def test_one_definition_per_campaign_name(name):
+    """Every public spelling of a campaign runner is the sharded,
+    worker-count-invariant one: the same name never means two results."""
+    modules = (repro, repro.sim, repro.sim.campaign, repro.engine)
+    found = {getattr(module, name, None) for module in modules} - {None}
+    assert found == {getattr(repro.engine.parallel, name)}
 
 
 class TestDeterminism:
@@ -92,18 +104,6 @@ class TestSharding:
         }
         assert len(grid) == 12 * 5 * 4
 
-    def test_serial_sweep_routes_through_mix_seed(self, bundle):
-        """campaign.run_sweep's per-k seed is mix_seed(seed, k), verbatim."""
-        from repro.sim import mix_seed, run_sweep as serial_sweep
-
-        fpva, vectors = bundle
-        assert mix_seed(0, 2) == _mix_seed(0, 2, 0)
-        sweep = serial_sweep(fpva, vectors, fault_counts=(2,), trials=15, seed=0)
-        direct = run_campaign_serial(
-            fpva, vectors, num_faults=2, trials=15, seed=mix_seed(0, 2)
-        )
-        assert _result_key(sweep[2]) == _result_key(direct)
-
     def test_detection_rate_comparable_to_serial(self, bundle):
         """Sharding changes RNG streams, not statistics: the paper's
         all-detected result must survive the parallel path."""
@@ -112,9 +112,7 @@ class TestSharding:
             fpva, vectors, num_faults=2, trials=100, seed=21, workers=4,
             shard_trials=25,
         )
-        serial = run_campaign_serial(
-            fpva, vectors, num_faults=2, trials=100, seed=21
-        )
+        serial = run_trials(fpva, vectors, num_faults=2, trials=100, seed=21)
         assert sharded.all_detected and serial.all_detected
 
 

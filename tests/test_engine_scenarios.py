@@ -23,8 +23,8 @@ from repro.sim import (
     StuckAt1,
     Tester,
     faults_compatible,
-    run_campaign,
 )
+from repro.sim.campaign import run_trials
 
 
 @pytest.fixture(scope="module")
@@ -168,7 +168,7 @@ class TestScenariosEndToEnd:
     @pytest.mark.parametrize("scenario_name", scenario_names())
     def test_campaign_end_to_end(self, bundle, scenario_name):
         fpva, vectors = bundle
-        result = run_campaign(
+        result = run_trials(
             fpva,
             vectors,
             num_faults=2,
@@ -196,7 +196,7 @@ class TestScenariosEndToEnd:
     def test_paper_scenario_detects_everything(self, bundle):
         """The stuck-at scenario reproduces the paper's all-detected result."""
         fpva, vectors = bundle
-        result = run_campaign(
+        result = run_trials(
             fpva,
             vectors,
             num_faults=3,

@@ -14,8 +14,9 @@ from repro.sim import (
     StuckAt0,
     StuckAt1,
     Tester,
-    run_sweep,
+    mix_seed,
 )
+from repro.sim.campaign import run_trials
 
 
 class TestEndToEnd:
@@ -32,7 +33,13 @@ class TestEndToEnd:
     def test_sweep_campaign_mirrors_paper(self, bundle):
         """Section IV: 1..5 random faults, all detected."""
         fpva, suite, tester = bundle
-        sweep = run_sweep(fpva, suite.all_vectors(), trials=60, seed=42)
+        sweep = {
+            k: run_trials(
+                fpva, suite.all_vectors(), num_faults=k, trials=60,
+                seed=mix_seed(42, k),
+            )
+            for k in (1, 2, 3, 4, 5)
+        }
         for k, result in sweep.items():
             assert result.all_detected, (k, result.undetected_examples)
 

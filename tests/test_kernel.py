@@ -16,6 +16,7 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
+from repro.context import ExecutionContext
 from repro.core import generate_suite
 from repro.engine import AdaptiveDiagnoser, get_scenario, scenario_names
 from repro.fpva import FPVABuilder, Side, full_layout, table1_layout
@@ -28,8 +29,13 @@ from repro.sim import (
     PressureSimulator,
     ReachabilityKernel,
 )
-from repro.sim.campaign import run_campaign
+from repro.sim.campaign import run_trials
 from repro.sim.kernel import _pack_words, _unpack_words
+
+
+def _object_engine(fpva):
+    """A session pinned to the pure-Python object-graph reference engine."""
+    return ExecutionContext(fpva, engine="object")
 
 
 class TestPackRoundTrip:
@@ -195,16 +201,20 @@ class TestDictionaryEquivalence:
             universe = scenario.universe(fpva)
             sub = rng.sample(universe, min(24, len(universe)))
             kwargs = dict(universe=sub, max_cardinality=2)
-            fast = FaultDictionary(fpva, vectors, backend="kernel", **kwargs)
-            ref = FaultDictionary(fpva, vectors, backend="legacy", **kwargs)
+            fast = FaultDictionary(
+                fpva, vectors, context=ExecutionContext(fpva), **kwargs
+            )
+            ref = FaultDictionary(
+                fpva, vectors, context=_object_engine(fpva), **kwargs
+            )
             assert list(fast._table.items()) == list(ref._table.items())
             assert fast.distinct_syndromes == ref.distinct_syndromes
             assert fast.resolution() == ref.resolution()
 
     def test_default_universe_with_leaks(self, tiny):
         vectors = generate_suite(tiny).all_vectors()
-        fast = FaultDictionary(tiny, vectors, backend="kernel")
-        ref = FaultDictionary(tiny, vectors, backend="legacy")
+        fast = FaultDictionary(tiny, vectors, context=ExecutionContext(tiny))
+        ref = FaultDictionary(tiny, vectors, context=_object_engine(tiny))
         assert list(fast._table.items()) == list(ref._table.items())
 
     def test_partial_expectations_fall_back_to_legacy(self, two_sink_array):
@@ -221,8 +231,8 @@ class TestDictionaryEquivalence:
         )
         suite = vectors + [partial]
         with pytest.warns(UserWarning, match="falling\\s+back"):
-            fast = FaultDictionary(fpva, suite, backend="kernel")
-        ref = FaultDictionary(fpva, suite, backend="legacy")
+            fast = FaultDictionary(fpva, suite, context=ExecutionContext(fpva))
+        ref = FaultDictionary(fpva, suite, context=_object_engine(fpva))
         assert list(fast._table.items()) == list(ref._table.items())
 
 
@@ -235,7 +245,9 @@ class TestDiagnosisEquivalence:
         vectors = generate_suite(small).all_vectors()
         universe = scenario.universe(small)
         fast = FaultDictionary(small, vectors, universe=universe)
-        ref = FaultDictionary(small, vectors, universe=universe, backend="legacy")
+        ref = FaultDictionary(
+            small, vectors, universe=universe, context=_object_engine(small)
+        )
         engine = AdaptiveDiagnoser(fast)
         rng = random.Random(19)
         for _ in range(4):
@@ -258,8 +270,12 @@ class TestCampaignEquivalence:
             kwargs = dict(
                 num_faults=k, trials=40, seed=13 + k, scenario=scenario
             )
-            fast = run_campaign(small, vectors, backend="kernel", **kwargs)
-            ref = run_campaign(small, vectors, backend="legacy", **kwargs)
+            fast = run_trials(
+                small, vectors, context=ExecutionContext(small), **kwargs
+            )
+            ref = run_trials(
+                small, vectors, context=_object_engine(small), **kwargs
+            )
             assert fast.trials == ref.trials
             assert fast.detected == ref.detected
             assert fast.undetected_examples == ref.undetected_examples
@@ -308,7 +324,8 @@ class TestRandomizedProperty:
         sub = rng.sample(universe, min(16, len(universe)))
         fast = FaultDictionary(fpva, vectors, universe=sub, max_cardinality=2)
         ref = FaultDictionary(
-            fpva, vectors, universe=sub, max_cardinality=2, backend="legacy"
+            fpva, vectors, universe=sub, max_cardinality=2,
+            context=_object_engine(fpva),
         )
         assert list(fast._table.items()) == list(ref._table.items())
         engine = AdaptiveDiagnoser(fast)

@@ -285,11 +285,10 @@ class TestDeltaBitIdentity:
         kernel = FaultDictionary(
             fpva, vectors, universe=universe, max_cardinality=3
         )
-        with pytest.deprecated_call():
-            legacy = FaultDictionary(
-                fpva, vectors, universe=universe, max_cardinality=3,
-                backend="legacy",
-            )
+        legacy = FaultDictionary(
+            fpva, vectors, universe=universe, max_cardinality=3,
+            context=ExecutionContext(fpva, engine="object"),
+        )
         assert _table_key(kernel) == _table_key(legacy)
 
     def test_cardinality_validation(self, bundle):
@@ -561,10 +560,10 @@ class TestContextWiring:
 
         fpva, _, _ = bundle
         ctx = ExecutionContext(fpva, cache_dir=tmp_path)
-        mode, kernel, backend = ctx.shipping_spec()
+        mode, kernel = ctx.shipping_spec()
         assert isinstance(kernel, str)
         _CONTEXT_MEMO.clear()
-        first = _shard_context(fpva, mode, kernel, backend)
-        second = _shard_context(fpva, mode, kernel, backend)
+        first = _shard_context(fpva, mode, kernel)
+        second = _shard_context(fpva, mode, kernel)
         assert first is second
         _CONTEXT_MEMO.clear()

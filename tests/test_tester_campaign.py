@@ -9,11 +9,11 @@ from repro.sim import (
     StuckAt0,
     StuckAt1,
     Tester,
-    run_campaign,
-    run_sweep,
+    mix_seed,
     sample_fault_set,
     fault_universe,
 )
+from repro.sim.campaign import run_trials
 
 
 @pytest.fixture(scope="module")
@@ -75,13 +75,19 @@ class TestCampaign:
 
     def test_small_campaign_all_detected(self, tiny_suite):
         fpva, suite = tiny_suite
-        result = run_campaign(fpva, suite.all_vectors(), num_faults=2, trials=50)
+        result = run_trials(fpva, suite.all_vectors(), num_faults=2, trials=50)
         assert result.trials == 50
         assert result.all_detected, result.undetected_examples
 
     def test_sweep_shape(self, tiny_suite):
         fpva, suite = tiny_suite
-        sweep = run_sweep(fpva, suite.all_vectors(), fault_counts=(1, 2, 3), trials=20)
+        sweep = {
+            k: run_trials(
+                fpva, suite.all_vectors(), num_faults=k, trials=20,
+                seed=mix_seed(0, k),
+            )
+            for k in (1, 2, 3)
+        }
         assert set(sweep) == {1, 2, 3}
         for k, result in sweep.items():
             assert result.num_faults == k
