@@ -10,7 +10,9 @@ live worker look dead to the stale-lease reaper.
 Two checks: ``os.link`` itself is reserved to ``fabric/journal.py``
 (the only sanctioned claim site), and file operations whose target
 mentions ``lease``/``heartbeat`` are reserved to ``journal.py`` and
-``supervision.py`` (which owns heartbeat beacons).
+``supervision.py`` (which owns heartbeat beacons).  ``utime`` counts as
+a file operation: a beacon's mtime *is* its last beat, so touching one
+elsewhere makes a dead worker look alive.
 """
 
 from __future__ import annotations
@@ -27,7 +29,7 @@ _BEACON_SITES = (
 )
 _FILE_OPS = {
     "write_text", "write_bytes", "unlink", "remove", "touch", "open",
-    "rename", "replace", "rmdir",
+    "rename", "replace", "rmdir", "utime",
 }
 
 

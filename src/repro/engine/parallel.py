@@ -19,15 +19,22 @@ only the artifact *path* — each worker process loads the flat arrays once
 and memoizes them across its shards, so wide sweeps stop serializing a
 kernel per task.  Scenario objects and arrays ride to the workers via pickling,
 so custom scenarios must be defined at module top level (the registered
-ones are).
+ones are).  The fault universe
+(:func:`~repro.sim.campaign.campaign_universe`) is derived once per sweep
+and rides in every shard payload, so no shard re-derives it.
 
 With ``journal_dir=`` set, the *identical* shard structure runs through
 the campaign fabric (:mod:`repro.fabric`) instead of a transient pool:
 every shard is a content-addressed descriptor, completed shards publish
 atomically into the journal, and a killed run resumes from the last
 published shard — with any worker count, since the merge reads published
-shards in canonical order.  The no-journal path remains the in-memory
-fast case.
+shards in canonical order.  Its per-shard bookkeeping is a heartbeat
+``utime``, a lease link, an attempt record and the shard publish; the
+shard addresses are computed once per campaign and the universe once per
+fabric worker.  The no-journal path remains the in-memory fast case.
+
+A fault count may appear once per sweep: a repeated ``k`` raises
+:class:`ValueError` on both paths.
 """
 
 from __future__ import annotations
@@ -38,7 +45,12 @@ from typing import Sequence
 
 from repro.core.vectors import TestVector
 from repro.fpva.array import FPVA
-from repro.sim.campaign import CampaignResult, merge_shards, run_trials
+from repro.sim.campaign import (
+    CampaignResult,
+    _run_trials,
+    campaign_universe,
+    merge_shards,
+)
 from repro.sim.kernel import ReachabilityKernel
 from repro.sim.seeding import mix_seed as _mix_seed
 
@@ -117,19 +129,12 @@ def _shard_context(fpva, mode, kernel):
 
 
 def _run_shard(payload) -> CampaignResult:
-    (fpva, vectors, num_faults, trials, shard_seed, include_control_leaks,
-     keep_undetected, scenario, mode, kernel) = payload
+    (fpva, vectors, num_faults, trials, shard_seed, keep_undetected,
+     scenario, universe, mode, kernel) = payload
     shard_context = _shard_context(fpva, mode, kernel)
-    return run_trials(
-        shard_context.fpva,
-        vectors,
-        num_faults=num_faults,
-        trials=trials,
-        seed=shard_seed,
-        include_control_leaks=include_control_leaks,
-        keep_undetected=keep_undetected,
-        scenario=scenario,
-        context=shard_context,
+    return _run_trials(
+        shard_context.fpva, vectors, num_faults, trials, shard_seed,
+        keep_undetected, scenario, universe, shard_context,
     )
 
 
@@ -139,9 +144,9 @@ def _shard_payloads(
     num_faults,
     trials,
     seed,
-    include_control_leaks,
     keep_undetected,
     scenario,
+    universe,
     shard_trials,
     mode,
     kernel,
@@ -158,9 +163,9 @@ def _shard_payloads(
                 num_faults,
                 size,
                 _mix_seed(seed, num_faults, shard),
-                include_control_leaks,
                 keep_undetected,
                 scenario,
+                universe,
                 mode,
                 kernel,
             )
@@ -301,13 +306,17 @@ def run_sweep(
     """
     from repro.context import ExecutionContext
 
+    fault_counts = tuple(fault_counts)
+    if len(set(fault_counts)) != len(fault_counts):
+        raise ValueError(f"duplicate fault counts: {fault_counts}")
     mode, kernel = ExecutionContext.resolve(context, fpva).shipping_spec()
     if journal_dir is not None:
         return _run_journaled(
-            fpva, vectors, tuple(fault_counts), trials, seed,
+            fpva, vectors, fault_counts, trials, seed,
             include_control_leaks, keep_undetected, scenario, shard_trials,
             mode, kernel, workers, journal_dir, resume,
         )
+    universe = campaign_universe(fpva, scenario, include_control_leaks)
     tagged: list[tuple[int, tuple]] = []
     for k in fault_counts:
         for payload in _shard_payloads(
@@ -316,9 +325,9 @@ def run_sweep(
             k,
             trials,
             seed,
-            include_control_leaks,
             keep_undetected,
             scenario,
+            universe,
             shard_trials,
             mode,
             kernel,

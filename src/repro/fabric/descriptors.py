@@ -8,12 +8,13 @@ seeds the in-memory pool (:mod:`repro.engine.parallel`) uses, so a
 journaled run and a pool run simulate literally the same shards.
 
 Each :class:`ShardDescriptor` carries its BLAKE2b content digest
-(:func:`repro.store.digest.shard_digest`): the digest covers the layout,
+(:func:`repro.store.digest.shard_digests`): the digest covers the layout,
 the vector suite, the scenario workload, the base seed and the shard's
 ``(k, index, size)`` coordinates — **not** the sweep's fault-count list or
 total trial count — so a single-``k`` campaign and a sweep containing that
 ``k`` address the same shard artifacts, and extending ``trials`` reuses
-every full shard already published.
+every full shard already published.  A spec addresses its whole grid in
+one pass (the suite is encoded once, not once per shard) and memoizes it.
 """
 
 from __future__ import annotations
@@ -24,7 +25,7 @@ from typing import Sequence
 from repro.core.vectors import TestVector
 from repro.fpva.array import FPVA
 from repro.sim.seeding import mix_seed
-from repro.store.digest import campaign_digest, campaign_key, shard_digest
+from repro.store.digest import campaign_digest, campaign_key, shard_digests
 
 
 @dataclass(frozen=True)
@@ -69,12 +70,15 @@ class CampaignSpec:
     scenario: object = None
     shard_trials: int = 50
     _key: tuple | None = field(init=False, repr=False, compare=False, default=None)
+    _grid: dict | None = field(init=False, repr=False, compare=False, default=None)
 
     def __post_init__(self) -> None:
         object.__setattr__(self, "vectors", tuple(self.vectors))
         object.__setattr__(
             self, "fault_counts", tuple(int(k) for k in self.fault_counts)
         )
+        if len(set(self.fault_counts)) != len(self.fault_counts):
+            raise ValueError(f"duplicate fault counts: {self.fault_counts}")
 
     @property
     def key(self) -> tuple:
@@ -101,33 +105,47 @@ class CampaignSpec:
         """Manifest identity of this concrete invocation."""
         return campaign_digest(self.key, self.fault_counts, self.trials)
 
-    def shards_for(self, num_faults: int) -> list[ShardDescriptor]:
-        """The shard split for one fault count, in shard order."""
-        key = self.key
-        out = []
-        shard = 0
+    def _shard_grid(self) -> dict[int, tuple[ShardDescriptor, ...]]:
+        """Every fault count's shard split, addressed in one pass and
+        memoized (like :attr:`key`)."""
+        if self._grid is not None:
+            return self._grid
+        sizes: list[int] = []
         remaining = self.trials
         while remaining > 0:
-            size = min(self.shard_trials, remaining)
-            out.append(
+            sizes.append(min(self.shard_trials, remaining))
+            remaining -= sizes[-1]
+        coords = [
+            (k, shard, size)
+            for k in self.fault_counts
+            for shard, size in enumerate(sizes)
+        ]
+        grid: dict[int, list[ShardDescriptor]] = {k: [] for k in self.fault_counts}
+        for (k, shard, size), digest in zip(
+            coords, shard_digests(self.key, coords), strict=True
+        ):
+            grid[k].append(
                 ShardDescriptor(
-                    digest=shard_digest(key, num_faults, shard, size),
-                    num_faults=num_faults,
+                    digest=digest,
+                    num_faults=k,
                     shard=shard,
                     trials=size,
-                    seed=mix_seed(self.seed, num_faults, shard),
+                    seed=mix_seed(self.seed, k, shard),
                 )
             )
-            remaining -= size
-            shard += 1
-        return out
+        object.__setattr__(
+            self, "_grid", {k: tuple(shards) for k, shards in grid.items()}
+        )
+        return self._grid
+
+    def shards_for(self, num_faults: int) -> list[ShardDescriptor]:
+        """The shard split for one of the spec's fault counts, in shard order."""
+        return list(self._shard_grid()[num_faults])
 
     def shards(self) -> list[ShardDescriptor]:
         """Every shard of the sweep, in canonical ``(k, shard)`` order."""
-        out: list[ShardDescriptor] = []
-        for k in self.fault_counts:
-            out.extend(self.shards_for(k))
-        return out
+        grid = self._shard_grid()
+        return [d for k in self.fault_counts for d in grid[k]]
 
     def manifest(self) -> dict:
         """The human-inspectable journal manifest payload."""

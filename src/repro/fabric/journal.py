@@ -6,6 +6,7 @@ Layout of one journal directory::
         campaign.json            # manifest: campaign digest + parameters
         shards/<digest>/         # ShardStore — *done* is "published here"
         leases/<digest>.json     # live claims (owner, pid, host, claimed_at)
+        heartbeats/<instance>.json  # identity JSON; mtime = last beat
         kernels/                 # optional KernelStore for path-shipping
 
 A shard's state is never stored redundantly — it is *derived*:
@@ -26,14 +27,14 @@ leaves a *done* shard under a dangling lease, and done always wins.
 the name exists, so exactly one process wins, and a lease is never
 observable half-written.  **Stale reclaim** removes a lease whose holder
 is provably gone: its pid is dead on this host, its heartbeat beacon
-(``heartbeats/<instance>.json``, refreshed at every drain-loop
-transition) has gone stale — which catches a *hung* worker whose pid is
-still alive — or, when the holder never beat, its ``claimed_at`` is
-older than ``lease_timeout`` (the cross-host fallback).  A fresh
-heartbeat conversely *protects* a slow worker's lease past the claim
-timeout.  Reclaim itself races safely through ``os.replace`` onto a
-per-process tombstone name — only one reclaimer's rename succeeds;
-everyone then re-contends the fresh claim.
+(``heartbeats/<instance>.json``, touched at every drain-loop transition;
+the beacon's mtime is the last beat) has gone stale — which catches a
+*hung* worker whose pid is still alive — or, when the holder never beat,
+its ``claimed_at`` is older than ``lease_timeout`` (the cross-host
+fallback).  A fresh heartbeat conversely *protects* a slow worker's
+lease past the claim timeout.  Reclaim itself races safely through
+``os.replace`` onto a per-process tombstone name — only one reclaimer's
+rename succeeds; everyone then re-contends the fresh claim.
 
 **Supervision** (:mod:`repro.fabric.supervision`) adds two more durable
 record families: per-shard attempt counts (incremented at claim time, so

@@ -46,10 +46,11 @@ import time
 from concurrent.futures import ProcessPoolExecutor
 from concurrent.futures.process import BrokenProcessPool
 from dataclasses import dataclass, field
+from functools import cached_property
 from pathlib import Path
 from typing import TYPE_CHECKING, Callable, Sequence
 
-from repro.sim.campaign import CampaignResult, merge_shards
+from repro.sim.campaign import CampaignResult, campaign_universe, merge_shards
 from repro.store.digest import digest_int
 from repro.store.integrity import ArtifactCorruptionError
 
@@ -59,6 +60,7 @@ from repro.fabric.retry import DEFAULT_MAX_ATTEMPTS, RetryPolicy
 from repro.fabric.scheduler import GreedyScheduler, measure_profiles
 
 if TYPE_CHECKING:
+    from repro.sim.faults import Fault
     from repro.sim.kernel import ReachabilityKernel
 
 #: Base re-poll interval while foreign processes still hold fresh leases
@@ -129,6 +131,8 @@ class ShardWorker:
     clock.  ``mode``/``kernel`` mirror the in-memory pool's shard payload:
     ``mode="legacy"`` runs the object engine, otherwise ``kernel`` is a
     compiled kernel, an artifact path, or ``None`` (compile locally).
+    The spec's fault universe is derived once per worker, on its first
+    shard.
 
     ``retry`` bounds how this worker treats a shard whose simulation
     raises: the lease is released, the failure recorded durably, and the
@@ -168,6 +172,14 @@ class ShardWorker:
     def checkpoint(self, point: str, descriptor: ShardDescriptor | None) -> None:
         """Crash-injection seam; the production worker never acts here."""
 
+    @cached_property
+    def _universe(self) -> "tuple[Fault, ...]":
+        """The spec's fault universe, derived once per worker."""
+        spec = self.spec
+        return campaign_universe(
+            spec.fpva, spec.scenario, spec.include_control_leaks
+        )
+
     def run_shard(self, descriptor: ShardDescriptor) -> CampaignResult:
         from repro.engine.parallel import _run_shard
 
@@ -179,9 +191,9 @@ class ShardWorker:
                 descriptor.num_faults,
                 descriptor.trials,
                 descriptor.seed,
-                spec.include_control_leaks,
                 spec.keep_undetected,
                 spec.scenario,
+                self._universe,
                 self.mode,
                 self.kernel,
             )

@@ -29,7 +29,15 @@ root:
     transition.  Lease staleness then distinguishes a *hung* worker
     (alive pid, stale heartbeat — reclaim) from a merely *slow* one
     (fresh heartbeat — leave alone even past the lease timeout), which
-    neither the pid probe nor the claim-time timeout could see.
+    neither the pid probe nor the claim-time timeout could see.  The
+    JSON holds the instance's identity (owner, pid, host); the last beat
+    is the file's mtime.  Only the first beat writes the file (staged,
+    its time set, renamed onto the new name); every later beat is one
+    ``os.utime``, so a beat never renames over an existing file — which
+    ext4's ``auto_da_alloc`` answers with a data flush — and a reader
+    sees the old time or the new one, never a torn record.  Ages are
+    exact to the filesystem's timestamp granularity (nanoseconds on
+    ext4, xfs and tmpfs).
 
 Everything takes the journal's injectable clock, so retry/poison/
 heartbeat semantics are unit-testable without sleeping.
@@ -51,10 +59,14 @@ from repro.fabric.retry import DEFAULT_MAX_ATTEMPTS, RetryPolicy
 MAX_RECORDED_FAILURES = 20
 
 
-def _atomic_write_json(path: Path, payload: dict) -> None:
+def _atomic_write_json(
+    path: Path, payload: dict, *, mtime_ns: int | None = None
+) -> None:
     tmp = path.with_name(f".{path.name}.tmp-{os.getpid()}")
     with open(tmp, "w") as fh:
         json.dump(payload, fh, indent=2, sort_keys=True)
+    if mtime_ns is not None:
+        os.utime(tmp, ns=(mtime_ns, mtime_ns))
     os.replace(tmp, path)
 
 
@@ -207,25 +219,37 @@ class SupervisionLedger:
         return self.heartbeats_dir / f"{instance}.json"
 
     def beat(self, instance: str, owner: str = "") -> None:
-        """Refresh one journal instance's liveness beacon."""
-        self.heartbeats_dir.mkdir(parents=True, exist_ok=True)
-        _atomic_write_json(
-            self._heartbeat_path(instance),
-            {
-                "instance": instance,
-                "owner": owner,
-                "pid": os.getpid(),
-                "host": socket.gethostname(),
-                "beat_at": self.clock(),
-            },
-        )
+        """Refresh one journal instance's liveness beacon.
+
+        A repeat beat sets the beacon's mtime to the clock and nothing
+        else.  A missing beacon (the instance's first beat, or one an
+        operator deleted) is written whole, with its time already set,
+        under its new name.
+        """
+        now = round(self.clock() * 1e9)
+        path = self._heartbeat_path(instance)
+        try:
+            os.utime(path, ns=(now, now))
+        except FileNotFoundError:
+            self.heartbeats_dir.mkdir(parents=True, exist_ok=True)
+            _atomic_write_json(
+                path,
+                {
+                    "instance": instance,
+                    "owner": owner,
+                    "pid": os.getpid(),
+                    "host": socket.gethostname(),
+                },
+                mtime_ns=now,
+            )
 
     def heartbeat_age(self, instance: str) -> float | None:
         """Seconds since the instance last beat, or ``None`` if it never has."""
-        record = _read_json(self._heartbeat_path(instance))
-        if not record or "beat_at" not in record:
+        try:
+            beat = self._heartbeat_path(instance).stat().st_mtime_ns
+        except FileNotFoundError:
             return None
-        return self.clock() - float(record["beat_at"])
+        return (round(self.clock() * 1e9) - beat) / 1e9
 
 
 __all__ = [

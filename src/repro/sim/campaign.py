@@ -113,6 +113,23 @@ def sample_fault_set(
     raise RuntimeError(f"could not sample {k} compatible faults")
 
 
+def campaign_universe(
+    fpva: FPVA, scenario=None, include_control_leaks: bool = True
+) -> tuple[Fault, ...]:
+    """The faults a campaign draws its chips from.
+
+    ``scenario.universe(fpva)`` when a scenario is given, else the
+    paper's stuck-at/control-leak space.  A sweep derives it once and
+    hands it to every shard, so it is a tuple: no shard can change what
+    the next one draws from.
+    """
+    if scenario is None:
+        return tuple(
+            fault_universe(fpva, include_control_leaks=include_control_leaks)
+        )
+    return tuple(scenario.universe(fpva))
+
+
 def run_trials(
     fpva: FPVA,
     vectors: Sequence[TestVector],
@@ -144,15 +161,32 @@ def run_trials(
     Both draw fault sets in the same RNG order and report bit-identical
     :class:`CampaignResult`\\ s.
     """
+    return _run_trials(
+        fpva, vectors, num_faults, trials, seed, keep_undetected, scenario,
+        campaign_universe(fpva, scenario, include_control_leaks), context,
+    )
+
+
+def _run_trials(
+    fpva: FPVA,
+    vectors: Sequence[TestVector],
+    num_faults: int,
+    trials: int,
+    seed: int,
+    keep_undetected: int,
+    scenario,
+    universe: Sequence[Fault],
+    context,
+) -> CampaignResult:
+    """:func:`run_trials` over an already-derived :func:`campaign_universe`
+    (the shard path, which derives it once per sweep or worker)."""
     from repro.context import ExecutionContext  # late: context sits above sim
 
     context = ExecutionContext.resolve(context, fpva)
     rng = random.Random(seed)
     if scenario is None:
-        universe = fault_universe(fpva, include_control_leaks=include_control_leaks)
         draw = lambda: sample_fault_set(universe, num_faults, rng)  # noqa: E731
     else:
-        universe = scenario.universe(fpva)
         draw = lambda: scenario.sample(universe, rng, num_faults)  # noqa: E731
     result = CampaignResult(num_faults=num_faults, trials=trials, detected=0)
     tester = context.tester

@@ -159,13 +159,27 @@ def campaign_digest(key: tuple, fault_counts: Sequence[int], trials: int) -> str
     )
 
 
-def shard_digest(key: tuple, num_faults: int, shard: int, trials: int) -> str:
-    """Content address of one ``(campaign key, k, shard)`` work unit.
+def shard_digests(
+    key: tuple, coords: Iterable[tuple[int, int, int]]
+) -> list[str]:
+    """Content addresses of one campaign key's ``(k, shard, trials)`` units.
 
-    ``trials`` is the shard's own size (the tail shard of an uneven split
-    is a different artifact from a full one).
+    Each address is ``digest_of("shard", key, k, shard, trials)``, byte
+    for byte — published shard artifacts in existing journals are filed
+    under these — but the key, which carries the whole vector suite, is
+    encoded and hashed once: every shard copies that hash state and adds
+    only its ``k,shard,trials]`` tail.  ``trials`` is the shard's own
+    size (the tail shard of an uneven split is a different artifact from
+    a full one).
     """
-    return digest_of("shard", key, int(num_faults), int(shard), int(trials))
+    head = json.dumps(["shard", key], separators=(",", ":"), sort_keys=True)
+    prefix = hashlib.blake2b(f"{head[:-1]},".encode(), digest_size=16)
+    out: list[str] = []
+    for num_faults, shard, trials in coords:
+        state = prefix.copy()
+        state.update(f"{int(num_faults)},{int(shard)},{int(trials)}]".encode())
+        out.append(state.hexdigest())
+    return out
 
 
 def layout_digest(fpva: FPVA) -> str:

@@ -215,6 +215,12 @@ def test_r6_reserves_lease_files_to_the_claim_helpers():
     assert "R6" not in codes("src/repro/fabric/supervision.py", source)
     # Non-lease file ops in fabric are R6-clean (R2 has its own opinion).
     assert "R6" not in codes("src/repro/fabric/x.py", "def f(p):\n    p.unlink()\n")
+    # A heartbeat's mtime *is* its last beat: touching it elsewhere would
+    # make a dead worker look alive.
+    touch = "import os\ndef f(heartbeat_path, t):\n    os.utime(heartbeat_path, ns=(t, t))\n"
+    assert "R6" in codes("src/repro/fabric/x.py", touch)
+    assert "R6" in codes("scripts/x.py", touch)
+    assert "R6" not in codes("src/repro/fabric/supervision.py", touch)
 
 
 # -- R7: fork safety ----------------------------------------------------------

@@ -169,3 +169,101 @@ class TestFabricPath:
         assert set(first) == set(second)
         for k in first:
             assert _result_key(first[k]) == _result_key(second[k])
+
+
+class TestSweepInputs:
+    @pytest.mark.parametrize("journaled", [False, True], ids=["memory", "journal"])
+    def test_duplicate_fault_counts_rejected(self, bundle, tmp_path, journaled):
+        """A repeated k would count the same chips twice in memory and
+        once through the journal; both paths refuse it instead."""
+        fpva, vectors = bundle
+        with pytest.raises(ValueError, match="duplicate fault counts"):
+            run_sweep(
+                fpva, vectors, fault_counts=(1, 1), trials=60, seed=3,
+                journal_dir=tmp_path / "j" if journaled else None,
+            )
+
+    def test_campaign_spec_rejects_duplicate_fault_counts(self, bundle):
+        from repro.fabric import CampaignSpec
+
+        fpva, vectors = bundle
+        with pytest.raises(ValueError, match="duplicate fault counts"):
+            CampaignSpec(
+                fpva=fpva, vectors=tuple(vectors), fault_counts=(2, 1, 2),
+                trials=10,
+            )
+
+
+class TestUniverseDerivation:
+    """The fault universe is a per-sweep input, not a per-shard cost."""
+
+    @pytest.fixture
+    def derivations(self, monkeypatch):
+        import repro.sim.campaign as campaign
+
+        calls = []
+        real = campaign.fault_universe
+
+        def counting(*args, **kwargs):
+            calls.append(args)
+            return real(*args, **kwargs)
+
+        monkeypatch.setattr(campaign, "fault_universe", counting)
+        return calls
+
+    def test_once_per_in_memory_sweep(self, bundle, derivations):
+        fpva, vectors = bundle
+        run_sweep(
+            fpva, vectors, fault_counts=(1, 2), trials=60, seed=3,
+            shard_trials=15,
+        )
+        assert len(derivations) == 1  # 8 shards
+
+    def test_once_per_in_memory_sweep_with_scenario(self, bundle, monkeypatch):
+        from repro.engine.scenarios import MixedScenario
+
+        fpva, vectors = bundle
+        calls = []
+        real = MixedScenario.universe
+
+        def counting(self, fpva):
+            calls.append(fpva)
+            return real(self, fpva)
+
+        monkeypatch.setattr(MixedScenario, "universe", counting)
+        run_sweep(
+            fpva, vectors, fault_counts=(1, 2), trials=40, seed=3,
+            shard_trials=10, scenario=get_scenario("mixed"),
+        )
+        assert len(calls) == 1  # 8 shards
+
+    @pytest.mark.parametrize("scenario_name", [None, "mixed"])
+    def test_shared_universe_is_immutable(self, bundle, scenario_name):
+        """Every shard draws from the one derived universe, so none may
+        change it for the next: a scenario's list comes back a tuple."""
+        from repro.sim.campaign import campaign_universe
+
+        fpva, _ = bundle
+        scenario = get_scenario(scenario_name) if scenario_name else None
+        universe = campaign_universe(fpva, scenario)
+        assert isinstance(universe, tuple) and universe
+
+    def test_once_per_shard_worker(self, bundle, tmp_path, derivations):
+        from repro.fabric import CampaignJournal, CampaignSpec, ShardWorker
+
+        fpva, vectors = bundle
+        spec = CampaignSpec(
+            fpva=fpva, vectors=tuple(vectors), fault_counts=(1, 2),
+            trials=60, seed=3, shard_trials=15,
+        )
+        journal = CampaignJournal(tmp_path / "j")
+        journal.ensure(spec)
+        worker = ShardWorker(journal, spec, spec.shards())
+        assert worker.drain() == 8
+        assert len(derivations) == 1
+        # A journaled sweep drains through one worker, so one derivation.
+        run_sweep(
+            fpva, vectors, fault_counts=(1, 2), trials=60, seed=3,
+            shard_trials=15, journal_dir=tmp_path / "sweep",
+        )
+        assert len(derivations) == 2

@@ -134,6 +134,81 @@ class TestDescriptors:
             assert base.shards()[0].digest != other.shards()[0].digest, change
 
 
+#: Content addresses of two hand-built specs, recorded before the shard
+#: key was prefix-hashed.  Published shard artifacts in existing journals
+#: are addressed by these exact bytes, so any encoding change must leave
+#: every one of them unmoved.
+GOLDEN_ADDRESSES = {
+    "default": (
+        "a2c9f64f2c11b7c366bcc4be1c6972c7",
+        [
+            (1, 0, 10, "b55d4266b1eaeb93ca2f422a86d6d366"),
+            (1, 1, 10, "81a3e4225c077223b99cd48033ebc7ad"),
+            (1, 2, 5, "2621b05b5cb6b31919f96cfe487e2e8f"),
+            (3, 0, 10, "134477a59829f9a6ac656db0e3a63bb6"),
+            (3, 1, 10, "b221ee6fcba77d582176bae5ddc85d62"),
+            (3, 2, 5, "1651e42e426f7db5c9c2046363b82053"),
+        ],
+    ),
+    "mixed": (
+        "3f3a272f8ad775fbf12f8e0b0b74bb1a",
+        [
+            (2, 0, 5, "4e1883a1ae704adb1bbd748795c4011d"),
+            (2, 1, 5, "6d4f8310d6d8450cd1968db25c2e18ca"),
+            (2, 2, 2, "5f92061366d993cc1e18a9734ec9662c"),
+        ],
+    ),
+}
+
+
+class TestGoldenAddresses:
+    """Shard digests address published artifacts in existing journals."""
+
+    @staticmethod
+    def _spec(scenario_name):
+        from repro.core.vectors import VectorKind, vector_from_open_set
+        from repro.engine import get_scenario
+
+        # Hand-built vectors: no ILP solve, so solver drift cannot move
+        # the addresses.
+        fpva = full_layout(4, 4)
+        valves = sorted(fpva.valves)
+        vectors = (
+            vector_from_open_set(
+                fpva, "all-open", VectorKind.FLOW_PATH, valves,
+                {"meter@east4": True},
+            ),
+            vector_from_open_set(
+                fpva, "all-closed", VectorKind.CUT_SET, (),
+                {"meter@east4": False},
+            ),
+            vector_from_open_set(
+                fpva, "half", VectorKind.FLOW_PATH, valves[::2],
+                {"meter@east4": False},
+            ),
+        )
+        if scenario_name == "default":
+            return CampaignSpec(
+                fpva=fpva, vectors=vectors, fault_counts=(1, 3), trials=25,
+                seed=11, shard_trials=10,
+            )
+        return CampaignSpec(
+            fpva=fpva, vectors=vectors, fault_counts=(2,), trials=12,
+            seed=11, shard_trials=5, scenario=get_scenario(scenario_name),
+        )
+
+    @pytest.mark.parametrize("scenario_name", sorted(GOLDEN_ADDRESSES))
+    def test_addresses_are_byte_identical(self, scenario_name):
+        digest, shards = GOLDEN_ADDRESSES[scenario_name]
+        spec = self._spec(scenario_name)
+        assert spec.digest == digest
+        assert [
+            (d.num_faults, d.shard, d.trials, d.digest) for d in spec.shards()
+        ] == shards
+        # The tail shard (uneven split) is its own artifact.
+        assert shards[-1][2] < shards[0][2]
+
+
 class TestShardStore:
     def test_publish_load_roundtrip(self, tmp_path, spec, bundle):
         fpva, _ = bundle

@@ -449,6 +449,66 @@ class TestSupervisionLedger:
         journal.beat()
         assert not other._lease_stale(victim.digest)
 
+    def test_heartbeat_age_exact_for_epoch_clock(self, tmp_path):
+        """Ages stay exact to well under a microsecond for a clock at
+        epoch magnitude (the real clock's range)."""
+        clock = FakeClock(now=1_760_000_000.123456)
+        ledger = SupervisionLedger(tmp_path, clock=clock)
+        ledger.beat("inst")
+        assert abs(ledger.heartbeat_age("inst")) < 1e-6
+        clock.now += 2.5
+        assert abs(ledger.heartbeat_age("inst") - 2.5) < 1e-6
+        ledger.beat("inst")
+        clock.now += 0.001
+        assert abs(ledger.heartbeat_age("inst") - 0.001) < 1e-6
+
+    def test_repeat_beat_keeps_inode_and_bytes(self, tmp_path):
+        """A repeat beat touches the beacon's time, nothing else: no new
+        inode, no rewritten identity record."""
+        clock = FakeClock()
+        ledger = SupervisionLedger(tmp_path, clock=clock)
+        ledger.beat("inst", owner="w0")
+        beacon = ledger.heartbeats_dir / "inst.json"
+        inode, payload = beacon.stat().st_ino, beacon.read_bytes()
+        assert json.loads(payload)["owner"] == "w0"
+        clock.now += 7.0
+        ledger.beat("inst", owner="w0")
+        assert beacon.stat().st_ino == inode
+        assert beacon.read_bytes() == payload
+        assert ledger.heartbeat_age("inst") == 0.0
+
+    def test_deleted_beacon_is_recreated(self, tmp_path):
+        clock = FakeClock()
+        ledger = SupervisionLedger(tmp_path, clock=clock)
+        ledger.beat("inst")
+        (ledger.heartbeats_dir / "inst.json").unlink()
+        assert ledger.heartbeat_age("inst") is None
+        clock.now += 3.0
+        ledger.beat("inst")
+        assert ledger.heartbeat_age("inst") == 0.0
+
+    def test_drain_renames_the_beacon_once(self, tmp_path, bundle, monkeypatch):
+        """Every drain-loop transition beats, but only the first beat of a
+        journal instance writes a file; the rest touch its time."""
+        fpva, vectors = bundle
+        spec = CampaignSpec(
+            fpva=fpva, vectors=vectors, fault_counts=(1, 2), trials=100,
+            seed=5, shard_trials=10,
+        )
+        assert len(spec.shards()) == 20
+        renames = []
+        real_replace = os.replace
+
+        def counting_replace(src, dst, *args, **kwargs):
+            if "heartbeats" in os.fspath(dst):
+                renames.append(os.fspath(dst))
+            return real_replace(src, dst, *args, **kwargs)
+
+        monkeypatch.setattr(os, "replace", counting_replace)
+        _, stats = run_journaled_sweep(spec, tmp_path / "journal", workers=1)
+        assert stats.executed == 20
+        assert len(renames) == 1
+
     @settings(max_examples=60, deadline=None)
     @given(
         ops=st.lists(
