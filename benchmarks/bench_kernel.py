@@ -1,14 +1,16 @@
-"""Compiled bitmask kernel vs the retained legacy path, and backend tiers.
+"""Compiled bitmask kernel vs the pure-Python reference, and backend tiers.
 
 Acceptance measurements, each asserting exact result equality before
 comparing wall-clock:
 
 * **dictionary build** — the 8x8 ``max_cardinality=2`` stuck-at dictionary
-  (~25k fault sets x full suite), the pure-Python object-graph engine one
-  chip at a time vs the canonicalize-dedup-batch kernel path.  Floor: >=5x.
+  (~25k fault sets x full suite), the pure-Python object-graph engine of
+  ``tests/oracle.py`` one chip at a time vs the canonicalize-dedup-batch
+  kernel path.  Floor: >=5x.
 * **campaign throughput** — full-suite application over hundreds of random
-  double-fault chips, object-engine ``Tester.run`` per chip vs one batched
-  kernel evaluation (compile included).  Floor: >=3x.
+  double-fault chips, object-engine ``Tester.run`` per chip (the oracle's
+  tester) vs one batched kernel evaluation (compile included).
+  Floor: >=3x.
 * **backend tiers** — the 16x16 (and, under ``REPRO_BENCH_FULL=1``, 20x20)
   card-2 dictionary build under the ``word`` reference tier and the
   ``tile`` production tier, tables asserted identical.  Floor: tile >=
@@ -47,6 +49,7 @@ from repro.sim import (
     Tester,
 )
 from repro.sim.faults import stuck_at_faults
+from tests import oracle
 
 SIZE = 6 if SMOKE else 8
 DICT_MIN_SPEEDUP = 3.0 if SMOKE else 5.0
@@ -91,12 +94,8 @@ def _record(section: str, payload: dict) -> None:
 
 def _bench_dictionary(fpva, vectors, universe):
     t0 = time.perf_counter()
-    legacy = FaultDictionary(
-        fpva,
-        vectors,
-        universe=universe,
-        max_cardinality=2,
-        context=ExecutionContext(fpva, engine="object"),
+    legacy = oracle.ReferenceDictionary(
+        fpva, vectors, universe=universe, max_cardinality=2
     )
     t_legacy = time.perf_counter() - t0
     t0 = time.perf_counter()
@@ -142,7 +141,7 @@ def _bench_campaign(fpva, vectors, trials):
     universe = scenario.universe(fpva)
     rng = random.Random(0)
     chips = [scenario.sample(universe, rng, 2) for _ in range(trials)]
-    legacy_tester = Tester(fpva, engine="object")  # pure-Python reference
+    legacy_tester = oracle.object_tester(fpva)  # pure-Python reference
 
     t0 = time.perf_counter()
     legacy_syndromes = [

@@ -10,7 +10,7 @@ Two acceptance measurements for the PR-5 session refactor:
 * **batched double-fault hardening** — `harden_double_faults` through the
   session's :class:`~repro.sim.kernel.BatchEvaluator` (per-vector
   scenario grids, 64 scenarios per word, one flush) vs the serial
-  ``engine="object"`` chip-at-a-time reference.  Floor: **>=3x** on the
+  chip-at-a-time reference in ``tests/oracle.py``.  Floor: **>=3x** on the
   8x8 layout, with bit-identical audits and generated vectors.
 
 Results are written to ``BENCH_testgen.json`` (override with
@@ -31,6 +31,7 @@ from repro.core.repair import harden_double_faults
 from repro.core.vectors import TestSet
 from repro.fpva import full_layout
 from repro.sim import ReachabilityKernel
+from tests import oracle
 
 BENCH_JSON = os.environ.get("REPRO_BENCH_TESTGEN_JSON", "BENCH_testgen.json")
 
@@ -136,9 +137,7 @@ def _copy_testset(ts: TestSet) -> TestSet:
 def _bench_hardening(fpva, suite):
     serial_ts = _copy_testset(suite)
     t0 = time.perf_counter()
-    serial = harden_double_faults(
-        fpva, serial_ts, context=ExecutionContext(fpva, engine="object")
-    )
+    serial = oracle.harden_double_faults(fpva, serial_ts)
     t_serial = time.perf_counter() - t0
 
     batched_ts = _copy_testset(suite)

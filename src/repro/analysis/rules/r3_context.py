@@ -1,11 +1,12 @@
-"""R3 — simulators and kernels are built by the session layer, not callers.
+"""R3 — testers, simulators and kernels are built by the session layer.
 
 ``ExecutionContext`` (PR 5) guarantees exactly one kernel compile per
 session and one shared simulator; a private
 ``ReachabilityKernel(fpva)`` in caller code silently duplicates that
 work and — worse — bypasses the kernel store's warm-load/heal path, so
 the caller's kernel never benefits from (or exercises) artifact
-integrity checking.
+integrity checking.  ``Tester(fpva)`` and ``PressureSimulator(fpva)``
+compile a private kernel the same way.
 
 Construction is allowed only where it is the point: ``context.py``
 itself, the ``sim/`` package that defines these types, and the kernel
@@ -19,7 +20,7 @@ from typing import Iterator
 
 from ..core import SESSION_FACTORIES, FileContext, Finding, Rule, dotted_tail, in_any
 
-_SESSION_TYPES = {"PressureSimulator", "ReachabilityKernel"}
+_SESSION_TYPES = {"PressureSimulator", "ReachabilityKernel", "Tester"}
 
 
 class ContextDisciplineRule(Rule):
@@ -28,7 +29,7 @@ class ContextDisciplineRule(Rule):
     severity = "error"
     rationale = (
         "exactly-one-kernel-compile and warm-load healing only hold when "
-        "simulators/kernels are built via ExecutionContext"
+        "testers/simulators/kernels are built via ExecutionContext"
     )
 
     def applies_to(self, path: str) -> bool:
@@ -45,5 +46,5 @@ class ContextDisciplineRule(Rule):
                     node,
                     f"private {tail}(...) construction outside the session "
                     f"layer — accept context= and use "
-                    f"ExecutionContext.kernel/.simulator",
+                    f"ExecutionContext.kernel/.simulator/.tester",
                 )

@@ -155,7 +155,7 @@ def cmd_campaign(args) -> int:
         # is bit-identical to the in-memory path below.
         from repro.fabric import CampaignSpec, run_journaled_sweep
 
-        mode, kernel = ctx.shipping_spec()
+        kernel = ctx.shipping_spec()
         spec = CampaignSpec(
             fpva=fpva,
             vectors=tuple(suite.all_vectors()),
@@ -173,7 +173,6 @@ def cmd_campaign(args) -> int:
             args.journal_dir,
             workers=args.workers,
             resume=args.resume,
-            mode=mode,
             kernel=kernel,
             **extra,
         )

@@ -11,7 +11,7 @@ intermediate signature.
 
 An :class:`ExecutionContext` (a.k.a. *session*) owns the tuple
 
-    (array, compiled kernel, artifact store, seed, engine choice)
+    (array, compiled kernel, artifact store, seed)
 
 and hands out the shared per-array machinery derived from it:
 
@@ -29,18 +29,12 @@ and hands out the shared per-array machinery derived from it:
   the session seed through the splitmix64 mixer
   (:func:`repro.sim.seeding.mix_seed`).
 
-``engine="kernel"`` (the default) routes everything through the compiled
-bitmask kernel; ``engine="object"`` pins the session to the pure-Python
-object-graph reference engine — consumers then take their serial
-reference paths and :meth:`evaluator` refuses service, which is what the
-batched-vs-reference equivalence tests lean on.
-
-The context is the one place a layer learns *how* it simulates: the
-engine choice travels with the session, never as per-call keywords.
-Within the kernel engine, batched propagation runs on the ``tile`` tier
-of :mod:`repro.sim.backends`.  The ``word`` reference tier is attached
-only by tests and the kernel benchmark, on a kernel they compile
-themselves and adopt through ``kernel=``.
+Every session simulates through the compiled bitmask kernel, and
+batched propagation runs on the ``tile`` tier of
+:mod:`repro.sim.backends`.  The ``word`` reference tier is attached only
+by tests and the kernel benchmark, on a kernel they compile themselves
+and adopt through ``kernel=``; the object-graph engine and the serial
+loops the batched paths are pinned to live in ``tests/oracle.py``.
 
 Contexts deliberately stay cheap to create: nothing compiles until the
 first consumer asks, so passing ``context=None`` everywhere retains the
@@ -64,8 +58,6 @@ if TYPE_CHECKING:  # pragma: no cover - annotation-only dependencies
     from repro.core.vectors import TestVector
     from repro.store import ArtifactStore
 
-ENGINES = ("kernel", "object")
-
 
 class ExecutionContext:
     """One array's compiled-simulation session, shared across layers.
@@ -74,9 +66,6 @@ class ExecutionContext:
     ----------
     fpva:
         The array every derived object is bound to.
-    engine:
-        ``"kernel"`` (compiled bitmask engine, the default) or
-        ``"object"`` (the pure-Python object-graph reference).
     store / cache_dir:
         An :class:`~repro.store.ArtifactStore` (or a cache-directory
         path) enabling kernel warm starts and dictionary persistence.
@@ -99,14 +88,11 @@ class ExecutionContext:
         self,
         fpva: FPVA,
         *,
-        engine: str = "kernel",
         store: "ArtifactStore | str | os.PathLike | None" = None,
         cache_dir: str | os.PathLike | None = None,
         seed: int = 0,
         kernel: ReachabilityKernel | None = None,
     ) -> None:
-        if engine not in ENGINES:
-            raise ValueError(f"unknown engine {engine!r}; expected one of {ENGINES}")
         if store is not None and cache_dir is not None:
             raise ValueError("pass either store= or cache_dir=, not both")
         if kernel is not None and kernel.fpva is not fpva:
@@ -114,7 +100,6 @@ class ExecutionContext:
         from repro.store import as_store
 
         self.fpva = fpva
-        self.engine = engine
         self.seed = seed
         self.store: ArtifactStore | None = as_store(
             store if store is not None else cache_dir
@@ -139,7 +124,7 @@ class ExecutionContext:
     # -- resolution helpers -------------------------------------------------
     @classmethod
     def resolve(
-        cls, context: "ExecutionContext | None", fpva: FPVA, **defaults: Any
+        cls, context: "ExecutionContext | None", fpva: FPVA
     ) -> "ExecutionContext":
         """``context`` if given (validated against ``fpva``), else a fresh one.
 
@@ -149,7 +134,7 @@ class ExecutionContext:
         session shares one kernel across the whole stack.
         """
         if context is None:
-            return cls(fpva, **defaults)
+            return cls(fpva)
         if not isinstance(context, cls):
             raise TypeError(
                 f"context must be an ExecutionContext, got {type(context).__name__}"
@@ -160,11 +145,6 @@ class ExecutionContext:
                 f"not {fpva.name!r}"
             )
         return context
-
-    @property
-    def batched(self) -> bool:
-        """Whether this session runs the compiled batched engine."""
-        return self.engine == "kernel"
 
     # -- the compiled kernel ------------------------------------------------
     @property
@@ -205,12 +185,9 @@ class ExecutionContext:
     # -- shared derived machinery -------------------------------------------
     @property
     def simulator(self) -> PressureSimulator:
-        """The session's one shared simulator (engine per the context)."""
+        """The session's one shared simulator, on top of :attr:`kernel`."""
         if self._simulator is None:
-            if self.batched:
-                self._simulator = PressureSimulator(self.fpva, kernel=self.kernel)
-            else:
-                self._simulator = PressureSimulator(self.fpva, engine="object")
+            self._simulator = PressureSimulator(self.fpva, kernel=self.kernel)
         return self._simulator
 
     @property
@@ -225,15 +202,8 @@ class ExecutionContext:
 
         Memoized by suite content, so every batched consumer of the same
         suite (coverage, hardening, campaigns) pools its scenario dedup
-        table.  Raises :class:`~repro.sim.kernel.SinkCoverageError` when
-        the suite cannot be evaluated row-wise, and :class:`RuntimeError`
-        on an ``engine="object"`` session — callers fall back to their
-        serial reference paths on either.
+        table.
         """
-        if not self.batched:
-            raise RuntimeError(
-                "batched evaluation is unavailable on an engine='object' session"
-            )
         key = tuple(
             (v.name, v.open_valves, tuple(sorted(v.expected.items())))
             for v in vectors
@@ -266,7 +236,7 @@ class ExecutionContext:
     ) -> Any:
         """A :class:`~repro.sim.diagnosis.FaultDictionary` on this session.
 
-        The session's kernel, store and engine choice are shared; when a
+        The session's kernel and store are shared; when a
         store is configured the dictionary warm-loads, or — failing that —
         delta-builds from the nearest stored ancestor (same layout and
         universe, suite/cardinality subsumed), simulating only the new
@@ -297,27 +267,23 @@ class ExecutionContext:
             self.dictionary_cold_builds += 1
         return dictionary
 
-    def shipping_spec(self) -> tuple[str, object]:
-        """What a shard payload headed to worker processes should carry.
+    def shipping_spec(self) -> ReachabilityKernel | str:
+        """The kernel a shard payload headed to worker processes carries.
 
-        Returns ``(mode, kernel)``: ``("legacy", None)`` for an
-        object-engine session; otherwise the session kernel — as the
-        persisted artifact's *path* when a store is configured (the
+        The persisted artifact's *path* when a store is configured (the
         sharded pool and the campaign fabric then ship a string instead
-        of pickling a kernel per process), or the compiled object itself
+        of pickling a kernel per process), or the compiled kernel itself
         without one.
         """
-        if not self.batched:
-            return "legacy", None
         # Materialize first: a cold compile persists itself through the
         # session store, so the has() check below only catches a kernel
         # the context adopted pre-compiled (never written anywhere).
         kernel = self.kernel
         if self.store is None:
-            return "kernel", kernel
+            return kernel
         if not self.store.kernels.has(self.fpva):
             self.store.kernels.save(kernel)
-        return "kernel", str(self.store.kernels.path_for(self.fpva))
+        return str(self.store.kernels.path_for(self.fpva))
 
     def rng(self, *stream: int) -> random.Random:
         """A deterministic RNG for one purpose-stream of the session.
@@ -332,8 +298,8 @@ class ExecutionContext:
         kernel = "compiled" if self._kernel is not None else "lazy"
         store = repr(str(self.store.root)) if self.store is not None else None
         return (
-            f"ExecutionContext({self.fpva.name!r}, engine={self.engine!r}, "
-            f"kernel={kernel}, store={store}, seed={self.seed})"
+            f"ExecutionContext({self.fpva.name!r}, kernel={kernel}, "
+            f"store={store}, seed={self.seed})"
         )
 
 

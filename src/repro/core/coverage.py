@@ -16,13 +16,13 @@ The checks are implemented with two graph tricks so large arrays stay fast:
 * stuck-at-1: opening a closed valve only matters if exactly one of its end
   cells is pressurized — only those candidates are re-simulated.
 
-The candidate re-simulations themselves run **bit-parallel** on a
-kernel-engine session: all of a vector's SA0 closures (and SA1 leaks) are
-evaluated in one :meth:`~repro.sim.kernel.ReachabilityKernel.batch_readings`
-call, 64 scenarios per machine word.  An ``engine="object"`` session keeps
-the original one-query-at-a-time object-BFS paths (per-candidate
-``meter_readings`` for SA0, the shared dark-region flood for SA1) as the
-reference the batched path is property-tested against.
+The candidate re-simulations themselves run **bit-parallel**: all of a
+vector's SA0 closures (and SA1 leaks) are evaluated in one
+:meth:`~repro.sim.kernel.ReachabilityKernel.batch_readings` call, 64
+scenarios per machine word.  The one-query-at-a-time object-BFS checks
+they replaced (per-candidate readings for SA0, a shared dark-region flood
+for SA1) are the reference in ``tests/oracle.py`` that the batched path
+is property-tested against.
 
 Both observability functions take the same arguments —
 ``(source, vector, fpva=None)`` where ``source`` is an
@@ -32,7 +32,6 @@ Both observability functions take the same arguments —
 
 from __future__ import annotations
 
-from collections import deque
 from dataclasses import dataclass, field
 from typing import Iterable, Sequence
 
@@ -65,14 +64,9 @@ def _simulator(source: ExecutionContext | PressureSimulator) -> PressureSimulato
     return source.simulator if isinstance(source, ExecutionContext) else source
 
 
-def sa0_observable_valves(
-    source: ExecutionContext | PressureSimulator,
-    vector: TestVector,
-    fpva: FPVA | None = None,
-) -> set[Edge]:
-    """Open valves whose lone closure changes the vector's meter readings."""
-    sim = _simulator(source)
-    fpva = sim.fpva if fpva is None else fpva
+def _sa0_candidates(fpva: FPVA, vector: TestVector) -> set[Edge]:
+    """Open valves that are bridges of the live open-edge graph: closing
+    any other open valve changes no reading."""
     g = open_edge_graph(fpva, vector)
     sources = [p for p in fpva.sources]
     live_nodes: set = set()
@@ -87,31 +81,56 @@ def sa0_observable_valves(
         edge = Edge(min(u, w), max(u, w))
         if edge in vector.open_valves:
             candidates.add(edge)
+    return candidates
+
+
+def _sa1_candidates(
+    sim: PressureSimulator, vector: TestVector, fpva: FPVA
+) -> tuple[set[str], list[tuple[Edge, Cell]]]:
+    """The vector's expected-dark meters, and the closed valves with
+    exactly one pressurized end (paired with their dark end) — opening
+    anything else changes no reading."""
+    dark_sinks = {name for name, hit in vector.expected.items() if not hit}
+    if not dark_sinks:
+        return dark_sinks, []
+    pressurized = sim.pressurized_nodes(vector.open_valves)
+    candidates: list[tuple[Edge, Cell]] = []
+    for valve in fpva.valves:
+        if valve in vector.open_valves:
+            continue
+        a_live = valve.a in pressurized
+        b_live = valve.b in pressurized
+        if a_live == b_live:
+            continue
+        candidates.append((valve, valve.b if a_live else valve.a))
+    return dark_sinks, candidates
+
+
+def sa0_observable_valves(
+    source: ExecutionContext | PressureSimulator,
+    vector: TestVector,
+    fpva: FPVA | None = None,
+) -> set[Edge]:
+    """Open valves whose lone closure changes the vector's meter readings."""
+    sim = _simulator(source)
+    fpva = sim.fpva if fpva is None else fpva
+    candidates = _sa0_candidates(fpva, vector)
     if not candidates:
         return set()
 
+    # All candidate closures of this vector in one bit-parallel batch.
     expected = dict(vector.expected)
-    if sim.engine == "kernel":
-        # All candidate closures of this vector in one bit-parallel batch.
-        kernel = sim.kernel
-        cand = sorted(candidates)
-        rows = kernel.toggled_readings(
-            kernel.valve_mask(vector.open_valves), cand, set_bit=False
-        )
-        names = kernel.sink_names
-        return {
-            valve
-            for valve, row in zip(cand, rows)
-            if {n: bool(b) for n, b in zip(names, row)} != expected
-        }
-
-    # engine="object" reference: one query per candidate.
-    out: set[Edge] = set()
-    for valve in candidates:
-        readings = sim.meter_readings(vector.open_valves - {valve})
-        if readings != expected:
-            out.add(valve)
-    return out
+    kernel = sim.kernel
+    cand = sorted(candidates)
+    rows = kernel.toggled_readings(
+        kernel.valve_mask(vector.open_valves), cand, set_bit=False
+    )
+    names = kernel.sink_names
+    return {
+        valve
+        for valve, row in zip(cand, rows)
+        if {n: bool(b) for n, b in zip(names, row)} != expected
+    }
 
 
 def sa1_observable_valves(
@@ -126,72 +145,25 @@ def sa1_observable_valves(
     """
     sim = _simulator(source)
     fpva = sim.fpva if fpva is None else fpva
-    dark_sinks = {name for name, hit in vector.expected.items() if not hit}
-    if not dark_sinks:
-        return set()
-    pressurized = sim.pressurized_nodes(vector.open_valves)
-
-    # Candidates: closed valves with exactly one pressurized end — opening
-    # anything else changes no reading.
-    candidates: list[tuple[Edge, Cell]] = []
-    for valve in fpva.valves:
-        if valve in vector.open_valves:
-            continue
-        a_live = valve.a in pressurized
-        b_live = valve.b in pressurized
-        if a_live == b_live:
-            continue
-        candidates.append((valve, valve.b if a_live else valve.a))
+    dark_sinks, candidates = _sa1_candidates(sim, vector, fpva)
     if not candidates:
         return set()
 
-    if sim.engine == "kernel":
-        # All candidate leaks of this vector in one bit-parallel batch: the
-        # leak is observable iff some expected-dark meter lights up.
-        kernel = sim.kernel
-        rows = kernel.toggled_readings(
-            kernel.valve_mask(vector.open_valves),
-            [valve for valve, _ in candidates],
-            set_bit=True,
-        )
-        dark_cols = [
-            j for j, name in enumerate(kernel.sink_names) if name in dark_sinks
-        ]
-        return {
-            valve
-            for (valve, _), row in zip(candidates, rows)
-            if any(row[j] for j in dark_cols)
-        }
-
-    # engine="object" reference: group dark candidates by their dark-side
-    # end cell — all valves leaking into the same dark region share one
-    # flood over the open-edge graph.
-    g = open_edge_graph(fpva, vector)
-    flood_cache: dict[Cell, bool] = {}
-
-    def flood_lights_dark_sink(start: Cell) -> bool:
-        if start in flood_cache:
-            return flood_cache[start]
-        hit = False
-        seen = {start}
-        queue = deque([start])
-        while queue:
-            node = queue.popleft()
-            if isinstance(node, Port) and node.name in dark_sinks:
-                hit = True
-                break
-            for nb in g.neighbors(node):
-                if nb not in seen:
-                    seen.add(nb)
-                    queue.append(nb)
-        for cell in seen:
-            if isinstance(cell, Cell):
-                flood_cache[cell] = hit
-        flood_cache[start] = hit
-        return hit
-
+    # All candidate leaks of this vector in one bit-parallel batch: the
+    # leak is observable iff some expected-dark meter lights up.
+    kernel = sim.kernel
+    rows = kernel.toggled_readings(
+        kernel.valve_mask(vector.open_valves),
+        [valve for valve, _ in candidates],
+        set_bit=True,
+    )
+    dark_cols = [
+        j for j, name in enumerate(kernel.sink_names) if name in dark_sinks
+    ]
     return {
-        valve for valve, dark_end in candidates if flood_lights_dark_sink(dark_end)
+        valve
+        for (valve, _), row in zip(candidates, rows)
+        if any(row[j] for j in dark_cols)
     }
 
 
@@ -287,11 +259,10 @@ def measure_coverage(
     fpva: FPVA,
     vectors: Sequence[TestVector],
     include_leak_pairs: bool = True,
-    simulator: PressureSimulator | None = None,
     context: ExecutionContext | None = None,
 ) -> CoverageReport:
     """Observability-based coverage of a suite over the array's fault list."""
-    sim = simulator or ExecutionContext.resolve(context, fpva).simulator
+    sim = ExecutionContext.resolve(context, fpva).simulator
     report = CoverageReport()
     all_pairs: set[frozenset] = set()
     if include_leak_pairs:

@@ -120,25 +120,16 @@ class CutSetGenerator:
     def observable_members(self, wall: Wall) -> set[Edge]:
         """Wall valves whose lone leak re-pressurizes some meter.
 
-        Only these count as stuck-at-1 covered by this wall's vector.  On
-        a kernel-engine session every member's leak is evaluated in one
-        bit-parallel batch.
+        Only these count as stuck-at-1 covered by this wall's vector.
+        Every member's leak is evaluated in one bit-parallel batch.
         """
         base_open = self.fpva.valve_set - wall.valves
-        sim = self.simulator
-        if sim.engine == "kernel":
-            kernel = sim.kernel
-            members = sorted(wall.valves)
-            rows = kernel.toggled_readings(
-                kernel.valve_mask(base_open), members, set_bit=True
-            )
-            return {valve for valve, row in zip(members, rows) if row.any()}
-        out: set[Edge] = set()
-        for valve in wall.valves:
-            readings = sim.meter_readings(base_open | {valve})
-            if any(readings.values()):
-                out.add(valve)
-        return out
+        kernel = self.simulator.kernel
+        members = sorted(wall.valves)
+        rows = kernel.toggled_readings(
+            kernel.valve_mask(base_open), members, set_bit=True
+        )
+        return {valve for valve, row in zip(members, rows) if row.any()}
 
     def wall_to_vector(self, wall: Wall, name: str) -> TestVector:
         open_valves = frozenset(self.fpva.valve_set - wall.valves)

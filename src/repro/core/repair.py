@@ -30,17 +30,17 @@ Every synthesized vector is verified by simulation before it is added.
 Adding vectors is monotone — it can only grow the set of detected fault
 combinations — so one audit/synthesize round suffices.
 
-The quadratic audit is the hot path, and on a kernel-engine session it
-runs **batched**: for an ordered pair ``(SA0(e0), SA1(e1))`` with
-``e0 != e1`` the effective open mask of vector ``m`` factorizes as
-``(m & ~bit(e0)) | bit(e1)``, so per vector only
-``(opens + 1) x (closeds + 1)`` distinct scenarios exist.  They are
-registered through the shared :class:`~repro.sim.kernel.BatchEvaluator`
-(64 scenarios per machine word, deduplicated across vectors) and the
-full pair-by-pair verdict matrix falls out of two fancy-indexing ORs —
-no per-pair simulation at all.  An ``engine="object"`` session keeps the
-original chip-at-a-time loop as the reference; both orders of audit
-produce identical reports and identical synthesized vectors.
+The quadratic audit is the hot path, and it runs **batched**: for an
+ordered pair ``(SA0(e0), SA1(e1))`` with ``e0 != e1`` the effective open
+mask of vector ``m`` factorizes as ``(m & ~bit(e0)) | bit(e1)``, so per
+vector only ``(opens + 1) x (closeds + 1)`` distinct scenarios exist.
+They are registered through the shared
+:class:`~repro.sim.kernel.BatchEvaluator` (64 scenarios per machine
+word, deduplicated across vectors) and the full pair-by-pair verdict
+matrix falls out of two fancy-indexing ORs — no per-pair simulation at
+all.  The chip-at-a-time loop it replaced is the reference in
+``tests/oracle.py``; both produce identical reports and identical
+synthesized vectors.
 """
 
 from __future__ import annotations
@@ -54,7 +54,6 @@ from repro.core.routing import RoutingError, disjoint_route_through, route_valve
 from repro.core.vectors import TestSet, TestVector, VectorKind, vector_from_open_set
 from repro.fpva.array import FPVA
 from repro.sim.faults import StuckAt0, StuckAt1
-from repro.sim.kernel import BatchEvaluator, SinkCoverageError
 from repro.sim.pressure import PressureSimulator
 from repro.sim.tester import Tester
 
@@ -73,18 +72,24 @@ class HardeningReport:
         return not self.pairs_unrepaired
 
 
-def _find_masked_batched(
-    fpva: FPVA, evaluator: BatchEvaluator
+def find_masked_stuck_pairs(
+    fpva: FPVA,
+    vectors,
+    context: ExecutionContext | None = None,
 ) -> tuple[int, list[tuple[StuckAt0, StuckAt1]]]:
-    """Bit-parallel audit of every ordered mixed pair.
+    """All undetected ``(SA0, SA1)`` pairs under ``vectors``.
 
-    Registers each vector's ``(cleared-open, set-closed)`` scenario grid
-    with the evaluator, flushes once, and ORs per-vector failure grids
-    into the full ``valve x valve`` detection matrix by fancy indexing
-    (row = which open valve the SA0 clears, ``0`` when it clears nothing;
-    column = which closed valve the SA1 sets, ``0`` when it sets
-    nothing).  Pair order and verdicts are identical to the serial loop.
+    Only mixed-polarity pairs are audited — the monotonicity argument in
+    the module docstring rules the rest out.  The audit is bit-parallel
+    through the session's evaluator: it registers each vector's
+    ``(cleared-open, set-closed)`` scenario grid, flushes once, and ORs
+    per-vector failure grids into the full ``valve x valve`` detection
+    matrix by fancy indexing (row = which open valve the SA0 clears,
+    ``0`` when it clears nothing; column = which closed valve the SA1
+    sets, ``0`` when it sets nothing).  Pair order and verdicts are
+    identical to the serial reference loop.
     """
+    evaluator = ExecutionContext.resolve(context, fpva).evaluator(list(vectors))
     kernel = evaluator.kernel
     valves = list(fpva.valves)
     n = len(valves)
@@ -122,48 +127,6 @@ def _find_masked_batched(
         (sa0s[i0], sa1s[i1]) for i0, i1 in np.argwhere(~detected)
     ]
     return n * (n - 1), missed
-
-
-def find_masked_stuck_pairs(
-    fpva: FPVA,
-    vectors,
-    tester: Tester | None = None,
-    context: ExecutionContext | None = None,
-) -> tuple[int, list[tuple[StuckAt0, StuckAt1]]]:
-    """All undetected ``(SA0, SA1)`` pairs under ``vectors``.
-
-    Only mixed-polarity pairs are audited — the monotonicity argument in
-    the module docstring rules the rest out.  On a kernel-engine session
-    (the default) the audit is batched; an ``engine="object"`` context
-    (or an object-engine ``tester``) takes the serial reference loop.
-    """
-    vectors = list(vectors)
-    if tester is None:
-        context = ExecutionContext.resolve(context, fpva)
-        tester = context.tester
-    if tester.simulator.engine == "kernel":
-        evaluator = None
-        try:
-            if context is not None:
-                evaluator = context.evaluator(vectors)
-            else:
-                evaluator = BatchEvaluator(tester.simulator.kernel, vectors)
-        except SinkCoverageError:
-            pass  # partial expectations: fall through to the serial loop
-        if evaluator is not None:
-            return _find_masked_batched(fpva, evaluator)
-    audited = 0
-    missed: list[tuple[StuckAt0, StuckAt1]] = []
-    for v0 in fpva.valves:
-        sa0 = StuckAt0(v0)
-        for v1 in fpva.valves:
-            if v1 == v0:
-                continue
-            audited += 1
-            pair = (sa0, StuckAt1(v1))
-            if not tester.detects(list(pair), vectors):
-                missed.append(pair)
-    return audited, missed
 
 
 def synthesize_pair_breaker(
@@ -240,7 +203,7 @@ def harden_double_faults(
     simulator = context.simulator
     report = HardeningReport()
     report.pairs_audited, missed = find_masked_stuck_pairs(
-        fpva, testset.all_vectors(), tester, context=context
+        fpva, testset.all_vectors(), context=context
     )
     report.pairs_missed = missed
     for i, (sa0, sa1) in enumerate(missed):

@@ -60,12 +60,11 @@ class ValidationReport:
 def validate_vector(
     fpva: FPVA,
     vector: TestVector,
-    simulator: PressureSimulator | None = None,
     report: ValidationReport | None = None,
     context: ExecutionContext | None = None,
 ) -> ValidationReport:
     """Structural and semantic checks for one vector."""
-    sim = simulator or ExecutionContext.resolve(context, fpva).simulator
+    sim = ExecutionContext.resolve(context, fpva).simulator
     rep = report or ValidationReport()
 
     actual = sim.meter_readings(vector.open_valves)
@@ -128,12 +127,12 @@ def validate_suite(
     context: ExecutionContext | None = None,
 ) -> ValidationReport:
     """Validate every vector and suite-level stuck-at coverage."""
-    sim = ExecutionContext.resolve(context, fpva).simulator
+    context = ExecutionContext.resolve(context, fpva)
     rep = ValidationReport()
     for vector in vectors:
-        validate_vector(fpva, vector, sim, rep)
+        validate_vector(fpva, vector, rep, context)
     coverage = measure_coverage(
-        fpva, vectors, include_leak_pairs=check_pair_coverage, simulator=sim
+        fpva, vectors, include_leak_pairs=check_pair_coverage, context=context
     )
     placeholder = TestVector("suite", VectorKind.FLOW_PATH, frozenset(), {})
     for valve in sorted(coverage.sa0_missing):

@@ -100,7 +100,7 @@ def _resolve_kernel(fpva, kernel):
     return cached.fpva, cached
 
 
-def _shard_context(fpva, mode, kernel):
+def _shard_context(fpva, kernel):
     """The session a shard runs under, memoized for path-shipped kernels.
 
     Shards whose payloads name the same persisted kernel artifact share
@@ -114,8 +114,6 @@ def _shard_context(fpva, mode, kernel):
     """
     from repro.context import ExecutionContext
 
-    if mode == "legacy":
-        return ExecutionContext(fpva, engine="object")
     if isinstance(kernel, str):
         context = _CONTEXT_MEMO.get(kernel)
         if context is None:
@@ -130,8 +128,8 @@ def _shard_context(fpva, mode, kernel):
 
 def _run_shard(payload) -> CampaignResult:
     (fpva, vectors, num_faults, trials, shard_seed, keep_undetected,
-     scenario, universe, mode, kernel) = payload
-    shard_context = _shard_context(fpva, mode, kernel)
+     scenario, universe, kernel) = payload
+    shard_context = _shard_context(fpva, kernel)
     return _run_trials(
         shard_context.fpva, vectors, num_faults, trials, shard_seed,
         keep_undetected, scenario, universe, shard_context,
@@ -148,7 +146,6 @@ def _shard_payloads(
     scenario,
     universe,
     shard_trials,
-    mode,
     kernel,
 ):
     payloads = []
@@ -166,7 +163,6 @@ def _shard_payloads(
                 keep_undetected,
                 scenario,
                 universe,
-                mode,
                 kernel,
             )
         )
@@ -200,7 +196,6 @@ def _run_journaled(
     keep_undetected,
     scenario,
     shard_trials,
-    mode,
     kernel,
     workers,
     journal_dir,
@@ -225,7 +220,6 @@ def _run_journaled(
         journal_dir,
         workers=workers,
         resume=resume,
-        mode=mode,
         kernel=kernel,
     )
     return results
@@ -248,7 +242,7 @@ def run_campaign(
 ) -> CampaignResult:
     """Sharded campaign; result is independent of ``workers`` *and* of
     whether the kernel ships by artifact path or by pickle.  ``context``
-    supplies the session engine, kernel and store.
+    supplies the session kernel and store.
 
     ``journal_dir`` reroutes the identical shard structure through the
     campaign fabric (:mod:`repro.fabric`): shards publish durably as they
@@ -309,12 +303,12 @@ def run_sweep(
     fault_counts = tuple(fault_counts)
     if len(set(fault_counts)) != len(fault_counts):
         raise ValueError(f"duplicate fault counts: {fault_counts}")
-    mode, kernel = ExecutionContext.resolve(context, fpva).shipping_spec()
+    kernel = ExecutionContext.resolve(context, fpva).shipping_spec()
     if journal_dir is not None:
         return _run_journaled(
             fpva, vectors, fault_counts, trials, seed,
             include_control_leaks, keep_undetected, scenario, shard_trials,
-            mode, kernel, workers, journal_dir, resume,
+            kernel, workers, journal_dir, resume,
         )
     universe = campaign_universe(fpva, scenario, include_control_leaks)
     tagged: list[tuple[int, tuple]] = []
@@ -329,7 +323,6 @@ def run_sweep(
             scenario,
             universe,
             shard_trials,
-            mode,
             kernel,
         ):
             tagged.append((k, payload))

@@ -47,7 +47,6 @@ from concurrent.futures import ProcessPoolExecutor
 from concurrent.futures.process import BrokenProcessPool
 from dataclasses import dataclass, field
 from functools import cached_property
-from pathlib import Path
 from typing import TYPE_CHECKING, Callable, Sequence
 
 from repro.sim.campaign import CampaignResult, campaign_universe, merge_shards
@@ -128,8 +127,7 @@ class ShardWorker:
     ``order`` is the claim preference (typically this worker's scheduler
     queue followed by everyone else's, for work stealing); the journal's
     lease protocol arbitrates every claim, so preferences only shape wall
-    clock.  ``mode``/``kernel`` mirror the in-memory pool's shard payload:
-    ``mode="legacy"`` runs the object engine, otherwise ``kernel`` is a
+    clock.  ``kernel`` mirrors the in-memory pool's shard payload: a
     compiled kernel, an artifact path, or ``None`` (compile locally).
     The spec's fault universe is derived once per worker, on its first
     shard.
@@ -150,7 +148,6 @@ class ShardWorker:
         order: Sequence[ShardDescriptor],
         *,
         worker_id: str = "w0",
-        mode: str = "kernel",
         kernel: "ReachabilityKernel | str | None" = None,
         retry: RetryPolicy | None = None,
         sleep: Callable[[float], None] = time.sleep,
@@ -159,7 +156,6 @@ class ShardWorker:
         self.spec = spec
         self.order = list(order)
         self.worker_id = worker_id
-        self.mode = mode
         self.kernel = kernel
         self.retry = retry if retry is not None else RetryPolicy()
         self.sleep = sleep
@@ -194,7 +190,6 @@ class ShardWorker:
                 spec.keep_undetected,
                 spec.scenario,
                 self._universe,
-                self.mode,
                 self.kernel,
             )
         )
@@ -272,7 +267,6 @@ def _drain_process(
     spec: CampaignSpec,
     worker_id: str,
     preferred: list[str],
-    mode: str,
     kernel: "ReachabilityKernel | str | None",
     lease_timeout: float,
     retry: RetryPolicy,
@@ -289,7 +283,6 @@ def _drain_process(
         spec,
         _stealing_order(queue, descriptors),
         worker_id=worker_id,
-        mode=mode,
         kernel=kernel,
         retry=retry,
     )
@@ -299,7 +292,6 @@ def _drain_process(
 
 def _prepare_kernel(
     spec: CampaignSpec,
-    mode: str,
     kernel: "ReachabilityKernel | str | None",
     journal_root: str | os.PathLike,
     workers: int,
@@ -307,22 +299,18 @@ def _prepare_kernel(
     """Normalize the kernel spec shipped to workers.
 
     A pool never pickles a kernel per process when it can ship a path:
-    an in-memory kernel headed to a multi-process drain is persisted into
+    a kernel headed to a multi-process drain goes through a session on
     the journal's own ``kernels/`` store (the journal is durable anyway),
-    so processes attached later warm-load the same artifact.
+    which warm-loads an artifact already there instead of compiling, and
+    persists a new one so processes attached later warm-load it.
     """
-    if mode == "legacy" or isinstance(kernel, str) or workers <= 1:
+    if isinstance(kernel, str) or workers <= 1:
         return kernel
-    from repro.sim.kernel import ReachabilityKernel
-    from repro.store import KernelStore
+    from repro.context import ExecutionContext
 
-    if kernel is None:
-        # repro: ignore[R3] -- the worker-side compile-on-miss path: this IS where a journaled worker builds the kernel it then publishes
-        kernel = ReachabilityKernel(spec.fpva)
-    store = KernelStore(Path(journal_root) / "kernels")
-    if not store.has(spec.fpva):
-        store.save(kernel)
-    return str(store.path_for(spec.fpva))
+    return ExecutionContext(
+        spec.fpva, kernel=kernel, cache_dir=journal_root
+    ).shipping_spec()
 
 
 def load_sweep(
@@ -395,7 +383,6 @@ def run_journaled_sweep(
     resume: bool = False,
     lease_timeout: float = DEFAULT_LEASE_TIMEOUT,
     clock: Callable[[], float] = time.time,
-    mode: str = "kernel",
     kernel: "ReachabilityKernel | str | None" = None,
     worker_cls: type[ShardWorker] = ShardWorker,
     poll_interval: float = POLL_INTERVAL,
@@ -444,7 +431,7 @@ def run_journaled_sweep(
         max_delay=max(poll_interval, 2.0), jitter=0.25,
     )
 
-    kernel = _prepare_kernel(spec, mode, kernel, journal.root, workers)
+    kernel = _prepare_kernel(spec, kernel, journal.root, workers)
     executed = 0
     reclaimed = 0
     retried = 0
@@ -473,7 +460,6 @@ def run_journaled_sweep(
                         spec,
                         worker_ids[i],
                         [d.digest for d in queues[i]],
-                        mode,
                         kernel,
                         lease_timeout,
                         retry,
@@ -506,7 +492,6 @@ def run_journaled_sweep(
                 spec,
                 undone,
                 worker_id="w0",
-                mode=mode,
                 kernel=kernel,
                 retry=retry,
                 sleep=sleep,

@@ -18,12 +18,7 @@ from repro.sim.faults import (
     faulty_valves,
     stuck_at_faults,
 )
-from repro.sim.kernel import (
-    BatchEvaluator,
-    CompiledFaultSet,
-    ReachabilityKernel,
-    SinkCoverageError,
-)
+from repro.sim.kernel import BatchEvaluator, CompiledFaultSet, ReachabilityKernel
 from repro.sim.pressure import PressureSimulator
 from repro.sim.tester import Tester, TestRunResult, VectorOutcome
 
@@ -51,7 +46,6 @@ __all__ = [
     "BatchEvaluator",
     "CompiledFaultSet",
     "ReachabilityKernel",
-    "SinkCoverageError",
     "PressureSimulator",
     "Tester",
     "TestRunResult",

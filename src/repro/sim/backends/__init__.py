@@ -2,7 +2,7 @@
 
 Every backend answers the same question — batched reach words — against
 the same compiled CSR arc table, and both are pinned bit-identical to
-the ``engine="object"`` reference by the equivalence suite.  What varies
+the object-graph reference in ``tests/oracle.py``.  What varies
 is the cost model:
 
 ======  ==================================================================

@@ -14,13 +14,8 @@ from typing import Sequence
 
 from repro.core.vectors import TestVector
 from repro.fpva.array import FPVA
-from repro.sim.chip import ChipUnderTest
 from repro.sim.faults import Fault, fault_universe, faults_compatible
-from repro.sim.kernel import (
-    BatchEvaluator,
-    CompiledFaultSet,
-    SinkCoverageError,
-)
+from repro.sim.kernel import CompiledFaultSet
 
 
 @dataclass
@@ -152,14 +147,14 @@ def run_trials(
     and ``sample(universe, rng, num_faults)``); when omitted the paper's
     stuck-at/control-leak fault space is sampled directly.
 
-    ``context`` supplies the compiled-kernel session (kernel, tester,
-    batch-evaluation scenario pool).  A kernel-engine session
-    canonicalizes every trial chip to its per-vector effective-state
-    masks, deduplicates, and evaluates the whole campaign through the
-    compiled bitmask kernel — 64 scenarios per machine word; an
-    ``engine="object"`` session keeps the original chip-at-a-time loop.
-    Both draw fault sets in the same RNG order and report bit-identical
-    :class:`CampaignResult`\\ s.
+    ``context`` supplies the compiled-kernel session (kernel and
+    batch-evaluation scenario pool).  Every trial chip is canonicalized
+    to its per-vector effective-state masks, deduplicated, and the whole
+    campaign is evaluated through the compiled bitmask kernel — 64
+    scenarios per machine word.  A chip is detected iff *any* vector
+    reads off-expectation, so the result is bit-identical to applying
+    the suite chip by chip (the reference loop in ``tests/oracle.py``,
+    which draws fault sets in the same RNG order).
     """
     return _run_trials(
         fpva, vectors, num_faults, trials, seed, keep_undetected, scenario,
@@ -189,50 +184,15 @@ def _run_trials(
     else:
         draw = lambda: scenario.sample(universe, rng, num_faults)  # noqa: E731
     result = CampaignResult(num_faults=num_faults, trials=trials, detected=0)
-    tester = context.tester
-    if context.batched:
-        evaluator = None
-        try:
-            evaluator = context.evaluator(vectors)
-        except SinkCoverageError:
-            pass  # partial expectations: fall through to the legacy loop
-        if evaluator is not None:
-            _run_batched(
-                evaluator, draw, trials, keep_undetected, result
-            )
-            return result
-    for trial in range(trials):
-        faults = draw()
-        chip = ChipUnderTest(fpva, faults)
-        run = tester.run(chip, vectors, stop_at_first_fail=True)
-        if run.fault_detected:
-            result.detected += 1
-        elif len(result.undetected_examples) < keep_undetected:
-            result.undetected_examples.append(faults)
-            result.undetected_trials.append(trial)
-    return result
-
-
-def _run_batched(
-    evaluator: BatchEvaluator,
-    draw,
-    trials: int,
-    keep_undetected: int,
-    result: CampaignResult,
-) -> None:
-    """Kernel-backed campaign body: draw everything, simulate once.
-
-    A chip is detected iff *any* vector reads off-expectation, which does
-    not depend on the early-exit order of the legacy loop, so detection
-    counts and undetected examples match it exactly.
-    """
+    # Draw everything, simulate once.
+    evaluator = context.evaluator(vectors)
     kernel = evaluator.kernel
     fires_cache: dict = {}
     drawn = [draw() for _ in range(trials)]
     rows = []
     for faults in drawn:
-        # Same physical-consistency gate ChipUnderTest applies on the
-        # legacy path (scenarios are expected to sample compatible sets).
+        # Same physical-consistency gate ChipUnderTest applies
+        # (scenarios are expected to sample compatible sets).
         if not faults_compatible(faults):
             raise ValueError(f"incompatible fault set: {tuple(faults)}")
         rows.append(
@@ -247,3 +207,4 @@ def _run_batched(
         elif len(result.undetected_examples) < keep_undetected:
             result.undetected_examples.append(faults)
             result.undetected_trials.append(trial)
+    return result

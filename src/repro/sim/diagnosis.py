@@ -10,14 +10,13 @@ generated suite, then look up observed syndromes.
 Construction cost is dominated by repeated reachability simulation, and
 most fault sets induce states the suite has already seen — a stuck-at-0 on
 a valve a vector commands closed changes nothing, and thousands of double
-faults collapse onto the same effective ``(open, blocked)`` masks.  A
-kernel-engine session therefore canonicalizes every (fault set, vector)
-pair to its effective-state masks, simulates each **distinct** scenario
-exactly once through the compiled bitmask kernel (64 scenarios per
-machine word), and assembles syndromes from the shared slot table.  An
-``engine="object"`` session retains the original one-chip-at-a-time
-loop; both produce identical tables (asserted by the equivalence
-property test and ``benchmarks/bench_kernel.py``).
+faults collapse onto the same effective ``(open, blocked)`` masks.  The
+build therefore canonicalizes every (fault set, vector) pair to its
+effective-state masks, simulates each **distinct** scenario exactly once
+through the compiled bitmask kernel (64 scenarios per machine word), and
+assembles syndromes from the shared slot table.  The tables equal the
+one-chip-at-a-time reference build in ``tests/oracle.py`` (asserted by
+the equivalence property tests and ``benchmarks/bench_kernel.py``).
 
 Construction also **streams**: fault sets are enumerated lazily
 (:func:`iter_fault_sets`) and evaluated in bounded-size chunks, so the
@@ -33,7 +32,6 @@ dictionaries practical for repeated serving.
 from __future__ import annotations
 
 import itertools
-import warnings
 from collections import defaultdict
 from dataclasses import dataclass
 from typing import Iterable, Iterator, Sequence
@@ -50,12 +48,7 @@ from repro.sim.faults import (
     fault_universe,
     faults_compatible,
 )
-from repro.sim.kernel import (
-    BatchEvaluator,
-    CompiledFaultSet,
-    ReachabilityKernel,
-    SinkCoverageError,
-)
+from repro.sim.kernel import BatchEvaluator, CompiledFaultSet, ReachabilityKernel
 from repro.sim.tester import Tester, TestRunResult
 
 Syndrome = tuple
@@ -304,14 +297,13 @@ class FaultDictionary:
 
     ``context`` binds the dictionary to an
     :class:`~repro.context.ExecutionContext`: the session's kernel, tester
-    and artifact store are shared instead of re-derived, and the session's
-    engine choice selects the build path.  Without one the dictionary
-    resolves a private session, exactly as every other layer does.
-    ``store`` (an :class:`~repro.store.ArtifactStore` or a cache-directory
-    path) enables the warm-start/streaming persistence described in the
-    module docstring; it may supplement a store-less context, never
-    override a context's own store.  The kernel is compiled lazily, on
-    first need — an object-engine build never pays for one.
+    and artifact store are shared instead of re-derived.  Without one the
+    dictionary resolves a private session, exactly as every other layer
+    does.  ``store`` (an :class:`~repro.store.ArtifactStore` or a
+    cache-directory path) enables the warm-start/streaming persistence
+    described in the module docstring; it may supplement a store-less
+    context, never override a context's own store.  The kernel is
+    compiled lazily, on first need.
     """
 
     def __init__(
@@ -402,7 +394,6 @@ class FaultDictionary:
                     return
             if (
                 incremental
-                and context.batched
                 and self.vectors
                 and self.universe
                 and self._build_delta(base_digest)
@@ -441,12 +432,9 @@ class FaultDictionary:
             self._fault_pos = {f: i for i, f in enumerate(self.universe)}
         self.build_stats = {"mode": "cold"}
         try:
-            if self._context.batched:
-                scenarios = self._build_batched(fault_sets, writer)
-                if scenarios is not None:
-                    self.build_stats["simulated_scenarios"] = scenarios
-            else:
-                self._build_legacy(fault_sets, writer)
+            self.build_stats["simulated_scenarios"] = self._build_batched(
+                fault_sets, writer
+            )
             if writer is not None:
                 writer.commit()
         finally:
@@ -460,23 +448,9 @@ class FaultDictionary:
         if writer is not None:
             writer.add([self._fault_pos[f] for f in faults], syndrome)
 
-    def _build_legacy(
-        self, fault_sets: Iterable[tuple[Fault, ...]], writer=None
-    ) -> None:
-        """One full-suite simulation per fault set through the pure-Python
-        object-graph engine (the pre-kernel reference path)."""
-        tester = Tester(self.fpva, engine="object")
-        for faults in fault_sets:
-            syndrome = self._syndrome_of(faults, tester=tester)
-            if syndrome:  # undetectable sets cannot be diagnosed
-                self._record(faults, syndrome, writer)
-
     def _build_batched(
-        self,
-        fault_sets: Iterable[tuple[Fault, ...]],
-        writer=None,
-        evaluator: BatchEvaluator | None = None,
-    ) -> int | None:
+        self, fault_sets: Iterable[tuple[Fault, ...]], writer=None
+    ) -> int:
         """Canonicalize by effective state, simulate distinct states once.
 
         Streams: each chunk of fault sets is compiled, deduplicated,
@@ -486,25 +460,12 @@ class FaultDictionary:
         quadratic fault-set universe.
 
         Returns the number of distinct scenarios simulated (the
-        re-simulation probe ``build_stats`` reports), or ``None`` when
-        sink coverage forced the legacy fallback.  ``evaluator`` lets the
-        incremental build run its promotion region through a pre-checked
-        evaluator without re-raising the coverage fallback mid-delta.
+        re-simulation probe ``build_stats`` reports).  The evaluator is
+        private to the build, not the session's memoized one, so its
+        scenario pool is freed with the build.
         """
         kernel = self._context.kernel
-        if evaluator is None:
-            try:
-                evaluator = BatchEvaluator(kernel, self.vectors)
-            except SinkCoverageError as exc:
-                # Vectors whose expectations do not cover the array's sinks
-                # cannot be compared row-wise; fall back to the reference path.
-                warnings.warn(
-                    f"batched dictionary build unavailable ({exc}); falling "
-                    f"back to the one-chip-at-a-time legacy engine",
-                    stacklevel=2,
-                )
-                self._build_legacy(fault_sets, writer)
-                return None
+        evaluator = BatchEvaluator(kernel, self.vectors)
         fires_cache: dict = {}
         names = [v.name for v in self.vectors]
         syndrome_cache: dict[tuple[int, ...], Syndrome] = {}
@@ -541,9 +502,9 @@ class FaultDictionary:
         same key produces (pinned by the incremental property tests).
 
         Returns ``False`` (with the table left empty) whenever any
-        precondition fails — no ancestor, duplicate vector names, sink
-        coverage, ancestor corruption — and the caller cold-builds
-        exactly as before this path existed.
+        precondition fails — no ancestor, duplicate vector names, ancestor
+        corruption — and the caller cold-builds exactly as before this
+        path existed.
         """
         from repro.store import ArtifactCorruptionError, resolve_ancestor
 
@@ -566,10 +527,6 @@ class FaultDictionary:
             return False
         anc = plan.ancestor
         kernel = self._context.kernel
-        try:
-            evaluator = BatchEvaluator(kernel, self.vectors)
-        except SinkCoverageError:
-            return False  # the cold path will warn and take the legacy engine
         new_positions = plan.new_positions
         try:
             # Ancestor syndrome entries, repositioned into the target
@@ -740,7 +697,7 @@ class FaultDictionary:
                         table[syndrome].append(tuple(map(get, idx)))
                         writer_add(idx, syndrome)
             return self._finish_delta(
-                anc, lineage, writer, evaluator, sub, new_positions, reused
+                anc, lineage, writer, sub, new_positions, reused
             )
         except ArtifactCorruptionError as error:
             # Mid-walk corruption: drop everything assembled so far and
@@ -756,7 +713,6 @@ class FaultDictionary:
         anc,
         lineage: dict,
         writer,
-        evaluator: BatchEvaluator,
         sub: BatchEvaluator | None,
         new_positions: Sequence[int],
         reused: int,
@@ -770,8 +726,7 @@ class FaultDictionary:
                     self.universe, self.max_cardinality, anc.cardinality + 1
                 ),
                 writer,
-                evaluator,
-            ) or 0
+            )
         writer.annotate(
             lineage={
                 **lineage,
@@ -800,12 +755,6 @@ class FaultDictionary:
     def tester(self) -> Tester:
         """The session's tester, constructed lazily on first use."""
         return self._context.tester
-
-    def _syndrome_of(
-        self, faults: tuple[Fault, ...], tester: Tester | None = None
-    ) -> Syndrome:
-        chip = ChipUnderTest(self.fpva, faults)
-        return (tester or self.tester).run(chip, self.vectors).syndrome()
 
     @property
     def distinct_syndromes(self) -> int:

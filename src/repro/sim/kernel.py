@@ -3,10 +3,10 @@
 The observation model is binary reachability on the valve-array graph, and
 every downstream consumer — fault-dictionary construction, campaign sweeps,
 adaptive scheduling — issues thousands-to-millions of repeated reachability
-queries.  The object-graph BFS in :mod:`repro.sim.pressure` hashes
-:class:`~repro.fpva.geometry.Edge` tuples on every arc of every query; this
-module compiles an :class:`~repro.fpva.array.FPVA` **once** into flat
-integer arrays and answers reachability for *batches* of scenarios.
+queries.  An object-graph BFS hashes :class:`~repro.fpva.geometry.Edge`
+tuples on every arc of every query; this module compiles an
+:class:`~repro.fpva.array.FPVA` **once** into flat integer arrays and
+answers reachability for *batches* of scenarios.
 
 Representation
 ==============
@@ -38,7 +38,7 @@ equivalent fault sets are simulated exactly once.
 the production ``tile`` backend runs diameter-free elimination-scheduled
 passes, and ``word`` retains the level-synchronous reduceat sweep below
 as the reference.  Both share this module's compiled CSR arrays and are
-pinned bit-identical to the object-graph reference.
+pinned bit-identical to the object-graph reference in ``tests/oracle.py``.
 """
 
 from __future__ import annotations
@@ -63,17 +63,6 @@ if TYPE_CHECKING:  # pragma: no cover - annotation-only dependency
 
 _FULL_WORD = ~np.uint64(0)
 _WORD_SHIFTS = np.arange(64, dtype=np.uint64)
-
-
-class SinkCoverageError(ValueError):
-    """A vector's expected readings do not cover exactly the array's sinks.
-
-    Raised by :class:`BatchEvaluator` at construction: row-wise verdict
-    comparison needs every vector to predict every meter.  Callers that can
-    fall back to the one-chip-at-a-time engine catch *this* exception —
-    never bare ``ValueError``, which would also swallow real defects such
-    as faults on non-existent valves.
-    """
 
 
 def _pack_words(bools: np.ndarray) -> np.ndarray:
@@ -343,7 +332,7 @@ class ReachabilityKernel:
     def readings(self, open_mask: int, blocked_mask: int = 0) -> dict[str, bool]:
         """Sink readings for one scenario, keyed by port name.
 
-        Early-exits once every meter has been reached, like the legacy
+        Early-exits once every meter has been reached, like the reference
         BFS.  The visited buffer is the hoisted shared scratch — reset by
         one memset on the way out — and the common ``blocked_mask == 0``
         case (every stuck-at query adaptive diagnosis issues) runs a
@@ -524,8 +513,8 @@ class CompiledFaultSet:
     stuck-at overrides, per-vector intermittent firings, blockage — as
     integer bit operations on the kernel's valve/edge masks, in the same
     order, so the resulting ``(open, blocked)`` masks encode exactly the
-    frozensets the object path produces (asserted by the kernel/legacy
-    equivalence property test).
+    frozensets :class:`~repro.sim.chip.ChipUnderTest` produces (asserted
+    by the compiled-fault-set equivalence test).
     """
 
     def __init__(
@@ -641,28 +630,27 @@ class BatchEvaluator:
 
     Each distinct ``(open, blocked)`` mask pair is assigned a *slot* and
     simulated exactly once; consumers record slot rows per fault set, call
-    :meth:`flush`, then read verdicts back.  Raises
-    :class:`SinkCoverageError` at construction when a vector's expected
-    readings do not cover exactly the array's sinks (callers fall back to
-    the legacy path).
+    :meth:`flush`, then read verdicts back.
+
+    A vector whose expectations do not name exactly the array's sinks
+    fails under every scenario — the verdict
+    :attr:`~repro.sim.tester.VectorOutcome.passed` gives, since the
+    observed readings always name exactly the sinks.  Its
+    :attr:`expected_rows` entry is ``None``.
     """
 
     def __init__(self, kernel: ReachabilityKernel, vectors: Sequence[TestVector]):
         self.kernel = kernel
         self.vectors = list(vectors)
         self.vector_names = tuple(v.name for v in self.vectors)
-        sink_set = set(kernel.sink_names)
-        for v in self.vectors:
-            if set(v.expected.keys()) != sink_set:
-                raise SinkCoverageError(
-                    f"vector {v.name!r} expectations do not match the "
-                    f"array's sinks; batched evaluation unavailable"
-                )
         self.commanded_masks = tuple(
             kernel.valve_mask(v.open_valves) for v in self.vectors
         )
+        sink_set = set(kernel.sink_names)
         self.expected_rows = tuple(
             tuple(bool(v.expected[name]) for name in kernel.sink_names)
+            if set(v.expected) == sink_set
+            else None
             for v in self.vectors
         )
         self._sorted_sinks = tuple(
@@ -737,6 +725,8 @@ class BatchEvaluator:
         ``not passed(vi, slot)`` but without a Python call per slot.
         """
         grid = np.asarray(slots, dtype=np.intp)
+        if self.expected_rows[vi] is None:
+            return np.ones(grid.shape, dtype=bool)
         expected = np.array(self.expected_rows[vi], dtype=bool)
         return (self._readings[grid] != expected).any(axis=-1)
 

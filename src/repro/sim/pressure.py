@@ -4,31 +4,21 @@ The paper's test observation model is binary: air pressure applied at the
 source ports either reaches a pressure meter or it does not, depending on
 which valves are open.  That is graph reachability on the cell graph.
 
-Single queries are answered by the compiled
+Queries are answered by the compiled
 :class:`~repro.sim.kernel.ReachabilityKernel` (flat integer arrays, int
 bitmask tests — no per-arc ``Edge`` hashing, no per-call dict rebuilds);
 batch consumers grab :attr:`PressureSimulator.kernel` directly and
-evaluate 64 scenarios per machine word.  The original object-graph BFS is
-retained verbatim as the ``*_legacy`` methods: it is the pure-Python
-reference the kernel is differentially tested and benchmarked against.
+evaluate 64 scenarios per machine word.  The object-graph BFS the kernel
+is differentially tested and benchmarked against is ``tests/oracle.py``.
 """
 
 from __future__ import annotations
 
-from collections import deque
 from typing import Iterable
 
 from repro.fpva.array import FPVA
 from repro.fpva.geometry import Cell, Edge
 from repro.sim.kernel import ReachabilityKernel
-
-
-def _as_open_set(open_valves: Iterable[Edge]):
-    """Coerce a commanded-open iterable to a set exactly once (shared by
-    every legacy query path)."""
-    if isinstance(open_valves, (set, frozenset)):
-        return open_valves
-    return set(open_valves)
 
 
 class PressureSimulator:
@@ -40,35 +30,12 @@ class PressureSimulator:
     re-deriving the graph per shard).
     """
 
-    def __init__(
-        self,
-        fpva: FPVA,
-        kernel: ReachabilityKernel | None = None,
-        engine: str = "kernel",
-    ):
+    def __init__(self, fpva: FPVA, kernel: ReachabilityKernel | None = None):
         self.fpva = fpva
         if kernel is not None and kernel.fpva is not fpva:
             raise ValueError("kernel was compiled for a different array")
-        self._legacy_built = False
-        #: Which engine public queries dispatch to ("kernel" or "object");
-        #: batched consumers (coverage, hardening) branch on this.
-        self.engine = engine
-        if engine == "kernel":
-            self.kernel = (
-                kernel if kernel is not None else ReachabilityKernel(fpva)
-            )
-        elif engine == "object":
-            # Pure-Python reference engine: public queries dispatch to the
-            # retained object-graph BFS (bound per instance — no per-call
-            # branching), and no kernel is compiled.
-            self.kernel = kernel
-            self.meter_readings = self.meter_readings_legacy
-            self.pressurized_nodes = self.pressurized_nodes_legacy
-            self._build_legacy()
-        else:
-            raise ValueError(f"unknown simulator engine {engine!r}")
+        self.kernel = kernel if kernel is not None else ReachabilityKernel(fpva)
 
-    # -- kernel-backed queries ---------------------------------------------
     def meter_readings(
         self,
         open_valves: Iterable[Edge],
@@ -111,102 +78,3 @@ class PressureSimulator:
     def sink_separated(self, open_valves: Iterable[Edge]) -> bool:
         """True if no sink sees pressure (the cut-set expectation)."""
         return not any(self.meter_readings(open_valves).values())
-
-    # -- retained pure-Python reference ------------------------------------
-    def _build_legacy(self) -> None:
-        """Build the original object-graph adjacency, on first legacy use.
-
-        Per-query constants that the original implementation rebuilt on
-        every call (the sink-index dict and the readings template) are
-        hoisted here.
-        """
-        if self._legacy_built:
-            return
-        fpva = self.fpva
-        nodes: list = list(fpva.cells()) + list(fpva.ports)
-        self._index: dict = {node: i for i, node in enumerate(nodes)}
-        self._nodes = nodes
-
-        # adjacency[i] = list of (neighbour index, valve Edge or None, link);
-        # valve None marks an always-open connection (channel or port
-        # opening); link is the underlying flow Edge (None for port
-        # openings) so physically blocked edges can be excluded.
-        self._adjacency: list[list[tuple[int, Edge | None, Edge | None]]] = [
-            [] for _ in nodes
-        ]
-        for edge in fpva.flow_edges:
-            u, w = self._index[edge.a], self._index[edge.b]
-            valve = edge if edge in fpva.valve_set else None
-            self._adjacency[u].append((w, valve, edge))
-            self._adjacency[w].append((u, valve, edge))
-        for port in fpva.ports:
-            p = self._index[port]
-            c = self._index[fpva.port_cell(port)]
-            self._adjacency[p].append((c, None, None))
-            self._adjacency[c].append((p, None, None))
-
-        self._source_idx = [self._index[p] for p in fpva.sources]
-        self._sinks = [(p.name, self._index[p]) for p in fpva.sinks]
-        self._sink_idx = {idx: name for name, idx in self._sinks}
-        self._sink_names = [name for name, _ in self._sinks]
-        self._legacy_built = True
-
-    def pressurized_nodes_legacy(
-        self,
-        open_valves: Iterable[Edge],
-        blocked: frozenset[Edge] = frozenset(),
-    ) -> set:
-        """Original object-graph BFS (differential reference for the kernel)."""
-        self._build_legacy()
-        open_set = _as_open_set(open_valves)
-        seen = [False] * len(self._nodes)
-        queue = deque()
-        for s in self._source_idx:
-            seen[s] = True
-            queue.append(s)
-        while queue:
-            u = queue.popleft()
-            for w, valve, link in self._adjacency[u]:
-                if seen[w]:
-                    continue
-                if valve is not None and valve not in open_set:
-                    continue
-                if blocked and link is not None and link in blocked:
-                    continue
-                seen[w] = True
-                queue.append(w)
-        return {self._nodes[i] for i, hit in enumerate(seen) if hit}
-
-    def meter_readings_legacy(
-        self,
-        open_valves: Iterable[Edge],
-        blocked: frozenset[Edge] = frozenset(),
-    ) -> dict[str, bool]:
-        """Original object-graph readings (differential reference)."""
-        self._build_legacy()
-        open_set = _as_open_set(open_valves)
-        sink_idx = self._sink_idx
-        n_sinks = len(sink_idx)
-        readings: dict[str, bool] = dict.fromkeys(self._sink_names, False)
-
-        seen = [False] * len(self._nodes)
-        queue = deque()
-        for s in self._source_idx:
-            seen[s] = True
-            queue.append(s)
-        found = 0
-        while queue and found < n_sinks:
-            u = queue.popleft()
-            for w, valve, link in self._adjacency[u]:
-                if seen[w]:
-                    continue
-                if valve is not None and valve not in open_set:
-                    continue
-                if blocked and link is not None and link in blocked:
-                    continue
-                seen[w] = True
-                if w in sink_idx:
-                    readings[sink_idx[w]] = True
-                    found += 1
-                queue.append(w)
-        return readings

@@ -68,7 +68,6 @@ class Tester:
         self,
         fpva: FPVA | None = None,
         kernel=None,
-        engine: str = "kernel",
         *,
         simulator: PressureSimulator | None = None,
     ):
@@ -83,7 +82,7 @@ class Tester:
         if fpva is None:
             raise TypeError("Tester requires an array (or a simulator=)")
         self.fpva = fpva
-        self.simulator = PressureSimulator(fpva, kernel=kernel, engine=engine)
+        self.simulator = PressureSimulator(fpva, kernel=kernel)
 
     def expected_readings(self, open_valves: Iterable) -> dict[str, bool]:
         """Fault-free meter readings for a commanded open set."""

@@ -174,6 +174,8 @@ def test_r3_flags_private_construction():
     assert "R3" in codes("src/repro/engine/x.py", source)
     source = "s = PressureSimulator(fpva)\n"
     assert "R3" in codes("examples/x.py", source)
+    source = "t = Tester(fpva)\n"
+    assert "R3" in codes("src/repro/core/x.py", source)
 
 
 def test_r3_allows_the_session_factories():

@@ -2,7 +2,7 @@
 
 * each registered backend (``tile``, the production tier, and ``word``,
   the reference tier) produces **bit identical** readings to the
-  ``engine="object"`` reference;
+  object-graph reference in ``tests/oracle.py``;
 * a :class:`~repro.store.KernelStore`-persisted kernel warm-loads and
   replays identical readings under either tier (artifacts are
   backend-agnostic);
@@ -19,9 +19,9 @@ import random
 import numpy as np
 import pytest
 
+import oracle
 from repro.context import ExecutionContext
 from repro.fpva import full_layout, table1_layout
-from repro.sim import PressureSimulator
 from repro.sim.backends import (
     KernelBackend,
     availability,
@@ -61,7 +61,7 @@ def reference(fpva):
     """Object-engine readings for a fixed scenario set (the ground truth)."""
     kernel = ReachabilityKernel(fpva)
     scenarios = _random_scenarios(kernel, random.Random(7), 150)
-    sim = PressureSimulator(fpva, engine="object")
+    sim = oracle.ObjectSimulator(fpva)
     valve_order = list(kernel.valve_index)
     edge_order = list(kernel.edge_index)
     rows = []
@@ -97,7 +97,7 @@ class TestBackendEquivalence:
 
     def test_reach_matches_scalar_reference(self, fpva, name):
         kernel = ReachabilityKernel(fpva).set_backend(name)
-        sim = PressureSimulator(fpva, engine="object")
+        sim = oracle.ObjectSimulator(fpva)
         valve_order = list(kernel.valve_index)
         edge_order = list(kernel.edge_index)
         rng = random.Random(11)

@@ -8,10 +8,10 @@ Covers the PR-5 tentpole and satellites:
   order for both checks;
 * batched-vs-reference equivalence properties: kernel-session coverage
   observability sets and hardening output are identical to the
-  ``engine="object"`` object-BFS reference across random layouts,
+  object-BFS reference in ``tests/oracle.py`` across random layouts,
   vectors and seeds;
 * context plumbing (store warm starts, evaluator memoization, seed
-  streams) and the kernel-vs-object engine choice it carries.
+  streams).
 """
 
 from __future__ import annotations
@@ -20,6 +20,7 @@ import random
 
 import pytest
 
+import oracle
 from repro.context import ExecutionContext, Session
 from repro.core import (
     TestGenerator,
@@ -32,12 +33,7 @@ from repro.core.vectors import TestSet, TestVector, VectorKind
 from repro.engine import run_campaign as run_campaign_sharded
 from repro.fpva import FPVABuilder, Side, full_layout, table1_layout
 from repro.fpva.geometry import Cell
-from repro.sim import (
-    ChipUnderTest,
-    FaultDictionary,
-    PressureSimulator,
-    ReachabilityKernel,
-)
+from repro.sim import ChipUnderTest, FaultDictionary, ReachabilityKernel
 from repro.sim.campaign import run_trials
 from repro.engine import AdaptiveDiagnoser
 
@@ -45,7 +41,7 @@ from repro.engine import AdaptiveDiagnoser
 def _random_vectors(fpva, seed: int, count: int) -> list[TestVector]:
     """Synthetic vectors with object-engine ground-truth expectations."""
     rng = random.Random(seed)
-    sim = PressureSimulator(fpva, engine="object")
+    sim = oracle.ObjectSimulator(fpva)
     valves = sorted(fpva.valves)
     out = []
     for i in range(count):
@@ -75,10 +71,6 @@ class TestExecutionContext:
     def test_session_alias(self):
         assert Session is ExecutionContext
 
-    def test_engine_validated(self, small):
-        with pytest.raises(ValueError, match="unknown engine"):
-            ExecutionContext(small, engine="quantum")
-
     def test_resolve_checks_array_identity(self, small, tiny):
         ctx = ExecutionContext(small)
         assert ExecutionContext.resolve(ctx, small) is ctx
@@ -107,12 +99,6 @@ class TestExecutionContext:
         assert ev1 is ev2
         ev3 = ctx.evaluator(vectors[:2])
         assert ev3 is not ev1
-
-    def test_object_session_refuses_batching(self, small):
-        ctx = ExecutionContext(small, engine="object")
-        assert not ctx.batched
-        with pytest.raises(RuntimeError, match="engine='object'"):
-            ctx.evaluator(_random_vectors(small, seed=1, count=2))
 
     def test_store_warm_start_bit_identical(self, small, tmp_path):
         cold = ExecutionContext(small, cache_dir=tmp_path)
@@ -230,13 +216,13 @@ class TestBatchedEquivalenceProperties:
     def test_observability_sets_identical(self, layout_index, seed):
         fpva = _layouts()[layout_index]
         kernel_ctx = ExecutionContext(fpva)
-        object_ctx = ExecutionContext(fpva, engine="object")
+        object_sim = oracle.ObjectSimulator(fpva)
         for vector in _random_vectors(fpva, seed=seed, count=8):
             assert sa0_observable_valves(kernel_ctx, vector) == (
-                sa0_observable_valves(object_ctx, vector)
+                oracle.sa0_observable_valves(object_sim, vector)
             ), vector
             assert sa1_observable_valves(kernel_ctx, vector) == (
-                sa1_observable_valves(object_ctx, vector)
+                oracle.sa1_observable_valves(object_sim, vector)
             ), vector
 
     @pytest.mark.parametrize("layout_index", range(4))
@@ -246,9 +232,7 @@ class TestBatchedEquivalenceProperties:
         batched = measure_coverage(
             fpva, vectors, context=ExecutionContext(fpva)
         )
-        reference = measure_coverage(
-            fpva, vectors, context=ExecutionContext(fpva, engine="object")
-        )
+        reference = oracle.measure_coverage(fpva, vectors)
         assert batched.sa0_covered == reference.sa0_covered
         assert batched.sa1_covered == reference.sa1_covered
         assert batched.leak_pairs_covered == reference.leak_pairs_covered
@@ -274,9 +258,7 @@ class TestBatchedEquivalenceProperties:
 
         serial_ts = _copy_testset(suite)
         batched_ts = _copy_testset(suite)
-        serial = harden_double_faults(
-            fpva, serial_ts, context=ExecutionContext(fpva, engine="object")
-        )
+        serial = oracle.harden_double_faults(fpva, serial_ts)
         batched = harden_double_faults(
             fpva, batched_ts, context=ExecutionContext(fpva)
         )
@@ -288,10 +270,9 @@ class TestBatchedEquivalenceProperties:
         assert batched_ts.cut_sets == serial_ts.cut_sets
 
     def test_audit_fallback_on_partial_expectations(self, small):
-        """Vectors whose expectations do not cover every sink cannot be
-        compared row-wise; the audit silently takes the serial path and
-        both engines still agree."""
-        sim = PressureSimulator(small, engine="object")
+        """Vectors whose expectations do not cover every sink fail on
+        every chip; the batched audit agrees with the serial reference."""
+        sim = oracle.ObjectSimulator(small)
         opens = frozenset(list(small.valves)[:6])
         readings = sim.meter_readings(opens)
         partial = TestVector(
@@ -303,14 +284,12 @@ class TestBatchedEquivalenceProperties:
         kernel_audit = find_masked_stuck_pairs(
             small, [partial], context=ExecutionContext(small)
         )
-        object_audit = find_masked_stuck_pairs(
-            small, [partial], context=ExecutionContext(small, engine="object")
-        )
+        object_audit = oracle.find_masked_stuck_pairs(small, [partial])
         assert kernel_audit == object_audit
 
 
 class TestLegacyKeywordShims:
-    """Kernel sessions match ``engine="object"`` sessions."""
+    """Kernel sessions match the object-engine reference."""
 
     def test_campaign_context_matches_legacy_kwargs(self, small):
         suite = TestGenerator(small, include_leakage=False).generate().testset
@@ -319,9 +298,8 @@ class TestLegacyKeywordShims:
             small, vectors, num_faults=2, trials=40, seed=3,
             context=ExecutionContext(small),
         )
-        via_object = run_trials(
-            small, vectors, num_faults=2, trials=40, seed=3,
-            context=ExecutionContext(small, engine="object"),
+        via_object = oracle.run_trials(
+            small, vectors, num_faults=2, trials=40, seed=3
         )
         assert via_context == via_object
 
@@ -331,10 +309,7 @@ class TestLegacyKeywordShims:
         with_context = FaultDictionary(
             small, suite.all_vectors(), context=ctx
         )
-        legacy = FaultDictionary(
-            small, suite.all_vectors(),
-            context=ExecutionContext(small, engine="object"),
-        )
+        legacy = oracle.ReferenceDictionary(small, suite.all_vectors())
         assert list(with_context._table.items()) == list(legacy._table.items())
         # The context's store addressed the build: a rebuild warm-loads.
         warm = FaultDictionary(small, suite.all_vectors(), context=ctx)

@@ -453,3 +453,27 @@ class TestJournaledRuns:
     def test_resume_requires_existing_journal(self, tmp_path, spec):
         with pytest.raises(FileNotFoundError, match="--resume"):
             run_journaled_sweep(spec, tmp_path / "missing", resume=True)
+
+    def test_pool_drain_loads_the_journal_kernel(
+        self, tmp_path, spec, monkeypatch
+    ):
+        """A multi-process drain started without a kernel ships the one
+        already stored under the journal's ``kernels/``: the parent
+        process loads it instead of compiling."""
+        from repro.sim import ReachabilityKernel
+        from repro.store import KernelStore
+
+        journal_dir = tmp_path / "j"
+        KernelStore(journal_dir / "kernels").save(ReachabilityKernel(spec.fpva))
+        compiles = []
+        original = ReachabilityKernel.__init__
+
+        def counting(self, array):
+            compiles.append(array)
+            original(self, array)
+
+        monkeypatch.setattr(ReachabilityKernel, "__init__", counting)
+        results, stats = run_journaled_sweep(spec, journal_dir, workers=2)
+        assert compiles == []
+        assert stats.executed == stats.total
+        assert set(results) == set(spec.fault_counts)

@@ -1,10 +1,10 @@
-"""Kernel/legacy equivalence: the compiled bitmask path must be exact.
+"""Kernel/oracle equivalence: the compiled bitmask path must be exact.
 
 The compiled :class:`ReachabilityKernel` and its batched consumers
 (dictionary build, campaign backend) are pure accelerations — every test
-here asserts *exact* equality against the retained pure-Python reference
-path, over randomized arrays, fault sets spanning all five fault kinds,
-and vectors.
+here asserts *exact* equality against the pure-Python reference in
+``tests/oracle.py``, over randomized arrays, fault sets spanning all five
+fault kinds, and vectors.
 """
 
 from __future__ import annotations
@@ -16,6 +16,7 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
+import oracle
 from repro.context import ExecutionContext
 from repro.core import generate_suite
 from repro.engine import AdaptiveDiagnoser, get_scenario, scenario_names
@@ -31,11 +32,6 @@ from repro.sim import (
 )
 from repro.sim.campaign import run_trials
 from repro.sim.kernel import _pack_words, _unpack_words
-
-
-def _object_engine(fpva):
-    """A session pinned to the pure-Python object-graph reference engine."""
-    return ExecutionContext(fpva, engine="object")
 
 
 class TestPackRoundTrip:
@@ -104,10 +100,11 @@ def arrays(two_sink_array):
 
 class TestSingleQueryEquivalence:
     def test_random_open_and_blocked_sets(self, arrays):
-        """meter_readings/pressurized_nodes == the retained legacy BFS."""
+        """meter_readings/pressurized_nodes == the object-graph BFS."""
         rng = random.Random(42)
         for fpva in arrays:
             sim = PressureSimulator(fpva)
+            ref_sim = oracle.ObjectSimulator(fpva)
             valves = list(fpva.valves)
             edges = list(fpva.flow_edges)
             for _ in range(120):
@@ -116,12 +113,12 @@ class TestSingleQueryEquivalence:
                 )
                 blocked = frozenset(rng.sample(edges, rng.randrange(0, 3)))
                 fast = sim.meter_readings(open_set, blocked=blocked)
-                ref = sim.meter_readings_legacy(open_set, blocked=blocked)
+                ref = ref_sim.meter_readings(open_set, blocked=blocked)
                 assert fast == ref
                 assert list(fast) == list(ref)  # same key order too
                 assert sim.pressurized_nodes(
                     open_set, blocked=blocked
-                ) == sim.pressurized_nodes_legacy(open_set, blocked=blocked)
+                ) == ref_sim.pressurized_nodes(open_set, blocked=blocked)
 
     def test_open_iterable_coerced_once(self, arrays):
         """Generators (single-pass iterables) are valid open sets."""
@@ -131,15 +128,17 @@ class TestSingleQueryEquivalence:
         assert sim.meter_readings(v for v in fpva.valves) == all_open
         assert sim.pressurized_nodes(
             v for v in fpva.valves
-        ) == sim.pressurized_nodes_legacy(frozenset(fpva.valves))
+        ) == oracle.ObjectSimulator(fpva).pressurized_nodes(frozenset(fpva.valves))
 
     def test_non_valve_edges_in_open_set_are_noops(self, arrays):
-        """Channel edges in the commanded set are ignored, as in legacy."""
+        """Channel edges in the commanded set are ignored, as in the
+        object-graph BFS."""
         fpva = table1_layout(5)
         sim = PressureSimulator(fpva)
         channel = next(iter(fpva.channels))
         opened = frozenset(fpva.valves[:5]) | {channel}
-        assert sim.meter_readings(opened) == sim.meter_readings_legacy(opened)
+        ref = oracle.ObjectSimulator(fpva).meter_readings(opened)
+        assert sim.meter_readings(opened) == ref
 
     def test_kernel_round_trips_through_pickle(self, arrays):
         """Campaign workers receive kernels by pickling."""
@@ -192,8 +191,8 @@ class TestCompiledFaultSetEquivalence:
 class TestDictionaryEquivalence:
     @pytest.mark.parametrize("scenario_name", scenario_names())
     def test_tables_identical_per_scenario(self, arrays, scenario_name):
-        """Kernel-built dictionaries equal legacy ones — same syndromes,
-        same candidate lists, same insertion order."""
+        """Kernel-built dictionaries equal the reference ones — same
+        syndromes, same candidate lists, same insertion order."""
         scenario = get_scenario(scenario_name)
         rng = random.Random(3)
         for fpva in arrays[:2]:
@@ -204,9 +203,7 @@ class TestDictionaryEquivalence:
             fast = FaultDictionary(
                 fpva, vectors, context=ExecutionContext(fpva), **kwargs
             )
-            ref = FaultDictionary(
-                fpva, vectors, context=_object_engine(fpva), **kwargs
-            )
+            ref = oracle.ReferenceDictionary(fpva, vectors, **kwargs)
             assert list(fast._table.items()) == list(ref._table.items())
             assert fast.distinct_syndromes == ref.distinct_syndromes
             assert fast.resolution() == ref.resolution()
@@ -214,11 +211,14 @@ class TestDictionaryEquivalence:
     def test_default_universe_with_leaks(self, tiny):
         vectors = generate_suite(tiny).all_vectors()
         fast = FaultDictionary(tiny, vectors, context=ExecutionContext(tiny))
-        ref = FaultDictionary(tiny, vectors, context=_object_engine(tiny))
+        ref = oracle.ReferenceDictionary(tiny, vectors)
         assert list(fast._table.items()) == list(ref._table.items())
 
-    def test_partial_expectations_fall_back_to_legacy(self, two_sink_array):
-        """Vectors not covering every sink still build correctly."""
+    def test_partial_expectations_fall_back_to_legacy(
+        self, two_sink_array, recwarn
+    ):
+        """Vectors not covering every sink build batched, without a
+        warning, and the table equals the reference."""
         from repro.core.vectors import TestVector, VectorKind
 
         fpva = two_sink_array
@@ -230,24 +230,83 @@ class TestDictionaryEquivalence:
             expected={"o1": False},  # o2 missing
         )
         suite = vectors + [partial]
-        with pytest.warns(UserWarning, match="falling\\s+back"):
-            fast = FaultDictionary(fpva, suite, context=ExecutionContext(fpva))
-        ref = FaultDictionary(fpva, suite, context=_object_engine(fpva))
+        fast = FaultDictionary(fpva, suite, context=ExecutionContext(fpva))
+        assert not [w for w in recwarn if issubclass(w.category, UserWarning)]
+        ref = oracle.ReferenceDictionary(fpva, suite)
         assert list(fast._table.items()) == list(ref._table.items())
+
+
+class TestPartialExpectations:
+    """A vector whose expectations do not name exactly the sinks fails on
+    every chip, the fault-free one included.  Every batched path judges it
+    as the reference does, with no fallback engine."""
+
+    @staticmethod
+    def _partial(fpva, form):
+        from repro.core.vectors import TestVector, VectorKind
+
+        opened = frozenset(fpva.valves[:3])
+        readings = oracle.ObjectSimulator(fpva).meter_readings(opened)
+        expected = {
+            "empty": {},
+            "one-sink": dict(list(readings.items())[:1]),
+            "unknown-name": {**readings, "not-a-sink": False},
+        }[form]
+        return TestVector("partial", VectorKind.BASELINE, opened, expected)
+
+    @pytest.mark.parametrize("form", ["empty", "one-sink", "unknown-name"])
+    def test_every_batched_path_matches_the_oracle(
+        self, two_sink_array, tmp_path, recwarn, form
+    ):
+        from repro.core.repair import find_masked_stuck_pairs
+        from repro.engine import run_sweep
+        from repro.sim import fault_universe, mix_seed
+        from repro.store import ArtifactStore
+
+        fpva = two_sink_array
+        vectors = _random_vectors(fpva, random.Random(2), count=6)
+        suite = vectors + [self._partial(fpva, form)]
+        kwargs = dict(universe=fault_universe(fpva)[:16], max_cardinality=2)
+
+        cold = FaultDictionary(fpva, suite, **kwargs)
+        assert not [w for w in recwarn if issubclass(w.category, UserWarning)]
+        ref = oracle.ReferenceDictionary(fpva, suite, **kwargs)
+        assert list(cold._table.items()) == list(ref._table.items())
+
+        store = ArtifactStore(tmp_path / "store")
+        FaultDictionary(fpva, vectors, store=store, **kwargs)
+        appended = FaultDictionary(fpva, suite, store=store, **kwargs)
+        assert appended.build_stats["mode"] == "delta"
+        assert list(appended._table.items()) == list(cold._table.items())
+
+        # One shard per fault count: each shard draws the oracle's stream.
+        sweep = dict(fault_counts=(1, 2), trials=30, seed=5, shard_trials=30)
+        expected = {
+            k: oracle.run_trials(fpva, suite, k, 30, seed=mix_seed(5, k, 0))
+            for k in (1, 2)
+        }
+        assert run_sweep(fpva, suite, **sweep) == expected
+        journaled = run_sweep(fpva, suite, journal_dir=tmp_path / "j", **sweep)
+        assert journaled == expected
+
+        assert find_masked_stuck_pairs(fpva, suite) == (
+            oracle.find_masked_stuck_pairs(fpva, suite)
+        )
+        healthy = ChipUnderTest(fpva)
+        assert ExecutionContext(fpva).tester.run(healthy, suite).fault_detected
+        assert oracle.object_tester(fpva).run(healthy, suite).fault_detected
 
 
 class TestDiagnosisEquivalence:
     @pytest.mark.parametrize("scenario_name", scenario_names())
     def test_adaptive_and_full_suite_verdicts(self, small, scenario_name):
-        """Kernel-backed dictionary + adaptive engine reproduce the legacy
-        full-suite reports for chips of every scenario."""
+        """Kernel-backed dictionary + adaptive engine reproduce the
+        reference full-suite reports for chips of every scenario."""
         scenario = get_scenario(scenario_name)
         vectors = generate_suite(small).all_vectors()
         universe = scenario.universe(small)
         fast = FaultDictionary(small, vectors, universe=universe)
-        ref = FaultDictionary(
-            small, vectors, universe=universe, context=_object_engine(small)
-        )
+        ref = oracle.ReferenceDictionary(small, vectors, universe=universe)
         engine = AdaptiveDiagnoser(fast)
         rng = random.Random(19)
         for _ in range(4):
@@ -273,9 +332,7 @@ class TestCampaignEquivalence:
             fast = run_trials(
                 small, vectors, context=ExecutionContext(small), **kwargs
             )
-            ref = run_trials(
-                small, vectors, context=_object_engine(small), **kwargs
-            )
+            ref = oracle.run_trials(small, vectors, **kwargs)
             assert fast.trials == ref.trials
             assert fast.detected == ref.detected
             assert fast.undetected_examples == ref.undetected_examples
@@ -295,7 +352,7 @@ def kernel_layouts(draw):
 
 @pytest.mark.slow
 class TestRandomizedProperty:
-    """Satellite: randomized kernel/legacy equivalence property."""
+    """Satellite: randomized kernel/oracle equivalence property."""
 
     @settings(
         max_examples=8,
@@ -307,10 +364,11 @@ class TestRandomizedProperty:
         rng = random.Random(seed)
         vectors = generate_suite(fpva).all_vectors()
         sim = PressureSimulator(fpva)
+        ref_sim = oracle.ObjectSimulator(fpva)
         scenario = get_scenario("mixed")
         universe = scenario.universe(fpva)
 
-        # Readings under faulty effective states match the legacy BFS.
+        # Readings under faulty effective states match the object BFS.
         for _ in range(10):
             faults = scenario.sample(universe, rng, rng.choice((1, 2)))
             chip = ChipUnderTest(fpva, faults)
@@ -318,14 +376,13 @@ class TestRandomizedProperty:
                 opened, blocked = chip.effective_state(vector)
                 assert sim.meter_readings(
                     opened, blocked=blocked
-                ) == sim.meter_readings_legacy(opened, blocked=blocked)
+                ) == ref_sim.meter_readings(opened, blocked=blocked)
 
-        # Dictionary tables and adaptive verdicts match the legacy build.
+        # Dictionary tables and adaptive verdicts match the reference build.
         sub = rng.sample(universe, min(16, len(universe)))
         fast = FaultDictionary(fpva, vectors, universe=sub, max_cardinality=2)
-        ref = FaultDictionary(
-            fpva, vectors, universe=sub, max_cardinality=2,
-            context=_object_engine(fpva),
+        ref = oracle.ReferenceDictionary(
+            fpva, vectors, universe=sub, max_cardinality=2
         )
         assert list(fast._table.items()) == list(ref._table.items())
         engine = AdaptiveDiagnoser(fast)

@@ -6,6 +6,7 @@ import random
 
 import pytest
 
+import oracle
 from repro.context import ExecutionContext
 from repro.core import generate_suite
 from repro.engine import AdaptiveDiagnoser, get_scenario
@@ -176,7 +177,7 @@ class TestDictionaryWarmStart:
 
 class TestBackendEquivalence:
     def test_tables_identical_on_randomized_array(self):
-        """Satellite: kernel vs legacy dictionaries on a randomized array,
+        """Satellite: kernel vs reference dictionaries on a randomized array,
         plus a store round trip of the kernel build."""
         rng = random.Random(1234)
         for trial in range(3):
@@ -189,26 +190,8 @@ class TestBackendEquivalence:
             fast = FaultDictionary(
                 fpva, vectors, context=ExecutionContext(fpva), **kwargs
             )
-            ref = FaultDictionary(
-                fpva, vectors,
-                context=ExecutionContext(fpva, engine="object"), **kwargs
-            )
+            ref = oracle.ReferenceDictionary(fpva, vectors, **kwargs)
             assert _table_key(fast) == _table_key(ref)
-
-    def test_legacy_build_round_trips_through_store(self, bundle, tmp_path):
-        fpva, vectors = bundle
-        universe = fault_universe(fpva)[:20]
-        store = ArtifactStore(tmp_path)
-        cold = FaultDictionary(
-            fpva, vectors, universe=universe,
-            context=ExecutionContext(fpva, engine="object", store=store),
-        )
-        warm = FaultDictionary(
-            fpva, vectors, universe=universe,
-            context=ExecutionContext(fpva, engine="object", store=store),
-        )
-        assert warm.warm_loaded
-        assert _table_key(cold) == _table_key(warm)
 
 
 class TestNarrowedFallback:
@@ -224,16 +207,17 @@ class TestNarrowedFallback:
         )
         return list(vectors) + [partial]
 
-    def test_sink_coverage_fallback_warns_and_matches_legacy(self, bundle):
+    def test_sink_coverage_fallback_warns_and_matches_legacy(
+        self, bundle, recwarn
+    ):
+        """A vector naming a non-sink meter no longer needs a fallback: the
+        batched build emits no warning and equals the reference."""
         fpva, vectors = bundle
         suite = self._partial_suite(fpva, vectors)
         universe = fault_universe(fpva)[:12]
-        with pytest.warns(UserWarning, match="falling\\s+back to the"):
-            fast = FaultDictionary(fpva, suite, universe=universe)
-        ref = FaultDictionary(
-            fpva, suite, universe=universe,
-            context=ExecutionContext(fpva, engine="object"),
-        )
+        fast = FaultDictionary(fpva, suite, universe=universe)
+        assert not [w for w in recwarn if issubclass(w.category, UserWarning)]
+        ref = oracle.ReferenceDictionary(fpva, suite, universe=universe)
         assert _table_key(fast) == _table_key(ref)
 
     def test_full_coverage_build_does_not_warn(self, bundle, recwarn):
@@ -254,27 +238,6 @@ class TestNarrowedFallback:
 
 
 class TestDeferredKernelCompile:
-    def test_legacy_backend_compiles_no_kernel(self, bundle, monkeypatch):
-        """An object-engine dictionary never pays a kernel compile."""
-        fpva, vectors = bundle
-        compiles = []
-        original = ReachabilityKernel.__init__
-
-        def counting(self, array):
-            compiles.append(array)
-            original(self, array)
-
-        monkeypatch.setattr(ReachabilityKernel, "__init__", counting)
-        dictionary = FaultDictionary(
-            fpva, vectors, universe=fault_universe(fpva)[:8],
-            context=ExecutionContext(fpva, engine="object"),
-        )
-        assert not compiles
-        # Diagnosis runs on the same object-engine session: still no compile.
-        report = dictionary.diagnose_chip(ChipUnderTest(fpva))
-        assert report.syndrome == ()
-        assert not compiles
-
     def test_prebuilt_kernel_is_reused(self, bundle):
         fpva, vectors = bundle
         kernel = ReachabilityKernel(fpva)

@@ -22,6 +22,7 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
+import oracle
 from repro.cli import main as cli_main
 from repro.context import ExecutionContext
 from repro.core import generate_suite
@@ -285,9 +286,8 @@ class TestDeltaBitIdentity:
         kernel = FaultDictionary(
             fpva, vectors, universe=universe, max_cardinality=3
         )
-        legacy = FaultDictionary(
-            fpva, vectors, universe=universe, max_cardinality=3,
-            context=ExecutionContext(fpva, engine="object"),
+        legacy = oracle.ReferenceDictionary(
+            fpva, vectors, universe=universe, max_cardinality=3
         )
         assert _table_key(kernel) == _table_key(legacy)
 
@@ -560,10 +560,10 @@ class TestContextWiring:
 
         fpva, _, _ = bundle
         ctx = ExecutionContext(fpva, cache_dir=tmp_path)
-        mode, kernel = ctx.shipping_spec()
+        kernel = ctx.shipping_spec()
         assert isinstance(kernel, str)
         _CONTEXT_MEMO.clear()
-        first = _shard_context(fpva, mode, kernel)
-        second = _shard_context(fpva, mode, kernel)
+        first = _shard_context(fpva, kernel)
+        second = _shard_context(fpva, kernel)
         assert first is second
         _CONTEXT_MEMO.clear()
