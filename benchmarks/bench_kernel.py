@@ -27,7 +27,6 @@ Results are also written to ``BENCH_kernel.json`` (override with
 
 from __future__ import annotations
 
-import json
 import os
 import random
 import time
@@ -35,7 +34,7 @@ from collections import deque
 
 import pytest
 
-from benchmarks.conftest import BENCH_JSON, FULL, SMOKE, pedantic_once
+from benchmarks.conftest import BENCH_JSON, FULL, SMOKE, pedantic_once, record
 from repro.context import ExecutionContext
 from repro.core import generate_suite
 from repro.engine import get_scenario
@@ -71,25 +70,8 @@ SCALAR_MIN_QPS = 20_000.0
 #: cannot fail a genuinely-hoisted build.
 SCALAR_MIN_RATIO = 0.8
 
-
-def _record(section: str, payload: dict) -> None:
-    """Merge one section into the machine-readable bench JSON."""
-    data = {}
-    if os.path.exists(BENCH_JSON):
-        try:
-            with open(BENCH_JSON) as fh:
-                data = json.load(fh)
-        except (OSError, ValueError):
-            data = {}
-    data[section] = payload
-    data["config"] = {
-        "size": SIZE,
-        "smoke": SMOKE,
-        "backend_sizes": list(BACKEND_SIZES),
-    }
-    with open(BENCH_JSON, "w") as fh:
-        json.dump(data, fh, indent=2, sort_keys=True)
-        fh.write("\n")
+#: Run configuration stamped into every section written to the bench JSON.
+CONFIG = {"size": SIZE, "smoke": SMOKE, "backend_sizes": list(BACKEND_SIZES)}
 
 
 def _bench_dictionary(fpva, vectors, universe):
@@ -125,7 +107,7 @@ def test_dictionary_build_speedup(benchmark, capsys):
     universe = stuck_at_faults(fpva)
     stats = pedantic_once(benchmark, _bench_dictionary, fpva, vectors, universe)
     benchmark.extra_info.update(stats)
-    _record(f"dictionary_build_{SIZE}x{SIZE}_card2", stats)
+    record(BENCH_JSON, f"dictionary_build_{SIZE}x{SIZE}_card2", stats, CONFIG)
     with capsys.disabled():
         print(
             f"\n{SIZE}x{SIZE} card-2 dictionary ({stats['fault_sets']} fault "
@@ -188,7 +170,9 @@ def test_campaign_throughput_speedup(benchmark, capsys):
     vectors = generate_suite(fpva).all_vectors()
     stats = pedantic_once(benchmark, _bench_campaign, fpva, vectors, CAMPAIGN_TRIALS)
     benchmark.extra_info.update(stats)
-    _record(f"campaign_full_suite_throughput_{SIZE}x{SIZE}", stats)
+    record(
+        BENCH_JSON, f"campaign_full_suite_throughput_{SIZE}x{SIZE}", stats, CONFIG
+    )
     with capsys.disabled():
         print(
             f"\n{SIZE}x{SIZE} full-suite campaign ({stats['trials']} chips x "
@@ -245,7 +229,7 @@ def test_backend_tier_floors(benchmark, capsys, size):
     )
     stats = pedantic_once(benchmark, _bench_backend_tiers, fpva, vectors, sample)
     benchmark.extra_info.update(stats)
-    _record(f"backend_tiers_{size}x{size}_card2", stats)
+    record(BENCH_JSON, f"backend_tiers_{size}x{size}_card2", stats, CONFIG)
     with capsys.disabled():
         per_tier = ", ".join(
             f"{name} {tier['seconds']:.2f}s"
@@ -325,7 +309,7 @@ def test_scalar_readings_microbench(benchmark, capsys):
     masks = [rng.getrandbits(kernel.n_valves) for _ in range(SCALAR_QUERIES)]
     stats = pedantic_once(benchmark, _bench_scalar_readings, kernel, masks)
     benchmark.extra_info.update(stats)
-    _record("scalar_readings_8x8", stats)
+    record(BENCH_JSON, "scalar_readings_8x8", stats, CONFIG)
     with capsys.disabled():
         print(
             f"\n8x8 scalar readings: hoisted "

@@ -27,14 +27,13 @@ step.
 
 from __future__ import annotations
 
-import json
 import os
 import random
 import shutil
 import time
 import tracemalloc
 
-from benchmarks.conftest import SMOKE, pedantic_once
+from benchmarks.conftest import SMOKE, pedantic_once, record
 from repro.core import generate_suite
 from repro.fpva import full_layout
 from repro.sim import ChipUnderTest, FaultDictionary
@@ -69,21 +68,8 @@ INC_APPEND_MIN_SCENARIO_RATIO = 10.0
 #: stuck-at universe's triple tier is combinatorially out of reach.
 PROMOTE_UNIVERSE = 24 if SMOKE else 36
 
-
-def _record(section: str, payload: dict) -> None:
-    """Merge one section into the machine-readable bench JSON."""
-    data = {}
-    if os.path.exists(BENCH_JSON):
-        try:
-            with open(BENCH_JSON) as fh:
-                data = json.load(fh)
-        except (OSError, ValueError):
-            data = {}
-    data[section] = payload
-    data["config"] = {"size": SIZE, "stream_size": STREAM_SIZE, "smoke": SMOKE}
-    with open(BENCH_JSON, "w") as fh:
-        json.dump(data, fh, indent=2, sort_keys=True)
-        fh.write("\n")
+#: Run configuration stamped into every section written to the bench JSON.
+CONFIG = {"size": SIZE, "stream_size": STREAM_SIZE, "smoke": SMOKE}
 
 
 def _bench_warm_start(fpva, vectors, universe, store):
@@ -128,7 +114,7 @@ def test_warm_start_speedup(benchmark, tmp_path, capsys):
         benchmark, _bench_warm_start, fpva, vectors, universe, store
     )
     benchmark.extra_info.update(stats)
-    _record(f"warm_start_{SIZE}x{SIZE}_card2", stats)
+    record(BENCH_JSON, f"warm_start_{SIZE}x{SIZE}_card2", stats, CONFIG)
     with capsys.disabled():
         print(
             f"\n{SIZE}x{SIZE} card-2 dictionary ({stats['fault_sets']} fault "
@@ -191,8 +177,11 @@ def test_streaming_double_fault_scale_up(benchmark, tmp_path, capsys):
         benchmark, _bench_streaming, fpva, vectors, universe, store
     )
     benchmark.extra_info.update(stats)
-    _record(
-        f"streaming_build_{STREAM_SIZE}x{STREAM_SIZE}_card2", stats
+    record(
+        BENCH_JSON,
+        f"streaming_build_{STREAM_SIZE}x{STREAM_SIZE}_card2",
+        stats,
+        CONFIG,
     )
     with capsys.disabled():
         print(
@@ -280,7 +269,12 @@ def test_incremental_append_speedup(benchmark, tmp_path, capsys):
         tmp_path,
     )
     benchmark.extra_info.update(stats)
-    _record(f"incremental_append_{STREAM_SIZE}x{STREAM_SIZE}_card2", stats)
+    record(
+        BENCH_JSON,
+        f"incremental_append_{STREAM_SIZE}x{STREAM_SIZE}_card2",
+        stats,
+        CONFIG,
+    )
     with capsys.disabled():
         print(
             f"\n{STREAM_SIZE}x{STREAM_SIZE} card-2 append-one-vector: cold "
@@ -361,8 +355,11 @@ def test_incremental_promotion_scenarios(benchmark, tmp_path, capsys):
         tmp_path,
     )
     benchmark.extra_info.update(stats)
-    _record(
-        f"incremental_promotion_{STREAM_SIZE}x{STREAM_SIZE}_card3", stats
+    record(
+        BENCH_JSON,
+        f"incremental_promotion_{STREAM_SIZE}x{STREAM_SIZE}_card3",
+        stats,
+        CONFIG,
     )
     with capsys.disabled():
         print(

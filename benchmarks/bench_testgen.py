@@ -20,11 +20,10 @@ Results are written to ``BENCH_testgen.json`` (override with
 
 from __future__ import annotations
 
-import json
 import os
 import time
 
-from benchmarks.conftest import SMOKE, pedantic_once
+from benchmarks.conftest import SMOKE, pedantic_once, record
 from repro.context import ExecutionContext
 from repro.core import TestGenerator, generate_suite
 from repro.core.repair import harden_double_faults
@@ -38,21 +37,8 @@ BENCH_JSON = os.environ.get("REPRO_BENCH_TESTGEN_JSON", "BENCH_testgen.json")
 SIZE = 6 if SMOKE else 8
 HARDEN_MIN_SPEEDUP = 2.0 if SMOKE else 3.0
 
-
-def _record(section: str, payload: dict) -> None:
-    """Merge one section into the machine-readable bench JSON."""
-    data = {}
-    if os.path.exists(BENCH_JSON):
-        try:
-            with open(BENCH_JSON) as fh:
-                data = json.load(fh)
-        except (OSError, ValueError):
-            data = {}
-    data[section] = payload
-    data["config"] = {"size": SIZE, "smoke": SMOKE}
-    with open(BENCH_JSON, "w") as fh:
-        json.dump(data, fh, indent=2, sort_keys=True)
-        fh.write("\n")
+#: Run configuration stamped into every section written to the bench JSON.
+CONFIG = {"size": SIZE, "smoke": SMOKE}
 
 
 class _CompileCounter:
@@ -113,7 +99,7 @@ def test_context_shared_generation(benchmark, capsys):
     fpva = full_layout(SIZE, SIZE, name=f"testgen-bench-{SIZE}x{SIZE}")
     stats = pedantic_once(benchmark, _bench_generation, fpva)
     benchmark.extra_info.update(stats)
-    _record(f"context_shared_generation_{SIZE}x{SIZE}", stats)
+    record(BENCH_JSON, f"context_shared_generation_{SIZE}x{SIZE}", stats, CONFIG)
     with capsys.disabled():
         print(
             f"\n{SIZE}x{SIZE} generation ({stats['vectors']} vectors): cold "
@@ -169,7 +155,7 @@ def test_hardening_batched_speedup(benchmark, capsys):
     suite = generate_suite(fpva)
     stats = pedantic_once(benchmark, _bench_hardening, fpva, suite)
     benchmark.extra_info.update(stats)
-    _record(f"hardening_{SIZE}x{SIZE}", stats)
+    record(BENCH_JSON, f"hardening_{SIZE}x{SIZE}", stats, CONFIG)
     with capsys.disabled():
         print(
             f"\n{SIZE}x{SIZE} hardening audit ({stats['pairs_audited']} pairs x "

@@ -10,6 +10,7 @@ Environment knobs:
 
 from __future__ import annotations
 
+import json
 import os
 
 import pytest
@@ -28,6 +29,22 @@ BENCH_JSON = os.environ.get("REPRO_BENCH_JSON", "BENCH_kernel.json")
 
 #: Sizes benchmarked by default vs. under REPRO_BENCH_FULL=1.
 DEFAULT_SIZES = (5, 10, 15, 20, 30) if FULL else (5, 10, 15)
+
+
+def record(path: str, section: str, payload: dict, config: dict) -> None:
+    """Merge one section (and the run's ``config``) into a bench JSON."""
+    data = {}
+    if os.path.exists(path):
+        try:
+            with open(path) as fh:
+                data = json.load(fh)
+        except (OSError, ValueError):
+            data = {}
+    data[section] = payload
+    data["config"] = config
+    with open(path, "w") as fh:
+        json.dump(data, fh, indent=2, sort_keys=True)
+        fh.write("\n")
 
 
 def pedantic_once(benchmark, fn, *args, **kwargs):

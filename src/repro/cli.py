@@ -450,7 +450,8 @@ def build_parser() -> argparse.ArgumentParser:
                    help="schedule vectors by information gain, one at a time")
     p.add_argument("--scenario", choices=scenario_names(), default="stuck-at")
     p.add_argument("--faults", type=int, default=1,
-                   help="faults injected per chip (dictionary models singles)")
+                   help="faults injected per chip (the dictionary models up "
+                        "to --cardinality faults per chip)")
     p.add_argument("--trials", type=int, default=5)
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--cardinality", type=int, choices=(1, 2, 3), default=1,

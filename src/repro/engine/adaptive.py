@@ -26,17 +26,26 @@ consistent with every outcome actually observed.
 
 Everything here needs only ``Tester.apply``; the compiled reachability
 kernel (bitmask ``reach`` in :mod:`repro.sim.kernel`) accelerates the
-underlying simulation below that API, exactly as this hook anticipated —
-scheduling additionally interns per-vector signatures to small integer
-ids at build so ``_best_split`` buckets on ints instead of hashing
-tuples.
+underlying simulation below that API.  Scheduling runs on arrays built
+once per diagnoser: ``_sig`` is an H×V int32 matrix of per-vector
+signature ids (row 0 the fault-free hypothesis, then the dictionary's
+syndrome classes; ids are assigned per vector in that row order, first
+occurrence first) and ``_weights`` the H class masses.  Each step scores
+every unapplied vector with one offset ``np.bincount`` over the surviving
+rows, and survivors stay an ascending row-index array that one comparison
+filters.  The entropy itself is summed in Python floats over each
+vector's non-empty buckets in ascending id order — numpy's pairwise
+summation or SIMD ``log2`` could move the last bit and flip a near-tie —
+so sessions are bit-identical to the pure-Python scheduler kept as
+``ReferenceAdaptiveDiagnoser`` in ``tests/oracle.py``.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from typing import Sequence
+
+import numpy as np
 
 from repro.sim.chip import ChipUnderTest
 from repro.sim.diagnosis import DiagnosisReport, FaultDictionary, Syndrome
@@ -49,24 +58,6 @@ Signature = tuple
 
 def _signature(observed: dict) -> Signature:
     return tuple(sorted(observed.items()))
-
-
-@dataclass
-class _Hypothesis:
-    """One syndrome equivalence class (or the fault-free hypothesis)."""
-
-    syndrome: Syndrome
-    fault_sets: list[tuple[Fault, ...]]
-    signatures: tuple[Signature, ...]  # predicted readout per vector index
-    #: Per-vector signature interned to a small int (see AdaptiveDiagnoser:
-    #: ids are assigned per vector in hypothesis order, so bucketing and
-    #: survivor filtering compare ints instead of hashing tuples).
-    sig_ids: tuple[int, ...] = ()
-
-    @property
-    def weight(self) -> int:
-        """Prior mass: how many concrete fault sets the class contains."""
-        return max(1, len(self.fault_sets))
 
 
 @dataclass
@@ -120,75 +111,79 @@ class AdaptiveDiagnoser:
             self.tester: Tester = context.tester
         else:
             self.tester = dictionary.tester
-        expected = tuple(_signature(dict(v.expected)) for v in self.vectors)
         name_to_index = {v.name: i for i, v in enumerate(self.vectors)}
 
-        # The fault-free hypothesis: every vector reads as expected.  It
-        # anchors the session for clean chips and is excluded from the
-        # candidate list, mirroring the dictionary (whose table only holds
-        # detectable — i.e. somewhere-failing — fault sets).
-        self._nominal = _Hypothesis(
-            syndrome=(), fault_sets=[], signatures=expected
-        )
-        self._hypotheses: list[_Hypothesis] = [self._nominal]
-        for syndrome, fault_sets in dictionary.syndrome_classes():
-            signatures = list(expected)
-            for vector_name, observed_items in syndrome:
-                signatures[name_to_index[vector_name]] = tuple(observed_items)
-            self._hypotheses.append(
-                _Hypothesis(
-                    syndrome=syndrome,
-                    fault_sets=fault_sets,
-                    signatures=tuple(signatures),
-                )
-            )
-
-        # Intern per-vector signatures to small integer ids (assigned in
-        # hypothesis order) so scheduling buckets on ints instead of
-        # repeatedly hashing signature tuples.
-        self._sig_maps: list[dict[Signature, int]] = [
-            {} for _ in self.vectors
+        # Row 0 is the fault-free hypothesis: every vector reads as
+        # expected.  It anchors the session for clean chips and is
+        # excluded from the candidate list, mirroring the dictionary (whose
+        # table only holds detectable — i.e. somewhere-failing — fault
+        # sets).  Its readouts take id 0 in every column, so a class row
+        # only interns the vectors its syndrome fails.
+        self._classes: list[tuple[Syndrome, list[tuple[Fault, ...]]]] = [
+            ((), [])
         ]
-        for h in self._hypotheses:
-            ids = []
-            for vi, sig in enumerate(h.signatures):
+        self._classes.extend(dictionary.syndrome_classes())
+        self._sig_maps: list[dict[Signature, int]] = [
+            {_signature(dict(v.expected)): 0} for v in self.vectors
+        ]
+        self._sig = np.zeros(
+            (len(self._classes), len(self.vectors)), dtype=np.int32
+        )
+        for row, (syndrome, _) in enumerate(self._classes):
+            predicted = {
+                name_to_index[name]: tuple(items) for name, items in syndrome
+            }
+            for vi, signature in predicted.items():
                 sig_map = self._sig_maps[vi]
-                ids.append(sig_map.setdefault(sig, len(sig_map)))
-            h.sig_ids = tuple(ids)
+                self._sig[row, vi] = sig_map.setdefault(signature, len(sig_map))
+        #: Prior mass: how many concrete fault sets each class contains.
+        self._weights = np.array(
+            [max(1, len(fault_sets)) for _, fault_sets in self._classes],
+            dtype=np.int64,
+        )
+        self._n_ids = np.array([len(m) for m in self._sig_maps], dtype=np.int64)
 
     # -- scheduling --------------------------------------------------------
     def _best_split(
-        self, alive: Sequence[_Hypothesis], unapplied: Sequence[bool]
+        self, alive: np.ndarray, unapplied: np.ndarray
     ) -> tuple[int | None, float]:
         """The unapplied vector whose outcome partition has max entropy.
 
-        ``unapplied`` is a per-vector-index flag sequence.  Candidates are
-        scanned in ascending vector index and a challenger must be
-        *strictly* better, so ties break to the lowest vector index —
-        sessions replay identically across platforms and runs.
+        ``alive`` holds the surviving row indices and ``unapplied`` flags
+        each vector index.  One offset bincount gives every unapplied
+        vector's bucket masses; candidates are then scanned in ascending
+        vector index and a challenger must be *strictly* better, so ties
+        break to the lowest vector index — sessions replay identically
+        across platforms and runs.
         """
+        cols = np.flatnonzero(unapplied)
+        offsets = np.zeros(len(cols) + 1, dtype=np.int64)
+        np.cumsum(self._n_ids[cols], out=offsets[1:])
+        weights = self._weights[alive]
+        # Masses are integer sums of integer weights: exact in float64
+        # below 2**53, and turned back into Python ints before dividing.
+        masses = np.bincount(
+            (self._sig[alive][:, cols] + offsets[:-1]).ravel(),
+            weights=np.repeat(weights, len(cols)),
+            minlength=int(offsets[-1]),
+        )
+        buckets = np.flatnonzero(masses)
+        nonempty = masses[buckets].astype(np.int64).tolist()
+        bounds = np.searchsorted(buckets, offsets).tolist()
+        total = float(int(weights.sum()))
+
         best_index: int | None = None
         best_entropy = 0.0
-        total = float(sum(h.weight for h in alive))
-        sig_maps = self._sig_maps
-        for vi in range(len(self.vectors)):
-            if not unapplied[vi]:
+        for j, vi in enumerate(cols.tolist()):
+            lo, hi = bounds[j], bounds[j + 1]
+            if hi - lo < 2:
                 continue
-            counts = [0] * len(sig_maps[vi])
-            for h in alive:
-                counts[h.sig_ids[vi]] += h.weight
             # Bucket masses in sig-id order == first-occurrence order, so
             # the entropy sum is evaluated deterministically.
-            distinct = 0
             entropy = 0.0
-            for mass in counts:
-                if not mass:
-                    continue
-                distinct += 1
+            for mass in nonempty[lo:hi]:
                 p = mass / total
                 entropy -= p * math.log2(p)
-            if distinct < 2:
-                continue
             if entropy > best_entropy:
                 best_entropy = entropy
                 best_index = vi
@@ -209,10 +204,8 @@ class AdaptiveDiagnoser:
         outcomes: list[VectorOutcome] = []
         steps: list[AdaptiveStep] = []
         exhausted = False
-        alive = list(self._hypotheses)
-        # O(1) application marking (the previous list held indices and paid
-        # an O(n) scan per `.remove`); _best_split skips applied flags.
-        unapplied = bytearray([1]) * len(self.vectors)
+        alive = np.arange(len(self._classes), dtype=np.int64)
+        unapplied = np.ones(len(self.vectors), dtype=bool)
 
         while len(alive) > 1:
             if max_vectors is not None and len(outcomes) >= max_vectors:
@@ -229,10 +222,10 @@ class AdaptiveDiagnoser:
             observed_id = self._sig_maps[vi].get(_signature(outcome.observed))
             before = len(alive)
             if observed_id is None:
-                alive = []  # readout no hypothesis predicts (off-model chip)
+                alive = alive[:0]  # readout no hypothesis predicts (off-model chip)
             else:
-                alive = [h for h in alive if h.sig_ids[vi] == observed_id]
-            unapplied[vi] = 0
+                alive = alive[self._sig[alive, vi] == observed_id]
+            unapplied[vi] = False
             outcomes.append(outcome)
             steps.append(
                 AdaptiveStep(
@@ -242,11 +235,9 @@ class AdaptiveDiagnoser:
                     hypotheses_after=len(alive),
                 )
             )
-            if not alive:
-                break
 
         return AdaptiveDiagnosisResult(
-            report=self._conclude(alive, outcomes),
+            report=self._conclude(alive.tolist(), outcomes),
             outcomes=outcomes,
             steps=steps,
             total_vectors=len(self.vectors),
@@ -254,16 +245,12 @@ class AdaptiveDiagnoser:
         )
 
     def _conclude(
-        self, alive: list[_Hypothesis], outcomes: list[VectorOutcome]
+        self, alive: list[int], outcomes: list[VectorOutcome]
     ) -> DiagnosisReport:
-        survivors = [h for h in alive if h is not self._nominal]
-        if len(alive) == 1 and alive[0] is self._nominal:
-            return DiagnosisReport(syndrome=(), candidates=[])
-        if len(survivors) == 1 and len(alive) == 1:
-            h = survivors[0]
-            return DiagnosisReport(
-                syndrome=h.syndrome, candidates=list(h.fault_sets)
-            )
+        if len(alive) == 1:
+            # One class left (the fault-free row 0 reports no syndrome).
+            syndrome, fault_sets = self._classes[alive[0]]
+            return DiagnosisReport(syndrome=syndrome, candidates=list(fault_sets))
         # Chip outside the hypothesis space (no survivors) or a
         # budget-capped session (several survivors): report what is known.
         observed_syndrome = tuple(
@@ -271,7 +258,7 @@ class AdaptiveDiagnoser:
             for o in outcomes
             if not o.passed
         )
-        candidates = [fs for h in survivors for fs in h.fault_sets]
+        candidates = [fs for row in alive for fs in self._classes[row][1]]
         return DiagnosisReport(syndrome=observed_syndrome, candidates=candidates)
 
 

@@ -16,16 +16,21 @@ exact equality against them:
   pair-by-pair mixed stuck-at audit and the hardening pass on top of it;
 * :func:`sa0_observable_valves`, :func:`sa1_observable_valves` and
   :func:`measure_coverage` — one query per SA0 candidate, one flood per
-  dark region.
+  dark region;
+* :class:`ReferenceAdaptiveDiagnoser` — the adaptive scheduler on one
+  Python object per syndrome class, scoring each unapplied vector with a
+  double loop over the survivors.
 
 Nothing under ``src/`` imports this module.
 """
 
 from __future__ import annotations
 
+import math
 import random
 from collections import defaultdict, deque
-from typing import Iterable
+from dataclasses import dataclass
+from typing import Iterable, Sequence
 
 from repro.core.coverage import (
     CoverageReport,
@@ -36,19 +41,31 @@ from repro.core.coverage import (
 )
 from repro.core.repair import HardeningReport, synthesize_pair_breaker
 from repro.core.vectors import VectorKind
+from repro.engine.adaptive import (
+    AdaptiveDiagnosisResult,
+    AdaptiveStep,
+    Signature,
+    _signature,
+)
 from repro.fpva.control import control_adjacent_pairs
 from repro.fpva.geometry import Cell, Edge
 from repro.fpva.ports import Port
 from repro.sim.campaign import CampaignResult, campaign_universe, sample_fault_set
 from repro.sim.chip import ChipUnderTest
-from repro.sim.diagnosis import DiagnosisReport, iter_fault_sets
+from repro.sim.diagnosis import (
+    DiagnosisReport,
+    FaultDictionary,
+    Syndrome,
+    iter_fault_sets,
+)
 from repro.sim.faults import (
+    Fault,
     StuckAt0,
     StuckAt1,
     fault_universe,
     untestable_leak_pairs,
 )
-from repro.sim.tester import Tester
+from repro.sim.tester import Tester, VectorOutcome
 
 
 def _as_open_set(open_valves: Iterable[Edge]):
@@ -347,3 +364,188 @@ def measure_coverage(fpva, vectors, include_leak_pairs=True) -> CoverageReport:
     if include_leak_pairs:
         report.leak_pairs_missing = all_pairs - report.leak_pairs_covered
     return report
+
+
+@dataclass
+class _Hypothesis:
+    """One syndrome equivalence class (or the fault-free hypothesis)."""
+
+    syndrome: Syndrome
+    fault_sets: list[tuple[Fault, ...]]
+    signatures: tuple[Signature, ...]  # predicted readout per vector index
+    #: Per-vector signature interned to a small int (see the diagnoser below:
+    #: ids are assigned per vector in hypothesis order, so bucketing and
+    #: survivor filtering compare ints instead of hashing tuples).
+    sig_ids: tuple[int, ...] = ()
+
+    @property
+    def weight(self) -> int:
+        """Prior mass: how many concrete fault sets the class contains."""
+        return max(1, len(self.fault_sets))
+
+
+class ReferenceAdaptiveDiagnoser:
+    """:class:`repro.engine.AdaptiveDiagnoser` on Python objects.
+
+    One ``_Hypothesis`` per syndrome class, and a double loop over the
+    survivors and the unapplied vectors per scheduling step.  ``tester``
+    defaults to the dictionary's.
+    """
+
+    def __init__(self, dictionary: FaultDictionary, tester: Tester | None = None):
+        self.dictionary = dictionary
+        self.vectors = list(dictionary.vectors)
+        self.tester = tester or dictionary.tester
+        expected = tuple(_signature(dict(v.expected)) for v in self.vectors)
+        name_to_index = {v.name: i for i, v in enumerate(self.vectors)}
+
+        # The fault-free hypothesis: every vector reads as expected.  It
+        # anchors the session for clean chips and is excluded from the
+        # candidate list, mirroring the dictionary (whose table only holds
+        # detectable — i.e. somewhere-failing — fault sets).
+        self._nominal = _Hypothesis(
+            syndrome=(), fault_sets=[], signatures=expected
+        )
+        self._hypotheses: list[_Hypothesis] = [self._nominal]
+        for syndrome, fault_sets in dictionary.syndrome_classes():
+            signatures = list(expected)
+            for vector_name, observed_items in syndrome:
+                signatures[name_to_index[vector_name]] = tuple(observed_items)
+            self._hypotheses.append(
+                _Hypothesis(
+                    syndrome=syndrome,
+                    fault_sets=fault_sets,
+                    signatures=tuple(signatures),
+                )
+            )
+
+        # Intern per-vector signatures to small integer ids (assigned in
+        # hypothesis order) so scheduling buckets on ints instead of
+        # repeatedly hashing signature tuples.
+        self._sig_maps: list[dict[Signature, int]] = [
+            {} for _ in self.vectors
+        ]
+        for h in self._hypotheses:
+            ids = []
+            for vi, sig in enumerate(h.signatures):
+                sig_map = self._sig_maps[vi]
+                ids.append(sig_map.setdefault(sig, len(sig_map)))
+            h.sig_ids = tuple(ids)
+
+    # -- scheduling --------------------------------------------------------
+    def _best_split(
+        self, alive: Sequence[_Hypothesis], unapplied: Sequence[bool]
+    ) -> tuple[int | None, float]:
+        """The unapplied vector whose outcome partition has max entropy.
+
+        ``unapplied`` is a per-vector-index flag sequence.  Candidates are
+        scanned in ascending vector index and a challenger must be
+        *strictly* better, so ties break to the lowest vector index —
+        sessions replay identically across platforms and runs.
+        """
+        best_index: int | None = None
+        best_entropy = 0.0
+        total = float(sum(h.weight for h in alive))
+        sig_maps = self._sig_maps
+        for vi in range(len(self.vectors)):
+            if not unapplied[vi]:
+                continue
+            counts = [0] * len(sig_maps[vi])
+            for h in alive:
+                counts[h.sig_ids[vi]] += h.weight
+            # Bucket masses in sig-id order == first-occurrence order, so
+            # the entropy sum is evaluated deterministically.
+            distinct = 0
+            entropy = 0.0
+            for mass in counts:
+                if not mass:
+                    continue
+                distinct += 1
+                p = mass / total
+                entropy -= p * math.log2(p)
+            if distinct < 2:
+                continue
+            if entropy > best_entropy:
+                best_entropy = entropy
+                best_index = vi
+        return best_index, best_entropy
+
+    # -- diagnosis ---------------------------------------------------------
+    def diagnose(
+        self,
+        chip: ChipUnderTest,
+        max_vectors: int | None = None,
+    ) -> AdaptiveDiagnosisResult:
+        """Adaptively localize ``chip``'s faults.
+
+        ``max_vectors`` optionally caps the session; a capped session can
+        end with residual ambiguity across several syndrome classes, in
+        which case the candidates are the union of all surviving classes.
+        """
+        outcomes: list[VectorOutcome] = []
+        steps: list[AdaptiveStep] = []
+        exhausted = False
+        alive = list(self._hypotheses)
+        # O(1) application marking (the previous list held indices and paid
+        # an O(n) scan per `.remove`); _best_split skips applied flags.
+        unapplied = bytearray([1]) * len(self.vectors)
+
+        while len(alive) > 1:
+            if max_vectors is not None and len(outcomes) >= max_vectors:
+                exhausted = True
+                break
+            vi, entropy = self._best_split(alive, unapplied)
+            if vi is None:
+                # All survivors predict identical readouts for every
+                # unapplied vector — only possible across distinct
+                # syndromes when the budget already hid the separating
+                # vector, or the suite cannot separate them at all.
+                break
+            outcome = self.tester.apply(chip, self.vectors[vi])
+            observed_id = self._sig_maps[vi].get(_signature(outcome.observed))
+            before = len(alive)
+            if observed_id is None:
+                alive = []  # readout no hypothesis predicts (off-model chip)
+            else:
+                alive = [h for h in alive if h.sig_ids[vi] == observed_id]
+            unapplied[vi] = 0
+            outcomes.append(outcome)
+            steps.append(
+                AdaptiveStep(
+                    vector_name=self.vectors[vi].name,
+                    entropy_bits=entropy,
+                    hypotheses_before=before,
+                    hypotheses_after=len(alive),
+                )
+            )
+            if not alive:
+                break
+
+        return AdaptiveDiagnosisResult(
+            report=self._conclude(alive, outcomes),
+            outcomes=outcomes,
+            steps=steps,
+            total_vectors=len(self.vectors),
+            exhausted_budget=exhausted,
+        )
+
+    def _conclude(
+        self, alive: list[_Hypothesis], outcomes: list[VectorOutcome]
+    ) -> DiagnosisReport:
+        survivors = [h for h in alive if h is not self._nominal]
+        if len(alive) == 1 and alive[0] is self._nominal:
+            return DiagnosisReport(syndrome=(), candidates=[])
+        if len(survivors) == 1 and len(alive) == 1:
+            h = survivors[0]
+            return DiagnosisReport(
+                syndrome=h.syndrome, candidates=list(h.fault_sets)
+            )
+        # Chip outside the hypothesis space (no survivors) or a
+        # budget-capped session (several survivors): report what is known.
+        observed_syndrome = tuple(
+            (o.vector.name, _signature(o.observed))
+            for o in outcomes
+            if not o.passed
+        )
+        candidates = [fs for h in survivors for fs in h.fault_sets]
+        return DiagnosisReport(syndrome=observed_syndrome, candidates=candidates)
