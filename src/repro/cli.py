@@ -85,6 +85,25 @@ def _context(args, fpva=None) -> ExecutionContext:
     )
 
 
+def _at_least(minimum: int):
+    """An argparse ``type=`` accepting integers no smaller than ``minimum``."""
+
+    def parse(text: str) -> int:
+        try:
+            value = int(text)
+        except ValueError:
+            raise argparse.ArgumentTypeError(
+                f"invalid int value: {text!r}"
+            ) from None
+        if value < minimum:
+            raise argparse.ArgumentTypeError(
+                f"must be at least {minimum}, not {value}"
+            )
+        return value
+
+    return parse
+
+
 def _add_array_args(p):
     p.add_argument("--size", type=int, default=5, help="array dimension n (n x n)")
     p.add_argument(
@@ -153,7 +172,12 @@ def cmd_campaign(args) -> int:
         # The campaign fabric: shards publish durably as they complete, a
         # killed run resumes from the last published shard, and the merge
         # is bit-identical to the in-memory path below.
-        from repro.fabric import CampaignSpec, run_journaled_sweep
+        from repro.fabric import (
+            DEFAULT_MAX_ATTEMPTS,
+            CampaignSpec,
+            RetryPolicy,
+            run_journaled_sweep,
+        )
 
         kernel = ctx.shipping_spec()
         spec = CampaignSpec(
@@ -164,17 +188,15 @@ def cmd_campaign(args) -> int:
             seed=args.seed,
             scenario=scenario,
         )
-        extra = (
-            {} if args.max_attempts is None
-            else {"max_attempts": args.max_attempts}
-        )
         sweep, stats = run_journaled_sweep(
             spec,
             args.journal_dir,
             workers=args.workers,
             resume=args.resume,
             kernel=kernel,
-            **extra,
+            retry=RetryPolicy(
+                max_attempts=args.max_attempts or DEFAULT_MAX_ATTEMPTS
+            ),
         )
         print(f"journal: {stats.summary()}")
     else:
@@ -414,7 +436,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("campaign", help="random fault-injection campaign")
     _add_array_args(p)
-    p.add_argument("--trials", type=int, default=200)
+    p.add_argument("--trials", type=_at_least(0), default=200)
     p.add_argument("--max-faults", type=int, default=5)
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--workers", type=int, default=1,
@@ -433,7 +455,10 @@ def build_parser() -> argparse.ArgumentParser:
                    help="insist the journal already exists (guards a "
                         "mistyped --journal-dir from silently starting "
                         "a fresh campaign); requires --journal-dir")
-    p.add_argument("--max-attempts", type=int, default=None, metavar="N",
+    # The default stays None so parsing never imports the fabric; the
+    # journaled branch substitutes DEFAULT_MAX_ATTEMPTS.
+    p.add_argument("--max-attempts", type=_at_least(1), default=None,
+                   metavar="N",
                    help="journaled runs: attempts before a repeatedly "
                         "failing shard is quarantined as poison instead of "
                         "retried (default 3); the sweep then completes "
@@ -452,7 +477,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--faults", type=int, default=1,
                    help="faults injected per chip (the dictionary models up "
                         "to --cardinality faults per chip)")
-    p.add_argument("--trials", type=int, default=5)
+    p.add_argument("--trials", type=_at_least(0), default=5)
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--cardinality", type=int, choices=(1, 2, 3), default=1,
                    help="max faults per dictionary entry (match the `warm` "

@@ -1,11 +1,11 @@
 """Sharded, process-parallel fault-injection campaigns.
 
 The section IV experiment is embarrassingly parallel: trials are
-independent chips.  The runner splits a campaign into fixed-size logical
-shards, seeds each shard's RNG by mixing (seed, fault count, shard index)
-through the shared splitmix64 finalizer (:mod:`repro.sim.seeding`) — never
-by worker identity — and merges shard results in shard order.  Because the
-shard structure is a function of the *trial count* alone, the aggregated
+independent chips.  The runner takes its shards from
+:func:`repro.sim.campaign.shard_plan` — fixed-size splits whose RNG
+streams mix (seed, fault count, shard index), never worker identity —
+and merges them with :func:`~repro.sim.campaign.merge_shards`.  Because
+the plan is a function of the *trial count* alone, the aggregated
 :class:`CampaignResult` is bit-identical whatever ``workers`` is; a pool
 only changes wall-clock.
 
@@ -23,18 +23,16 @@ ones are).  The fault universe
 (:func:`~repro.sim.campaign.campaign_universe`) is derived once per sweep
 and rides in every shard payload, so no shard re-derives it.
 
-With ``journal_dir=`` set, the *identical* shard structure runs through
-the campaign fabric (:mod:`repro.fabric`) instead of a transient pool:
-every shard is a content-addressed descriptor, completed shards publish
-atomically into the journal, and a killed run resumes from the last
-published shard — with any worker count, since the merge reads published
-shards in canonical order.  Its per-shard bookkeeping is a heartbeat
-``utime``, a lease link, an attempt record and the shard publish; the
-shard addresses are computed once per campaign and the universe once per
-fabric worker.  The no-journal path remains the in-memory fast case.
+With ``journal_dir=`` set, the *identical* plan runs through the campaign
+fabric (:mod:`repro.fabric`) instead of a transient pool: every shard is
+a content-addressed descriptor, completed shards publish atomically into
+the journal, and a killed run resumes from the last published shard —
+with any worker count, since the merge reads published shards in
+canonical order.  The no-journal path remains the in-memory fast case:
+it addresses nothing and never imports the fabric.
 
-A fault count may appear once per sweep: a repeated ``k`` raises
-:class:`ValueError` on both paths.
+The plan validates the sweep on both paths: a repeated ``k``,
+``shard_trials < 1`` or ``trials < 0`` raises :class:`ValueError`.
 """
 
 from __future__ import annotations
@@ -46,17 +44,14 @@ from typing import Sequence
 from repro.core.vectors import TestVector
 from repro.fpva.array import FPVA
 from repro.sim.campaign import (
+    SHARD_TRIALS,
     CampaignResult,
     _run_trials,
     campaign_universe,
     merge_shards,
+    shard_plan,
 )
 from repro.sim.kernel import ReachabilityKernel
-from repro.sim.seeding import mix_seed as _mix_seed
-
-#: Trials per logical shard.  Small enough that modest campaigns still fan
-#: out, large enough that per-task pickling stays negligible.
-SHARD_TRIALS = 50
 
 #: Per-process kernel memo for path-shipped payloads: worker processes
 #: survive across shards, so each loads a given artifact exactly once.
@@ -136,95 +131,6 @@ def _run_shard(payload) -> CampaignResult:
     )
 
 
-def _shard_payloads(
-    fpva,
-    vectors,
-    num_faults,
-    trials,
-    seed,
-    keep_undetected,
-    scenario,
-    universe,
-    shard_trials,
-    kernel,
-):
-    payloads = []
-    shard = 0
-    remaining = trials
-    while remaining > 0:
-        size = min(shard_trials, remaining)
-        payloads.append(
-            (
-                fpva,
-                vectors,
-                num_faults,
-                size,
-                _mix_seed(seed, num_faults, shard),
-                keep_undetected,
-                scenario,
-                universe,
-                kernel,
-            )
-        )
-        remaining -= size
-        shard += 1
-    return payloads
-
-
-def _merge(
-    num_faults: int, shards: Sequence[CampaignResult], keep_undetected: int
-) -> CampaignResult:
-    """Merge shard results given *in shard order*.
-
-    Delegates to :func:`repro.sim.campaign.merge_shards`, which sorts
-    example candidates by campaign-global ``(shard, trial)`` before
-    truncating to ``keep_undetected`` — the selection is therefore a pure
-    function of shard contents, never of arrival or resume order (the
-    pre-fabric version took examples first-come, which only happened to
-    be deterministic because this runner always merged in shard order).
-    """
-    return merge_shards(num_faults, list(enumerate(shards)), keep_undetected)
-
-
-def _run_journaled(
-    fpva,
-    vectors,
-    fault_counts,
-    trials,
-    seed,
-    include_control_leaks,
-    keep_undetected,
-    scenario,
-    shard_trials,
-    kernel,
-    workers,
-    journal_dir,
-    resume,
-):
-    """The fabric path shared by the journaled campaign and sweep."""
-    from repro.fabric import CampaignSpec, run_journaled_sweep
-
-    spec = CampaignSpec(
-        fpva=fpva,
-        vectors=tuple(vectors),
-        fault_counts=tuple(fault_counts),
-        trials=trials,
-        seed=seed,
-        include_control_leaks=include_control_leaks,
-        keep_undetected=keep_undetected,
-        scenario=scenario,
-        shard_trials=shard_trials,
-    )
-    results, _ = run_journaled_sweep(
-        spec,
-        journal_dir,
-        workers=workers,
-        resume=resume,
-        kernel=kernel,
-    )
-    return results
-
-
 def run_campaign(
     fpva: FPVA,
     vectors: Sequence[TestVector],
@@ -286,10 +192,11 @@ def run_sweep(
     """The paper's k-faults sweep, with all (k, shard) tasks in one pool.
 
     Flattening the sweep before fanning out keeps every worker busy even
-    when individual fault counts have few shards.  Per-(k, shard) streams
-    come from ``mix_seed(seed, k, shard)`` directly — the fault count is
-    mixed in by the finalizer, so no ``seed + k`` arithmetic (whose streams
-    collide across sweeps) ever touches the seed.
+    when individual fault counts have few shards.  The shards and their
+    ``mix_seed(seed, k, shard)`` streams come from
+    :func:`~repro.sim.campaign.shard_plan` — the fault count is mixed in
+    by the finalizer, so no ``seed + k`` arithmetic (whose streams collide
+    across sweeps) ever touches the seed.
 
     ``journal_dir`` reroutes the identical shard structure through the
     campaign fabric: every completed shard publishes atomically into the
@@ -301,40 +208,44 @@ def run_sweep(
     from repro.context import ExecutionContext
 
     fault_counts = tuple(fault_counts)
-    if len(set(fault_counts)) != len(fault_counts):
-        raise ValueError(f"duplicate fault counts: {fault_counts}")
+    # Planning validates the sweep on both paths, before any kernel work.
+    plan = shard_plan(fault_counts, trials, shard_trials, seed)
     kernel = ExecutionContext.resolve(context, fpva).shipping_spec()
     if journal_dir is not None:
-        return _run_journaled(
-            fpva, vectors, fault_counts, trials, seed,
-            include_control_leaks, keep_undetected, scenario, shard_trials,
-            kernel, workers, journal_dir, resume,
+        from repro.fabric import CampaignSpec, run_journaled_sweep
+
+        spec = CampaignSpec(
+            fpva=fpva,
+            vectors=tuple(vectors),
+            fault_counts=fault_counts,
+            trials=trials,
+            seed=seed,
+            include_control_leaks=include_control_leaks,
+            keep_undetected=keep_undetected,
+            scenario=scenario,
+            shard_trials=shard_trials,
         )
+        results, _ = run_journaled_sweep(
+            spec, journal_dir, workers=workers, resume=resume, kernel=kernel
+        )
+        return results
     universe = campaign_universe(fpva, scenario, include_control_leaks)
-    tagged: list[tuple[int, tuple]] = []
-    for k in fault_counts:
-        for payload in _shard_payloads(
-            fpva,
-            vectors,
-            k,
-            trials,
-            seed,
-            keep_undetected,
-            scenario,
-            universe,
-            shard_trials,
-            kernel,
-        ):
-            tagged.append((k, payload))
-    if workers <= 1 or len(tagged) <= 1:
-        shard_results = [(k, _run_shard(p)) for k, p in tagged]
+    payloads = [
+        (fpva, vectors, k, size, shard_seed, keep_undetected, scenario,
+         universe, kernel)
+        for k, _, size, shard_seed in plan
+    ]
+    if workers <= 1 or len(payloads) <= 1:
+        shard_results = [_run_shard(payload) for payload in payloads]
     else:
         with ProcessPoolExecutor(max_workers=workers) as pool:
-            results = pool.map(_run_shard, [p for _, p in tagged])
-            shard_results = [(k, r) for (k, _), r in zip(tagged, results)]
-    by_k: dict[int, list[CampaignResult]] = {k: [] for k in fault_counts}
-    for k, shard in shard_results:
-        by_k[k].append(shard)
+            shard_results = list(pool.map(_run_shard, payloads))
+    by_k: dict[int, list[tuple[int, CampaignResult]]] = {
+        k: [] for k in fault_counts
+    }
+    for (k, shard, _, _), result in zip(plan, shard_results, strict=True):
+        by_k[k].append((shard, result))
     return {
-        k: _merge(k, shards, keep_undetected) for k, shards in by_k.items()
+        k: merge_shards(k, shards, keep_undetected)
+        for k, shards in by_k.items()
     }

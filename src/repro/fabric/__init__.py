@@ -14,9 +14,10 @@ shard; re-running a finished campaign is a pure cache hit; and the merge
 order, so the aggregate is bit-identical to the uninterrupted
 ``workers=1`` run whatever happened along the way.
 
-Shard-to-worker assignment (:mod:`repro.fabric.scheduler`) is a greedy
-LPT cost model over measured per-worker throughput profiles — advisory
-only, the lease protocol owns correctness.
+A campaign's shards are :func:`repro.sim.campaign.shard_plan`, the same
+plan the in-memory pool runs.  A multi-process drain hands worker ``i``
+the round-robin slice ``remaining[i::workers]`` of the unfinished shards
+and lets it steal the rest; the lease protocol owns correctness.
 
 Supervision (:mod:`repro.fabric.supervision`, :mod:`repro.fabric.retry`)
 bounds what crashes *cost*: durable per-shard attempt counts (burned at
@@ -51,7 +52,6 @@ from repro.fabric.runner import (
     load_sweep,
     run_journaled_sweep,
 )
-from repro.fabric.scheduler import GreedyScheduler, WorkerProfile, measure_profiles
 from repro.fabric.shards import ShardStore
 from repro.fabric.supervision import SupervisionLedger
 
@@ -62,7 +62,6 @@ __all__ = [
     "DEFAULT_MAX_ATTEMPTS",
     "DONE",
     "DrainStats",
-    "GreedyScheduler",
     "JournalMismatch",
     "LEASED",
     "PENDING",
@@ -72,8 +71,6 @@ __all__ = [
     "ShardStore",
     "ShardWorker",
     "SupervisionLedger",
-    "WorkerProfile",
     "load_sweep",
-    "measure_profiles",
     "run_journaled_sweep",
 ]

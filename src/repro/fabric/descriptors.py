@@ -2,10 +2,11 @@
 
 A campaign's shard space is a pure function of its parameters — never of
 worker count, execution order, or wall clock.  :class:`CampaignSpec`
-captures those parameters once; :meth:`CampaignSpec.shards` enumerates the
-``(k, shard)`` grid with exactly the split sizes and splitmix64 stream
-seeds the in-memory pool (:mod:`repro.engine.parallel`) uses, so a
-journaled run and a pool run simulate literally the same shards.
+captures those parameters once; :meth:`CampaignSpec.shards` addresses the
+``(k, shard, trials, seed)`` coordinates of
+:func:`repro.sim.campaign.shard_plan`, the same plan the in-memory pool
+(:mod:`repro.engine.parallel`) runs, so a journaled run and a pool run
+simulate literally the same shards.
 
 Each :class:`ShardDescriptor` carries its BLAKE2b content digest
 (:func:`repro.store.digest.shard_digests`): the digest covers the layout,
@@ -24,7 +25,7 @@ from typing import Sequence
 
 from repro.core.vectors import TestVector
 from repro.fpva.array import FPVA
-from repro.sim.seeding import mix_seed
+from repro.sim.campaign import SHARD_TRIALS, shard_plan
 from repro.store.digest import campaign_digest, campaign_key, shard_digests
 
 
@@ -44,12 +45,6 @@ class ShardDescriptor:
         records (the digest alone tells an operator nothing)."""
         return f"k={self.num_faults}/shard={self.shard}"
 
-    @property
-    def cost(self) -> float:
-        """Scheduler cost estimate: trial-draws dominate, and drawing a
-        compatible ``k``-set rejects more as ``k`` grows."""
-        return float(self.trials) * (1.0 + 0.25 * (self.num_faults - 1))
-
 
 @dataclass(frozen=True)
 class CampaignSpec:
@@ -57,7 +52,8 @@ class CampaignSpec:
 
     Picklable (the multi-process drain ships one to each worker): the
     scenario must live at module top level, exactly as the in-memory pool
-    already requires.
+    already requires.  Construction plans the shards, so an invalid sweep
+    raises :class:`ValueError` here, as :func:`shard_plan` does.
     """
 
     fpva: FPVA
@@ -68,17 +64,25 @@ class CampaignSpec:
     include_control_leaks: bool = True
     keep_undetected: int = 10
     scenario: object = None
-    shard_trials: int = 50
+    shard_trials: int = SHARD_TRIALS
+    _plan: tuple[tuple[int, int, int, int], ...] = field(
+        init=False, repr=False, compare=False, default=()
+    )
     _key: tuple | None = field(init=False, repr=False, compare=False, default=None)
-    _grid: dict | None = field(init=False, repr=False, compare=False, default=None)
+    _shards: tuple[ShardDescriptor, ...] | None = field(
+        init=False, repr=False, compare=False, default=None
+    )
 
     def __post_init__(self) -> None:
         object.__setattr__(self, "vectors", tuple(self.vectors))
         object.__setattr__(
             self, "fault_counts", tuple(int(k) for k in self.fault_counts)
         )
-        if len(set(self.fault_counts)) != len(self.fault_counts):
-            raise ValueError(f"duplicate fault counts: {self.fault_counts}")
+        object.__setattr__(
+            self,
+            "_plan",
+            shard_plan(self.fault_counts, self.trials, self.shard_trials, self.seed),
+        )
 
     @property
     def key(self) -> tuple:
@@ -105,47 +109,27 @@ class CampaignSpec:
         """Manifest identity of this concrete invocation."""
         return campaign_digest(self.key, self.fault_counts, self.trials)
 
-    def _shard_grid(self) -> dict[int, tuple[ShardDescriptor, ...]]:
-        """Every fault count's shard split, addressed in one pass and
-        memoized (like :attr:`key`)."""
-        if self._grid is not None:
-            return self._grid
-        sizes: list[int] = []
-        remaining = self.trials
-        while remaining > 0:
-            sizes.append(min(self.shard_trials, remaining))
-            remaining -= sizes[-1]
-        coords = [
-            (k, shard, size)
-            for k in self.fault_counts
-            for shard, size in enumerate(sizes)
-        ]
-        grid: dict[int, list[ShardDescriptor]] = {k: [] for k in self.fault_counts}
-        for (k, shard, size), digest in zip(
-            coords, shard_digests(self.key, coords), strict=True
-        ):
-            grid[k].append(
+    def shards(self) -> list[ShardDescriptor]:
+        """Every shard of the sweep, in canonical ``(k, shard)`` order: the
+        plan, addressed in one pass and memoized (like :attr:`key`)."""
+        shards = self._shards
+        if shards is None:
+            coords = [(k, shard, size) for k, shard, size, _ in self._plan]
+            shards = tuple(
                 ShardDescriptor(
-                    digest=digest,
-                    num_faults=k,
-                    shard=shard,
-                    trials=size,
-                    seed=mix_seed(self.seed, k, shard),
+                    digest=digest, num_faults=k, shard=shard, trials=size,
+                    seed=seed,
+                )
+                for (k, shard, size, seed), digest in zip(
+                    self._plan, shard_digests(self.key, coords), strict=True
                 )
             )
-        object.__setattr__(
-            self, "_grid", {k: tuple(shards) for k, shards in grid.items()}
-        )
-        return self._grid
+            object.__setattr__(self, "_shards", shards)
+        return list(shards)
 
     def shards_for(self, num_faults: int) -> list[ShardDescriptor]:
         """The shard split for one of the spec's fault counts, in shard order."""
-        return list(self._shard_grid()[num_faults])
-
-    def shards(self) -> list[ShardDescriptor]:
-        """Every shard of the sweep, in canonical ``(k, shard)`` order."""
-        grid = self._shard_grid()
-        return [d for k in self.fault_counts for d in grid[k]]
+        return [d for d in self.shards() if d.num_faults == num_faults]
 
     def manifest(self) -> dict:
         """The human-inspectable journal manifest payload."""

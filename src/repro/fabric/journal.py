@@ -113,14 +113,8 @@ class CampaignJournal:
         self.instance = uuid.uuid4().hex[:12]
         #: Durable attempt counts, poison quarantine and heartbeats.
         self.supervision = SupervisionLedger(self.root, clock=clock)
-        #: Shards observed already-published by someone else (first
-        #: observation per digest) — the resume cache-hit counter.
-        self.cache_hits = 0
         #: Stale leases this journal reclaimed.
         self.reclaimed = 0
-        #: Corrupt artifacts this journal quarantined out of its store.
-        self.corrupt_quarantined = 0
-        self._seen_done: set[str] = set()
 
     # -- manifest ------------------------------------------------------------
     @property
@@ -162,11 +156,7 @@ class CampaignJournal:
 
     # -- state queries -------------------------------------------------------
     def done(self, descriptor: ShardDescriptor) -> bool:
-        published = self.store.has(descriptor.digest)
-        if published and descriptor.digest not in self._seen_done:
-            self._seen_done.add(descriptor.digest)
-            self.cache_hits += 1
-        return published
+        return self.store.has(descriptor.digest)
 
     def state(self, descriptor: ShardDescriptor) -> str:
         if self.store.has(descriptor.digest):
@@ -176,9 +166,6 @@ class CampaignJournal:
         if self._lease_path(descriptor.digest).exists():
             return LEASED
         return PENDING
-
-    def states(self, descriptors: Iterable[ShardDescriptor]) -> dict[str, str]:
-        return {d.digest: self.state(d) for d in descriptors}
 
     # -- leases --------------------------------------------------------------
     def _lease_path(self, digest: str) -> Path:
@@ -305,14 +292,11 @@ class CampaignJournal:
         budget is reset: corruption is a storage fault, not the
         workload's.
         """
-        self._seen_done.discard(descriptor.digest)
         pen = quarantine(
             self.root,
             self.store.path_for(descriptor.digest),
             f"shard {descriptor.label}: {error.reason}",
         )
-        if pen is not None:
-            self.corrupt_quarantined += 1
         self.supervision.clear_attempts(descriptor.digest)
         return pen
 
@@ -375,7 +359,6 @@ class CampaignJournal:
     ) -> None:
         """The store publish alone (no lease release) — the two-step spelling
         the crash-injection harness drives to model a death between them."""
-        self._seen_done.add(descriptor.digest)  # our own work, not a cache hit
         self.store.publish(
             descriptor, result, worker=worker or self.owner, elapsed=elapsed
         )

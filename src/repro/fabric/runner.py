@@ -55,16 +55,11 @@ from repro.store.integrity import ArtifactCorruptionError
 
 from repro.fabric.descriptors import CampaignSpec, ShardDescriptor
 from repro.fabric.journal import DEFAULT_LEASE_TIMEOUT, CampaignJournal
-from repro.fabric.retry import DEFAULT_MAX_ATTEMPTS, RetryPolicy
-from repro.fabric.scheduler import GreedyScheduler, measure_profiles
+from repro.fabric.retry import POLL_POLICY, RetryPolicy
 
 if TYPE_CHECKING:
     from repro.sim.faults import Fault
     from repro.sim.kernel import ReachabilityKernel
-
-#: Base re-poll interval while foreign processes still hold fresh leases
-#: on the last undone shards; the actual wait backs off from here.
-POLL_INTERVAL = 0.1
 
 #: Corruption-healing rounds before the runner gives up: each round can
 #: only be forced by *new* corruption appearing between merges, so more
@@ -124,8 +119,8 @@ class DrainStats:
 class ShardWorker:
     """One supervised drain loop over a journal.
 
-    ``order`` is the claim preference (typically this worker's scheduler
-    queue followed by everyone else's, for work stealing); the journal's
+    ``order`` is the claim preference (typically this worker's round-robin
+    slice followed by everyone else's, for work stealing); the journal's
     lease protocol arbitrates every claim, so preferences only shape wall
     clock.  ``kernel`` mirrors the in-memory pool's shard payload: a
     compiled kernel, an artifact path, or ``None`` (compile locally).
@@ -254,6 +249,13 @@ class ShardWorker:
             self.executed += 1
 
 
+def _round_robin(
+    remaining: Sequence[ShardDescriptor], workers: int
+) -> list[list[ShardDescriptor]]:
+    """Worker ``i``'s own queue: the slice ``remaining[i::workers]``."""
+    return [list(remaining[i::workers]) for i in range(workers)]
+
+
 def _stealing_order(
     queue: Sequence[ShardDescriptor], everything: Sequence[ShardDescriptor]
 ) -> list[ShardDescriptor]:
@@ -313,32 +315,28 @@ def _prepare_kernel(
     ).shipping_spec()
 
 
+def _unpublished(descriptor: ShardDescriptor) -> RuntimeError:
+    return RuntimeError(
+        f"shard {descriptor.digest} (k={descriptor.num_faults}, "
+        f"shard={descriptor.shard}) is not published yet"
+    )
+
+
 def load_sweep(
-    journal: CampaignJournal,
-    spec: CampaignSpec,
-    *,
-    strict: bool = True,
+    journal: CampaignJournal, spec: CampaignSpec
 ) -> dict[int, CampaignResult]:
     """Merge every published shard in canonical order.
 
-    With ``strict=True`` (the default) every shard must be published and
-    verify cleanly: an unpublished shard raises :class:`RuntimeError`
-    and a corrupt one propagates
+    Every shard must be published and verify cleanly: an unpublished
+    shard raises :class:`RuntimeError` and a corrupt one propagates
     :exc:`~repro.store.integrity.ArtifactCorruptionError` untouched —
     use :func:`run_journaled_sweep` for the quarantine-and-heal loop.
-    ``strict=False`` merges what is published, silently skipping
-    quarantined shards (the degraded operator view).
     """
     results, missing, corrupt = _load_merging(journal, spec)
-    if strict:
-        if corrupt:
-            raise corrupt[0][1]
-        if missing:
-            descriptor = missing[0]
-            raise RuntimeError(
-                f"shard {descriptor.digest} (k={descriptor.num_faults}, "
-                f"shard={descriptor.shard}) is not published yet"
-            )
+    if corrupt:
+        raise corrupt[0][1]
+    if missing:
+        raise _unpublished(missing[0])
     return results
 
 
@@ -385,8 +383,6 @@ def run_journaled_sweep(
     clock: Callable[[], float] = time.time,
     kernel: "ReachabilityKernel | str | None" = None,
     worker_cls: type[ShardWorker] = ShardWorker,
-    poll_interval: float = POLL_INTERVAL,
-    max_attempts: int = DEFAULT_MAX_ATTEMPTS,
     retry: RetryPolicy | None = None,
     sleep: Callable[[float], None] = time.sleep,
 ) -> tuple[dict[int, CampaignResult], DrainStats]:
@@ -394,14 +390,15 @@ def run_journaled_sweep(
 
     Re-invoking on a finished journal simulates nothing and reports every
     shard as a cache hit; a killed run resumes from the last published
-    shard, with stale leases reclaimed on the way.  Pool workers are
-    handed greedy longest-processing-time queues over the throughput the
-    journal measured for them, and steal from each other freely.
-    ``worker_cls`` is the crash-injection seam (single-process drains
-    only).
+    shard, with stale leases reclaimed on the way.  Pool worker ``i``
+    prefers the round-robin slice ``remaining[i::workers]`` of the
+    unfinished shards, then steals from everyone else's; the lease
+    protocol arbitrates every claim.  ``worker_cls`` is the
+    crash-injection seam (single-process drains only).
 
     Supervision: a shard whose workload fails is retried with bounded
-    exponential backoff (``retry``/``max_attempts``) and quarantined
+    exponential backoff (``retry``, default :class:`RetryPolicy`; a budget
+    below one attempt raises :class:`ValueError`) and quarantined
     with a diagnostic record once its durable attempt budget is gone; a
     published artifact that fails checksum verification at merge time is
     quarantined out of the store and healed by re-simulation.  The
@@ -412,6 +409,12 @@ def run_journaled_sweep(
     ``resume=True`` insists the journal already exists (guarding against
     a mistyped ``--journal-dir`` silently starting a fresh campaign).
     """
+    if retry is None:
+        retry = RetryPolicy()
+    if retry.max_attempts < 1:
+        raise ValueError(
+            f"retry.max_attempts must be at least 1, not {retry.max_attempts}"
+        )
     journal = CampaignJournal(
         journal_dir, lease_timeout=lease_timeout, clock=clock
     )
@@ -423,12 +426,6 @@ def run_journaled_sweep(
     descriptors = spec.shards()
     done_before = sum(
         1 for d in descriptors if journal.store.has(d.digest)
-    )
-    if retry is None:
-        retry = RetryPolicy(max_attempts=max_attempts)
-    poll = RetryPolicy(
-        max_attempts=0, base=poll_interval, growth=1.5,
-        max_delay=max(poll_interval, 2.0), jitter=0.25,
     )
 
     kernel = _prepare_kernel(spec, kernel, journal.root, workers)
@@ -449,16 +446,14 @@ def run_journaled_sweep(
         nonlocal executed, reclaimed, retried
         remaining = _unfinished()
         if remaining and use_pool and workers > 1:
-            worker_ids = [f"w{i}" for i in range(workers)]
-            profiles = measure_profiles(journal.store, descriptors)
-            queues = GreedyScheduler().assign(remaining, worker_ids, profiles)
+            queues = _round_robin(remaining, workers)
             with ProcessPoolExecutor(max_workers=workers) as pool:
                 futures = [
                     pool.submit(
                         _drain_process,
                         str(journal.root),
                         spec,
-                        worker_ids[i],
+                        f"w{i}",
                         [d.digest for d in queues[i]],
                         kernel,
                         lease_timeout,
@@ -500,7 +495,9 @@ def run_journaled_sweep(
             retried += worker.retried
             if _unfinished():
                 waits += 1
-                poll.wait(waits, key=digest_int(journal.instance), sleep=sleep)
+                POLL_POLICY.wait(
+                    waits, key=digest_int(journal.instance), sleep=sleep
+                )
 
     _drain(use_pool=True)
 
@@ -525,10 +522,7 @@ def run_journaled_sweep(
         )
     for descriptor in missing:
         if not journal.supervision.is_quarantined(descriptor.digest):
-            raise RuntimeError(
-                f"shard {descriptor.digest} (k={descriptor.num_faults}, "
-                f"shard={descriptor.shard}) is not published yet"
-            )
+            raise _unpublished(descriptor)
 
     shard_digests = {d.digest for d in descriptors}
     stats = DrainStats(

@@ -2,11 +2,11 @@
 
 The paper solves its flow-path and cut-set formulations with a commercial ILP
 solver from C++.  This subpackage provides the equivalent substrate in pure
-Python: a small modeling language (:mod:`repro.ilp.model`), an exact MILP
-backend built on HiGHS via :func:`scipy.optimize.milp`
-(:mod:`repro.ilp.scipy_backend`, the default), and a self-contained
-branch-and-bound solver over LP relaxations (:mod:`repro.ilp.branch_bound`)
-used as a differential-testing oracle, selected by name.
+Python: a small modeling language (:mod:`repro.ilp.model`) and an exact
+MILP backend built on HiGHS via :func:`scipy.optimize.milp`
+(:mod:`repro.ilp.scipy_backend`), the one solver :func:`solve` runs.  The
+branch-and-bound solver that differential tests check HiGHS against is
+test code (``tests/branch_bound.py``).
 
 Typical use::
 

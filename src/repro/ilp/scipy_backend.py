@@ -17,11 +17,7 @@ _MILP_UNBOUNDED = 3
 _MILP_LIMIT = 1  # iteration/time limit
 
 
-def solve_with_scipy(
-    model: Model,
-    time_limit: float | None = None,
-    mip_rel_gap: float | None = None,
-) -> Solution:
+def solve_with_scipy(model: Model, time_limit: float | None = None) -> Solution:
     """Solve ``model`` with HiGHS.  Returns a :class:`Solution`."""
     start = time.perf_counter()
     form = model.to_standard_form()
@@ -29,8 +25,6 @@ def solve_with_scipy(
     options: dict = {}
     if time_limit is not None:
         options["time_limit"] = float(time_limit)
-    if mip_rel_gap is not None:
-        options["mip_rel_gap"] = float(mip_rel_gap)
 
     kwargs: dict = {
         "c": form.c,

@@ -4,6 +4,12 @@ The paper's evaluation randomly introduces one to five faults per chip,
 10 000 times per array, and applies the generated test set; every injected
 fault combination was detected.  This module reproduces that experiment
 with a configurable trial count.
+
+A sweep runs as independent shards.  :func:`shard_plan` is the one
+definition of that split and of each shard's RNG stream, and
+:func:`merge_shards` the one way shard results combine; the in-memory
+pool (:mod:`repro.engine.parallel`) and the journaled fabric
+(:mod:`repro.fabric`) both run the plan, so they simulate the same chips.
 """
 
 from __future__ import annotations
@@ -16,6 +22,11 @@ from repro.core.vectors import TestVector
 from repro.fpva.array import FPVA
 from repro.sim.faults import Fault, fault_universe, faults_compatible
 from repro.sim.kernel import CompiledFaultSet
+from repro.sim.seeding import mix_seed
+
+#: Trials per logical shard.  Small enough that modest campaigns still fan
+#: out, large enough that per-task pickling stays negligible.
+SHARD_TRIALS = 50
 
 
 @dataclass
@@ -59,6 +70,39 @@ class CampaignResult:
             f"CampaignResult(k={self.num_faults}, {self.detected}/{self.trials} "
             f"detected = {self.detection_rate:.4%})"
         )
+
+
+def shard_plan(
+    fault_counts: Sequence[int],
+    trials: int,
+    shard_trials: int = SHARD_TRIALS,
+    seed: int = 0,
+) -> tuple[tuple[int, int, int, int], ...]:
+    """A sweep's shards as ``(k, shard, trials, seed)``, in ``(k, shard)`` order.
+
+    Every fault count splits ``trials`` into ``shard_trials``-sized shards
+    plus one shorter tail shard, and each shard draws from its own stream
+    ``mix_seed(seed, k, shard)`` — a function of the coordinates alone,
+    never of worker count, so every runner of the plan merges to one
+    result.  A repeated fault count, ``shard_trials < 1`` or
+    ``trials < 0`` raises :class:`ValueError`.
+    """
+    fault_counts = tuple(fault_counts)
+    if len(set(fault_counts)) != len(fault_counts):
+        raise ValueError(f"duplicate fault counts: {fault_counts}")
+    if shard_trials < 1:
+        raise ValueError(f"shard_trials must be at least 1, not {shard_trials}")
+    if trials < 0:
+        raise ValueError(f"trials must be non-negative, not {trials}")
+    sizes = [
+        min(shard_trials, trials - start)
+        for start in range(0, trials, shard_trials)
+    ]
+    return tuple(
+        (k, shard, size, mix_seed(seed, k, shard))
+        for k in fault_counts
+        for shard, size in enumerate(sizes)
+    )
 
 
 def merge_shards(

@@ -20,6 +20,22 @@ class TestParser:
         with pytest.raises(SystemExit):
             build_parser().parse_args(["table1", "--size", "7"])
 
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["campaign", "--trials", "-5"],
+            ["campaign", "--journal-dir", "j", "--max-attempts", "0"],
+            ["diagnose", "--trials", "-1"],
+        ],
+        ids=["campaign-trials", "max-attempts", "diagnose-trials"],
+    )
+    def test_out_of_range_counts_exit_2(self, argv, capsys):
+        """Rejected at parse time, before any suite is generated."""
+        with pytest.raises(SystemExit) as exited:
+            main(argv)
+        assert exited.value.code == 2
+        assert "must be at least" in capsys.readouterr().err
+
 
 class TestCommands:
     def test_show(self, capsys):

@@ -7,9 +7,9 @@ import repro.engine
 import repro.sim
 from repro.core import generate_suite
 from repro.engine import get_scenario, run_campaign, run_sweep
-from repro.engine.parallel import _mix_seed
 from repro.fpva import full_layout
-from repro.sim.campaign import run_trials
+from repro.sim.campaign import SHARD_TRIALS, run_trials, shard_plan
+from repro.sim.seeding import mix_seed
 
 
 @pytest.fixture(scope="module")
@@ -86,18 +86,49 @@ class TestSharding:
         )
         assert result.trials == 37
 
+    def test_plan_splits_every_fault_count_alike(self):
+        """One split per k, tail shard last, one stream per coordinate."""
+        plan = shard_plan((2, 1), trials=37, shard_trials=10, seed=4)
+        sizes = [10, 10, 10, 7]
+        assert [(k, shard, size) for k, shard, size, _ in plan] == [
+            (k, shard, size) for k in (2, 1) for shard, size in enumerate(sizes)
+        ]
+        assert [seed for *_, seed in plan] == [
+            mix_seed(4, k, shard) for k, shard, _, _ in plan
+        ]
+
+    def test_plan_default_shard_size(self):
+        assert repro.engine.SHARD_TRIALS == SHARD_TRIALS == 50
+        assert [size for _, _, size, _ in shard_plan((1,), 120)] == [50, 50, 20]
+
+    def test_in_memory_sweep_addresses_nothing(self, bundle, monkeypatch):
+        """The pool runs the plan directly: no campaign key, no digests."""
+        import repro.fabric.descriptors as descriptors
+
+        def _boom(*args, **kwargs):
+            raise AssertionError("the in-memory sweep addressed its shards")
+
+        monkeypatch.setattr(descriptors, "campaign_key", _boom)
+        monkeypatch.setattr(descriptors, "shard_digests", _boom)
+        fpva, vectors = bundle
+        sweep = run_sweep(
+            fpva, vectors, fault_counts=(1, 2), trials=30, seed=2,
+            shard_trials=10,
+        )
+        assert [sweep[k].trials for k in (1, 2)] == [30, 30]
+
     def test_mix_seed_deterministic_and_spread(self):
-        assert _mix_seed(0, 1, 0) == _mix_seed(0, 1, 0)
-        seeds = {_mix_seed(0, k, s) for k in range(1, 6) for s in range(8)}
+        assert mix_seed(0, 1, 0) == mix_seed(0, 1, 0)
+        seeds = {mix_seed(0, k, s) for k in range(1, 6) for s in range(8)}
         assert len(seeds) == 40  # no collisions across (k, shard)
 
     def test_mix_seed_no_collisions_across_seed_and_k(self):
         """Satellite: naive ``seed + k`` sweeps collide — ``(seed=0, k=2)``
         and ``(seed=1, k=1)`` would draw identical chips.  The splitmix64
         route must keep every (seed, k, shard) stream distinct."""
-        assert _mix_seed(0, 2, 0) != _mix_seed(1, 1, 0)
+        assert mix_seed(0, 2, 0) != mix_seed(1, 1, 0)
         grid = {
-            _mix_seed(seed, k, shard)
+            mix_seed(seed, k, shard)
             for seed in range(12)
             for k in range(1, 6)
             for shard in range(4)
@@ -182,6 +213,56 @@ class TestSweepInputs:
                 fpva, vectors, fault_counts=(1, 1), trials=60, seed=3,
                 journal_dir=tmp_path / "j" if journaled else None,
             )
+
+    @pytest.mark.parametrize("journaled", [False, True], ids=["memory", "journal"])
+    @pytest.mark.parametrize(
+        "bad",
+        [dict(shard_trials=0), dict(shard_trials=-3), dict(trials=-5)],
+        ids=["zero-shard", "negative-shard", "negative-trials"],
+    )
+    def test_out_of_range_sizes_rejected(self, bundle, tmp_path, journaled, bad):
+        """A shard size below one never finished splitting, and negative
+        trials reported 0/0 detected as 100%: both paths refuse them
+        before touching a journal."""
+        fpva, vectors = bundle
+        journal = tmp_path / "j"
+        with pytest.raises(ValueError, match="must be"):
+            run_sweep(
+                fpva, vectors, fault_counts=(1,), seed=3,
+                journal_dir=journal if journaled else None,
+                **{"trials": 20, **bad},
+            )
+        assert not journal.exists()
+
+    @pytest.mark.parametrize(
+        "bad",
+        [dict(shard_trials=0), dict(trials=-1)],
+        ids=["zero-shard", "negative-trials"],
+    )
+    def test_campaign_spec_rejects_out_of_range_sizes(self, bundle, bad):
+        from repro.fabric import CampaignSpec
+
+        fpva, vectors = bundle
+        with pytest.raises(ValueError, match="must be"):
+            CampaignSpec(
+                fpva=fpva, vectors=tuple(vectors), fault_counts=(1,),
+                **{"trials": 10, **bad},
+            )
+
+    def test_journal_rejects_an_empty_attempt_budget(self, bundle, tmp_path):
+        """``max_attempts=0`` quarantined every shard unrun and still
+        reported the empty merge as 100% detected."""
+        from repro.fabric import CampaignSpec, RetryPolicy, run_journaled_sweep
+
+        fpva, vectors = bundle
+        spec = CampaignSpec(
+            fpva=fpva, vectors=tuple(vectors), fault_counts=(1,), trials=10
+        )
+        with pytest.raises(ValueError, match="max_attempts"):
+            run_journaled_sweep(
+                spec, tmp_path / "j", retry=RetryPolicy(max_attempts=0)
+            )
+        assert not (tmp_path / "j").exists()
 
     def test_campaign_spec_rejects_duplicate_fault_counts(self, bundle):
         from repro.fabric import CampaignSpec

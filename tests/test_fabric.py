@@ -1,10 +1,10 @@
-"""Campaign fabric units: descriptors, shard store, leases, schedulers.
+"""Campaign fabric units: descriptors, shard store, leases, the merge.
 
 The crash-injection and interleaving suites live in
 ``test_fabric_crash.py`` / ``test_fabric_journal.py``; this module pins
-the building blocks — content addressing, atomic publish, the lease
-protocol under a fake clock, greedy scheduler assignments, and the
-order-independent merge.
+the building blocks — the shard plan and its content addresses, atomic
+publish, the lease protocol under a fake clock, the pool drain's work
+partition, and the order-independent merge.
 """
 
 from __future__ import annotations
@@ -19,11 +19,8 @@ from repro.core import generate_suite
 from repro.fabric import (
     CampaignJournal,
     CampaignSpec,
-    GreedyScheduler,
     JournalMismatch,
     ShardStore,
-    WorkerProfile,
-    measure_profiles,
     run_journaled_sweep,
 )
 from repro.fpva import full_layout
@@ -81,12 +78,30 @@ class FakeClock:
 
 class TestDescriptors:
     def test_shard_split_matches_pool(self, spec):
-        """Sizes and stream seeds must mirror engine.parallel's split."""
+        """Sizes and stream seeds are the split the in-memory pool runs."""
         from repro.sim.seeding import mix_seed
 
         shards = spec.shards_for(2)
         assert [d.trials for d in shards] == [15, 15, 10]
         assert [d.seed for d in shards] == [mix_seed(7, 2, s) for s in range(3)]
+
+    @pytest.mark.parametrize(
+        "trials, shard_trials",
+        [(40, 15), (37, 10), (9, 10), (30, 30), (1, 4), (0, 5)],
+    )
+    def test_shards_are_the_plan(self, bundle, trials, shard_trials):
+        """The journal addresses exactly the plan's coordinates, uneven
+        tail shards included, in the plan's canonical order."""
+        from repro.sim.campaign import shard_plan
+
+        fpva, vectors = bundle
+        spec = CampaignSpec(
+            fpva=fpva, vectors=vectors, fault_counts=(3, 1), trials=trials,
+            seed=5, shard_trials=shard_trials,
+        )
+        assert [
+            (d.num_faults, d.shard, d.trials, d.seed) for d in spec.shards()
+        ] == list(shard_plan((3, 1), trials, shard_trials, 5))
 
     def test_digests_distinct_and_stable(self, spec):
         shards = spec.shards()
@@ -414,39 +429,22 @@ class TestSchedulers:
         return spec.shards()[:n]
 
     def test_assignment_partitions_work(self, bundle):
-        descriptors = self._descriptors(bundle)
-        queues = GreedyScheduler().assign(descriptors, ["w0", "w1", "w2"])
+        """The round-robin queues partition the shards evenly, and every
+        worker's claim order visits each shard once, its own queue first."""
+        from repro.fabric.runner import _round_robin, _stealing_order
+
+        descriptors = self._descriptors(bundle, n=23)
+        queues = _round_robin(descriptors, 3)
         seen = [d.digest for queue in queues for d in queue]
         assert sorted(seen) == sorted(d.digest for d in descriptors)
         assert len(seen) == len(set(seen))
-
-    def test_profiles_skew_assignment(self, bundle):
-        """A worker measured 3x faster gets ~3x the trial volume."""
-        descriptors = self._descriptors(bundle)
-        profiles = {
-            "fast": WorkerProfile("fast", trials=300, elapsed=1.0, shards=3),
-            "slow": WorkerProfile("slow", trials=100, elapsed=1.0, shards=3),
-        }
-        queues = GreedyScheduler().assign(
-            descriptors, ["fast", "slow"], profiles
-        )
-        fast_cost = sum(d.cost for d in queues[0])
-        slow_cost = sum(d.cost for d in queues[1])
-        assert fast_cost > 2 * slow_cost
-
-    def test_profiles_measured_from_store(self, tmp_path, spec):
-        store = ShardStore(tmp_path)
-        shards = spec.shards()
-        store.publish(shards[0], _fake_result(shards[0]), worker="w0", elapsed=2.0)
-        store.publish(shards[1], _fake_result(shards[1]), worker="w0", elapsed=1.0)
-        store.publish(shards[2], _fake_result(shards[2]), worker="w1", elapsed=3.0)
-        profiles = measure_profiles(store, shards)
-        assert set(profiles) == {"w0", "w1"}
-        assert profiles["w0"].shards == 2
-        assert profiles["w0"].elapsed == pytest.approx(3.0)
-        assert profiles["w0"].throughput == pytest.approx(
-            (shards[0].trials + shards[1].trials) / 3.0
-        )
+        assert sorted(len(queue) for queue in queues) == [7, 8, 8]
+        for queue in queues:
+            order = _stealing_order(queue, descriptors)
+            assert order[: len(queue)] == queue
+            assert sorted(d.digest for d in order) == sorted(
+                d.digest for d in descriptors
+            )
 
 
 class TestJournaledRuns:
@@ -475,5 +473,8 @@ class TestJournaledRuns:
         monkeypatch.setattr(ReachabilityKernel, "__init__", counting)
         results, stats = run_journaled_sweep(spec, journal_dir, workers=2)
         assert compiles == []
+        # The round-robin slices partition the work: every shard runs
+        # exactly once, none twice or as a retry.
         assert stats.executed == stats.total
+        assert stats.retried == 0
         assert set(results) == set(spec.fault_counts)

@@ -1,17 +1,21 @@
-"""Solver backend tests, including differential HiGHS vs branch-and-bound."""
+"""Solver tests: HiGHS through ``solve()``, differentially checked
+against the branch-and-bound oracle in ``tests/branch_bound.py``."""
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.ilp import Model, SolveOptions, SolveStatus, solve
+from branch_bound import solve_with_branch_and_bound
+from repro.ilp import Model, SolveStatus, solve
 
 BACKENDS = ("highs", "branch-and-bound")
 
 
 def _solve(m, backend):
-    return solve(m, SolveOptions(backend=backend))
+    if backend == "highs":
+        return solve(m)
+    return solve_with_branch_and_bound(m)
 
 
 @pytest.mark.parametrize("backend", BACKENDS)
@@ -104,8 +108,6 @@ class TestBranchAndBoundSpecifics:
         assert _solve(m, "branch-and-bound").status is SolveStatus.UNBOUNDED
 
     def test_node_limit_reports_honestly(self):
-        from repro.ilp.branch_bound import solve_with_branch_and_bound
-
         m = Model()
         xs = [m.integer_var(ub=3) for _ in range(6)]
         m.add_constraint(Model.total(xs) >= 7)
