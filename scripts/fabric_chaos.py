@@ -4,17 +4,20 @@
 Runs alongside a live journaled campaign drain and does two kinds of
 damage, in order:
 
-1. **Bit flips** — as shards publish, corrupt random published artifacts
-   in place (``result.npz`` payloads, occasionally the ``meta.json``
-   completeness marker), exactly the damage the store's checksums exist
-   to catch.
+1. **Artifact damage** — as shards publish, damage random published
+   shard artifacts, cycling through three kinds so that every kind the
+   store must catch shows up: a flipped byte in the ``result.npz``
+   payload, a torn ``meta.json`` completeness marker, and a *lying*
+   marker (valid JSON that no longer records the payload's checksum).
 2. **SIGKILL** — kill the drain's whole process group mid-campaign, the
    way the crash-injection suite does, leaving stale leases and burned
    attempt budgets behind.
 
-The harness only *injects* faults; the assertion lives with the caller
-(CI): resuming the campaign afterwards must quarantine every corrupted
-artifact, re-simulate it, and produce a merged JSON byte-identical to an
+The harness only *injects* faults and reports how many shard artifacts
+it damaged; the assertion lives with the caller (CI): resuming the
+campaign afterwards must quarantine every damaged shard (one
+``<digest>.reason.json`` record each under ``journal/quarantine/``),
+re-simulate it, and produce a merged JSON byte-identical to an
 uninterrupted serial reference — with a non-degraded exit code, since
 corruption heals and the kill burns fewer attempts than the poison
 budget.
@@ -32,6 +35,7 @@ published in time — the campaign probably failed to start).
 from __future__ import annotations
 
 import argparse
+import json
 import os
 import random
 import signal
@@ -41,7 +45,11 @@ from pathlib import Path
 
 sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "src"))
 
-from repro.store.integrity import fsync_dir, fsync_file  # noqa: E402
+from repro.store.integrity import (  # noqa: E402
+    fsync_dir,
+    marker_bytes,
+    write_durable,
+)
 
 
 def publish_damage(path: Path, payload: bytes) -> None:
@@ -54,8 +62,7 @@ def publish_damage(path: Path, payload: bytes) -> None:
     sees the old bytes or the corrupted bytes, never a mix.
     """
     tmp = path.with_name(path.name + f".chaos-tmp-{os.getpid()}")
-    tmp.write_bytes(payload)
-    fsync_file(tmp)
+    write_durable(tmp, payload)
     os.replace(tmp, path)
     fsync_dir(path.parent)
 
@@ -95,18 +102,38 @@ def truncate(path: Path) -> bool:
     return True
 
 
-def corrupt_one(journal: Path, rng: random.Random, hit: set[Path]) -> bool:
-    """Corrupt a random not-yet-hit published shard artifact."""
+def drop_checksum(path: Path) -> bool:
+    """Rewrite the marker ``path`` as valid JSON without its ``checksum``."""
+    try:
+        meta = json.loads(path.read_text())
+    except (OSError, ValueError):
+        return False
+    if meta.pop("checksum", None) is None:
+        return False
+    publish_damage(path, marker_bytes(meta))
+    print(f"chaos: dropped the checksum from {path}", flush=True)
+    return True
+
+
+def corrupt_one(
+    journal: Path, rng: random.Random, hit: set[Path], kind: int
+) -> bool:
+    """Damage a random not-yet-hit published shard artifact.
+
+    ``kind`` cycles the damage: 0 flips a payload byte, 1 tears the
+    completeness marker, 2 makes the marker lie (no checksum).  All three
+    must surface as quarantine-and-heal on resume.
+    """
     fresh = [d for d in published_shards(journal) if d not in hit]
     if not fresh:
         return False
     victim = rng.choice(fresh)
     hit.add(victim)
-    # Mostly payload bit rot; sometimes tear the completeness marker
-    # instead — both must surface as quarantine-and-heal on resume.
-    if rng.random() < 0.75:
+    if kind % 3 == 0:
         return flip_bits(victim / "result.npz", rng)
-    return truncate(victim / "meta.json")
+    if kind % 3 == 1:
+        return truncate(victim / "meta.json")
+    return drop_checksum(victim / "meta.json")
 
 
 def main(argv=None) -> int:
@@ -120,7 +147,9 @@ def main(argv=None) -> int:
                              "corrupted too (workers heal it by "
                              "recompiling)")
     parser.add_argument("--corruptions", type=int, default=3,
-                        help="published shard artifacts to corrupt")
+                        help="published shard artifacts to damage (the "
+                             "kinds cycle: payload bit flip, torn marker, "
+                             "lying marker)")
     parser.add_argument("--min-shards", type=int, default=2,
                         help="published shards to wait for before the "
                              "violence starts")
@@ -133,7 +162,7 @@ def main(argv=None) -> int:
     rng = random.Random(args.seed)
     deadline = time.monotonic() + args.timeout
     hit: set[Path] = set()
-    corrupted = 0
+    shards = 0
 
     def victim_alive() -> bool:
         if args.victim is None:
@@ -154,9 +183,9 @@ def main(argv=None) -> int:
             print("chaos: victim exited before any damage", flush=True)
             break
         time.sleep(0.05)
-    while corrupted < args.corruptions and time.monotonic() < deadline:
-        if corrupt_one(args.journal, rng, hit):
-            corrupted += 1
+    while shards < args.corruptions and time.monotonic() < deadline:
+        if corrupt_one(args.journal, rng, hit, kind=shards):
+            shards += 1
         else:
             time.sleep(0.05)  # wait for the next publish
 
@@ -171,15 +200,16 @@ def main(argv=None) -> int:
 
     # Phase 3: corrupt the warm kernel artifact the resume will warm-load
     # by path — its worker must quarantine it and recompile.
+    kernels = 0
     if args.cache_dir is not None:
-        kernels = sorted((args.cache_dir / "kernels").glob("*.npz"))
-        if kernels and flip_bits(rng.choice(kernels), rng):
-            corrupted += 1
+        candidates = sorted((args.cache_dir / "kernels").glob("*.npz"))
+        if candidates and flip_bits(rng.choice(candidates), rng):
+            kernels = 1
 
-    print(f"chaos: corrupted {corrupted} artifact(s), "
-          f"{len(published_shards(args.journal))} shards published",
-          flush=True)
-    return 0 if corrupted else 1
+    print(f"chaos: damaged {shards} shard artifact(s) and {kernels} "
+          f"kernel(s), {len(published_shards(args.journal))} shards "
+          f"published", flush=True)
+    return 0 if shards + kernels else 1
 
 
 if __name__ == "__main__":

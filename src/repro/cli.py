@@ -80,7 +80,7 @@ def _context(args, fpva=None) -> ExecutionContext:
     """The command's session: one kernel, one store, one tester."""
     return ExecutionContext(
         fpva if fpva is not None else _layout(args),
-        cache_dir=getattr(args, "cache_dir", None),
+        store=getattr(args, "cache_dir", None),
         seed=getattr(args, "seed", 0),
     )
 

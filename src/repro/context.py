@@ -16,8 +16,12 @@ An :class:`ExecutionContext` (a.k.a. *session*) owns the tuple
 and hands out the shared per-array machinery derived from it:
 
 * :attr:`kernel` — compiled **exactly once** per context, warm-loaded
-  from the :class:`~repro.store.KernelStore` when a cache directory is
-  configured (and persisted there after a cold compile);
+  from the :class:`~repro.store.KernelStore` when a store is configured
+  (``store=``, an :class:`~repro.store.ArtifactStore` or its directory)
+  and persisted there after a cold compile.  A damaged stored kernel is
+  quarantined and recompiled, as every store artifact heals
+  (:mod:`repro.store.integrity`), and the context counts the loads,
+  compiles and heals;
 * :attr:`simulator` / :attr:`tester` — one shared
   :class:`~repro.sim.pressure.PressureSimulator` /
   :class:`~repro.sim.tester.Tester` pair on top of that kernel;
@@ -66,11 +70,10 @@ class ExecutionContext:
     ----------
     fpva:
         The array every derived object is bound to.
-    store / cache_dir:
-        An :class:`~repro.store.ArtifactStore` (or a cache-directory
-        path) enabling kernel warm starts and dictionary persistence.
-        ``cache_dir`` is the convenience spelling the CLI uses; passing
-        both is an error.
+    store:
+        An :class:`~repro.store.ArtifactStore`, or a cache-directory path
+        (the CLI's ``--cache-dir``), enabling kernel warm starts and
+        dictionary persistence.
     seed:
         Session seed; :meth:`rng` derives independent deterministic
         streams from it per purpose.
@@ -89,21 +92,16 @@ class ExecutionContext:
         fpva: FPVA,
         *,
         store: "ArtifactStore | str | os.PathLike | None" = None,
-        cache_dir: str | os.PathLike | None = None,
         seed: int = 0,
         kernel: ReachabilityKernel | None = None,
     ) -> None:
-        if store is not None and cache_dir is not None:
-            raise ValueError("pass either store= or cache_dir=, not both")
         if kernel is not None and kernel.fpva is not fpva:
             raise ValueError("kernel was compiled for a different array")
         from repro.store import as_store
 
         self.fpva = fpva
         self.seed = seed
-        self.store: ArtifactStore | None = as_store(
-            store if store is not None else cache_dir
-        )
+        self.store: ArtifactStore | None = as_store(store)
         self._kernel = kernel
         #: Cold kernel compiles this context paid (asserted == 1 by test).
         self.kernel_compiles = 0

@@ -15,11 +15,13 @@ the :class:`~repro.context.ExecutionContext` the caller passes (or a
 fresh one).  Without a store the kernel rides to every shard pickled
 inside the payload; when the session has a store it is persisted through
 the :class:`~repro.store.KernelStore` instead and the payload carries
-only the artifact *path* — each worker process loads the flat arrays once
-and memoizes them across its shards, so wide sweeps stop serializing a
-kernel per task.  Scenario objects and arrays ride to the workers via pickling,
-so custom scenarios must be defined at module top level (the registered
-ones are).  The fault universe
+only the artifact *path*.  Each worker process then warm-loads it once
+through :meth:`~repro.store.KernelStore.get_or_compile` (which
+quarantines and recompiles a damaged artifact) and shares one session
+across its shards, so wide sweeps stop serializing a kernel per task.
+Scenario objects and arrays ride to the workers via pickling, so custom
+scenarios must be defined at module top level (the registered ones
+are).  The fault universe
 (:func:`~repro.sim.campaign.campaign_universe`) is derived once per sweep
 and rides in every shard payload, so no shard re-derives it.
 
@@ -39,6 +41,7 @@ from __future__ import annotations
 
 import os
 from concurrent.futures import ProcessPoolExecutor
+from pathlib import Path
 from typing import Sequence
 
 from repro.core.vectors import TestVector
@@ -51,74 +54,41 @@ from repro.sim.campaign import (
     merge_shards,
     shard_plan,
 )
-from repro.sim.kernel import ReachabilityKernel
-
-#: Per-process kernel memo for path-shipped payloads: worker processes
-#: survive across shards, so each loads a given artifact exactly once.
-# repro: ignore[R7] -- deliberate per-process cache: populated only inside a worker, keyed by artifact path, never shared across processes
-_KERNEL_MEMO: dict[str, ReachabilityKernel] = {}
 
 #: Per-process session memo for path-shipped payloads: shards carrying the
-#: same artifact path share one ExecutionContext, so evaluator scenario
-#: pools (and any dictionary warm state) persist across a worker's shards.
+#: same artifact path share one ExecutionContext, so the kernel loads once
+#: per worker and evaluator scenario pools (and any dictionary warm state)
+#: persist across a worker's shards.
 # repro: ignore[R7] -- deliberate per-process cache: populated only inside a worker, keyed by artifact path, never shared across processes
 _CONTEXT_MEMO: dict = {}
-
-
-def _resolve_kernel(fpva, kernel):
-    """Materialize a payload's kernel spec inside the worker.
-
-    Path-shipped kernels are loaded once per process and reused; the
-    memoized kernel's own (unpickled) array object is returned alongside so
-    the simulator's compiled-for-this-array identity check holds across
-    shards that arrived in different payloads.
-    """
-    if not isinstance(kernel, str):
-        return fpva, kernel
-    cached = _KERNEL_MEMO.get(kernel)
-    if cached is None:
-        from pathlib import Path
-
-        from repro.store import ArtifactCorruptionError, KernelStore
-
-        try:
-            cached = KernelStore.load_file(fpva, kernel)
-        except ArtifactCorruptionError as error:
-            # A corrupt shipped artifact must not poison every shard this
-            # worker runs: quarantine it and recompile from the array —
-            # get_or_compile republishes, so later workers warm-load the
-            # healed artifact instead of re-paying the compile.
-            store = KernelStore(Path(kernel).parent)
-            store.heal(fpva, error)
-            cached = store.get_or_compile(fpva)
-        _KERNEL_MEMO[kernel] = cached
-    return cached.fpva, cached
 
 
 def _shard_context(fpva, kernel):
     """The session a shard runs under, memoized for path-shipped kernels.
 
-    Shards whose payloads name the same persisted kernel artifact share
-    one :class:`~repro.context.ExecutionContext` per worker process, so
-    the session's evaluator scenario pools survive across shards instead
-    of re-deduplicating per task.  Safe for bit-identity: shard results
-    are a pure function of the payload's explicit seed (``run_trials``
-    never consults the context's own seed).  Object-shipped kernels (no
-    store) arrive as a fresh pickled copy per payload and keep a fresh
-    context, exactly as before.
+    A path-shipped kernel is warm-loaded from its
+    :class:`~repro.store.KernelStore` once per worker process — a corrupt
+    artifact is quarantined and recompiled there, never served — and
+    every shard naming that path shares the resulting
+    :class:`~repro.context.ExecutionContext`, so the session's evaluator
+    scenario pools survive across shards instead of re-deduplicating per
+    task.  Safe for bit-identity: shard results are a pure function of the
+    payload's explicit seed (``run_trials`` never consults the context's
+    own seed).  Object-shipped kernels (no store) arrive as a fresh
+    pickled copy per payload and get a fresh context.
     """
     from repro.context import ExecutionContext
 
-    if isinstance(kernel, str):
-        context = _CONTEXT_MEMO.get(kernel)
-        if context is None:
-            fpva, resolved = _resolve_kernel(fpva, kernel)
-            context = _CONTEXT_MEMO[kernel] = ExecutionContext(
-                fpva, kernel=resolved
-            )
-        return context
-    fpva, resolved = _resolve_kernel(fpva, kernel)
-    return ExecutionContext(fpva, kernel=resolved)
+    if not isinstance(kernel, str):
+        return ExecutionContext(fpva, kernel=kernel)
+    context = _CONTEXT_MEMO.get(kernel)
+    if context is None:
+        from repro.store import KernelStore
+
+        context = _CONTEXT_MEMO[kernel] = ExecutionContext(
+            fpva, kernel=KernelStore(Path(kernel).parent).get_or_compile(fpva)
+        )
+    return context
 
 
 def _run_shard(payload) -> CampaignResult:

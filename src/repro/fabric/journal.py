@@ -65,7 +65,7 @@ from repro.store.integrity import ArtifactCorruptionError, quarantine
 
 from repro.fabric.descriptors import CampaignSpec, ShardDescriptor
 from repro.fabric.shards import ShardStore
-from repro.fabric.supervision import SupervisionLedger
+from repro.fabric.supervision import SupervisionLedger, atomic_write_json
 
 #: Cross-host stale-lease fallback: a lease older than this is presumed
 #: abandoned even when its holder's liveness cannot be probed.
@@ -148,10 +148,7 @@ class CampaignJournal:
         self.root.mkdir(parents=True, exist_ok=True)
         self.leases.mkdir(parents=True, exist_ok=True)
         manifest = {"version": STORE_FORMAT_VERSION, **spec.manifest()}
-        tmp = self.manifest_path.with_name(f".campaign.json.tmp-{os.getpid()}")
-        with open(tmp, "w") as fh:
-            json.dump(manifest, fh, indent=2, sort_keys=True)
-        os.replace(tmp, self.manifest_path)
+        atomic_write_json(self.manifest_path, manifest)
         return manifest
 
     # -- state queries -------------------------------------------------------

@@ -311,7 +311,7 @@ def _prepare_kernel(
     from repro.context import ExecutionContext
 
     return ExecutionContext(
-        spec.fpva, kernel=kernel, cache_dir=journal_root
+        spec.fpva, kernel=kernel, store=journal_root
     ).shipping_spec()
 
 

@@ -59,9 +59,16 @@ from repro.fabric.retry import DEFAULT_MAX_ATTEMPTS, RetryPolicy
 MAX_RECORDED_FAILURES = 20
 
 
-def _atomic_write_json(
+def atomic_write_json(
     path: Path, payload: dict, *, mtime_ns: int | None = None
 ) -> None:
+    """Replace ``path`` with ``payload`` (indented, keys sorted) by a rename.
+
+    A reader sees the old record or the new one, never a torn one.  The
+    journal's ``campaign.json`` goes through here too.  No fsync: the
+    ledger writes an attempt record for every shard, and an fsync there
+    would tax every journaled sweep.
+    """
     tmp = path.with_name(f".{path.name}.tmp-{os.getpid()}")
     with open(tmp, "w") as fh:
         json.dump(payload, fh, indent=2, sort_keys=True)
@@ -117,7 +124,7 @@ class SupervisionLedger:
         record["attempts"] = int(record.get("attempts", 0)) + 1
         record["last_worker"] = worker
         record["last_claimed_at"] = self.clock()
-        _atomic_write_json(path, record)
+        atomic_write_json(path, record)
         return record["attempts"]
 
     def record_failure(
@@ -142,7 +149,7 @@ class SupervisionLedger:
             }
         )
         record["failures"] = failures
-        _atomic_write_json(path, record)
+        atomic_write_json(path, record)
         return int(record.get("attempts", 0))
 
     def clear_attempts(self, digest: str) -> None:
@@ -182,7 +189,7 @@ class SupervisionLedger:
             "quarantined_at": self.clock(),
         }
         path = self._poison_path(descriptor.digest)
-        _atomic_write_json(path, record)
+        atomic_write_json(path, record)
         return path
 
     def is_quarantined(self, digest: str) -> bool:
@@ -232,7 +239,7 @@ class SupervisionLedger:
             os.utime(path, ns=(now, now))
         except FileNotFoundError:
             self.heartbeats_dir.mkdir(parents=True, exist_ok=True)
-            _atomic_write_json(
+            atomic_write_json(
                 path,
                 {
                     "instance": instance,

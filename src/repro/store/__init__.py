@@ -20,13 +20,16 @@ Cache invalidation is purely by content addressing: any change to the
 layout, vector suite, fault universe or cardinality produces a new digest
 and therefore a cold build; stale entries are never reinterpreted.
 
-Integrity (:mod:`repro.store.integrity`): every published artifact
-records a BLAKE2b checksum of its payload bytes; loads verify lazily and
-a mismatch raises :class:`ArtifactCorruptionError`, which callers convert
-into quarantine-and-rebuild — the corrupt evidence moves to a
-``quarantine/`` directory beside the store and the artifact is re-derived
-from source (kernels recompile, dictionary chunks re-simulate, campaign
-shards re-enter their journal as pending).
+Integrity (:mod:`repro.store.integrity`): every artifact family — kernels,
+dictionaries, and the campaign fabric's shards — publishes, verifies and
+heals through that one module.  Payloads are written durably and the
+completeness marker recording their BLAKE2b checksums lands last;
+checksums are required, and loads verify exactly the bytes they parse.
+Any damage, payload or marker, raises :class:`ArtifactCorruptionError`,
+which callers convert into quarantine-and-rebuild — the corrupt evidence
+moves to a ``quarantine/`` directory beside the store and the artifact is
+re-derived from source (kernels recompile, dictionary chunks re-simulate,
+campaign shards re-enter their journal as pending).
 """
 
 from __future__ import annotations
@@ -50,7 +53,6 @@ from repro.store.digest import (
 from repro.store.integrity import (
     ArtifactCorruptionError,
     data_checksum,
-    file_checksum,
     quarantine,
     quarantined_artifacts,
     verify_file,
@@ -99,7 +101,6 @@ __all__ = [
     "dictionary_digest",
     "digest_int",
     "fault_key",
-    "file_checksum",
     "kernel_digest",
     "layout_digest",
     "layout_key",

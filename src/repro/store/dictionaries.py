@@ -20,15 +20,18 @@ as a bitmask over the (sorted) sink names, so a syndrome serializes as
 parsing integers, not re-reading thousands of repeated port-name strings.
 
 The writer appends chunks as a **streaming** build produces them, so the
-producer never holds more than one chunk of encoded rows; ``meta.json``
-doubles as the completeness marker (it is written last, inside a temp
-directory that is atomically renamed into place), so a crashed build
-leaves nothing addressable.  Every payload file is fsynced before the
-publish rename (power loss cannot leave an empty chunk behind the
-marker), and ``meta.json`` records a BLAKE2b checksum per file —
-:meth:`DictionaryStore.load` verifies each file's bytes before parsing
-them and raises :exc:`~repro.store.integrity.ArtifactCorruptionError`
-on a mismatch, which callers convert into quarantine-and-rebuild
+producer never holds more than one chunk of encoded rows.  It publishes
+through the store's one protocol (:mod:`repro.store.integrity`): every
+payload is written durably into a staged directory as the build goes,
+``meta.json`` — the completeness marker, recording a BLAKE2b checksum per
+file — lands last, and the directory is renamed into place, so a crashed
+build leaves nothing addressable and a power loss cannot leave an empty
+chunk behind the marker.  :class:`DictionaryStore` requires those
+checksums: every read verifies each file's bytes before parsing them, and
+any damage — a mismatch, a torn marker, a marker naming another format
+version, lacking a key or disagreeing with the universe the artifact is
+addressed by — raises :exc:`~repro.store.integrity.ArtifactCorruptionError`,
+which callers convert into quarantine-and-rebuild
 (:class:`~repro.sim.diagnosis.FaultDictionary` re-simulates the table).
 """
 
@@ -36,9 +39,7 @@ from __future__ import annotations
 
 import io
 import json
-import os
 import shutil
-import zipfile
 from collections import defaultdict
 from pathlib import Path
 from typing import Any, Iterable, Iterator, Sequence
@@ -47,12 +48,17 @@ import numpy as np
 
 from repro.store.digest import STORE_FORMAT_VERSION
 from repro.store.integrity import (
+    MARKER,
     ArtifactCorruptionError,
-    data_checksum,
+    ArtifactDirectory,
     fsync_dir,
     load_json,
+    publish_dir,
     quarantine,
+    read_npz,
+    stage_dir,
     verify_file,
+    write_durable,
 )
 from repro.store.lineage import DictionaryInfo, GcPlan, dictionary_info, plan_gc
 
@@ -120,6 +126,29 @@ def decode_syndromes(payload: dict) -> list[tuple]:
     return syndromes
 
 
+def _read_syndromes(directory: Path, meta: dict) -> list[tuple]:
+    """The verified, decoded ``syndromes.json`` of one artifact."""
+    path = directory / "syndromes.json"
+    payload = verify_file(path, meta["checksums"].get(path.name))
+    try:
+        return decode_syndromes(json.loads(payload))
+    except (ValueError, KeyError) as exc:
+        raise ArtifactCorruptionError(path, f"unparseable payload: {exc}")
+
+
+def _read_chunks(
+    directory: Path, meta: dict
+) -> Iterator[tuple[list[list[int]], list[int]]]:
+    """Each chunk's ``(rows, syndrome ids)``, verified, in append order."""
+    checksums = meta["checksums"]
+    for chunk in range(meta["chunks"]):
+        name = f"chunk-{chunk:05d}.npz"
+        arrays = read_npz(
+            directory / name, checksums.get(name), ("sets", "syndromes")
+        )
+        yield arrays["sets"].tolist(), arrays["syndromes"].tolist()
+
+
 class DictionaryWriter:
     """Streaming appender for one dictionary artifact.
 
@@ -131,12 +160,7 @@ class DictionaryWriter:
 
     def __init__(self, directory: Path, cardinality: int, meta: dict) -> None:
         self._final = directory
-        self._tmp = directory.with_name(
-            f"{directory.name}.tmp-{os.getpid()}"
-        )
-        if self._tmp.exists():
-            shutil.rmtree(self._tmp)
-        self._tmp.mkdir(parents=True)
+        self._tmp = stage_dir(directory)
         self._cardinality = cardinality
         self._meta = dict(meta)
         self._syndrome_ids: dict = {}
@@ -160,12 +184,7 @@ class DictionaryWriter:
 
     def _write_payload(self, name: str, payload: bytes) -> None:
         """Write one artifact file durably, recording its checksum."""
-        path = self._tmp / name
-        with open(path, "wb") as fh:
-            fh.write(payload)
-            fh.flush()
-            os.fsync(fh.fileno())
-        self._checksums[name] = data_checksum(payload)
+        self._checksums[name] = write_durable(self._tmp / name, payload)
 
     def add(self, indices: Sequence[int], syndrome: Any) -> None:
         """Record one detected fault set (universe indices) + its syndrome."""
@@ -195,12 +214,8 @@ class DictionaryWriter:
         self._chunks += 1
 
     def commit(self) -> Path:
-        """Flush, write the syndrome table and metadata, publish atomically.
-
-        Every payload is fsynced (file, then the temp directory, then the
-        store root after the rename) so the completeness marker can never
-        outlive a power loss that its payloads didn't.
-        """
+        """Flush, write the syndrome table and metadata, publish atomically
+        (:func:`~repro.store.integrity.publish_dir`)."""
         self._flush_chunk()
         # Insertion order == id order, so the dict iterates id-sorted.
         self._write_payload(
@@ -218,21 +233,7 @@ class DictionaryWriter:
             "distinct_syndromes": len(self._syndrome_ids),
             "checksums": dict(sorted(self._checksums.items())),
         }
-        with open(self._tmp / "meta.json", "w") as fh:
-            json.dump(meta, fh, indent=2, sort_keys=True)
-            fh.flush()
-            os.fsync(fh.fileno())
-        fsync_dir(self._tmp)
-        try:
-            os.replace(self._tmp, self._final)
-        except OSError:
-            # A concurrent build won the publish race (the rename target
-            # exists and is non-empty); its artifact is identical by
-            # content addressing, so keep it and discard ours.
-            if not (self._final / "meta.json").exists():
-                raise
-            shutil.rmtree(self._tmp)
-        fsync_dir(self._final.parent)
+        publish_dir(self._tmp, self._final, meta)
         self._committed = True
         return self._final
 
@@ -242,22 +243,10 @@ class DictionaryWriter:
             shutil.rmtree(self._tmp)
 
 
-class DictionaryStore:
+class DictionaryStore(ArtifactDirectory):
     """Content-addressed store of chunked syndrome tables."""
 
-    def __init__(self, root: str | os.PathLike) -> None:
-        self.root = Path(root)
-
-    def path_for(self, digest: str) -> Path:
-        return self.root / digest
-
-    def has(self, digest: str) -> bool:
-        """Only *complete* artifacts count (``meta.json`` is written last)."""
-        return (self.path_for(digest) / "meta.json").exists()
-
-    def meta(self, digest: str) -> dict:
-        """The completeness marker — a torn file types as corruption."""
-        return load_json(self.path_for(digest) / "meta.json")
+    MARKER_KEYS = ("cardinality", "checksums", "chunks", "universe_size")
 
     def heal(self, digest: str, error: ArtifactCorruptionError) -> Path | None:
         """Quarantine one corrupt dictionary artifact directory.
@@ -270,7 +259,6 @@ class DictionaryStore:
     def writer(
         self, digest: str, cardinality: int, meta: dict | None = None
     ) -> DictionaryWriter:
-        self.root.mkdir(parents=True, exist_ok=True)
         return DictionaryWriter(
             self.path_for(digest), cardinality, meta or {}
         )
@@ -284,31 +272,13 @@ class DictionaryStore:
         """
         directory = self.path_for(digest)
         meta = self.meta(digest)
-        if meta["version"] != STORE_FORMAT_VERSION:
-            raise ValueError(
-                f"dictionary artifact {directory} has an unsupported version"
-            )
         if meta["universe_size"] != len(universe):
-            raise ValueError(
-                f"dictionary artifact {directory} was built against a "
-                f"{meta['universe_size']}-fault universe, got {len(universe)}"
-            )
-        # Checksums recorded at publish; absent on pre-integrity artifacts,
-        # which load unverified exactly as they always did.
-        checksums = meta.get("checksums") or {}
-        try:
-            syndromes = decode_syndromes(
-                json.loads(
-                    verify_file(
-                        directory / "syndromes.json",
-                        checksums.get("syndromes.json"),
-                    )
-                )
-            )
-        except (json.JSONDecodeError, UnicodeDecodeError, KeyError) as exc:
             raise ArtifactCorruptionError(
-                directory / "syndromes.json", f"unparseable payload: {exc}"
+                directory / MARKER,
+                f"marker records a {meta['universe_size']}-fault universe, "
+                f"but the artifact is addressed by a {len(universe)}-fault one",
             )
+        syndromes = _read_syndromes(directory, meta)
         # Table keys are created in syndrome-id (= first-seen) order, and
         # each row appends through a pre-resolved bucket reference — the
         # nested syndrome tuples are hashed once per *syndrome*, never per
@@ -316,21 +286,12 @@ class DictionaryStore:
         table: dict = defaultdict(list)
         buckets = [table[syndrome] for syndrome in syndromes]
         faults = list(universe)
-        for chunk in range(meta["chunks"]):
-            name = f"chunk-{chunk:05d}.npz"
-            payload = verify_file(directory / name, checksums.get(name))
-            try:
-                with np.load(io.BytesIO(payload)) as data:
-                    rows = data["sets"].tolist()
-                    sids = data["syndromes"].tolist()
-            except (zipfile.BadZipFile, KeyError, OSError) as exc:
-                raise ArtifactCorruptionError(
-                    directory / name, f"unparseable payload: {exc}"
-                )
-            if meta["cardinality"] == 1:
+        cardinality = meta["cardinality"]
+        for rows, sids in _read_chunks(directory, meta):
+            if cardinality == 1:
                 for row, sid in zip(rows, sids):
                     buckets[sid].append((faults[row[0]],))
-            elif meta["cardinality"] == 2:
+            elif cardinality == 2:
                 for (i, j), sid in zip(rows, sids):
                     buckets[sid].append(
                         (faults[i], faults[j]) if j >= 0 else (faults[i],)
@@ -352,21 +313,7 @@ class DictionaryStore:
         their entries into the target suite's positions) without
         materializing its full table.
         """
-        directory = self.path_for(digest)
-        checksums = self.meta(digest).get("checksums") or {}
-        try:
-            return decode_syndromes(
-                json.loads(
-                    verify_file(
-                        directory / "syndromes.json",
-                        checksums.get("syndromes.json"),
-                    )
-                )
-            )
-        except (json.JSONDecodeError, UnicodeDecodeError, KeyError) as exc:
-            raise ArtifactCorruptionError(
-                directory / "syndromes.json", f"unparseable payload: {exc}"
-            )
+        return _read_syndromes(self.path_for(digest), self.meta(digest))
 
     def iter_rows(self, digest: str) -> Iterator[tuple[tuple[int, ...], int]]:
         """Stream ``(universe-index tuple, syndrome id)`` rows in append order.
@@ -377,20 +324,7 @@ class DictionaryStore:
         per chunk; corruption surfaces as :exc:`ArtifactCorruptionError`
         mid-iteration and the caller heals + falls back to a cold build.
         """
-        directory = self.path_for(digest)
-        meta = self.meta(digest)
-        checksums = meta.get("checksums") or {}
-        for chunk in range(meta["chunks"]):
-            name = f"chunk-{chunk:05d}.npz"
-            payload = verify_file(directory / name, checksums.get(name))
-            try:
-                with np.load(io.BytesIO(payload)) as data:
-                    rows = data["sets"].tolist()
-                    sids = data["syndromes"].tolist()
-            except (zipfile.BadZipFile, KeyError, OSError) as exc:
-                raise ArtifactCorruptionError(
-                    directory / name, f"unparseable payload: {exc}"
-                )
+        for rows, sids in _read_chunks(self.path_for(digest), self.meta(digest)):
             for row, sid in zip(rows, sids):
                 end = len(row)
                 while end and row[end - 1] < 0:

@@ -1,52 +1,67 @@
-"""Artifact integrity: checksums, durable publishes, and quarantine.
+"""Artifact integrity: the one publish, verify and heal protocol.
 
-Every store in this package publishes atomically (temp + ``os.replace``)
-so a *crash* never leaves a half-written artifact addressable.  That
-protocol says nothing about what happens **after** publish: a bit flip
-on disk, a torn ``meta.json`` from a power loss, or an operator ``dd``
-accident would previously either crash a warm load or — far worse —
-silently poison a merged campaign result we promise is bit-identical.
+Three artifact families persist under a cache or journal directory —
+compiled kernels (:mod:`repro.store.kernels`), dictionary syndrome
+tables (:mod:`repro.store.dictionaries`) and campaign shards
+(:mod:`repro.fabric.shards`) — and all three publish, verify and heal
+through this module.  Nothing else in the package calls ``os.fsync``.
 
-This module is the shared discipline the stores now follow:
+* **Publish.**  :func:`write_durable` writes each payload to a staging
+  path, fsyncs it and returns its BLAKE2b checksum.  The completeness
+  marker recording those checksums — a directory artifact's
+  ``meta.json``, a kernel's ``<digest>.meta.json`` sidecar — is written
+  last, fsynced, and renamed into place.  A directory artifact is staged
+  whole (:func:`stage_dir`) and published by one rename
+  (:func:`publish_dir`); when a concurrent publisher won that rename its
+  artifact is identical by content addressing, so it is kept.  Neither a
+  crash nor a power loss leaves a half-written artifact addressable.
 
-* **Checksums.**  Every published payload records a BLAKE2b content
-  checksum in its completeness marker (:func:`file_checksum` /
-  :func:`data_checksum`).  Loads verify lazily — at read time, on
-  exactly the bytes about to be parsed — and a mismatch raises the
-  typed :exc:`ArtifactCorruptionError` instead of whatever exception
-  the corrupted parser would have thrown.
+* **Verify.**  Loads parse the marker through :func:`read_marker` and
+  each payload through :func:`verify_file` (or :func:`read_npz`), which
+  checks the recorded checksum against exactly the bytes about to be
+  parsed.  Checksums are required: a marker that records none is as
+  damaged as one that does not parse.
 
-* **Durability.**  :func:`fsync_file` / :func:`fsync_dir` flush a
-  payload (and its directory entry) to stable storage *before* the
-  atomic rename, so a power loss cannot leave a published-but-empty
-  artifact behind the completeness marker.
+* **Heal.**  Every kind of damage — a checksum mismatch, a missing
+  payload, a torn marker, a marker that parses but names another format
+  version or lacks a key its loader reads, an unparseable payload —
+  raises :exc:`ArtifactCorruptionError`.  The caller then moves the
+  artifact into a ``quarantine/`` sibling directory (:func:`quarantine`;
+  never deleted — the evidence is for the operator) next to a
+  ``<name>.reason.json`` diagnostic.  After the move the artifact is
+  simply *absent*, so the ordinary cold-build path regenerates it:
+  kernels recompile, dictionary chunks re-simulate, shards re-enter
+  their journal as pending.  Corruption heals through the same code
+  paths a cache miss takes.
 
-* **Quarantine.**  :func:`quarantine` moves a corrupt artifact into a
-  ``quarantine/`` sibling directory (never deletes — the evidence is
-  for the operator) and drops a ``<name>.reason.json`` diagnostic next
-  to it.  After the move the artifact is simply *absent* from the
-  store, so the ordinary cold-build path regenerates it: kernels
-  recompile, dictionary chunks re-simulate, shards re-enter their
-  journal as pending.  Corruption therefore heals through the same
-  code paths a cache miss takes.
+:class:`ArtifactDirectory` is the addressing the two directory-artifact
+stores share: ``<root>/<digest>/`` with ``meta.json`` as the marker.
 """
 
 from __future__ import annotations
 
 import hashlib
+import io
 import json
 import os
 import shutil
 import time
+import zipfile
 from pathlib import Path
+from typing import Iterable, Sequence
+
+import numpy as np
+
+from repro.store.digest import STORE_FORMAT_VERSION
 
 #: Filename of the per-artifact diagnostic record written on quarantine.
 REASON_SUFFIX = ".reason.json"
 
+#: Completeness marker of a directory artifact; written last.
+MARKER = "meta.json"
+
 #: Hex-digest size used for artifact content checksums (BLAKE2b).
 CHECKSUM_DIGEST_SIZE = 16
-
-_CHUNK = 1 << 20
 
 
 class ArtifactCorruptionError(RuntimeError):
@@ -71,16 +86,83 @@ def data_checksum(payload: bytes) -> str:
     ).hexdigest()
 
 
-def file_checksum(path: str | os.PathLike) -> str:
-    """Streaming BLAKE2b hex checksum of a file's bytes."""
-    digest = hashlib.blake2b(digest_size=CHECKSUM_DIGEST_SIZE)
-    with open(path, "rb") as fh:
-        while True:
-            block = fh.read(_CHUNK)
-            if not block:
-                break
-            digest.update(block)
-    return digest.hexdigest()
+# -- publish -----------------------------------------------------------------
+
+
+def write_durable(tmp: Path, payload: bytes) -> str:
+    """Write ``payload`` to the staging path ``tmp`` and fsync it.
+
+    Returns the payload's checksum, for the completeness marker.  The
+    caller makes ``tmp`` addressable afterwards, by renaming it or the
+    staged directory holding it.
+    """
+    with open(tmp, "wb") as fh:
+        fh.write(payload)
+        fh.flush()
+        os.fsync(fh.fileno())
+    return data_checksum(payload)
+
+
+def marker_bytes(meta: dict) -> bytes:
+    """The serialized completeness marker (indented, keys sorted)."""
+    return json.dumps(meta, indent=2, sort_keys=True).encode()
+
+
+def fsync_dir(path: str | os.PathLike) -> None:
+    """Flush a directory entry (new/renamed children) to stable storage.
+
+    Best-effort on filesystems that refuse ``fsync`` on directories —
+    the atomic-rename protocol is still crash-safe there, just not
+    power-loss-proof.
+    """
+    try:
+        fd = os.open(path, os.O_RDONLY)
+    except OSError:  # pragma: no cover - platform-specific
+        return
+    try:
+        os.fsync(fd)
+    except OSError:  # pragma: no cover - platform-specific
+        pass
+    finally:
+        os.close(fd)
+
+
+def stage_dir(final: Path) -> Path:
+    """A fresh, empty staging directory for the directory artifact ``final``.
+
+    It sits beside ``final`` (``<name>.tmp-<pid>``), so the publishing
+    rename never crosses a filesystem; parents are created as needed.
+    """
+    tmp = final.with_name(f"{final.name}.tmp-{os.getpid()}")
+    if tmp.exists():
+        shutil.rmtree(tmp)
+    tmp.mkdir(parents=True)
+    return tmp
+
+
+def publish_dir(tmp: Path, final: Path, meta: dict) -> None:
+    """Complete the staged directory ``tmp`` and rename it to ``final``.
+
+    ``meta`` becomes the ``meta.json`` marker, written last.  The marker
+    and the staging directory are fsynced before the rename, and the
+    store root after it, so the marker can never outlive a power loss
+    that its payloads didn't.  A concurrent publisher that won the
+    rename keeps its artifact, which is identical by content addressing.
+    """
+    write_durable(tmp / MARKER, marker_bytes(meta))
+    fsync_dir(tmp)
+    try:
+        os.replace(tmp, final)
+    except OSError:
+        # The rename target exists and is non-empty: someone else
+        # published first.
+        if not (final / MARKER).exists():
+            raise
+        shutil.rmtree(tmp)
+    fsync_dir(final.parent)
+
+
+# -- verify ------------------------------------------------------------------
 
 
 #: Per-process memo of payloads that already verified clean: path ->
@@ -112,21 +194,21 @@ def verify_file(path: str | os.PathLike, expected: str | None) -> bytes:
     """Read ``path`` fully, verifying its checksum on the way.
 
     Returns the verified bytes (so callers parse exactly what was
-    hashed — no read-verify-reread race).  ``expected=None`` marks a
-    legacy artifact published before checksums existed: it loads
-    unverified, exactly as it always did.  Repeat reads of a payload this
+    hashed — no read-verify-reread race).  ``expected`` is the checksum
+    the artifact's marker recorded; ``None``, a marker that recorded
+    none, is damage like any other.  Repeat reads of a payload this
     process already verified skip the hash when the file's fstat
     signature is unchanged (see ``_VERIFIED``); a mismatch always raises
     and never caches.
     """
+    if expected is None:
+        raise ArtifactCorruptionError(path, "its marker records no checksum")
     try:
         with open(path, "rb") as fh:
             stat = os.fstat(fh.fileno())
             payload = fh.read()
     except FileNotFoundError:
         raise ArtifactCorruptionError(path, "payload file is missing") from None
-    if expected is None:
-        return payload
     key = str(path)
     signature = (expected, stat.st_size, stat.st_mtime_ns, stat.st_ino)
     if _VERIFIED.get(key) == signature and len(payload) == stat.st_size:
@@ -142,41 +224,20 @@ def verify_file(path: str | os.PathLike, expected: str | None) -> bytes:
     return payload
 
 
-def fsync_file(path: str | os.PathLike) -> None:
-    """Flush one file's contents to stable storage."""
-    fd = os.open(path, os.O_RDONLY)
-    try:
-        os.fsync(fd)
-    finally:
-        os.close(fd)
+def read_npz(
+    path: Path, expected: str | None, keys: Sequence[str]
+) -> dict[str, np.ndarray]:
+    """Verify an ``.npz`` payload, then parse the arrays named ``keys``.
 
-
-def fsync_dir(path: str | os.PathLike) -> None:
-    """Flush a directory entry (new/renamed children) to stable storage.
-
-    Best-effort on filesystems that refuse ``fsync`` on directories —
-    the atomic-rename protocol is still crash-safe there, just not
-    power-loss-proof.
+    An unparseable payload, or one without a named array, raises
+    :exc:`ArtifactCorruptionError` instead of a :mod:`numpy` error.
     """
+    payload = verify_file(path, expected)
     try:
-        fd = os.open(path, os.O_RDONLY)
-    except OSError:  # pragma: no cover - platform-specific
-        return
-    try:
-        os.fsync(fd)
-    except OSError:  # pragma: no cover - platform-specific
-        pass
-    finally:
-        os.close(fd)
-
-
-def fsync_tree(directory: str | os.PathLike) -> None:
-    """Flush every file in ``directory`` (then the directory itself)."""
-    directory = Path(directory)
-    for child in sorted(directory.iterdir()):
-        if child.is_file():
-            fsync_file(child)
-    fsync_dir(directory)
+        with np.load(io.BytesIO(payload)) as data:
+            return {key: data[key] for key in keys}
+    except (zipfile.BadZipFile, KeyError, OSError, ValueError, EOFError) as exc:
+        raise ArtifactCorruptionError(path, f"unparseable payload: {exc}")
 
 
 def load_json(path: str | os.PathLike) -> dict:
@@ -195,6 +256,53 @@ def load_json(path: str | os.PathLike) -> dict:
         raise
     except (json.JSONDecodeError, UnicodeDecodeError, OSError) as exc:
         raise ArtifactCorruptionError(path, f"unreadable metadata: {exc}")
+
+
+def read_marker(path: Path, keys: Iterable[str] = ()) -> dict:
+    """A completeness marker its loader can trust.
+
+    Besides a torn file (:func:`load_json`), a marker that parses but
+    names another format version, or lacks one of ``keys``, is damage:
+    its artifact's digest already pins the format and every field.  An
+    absent marker raises :exc:`FileNotFoundError`, as a cache miss.
+    """
+    meta = load_json(path)
+    if not isinstance(meta, dict) or meta.get("version") != STORE_FORMAT_VERSION:
+        raise ArtifactCorruptionError(
+            path, f"marker does not name format version {STORE_FORMAT_VERSION}"
+        )
+    missing = sorted(set(keys).difference(meta))
+    if missing:
+        raise ArtifactCorruptionError(path, f"marker lacks {', '.join(missing)}")
+    return meta
+
+
+class ArtifactDirectory:
+    """A content-addressed store of ``<root>/<digest>/`` directory artifacts.
+
+    Each artifact's ``meta.json`` marker is written last
+    (:func:`publish_dir`), so only complete artifacts are addressable.
+    """
+
+    #: Marker keys the subclass's loaders read, besides ``version``.
+    MARKER_KEYS: tuple[str, ...] = ()
+
+    def __init__(self, root: str | os.PathLike) -> None:
+        self.root = Path(root)
+
+    def path_for(self, digest: str) -> Path:
+        return self.root / digest
+
+    def has(self, digest: str) -> bool:
+        """Only *complete* artifacts count (``meta.json`` is written last)."""
+        return (self.path_for(digest) / MARKER).exists()
+
+    def meta(self, digest: str) -> dict:
+        """The completeness marker, validated by :func:`read_marker`."""
+        return read_marker(self.path_for(digest) / MARKER, self.MARKER_KEYS)
+
+
+# -- heal --------------------------------------------------------------------
 
 
 def quarantine(

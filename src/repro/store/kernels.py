@@ -13,23 +13,23 @@ attaches a :mod:`repro.sim.backends` tier (``tile``, or ``word`` when a
 test asks for it) on first batched use and replays bit-identical
 readings.
 
-Writes are atomic (temp file + ``os.replace``) and durable (payloads and
-the directory entry are fsynced before the rename), so neither a crash
-nor a power loss leaves a half-written artifact addressable.  Each
-``.npz`` publishes alongside a ``<digest>.meta.json`` sidecar recording
-its BLAKE2b content checksum; loads verify the bytes they are about to
-parse and raise :exc:`~repro.store.integrity.ArtifactCorruptionError` on
-a mismatch — callers convert that into quarantine-and-recompile
-(:meth:`KernelStore.get_or_compile` does it for them).  Artifacts
-published before checksums existed load unverified, exactly as before.
+A kernel publishes through the store's one protocol
+(:mod:`repro.store.integrity`): the ``.npz`` payload and its
+``<digest>.meta.json`` sidecar — the completeness marker recording the
+payload's BLAKE2b checksum — are each written durably to a staging name,
+then renamed into place sidecar first, so a payload is never addressable
+without its checksum.  :meth:`KernelStore.load` requires the sidecar and
+verifies the bytes it is about to parse; a missing sidecar, a damaged
+one or a mismatching payload raises
+:exc:`~repro.store.integrity.ArtifactCorruptionError`, which callers
+convert into quarantine-and-recompile (:meth:`KernelStore.get_or_compile`
+does it for them).
 """
 
 from __future__ import annotations
 
 import io
-import json
 import os
-import zipfile
 from pathlib import Path
 
 import numpy as np
@@ -39,12 +39,16 @@ from repro.sim.kernel import ReachabilityKernel
 from repro.store.digest import STORE_FORMAT_VERSION, kernel_digest
 from repro.store.integrity import (
     ArtifactCorruptionError,
-    data_checksum,
     fsync_dir,
-    load_json,
+    marker_bytes,
     quarantine,
-    verify_file,
+    read_marker,
+    read_npz,
+    write_durable,
 )
+
+#: The arc-table arrays a kernel artifact holds (besides ``version``).
+_ARC_KEYS = ("arc_src", "arc_dst", "arc_valve", "arc_edge")
 
 
 def _meta_path(path: Path) -> Path:
@@ -68,27 +72,19 @@ class KernelStore:
         """Persist a compiled kernel; returns the artifact path."""
         path = self.path_for(kernel.fpva)
         self.root.mkdir(parents=True, exist_ok=True)
-        tmp = path.with_name(f".{path.name}.tmp-{os.getpid()}")
         arrays = kernel.to_arrays()
         arrays["version"] = np.array([STORE_FORMAT_VERSION], dtype=np.int64)
+        buffer = io.BytesIO()
+        np.savez(buffer, **arrays)
+        tmp = path.with_name(f".{path.name}.tmp-{os.getpid()}")
         meta_tmp = path.with_name(f".{path.stem}.meta.tmp-{os.getpid()}")
         try:
-            buffer = io.BytesIO()
-            np.savez(buffer, **arrays)
-            payload = buffer.getvalue()
-            with open(tmp, "wb") as fh:
-                fh.write(payload)
-                fh.flush()
-                os.fsync(fh.fileno())
             meta = {
                 "version": STORE_FORMAT_VERSION,
-                "digest": kernel_digest(kernel.fpva),
-                "checksum": data_checksum(payload),
+                "digest": path.stem,
+                "checksum": write_durable(tmp, buffer.getvalue()),
             }
-            with open(meta_tmp, "w") as fh:
-                json.dump(meta, fh, indent=2, sort_keys=True)
-                fh.flush()
-                os.fsync(fh.fileno())
+            write_durable(meta_tmp, marker_bytes(meta))
             # Sidecar first: a crash between the renames leaves checksum
             # metadata without a payload, which has() treats as absent.
             os.replace(meta_tmp, _meta_path(path))
@@ -100,47 +96,27 @@ class KernelStore:
                     leftover.unlink()
         return path
 
-    @staticmethod
-    def load_file(fpva: FPVA, path: str | os.PathLike) -> ReachabilityKernel:
-        """Rebuild a kernel for ``fpva`` from a stored arc table.
-
-        Verifies the artifact's BLAKE2b checksum (when its sidecar
-        exists) against exactly the bytes parsed; raises
-        :exc:`ArtifactCorruptionError` on mismatch or an unparseable
-        payload instead of crashing inside :mod:`numpy`.
-        """
-        path = Path(path)
-        expected = None
-        meta_path = _meta_path(path)
-        if meta_path.exists():
-            meta = load_json(meta_path)
-            expected = meta.get("checksum")
-        payload = verify_file(path, expected)
-        try:
-            with np.load(io.BytesIO(payload)) as data:
-                if int(data["version"][0]) != STORE_FORMAT_VERSION:
-                    raise ValueError(
-                        f"kernel artifact {path} has an unsupported format version"
-                    )
-                arrays = {
-                    k: data[k]
-                    for k in ("arc_src", "arc_dst", "arc_valve", "arc_edge")
-                }
-        except (zipfile.BadZipFile, KeyError, OSError) as exc:
-            raise ArtifactCorruptionError(path, f"unparseable payload: {exc}")
-        return ReachabilityKernel.from_arrays(fpva, arrays)
-
     def load(self, fpva: FPVA) -> ReachabilityKernel | None:
         """The stored kernel for ``fpva``, or ``None`` on a cache miss.
 
         Raises :exc:`ArtifactCorruptionError` when the artifact exists
-        but fails verification — callers quarantine and recompile (see
-        :meth:`get_or_compile` / :meth:`heal`).
+        but is damaged — its payload fails the sidecar's checksum, or the
+        sidecar itself is missing, torn or lacks the checksum.  Callers
+        quarantine and recompile (see :meth:`get_or_compile` /
+        :meth:`heal`).
         """
         path = self.path_for(fpva)
         if not path.exists():
             return None
-        return self.load_file(fpva, path)
+        try:
+            meta = read_marker(_meta_path(path), ("checksum",))
+        except FileNotFoundError:
+            raise ArtifactCorruptionError(
+                path, "checksum sidecar is missing"
+            ) from None
+        return ReachabilityKernel.from_arrays(
+            fpva, read_npz(path, meta["checksum"], _ARC_KEYS)
+        )
 
     def heal(self, fpva: FPVA, error: ArtifactCorruptionError) -> Path | None:
         """Quarantine one corrupt kernel artifact (payload + sidecar)."""

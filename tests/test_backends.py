@@ -128,10 +128,10 @@ class TestBackendEquivalence:
     def test_warm_start_roundtrip(self, fpva, reference, name, tmp_path):
         """Acceptance: a persisted kernel loads into any tier identically."""
         scenarios, expected = reference
-        seed_ctx = ExecutionContext(fpva, cache_dir=tmp_path)
+        seed_ctx = ExecutionContext(fpva, store=tmp_path)
         seed_ctx.kernel  # cold compile persists the artifact
         assert seed_ctx.kernel_compiles == 1
-        ctx = ExecutionContext(fpva, cache_dir=tmp_path)
+        ctx = ExecutionContext(fpva, store=tmp_path)
         kernel = ctx.kernel.set_backend(name)
         assert ctx.kernel_loads == 1 and ctx.kernel_compiles == 0
         assert kernel.backend.name == name

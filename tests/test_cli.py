@@ -100,7 +100,7 @@ class TestCommands:
         from repro.context import ExecutionContext
         from repro.fpva import table1_layout
 
-        ctx = ExecutionContext(table1_layout(5), cache_dir=cache)
+        ctx = ExecutionContext(table1_layout(5), store=cache)
         ctx.kernel
         assert ctx.kernel_loads == 1 and ctx.kernel_compiles == 0
         assert main(["generate", "--size", "5", "--cache-dir", cache]) == 0

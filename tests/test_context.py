@@ -101,14 +101,14 @@ class TestExecutionContext:
         assert ev3 is not ev1
 
     def test_store_warm_start_bit_identical(self, small, tmp_path):
-        cold = ExecutionContext(small, cache_dir=tmp_path)
+        cold = ExecutionContext(small, store=tmp_path)
         vectors = _random_vectors(small, seed=5, count=6)
         cold_readings = [
             cold.simulator.meter_readings(v.open_valves) for v in vectors
         ]
         assert cold.kernel_compiles == 1 and cold.kernel_loads == 0
 
-        warm = ExecutionContext(small, cache_dir=tmp_path)
+        warm = ExecutionContext(small, store=tmp_path)
         warm_readings = [
             warm.simulator.meter_readings(v.open_valves) for v in vectors
         ]
@@ -305,7 +305,7 @@ class TestLegacyKeywordShims:
 
     def test_dictionary_context_matches_legacy(self, small, tmp_path):
         suite = TestGenerator(small, include_leakage=False).generate().testset
-        ctx = ExecutionContext(small, cache_dir=tmp_path)
+        ctx = ExecutionContext(small, store=tmp_path)
         with_context = FaultDictionary(
             small, suite.all_vectors(), context=ctx
         )

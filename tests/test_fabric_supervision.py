@@ -22,11 +22,14 @@ from __future__ import annotations
 import json
 import os
 import shutil
+from pathlib import Path
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repro.context import ExecutionContext
 from repro.core import generate_suite
 from repro.engine import run_sweep
 from repro.fabric import (
@@ -38,8 +41,11 @@ from repro.fabric import (
 )
 from repro.fabric.supervision import SupervisionLedger
 from repro.fpva import full_layout
+from repro.sim.faults import stuck_at_faults
+from repro.sim.kernel import ReachabilityKernel
 from repro.store import (
     ArtifactCorruptionError,
+    ArtifactStore,
     KernelStore,
     data_checksum,
     digest_int,
@@ -122,10 +128,11 @@ class TestVerifyFile:
         with pytest.raises(ArtifactCorruptionError, match="checksum mismatch"):
             verify_file(path, checksum)
 
-    def test_legacy_artifacts_load_unverified(self, tmp_path):
+    def test_unrecorded_checksum_is_corruption(self, tmp_path):
         path = tmp_path / "blob"
-        path.write_bytes(b"pre-checksum artifact")
-        assert verify_file(path, None) == b"pre-checksum artifact"
+        path.write_bytes(b"payload whose marker records no checksum")
+        with pytest.raises(ArtifactCorruptionError, match="no checksum"):
+            verify_file(path, None)
 
     def test_missing_file_is_corruption(self, tmp_path):
         with pytest.raises(ArtifactCorruptionError, match="missing"):
@@ -223,32 +230,34 @@ class TestKernelCorruptionHeals:
 
         fpva, _ = bundle
         cache = tmp_path / "cache"
-        ExecutionContext(fpva, cache_dir=cache).kernel  # cold compile + save
+        ExecutionContext(fpva, store=cache).kernel  # cold compile + save
         _flip_bits(KernelStore(cache / "kernels").path_for(fpva))
-        ctx = ExecutionContext(fpva, cache_dir=cache)
+        ctx = ExecutionContext(fpva, store=cache)
         ctx.kernel
         assert ctx.kernel_heals == 1
         assert ctx.kernel_compiles == 1  # healed by recompiling
         # The *next* session warm-loads the republished artifact.
-        nxt = ExecutionContext(fpva, cache_dir=cache)
+        nxt = ExecutionContext(fpva, store=cache)
         nxt.kernel
         assert nxt.kernel_loads == 1 and nxt.kernel_heals == 0
 
     def test_path_shipped_kernel_heals_in_worker(self, tmp_path, bundle):
-        from repro.engine.parallel import _KERNEL_MEMO, _resolve_kernel
+        from repro.engine.parallel import _CONTEXT_MEMO, _shard_context
 
         fpva, _ = bundle
         store = KernelStore(tmp_path / "kernels")
         store.get_or_compile(fpva)
         path = str(store.path_for(fpva))
         _flip_bits(store.path_for(fpva))
-        _KERNEL_MEMO.pop(path, None)
+        _CONTEXT_MEMO.pop(path, None)
         try:
-            shipped_fpva, kernel = _resolve_kernel(fpva, path)
+            context = _shard_context(fpva, path)
         finally:
-            _KERNEL_MEMO.pop(path, None)
-        assert shipped_fpva is kernel.fpva
+            _CONTEXT_MEMO.pop(path, None)
+        assert context.fpva is context.kernel.fpva
         assert quarantined_artifacts(store.root)
+        # The worker republished the recompiled kernel for its peers.
+        assert store.load(fpva) is not None
 
 
 class TestDictionaryCorruptionHeals:
@@ -278,6 +287,103 @@ class TestDictionaryCorruptionHeals:
         assert quarantined_artifacts(store.root)
         warm = self._build(tmp_path, fpva, vectors)
         assert warm.warm_loaded  # the rebuild republished a clean artifact
+
+
+# -- markers that parse but are damaged heal like torn ones ------------------
+
+
+def _rewrite(update):
+    """Damage: rewrite a JSON marker, still valid JSON, through ``update``."""
+
+    def damage(marker: Path) -> None:
+        meta = json.loads(marker.read_text())
+        update(meta)
+        marker.write_text(json.dumps(meta, indent=2, sort_keys=True))
+
+    return damage
+
+
+def _without(key):
+    return _rewrite(lambda meta: meta.pop(key))
+
+
+def _with(**fields):
+    return _rewrite(lambda meta: meta.update(fields))
+
+
+#: case -> (artifact family, damage applied to its completeness marker).
+#: ``ancestor`` damages a stored dictionary that a delta build then
+#: resolves as its ancestor; ``kernel`` damages the kernel's sidecar.
+DAMAGED_MARKERS = {
+    "dictionary-version": ("dictionary", _with(version=0)),
+    "dictionary-universe": ("dictionary", _with(universe_size=7)),
+    "dictionary-chunks": ("dictionary", _without("chunks")),
+    "dictionary-checksums": ("dictionary", _without("checksums")),
+    "ancestor-chunks": ("ancestor", _without("chunks")),
+    "shard-version": ("shard", _with(version=0)),
+    "shard-checksum": ("shard", _without("checksum")),
+    "kernel-sidecar": ("kernel", Path.unlink),
+    "kernel-checksum": ("kernel", _without("checksum")),
+}
+
+
+class TestDamagedMarkersHeal:
+    """A marker that names another format version, lacks a key its loader
+    reads, lacks its checksum, or (for a dictionary) disagrees with the
+    universe its digest addresses is damage: the next use quarantines the
+    artifact and rebuilds a result equal to a clean build."""
+
+    @pytest.mark.parametrize("case", list(DAMAGED_MARKERS))
+    def test_damaged_marker_heals(self, case, tmp_path, bundle, spec, reference):
+        family, damage = DAMAGED_MARKERS[case]
+        fpva, vectors = bundle
+        if family == "shard":
+            journal_dir = tmp_path / "journal"
+            run_journaled_sweep(spec, journal_dir, workers=1)
+            victim = spec.shards()[1].digest
+            store = CampaignJournal(journal_dir).store
+            damage(store.path_for(victim) / "meta.json")
+            results, stats = run_journaled_sweep(
+                spec, journal_dir, workers=1, resume=True
+            )
+            assert (stats.healed, stats.executed) == (1, 1)
+            assert_sweeps_identical(results, reference)
+            pen, evidence = journal_dir, {victim}
+        elif family == "kernel":
+            cache = tmp_path / "cache"
+            store = KernelStore(cache / "kernels")
+            store.get_or_compile(fpva)
+            path = store.path_for(fpva)
+            sidecar = path.with_name(f"{path.stem}.meta.json")
+            damage(sidecar)
+            evidence = {p.name for p in (path, sidecar) if p.exists()}
+            ctx = ExecutionContext(fpva, store=cache)
+            got = ctx.kernel.to_arrays()
+            assert (ctx.kernel_heals, ctx.kernel_compiles, ctx.kernel_loads) == (
+                1, 1, 0,
+            )
+            clean = ReachabilityKernel(fpva).to_arrays()
+            assert got.keys() == clean.keys()
+            assert all(np.array_equal(got[k], clean[k]) for k in clean)
+            pen = store.root
+        else:
+            universe = stuck_at_faults(fpva)
+            assert len(universe) != 7
+            store = ArtifactStore(tmp_path / "cache")
+
+            def build(suite):
+                return ExecutionContext(fpva, store=store).dictionary(
+                    suite, universe=universe
+                )
+
+            damaged = build(vectors[:-1] if family == "ancestor" else vectors)
+            damage(store.dictionaries.path_for(damaged.digest) / "meta.json")
+            rebuilt = build(vectors)
+            assert rebuilt.build_stats["mode"] == "cold"
+            clean = ExecutionContext(fpva).dictionary(vectors, universe=universe)
+            assert list(rebuilt._table.items()) == list(clean._table.items())
+            pen, evidence = store.dictionaries.root, {damaged.digest}
+        assert {r["artifact"] for r in quarantined_artifacts(pen)} == evidence
 
 
 # -- poison shards: bounded retries, quarantine, requeue ---------------------
@@ -570,17 +676,25 @@ class TestSupervisionLedger:
 
 
 class TestDurability:
-    def _count_fsyncs(self, monkeypatch):
-        calls = []
-        real = os.fsync
-        monkeypatch.setattr(os, "fsync", lambda fd: (calls.append(fd), real(fd)))
-        return calls
+    """Each store publishes with exactly the protocol's syscalls.
 
-    def test_shard_publish_fsyncs(self, tmp_path, spec, monkeypatch):
+    Kernel: payload + sidecar + store root fsynced, sidecar then payload
+    renamed.  Shard: payload + marker + staged directory + store root
+    fsynced, one directory rename.  Dictionary of c chunks: the chunks,
+    ``syndromes.json``, the marker, the staged directory and the root
+    fsynced (c + 4), one directory rename.
+    """
+
+    def _publish_kernel(self, tmp_path, bundle, spec):
+        from repro.sim.kernel import ReachabilityKernel
+
+        kernel = ReachabilityKernel(bundle[0])
+        return lambda: KernelStore(tmp_path / "kernels").save(kernel)
+
+    def _publish_shard(self, tmp_path, bundle, spec):
         from repro.fabric import ShardStore
         from repro.sim import CampaignResult
 
-        store = ShardStore(tmp_path / "shards")
         descriptor = spec.shards()[0]
         result = CampaignResult(
             num_faults=descriptor.num_faults,
@@ -589,19 +703,53 @@ class TestDurability:
             undetected_examples=[],
             undetected_trials=[],
         )
-        calls = self._count_fsyncs(monkeypatch)
-        store.publish(descriptor, result)
-        # payload + meta + tmp dir + store root, at minimum
-        assert len(calls) >= 4
+        return lambda: ShardStore(tmp_path / "shards").publish(
+            descriptor, result
+        )
 
-    def test_kernel_save_fsyncs(self, tmp_path, bundle, monkeypatch):
-        from repro.sim.kernel import ReachabilityKernel
+    def _publish_dictionary(self, tmp_path, bundle, spec):
+        from repro.store import DictionaryStore
 
-        fpva, _ = bundle
-        kernel = ReachabilityKernel(fpva)
-        calls = self._count_fsyncs(monkeypatch)
-        KernelStore(tmp_path / "kernels").save(kernel)
-        assert len(calls) >= 3  # payload + sidecar + directory
+        def build():
+            writer = DictionaryStore(tmp_path / "dictionaries").writer(
+                "d" * 32, cardinality=1
+            )
+            for index in range(5):  # 2 + 2 + 1 rows: three chunks
+                writer.add((index,), (("v0", (("out", bool(index % 2)),)),))
+            writer.commit()
+
+        return build
+
+    @pytest.mark.parametrize(
+        "artifact, fsyncs, renames",
+        [
+            pytest.param("kernel", 3, 2, id="kernel"),
+            pytest.param("shard", 4, 1, id="shard"),
+            pytest.param("dictionary", 3 + 4, 1, id="dictionary"),
+        ],
+    )
+    def test_publish_syscalls(
+        self, artifact, fsyncs, renames, tmp_path, bundle, spec, monkeypatch
+    ):
+        import repro.store.dictionaries
+
+        monkeypatch.setattr(repro.store.dictionaries, "CHUNK_ROWS", 2)
+        publish = getattr(self, f"_publish_{artifact}")(tmp_path, bundle, spec)
+        calls = {"fsync": 0, "replace": 0}
+        real_fsync, real_replace = os.fsync, os.replace
+
+        def fsync(fd):
+            calls["fsync"] += 1
+            return real_fsync(fd)
+
+        def replace(src, dst):
+            calls["replace"] += 1
+            return real_replace(src, dst)
+
+        monkeypatch.setattr(os, "fsync", fsync)
+        monkeypatch.setattr(os, "replace", replace)
+        publish()
+        assert calls == {"fsync": fsyncs, "replace": renames}
 
 
 # -- DrainStats reporting ----------------------------------------------------

@@ -2,16 +2,20 @@
 
 from __future__ import annotations
 
+import json
 import random
+import shutil
+from pathlib import Path
 
 import pytest
 
 import oracle
 from repro.context import ExecutionContext
-from repro.core import generate_suite
+from repro.core import TestSet, VectorKind, generate_suite, vector_from_open_set
 from repro.engine import AdaptiveDiagnoser, get_scenario
 from repro.engine.parallel import run_campaign as run_campaign_sharded
-from repro.fpva import FPVABuilder, Side, full_layout
+from repro.engine.parallel import run_sweep as run_campaign_sweep
+from repro.fpva import FPVABuilder, Side, edge_between, full_layout
 from repro.fpva.geometry import Cell
 from repro.sim import (
     ChipUnderTest,
@@ -37,6 +41,16 @@ def bundle():
 
 def _table_key(dictionary):
     return list(dictionary._table.items())
+
+
+def _result_key(result):
+    return (
+        result.num_faults,
+        result.trials,
+        result.detected,
+        result.undetected_examples,
+        result.undetected_trials,
+    )
 
 
 class TestDigests:
@@ -269,11 +283,11 @@ class TestParallelCachePath:
         plain = run_campaign_sharded(fpva, vectors, workers=1, **kwargs)
         cached = run_campaign_sharded(
             fpva, vectors, workers=1,
-            context=ExecutionContext(fpva, cache_dir=tmp_path), **kwargs
+            context=ExecutionContext(fpva, store=tmp_path), **kwargs
         )
         pooled = run_campaign_sharded(
             fpva, vectors, workers=2,
-            context=ExecutionContext(fpva, cache_dir=tmp_path), **kwargs
+            context=ExecutionContext(fpva, store=tmp_path), **kwargs
         )
         for other in (cached, pooled):
             assert (plain.trials, plain.detected) == (other.trials, other.detected)
@@ -295,3 +309,90 @@ class TestDiagnosisAfterRoundTrip:
         for valve in fpva.valves:
             chip = ChipUnderTest(fpva, (StuckAt0(valve),))
             assert warm.diagnose_chip(chip) == cold.diagnose_chip(chip)
+
+
+class TestParentWrittenFixture:
+    """Artifacts an earlier version of the store wrote stay warm.
+
+    ``tests/fixtures/store-3x3`` was written by the previous commit's code
+    (``tests/fixtures/write_store_fixture.py``): a 3x3 kernel and its
+    sidecar, a cardinality-2 stuck-at dictionary, and a finished campaign
+    journal, with the suite they were built from.
+    """
+
+    FIXTURE = Path(__file__).resolve().parent / "fixtures" / "store-3x3"
+
+    @staticmethod
+    def _suite(raw: bytes) -> TestSet:
+        """Rebuild the stored suite through public constructors only."""
+        data = json.loads(raw)
+        fpva = full_layout(*data["dimensions"])
+
+        def vectors(section: str) -> list:
+            return [
+                vector_from_open_set(
+                    fpva,
+                    item["name"],
+                    VectorKind(item["kind"]),
+                    [edge_between(Cell(*a), Cell(*b)) for a, b in item["open_valves"]],
+                    item["expected"],
+                )
+                for item in data[section]
+            ]
+
+        suite = TestSet(
+            fpva=fpva,
+            flow_paths=vectors("flow_paths"),
+            cut_sets=vectors("cut_sets"),
+            leakage=vectors("leakage"),
+        )
+        assert suite.to_json(indent=None).encode() == raw
+        return suite
+
+    def test_parent_artifacts_stay_warm(self, tmp_path):
+        from repro.fabric import CampaignSpec, run_journaled_sweep
+        from repro.sim.faults import stuck_at_faults
+
+        root = tmp_path / "store-3x3"
+        shutil.copytree(self.FIXTURE, root)
+        suite = self._suite((root / "suite.json").read_bytes())
+        fpva, vectors = suite.fpva, suite.all_vectors()
+
+        ctx = ExecutionContext(fpva, store=root / "cache")
+        ctx.kernel
+        assert (ctx.kernel_loads, ctx.kernel_compiles, ctx.kernel_heals) == (
+            1, 0, 0,
+        )
+
+        universe = stuck_at_faults(fpva)
+        warm = ctx.dictionary(vectors, max_cardinality=2, universe=universe)
+        assert warm.build_stats["mode"] == "warm"
+        cold = ExecutionContext(fpva).dictionary(
+            vectors, max_cardinality=2, universe=universe
+        )
+        assert _table_key(warm) == _table_key(cold)
+
+        manifest = json.loads((root / "journal" / "campaign.json").read_text())
+        params = {
+            key: manifest[key]
+            for key in (
+                "trials", "seed", "shard_trials", "keep_undetected",
+                "include_control_leaks",
+            )
+        }
+        spec = CampaignSpec(
+            fpva=fpva,
+            vectors=tuple(vectors),
+            fault_counts=tuple(manifest["fault_counts"]),
+            **params,
+        )
+        results, stats = run_journaled_sweep(spec, root / "journal", resume=True)
+        assert (stats.executed, stats.healed) == (0, 0)
+        in_memory = run_campaign_sweep(
+            fpva, vectors, fault_counts=spec.fault_counts, **params
+        )
+        assert {k: _result_key(r) for k, r in results.items()} == {
+            k: _result_key(r) for k, r in in_memory.items()
+        }
+
+        assert not list(root.rglob("quarantine"))

@@ -527,7 +527,7 @@ class TestVerifiedPayloadCache:
 class TestContextWiring:
     def test_dictionary_counters(self, bundle, tmp_path):
         fpva, vectors, universe = bundle
-        ctx = ExecutionContext(fpva, cache_dir=tmp_path)
+        ctx = ExecutionContext(fpva, store=tmp_path)
         ctx.dictionary(vectors[:-1], universe=universe)
         assert ctx.dictionary_cold_builds == 1
         delta = ctx.dictionary(vectors, universe=universe)
@@ -559,7 +559,7 @@ class TestContextWiring:
         from repro.engine.parallel import _CONTEXT_MEMO, _shard_context
 
         fpva, _, _ = bundle
-        ctx = ExecutionContext(fpva, cache_dir=tmp_path)
+        ctx = ExecutionContext(fpva, store=tmp_path)
         kernel = ctx.shipping_spec()
         assert isinstance(kernel, str)
         _CONTEXT_MEMO.clear()
