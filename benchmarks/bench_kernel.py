@@ -42,7 +42,6 @@ from repro.fpva import full_layout
 from repro.sim import (
     BatchEvaluator,
     ChipUnderTest,
-    CompiledFaultSet,
     FaultDictionary,
     ReachabilityKernel,
     Tester,
@@ -134,21 +133,9 @@ def _bench_campaign(fpva, vectors, trials):
 
     t0 = time.perf_counter()  # kernel compile is part of the batched cost
     evaluator = BatchEvaluator(Tester(fpva).simulator.kernel, vectors)
-    fires_cache: dict = {}
-    rows = [
-        evaluator.slot_row(CompiledFaultSet(evaluator.kernel, faults, fires_cache))
-        for faults in chips
-    ]
+    rows = [evaluator.slot_row(faults) for faults in chips]
     evaluator.flush()
-    names = [v.name for v in vectors]
-    kernel_syndromes = [
-        tuple(
-            (names[vi], evaluator.observed_items(slot))
-            for vi, slot in enumerate(row)
-            if not evaluator.passed(vi, slot)
-        )
-        for row in rows
-    ]
+    kernel_syndromes = [evaluator.syndrome(row) for row in rows]
     t_kernel = time.perf_counter() - t0
 
     assert kernel_syndromes == legacy_syndromes

@@ -109,12 +109,6 @@ class ExecutionContext:
         self.kernel_loads = 0
         #: Corrupt stored kernels this context quarantined and rebuilt.
         self.kernel_heals = 0
-        #: Dictionary builds by mode (see :meth:`dictionary`): tables
-        #: served straight off disk, assembled from a stored ancestor's
-        #: rows, and simulated from scratch, respectively.
-        self.dictionary_warm_loads = 0
-        self.dictionary_delta_builds = 0
-        self.dictionary_cold_builds = 0
         self._simulator: PressureSimulator | None = None
         self._tester: Tester | None = None
         self._evaluators: dict[tuple, BatchEvaluator] = {}
@@ -240,12 +234,12 @@ class ExecutionContext:
         universe, suite/cardinality subsumed), simulating only the new
         vectors and fault sets.  ``base_digest`` pins the ancestor;
         ``incremental=False`` forces the pre-lineage cold path.  The
-        session counts each outcome in :attr:`dictionary_warm_loads` /
-        :attr:`dictionary_delta_builds` / :attr:`dictionary_cold_builds`.
+        dictionary's ``build_stats["mode"]`` records which of the three
+        (``"warm"``, ``"delta"`` or ``"cold"``) it took.
         """
         from repro.sim.diagnosis import DEFAULT_CHUNK_SIZE, FaultDictionary
 
-        dictionary = FaultDictionary(
+        return FaultDictionary(
             self.fpva,
             vectors,
             include_control_leaks=include_control_leaks,
@@ -256,14 +250,6 @@ class ExecutionContext:
             base_digest=base_digest,
             incremental=incremental,
         )
-        mode = dictionary.build_stats.get("mode")
-        if mode == "warm":
-            self.dictionary_warm_loads += 1
-        elif mode == "delta":
-            self.dictionary_delta_builds += 1
-        else:
-            self.dictionary_cold_builds += 1
-        return dictionary
 
     def shipping_spec(self) -> ReachabilityKernel | str:
         """The kernel a shard payload headed to worker processes carries.

@@ -280,8 +280,6 @@ class PathCoverILP:
 
         self.model = m
 
-    _ORDER_CACHE: dict = {}
-
     def _node_order(self, n: Node) -> int:
         """A stable arbitrary total order over nodes (ids assigned on sight)."""
         if not hasattr(self, "_order"):

@@ -11,7 +11,6 @@ from repro.fpva.geometry import (
     Edge,
     Side,
     cells_adjacent,
-    full_grid_valve_count,
     in_bounds,
     iter_cells,
     iter_interior_edges,
@@ -156,9 +155,6 @@ class FPVA:
             return EdgeKind.VALVE
         raise LayoutError(f"{edge} is not a flow edge of this array")
 
-    def is_valve(self, edge: Edge) -> bool:
-        return edge in self.valve_set
-
     def edges_at(self, cell: Cell) -> list[Edge]:
         """Flow edges incident to ``cell``."""
         out = []
@@ -220,11 +216,6 @@ class FPVA:
         raise KeyError(f"no port named {name!r}")
 
     # -- summary -----------------------------------------------------------------
-    @property
-    def full_grid_valves(self) -> int:
-        """Valve positions a full array of this size would have."""
-        return full_grid_valve_count(self.nr, self.nc)
-
     def describe(self) -> str:
         return (
             f"{self.name}: {self.nr}x{self.nc} cells, {self.valve_count} valves "

@@ -155,12 +155,6 @@ def junctions_of_cell(cell: Cell) -> tuple[Junction, ...]:
     )
 
 
-def iter_junctions(nr: int, nc: int) -> Iterator[Junction]:
-    for r in range(nr + 1):
-        for c in range(nc + 1):
-            yield Junction(r, c)
-
-
 def is_boundary_junction(j: Junction, nr: int, nc: int) -> bool:
     return j.r in (0, nr) or j.c in (0, nc)
 

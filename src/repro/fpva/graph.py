@@ -27,12 +27,10 @@ from repro.fpva.array import FPVA
 from repro.fpva.components import EdgeKind
 from repro.fpva.geometry import (
     Cell,
-    Edge,
     Junction,
     iter_interior_edges,
     perimeter_junction_cycle,
 )
-from repro.fpva.ports import Port
 
 
 class UnsupportedTopologyError(ValueError):
@@ -54,13 +52,6 @@ def cell_graph(fpva: FPVA) -> nx.Graph:
         g.add_node(port)
         g.add_edge(port, fpva.port_cell(port), kind=EdgeKind.PORT, port=port)
     return g
-
-
-class DualEdgeKind(NamedTuple):
-    """Attributes of a dual (junction-graph) edge."""
-
-    closable: bool  # True if closing is controllable (a real valve)
-    valve: Edge | None  # the valve this dual edge crosses, if any
 
 
 def junction_graph(fpva: FPVA) -> nx.Graph:
@@ -168,8 +159,3 @@ def boundary_arcs(fpva: FPVA) -> BoundaryArcs:
     if overlap and len(fpva.sinks) == 1 and len(overlap) < min(len(start_arc), len(end_arc)):
         pass  # tiny chips: arcs may meet at the single sink gap's ends
     return BoundaryArcs(start_arc=start_arc, end_arc=end_arc)
-
-
-def port_node(port: Port) -> Port:
-    """The cell-graph node representing a port (identity, for readability)."""
-    return port

@@ -21,7 +21,6 @@ from typing import Sequence
 from repro.core.vectors import TestVector
 from repro.fpva.array import FPVA
 from repro.sim.faults import Fault, fault_universe, faults_compatible
-from repro.sim.kernel import CompiledFaultSet
 from repro.sim.seeding import mix_seed
 
 #: Trials per logical shard.  Small enough that modest campaigns still fan
@@ -230,8 +229,6 @@ def _run_trials(
     result = CampaignResult(num_faults=num_faults, trials=trials, detected=0)
     # Draw everything, simulate once.
     evaluator = context.evaluator(vectors)
-    kernel = evaluator.kernel
-    fires_cache: dict = {}
     drawn = [draw() for _ in range(trials)]
     rows = []
     for faults in drawn:
@@ -239,9 +236,7 @@ def _run_trials(
         # (scenarios are expected to sample compatible sets).
         if not faults_compatible(faults):
             raise ValueError(f"incompatible fault set: {tuple(faults)}")
-        rows.append(
-            evaluator.slot_row(CompiledFaultSet(kernel, faults, fires_cache))
-        )
+        rows.append(evaluator.slot_row(faults))
     evaluator.flush()
     expected = evaluator.expected_rows
     observed = evaluator.observed_row

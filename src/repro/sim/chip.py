@@ -72,10 +72,6 @@ class ChipUnderTest:
             if edge not in flow_edges:
                 raise ValueError(f"blockage on non-existent flow edge {edge}")
 
-    @property
-    def is_fault_free(self) -> bool:
-        return not self.faults
-
     def effective_open_valves(
         self,
         commanded_open: Iterable[Edge],
@@ -133,10 +129,6 @@ class ChipUnderTest:
             vector.open_valves, vector_key=vector.name
         )
         return open_set, self._blocked
-
-    def effective_open_for(self, vector: TestVector) -> frozenset[Edge]:
-        """Effective open valves under a test vector."""
-        return self.effective_state(vector)[0]
 
     def __repr__(self):
         return f"ChipUnderTest({self.fpva.name!r}, {len(self.faults)} faults)"

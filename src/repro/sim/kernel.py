@@ -28,10 +28,15 @@ Single queries take the scalar path (:meth:`ReachabilityKernel.readings`),
 a plain BFS over the compiled arrays with int-mask bit tests — no ``Edge``
 hashing, no per-call dict rebuilds, and no per-call buffer allocation (the
 visited map is a hoisted scratch buffer reset in O(visited)).
-:class:`CompiledFaultSet` replays
-:meth:`repro.sim.chip.ChipUnderTest.effective_state` at the mask level, and
+:meth:`BatchEvaluator.slot_row` is the one place a fault set becomes
+per-vector effective states: stuck-ats and blockages compose by bit
+arithmetic over per-fault masks, and a set with a control leak or an
+intermittent fault goes through :class:`CompiledFaultSet`, which replays
+:meth:`repro.sim.chip.ChipUnderTest.effective_state` at the mask level.
 :class:`BatchEvaluator` memoizes distinct ``(open, blocked)`` scenarios so
-equivalent fault sets are simulated exactly once.
+equivalent fault sets are simulated exactly once, and
+:meth:`BatchEvaluator.syndrome` turns a simulated slot row into a
+syndrome.
 
 *How* packed words propagate is delegated to a
 :mod:`~repro.sim.backends` tier (:meth:`ReachabilityKernel.set_backend`):
@@ -629,8 +634,9 @@ class BatchEvaluator:
     """Scenario dedup + batched evaluation over one vector suite.
 
     Each distinct ``(open, blocked)`` mask pair is assigned a *slot* and
-    simulated exactly once; consumers record slot rows per fault set, call
-    :meth:`flush`, then read verdicts back.
+    simulated exactly once; consumers record a :meth:`slot_row` per fault
+    set, call :meth:`flush`, then read verdicts (or a :meth:`syndrome`)
+    back.
 
     A vector whose expectations do not name exactly the array's sinks
     fails under every scenario — the verdict
@@ -661,6 +667,13 @@ class BatchEvaluator:
         self._readings: np.ndarray | None = None
         self._observed: list[tuple[bool, ...] | None] = []
         self._items: list[tuple | None] = []
+        #: ``(sa1, keep, blocked)`` masks of each stuck-at or blockage
+        #: fault met so far (``keep`` clears its stuck-closed valves); a
+        #: kernel has finitely many such faults, so the table is bounded.
+        self._fault_masks: dict[Fault, tuple[int, int, int]] = {}
+        #: ``(intermittent fault, vector name) -> fires``, shared by every
+        #: :class:`CompiledFaultSet` this evaluator compiles.
+        self._fires: dict = {}
 
     @property
     def distinct_scenarios(self) -> int:
@@ -676,13 +689,102 @@ class BatchEvaluator:
             self._pending.append(key)
         return s
 
-    def slot_row(self, compiled: CompiledFaultSet) -> tuple[int, ...]:
-        """Per-vector scenario slots for one compiled fault set."""
-        slot = self.slot
-        eff = compiled.effective_masks
+    def _masks_of(self, fault: Fault) -> tuple[int, int, int] | None:
+        """A stuck-at or blockage fault's ``(sa1, keep, blocked)`` masks.
+
+        ``None`` for every other kind, and for a fault on an edge the
+        kernel lacks, so that :class:`CompiledFaultSet` handles it (and
+        raises for the unknown edge).
+        """
+        masks = self._fault_masks.get(fault)
+        if masks is not None:
+            return masks
+        kernel = self.kernel
+        if isinstance(fault, (StuckAt0, StuckAt1)):
+            vi = kernel.valve_index.get(fault.valve)
+            if vi is None:
+                return None
+            if isinstance(fault, StuckAt1):
+                masks = 1 << vi, -1, 0
+            else:
+                masks = 0, ~(1 << vi), 0
+        elif isinstance(fault, ChannelBlocked):
+            ei = kernel.edge_index.get(fault.edge)
+            if ei is None:
+                return None
+            vi = kernel.valve_index.get(fault.edge)
+            masks = 0, -1 if vi is None else ~(1 << vi), 1 << ei
+        else:
+            return None
+        self._fault_masks[fault] = masks
+        return masks
+
+    def slot_row(self, faults: Sequence[Fault]) -> tuple[int, ...]:
+        """Per-vector scenario slots for one fault set, registering every
+        new scenario for the next :meth:`flush` (:meth:`slot_rows` of the
+        one set)."""
+        return self.slot_rows(faults, (range(len(faults)),))[0]
+
+    def slot_rows(
+        self, universe: Sequence[Fault], index_sets: Iterable[Sequence[int]]
+    ) -> list[tuple[int, ...]]:
+        """:meth:`slot_row` of each fault set ``[universe[i] for i in idx]``.
+
+        This is the one place a fault set becomes effective states.  Each
+        fault's masks are resolved once per call, so a chunk of sets over
+        one universe pays one lookup per fault, not one per set member.
+        Stuck-ats and blockages compose by bit arithmetic: a vector's open
+        mask is ``(commanded | sa1) & ~(sa0 | blocked valves)``, exactly
+        what :meth:`CompiledFaultSet.effective_masks` computes for such a
+        set.  A set holding a control leak or an intermittent fault is
+        compiled to a :class:`CompiledFaultSet` instead, sharing this
+        evaluator's intermittent-firing cache.
+        """
+        masks = [self._masks_of(fault) for fault in universe]
+        commanded = self.commanded_masks
+        memo = self._memo
+        pending = self._pending
+        rows = []
+        for idx in index_sets:
+            opens, sa1, keep, blocked = commanded, 0, -1, 0
+            for i in idx:
+                fault_masks = masks[i]
+                if fault_masks is None:
+                    # The compiled set's effective open masks replace the
+                    # commanded ones, leaving nothing to compose below.
+                    compiled = CompiledFaultSet(
+                        self.kernel, [universe[j] for j in idx], self._fires
+                    )
+                    opens = [
+                        compiled.effective_masks(c, name)[0]
+                        for c, name in zip(commanded, self.vector_names)
+                    ]
+                    sa1, keep, blocked = 0, -1, compiled.blocked_mask
+                    break
+                sa1 |= fault_masks[0]
+                keep &= fault_masks[1]
+                blocked |= fault_masks[2]
+            row = []
+            for c in opens:  # slot(), inlined: one pass per (set, vector)
+                key = ((c | sa1) & keep, blocked)
+                slot = memo.get(key)
+                if slot is None:
+                    slot = memo[key] = len(memo)
+                    pending.append(key)
+                row.append(slot)
+            rows.append(tuple(row))
+        return rows
+
+    def syndrome(self, row: Sequence[int]) -> tuple:
+        """A flushed slot row's syndrome: ``(vector name, observed items)``
+        for every vector reading off-expectation, in suite order."""
+        names = self.vector_names
+        passed = self.passed
+        items = self.observed_items
         return tuple(
-            slot(*eff(mask, name))
-            for mask, name in zip(self.commanded_masks, self.vector_names)
+            (names[vi], items(slot))
+            for vi, slot in enumerate(row)
+            if not passed(vi, slot)
         )
 
     def flush(self) -> None:

@@ -9,7 +9,7 @@ meters actually showed.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Iterable, Sequence
+from typing import Sequence
 
 from repro.core.vectors import TestVector
 from repro.fpva.array import FPVA
@@ -83,10 +83,6 @@ class Tester:
             raise TypeError("Tester requires an array (or a simulator=)")
         self.fpva = fpva
         self.simulator = PressureSimulator(fpva, kernel=kernel)
-
-    def expected_readings(self, open_valves: Iterable) -> dict[str, bool]:
-        """Fault-free meter readings for a commanded open set."""
-        return self.simulator.meter_readings(frozenset(open_valves))
 
     def apply(self, chip: ChipUnderTest, vector: TestVector) -> VectorOutcome:
         """Apply one vector and read the meters."""

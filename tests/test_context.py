@@ -313,4 +313,4 @@ class TestLegacyKeywordShims:
         assert list(with_context._table.items()) == list(legacy._table.items())
         # The context's store addressed the build: a rebuild warm-loads.
         warm = FaultDictionary(small, suite.all_vectors(), context=ctx)
-        assert warm.warm_loaded
+        assert warm.build_stats["mode"] == "warm"

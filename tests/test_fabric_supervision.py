@@ -282,11 +282,12 @@ class TestDictionaryCorruptionHeals:
             _flip_bits(directory / "syndromes.json")
 
         rebuilt = self._build(tmp_path, fpva, vectors)
-        assert not rebuilt.warm_loaded  # healed via cold rebuild
+        assert rebuilt.build_stats["mode"] == "cold"  # healed via cold rebuild
         assert dict(rebuilt._table) == dict(cold._table)
         assert quarantined_artifacts(store.root)
         warm = self._build(tmp_path, fpva, vectors)
-        assert warm.warm_loaded  # the rebuild republished a clean artifact
+        # The rebuild republished a clean artifact.
+        assert warm.build_stats["mode"] == "warm"
 
 
 # -- markers that parse but are damaged heal like torn ones ------------------

@@ -69,3 +69,20 @@ def test_cli_import_leaves_the_fabric_unloaded():
         check=True,
     ).stdout.strip()
     assert loaded == "[]"
+
+
+def test_one_canonicalizer():
+    """``CompiledFaultSet(...)`` is constructed only in ``sim/kernel.py``:
+    every other layer turns fault sets into scenario slots through
+    ``BatchEvaluator.slot_row``."""
+    kernel = PACKAGE / "sim" / "kernel.py"
+    callers = [
+        f"{path.relative_to(SRC)}:{node.lineno}"
+        for path in sorted(PACKAGE.rglob("*.py"))
+        if path != kernel
+        for node in ast.walk(ast.parse(path.read_text(), filename=str(path)))
+        if isinstance(node, ast.Call)
+        and "CompiledFaultSet"
+        in (getattr(node.func, "id", None), getattr(node.func, "attr", None))
+    ]
+    assert callers == []

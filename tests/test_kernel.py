@@ -175,17 +175,65 @@ class TestCompiledFaultSetEquivalence:
                     assert open_mask == kernel.valve_mask(open_ref)
                     assert blocked_mask == kernel.edge_mask(blocked_ref)
 
+    @pytest.mark.parametrize("compiled_branch", [False, True])
+    def test_slot_row_interns_the_compiled_masks(self, arrays, compiled_branch):
+        """slot_row(faults) interns, per vector, the (open, blocked) pair
+        CompiledFaultSet.effective_masks gives.
+
+        Stuck-at/blockage-only sets take slot_row's bit-arithmetic branch;
+        sets holding a control leak or an intermittent fault take its
+        compiled branch.  Both run at cardinalities 1-3, and every single
+        fault of the universe is checked on its own.
+        """
+        from repro.sim import ControlLeak, IntermittentStuckAt, sample_fault_set
+
+        def complex_kind(faults):
+            return any(
+                isinstance(f, (ControlLeak, IntermittentStuckAt)) for f in faults
+            )
+
+        rng = random.Random(19)
+        universe_of = get_scenario("mixed").universe
+        for fpva in arrays:
+            vectors = _random_vectors(fpva, rng, count=10)
+            kernel = ReachabilityKernel(fpva)
+            evaluator = BatchEvaluator(kernel, vectors)
+            universe = universe_of(fpva)
+            drawn = [(f,) for f in universe if complex_kind((f,)) == compiled_branch]
+            for cardinality in (1, 2, 3):
+                while len(drawn) < len(universe) + 10 * cardinality:
+                    faults = sample_fault_set(universe, cardinality, rng)
+                    if complex_kind(faults) == compiled_branch:
+                        drawn.append(faults)
+            for faults in drawn:
+                row = evaluator.slot_row(faults)
+                interned = {slot: key for key, slot in evaluator._memo.items()}
+                compiled = CompiledFaultSet(kernel, faults)
+                assert [interned[slot] for slot in row] == [
+                    compiled.effective_masks(mask, vector.name)
+                    for mask, vector in zip(evaluator.commanded_masks, vectors)
+                ], faults
+
     def test_unknown_valve_rejected_like_chip(self, arrays):
         fpva = arrays[0]
         other = full_layout(6, 6, name="kernel-other")
         kernel = ReachabilityKernel(fpva)
-        from repro.sim import StuckAt0
+        from repro.sim import ChannelBlocked, StuckAt0
 
         bogus = StuckAt0(other.valves[-1])
         with pytest.raises(ValueError):
             CompiledFaultSet(kernel, (bogus,))
         with pytest.raises(ValueError):
             ChipUnderTest(fpva, (bogus,))
+        # slot_row raises the same error for a valve or a blocked edge
+        # the kernel lacks.
+        evaluator = BatchEvaluator(kernel, _random_vectors(fpva, random.Random(5)))
+        for fault in (bogus, ChannelBlocked(other.flow_edges[-1])):
+            with pytest.raises(ValueError) as compiled_error:
+                CompiledFaultSet(kernel, (fault,))
+            with pytest.raises(ValueError) as slot_row_error:
+                evaluator.slot_row((fault,))
+            assert str(slot_row_error.value) == str(compiled_error.value)
 
 
 class TestDictionaryEquivalence:

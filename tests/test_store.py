@@ -135,7 +135,8 @@ class TestDictionaryWarmStart:
         cold = FaultDictionary(fpva, vectors, store=store, **kwargs)
         warm = FaultDictionary(fpva, vectors, store=store, **kwargs)
         plain = FaultDictionary(fpva, vectors, **kwargs)
-        assert not cold.warm_loaded and warm.warm_loaded
+        assert cold.build_stats["mode"] == "cold"
+        assert warm.build_stats["mode"] == "warm"
         assert _table_key(cold) == _table_key(warm) == _table_key(plain)
         rng = random.Random(11)
         universe = fault_universe(fpva, include_control_leaks=False)
@@ -156,7 +157,7 @@ class TestDictionaryWarmStart:
         fpva, vectors = bundle
         FaultDictionary(fpva, vectors, store=tmp_path)
         warm = FaultDictionary(fpva, vectors, store=str(tmp_path))
-        assert warm.warm_loaded
+        assert warm.build_stats["mode"] == "warm"
 
     def test_incomplete_artifact_never_addressable(self, bundle, tmp_path):
         """A crashed build (no commit) must not be treated as a hit."""
@@ -168,7 +169,7 @@ class TestDictionaryWarmStart:
         assert not store.dictionaries.has(digest)  # meta.json not written
         writer.abort()
         rebuilt = FaultDictionary(fpva, vectors, store=store)
-        assert not rebuilt.warm_loaded
+        assert rebuilt.build_stats["mode"] == "cold"
         assert store.dictionaries.has(rebuilt.digest)
 
     def test_adaptive_on_warm_dictionary_matches_full_suite(self, bundle, tmp_path):
@@ -178,7 +179,7 @@ class TestDictionaryWarmStart:
         universe = scenario.universe(fpva)
         cold = FaultDictionary(fpva, vectors, universe=universe, store=store)
         warm = FaultDictionary(fpva, vectors, universe=universe, store=store)
-        assert warm.warm_loaded
+        assert warm.build_stats["mode"] == "warm"
         engine = AdaptiveDiagnoser(warm)
         rng = random.Random(23)
         for _ in range(4):
@@ -305,7 +306,7 @@ class TestDiagnosisAfterRoundTrip:
         store = ArtifactStore(tmp_path)
         cold = FaultDictionary(fpva, vectors, max_cardinality=2, store=store)
         warm = FaultDictionary(fpva, vectors, max_cardinality=2, store=store)
-        assert warm.warm_loaded
+        assert warm.build_stats["mode"] == "warm"
         for valve in fpva.valves:
             chip = ChipUnderTest(fpva, (StuckAt0(valve),))
             assert warm.diagnose_chip(chip) == cold.diagnose_chip(chip)

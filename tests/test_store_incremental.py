@@ -257,7 +257,7 @@ class TestDeltaBitIdentity:
         """A sparse suite leaves fault sets undetected, so the ancestor's
         rows are a strict subsequence of the enumeration and the delta
         must merge-walk — and may *add* rows the new vector detects."""
-        from repro.sim.diagnosis import _count_fault_sets
+        from repro.sim.diagnosis import iter_fault_sets
 
         fpva, vectors, universe = bundle
         store = ArtifactStore(tmp_path / "a")
@@ -265,7 +265,7 @@ class TestDeltaBitIdentity:
             fpva, vectors[:2], universe=universe, max_cardinality=2,
             store=store,
         )
-        assert anc.total_fault_sets < _count_fault_sets(universe, 2)
+        assert anc.total_fault_sets < sum(1 for _ in iter_fault_sets(universe, 2))
         delta = FaultDictionary(
             fpva, vectors, universe=universe, max_cardinality=2, store=store
         )
@@ -528,16 +528,12 @@ class TestContextWiring:
     def test_dictionary_counters(self, bundle, tmp_path):
         fpva, vectors, universe = bundle
         ctx = ExecutionContext(fpva, store=tmp_path)
-        ctx.dictionary(vectors[:-1], universe=universe)
-        assert ctx.dictionary_cold_builds == 1
+        cold = ctx.dictionary(vectors[:-1], universe=universe)
+        assert cold.build_stats["mode"] == "cold"
         delta = ctx.dictionary(vectors, universe=universe)
-        assert ctx.dictionary_delta_builds == 1
         assert delta.build_stats["mode"] == "delta"
-        ctx.dictionary(vectors, universe=universe)
-        assert ctx.dictionary_warm_loads == 1
-        assert (ctx.dictionary_cold_builds, ctx.dictionary_delta_builds) == (
-            1, 1,
-        )
+        warm = ctx.dictionary(vectors, universe=universe)
+        assert warm.build_stats["mode"] == "warm"
 
     def test_duplicate_vector_names_fall_back_cold(self, bundle, tmp_path):
         import dataclasses
