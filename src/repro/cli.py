@@ -4,7 +4,11 @@ Every command builds one :class:`~repro.context.ExecutionContext` per
 array — the session owning the compiled kernel, the artifact store and
 the shared simulator/tester — and threads it through generation,
 campaigns and diagnosis, so ``--cache-dir`` warm-starts *every*
-subcommand (generation included) and nothing compiles twice.
+subcommand (generation included) and nothing compiles twice.  The
+commands that consume a suite (``campaign``, ``diagnose``, ``warm``) get
+it through :meth:`~repro.context.ExecutionContext.suite`, which loads the
+stored suite instead of re-solving its ILPs, and print a line saying
+whether it was warm-loaded or generated.
 
 Commands
 --------
@@ -29,11 +33,12 @@ Commands
               ``--adaptive`` schedules vectors one at a time by information
               gain instead of applying the whole suite; ``--cache-dir``
               warm-starts the dictionary from the artifact store.
-``warm``      Prebuild the cached artifacts (compiled kernel + fault
-              dictionary) for an array into ``--cache-dir``, so later
-              runs skip compilation entirely; ``--table1`` prebuilds (and
-              reports) the kernel artifacts for every Table I generation
-              layout instead.
+``warm``      Prebuild the cached artifacts (compiled kernel, generated
+              suite and fault dictionary) for an array into
+              ``--cache-dir``, so later runs skip compilation and suite
+              generation entirely; ``--table1`` prebuilds (and reports)
+              the kernel artifacts for every Table I generation layout
+              instead.
 ``store``     Artifact-store maintenance.  ``store gc`` lists (default:
               dry run) or removes dictionary artifacts that are
               superseded by a lineage descendant — every delta build
@@ -83,6 +88,16 @@ def _context(args, fpva=None) -> ExecutionContext:
         store=getattr(args, "cache_dir", None),
         seed=getattr(args, "seed", 0),
     )
+
+
+def _suite(ctx: ExecutionContext):
+    """The session's suite; prints it and whether it was warm-loaded."""
+    t0 = time.perf_counter()
+    generated = ctx.suite()
+    status = "warm-loaded" if generated.report.mode == "warm" else "generated"
+    print(generated.testset.summary())
+    print(f"suite {status} in {time.perf_counter() - t0:.2f}s")
+    return generated.testset
 
 
 def _at_least(minimum: int):
@@ -161,8 +176,7 @@ def cmd_campaign(args) -> int:
         return 2
     ctx = _context(args)
     fpva = ctx.fpva
-    suite = TestGenerator(fpva, context=ctx).generate().testset
-    print(suite.summary())
+    suite = _suite(ctx)
     scenario = get_scenario(args.scenario) if args.scenario else None
     fault_counts = tuple(range(1, args.max_faults + 1))
     print(f"scenario={scenario.name if scenario else 'stuck-at'} "
@@ -268,8 +282,7 @@ def cmd_diagnose(args) -> int:
         return 2
     ctx = _context(args)
     fpva = ctx.fpva
-    suite = TestGenerator(fpva, context=ctx).generate().testset
-    print(suite.summary())
+    suite = _suite(ctx)
     scenario = get_scenario(args.scenario)
     universe = scenario.universe(fpva)
     t0 = time.perf_counter()
@@ -343,8 +356,7 @@ def cmd_warm(args) -> int:
     # Kernel first, so the reported time is the actual compile/load (suite
     # generation below reuses it from the session).
     _warm_kernel(ctx)
-    suite = TestGenerator(fpva, context=ctx).generate().testset
-    print(suite.summary())
+    suite = _suite(ctx)
 
     scenario = get_scenario(args.scenario)
     universe = scenario.universe(fpva)
@@ -444,8 +456,10 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--scenario", choices=scenario_names(), default=None,
                    help="fault workload (default: the paper's stuck-at space)")
     p.add_argument("--cache-dir", default=None,
-                   help="artifact store; workers load the compiled kernel "
-                        "from here instead of unpickling one per shard")
+                   help="artifact store; the suite loads from here instead "
+                        "of being regenerated, and workers load the "
+                        "compiled kernel from here instead of unpickling "
+                        "one per shard")
     p.add_argument("--journal-dir", default=None,
                    help="run through the campaign fabric: shards publish "
                         "durably here as they complete, a killed run "
@@ -483,9 +497,10 @@ def build_parser() -> argparse.ArgumentParser:
                    help="max faults per dictionary entry (match the `warm` "
                         "invocation to hit its cached artifact)")
     p.add_argument("--cache-dir", default=None,
-                   help="artifact store; warm-starts the fault dictionary "
-                        "when a matching artifact exists, or delta-builds "
-                        "from the nearest stored ancestor (see `warm`)")
+                   help="artifact store; loads the suite and warm-starts "
+                        "the fault dictionary when a matching artifact "
+                        "exists, or delta-builds it from the nearest stored "
+                        "ancestor (see `warm`)")
     p.add_argument("--base-digest", default=None, metavar="DIGEST",
                    help="pin the incremental build to this stored ancestor "
                         "artifact instead of auto-resolving the nearest one "
@@ -494,7 +509,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_diagnose)
 
     p = sub.add_parser(
-        "warm", help="prebuild cached artifacts (kernel + dictionary)"
+        "warm", help="prebuild cached artifacts (kernel, suite, dictionary)"
     )
     _add_array_args(p)
     p.add_argument("--cache-dir", required=True,

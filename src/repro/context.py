@@ -25,6 +25,9 @@ and hands out the shared per-array machinery derived from it:
 * :attr:`simulator` / :attr:`tester` — one shared
   :class:`~repro.sim.pressure.PressureSimulator` /
   :class:`~repro.sim.tester.Tester` pair on top of that kernel;
+* :meth:`suite` — the array's generated test suite, warm-loaded from
+  the store's :class:`~repro.store.SuiteStore` when one is configured,
+  or generated and published there;
 * :meth:`evaluator` — a memoized per-suite
   :class:`~repro.sim.kernel.BatchEvaluator`, so consumers that batch
   over the same vector suite (coverage accounting, double-fault
@@ -59,6 +62,7 @@ from repro.sim.seeding import mix_seed
 from repro.sim.tester import Tester
 
 if TYPE_CHECKING:  # pragma: no cover - annotation-only dependencies
+    from repro.core.testgen import GeneratedSuite
     from repro.core.vectors import TestVector
     from repro.store import ArtifactStore
 
@@ -188,6 +192,39 @@ class ExecutionContext:
         if self._tester is None:
             self._tester = Tester(simulator=self.simulator)
         return self._tester
+
+    def suite(self) -> "GeneratedSuite":
+        """The array's default test suite, generated at most once per store.
+
+        With a :attr:`store` configured, a suite stored under the same
+        layout, resolved generator settings, solver and generator version
+        is loaded instead of re-solving its ILPs; otherwise the suite is
+        generated and published, so the *next* session loads it.  The
+        report's ``mode`` records which happened (``"warm"`` or
+        ``"cold"``).  A damaged stored suite is quarantined and
+        regenerated.
+        """
+        from repro.core.testgen import GENERATOR_VERSION, TestGenerator
+
+        generator = TestGenerator(self.fpva, context=self)
+        if self.store is None:
+            return generator.generate()
+        from repro.ilp.solver import solver_identity
+        from repro.store import ArtifactCorruptionError, suite_digest
+
+        digest = suite_digest(
+            self.fpva, generator.config(), solver_identity(), GENERATOR_VERSION
+        )
+        try:
+            testset = self.store.suites.load(digest, self.fpva)
+        except ArtifactCorruptionError as error:
+            self.store.suites.heal(digest, error)
+            testset = None
+        if testset is not None:
+            return generator.loaded(testset)
+        generated = generator.generate()
+        self.store.suites.save(digest, generated.testset)
+        return generated
 
     def evaluator(self, vectors: Sequence["TestVector"]) -> BatchEvaluator:
         """The shared :class:`BatchEvaluator` for one vector suite.

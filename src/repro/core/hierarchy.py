@@ -192,7 +192,17 @@ class HierarchicalPathGenerator:
         Maximizes the number of uncovered valves used; falls back to a plain
         shortest path when the ILP yields nothing within its budget.
         """
-        sub = self.graph.subgraph(allowed)
+        # Built in the parent graph's node and edge order: an induced
+        # subgraph view iterates its node *set*, whose order follows the
+        # ports' string hashes and so differs per process — as would the
+        # ILP's variable and row order, and with it the suite.
+        sub = nx.Graph()
+        sub.add_nodes_from(n for n in self.graph if n in allowed)
+        sub.add_edges_from(
+            (u, v, data)
+            for u, v, data in self.graph.edges(data=True)
+            if u in allowed and v in allowed
+        )
         exits = [e for e in exits if e in sub]
         if entry not in sub or not exits:
             return None

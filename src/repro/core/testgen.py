@@ -7,8 +7,9 @@ columns (n_p, t_p, n_c, t_c, n_l, t_l, N, T).
 
 from __future__ import annotations
 
+import dataclasses
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 from repro.context import ExecutionContext
 from repro.core.cutsets import CutSetGenerator
@@ -28,6 +29,12 @@ CUT_STRATEGIES = ("auto", "ilp", "sweep")
 #: "auto" mode (the paper's direct model also stops being practical here).
 DIRECT_ILP_CELL_LIMIT = 100
 
+#: Version of the generation algorithms.  Stored suites are addressed by
+#: the settings they were generated with (:meth:`TestGenerator.config`),
+#: not by their contents, so bump this in any change that alters which
+#: suite a configuration produces; old entries then stop being addressed.
+GENERATOR_VERSION = 1
+
 
 @dataclass
 class GenerationReport:
@@ -44,6 +51,9 @@ class GenerationReport:
     tl_seconds: float = 0.0
     #: Populated when double-fault hardening ran (see core/repair.py).
     hardening: HardeningReport | None = None
+    #: How the suite was obtained: ``"cold"`` (generated) or ``"warm"``
+    #: (loaded from the artifact store, so every timing is zero).
+    mode: str = "cold"
 
     @property
     def total_vectors(self) -> int:
@@ -111,12 +121,55 @@ class TestGenerator:
         cells = self.fpva.nr * self.fpva.nc
         return "direct" if cells <= DIRECT_ILP_CELL_LIMIT else "hierarchical"
 
-    def generate(self) -> GeneratedSuite:
-        report = GenerationReport(
+    def config(self) -> dict:
+        """The resolved settings that decide which suite :meth:`generate` returns.
+
+        With the array, the solver and :data:`GENERATOR_VERSION`, this is
+        what a stored suite is addressed by
+        (:func:`repro.store.digest.suite_digest`).
+        """
+        return {
+            "path_strategy": self._resolve_path_strategy(),
+            "cut_strategy": self.cut_strategy,
+            "subblock": self.subblock,
+            "include_leakage": self.include_leakage,
+            "leakage_standalone": self.leakage_standalone,
+            "harden_double_faults": self.harden_double_faults,
+            "solve_options": (
+                None
+                if self.solve_options is None
+                else dataclasses.asdict(self.solve_options)
+            ),
+        }
+
+    def _report(self) -> GenerationReport:
+        """A report with the array's columns filled in and no counts yet."""
+        direct = self._resolve_path_strategy() == "direct"
+        return GenerationReport(
             array=f"{self.fpva.nr}x{self.fpva.nc}",
             nv=self.fpva.valve_count,
-            hierarchy=BlockGrid(self.fpva, self.subblock).hierarchy_label(),
+            hierarchy=(
+                "1x1"
+                if direct
+                else BlockGrid(self.fpva, self.subblock).hierarchy_label()
+            ),
         )
+
+    def loaded(self, testset: TestSet) -> GeneratedSuite:
+        """``testset``, loaded from the store, as this generator's result.
+
+        Its report carries the loaded counts, no timings and
+        ``mode="warm"``.
+        """
+        report = self._report()
+        report.mode = "warm"
+        report.np_paths = testset.np_paths
+        report.nc_cuts = testset.nc_cuts
+        report.nl_leak = testset.nl_leak
+        return GeneratedSuite(testset=testset, report=report)
+
+    def generate(self) -> GeneratedSuite:
+        report = self._report()
         testset = TestSet(fpva=self.fpva)
 
         # Flow paths (n_p / t_p).
@@ -126,7 +179,6 @@ class TestGenerator:
             paths = FlowPathGenerator(
                 self.fpva, solve_options=self.solve_options, context=self.context
             ).generate()
-            report.hierarchy = "1x1"
         elif strategy == "hierarchical":
             paths = HierarchicalPathGenerator(
                 self.fpva,

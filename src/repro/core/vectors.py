@@ -17,7 +17,7 @@ from typing import Iterable, Iterator, Mapping
 
 from repro.fpva.array import FPVA
 from repro.fpva.components import ValveState
-from repro.fpva.geometry import Cell, Edge
+from repro.fpva.geometry import Cell, Edge, edge_between
 
 
 class VectorKind(enum.Enum):
@@ -132,6 +132,46 @@ class TestSet:
             "leakage": [v.to_dict() for v in self.leakage],
         }
         return json.dumps(payload, indent=indent)
+
+    @classmethod
+    def from_json(cls, fpva: FPVA, text: str | bytes) -> "TestSet":
+        """Rebuild a suite :meth:`to_json` wrote for ``fpva``.
+
+        Each vector is rebuilt through :func:`vector_from_open_set`, so the
+        result re-serializes byte for byte and addresses the same
+        dictionaries and campaign shards as the suite that was written.
+        ``provenance`` is not serialized and comes back empty.  A suite
+        written for another array raises :exc:`ValueError`.
+        """
+        data = json.loads(text)
+        shape = [fpva.nr, fpva.nc]
+        if data["array"] != fpva.name or data["dimensions"] != shape:
+            raise ValueError(
+                f"suite for {data['array']!r} {data['dimensions']} does not "
+                f"belong to {fpva.name!r} {shape}"
+            )
+
+        def section(key: str) -> list[TestVector]:
+            return [
+                vector_from_open_set(
+                    fpva,
+                    item["name"],
+                    VectorKind(item["kind"]),
+                    (
+                        edge_between(Cell(*a), Cell(*b))
+                        for a, b in item["open_valves"]
+                    ),
+                    item["expected"],
+                )
+                for item in data[key]
+            ]
+
+        return cls(
+            fpva=fpva,
+            flow_paths=section("flow_paths"),
+            cut_sets=section("cut_sets"),
+            leakage=section("leakage"),
+        )
 
 
 def vector_from_open_set(

@@ -17,10 +17,12 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass, field
-from typing import Iterable, Mapping, Sequence
+from typing import TYPE_CHECKING, Iterable, Mapping, Sequence
 
 import numpy as np
-from scipy import sparse
+
+if TYPE_CHECKING:  # pragma: no cover - annotation-only dependency
+    from scipy import sparse
 
 BINARY = "binary"
 INTEGER = "integer"
@@ -370,6 +372,10 @@ class Model:
                 con_lb[i], con_ub[i] = rhs, np.inf
             else:
                 con_lb[i] = con_ub[i] = rhs
+
+        # Imported here, not at module level: only a solve needs scipy,
+        # so building models — and importing repro — never loads it.
+        from scipy import sparse
 
         A = sparse.csr_matrix(
             (data, (rows, cols)), shape=(len(self.constraints), n)

@@ -8,6 +8,7 @@ import numpy as np
 from scipy.optimize import Bounds, LinearConstraint, milp
 
 from repro.ilp.model import Model
+from repro.ilp.solver import SOLVER_NAME
 from repro.ilp.status import Solution, SolveStatus
 
 # scipy.optimize.milp status codes (see its docstring).
@@ -65,7 +66,7 @@ def solve_with_scipy(model: Model, time_limit: float | None = None) -> Solution:
         status=status,
         objective=objective,
         values=values,
-        backend="scipy-highs",
+        backend=SOLVER_NAME,
         wall_time=elapsed,
         message=str(getattr(res, "message", "")),
     )

@@ -10,26 +10,29 @@ content-addressed by a stable digest of what they were compiled from
 
 * :class:`KernelStore` — one ``.npz`` of flat CSR arrays per array
   structure (:mod:`repro.store.kernels`);
+* :class:`SuiteStore` — one generated test suite per (array, generator
+  settings, solver, generator version) (:mod:`repro.store.suites`);
 * :class:`DictionaryStore` — chunked syndrome tables that a streaming
   :class:`~repro.sim.diagnosis.FaultDictionary` build appends to in
   bounded memory (:mod:`repro.store.dictionaries`);
-* :class:`ArtifactStore` — the facade bundling both under one cache
+* :class:`ArtifactStore` — the facade bundling them under one cache
   directory (the CLI's ``--cache-dir``).
 
 Cache invalidation is purely by content addressing: any change to the
-layout, vector suite, fault universe or cardinality produces a new digest
-and therefore a cold build; stale entries are never reinterpreted.
+layout, generator settings, vector suite, fault universe or cardinality
+produces a new digest and therefore a cold build; stale entries are never
+reinterpreted.
 
 Integrity (:mod:`repro.store.integrity`): every artifact family — kernels,
-dictionaries, and the campaign fabric's shards — publishes, verifies and
-heals through that one module.  Payloads are written durably and the
+suites, dictionaries, and the campaign fabric's shards — publishes,
+verifies and heals through that one module.  Payloads are written durably and the
 completeness marker recording their BLAKE2b checksums lands last;
 checksums are required, and loads verify exactly the bytes they parse.
 Any damage, payload or marker, raises :class:`ArtifactCorruptionError`,
 which callers convert into quarantine-and-rebuild — the corrupt evidence
 moves to a ``quarantine/`` directory beside the store and the artifact is
-re-derived from source (kernels recompile, dictionary chunks re-simulate,
-campaign shards re-enter their journal as pending).
+re-derived from source (kernels recompile, suites regenerate, dictionary
+chunks re-simulate, campaign shards re-enter their journal as pending).
 """
 
 from __future__ import annotations
@@ -46,6 +49,7 @@ from repro.store.digest import (
     kernel_digest,
     layout_digest,
     layout_key,
+    suite_digest,
     suite_digests,
     universe_digest,
     vector_key,
@@ -65,6 +69,7 @@ from repro.store.lineage import (
     plan_gc,
     resolve_ancestor,
 )
+from repro.store.suites import SuiteStore
 
 
 class ArtifactStore:
@@ -73,6 +78,7 @@ class ArtifactStore:
     def __init__(self, root: str | os.PathLike) -> None:
         self.root = Path(root)
         self.kernels = KernelStore(self.root / "kernels")
+        self.suites = SuiteStore(self.root / "suites")
         self.dictionaries = DictionaryStore(self.root / "dictionaries")
 
     def __repr__(self) -> str:
@@ -96,6 +102,7 @@ __all__ = [
     "GcPlan",
     "KernelStore",
     "STORE_FORMAT_VERSION",
+    "SuiteStore",
     "as_store",
     "data_checksum",
     "dictionary_digest",
@@ -108,6 +115,7 @@ __all__ = [
     "quarantine",
     "quarantined_artifacts",
     "resolve_ancestor",
+    "suite_digest",
     "suite_digests",
     "universe_digest",
     "vector_key",

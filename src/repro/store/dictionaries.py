@@ -248,14 +248,6 @@ class DictionaryStore(ArtifactDirectory):
 
     MARKER_KEYS = ("cardinality", "checksums", "chunks", "universe_size")
 
-    def heal(self, digest: str, error: ArtifactCorruptionError) -> Path | None:
-        """Quarantine one corrupt dictionary artifact directory.
-
-        After the move :meth:`has` is false again, so the ordinary cold
-        build re-simulates the table — chunks heal by rebuilding.
-        """
-        return quarantine(self.root, self.path_for(digest), error.reason)
-
     def writer(
         self, digest: str, cardinality: int, meta: dict | None = None
     ) -> DictionaryWriter:

@@ -1,8 +1,9 @@
 """Stable content digests for compiled artifacts.
 
 Cached artifacts are keyed by what they were compiled *from*, never by
-where or when: a kernel by the array's structure, a dictionary by the
-(array, vector suite, fault universe, cardinality) quadruple — the
+where or when: a kernel by the array's structure, a generated suite by
+the array and the generator's settings, solver and version, a dictionary
+by the (array, vector suite, fault universe, cardinality) quadruple — the
 scenario is captured through the ordered universe it induces.  Two
 processes that describe the same workload therefore address the same
 cache entry, and any change to layout, suite, universe contents/order or
@@ -21,7 +22,7 @@ from __future__ import annotations
 
 import hashlib
 import json
-from typing import Any, Iterable, Sequence
+from typing import Any, Iterable, Mapping, Sequence
 
 from repro.core.vectors import TestVector
 from repro.fpva.array import FPVA
@@ -108,6 +109,31 @@ def digest_int(digest: str, bits: int = 64) -> int:
 def kernel_digest(fpva: FPVA) -> str:
     """Cache key of a compiled :class:`ReachabilityKernel`."""
     return digest_of("kernel", STORE_FORMAT_VERSION, layout_key(fpva))
+
+
+def suite_digest(
+    fpva: FPVA,
+    config: Mapping[str, Any],
+    solver: Sequence[str],
+    generator_version: int,
+) -> str:
+    """Cache key of a generated test suite.
+
+    A suite is addressed by what it is generated *from*: the layout, the
+    generator's resolved settings (``TestGenerator.config()``), the
+    solver's name and version and the generator version.  Unlike the
+    layout key elsewhere, the array's name is included, because the
+    stored suite records it and only loads onto an array of that name.
+    """
+    return digest_of(
+        "suite",
+        STORE_FORMAT_VERSION,
+        layout_key(fpva),
+        fpva.name,
+        dict(config),
+        list(solver),
+        int(generator_version),
+    )
 
 
 def scenario_key(scenario: Any, include_control_leaks: bool = True) -> tuple:

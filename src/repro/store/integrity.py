@@ -1,9 +1,10 @@
 """Artifact integrity: the one publish, verify and heal protocol.
 
-Three artifact families persist under a cache or journal directory —
-compiled kernels (:mod:`repro.store.kernels`), dictionary syndrome
-tables (:mod:`repro.store.dictionaries`) and campaign shards
-(:mod:`repro.fabric.shards`) — and all three publish, verify and heal
+Four artifact families persist under a cache or journal directory —
+compiled kernels (:mod:`repro.store.kernels`), generated test suites
+(:mod:`repro.store.suites`), dictionary syndrome tables
+(:mod:`repro.store.dictionaries`) and campaign shards
+(:mod:`repro.fabric.shards`) — and all four publish, verify and heal
 through this module.  Nothing else in the package calls ``os.fsync``.
 
 * **Publish.**  :func:`write_durable` writes each payload to a staging
@@ -30,12 +31,13 @@ through this module.  Nothing else in the package calls ``os.fsync``.
   never deleted — the evidence is for the operator) next to a
   ``<name>.reason.json`` diagnostic.  After the move the artifact is
   simply *absent*, so the ordinary cold-build path regenerates it:
-  kernels recompile, dictionary chunks re-simulate, shards re-enter
-  their journal as pending.  Corruption heals through the same code
+  kernels recompile, suites regenerate, dictionary chunks re-simulate,
+  shards re-enter their journal as pending.  Corruption heals through the same code
   paths a cache miss takes.
 
-:class:`ArtifactDirectory` is the addressing the two directory-artifact
-stores share: ``<root>/<digest>/`` with ``meta.json`` as the marker.
+:class:`ArtifactDirectory` is the addressing the three directory-artifact
+stores share: ``<root>/<digest>/`` with ``meta.json`` as the marker, and
+:meth:`~ArtifactDirectory.heal` to quarantine one.
 """
 
 from __future__ import annotations
@@ -300,6 +302,14 @@ class ArtifactDirectory:
     def meta(self, digest: str) -> dict:
         """The completeness marker, validated by :func:`read_marker`."""
         return read_marker(self.path_for(digest) / MARKER, self.MARKER_KEYS)
+
+    def heal(self, digest: str, error: ArtifactCorruptionError) -> Path | None:
+        """Quarantine one corrupt artifact directory.
+
+        After the move :meth:`has` is false again, so the ordinary cold
+        path rebuilds and republishes the artifact.
+        """
+        return quarantine(self.root, self.path_for(digest), error.reason)
 
 
 # -- heal --------------------------------------------------------------------

@@ -1,0 +1,91 @@
+"""Generated suites do not depend on the interpreter's hash seed.
+
+Stored suites are addressed by the settings they were generated with
+(:class:`repro.store.SuiteStore`), so a content address names one suite
+only if generation is deterministic.  ``Port`` and the path-cover
+terminals hash through strings, whose hashes change per process under
+``PYTHONHASHSEED``; any set of them that reaches an ILP's variable or row
+order would change the suite from run to run.  Each case generates in
+fresh interpreters under several hash seeds and compares the
+``TestSet.to_json`` bytes.
+"""
+
+from __future__ import annotations
+
+import hashlib
+import os
+import subprocess
+import sys
+from pathlib import Path
+
+import pytest
+
+SRC = Path(__file__).resolve().parents[1] / "src"
+
+HASH_SEEDS = ("0", "1", "2")
+
+#: Writes one generated suite's ``to_json(indent=None)`` to stdout.
+GENERATE = """
+import sys
+from repro.core import TestGenerator
+from repro.fpva import full_layout, table1_layout
+
+kind, n, strategy, subblock = sys.argv[1], int(sys.argv[2]), sys.argv[3], int(sys.argv[4])
+fpva = table1_layout(n) if kind == "table1" else full_layout(n, n)
+generator = TestGenerator(fpva, path_strategy=strategy, subblock=subblock)
+sys.stdout.write(generator.generate().testset.to_json(indent=None))
+"""
+
+
+def _suites_by_seed(kind: str, n: int, strategy: str, subblock: int = 5) -> dict:
+    """``{hash seed: suite JSON bytes}``, generated concurrently."""
+    procs = {}
+    for seed in HASH_SEEDS:
+        env = dict(os.environ, PYTHONHASHSEED=seed)
+        env["PYTHONPATH"] = os.pathsep.join(
+            filter(None, [str(SRC), env.get("PYTHONPATH")])
+        )
+        procs[seed] = subprocess.Popen(
+            [sys.executable, "-c", GENERATE, kind, str(n), strategy, str(subblock)],
+            env=env,
+            stdout=subprocess.PIPE,
+            stderr=subprocess.PIPE,
+        )
+    out = {}
+    for seed, proc in procs.items():
+        stdout, stderr = proc.communicate(timeout=600)
+        assert proc.returncode == 0, stderr.decode()[-2000:]
+        out[seed] = stdout
+    return out
+
+
+def test_hierarchical_suite_ignores_hash_seed():
+    """Each corridor window's ILP is built in the cell graph's order."""
+    suites = _suites_by_seed("full", 8, "hierarchical", subblock=4)
+    assert len(set(suites.values())) == 1, {
+        seed: hashlib.sha256(raw).hexdigest()[:12] for seed, raw in suites.items()
+    }
+
+
+#: (layout kind, n, path strategy) -> pinned SHA-256 of the suite, or None.
+#: The direct suites are pinned to the bytes generated before the
+#: hierarchical fix, which left them unchanged.
+PAPER_SUITES = {
+    ("table1", 5, "direct"): (
+        "7832157a54c6d2922407c03db8ff66a28ef39f34651846e45fcd406a3a40d830"
+    ),
+    ("full", 8, "auto"): (
+        "e76800d51a8a480044577454853961dd3990bf2b5005420a5083c0097c42109f"
+    ),
+    ("table1", 10, "hierarchical"): None,
+}
+
+
+@pytest.mark.slow
+def test_paper_suites_ignore_hash_seed():
+    for (kind, n, strategy), pinned in PAPER_SUITES.items():
+        suites = _suites_by_seed(kind, n, strategy)
+        digests = {hashlib.sha256(raw).hexdigest() for raw in suites.values()}
+        assert len(digests) == 1, (kind, n, strategy, digests)
+        if pinned is not None:
+            assert digests == {pinned}, (kind, n, strategy)

@@ -4,7 +4,7 @@ Three layers of sabotage:
 
 * **Artifact corruption** — flip bits inside a published shard's
   ``result.npz``, tear its ``meta.json`` mid-write, corrupt a warm
-  kernel or dictionary artifact — then assert the store *quarantines*
+  kernel, suite or dictionary artifact — then assert the store *quarantines*
   the evidence and the caller *heals* by re-deriving, with the final
   merged sweep bit-identical to the uninterrupted serial reference.
 * **Poison workloads** — a shard whose simulation always raises must be
@@ -260,6 +260,34 @@ class TestKernelCorruptionHeals:
         assert store.load(fpva) is not None
 
 
+class TestSuiteCorruptionHeals:
+    @pytest.mark.parametrize("victim", ["flipped", "unparseable"])
+    def test_corrupt_suite_regenerates(self, tmp_path, bundle, victim):
+        fpva, _ = bundle
+        store = ArtifactStore(tmp_path / "cache")
+        ExecutionContext(fpva, store=store).suite()
+        (digest,) = [p.name for p in store.suites.root.iterdir()]
+        payload = store.suites.path_for(digest) / "suite.json"
+        if victim == "flipped":
+            _flip_bits(payload)
+        else:
+            # Verifies against its marker, but is no suite.
+            payload.write_bytes(b"{}")
+            marker = payload.with_name("meta.json")
+            meta = json.loads(marker.read_text())
+            meta["checksum"] = data_checksum(b"{}")
+            marker.write_text(json.dumps(meta))
+        with pytest.raises(ArtifactCorruptionError):
+            store.suites.load(digest, fpva)
+        healed = ExecutionContext(fpva, store=store).suite()
+        assert healed.report.mode == "cold"  # regenerated
+        assert healed.testset.to_json() == generate_suite(fpva).to_json()
+        quarantined = quarantined_artifacts(store.suites.root)
+        assert [r["artifact"] for r in quarantined] == [digest]
+        # The regeneration republished a clean artifact.
+        assert ExecutionContext(fpva, store=store).suite().report.mode == "warm"
+
+
 class TestDictionaryCorruptionHeals:
     def _build(self, tmp_path, fpva, vectors):
         from repro.sim.diagnosis import FaultDictionary
@@ -325,6 +353,8 @@ DAMAGED_MARKERS = {
     "shard-checksum": ("shard", _without("checksum")),
     "kernel-sidecar": ("kernel", Path.unlink),
     "kernel-checksum": ("kernel", _without("checksum")),
+    "suite-version": ("suite", _with(version=0)),
+    "suite-checksum": ("suite", _without("checksum")),
 }
 
 
@@ -367,6 +397,15 @@ class TestDamagedMarkersHeal:
             assert got.keys() == clean.keys()
             assert all(np.array_equal(got[k], clean[k]) for k in clean)
             pen = store.root
+        elif family == "suite":
+            store = ArtifactStore(tmp_path / "cache")
+            ExecutionContext(fpva, store=store).suite()
+            (digest,) = [p.name for p in store.suites.root.iterdir()]
+            damage(store.suites.path_for(digest) / "meta.json")
+            healed = ExecutionContext(fpva, store=store).suite()
+            assert healed.report.mode == "cold"
+            assert healed.testset.to_json() == generate_suite(fpva).to_json()
+            pen, evidence = store.suites.root, {digest}
         else:
             universe = stuck_at_faults(fpva)
             assert len(universe) != 7
@@ -680,8 +719,8 @@ class TestDurability:
     """Each store publishes with exactly the protocol's syscalls.
 
     Kernel: payload + sidecar + store root fsynced, sidecar then payload
-    renamed.  Shard: payload + marker + staged directory + store root
-    fsynced, one directory rename.  Dictionary of c chunks: the chunks,
+    renamed.  Shard and suite: payload + marker + staged directory + store
+    root fsynced, one directory rename.  Dictionary of c chunks: the chunks,
     ``syndromes.json``, the marker, the staged directory and the root
     fsynced (c + 4), one directory rename.
     """
@@ -708,6 +747,12 @@ class TestDurability:
             descriptor, result
         )
 
+    def _publish_suite(self, tmp_path, bundle, spec):
+        from repro.store import SuiteStore
+
+        suite = generate_suite(bundle[0])
+        return lambda: SuiteStore(tmp_path / "suites").save("s" * 32, suite)
+
     def _publish_dictionary(self, tmp_path, bundle, spec):
         from repro.store import DictionaryStore
 
@@ -726,6 +771,7 @@ class TestDurability:
         [
             pytest.param("kernel", 3, 2, id="kernel"),
             pytest.param("shard", 4, 1, id="shard"),
+            pytest.param("suite", 4, 1, id="suite"),
             pytest.param("dictionary", 3 + 4, 1, id="dictionary"),
         ],
     )

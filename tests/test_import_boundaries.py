@@ -3,7 +3,9 @@
 Reference implementations (``oracle.py``, ``branch_bound.py``) live
 under ``tests/`` and production code must never reach them; the CLI
 imports the campaign fabric only inside its journaled branch, so every
-other command starts without it.
+other command starts without it; and scipy loads only when an ILP is
+solved, so a command that loads its suite from the store never imports
+it.
 """
 
 from __future__ import annotations
@@ -13,6 +15,8 @@ import os
 import subprocess
 import sys
 from pathlib import Path
+
+import pytest
 
 import repro
 
@@ -49,26 +53,57 @@ def test_src_imports_no_test_code():
     assert offenders == []
 
 
-def test_cli_import_leaves_the_fabric_unloaded():
-    """A fresh ``import repro.cli`` must not pay for ``repro.fabric``."""
+def _python(*argv: str) -> str:
+    """Stdout of a fresh interpreter that imports ``repro`` from ``src/``."""
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(
         filter(None, [str(SRC), env.get("PYTHONPATH")])
     )
-    loaded = subprocess.run(
-        [
-            sys.executable,
-            "-c",
-            "import sys, repro.cli; "
-            "print(sorted(m for m in sys.modules if m.startswith('repro.fabric')))",
-        ],
+    return subprocess.run(
+        [sys.executable, *argv],
         env=env,
         capture_output=True,
         text=True,
         timeout=120,
         check=True,
-    ).stdout.strip()
+    ).stdout
+
+
+@pytest.mark.parametrize("package", ["repro.fabric", "scipy"])
+def test_cli_import_leaves_the_fabric_unloaded(package):
+    """A fresh ``import repro.cli`` must not pay for ``repro.fabric`` or scipy."""
+    loaded = _python(
+        "-c",
+        "import sys, repro.cli; print(sorted(m for m in sys.modules "
+        f"if m == {package!r} or m.startswith({package + '.'!r})))",
+    ).strip()
     assert loaded == "[]"
+
+
+#: Runs one CLI command, then prints the scipy modules it loaded.
+CLI_THEN_SCIPY = """
+import sys
+from repro.cli import main
+
+code = main(sys.argv[1:])
+print("scipy modules:", sorted(m for m in sys.modules if m.split(".")[0] == "scipy"))
+sys.exit(code)
+"""
+
+
+def test_warm_commands_load_the_suite_and_no_scipy(tmp_path):
+    """After ``repro warm``, ``diagnose`` and ``campaign`` load the stored
+    suite, and with it every artifact they need, without importing scipy."""
+    cache = str(tmp_path / "cache")
+    array = ("--size", "3", "--full", "--cache-dir", cache)
+    assert "suite generated" in _python("-m", "repro", "warm", *array)
+    for command in (
+        ("diagnose", "--trials", "2", "--adaptive"),
+        ("campaign", "--trials", "10", "--max-faults", "2"),
+    ):
+        out = _python("-c", CLI_THEN_SCIPY, *command, *array)
+        assert "suite warm-loaded" in out, out
+        assert "scipy modules: []" in out, out
 
 
 def test_one_canonicalizer():

@@ -11,11 +11,11 @@ import pytest
 
 import oracle
 from repro.context import ExecutionContext
-from repro.core import TestSet, VectorKind, generate_suite, vector_from_open_set
+from repro.core import TestSet, generate_suite
 from repro.engine import AdaptiveDiagnoser, get_scenario
 from repro.engine.parallel import run_campaign as run_campaign_sharded
 from repro.engine.parallel import run_sweep as run_campaign_sweep
-from repro.fpva import FPVABuilder, Side, edge_between, full_layout
+from repro.fpva import FPVABuilder, Side, full_layout
 from repro.fpva.geometry import Cell
 from repro.sim import (
     ChipUnderTest,
@@ -325,28 +325,8 @@ class TestParentWrittenFixture:
 
     @staticmethod
     def _suite(raw: bytes) -> TestSet:
-        """Rebuild the stored suite through public constructors only."""
-        data = json.loads(raw)
-        fpva = full_layout(*data["dimensions"])
-
-        def vectors(section: str) -> list:
-            return [
-                vector_from_open_set(
-                    fpva,
-                    item["name"],
-                    VectorKind(item["kind"]),
-                    [edge_between(Cell(*a), Cell(*b)) for a, b in item["open_valves"]],
-                    item["expected"],
-                )
-                for item in data[section]
-            ]
-
-        suite = TestSet(
-            fpva=fpva,
-            flow_paths=vectors("flow_paths"),
-            cut_sets=vectors("cut_sets"),
-            leakage=vectors("leakage"),
-        )
+        """Rebuild the stored suite through the public reader."""
+        suite = TestSet.from_json(full_layout(*json.loads(raw)["dimensions"]), raw)
         assert suite.to_json(indent=None).encode() == raw
         return suite
 
