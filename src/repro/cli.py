@@ -22,7 +22,7 @@ Commands
               suite and report detection rates.  ``--workers N`` shards the
               trials over a process pool (same results, less wall-clock);
               ``--scenario NAME`` swaps the fault workload; ``--cache-dir``
-              ships the compiled kernel to workers by artifact path.
+              loads the suite and the compiled kernel from the store.
               ``--journal-dir`` reroutes the identical shard structure
               through the campaign fabric: completed shards publish
               durably, a killed run resumes from the last published shard
@@ -193,7 +193,6 @@ def cmd_campaign(args) -> int:
             run_journaled_sweep,
         )
 
-        kernel = ctx.shipping_spec()
         spec = CampaignSpec(
             fpva=fpva,
             vectors=tuple(suite.all_vectors()),
@@ -207,7 +206,7 @@ def cmd_campaign(args) -> int:
             args.journal_dir,
             workers=args.workers,
             resume=args.resume,
-            kernel=kernel,
+            kernel=ctx.kernel,
             retry=RetryPolicy(
                 max_attempts=args.max_attempts or DEFAULT_MAX_ATTEMPTS
             ),
@@ -451,15 +450,14 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--trials", type=_at_least(0), default=200)
     p.add_argument("--max-faults", type=int, default=5)
     p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--workers", type=int, default=1,
+    p.add_argument("--workers", type=_at_least(1), default=1,
                    help="process-pool size; results are worker-count independent")
     p.add_argument("--scenario", choices=scenario_names(), default=None,
                    help="fault workload (default: the paper's stuck-at space)")
     p.add_argument("--cache-dir", default=None,
-                   help="artifact store; the suite loads from here instead "
-                        "of being regenerated, and workers load the "
-                        "compiled kernel from here instead of unpickling "
-                        "one per shard")
+                   help="artifact store; the suite and the compiled kernel "
+                        "load from here instead of being regenerated and "
+                        "recompiled")
     p.add_argument("--journal-dir", default=None,
                    help="run through the campaign fabric: shards publish "
                         "durably here as they complete, a killed run "

@@ -21,7 +21,10 @@ and hands out the shared per-array machinery derived from it:
   and persisted there after a cold compile.  A damaged stored kernel is
   quarantined and recompiled, as every store artifact heals
   (:mod:`repro.store.integrity`), and the context counts the loads,
-  compiles and heals;
+  compiles and heals.  It is the one load-heal-or-compile path: a
+  campaign sweep takes its kernel from here but runs its shards on a
+  session of its own (:mod:`repro.engine.parallel`), so a sweep never
+  grows this session's evaluator memo;
 * :attr:`simulator` / :attr:`tester` — one shared
   :class:`~repro.sim.pressure.PressureSimulator` /
   :class:`~repro.sim.tester.Tester` pair on top of that kernel;
@@ -31,7 +34,8 @@ and hands out the shared per-array machinery derived from it:
 * :meth:`evaluator` — a memoized per-suite
   :class:`~repro.sim.kernel.BatchEvaluator`, so consumers that batch
   over the same vector suite (coverage accounting, double-fault
-  hardening, campaign sweeps) share one scenario-dedup pool;
+  hardening, the shards of a campaign sweep) share one scenario-dedup
+  pool;
 * :meth:`rng` — deterministic per-purpose random streams derived from
   the session seed through the splitmix64 mixer
   (:func:`repro.sim.seeding.mix_seed`).
@@ -287,24 +291,6 @@ class ExecutionContext:
             base_digest=base_digest,
             incremental=incremental,
         )
-
-    def shipping_spec(self) -> ReachabilityKernel | str:
-        """The kernel a shard payload headed to worker processes carries.
-
-        The persisted artifact's *path* when a store is configured (the
-        sharded pool and the campaign fabric then ship a string instead
-        of pickling a kernel per process), or the compiled kernel itself
-        without one.
-        """
-        # Materialize first: a cold compile persists itself through the
-        # session store, so the has() check below only catches a kernel
-        # the context adopted pre-compiled (never written anywhere).
-        kernel = self.kernel
-        if self.store is None:
-            return kernel
-        if not self.store.kernels.has(self.fpva):
-            self.store.kernels.save(kernel)
-        return str(self.store.kernels.path_for(self.fpva))
 
     def rng(self, *stream: int) -> random.Random:
         """A deterministic RNG for one purpose-stream of the session.

@@ -12,18 +12,20 @@ only changes wall-clock.
 The array is compiled into a
 :class:`~repro.sim.kernel.ReachabilityKernel` **once** per campaign, by
 the :class:`~repro.context.ExecutionContext` the caller passes (or a
-fresh one).  Without a store the kernel rides to every shard pickled
-inside the payload; when the session has a store it is persisted through
-the :class:`~repro.store.KernelStore` instead and the payload carries
-only the artifact *path*.  Each worker process then warm-loads it once
-through :meth:`~repro.store.KernelStore.get_or_compile` (which
-quarantines and recompiles a damaged artifact) and shares one session
-across its shards, so wide sweeps stop serializing a kernel per task.
-Scenario objects and arrays ride to the workers via pickling, so custom
-scenarios must be defined at module top level (the registered ones
-are).  The fault universe
-(:func:`~repro.sim.campaign.campaign_universe`) is derived once per sweep
-and rides in every shard payload, so no shard re-derives it.
+fresh one; with a store, that is a warm load).  Every shard of a sweep
+then runs on one session per process, ``ExecutionContext(fpva,
+kernel=kernel)``, built by :func:`_run_shards` and dropped when it
+returns, so the shards of a process share one scenario-dedup pool and
+the caller's own evaluator memo never grows.  With ``workers <= 1``
+that session runs inline over the whole plan; otherwise each of
+``min(workers, shards)`` pool tasks takes the round-robin slice
+``plan[i::n]`` (the plan is ordered by fault count, so every slice gets
+the same mix), and the kernel, array, suite and fault universe are
+pickled once per task, never once per shard.  Scenario objects and
+arrays ride to the workers via pickling, so custom scenarios must be
+defined at module top level (the registered ones are).  The fault
+universe (:func:`~repro.sim.campaign.campaign_universe`) is derived
+once per sweep.
 
 With ``journal_dir=`` set, the *identical* plan runs through the campaign
 fabric (:mod:`repro.fabric`) instead of a transient pool: every shard is
@@ -41,7 +43,6 @@ from __future__ import annotations
 
 import os
 from concurrent.futures import ProcessPoolExecutor
-from pathlib import Path
 from typing import Sequence
 
 from repro.core.vectors import TestVector
@@ -55,50 +56,26 @@ from repro.sim.campaign import (
     shard_plan,
 )
 
-#: Per-process session memo for path-shipped payloads: shards carrying the
-#: same artifact path share one ExecutionContext, so the kernel loads once
-#: per worker and evaluator scenario pools (and any dictionary warm state)
-#: persist across a worker's shards.
-# repro: ignore[R7] -- deliberate per-process cache: populated only inside a worker, keyed by artifact path, never shared across processes
-_CONTEXT_MEMO: dict = {}
 
+def _run_shards(
+    fpva, kernel, vectors, universe, scenario, keep_undetected, shards
+) -> list[CampaignResult]:
+    """Run ``shard_plan`` rows on one session built from ``kernel``.
 
-def _shard_context(fpva, kernel):
-    """The session a shard runs under, memoized for path-shipped kernels.
-
-    A path-shipped kernel is warm-loaded from its
-    :class:`~repro.store.KernelStore` once per worker process — a corrupt
-    artifact is quarantined and recompiled there, never served — and
-    every shard naming that path shares the resulting
-    :class:`~repro.context.ExecutionContext`, so the session's evaluator
-    scenario pools survive across shards instead of re-deduplicating per
-    task.  Safe for bit-identity: shard results are a pure function of the
-    payload's explicit seed (``run_trials`` never consults the context's
-    own seed).  Object-shipped kernels (no store) arrive as a fresh
-    pickled copy per payload and get a fresh context.
+    The session lives for this call only.  Sharing it across the rows is
+    safe for bit-identity: each shard's result is a pure function of its
+    row's seed (``_run_trials`` never consults the session's own seed).
     """
     from repro.context import ExecutionContext
 
-    if not isinstance(kernel, str):
-        return ExecutionContext(fpva, kernel=kernel)
-    context = _CONTEXT_MEMO.get(kernel)
-    if context is None:
-        from repro.store import KernelStore
-
-        context = _CONTEXT_MEMO[kernel] = ExecutionContext(
-            fpva, kernel=KernelStore(Path(kernel).parent).get_or_compile(fpva)
+    session = ExecutionContext(fpva, kernel=kernel)
+    return [
+        _run_trials(
+            fpva, vectors, k, size, shard_seed, keep_undetected, scenario,
+            universe, session,
         )
-    return context
-
-
-def _run_shard(payload) -> CampaignResult:
-    (fpva, vectors, num_faults, trials, shard_seed, keep_undetected,
-     scenario, universe, kernel) = payload
-    shard_context = _shard_context(fpva, kernel)
-    return _run_trials(
-        shard_context.fpva, vectors, num_faults, trials, shard_seed,
-        keep_undetected, scenario, universe, shard_context,
-    )
+        for k, _, size, shard_seed in shards
+    ]
 
 
 def run_campaign(
@@ -116,9 +93,8 @@ def run_campaign(
     journal_dir: str | os.PathLike | None = None,
     resume: bool = False,
 ) -> CampaignResult:
-    """Sharded campaign; result is independent of ``workers`` *and* of
-    whether the kernel ships by artifact path or by pickle.  ``context``
-    supplies the session kernel and store.
+    """Sharded campaign; result is independent of ``workers`` and of
+    whether ``context`` has a store.  ``context`` supplies the kernel.
 
     ``journal_dir`` reroutes the identical shard structure through the
     campaign fabric (:mod:`repro.fabric`): shards publish durably as they
@@ -180,7 +156,7 @@ def run_sweep(
     fault_counts = tuple(fault_counts)
     # Planning validates the sweep on both paths, before any kernel work.
     plan = shard_plan(fault_counts, trials, shard_trials, seed)
-    kernel = ExecutionContext.resolve(context, fpva).shipping_spec()
+    kernel = ExecutionContext.resolve(context, fpva).kernel
     if journal_dir is not None:
         from repro.fabric import CampaignSpec, run_journaled_sweep
 
@@ -199,17 +175,22 @@ def run_sweep(
             spec, journal_dir, workers=workers, resume=resume, kernel=kernel
         )
         return results
-    universe = campaign_universe(fpva, scenario, include_control_leaks)
-    payloads = [
-        (fpva, vectors, k, size, shard_seed, keep_undetected, scenario,
-         universe, kernel)
-        for k, _, size, shard_seed in plan
-    ]
-    if workers <= 1 or len(payloads) <= 1:
-        shard_results = [_run_shard(payload) for payload in payloads]
+    task = (
+        fpva, kernel, vectors,
+        campaign_universe(fpva, scenario, include_control_leaks),
+        scenario, keep_undetected,
+    )
+    n = min(workers, len(plan))
+    if n <= 1:
+        shard_results = _run_shards(*task, plan)
     else:
-        with ProcessPoolExecutor(max_workers=workers) as pool:
-            shard_results = list(pool.map(_run_shard, payloads))
+        with ProcessPoolExecutor(max_workers=n) as pool:
+            futures = [
+                pool.submit(_run_shards, *task, plan[i::n]) for i in range(n)
+            ]
+            slices = [future.result() for future in futures]
+        # Plan row j ran in slice j % n, at position j // n.
+        shard_results = [slices[j % n][j // n] for j in range(len(plan))]
     by_k: dict[int, list[tuple[int, CampaignResult]]] = {
         k: [] for k in fault_counts
     }

@@ -7,7 +7,6 @@ Layout of one journal directory::
         shards/<digest>/         # ShardStore — *done* is "published here"
         leases/<digest>.json     # live claims (owner, pid, host, claimed_at)
         heartbeats/<instance>.json  # identity JSON; mtime = last beat
-        kernels/                 # optional KernelStore for path-shipping
 
 A shard's state is never stored redundantly — it is *derived*:
 
@@ -334,18 +333,6 @@ class CampaignJournal:
         return None
 
     # -- publication ---------------------------------------------------------
-    def publish(
-        self,
-        descriptor: ShardDescriptor,
-        result: CampaignResult,
-        *,
-        worker: str = "",
-        elapsed: float = 0.0,
-    ) -> None:
-        """Atomically publish a completed shard, then release its lease."""
-        self.publish_result(descriptor, result, worker=worker, elapsed=elapsed)
-        self.release(descriptor)
-
     def publish_result(
         self,
         descriptor: ShardDescriptor,
@@ -354,8 +341,9 @@ class CampaignJournal:
         worker: str = "",
         elapsed: float = 0.0,
     ) -> None:
-        """The store publish alone (no lease release) — the two-step spelling
-        the crash-injection harness drives to model a death between them."""
+        """Atomically publish a completed shard.  Releasing its lease is
+        the caller's next step (:meth:`release`), kept separate so the
+        crash-injection harness can model a death between the two."""
         self.store.publish(
             descriptor, result, worker=worker or self.owner, elapsed=elapsed
         )

@@ -33,6 +33,12 @@ Two supervision layers sit on that loop:
   result; they are replaced by a fresh simulation that is bit-identical
   by the shard's content addressing.
 
+Every worker runs its shards on one session,
+``ExecutionContext(spec.fpva, kernel=kernel)``.  A sweep compiles that
+kernel at most once, in the calling process, and hands each pool
+process the kernel object with its drain task: no kernel is pickled
+per shard, and no kernel path crosses a process boundary.
+
 :class:`ShardWorker` exposes a :meth:`~ShardWorker.checkpoint` hook at
 each named point of its loop (``pre-claim``, ``mid-simulate``,
 ``post-publish``) — a no-op here, overridden by the crash-injection test
@@ -49,7 +55,13 @@ from dataclasses import dataclass, field
 from functools import cached_property
 from typing import TYPE_CHECKING, Callable, Sequence
 
-from repro.sim.campaign import CampaignResult, campaign_universe, merge_shards
+from repro.context import ExecutionContext
+from repro.sim.campaign import (
+    CampaignResult,
+    _run_trials,
+    campaign_universe,
+    merge_shards,
+)
 from repro.store.digest import digest_int
 from repro.store.integrity import ArtifactCorruptionError
 
@@ -122,10 +134,10 @@ class ShardWorker:
     ``order`` is the claim preference (typically this worker's round-robin
     slice followed by everyone else's, for work stealing); the journal's
     lease protocol arbitrates every claim, so preferences only shape wall
-    clock.  ``kernel`` mirrors the in-memory pool's shard payload: a
-    compiled kernel, an artifact path, or ``None`` (compile locally).
-    The spec's fault universe is derived once per worker, on its first
-    shard.
+    clock.  Every shard runs on one session per worker,
+    ``ExecutionContext(spec.fpva, kernel=kernel)``, built on the first
+    shard along with the spec's fault universe; with ``kernel=None`` that
+    session compiles its own.
 
     ``retry`` bounds how this worker treats a shard whose simulation
     raises: the lease is released, the failure recorded durably, and the
@@ -143,7 +155,7 @@ class ShardWorker:
         order: Sequence[ShardDescriptor],
         *,
         worker_id: str = "w0",
-        kernel: "ReachabilityKernel | str | None" = None,
+        kernel: "ReachabilityKernel | None" = None,
         retry: RetryPolicy | None = None,
         sleep: Callable[[float], None] = time.sleep,
     ) -> None:
@@ -171,22 +183,23 @@ class ShardWorker:
             spec.fpva, spec.scenario, spec.include_control_leaks
         )
 
-    def run_shard(self, descriptor: ShardDescriptor) -> CampaignResult:
-        from repro.engine.parallel import _run_shard
+    @cached_property
+    def _session(self) -> ExecutionContext:
+        """The session every shard of this worker runs on."""
+        return ExecutionContext(self.spec.fpva, kernel=self.kernel)
 
+    def run_shard(self, descriptor: ShardDescriptor) -> CampaignResult:
         spec = self.spec
-        return _run_shard(
-            (
-                spec.fpva,
-                spec.vectors,
-                descriptor.num_faults,
-                descriptor.trials,
-                descriptor.seed,
-                spec.keep_undetected,
-                spec.scenario,
-                self._universe,
-                self.kernel,
-            )
+        return _run_trials(
+            spec.fpva,
+            spec.vectors,
+            descriptor.num_faults,
+            descriptor.trials,
+            descriptor.seed,
+            spec.keep_undetected,
+            spec.scenario,
+            self._universe,
+            self._session,
         )
 
     def drain(self) -> int:
@@ -269,7 +282,7 @@ def _drain_process(
     spec: CampaignSpec,
     worker_id: str,
     preferred: list[str],
-    kernel: "ReachabilityKernel | str | None",
+    kernel: "ReachabilityKernel",
     lease_timeout: float,
     retry: RetryPolicy,
 ) -> tuple[int, int, int, int]:
@@ -290,29 +303,6 @@ def _drain_process(
     )
     executed = worker.drain()
     return executed, journal.reclaimed, worker.retried, len(worker.quarantined)
-
-
-def _prepare_kernel(
-    spec: CampaignSpec,
-    kernel: "ReachabilityKernel | str | None",
-    journal_root: str | os.PathLike,
-    workers: int,
-) -> "ReachabilityKernel | str | None":
-    """Normalize the kernel spec shipped to workers.
-
-    A pool never pickles a kernel per process when it can ship a path:
-    a kernel headed to a multi-process drain goes through a session on
-    the journal's own ``kernels/`` store (the journal is durable anyway),
-    which warm-loads an artifact already there instead of compiling, and
-    persists a new one so processes attached later warm-load it.
-    """
-    if isinstance(kernel, str) or workers <= 1:
-        return kernel
-    from repro.context import ExecutionContext
-
-    return ExecutionContext(
-        spec.fpva, kernel=kernel, store=journal_root
-    ).shipping_spec()
 
 
 def _unpublished(descriptor: ShardDescriptor) -> RuntimeError:
@@ -381,7 +371,7 @@ def run_journaled_sweep(
     resume: bool = False,
     lease_timeout: float = DEFAULT_LEASE_TIMEOUT,
     clock: Callable[[], float] = time.time,
-    kernel: "ReachabilityKernel | str | None" = None,
+    kernel: "ReachabilityKernel | None" = None,
     worker_cls: type[ShardWorker] = ShardWorker,
     retry: RetryPolicy | None = None,
     sleep: Callable[[float], None] = time.sleep,
@@ -395,6 +385,11 @@ def run_journaled_sweep(
     unfinished shards, then steals from everyone else's; the lease
     protocol arbitrates every claim.  ``worker_cls`` is the
     crash-injection seam (single-process drains only).
+
+    ``kernel`` is the compiled kernel every worker's session runs on;
+    without one, the sweep compiles it once, in this process, and only
+    if a shard is left to run.  Each pool process receives it pickled
+    once, with its drain task.
 
     Supervision: a shard whose workload fails is retried with bounded
     exponential backoff (``retry``, default :class:`RetryPolicy`; a budget
@@ -428,7 +423,6 @@ def run_journaled_sweep(
         1 for d in descriptors if journal.store.has(d.digest)
     )
 
-    kernel = _prepare_kernel(spec, kernel, journal.root, workers)
     executed = 0
     reclaimed = 0
     retried = 0
@@ -441,6 +435,13 @@ def run_journaled_sweep(
             if not journal.store.has(d.digest)
             and not journal.supervision.is_quarantined(d.digest)
         ]
+
+    def _kernel() -> "ReachabilityKernel":
+        # Compiled at most once per sweep, and only once a shard is left.
+        nonlocal kernel
+        if kernel is None:
+            kernel = ExecutionContext(spec.fpva).kernel
+        return kernel
 
     def _drain(use_pool: bool) -> None:
         nonlocal executed, reclaimed, retried
@@ -455,7 +456,7 @@ def run_journaled_sweep(
                         spec,
                         f"w{i}",
                         [d.digest for d in queues[i]],
-                        kernel,
+                        _kernel(),
                         lease_timeout,
                         retry,
                     )
@@ -487,7 +488,7 @@ def run_journaled_sweep(
                 spec,
                 undone,
                 worker_id="w0",
-                kernel=kernel,
+                kernel=_kernel(),
                 retry=retry,
                 sleep=sleep,
             )

@@ -3,9 +3,7 @@
 One ``.npz`` per array, content-addressed by :func:`kernel_digest`, holding
 the destination-sorted CSR arc table (:meth:`ReachabilityKernel.to_arrays`).
 Loading installs the arrays verbatim — no graph walk, no sort — so a warm
-kernel is bit-identical to a cold compile, and the sharded campaign runner
-can ship a *path* to worker processes instead of a pickled kernel per
-shard payload.
+kernel is bit-identical to a cold compile.
 
 Artifacts are **backend-agnostic**: only the arc table is persisted,
 never a propagation backend or its compiled schedule, so a loaded kernel
@@ -21,9 +19,9 @@ then renamed into place sidecar first, so a payload is never addressable
 without its checksum.  :meth:`KernelStore.load` requires the sidecar and
 verifies the bytes it is about to parse; a missing sidecar, a damaged
 one or a mismatching payload raises
-:exc:`~repro.store.integrity.ArtifactCorruptionError`, which callers
-convert into quarantine-and-recompile (:meth:`KernelStore.get_or_compile`
-does it for them).
+:exc:`~repro.store.integrity.ArtifactCorruptionError`.  The one caller,
+:attr:`repro.context.ExecutionContext.kernel`, converts that into
+quarantine (:meth:`KernelStore.heal`) and recompile.
 """
 
 from __future__ import annotations
@@ -65,9 +63,6 @@ class KernelStore:
     def path_for(self, fpva: FPVA) -> Path:
         return self.root / f"{kernel_digest(fpva)}.npz"
 
-    def has(self, fpva: FPVA) -> bool:
-        return self.path_for(fpva).exists()
-
     def save(self, kernel: ReachabilityKernel) -> Path:
         """Persist a compiled kernel; returns the artifact path."""
         path = self.path_for(kernel.fpva)
@@ -86,7 +81,7 @@ class KernelStore:
             }
             write_durable(meta_tmp, marker_bytes(meta))
             # Sidecar first: a crash between the renames leaves checksum
-            # metadata without a payload, which has() treats as absent.
+            # metadata without a payload, which load() treats as absent.
             os.replace(meta_tmp, _meta_path(path))
             os.replace(tmp, path)
             fsync_dir(self.root)
@@ -102,8 +97,7 @@ class KernelStore:
         Raises :exc:`ArtifactCorruptionError` when the artifact exists
         but is damaged — its payload fails the sidecar's checksum, or the
         sidecar itself is missing, torn or lacks the checksum.  Callers
-        quarantine and recompile (see :meth:`get_or_compile` /
-        :meth:`heal`).
+        quarantine (:meth:`heal`) and recompile.
         """
         path = self.path_for(fpva)
         if not path.exists():
@@ -126,19 +120,3 @@ class KernelStore:
         if meta_path.exists():
             quarantine(self.root, meta_path, error.reason)
         return pen
-
-    def get_or_compile(self, fpva: FPVA) -> ReachabilityKernel:
-        """Warm-load the kernel, compiling and persisting on first use.
-
-        A corrupt stored artifact is quarantined and recompiled from the
-        array — self-healing, never served.
-        """
-        try:
-            kernel = self.load(fpva)
-        except ArtifactCorruptionError as error:
-            self.heal(fpva, error)
-            kernel = None
-        if kernel is None:
-            kernel = ReachabilityKernel(fpva)
-            self.save(kernel)
-        return kernel

@@ -26,8 +26,9 @@ class TestParser:
             ["campaign", "--trials", "-5"],
             ["campaign", "--journal-dir", "j", "--max-attempts", "0"],
             ["diagnose", "--trials", "-1"],
+            ["campaign", "--workers", "0"],
         ],
-        ids=["campaign-trials", "max-attempts", "diagnose-trials"],
+        ids=["campaign-trials", "max-attempts", "diagnose-trials", "workers"],
     )
     def test_out_of_range_counts_exit_2(self, argv, capsys):
         """Rejected at parse time, before any suite is generated."""

@@ -1,13 +1,15 @@
-"""Generated suites do not depend on the interpreter's hash seed.
+"""Generated suites, dictionaries and campaigns do not depend on the
+interpreter's hash seed.
 
 Stored suites are addressed by the settings they were generated with
 (:class:`repro.store.SuiteStore`), so a content address names one suite
 only if generation is deterministic.  ``Port`` and the path-cover
 terminals hash through strings, whose hashes change per process under
 ``PYTHONHASHSEED``; any set of them that reaches an ILP's variable or row
-order would change the suite from run to run.  Each case generates in
-fresh interpreters under several hash seeds and compares the
-``TestSet.to_json`` bytes.
+order would change the suite from run to run.  Each case runs in fresh
+interpreters under several hash seeds and compares their output bytes:
+the ``TestSet.to_json`` of a suite, or a dictionary's digest and
+syndrome classes plus campaign sweeps at two worker counts.
 """
 
 from __future__ import annotations
@@ -37,8 +39,37 @@ sys.stdout.write(generator.generate().testset.to_json(indent=None))
 """
 
 
-def _suites_by_seed(kind: str, n: int, strategy: str, subblock: int = 5) -> dict:
-    """``{hash seed: suite JSON bytes}``, generated concurrently."""
+#: Prints a cardinality-2 stuck-at dictionary's digest and the SHA-256 of
+#: its syndrome classes, then one sorted-JSON line per sweep worker count
+#: (the mixed scenario, so undetected examples and their reprs show).
+DICTIONARY_AND_SWEEPS = """
+import hashlib, json, tempfile
+from repro.context import ExecutionContext
+from repro.engine import get_scenario, run_sweep
+from repro.fpva import full_layout
+from repro.sim.faults import stuck_at_faults
+
+fpva = full_layout(4, 4)
+with tempfile.TemporaryDirectory() as store:
+    ctx = ExecutionContext(fpva, store=store)
+    vectors = ctx.suite().testset.all_vectors()
+    dictionary = ctx.dictionary(
+        vectors, universe=stuck_at_faults(fpva), max_cardinality=2
+    )
+    classes = repr(dictionary.syndrome_classes()).encode()
+    print(dictionary.digest, hashlib.sha256(classes).hexdigest())
+    for workers in (1, 2):
+        sweep = run_sweep(
+            fpva, vectors, fault_counts=(1, 2, 3), trials=60, seed=3,
+            shard_trials=10, workers=workers, context=ctx,
+            scenario=get_scenario("mixed"),
+        )
+        print(json.dumps({k: r.as_dict() for k, r in sweep.items()}, sort_keys=True))
+"""
+
+
+def _run_by_seed(script: str, *argv: str) -> dict:
+    """``{hash seed: stdout bytes}`` of ``script``, run concurrently."""
     procs = {}
     for seed in HASH_SEEDS:
         env = dict(os.environ, PYTHONHASHSEED=seed)
@@ -46,7 +77,7 @@ def _suites_by_seed(kind: str, n: int, strategy: str, subblock: int = 5) -> dict
             filter(None, [str(SRC), env.get("PYTHONPATH")])
         )
         procs[seed] = subprocess.Popen(
-            [sys.executable, "-c", GENERATE, kind, str(n), strategy, str(subblock)],
+            [sys.executable, "-c", script, *argv],
             env=env,
             stdout=subprocess.PIPE,
             stderr=subprocess.PIPE,
@@ -59,12 +90,29 @@ def _suites_by_seed(kind: str, n: int, strategy: str, subblock: int = 5) -> dict
     return out
 
 
+def _suites_by_seed(kind: str, n: int, strategy: str, subblock: int = 5) -> dict:
+    """``{hash seed: suite JSON bytes}``, generated concurrently."""
+    return _run_by_seed(GENERATE, kind, str(n), strategy, str(subblock))
+
+
 def test_hierarchical_suite_ignores_hash_seed():
     """Each corridor window's ILP is built in the cell graph's order."""
     suites = _suites_by_seed("full", 8, "hierarchical", subblock=4)
     assert len(set(suites.values())) == 1, {
         seed: hashlib.sha256(raw).hexdigest()[:12] for seed, raw in suites.items()
     }
+
+
+def test_dictionary_and_sweeps_ignore_hash_seed_and_workers():
+    """A stored dictionary and a campaign sweep on a full 4x4 print the
+    same bytes in every process, and the sweep the same at 1 and 2
+    workers."""
+    outputs = _run_by_seed(DICTIONARY_AND_SWEEPS)
+    assert len(set(outputs.values())) == 1, {
+        seed: hashlib.sha256(raw).hexdigest()[:12] for seed, raw in outputs.items()
+    }
+    _, serial, pooled = next(iter(outputs.values())).decode().splitlines()
+    assert serial == pooled
 
 
 #: (layout kind, n, path strategy) -> pinned SHA-256 of the suite, or None.

@@ -147,6 +147,82 @@ class TestSharding:
         assert sharded.all_detected and serial.all_detected
 
 
+class TestOneSessionPerSweep:
+    """A sweep runs every shard of a process on one session of its own."""
+
+    def test_pool_gets_one_task_per_worker(self, bundle, monkeypatch):
+        """Each pool task takes a round-robin slice of the plan, so the
+        kernel and the suite are pickled once per worker, not per shard."""
+        from concurrent.futures import ProcessPoolExecutor
+
+        import repro.engine.parallel as parallel
+
+        tasks = []
+
+        class Recording(ProcessPoolExecutor):
+            def submit(self, fn, /, *args, **kwargs):
+                tasks.append(fn)
+                return super().submit(fn, *args, **kwargs)
+
+        monkeypatch.setattr(parallel, "ProcessPoolExecutor", Recording)
+        fpva, vectors = bundle
+        kwargs = dict(fault_counts=(1, 2), trials=50, seed=6, shard_trials=10)
+        pooled = run_sweep(fpva, vectors, workers=2, **kwargs)
+        assert len(tasks) == 2  # 10 shards
+        serial = run_sweep(fpva, vectors, workers=1, **kwargs)
+        for k in serial:
+            assert _result_key(serial[k]) == _result_key(pooled[k])
+            assert serial[k].undetected_trials == pooled[k].undetected_trials
+
+    def test_store_kernel_loads_once(self, bundle, tmp_path, monkeypatch):
+        """The caller's session loads the stored kernel; the sweep's own
+        session adopts that object instead of reading the artifact again."""
+        from repro.context import ExecutionContext
+        from repro.store import KernelStore
+
+        fpva, vectors = bundle
+        ExecutionContext(fpva, store=tmp_path).kernel  # publish the artifact
+        loads = []
+        original = KernelStore.load
+
+        def counting(self, array):
+            loads.append(array)
+            return original(self, array)
+
+        monkeypatch.setattr(KernelStore, "load", counting)
+        run_sweep(
+            fpva, vectors, fault_counts=(1, 2), trials=30, seed=2,
+            shard_trials=10, context=ExecutionContext(fpva, store=tmp_path),
+        )
+        assert loads == [fpva]
+
+    def test_session_dies_with_the_sweep(self, bundle, tmp_path, monkeypatch):
+        """No process-global memo keeps a sweep's session (and its
+        scenario pool) alive after the sweep returns."""
+        import gc
+        import weakref
+
+        from repro.context import ExecutionContext
+
+        sessions = []
+        original = ExecutionContext.__init__
+
+        def recording(self, *args, **kwargs):
+            original(self, *args, **kwargs)
+            sessions.append(weakref.ref(self))
+
+        monkeypatch.setattr(ExecutionContext, "__init__", recording)
+        fpva, vectors = bundle
+        ctx = ExecutionContext(fpva, store=tmp_path)
+        run_sweep(
+            fpva, vectors, fault_counts=(1, 2), trials=30, seed=2,
+            shard_trials=10, context=ctx,
+        )
+        gc.collect()
+        alive = [ref() for ref in sessions]
+        assert [s for s in alive if s is not None and s is not ctx] == []
+
+
 class TestFabricPath:
     """run_sweep/run_campaign rerouted through the campaign fabric."""
 
@@ -183,7 +259,7 @@ class TestFabricPath:
     ):
         """Re-running a completed sweep is a pure cache hit: the second
         pass must never reach the shard executor."""
-        import repro.engine.parallel as parallel
+        from repro.fabric import ShardWorker
 
         fpva, vectors = bundle
         kwargs = dict(
@@ -192,10 +268,10 @@ class TestFabricPath:
         )
         first = run_sweep(fpva, vectors, workers=1, **kwargs)
 
-        def _boom(payload):
+        def _boom(self, descriptor):
             raise AssertionError("cache-hit rerun re-simulated a shard")
 
-        monkeypatch.setattr(parallel, "_run_shard", _boom)
+        monkeypatch.setattr(ShardWorker, "run_shard", _boom)
         second = run_sweep(fpva, vectors, workers=1, resume=True, **kwargs)
         assert set(first) == set(second)
         for k in first:

@@ -11,7 +11,9 @@ from __future__ import annotations
 
 import json
 import multiprocessing
+import os
 import random
+import time
 
 import pytest
 
@@ -309,7 +311,8 @@ class TestJournal:
         journal = CampaignJournal(tmp_path)
         shards = spec.shards()
         claimed = journal.claim(shards)
-        journal.publish(claimed, _fake_result(claimed))
+        journal.publish_result(claimed, _fake_result(claimed))
+        journal.release(claimed)
         assert journal.claim([claimed]) is None
         assert journal.state(claimed) == "done"
 
@@ -452,27 +455,29 @@ class TestJournaledRuns:
         with pytest.raises(FileNotFoundError, match="--resume"):
             run_journaled_sweep(spec, tmp_path / "missing", resume=True)
 
-    def test_pool_drain_loads_the_journal_kernel(
+    def test_pool_drain_without_a_kernel_compiles_once_in_the_parent(
         self, tmp_path, spec, monkeypatch
     ):
-        """A multi-process drain started without a kernel ships the one
-        already stored under the journal's ``kernels/``: the parent
-        process loads it instead of compiling."""
+        """A multi-process drain started without a kernel compiles it once,
+        in this process, and hands the object to its pool workers: none
+        compiles, and the journal stores no kernel."""
         from repro.sim import ReachabilityKernel
-        from repro.store import KernelStore
 
-        journal_dir = tmp_path / "j"
-        KernelStore(journal_dir / "kernels").save(ReachabilityKernel(spec.fpva))
-        compiles = []
+        marks = tmp_path / "compiles"
+        marks.mkdir()
         original = ReachabilityKernel.__init__
 
         def counting(self, array):
-            compiles.append(array)
+            # A file per compile, so a forked worker's compile shows too.
+            (marks / f"{os.getpid()}-{time.monotonic_ns()}").touch()
             original(self, array)
 
         monkeypatch.setattr(ReachabilityKernel, "__init__", counting)
+        journal_dir = tmp_path / "j"
         results, stats = run_journaled_sweep(spec, journal_dir, workers=2)
-        assert compiles == []
+        pids = [mark.name.split("-")[0] for mark in marks.iterdir()]
+        assert pids == [str(os.getpid())]
+        assert not (journal_dir / "kernels").exists()
         # The round-robin slices partition the work: every shard runs
         # exactly once, none twice or as a retry.
         assert stats.executed == stats.total

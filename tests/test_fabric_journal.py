@@ -130,7 +130,8 @@ def test_interleavings_preserve_every_invariant(ops):
             elif op == "complete" and holding[w] is not None:
                 descriptor, holding[w] = holding[w], None
                 first_publisher.setdefault(descriptor.digest, journal.owner)
-                journal.publish(descriptor, synth_result(descriptor))
+                journal.publish_result(descriptor, synth_result(descriptor))
+                journal.release(descriptor)
             elif op == "crash" and holding[w] is not None:
                 # Death mid-simulate: the claim is forgotten, the lease
                 # file stays behind until someone reclaims it.
@@ -148,7 +149,8 @@ def test_interleavings_preserve_every_invariant(ops):
         drained = 0
         while (descriptor := finisher.claim(DESCRIPTORS)) is not None:
             first_publisher.setdefault(descriptor.digest, finisher.owner)
-            finisher.publish(descriptor, synth_result(descriptor))
+            finisher.publish_result(descriptor, synth_result(descriptor))
+            finisher.release(descriptor)
             drained += 1
         assert drained <= len(DESCRIPTORS)
 

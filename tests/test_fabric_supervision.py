@@ -214,17 +214,6 @@ class TestShardCorruptionHeals:
 
 
 class TestKernelCorruptionHeals:
-    def test_get_or_compile_heals(self, tmp_path, bundle):
-        fpva, _ = bundle
-        store = KernelStore(tmp_path / "kernels")
-        first = store.get_or_compile(fpva)
-        _flip_bits(store.path_for(fpva))
-        healed = store.get_or_compile(fpva)
-        assert healed.to_arrays().keys() == first.to_arrays().keys()
-        assert quarantined_artifacts(store.root)
-        # The healed artifact republished and verifies cleanly now.
-        assert store.load(fpva) is not None
-
     def test_context_warm_load_heals(self, tmp_path, bundle):
         from repro.context import ExecutionContext
 
@@ -240,24 +229,6 @@ class TestKernelCorruptionHeals:
         nxt = ExecutionContext(fpva, store=cache)
         nxt.kernel
         assert nxt.kernel_loads == 1 and nxt.kernel_heals == 0
-
-    def test_path_shipped_kernel_heals_in_worker(self, tmp_path, bundle):
-        from repro.engine.parallel import _CONTEXT_MEMO, _shard_context
-
-        fpva, _ = bundle
-        store = KernelStore(tmp_path / "kernels")
-        store.get_or_compile(fpva)
-        path = str(store.path_for(fpva))
-        _flip_bits(store.path_for(fpva))
-        _CONTEXT_MEMO.pop(path, None)
-        try:
-            context = _shard_context(fpva, path)
-        finally:
-            _CONTEXT_MEMO.pop(path, None)
-        assert context.fpva is context.kernel.fpva
-        assert quarantined_artifacts(store.root)
-        # The worker republished the recompiled kernel for its peers.
-        assert store.load(fpva) is not None
 
 
 class TestSuiteCorruptionHeals:
@@ -383,7 +354,7 @@ class TestDamagedMarkersHeal:
         elif family == "kernel":
             cache = tmp_path / "cache"
             store = KernelStore(cache / "kernels")
-            store.get_or_compile(fpva)
+            ExecutionContext(fpva, store=cache).kernel
             path = store.path_for(fpva)
             sidecar = path.with_name(f"{path.stem}.meta.json")
             damage(sidecar)

@@ -105,26 +105,6 @@ class TestKernelStore:
             )
             assert clone.readings(mask) == kernel.readings(mask)
 
-    def test_get_or_compile_hits_after_first_use(self, bundle, tmp_path):
-        fpva, _ = bundle
-        store = KernelStore(tmp_path)
-        first = store.get_or_compile(fpva)
-        assert store.has(fpva)
-        compiles = []
-        original = ReachabilityKernel.__init__
-
-        def counting(self, array):
-            compiles.append(array)
-            original(self, array)
-
-        ReachabilityKernel.__init__ = counting
-        try:
-            second = store.get_or_compile(fpva)
-        finally:
-            ReachabilityKernel.__init__ = original
-        assert not compiles  # warm load, no compilation
-        assert second._out == first._out
-
 
 class TestDictionaryWarmStart:
     def test_cold_then_warm_identical_tables_and_reports(self, bundle, tmp_path):
@@ -294,7 +274,7 @@ class TestParallelCachePath:
             assert (plain.trials, plain.detected) == (other.trials, other.detected)
             assert plain.undetected_examples == other.undetected_examples
         # The kernel artifact was actually published to the store.
-        assert KernelStore(tmp_path / "kernels").has(fpva)
+        assert KernelStore(tmp_path / "kernels").load(fpva) is not None
 
 
 class TestDiagnosisAfterRoundTrip:

@@ -551,15 +551,18 @@ class TestContextWiring:
         )
         assert result.build_stats["mode"] == "cold"
 
-    def test_shard_context_memoized_per_artifact_path(self, bundle, tmp_path):
-        from repro.engine.parallel import _CONTEXT_MEMO, _shard_context
+    @pytest.mark.parametrize("journaled", [False, True], ids=["memory", "journal"])
+    def test_inline_sweep_builds_one_evaluator(
+        self, bundle, tmp_path, eval_probe, journaled
+    ):
+        """Every shard of an inline sweep runs on one session, so the
+        sweep builds one evaluator, not one per shard."""
+        from repro.engine import run_sweep
 
-        fpva, _, _ = bundle
-        ctx = ExecutionContext(fpva, store=tmp_path)
-        kernel = ctx.shipping_spec()
-        assert isinstance(kernel, str)
-        _CONTEXT_MEMO.clear()
-        first = _shard_context(fpva, kernel)
-        second = _shard_context(fpva, kernel)
-        assert first is second
-        _CONTEXT_MEMO.clear()
+        fpva, vectors, _ = bundle
+        sweep = run_sweep(
+            fpva, vectors, fault_counts=(1, 2), trials=30, seed=4,
+            shard_trials=10, journal_dir=tmp_path / "j" if journaled else None,
+        )
+        assert [sweep[k].trials for k in (1, 2)] == [30, 30]  # 6 shards
+        assert eval_probe.constructed == [len(vectors)]
