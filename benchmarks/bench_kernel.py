@@ -132,7 +132,7 @@ def _bench_campaign(fpva, vectors, trials):
     t_legacy = time.perf_counter() - t0
 
     t0 = time.perf_counter()  # kernel compile is part of the batched cost
-    evaluator = BatchEvaluator(Tester(fpva).simulator.kernel, vectors)
+    evaluator = BatchEvaluator(Tester(fpva).kernel, vectors)
     rows = [evaluator.slot_row(faults) for faults in chips]
     evaluator.flush()
     kernel_syndromes = [evaluator.syndrome(row) for row in rows]

@@ -20,14 +20,17 @@ from repro import (
     full_layout,
 )
 from repro.fpva import Cell
+from repro.sim import CompiledFaultSet
 
 
-def ring_intact(fpva, chip, mixer) -> bool:
+def ring_intact(kernel, chip, mixer) -> bool:
     """Can fluid still circulate the full mixer ring on this chip?"""
-    config = mixer.configuration(fpva)
+    config = mixer.configuration(kernel.fpva)
     opened = {v for v, s in config.items() if s is ValveState.OPEN}
-    effective = chip.effective_open_valves(opened)
-    return all(v in effective for v in mixer.ring_valves)
+    effective, _ = CompiledFaultSet(kernel, chip.faults).effective_masks(
+        kernel.valve_mask(opened)
+    )
+    return all((effective >> kernel.valve_index[v]) & 1 for v in mixer.ring_valves)
 
 
 def main() -> None:
@@ -51,14 +54,14 @@ def main() -> None:
     # It sits on the tall mixer's ring but only walls the wide mixer.
     broken = tall.ring_valves[0]
     chip = ChipUnderTest(fpva, [StuckAt0(broken)])
+    ctx = ExecutionContext(fpva)
     print(f"\ninjected defect: {StuckAt0(broken)}")
-    print(f"  4x2 mixer ring usable: {ring_intact(fpva, chip, tall)}")
-    print(f"  2x4 mixer ring usable: {ring_intact(fpva, chip, wide)}")
+    print(f"  4x2 mixer ring usable: {ring_intact(ctx.kernel, chip, tall)}")
+    print(f"  2x4 mixer ring usable: {ring_intact(ctx.kernel, chip, wide)}")
 
     # The generated suite catches the defect at manufacturing test, before
-    # any application mapping happens — generation and testing share one
-    # compiled-kernel session.
-    ctx = ExecutionContext(fpva)
+    # any application mapping happens — the ring check, generation and
+    # testing share one compiled-kernel session.
     suite = TestGenerator(fpva, include_leakage=False, context=ctx).generate().testset
     tester = ctx.tester
     run = tester.run(chip, suite.all_vectors(), stop_at_first_fail=True)

@@ -70,12 +70,10 @@ WORKER_IMPORTED = DETERMINISTIC_PACKAGES
 HOT_PATH = ("src/repro/sim/kernel.py", "src/repro/sim/backends/")
 
 #: The only modules allowed to construct simulators/kernels privately:
-#: the session layer itself, the package that defines them, and the
-#: kernel store's compile-on-miss path.
+#: the session layer itself and the package that defines them.
 SESSION_FACTORIES = (
     "src/repro/context.py",
     "src/repro/sim/",
-    "src/repro/store/kernels.py",
 )
 
 

@@ -9,8 +9,8 @@ integrity checking.  ``Tester(fpva)`` and ``PressureSimulator(fpva)``
 compile a private kernel the same way.
 
 Construction is allowed only where it is the point: ``context.py``
-itself, the ``sim/`` package that defines these types, and the kernel
-store's compile-on-miss path.  Everyone else accepts ``context=``.
+itself and the ``sim/`` package that defines these types.  Everyone
+else accepts ``context=``.
 """
 
 from __future__ import annotations

@@ -448,7 +448,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("campaign", help="random fault-injection campaign")
     _add_array_args(p)
     p.add_argument("--trials", type=_at_least(0), default=200)
-    p.add_argument("--max-faults", type=int, default=5)
+    p.add_argument("--max-faults", type=_at_least(1), default=5)
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--workers", type=_at_least(1), default=1,
                    help="process-pool size; results are worker-count independent")
@@ -486,7 +486,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--adaptive", action="store_true",
                    help="schedule vectors by information gain, one at a time")
     p.add_argument("--scenario", choices=scenario_names(), default="stuck-at")
-    p.add_argument("--faults", type=int, default=1,
+    p.add_argument("--faults", type=_at_least(1), default=1,
                    help="faults injected per chip (the dictionary models up "
                         "to --cardinality faults per chip)")
     p.add_argument("--trials", type=_at_least(0), default=5)

@@ -25,9 +25,10 @@ and hands out the shared per-array machinery derived from it:
   campaign sweep takes its kernel from here but runs its shards on a
   session of its own (:mod:`repro.engine.parallel`), so a sweep never
   grows this session's evaluator memo;
-* :attr:`simulator` / :attr:`tester` — one shared
-  :class:`~repro.sim.pressure.PressureSimulator` /
-  :class:`~repro.sim.tester.Tester` pair on top of that kernel;
+* :attr:`simulator` — the shared fault-free
+  :class:`~repro.sim.pressure.PressureSimulator` the generators query,
+  and :attr:`tester` — the shared :class:`~repro.sim.tester.Tester` that
+  applies faulty chips; both run on that kernel;
 * :meth:`suite` — the array's generated test suite, warm-loaded from
   the store's :class:`~repro.store.SuiteStore` when one is configured,
   or generated and published there;
@@ -192,9 +193,9 @@ class ExecutionContext:
 
     @property
     def tester(self) -> Tester:
-        """The session's one shared tester, on top of :attr:`simulator`."""
+        """The session's one shared tester, on :attr:`kernel`."""
         if self._tester is None:
-            self._tester = Tester(simulator=self.simulator)
+            self._tester = Tester(self.fpva, self.kernel)
         return self._tester
 
     def suite(self) -> "GeneratedSuite":

@@ -11,7 +11,10 @@ without trusting generator internals:
   and the expected readings are all-dark;
 * suite level: full stuck-at coverage and — the paper's headline guarantee —
   detection of **any** single and double fault combination (exhaustive or
-  sampled audit).
+  sampled audit).  The audit judges its fault sets in bulk through
+  :class:`~repro.sim.kernel.BatchEvaluator`, the detection check campaigns
+  use; the chip-at-a-time loop it replaced is the reference in
+  ``tests/oracle.py``.
 """
 
 from __future__ import annotations
@@ -32,7 +35,9 @@ from repro.core.coverage import (
 from repro.core.vectors import TestVector, VectorKind
 from repro.fpva.array import FPVA
 from repro.fpva.ports import Port
+from repro.sim.diagnosis import DEFAULT_CHUNK_SIZE
 from repro.sim.faults import Fault, fault_universe, faults_compatible
+from repro.sim.kernel import BatchEvaluator
 from repro.sim.pressure import PressureSimulator
 
 
@@ -171,26 +176,29 @@ def audit_two_fault_detection(
 
     Exhaustive over single faults; over fault pairs it is exhaustive when
     their count is below ``max_pairs`` and uniformly sampled otherwise.
+    Every single and pair is judged on the session's kernel through one
+    private :class:`~repro.sim.kernel.BatchEvaluator`, chunk by chunk as a
+    dictionary build walks its fault sets, so the session's evaluator memo
+    never grows.
     """
-    tester = ExecutionContext.resolve(context, fpva).tester
+    kernel = ExecutionContext.resolve(context, fpva).kernel
     universe = fault_universe(fpva, include_control_leaks=include_control_leaks)
-    audit = TwoFaultAudit()
-
-    for fault in universe:
-        audit.singles_checked += 1
-        if not tester.detects([fault], vectors):
-            audit.singles_missed.append((fault,))
-
     pairs = [
-        pair
-        for pair in itertools.combinations(universe, 2)
-        if faults_compatible(pair)
+        (i, j)
+        for i, j in itertools.combinations(range(len(universe)), 2)
+        if faults_compatible((universe[i], universe[j]))
     ]
     if max_pairs is not None and len(pairs) > max_pairs:
-        rng = random.Random(seed)
-        pairs = rng.sample(pairs, max_pairs)
-    for pair in pairs:
-        audit.pairs_checked += 1
-        if not tester.detects(list(pair), vectors):
-            audit.pairs_missed.append(pair)
+        pairs = random.Random(seed).sample(pairs, max_pairs)
+    audit = TwoFaultAudit(singles_checked=len(universe), pairs_checked=len(pairs))
+    index_sets = [(i,) for i in range(len(universe))] + pairs
+    evaluator = BatchEvaluator(kernel, vectors)
+    for lo in range(0, len(index_sets), DEFAULT_CHUNK_SIZE):
+        chunk = index_sets[lo : lo + DEFAULT_CHUNK_SIZE]
+        rows = evaluator.slot_rows(universe, chunk)
+        evaluator.flush()
+        for idx, row in zip(chunk, rows):
+            if not evaluator.detects(row):
+                missed = audit.singles_missed if len(idx) == 1 else audit.pairs_missed
+                missed.append(tuple(universe[i] for i in idx))
     return audit

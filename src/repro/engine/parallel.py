@@ -156,7 +156,6 @@ def run_sweep(
     fault_counts = tuple(fault_counts)
     # Planning validates the sweep on both paths, before any kernel work.
     plan = shard_plan(fault_counts, trials, shard_trials, seed)
-    kernel = ExecutionContext.resolve(context, fpva).kernel
     if journal_dir is not None:
         from repro.fabric import CampaignSpec, run_journaled_sweep
 
@@ -171,10 +170,16 @@ def run_sweep(
             scenario=scenario,
             shard_trials=shard_trials,
         )
+        # Without a caller's session the fabric compiles only if a shard
+        # is left to run, so rerunning a finished journal compiles nothing.
+        kernel = None
+        if context is not None:
+            kernel = ExecutionContext.resolve(context, fpva).kernel
         results, _ = run_journaled_sweep(
             spec, journal_dir, workers=workers, resume=resume, kernel=kernel
         )
         return results
+    kernel = ExecutionContext.resolve(context, fpva).kernel
     task = (
         fpva, kernel, vectors,
         campaign_universe(fpva, scenario, include_control_leaks),

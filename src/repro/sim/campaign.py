@@ -238,10 +238,8 @@ def _run_trials(
             raise ValueError(f"incompatible fault set: {tuple(faults)}")
         rows.append(evaluator.slot_row(faults))
     evaluator.flush()
-    expected = evaluator.expected_rows
-    observed = evaluator.observed_row
     for trial, (faults, row) in enumerate(zip(drawn, rows)):
-        if any(observed(slot) != expected[vi] for vi, slot in enumerate(row)):
+        if evaluator.detects(row):
             result.detected += 1
         elif len(result.undetected_examples) < keep_undetected:
             result.undetected_examples.append(faults)

@@ -28,15 +28,17 @@ Single queries take the scalar path (:meth:`ReachabilityKernel.readings`),
 a plain BFS over the compiled arrays with int-mask bit tests — no ``Edge``
 hashing, no per-call dict rebuilds, and no per-call buffer allocation (the
 visited map is a hoisted scratch buffer reset in O(visited)).
-:meth:`BatchEvaluator.slot_row` is the one place a fault set becomes
-per-vector effective states: stuck-ats and blockages compose by bit
-arithmetic over per-fault masks, and a set with a control leak or an
-intermittent fault goes through :class:`CompiledFaultSet`, which replays
-:meth:`repro.sim.chip.ChipUnderTest.effective_state` at the mask level.
-:class:`BatchEvaluator` memoizes distinct ``(open, blocked)`` scenarios so
-equivalent fault sets are simulated exactly once, and
-:meth:`BatchEvaluator.syndrome` turns a simulated slot row into a
-syndrome.
+This module is the one place a fault set becomes an effective state.
+:class:`CompiledFaultSet` defines the fault model on masks;
+:meth:`ReachabilityKernel.fault_readings` applies it to one chip and one
+vector (the :class:`~repro.sim.tester.Tester` path), and
+:meth:`BatchEvaluator.slot_rows` to many fault sets over a suite:
+stuck-ats and blockages compose there by bit arithmetic over per-fault
+masks, and a set with a control leak or an intermittent fault goes
+through :class:`CompiledFaultSet`.  :class:`BatchEvaluator` memoizes
+distinct ``(open, blocked)`` scenarios so equivalent fault sets are
+simulated exactly once; :meth:`BatchEvaluator.detects` and
+:meth:`BatchEvaluator.syndrome` judge a simulated slot row.
 
 *How* packed words propagate is delegated to a
 :mod:`~repro.sim.backends` tier (:meth:`ReachabilityKernel.set_backend`):
@@ -389,6 +391,16 @@ class ReachabilityKernel:
         seen[:] = self._scalar_zero
         return dict(zip(self.sink_names, hits))
 
+    def fault_readings(
+        self, faults: Sequence[Fault], vector: TestVector
+    ) -> dict[str, bool]:
+        """Sink readings of a chip carrying ``faults`` under one vector."""
+        return self.readings(
+            *CompiledFaultSet(self, faults).effective_masks(
+                self.valve_mask(vector.open_valves), vector.name
+            )
+        )
+
     # -- batched path (64 scenarios per word) ------------------------------
     def _propagate(self, arc_open: np.ndarray, words: int) -> np.ndarray:
         """Bit-parallel frontier propagation to a fixpoint.
@@ -512,14 +524,30 @@ class ReachabilityKernel:
 
 
 class CompiledFaultSet:
-    """Mask-level replica of :meth:`ChipUnderTest.effective_state`.
+    """A fault set compiled to masks: the fault model.
 
-    Applies the same transformation pipeline — control-leak propagation,
-    stuck-at overrides, per-vector intermittent firings, blockage — as
-    integer bit operations on the kernel's valve/edge masks, in the same
-    order, so the resulting ``(open, blocked)`` masks encode exactly the
-    frozensets :class:`~repro.sim.chip.ChipUnderTest` produces (asserted
-    by the compiled-fault-set equivalence test).
+    Under a commanded test vector, :meth:`effective_masks` computes the
+    *effective* open valves and the physically obstructed flow edges:
+
+    1. start from the commanded states (open set; everything else closed);
+    2. propagate control-layer leaks: pressurizing one leaking line closes
+       its partner too — propagation is transitive across chained leaks;
+    3. apply stuck-at overrides: a stuck-at-1 valve is open no matter
+       what, a stuck-at-0 valve is closed no matter what (a physically
+       broken flow channel cannot be re-opened by control pressure, so SA0
+       wins over SA1 in the impossible event both are injected — the fault
+       sampler forbids it);
+    4. apply intermittent faults that fire on this vector (a keyed hash of
+       the vector name decides, so chip behaviour is a deterministic
+       function of the vector — independent of application order or
+       repetition);
+    5. blockage faults override everything: an obstructed valve edge is
+       closed regardless of state, and an obstructed channel edge is set
+       in the blocked mask for propagation to exclude.
+
+    Each step is integer bit arithmetic on the kernel's valve and edge
+    masks.  The object-level pipeline this replays, on ``Edge`` sets, is
+    ``tests/oracle.effective_state``; the equivalence tests pin the two.
     """
 
     def __init__(
@@ -604,8 +632,10 @@ class CompiledFaultSet:
     ) -> tuple[int, int]:
         """``(open, blocked)`` masks for one commanded pattern.
 
-        Mirrors :meth:`ChipUnderTest.effective_open_valves` step for step:
-        leaks, then SA1, then SA0, then intermittent firings, then blockage.
+        The steps run in the class docstring's order: leaks, then SA1,
+        then SA0, then intermittent firings, then blockage.
+        ``vector_key`` names the applied vector; a set holding an
+        intermittent fault cannot be evaluated without it.
         """
         eff = commanded_mask
         for comp in self._leak_components:
@@ -635,8 +665,8 @@ class BatchEvaluator:
 
     Each distinct ``(open, blocked)`` mask pair is assigned a *slot* and
     simulated exactly once; consumers record a :meth:`slot_row` per fault
-    set, call :meth:`flush`, then read verdicts (or a :meth:`syndrome`)
-    back.
+    set, call :meth:`flush`, then read verdicts (:meth:`detects`, or a
+    :meth:`syndrome`) back.
 
     A vector whose expectations do not name exactly the array's sinks
     fails under every scenario — the verdict
@@ -730,9 +760,9 @@ class BatchEvaluator:
     ) -> list[tuple[int, ...]]:
         """:meth:`slot_row` of each fault set ``[universe[i] for i in idx]``.
 
-        This is the one place a fault set becomes effective states.  Each
-        fault's masks are resolved once per call, so a chunk of sets over
-        one universe pays one lookup per fault, not one per set member.
+        This is the bulk form of the fault model.  Each fault's masks are
+        resolved once per call, so a chunk of sets over one universe pays
+        one lookup per fault, not one per set member.
         Stuck-ats and blockages compose by bit arithmetic: a vector's open
         mask is ``(commanded | sa1) & ~(sa0 | blocked valves)``, exactly
         what :meth:`CompiledFaultSet.effective_masks` computes for such a
@@ -774,6 +804,13 @@ class BatchEvaluator:
                 row.append(slot)
             rows.append(tuple(row))
         return rows
+
+    def detects(self, row: Sequence[int]) -> bool:
+        """Whether a flushed slot row reads off-expectation on any vector:
+        the suite detects the fault set the row was recorded for."""
+        observed = self.observed_row
+        expected = self.expected_rows
+        return any(observed(slot) != expected[vi] for vi, slot in enumerate(row))
 
     def syndrome(self, row: Sequence[int]) -> tuple:
         """A flushed slot row's syndrome: ``(vector name, observed items)``

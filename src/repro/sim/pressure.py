@@ -4,12 +4,16 @@ The paper's test observation model is binary: air pressure applied at the
 source ports either reaches a pressure meter or it does not, depending on
 which valves are open.  That is graph reachability on the cell graph.
 
-Queries are answered by the compiled
-:class:`~repro.sim.kernel.ReachabilityKernel` (flat integer arrays, int
-bitmask tests — no per-arc ``Edge`` hashing, no per-call dict rebuilds);
-batch consumers grab :attr:`PressureSimulator.kernel` directly and
-evaluate 64 scenarios per machine word.  The object-graph BFS the kernel
-is differentially tested and benchmarked against is ``tests/oracle.py``.
+:class:`PressureSimulator` answers fault-free queries for the test
+generators: a commanded open set of ``Edge`` objects goes in, sink
+readings or pressurized nodes come out.  Queries are answered by the
+compiled :class:`~repro.sim.kernel.ReachabilityKernel` (flat integer
+arrays, int bitmask tests — no per-arc ``Edge`` hashing, no per-call
+dict rebuilds); batch consumers grab :attr:`PressureSimulator.kernel`
+directly and evaluate 64 scenarios per machine word.  Faulty chips,
+blocked edges included, are applied by :class:`~repro.sim.tester.Tester`
+through the kernel.  The object-graph BFS the kernel is differentially
+tested and benchmarked against is ``tests/oracle.py``.
 """
 
 from __future__ import annotations
@@ -25,9 +29,8 @@ class PressureSimulator:
     """Reachability-based pressure simulation for one array.
 
     The simulator is immutable and reusable: build once per array, call
-    :meth:`meter_readings` per vector application.  A pre-compiled kernel
-    may be supplied (campaign workers ship one per pool instead of
-    re-deriving the graph per shard).
+    :meth:`meter_readings` per query.  A pre-compiled kernel may be
+    supplied (the session passes its own, so no query compiles twice).
     """
 
     def __init__(self, fpva: FPVA, kernel: ReachabilityKernel | None = None):
@@ -36,34 +39,15 @@ class PressureSimulator:
             raise ValueError("kernel was compiled for a different array")
         self.kernel = kernel if kernel is not None else ReachabilityKernel(fpva)
 
-    def meter_readings(
-        self,
-        open_valves: Iterable[Edge],
-        blocked: frozenset[Edge] = frozenset(),
-    ) -> dict[str, bool]:
+    def meter_readings(self, open_valves: Iterable[Edge]) -> dict[str, bool]:
         """Pressure reading at every sink port, keyed by port name."""
         kernel = self.kernel
-        return kernel.readings(
-            kernel.valve_mask(open_valves),
-            kernel.edge_mask(blocked) if blocked else 0,
-        )
+        return kernel.readings(kernel.valve_mask(open_valves))
 
-    def pressurized_nodes(
-        self,
-        open_valves: Iterable[Edge],
-        blocked: frozenset[Edge] = frozenset(),
-    ) -> set:
-        """All cell/port nodes reached by source pressure.
-
-        ``blocked`` removes flow edges outright — a physically obstructed
-        connection conducts no pressure regardless of valve state (the
-        :class:`~repro.sim.faults.ChannelBlocked` scenario fault).
-        """
+    def pressurized_nodes(self, open_valves: Iterable[Edge]) -> set:
+        """All cell/port nodes reached by source pressure."""
         kernel = self.kernel
-        seen = kernel.reach(
-            kernel.valve_mask(open_valves),
-            kernel.edge_mask(blocked) if blocked else 0,
-        )
+        seen = kernel.reach(kernel.valve_mask(open_valves))
         nodes = kernel.nodes
         return {nodes[i] for i, hit in enumerate(seen) if hit}
 

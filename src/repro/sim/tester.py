@@ -3,7 +3,10 @@
 The tester applies a suite of vectors to a (possibly faulty) chip, compares
 the meter readings against the fault-free expectations stored in each
 vector, and reports the *syndrome* — which vectors failed and what the
-meters actually showed.
+meters actually showed.  A chip is applied through its array's compiled
+kernel (:meth:`~repro.sim.kernel.ReachabilityKernel.fault_readings`), so
+one vector costs one mask-level fault application and one scalar
+reachability query.
 """
 
 from __future__ import annotations
@@ -15,7 +18,7 @@ from repro.core.vectors import TestVector
 from repro.fpva.array import FPVA
 from repro.sim.chip import ChipUnderTest
 from repro.sim.faults import Fault
-from repro.sim.pressure import PressureSimulator
+from repro.sim.kernel import ReachabilityKernel
 
 
 @dataclass(frozen=True)
@@ -64,31 +67,15 @@ class Tester:
 
     __test__ = False  # not a pytest test class despite the name
 
-    def __init__(
-        self,
-        fpva: FPVA | None = None,
-        kernel=None,
-        *,
-        simulator: PressureSimulator | None = None,
-    ):
-        if simulator is not None:
-            # Shared-session construction (ExecutionContext.tester): adopt
-            # the session's simulator instead of building a private one.
-            if fpva is not None and simulator.fpva is not fpva:
-                raise ValueError("simulator was built for a different array")
-            self.fpva = simulator.fpva
-            self.simulator = simulator
-            return
-        if fpva is None:
-            raise TypeError("Tester requires an array (or a simulator=)")
+    def __init__(self, fpva: FPVA, kernel: ReachabilityKernel | None = None):
+        if kernel is not None and kernel.fpva is not fpva:
+            raise ValueError("kernel was compiled for a different array")
         self.fpva = fpva
-        self.simulator = PressureSimulator(fpva, kernel=kernel)
+        self.kernel = kernel if kernel is not None else ReachabilityKernel(fpva)
 
     def apply(self, chip: ChipUnderTest, vector: TestVector) -> VectorOutcome:
         """Apply one vector and read the meters."""
-        effective, blocked = chip.effective_state(vector)
-        observed = self.simulator.meter_readings(effective, blocked=blocked)
-        return VectorOutcome(vector=vector, observed=observed)
+        return VectorOutcome(vector, self.kernel.fault_readings(chip.faults, vector))
 
     def run(
         self,

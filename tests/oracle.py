@@ -6,12 +6,17 @@ kernel replaced, kept as they were, so tests and benchmarks can assert
 exact equality against them:
 
 * :class:`ObjectSimulator` — reachability by BFS over the object graph
-  (``Edge`` hashing per arc); :func:`object_tester` puts a
-  :class:`~repro.sim.tester.Tester` on it;
+  (``Edge`` hashing per arc);
+* :func:`effective_state` — the fault model on ``Edge`` sets, the
+  pipeline :class:`~repro.sim.kernel.CompiledFaultSet` replays on masks;
+  :func:`object_tester` applies chips through it and
+  :class:`ObjectSimulator`;
 * :class:`ReferenceDictionary` — one full-suite simulation per fault set,
   and full-suite diagnosis by syndrome lookup;
 * :func:`run_trials` — the chip-at-a-time campaign loop, drawing fault
   sets in the same RNG order as :func:`repro.sim.campaign.run_trials`;
+* :func:`audit_two_fault_detection` — the chip-at-a-time single and
+  pair audit;
 * :func:`find_masked_stuck_pairs` and :func:`harden_double_faults` — the
   pair-by-pair mixed stuck-at audit and the hardening pass on top of it;
 * :func:`sa0_observable_valves`, :func:`sa1_observable_valves` and
@@ -26,6 +31,7 @@ Nothing under ``src/`` imports this module.
 
 from __future__ import annotations
 
+import itertools
 import math
 import random
 from collections import defaultdict, deque
@@ -40,6 +46,7 @@ from repro.core.coverage import (
     open_edge_graph,
 )
 from repro.core.repair import HardeningReport, synthesize_pair_breaker
+from repro.core.validate import TwoFaultAudit
 from repro.core.vectors import VectorKind
 from repro.engine.adaptive import (
     AdaptiveDiagnosisResult,
@@ -59,10 +66,14 @@ from repro.sim.diagnosis import (
     iter_fault_sets,
 )
 from repro.sim.faults import (
+    ChannelBlocked,
+    ControlLeak,
     Fault,
+    IntermittentStuckAt,
     StuckAt0,
     StuckAt1,
     fault_universe,
+    faults_compatible,
     untestable_leak_pairs,
 )
 from repro.sim.tester import Tester, VectorOutcome
@@ -166,9 +177,89 @@ class ObjectSimulator:
         return readings
 
 
-def object_tester(fpva) -> Tester:
-    """A :class:`Tester` applying vectors through :class:`ObjectSimulator`."""
-    return Tester(simulator=ObjectSimulator(fpva))
+def effective_state(chip: ChipUnderTest, vector):
+    """Physically open valves and physically blocked edges for a vector.
+
+    The fault model on ``Edge`` sets, step for step:
+
+    1. start from the commanded states (open set; everything else closed);
+    2. propagate control-layer leaks: pressurizing one leaking line closes
+       its partner too — propagation is transitive across chained leaks;
+    3. apply stuck-at overrides: SA1 opens, then SA0 closes;
+    4. apply intermittent faults that fire on this vector;
+    5. blockage faults override everything: an obstructed valve edge is
+       closed, and every obstructed edge is returned in the blocked set.
+    """
+    fpva = chip.fpva
+    sa0 = {f.valve for f in chip.faults if isinstance(f, StuckAt0)}
+    sa1 = {f.valve for f in chip.faults if isinstance(f, StuckAt1)}
+    intermittent = tuple(
+        f for f in chip.faults if isinstance(f, IntermittentStuckAt)
+    )
+    blocked = frozenset(
+        f.edge for f in chip.faults if isinstance(f, ChannelBlocked)
+    )
+    leaks: dict[Edge, list[Edge]] = defaultdict(list)
+    for f in chip.faults:
+        if isinstance(f, ControlLeak):
+            leaks[f.a].append(f.b)
+            leaks[f.b].append(f.a)
+
+    open_set = set(vector.open_valves)
+
+    if leaks:
+        # Control pressure spreads transitively through leaking lines:
+        # every commanded-closed valve pressurizes its line; partners of
+        # pressurized lines become pressurized (closed) as well.
+        closed = {v for v in fpva.valves if v not in open_set}
+        frontier = deque(v for v in closed if v in leaks)
+        while frontier:
+            v = frontier.popleft()
+            for partner in leaks[v]:
+                if partner not in closed:
+                    closed.add(partner)
+                    open_set.discard(partner)
+                    if partner in leaks:
+                        frontier.append(partner)
+
+    open_set.update(sa1)
+    open_set.difference_update(sa0)
+
+    if intermittent:
+        if vector.name is None:
+            raise ValueError(
+                "chip has intermittent faults; vector identity is "
+                "required to evaluate them"
+            )
+        for fault in intermittent:
+            if fault.fires_on(vector.name):
+                if fault.stuck_open:
+                    open_set.add(fault.valve)
+                else:
+                    open_set.discard(fault.valve)
+
+    open_set.difference_update(blocked)
+    return frozenset(open_set), blocked
+
+
+class ObjectTester(Tester):
+    """A :class:`Tester` applying chips through :func:`effective_state`
+    and :class:`ObjectSimulator`: no compiled kernel anywhere."""
+
+    def __init__(self, fpva):
+        self.fpva = fpva
+        self.simulator = ObjectSimulator(fpva)
+
+    def apply(self, chip, vector) -> VectorOutcome:
+        opened, blocked = effective_state(chip, vector)
+        return VectorOutcome(
+            vector, self.simulator.meter_readings(opened, blocked=blocked)
+        )
+
+
+def object_tester(fpva) -> ObjectTester:
+    """The object-level :class:`Tester` for ``fpva``."""
+    return ObjectTester(fpva)
 
 
 class ReferenceDictionary:
@@ -244,6 +335,39 @@ def run_trials(
             result.undetected_examples.append(faults)
             result.undetected_trials.append(trial)
     return result
+
+
+def audit_two_fault_detection(
+    fpva,
+    vectors,
+    include_control_leaks: bool = False,
+    max_pairs: int | None = 20_000,
+    seed: int = 0,
+) -> TwoFaultAudit:
+    """:func:`repro.core.validate.audit_two_fault_detection`, one chip at
+    a time on the object engine."""
+    tester = object_tester(fpva)
+    universe = fault_universe(fpva, include_control_leaks=include_control_leaks)
+    audit = TwoFaultAudit()
+
+    for fault in universe:
+        audit.singles_checked += 1
+        if not tester.detects([fault], vectors):
+            audit.singles_missed.append((fault,))
+
+    pairs = [
+        pair
+        for pair in itertools.combinations(universe, 2)
+        if faults_compatible(pair)
+    ]
+    if max_pairs is not None and len(pairs) > max_pairs:
+        rng = random.Random(seed)
+        pairs = rng.sample(pairs, max_pairs)
+    for pair in pairs:
+        audit.pairs_checked += 1
+        if not tester.detects(list(pair), vectors):
+            audit.pairs_missed.append(pair)
+    return audit
 
 
 def find_masked_stuck_pairs(fpva, vectors, tester: Tester | None = None):

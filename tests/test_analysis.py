@@ -176,13 +176,14 @@ def test_r3_flags_private_construction():
     assert "R3" in codes("examples/x.py", source)
     source = "t = Tester(fpva)\n"
     assert "R3" in codes("src/repro/core/x.py", source)
+    source = "k = ReachabilityKernel(fpva)\n"
+    assert "R3" in codes("src/repro/store/kernels.py", source)
 
 
 def test_r3_allows_the_session_factories():
     source = "k = ReachabilityKernel(fpva)\ns = PressureSimulator(fpva)\n"
     assert codes("src/repro/context.py", source) == []
     assert codes("src/repro/sim/kernel.py", source) == []
-    assert codes("src/repro/store/kernels.py", source) == []
 
 
 # -- R5: broad except ---------------------------------------------------------

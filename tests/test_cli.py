@@ -27,8 +27,13 @@ class TestParser:
             ["campaign", "--journal-dir", "j", "--max-attempts", "0"],
             ["diagnose", "--trials", "-1"],
             ["campaign", "--workers", "0"],
+            ["diagnose", "--faults", "0"],
+            ["campaign", "--max-faults", "0"],
         ],
-        ids=["campaign-trials", "max-attempts", "diagnose-trials", "workers"],
+        ids=[
+            "campaign-trials", "max-attempts", "diagnose-trials", "workers",
+            "diagnose-faults", "max-faults",
+        ],
     )
     def test_out_of_range_counts_exit_2(self, argv, capsys):
         """Rejected at parse time, before any suite is generated."""

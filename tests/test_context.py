@@ -87,7 +87,7 @@ class TestExecutionContext:
     def test_shared_lazy_machinery(self, small):
         ctx = ExecutionContext(small)
         assert ctx.kernel_compiles == 0  # nothing compiled yet
-        assert ctx.tester.simulator is ctx.simulator
+        assert ctx.tester.kernel is ctx.kernel
         assert ctx.simulator.kernel is ctx.kernel
         assert ctx.kernel_compiles == 1
 

@@ -277,6 +277,31 @@ class TestFabricPath:
         for k in first:
             assert _result_key(first[k]) == _result_key(second[k])
 
+    def test_finished_journal_rerun_compiles_no_kernel(
+        self, bundle, tmp_path, monkeypatch
+    ):
+        """Without a caller's session, a rerun with no shard left to run
+        compiles nothing; a session for another array is still refused."""
+        from repro.context import ExecutionContext
+        from repro.sim.kernel import ReachabilityKernel
+
+        fpva, vectors = bundle
+        kwargs = dict(
+            fault_counts=(1, 2), trials=40, seed=9, shard_trials=15,
+            journal_dir=tmp_path / "j",
+        )
+        first = run_sweep(fpva, vectors, **kwargs)
+        other = ExecutionContext(full_layout(3, 3, name="parallel-other"))
+
+        def _compile(self, array):
+            raise AssertionError("finished-journal rerun compiled a kernel")
+
+        monkeypatch.setattr(ReachabilityKernel, "__init__", _compile)
+        second = run_sweep(fpva, vectors, resume=True, **kwargs)
+        assert first == second
+        with pytest.raises(ValueError, match="context was created for array"):
+            run_sweep(fpva, vectors, resume=True, context=other, **kwargs)
+
 
 class TestSweepInputs:
     @pytest.mark.parametrize("journaled", [False, True], ids=["memory", "journal"])

@@ -17,8 +17,10 @@ from repro.fpva import full_layout, table1_layout
 from repro.sim import (
     ChannelBlocked,
     ChipUnderTest,
+    CompiledFaultSet,
     FaultDictionary,
     IntermittentStuckAt,
+    ReachabilityKernel,
     StuckAt0,
     StuckAt1,
     Tester,
@@ -111,8 +113,9 @@ class TestIntermittentFault:
     def test_requires_vector_identity(self, bundle):
         fpva, _ = bundle
         chip = ChipUnderTest(fpva, [IntermittentStuckAt(fpva.valves[0])])
+        compiled = CompiledFaultSet(ReachabilityKernel(fpva), chip.faults)
         with pytest.raises(ValueError, match="vector identity"):
-            chip.effective_open_valves(frozenset())
+            compiled.effective_masks(0)
 
 
 class TestBlockageFault:

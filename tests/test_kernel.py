@@ -24,14 +24,22 @@ from repro.fpva import FPVABuilder, Side, full_layout, table1_layout
 from repro.fpva.geometry import Cell
 from repro.sim import (
     BatchEvaluator,
+    ChannelBlocked,
     ChipUnderTest,
     CompiledFaultSet,
+    ControlLeak,
     FaultDictionary,
+    IntermittentStuckAt,
     PressureSimulator,
     ReachabilityKernel,
+    StuckAt0,
+    StuckAt1,
+    Tester,
+    sample_fault_set,
 )
 from repro.sim.campaign import run_trials
 from repro.sim.kernel import _pack_words, _unpack_words
+from test_integration import small_layouts
 
 
 class TestPackRoundTrip:
@@ -89,6 +97,57 @@ def _random_vectors(fpva, rng, count=8):
     ]
 
 
+def _assert_slot_rows_intern_compiled_masks(fpva, rng, compiled_branch):
+    """slot_row interns CompiledFaultSet's masks for every single fault of
+    the mixed universe on the chosen branch, plus random sets of 1-3."""
+
+    def complex_kind(faults):
+        return any(
+            isinstance(f, (ControlLeak, IntermittentStuckAt)) for f in faults
+        )
+
+    vectors = _random_vectors(fpva, rng, count=10)
+    kernel = ReachabilityKernel(fpva)
+    evaluator = BatchEvaluator(kernel, vectors)
+    universe = get_scenario("mixed").universe(fpva)
+    drawn = [(f,) for f in universe if complex_kind((f,)) == compiled_branch]
+    for cardinality in (1, 2, 3):
+        while len(drawn) < len(universe) + 10 * cardinality:
+            faults = sample_fault_set(universe, cardinality, rng)
+            if complex_kind(faults) == compiled_branch:
+                drawn.append(faults)
+    for faults in drawn:
+        row = evaluator.slot_row(faults)
+        interned = {slot: key for key, slot in evaluator._memo.items()}
+        compiled = CompiledFaultSet(kernel, faults)
+        assert [interned[slot] for slot in row] == [
+            compiled.effective_masks(mask, vector.name)
+            for mask, vector in zip(evaluator.commanded_masks, vectors)
+        ], faults
+
+
+def _assert_apply_matches_object_tester(fpva, rng):
+    """Tester.apply reads every mixed-scenario chip of 1-3 faults as the
+    object-level tester does; returns the fault kinds the chips carried."""
+    vectors = _random_vectors(fpva, rng, count=10)
+    tester = Tester(fpva)
+    reference = oracle.object_tester(fpva)
+    scenario = get_scenario("mixed")
+    universe = scenario.universe(fpva)
+    kinds = set()
+    for cardinality in (1, 2, 3):
+        for _ in range(20):
+            faults = scenario.sample(universe, rng, cardinality)
+            kinds.update(type(f) for f in faults)
+            chip = ChipUnderTest(fpva, faults)
+            for vector in vectors:
+                got = tester.apply(chip, vector).observed
+                want = reference.apply(chip, vector).observed
+                assert got == want, (faults, vector.name)
+                assert list(got) == list(want)
+    return kinds
+
+
 @pytest.fixture(scope="module")
 def arrays(two_sink_array):
     return (
@@ -100,10 +159,12 @@ def arrays(two_sink_array):
 
 class TestSingleQueryEquivalence:
     def test_random_open_and_blocked_sets(self, arrays):
-        """meter_readings/pressurized_nodes == the object-graph BFS."""
+        """Kernel readings/reach == the object-graph BFS, with and without
+        blocked edges; the fault-free simulator agrees on unblocked sets."""
         rng = random.Random(42)
         for fpva in arrays:
             sim = PressureSimulator(fpva)
+            kernel = sim.kernel
             ref_sim = oracle.ObjectSimulator(fpva)
             valves = list(fpva.valves)
             edges = list(fpva.flow_edges)
@@ -112,13 +173,22 @@ class TestSingleQueryEquivalence:
                     rng.sample(valves, rng.randrange(len(valves) + 1))
                 )
                 blocked = frozenset(rng.sample(edges, rng.randrange(0, 3)))
-                fast = sim.meter_readings(open_set, blocked=blocked)
+                masks = kernel.valve_mask(open_set), kernel.edge_mask(blocked)
+                fast = kernel.readings(*masks)
                 ref = ref_sim.meter_readings(open_set, blocked=blocked)
                 assert fast == ref
                 assert list(fast) == list(ref)  # same key order too
-                assert sim.pressurized_nodes(
+                reached = {
+                    node
+                    for node, hit in zip(kernel.nodes, kernel.reach(*masks))
+                    if hit
+                }
+                assert reached == ref_sim.pressurized_nodes(
                     open_set, blocked=blocked
-                ) == ref_sim.pressurized_nodes(open_set, blocked=blocked)
+                )
+                if not blocked:
+                    assert sim.meter_readings(open_set) == ref
+                    assert sim.pressurized_nodes(open_set) == reached
 
     def test_open_iterable_coerced_once(self, arrays):
         """Generators (single-pass iterables) are valid open sets."""
@@ -151,7 +221,7 @@ class TestSingleQueryEquivalence:
 
 class TestCompiledFaultSetEquivalence:
     def test_effective_masks_match_chip_all_fault_kinds(self, arrays):
-        """CompiledFaultSet replays ChipUnderTest.effective_state exactly.
+        """CompiledFaultSet replays oracle.effective_state exactly.
 
         The mixed scenario draws every fault kind (SA0, SA1, ControlLeak,
         IntermittentStuckAt, ChannelBlocked).
@@ -168,7 +238,7 @@ class TestCompiledFaultSetEquivalence:
                 chip = ChipUnderTest(fpva, faults)
                 compiled = CompiledFaultSet(kernel, faults)
                 for vi, vector in enumerate(vectors):
-                    open_ref, blocked_ref = chip.effective_state(vector)
+                    open_ref, blocked_ref = oracle.effective_state(chip, vector)
                     open_mask, blocked_mask = compiled.effective_masks(
                         evaluator.commanded_masks[vi], vector.name
                     )
@@ -185,34 +255,23 @@ class TestCompiledFaultSetEquivalence:
         compiled branch.  Both run at cardinalities 1-3, and every single
         fault of the universe is checked on its own.
         """
-        from repro.sim import ControlLeak, IntermittentStuckAt, sample_fault_set
-
-        def complex_kind(faults):
-            return any(
-                isinstance(f, (ControlLeak, IntermittentStuckAt)) for f in faults
-            )
-
         rng = random.Random(19)
-        universe_of = get_scenario("mixed").universe
         for fpva in arrays:
-            vectors = _random_vectors(fpva, rng, count=10)
-            kernel = ReachabilityKernel(fpva)
-            evaluator = BatchEvaluator(kernel, vectors)
-            universe = universe_of(fpva)
-            drawn = [(f,) for f in universe if complex_kind((f,)) == compiled_branch]
-            for cardinality in (1, 2, 3):
-                while len(drawn) < len(universe) + 10 * cardinality:
-                    faults = sample_fault_set(universe, cardinality, rng)
-                    if complex_kind(faults) == compiled_branch:
-                        drawn.append(faults)
-            for faults in drawn:
-                row = evaluator.slot_row(faults)
-                interned = {slot: key for key, slot in evaluator._memo.items()}
-                compiled = CompiledFaultSet(kernel, faults)
-                assert [interned[slot] for slot in row] == [
-                    compiled.effective_masks(mask, vector.name)
-                    for mask, vector in zip(evaluator.commanded_masks, vectors)
-                ], faults
+            _assert_slot_rows_intern_compiled_masks(fpva, rng, compiled_branch)
+
+    @pytest.mark.parametrize("compiled_branch", [False, True])
+    @settings(
+        max_examples=10,
+        deadline=None,
+        suppress_health_check=[HealthCheck.too_slow, HealthCheck.data_too_large],
+    )
+    @given(small_layouts(), st.integers(0, 2**16))
+    def test_slot_row_interns_the_compiled_masks_on_random_layouts(
+        self, compiled_branch, fpva, seed
+    ):
+        """The same property on random layouts with channels and obstacles."""
+        rng = random.Random(seed)
+        _assert_slot_rows_intern_compiled_masks(fpva, rng, compiled_branch)
 
     def test_unknown_valve_rejected_like_chip(self, arrays):
         fpva = arrays[0]
@@ -234,6 +293,29 @@ class TestCompiledFaultSetEquivalence:
             with pytest.raises(ValueError) as slot_row_error:
                 evaluator.slot_row((fault,))
             assert str(slot_row_error.value) == str(compiled_error.value)
+
+
+class TestTesterEquivalence:
+    """Tester.apply, on the kernel's fault masks, against the object-level
+    fault model and BFS in tests/oracle.py."""
+
+    def test_apply_matches_object_tester(self, arrays):
+        rng = random.Random(23)
+        kinds = set()
+        for fpva in arrays:
+            kinds |= _assert_apply_matches_object_tester(fpva, rng)
+        assert kinds == {
+            StuckAt0, StuckAt1, ControlLeak, IntermittentStuckAt, ChannelBlocked
+        }
+
+    @settings(
+        max_examples=10,
+        deadline=None,
+        suppress_health_check=[HealthCheck.too_slow, HealthCheck.data_too_large],
+    )
+    @given(small_layouts(), st.integers(0, 2**16))
+    def test_apply_matches_object_tester_on_random_layouts(self, fpva, seed):
+        _assert_apply_matches_object_tester(fpva, random.Random(seed))
 
 
 class TestDictionaryEquivalence:
@@ -411,20 +493,17 @@ class TestRandomizedProperty:
     def test_readings_dictionary_and_verdicts_match(self, fpva, seed):
         rng = random.Random(seed)
         vectors = generate_suite(fpva).all_vectors()
-        sim = PressureSimulator(fpva)
-        ref_sim = oracle.ObjectSimulator(fpva)
+        tester = Tester(fpva)
+        reference = oracle.object_tester(fpva)
         scenario = get_scenario("mixed")
         universe = scenario.universe(fpva)
 
-        # Readings under faulty effective states match the object BFS.
+        # Faulty chips read as they do on the object engine.
         for _ in range(10):
             faults = scenario.sample(universe, rng, rng.choice((1, 2)))
             chip = ChipUnderTest(fpva, faults)
             for vector in vectors:
-                opened, blocked = chip.effective_state(vector)
-                assert sim.meter_readings(
-                    opened, blocked=blocked
-                ) == ref_sim.meter_readings(opened, blocked=blocked)
+                assert tester.apply(chip, vector) == reference.apply(chip, vector)
 
         # Dictionary tables and adaptive verdicts match the reference build.
         sub = rng.sample(universe, min(16, len(universe)))

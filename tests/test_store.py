@@ -240,7 +240,7 @@ class TestDeferredKernelCompile:
             fpva, vectors, universe=fault_universe(fpva)[:8],
             context=ExecutionContext(fpva, kernel=kernel),
         )
-        assert dictionary.tester.simulator.kernel is kernel
+        assert dictionary.tester.kernel is kernel
 
     def test_iter_fault_sets_matches_eager_enumeration(self, bundle):
         import itertools

@@ -2,6 +2,7 @@
 
 import pytest
 
+import oracle
 from repro.core import generate_suite
 from repro.core.validate import (
     audit_two_fault_detection,
@@ -11,12 +12,18 @@ from repro.core.validate import (
 from repro.core.vectors import TestVector, VectorKind
 from repro.fpva import full_layout
 from repro.sim.pressure import PressureSimulator
+from repro.sim.tester import Tester
 
 
 @pytest.fixture(scope="module")
 def suite4():
     fpva = full_layout(4, 4, name="theorem-4x4")
     return fpva, generate_suite(fpva)
+
+
+@pytest.fixture(scope="module")
+def suite5(table5):
+    return table5, generate_suite(table5)
 
 
 class TestValidation:
@@ -102,3 +109,33 @@ class TestTwoFaultTheorem:
         )
         # Flow paths alone cannot see stuck-at-1 faults.
         assert audit.singles_missed
+
+    @pytest.mark.parametrize("max_pairs", [None, 500])
+    @pytest.mark.parametrize("include_control_leaks", [False, True])
+    def test_matches_the_chip_at_a_time_oracle(
+        self, suite5, include_control_leaks, max_pairs
+    ):
+        """Same singles, same sampled pairs, same misses in the same order."""
+        fpva, suite = suite5
+        kwargs = dict(
+            include_control_leaks=include_control_leaks, max_pairs=max_pairs
+        )
+        audit = audit_two_fault_detection(fpva, suite.all_vectors(), **kwargs)
+        reference = oracle.audit_two_fault_detection(
+            fpva, suite.all_vectors(), **kwargs
+        )
+        assert audit == reference
+
+    def test_batched_without_applying_chips(self, suite4, monkeypatch):
+        """The audit judges every set through the batch evaluator and
+        never applies a chip vector by vector."""
+
+        def refuse(*args, **kwargs):
+            raise AssertionError("Tester.apply called by the audit")
+
+        monkeypatch.setattr(Tester, "apply", refuse)
+        fpva, suite = suite4
+        audit = audit_two_fault_detection(
+            fpva, suite.all_vectors(), include_control_leaks=True, max_pairs=500
+        )
+        assert audit.ok and audit.pairs_checked == 500
