@@ -71,6 +71,8 @@ from repro.engine import (
 )
 from repro.fpva import TABLE1_SIZES, full_layout, table1_layout
 from repro.sim import ChipUnderTest
+from repro.sim.campaign import campaign_universe
+from repro.sim.faults import max_compatible_faults
 
 
 def _layout(args):
@@ -98,6 +100,20 @@ def _suite(ctx: ExecutionContext):
     print(generated.testset.summary())
     print(f"suite {status} in {time.perf_counter() - t0:.2f}s")
     return generated.testset
+
+
+def _too_many_faults(count: int, universe, flag: str) -> bool:
+    """True, after saying why, if no chip can carry ``count`` faults of
+    ``universe``."""
+    limit = max_compatible_faults(universe)
+    if count <= limit:
+        return False
+    print(
+        f"{flag} {count} exceeds {limit}, the largest compatible fault set "
+        "of this array",
+        file=sys.stderr,
+    )
+    return True
 
 
 def _at_least(minimum: int):
@@ -176,8 +192,11 @@ def cmd_campaign(args) -> int:
         return 2
     ctx = _context(args)
     fpva = ctx.fpva
-    suite = _suite(ctx)
     scenario = get_scenario(args.scenario) if args.scenario else None
+    universe = campaign_universe(fpva, scenario)
+    if _too_many_faults(args.max_faults, universe, "--max-faults"):
+        return 2
+    suite = _suite(ctx)
     fault_counts = tuple(range(1, args.max_faults + 1))
     print(f"scenario={scenario.name if scenario else 'stuck-at'} "
           f"workers={args.workers}"
@@ -281,9 +300,11 @@ def cmd_diagnose(args) -> int:
         return 2
     ctx = _context(args)
     fpva = ctx.fpva
-    suite = _suite(ctx)
     scenario = get_scenario(args.scenario)
     universe = scenario.universe(fpva)
+    if _too_many_faults(args.faults, universe, "--faults"):
+        return 2
+    suite = _suite(ctx)
     t0 = time.perf_counter()
     dictionary = ctx.dictionary(
         suite.all_vectors(),

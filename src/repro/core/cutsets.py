@@ -13,6 +13,11 @@ Two generation strategies are provided:
   instantiated on the junction graph, with constraint (9) applied to every
   dual edge so the two-fault masking patterns of Fig 5(c)/(d) cannot occur
   (a wall may never pass two junctions of a valve without closing it).
+  The sweep's walls are its incumbent: an admission LP (every binary
+  fixed to the walls) checks that the model accepts them, then one MILP
+  with one wall fewer either finds a better cover or, infeasible, proves
+  the walls optimal.  Walls the model refuses leave the usual ladder
+  (n_c = lower bound, +1, ... until feasible) to find the cover.
 * ``"sweep"`` — the scalable generator: one straight wall per grid line
   (n_r + n_c − 2 walls on a full array — exactly the paper's Table I n_c
   column), detoured around channels and obstacles by weighted dual-graph
@@ -183,7 +188,8 @@ class CutSetGenerator:
 
     # -- ILP strategy ---------------------------------------------------------
     def _walls_ilp(self) -> list[Wall]:
-        """The paper's adaptation of optimization (7)-(8) to the dual graph."""
+        """The paper's adaptation of optimization (7)-(8) to the dual graph,
+        certifying the sweep's walls when the model admits them."""
         g = self.dual
         cover = {
             edge_key(u, v)
@@ -200,10 +206,13 @@ class CutSetGenerator:
             cover_edges=cover,
             closure_edges=closure,
         )
+        sweep = [wall.junctions for wall in self._walls_sweep()]
+        incumbent = [CoverPath(j, tuple(map(edge_key, j, j[1:]))) for j in sweep]
         solution = solve_path_cover(
             problem,
             max_paths=self.max_walls,
             solve_options=self.solve_options,
+            incumbent=incumbent,
         )
         return [self._wall_from_dual_path(p) for p in solution.paths]
 

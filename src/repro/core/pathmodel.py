@@ -156,6 +156,10 @@ class PathCoverILP:
         self.required_first = set(required_edges_first_path)
         self.forbidden = set(forbidden_edges)
         self.required_coverage = required_coverage
+        #: Status of the last :meth:`solve`: ``INFEASIBLE`` proves that no
+        #: cover with ``num_paths`` or fewer paths exists, ``TIME_LIMIT``
+        #: proves nothing.
+        self.status: SolveStatus | None = None
         self._build()
 
     def _build(self) -> None:
@@ -289,12 +293,12 @@ class PathCoverILP:
         return self._order[n]
 
     def solve(self, options: SolveOptions | None = None) -> "PathCoverSolution | None":
-        """Solve; returns None if infeasible (or unproven within limits)."""
+        """Solve; returns None if infeasible or out of time (see
+        :attr:`status` for which)."""
         sol = solve(self.model, options)
+        self.status = sol.status
         if not sol.has_solution:
-            if sol.status is SolveStatus.INFEASIBLE:
-                return None
-            if sol.status is SolveStatus.TIME_LIMIT:
+            if sol.status in (SolveStatus.INFEASIBLE, SolveStatus.TIME_LIMIT):
                 return None
             raise PathCoverError(f"solver failed: {sol.status} {sol.message}")
         paths = []
@@ -308,6 +312,41 @@ class PathCoverILP:
             proven_optimal=sol.is_optimal,
             wall_time=sol.wall_time,
         )
+
+    def admits(
+        self, paths: Sequence[CoverPath], options: SolveOptions | None = None
+    ) -> bool:
+        """True if ``paths`` (one per candidate path) solve this model.
+
+        Each node sequence is read from a ``terminals_a`` node to a
+        ``terminals_b`` node, reversed if it runs the other way; one that
+        does not end on terminals, or steps over an edge the graph lacks,
+        is refused.  Every ``c``, ``v`` and ``p`` binary is then fixed to
+        the paths' values, so one LP over the flow variables decides, and
+        the model's own constraints judge the paths: (1)-(4), closure (9),
+        the region caps and coverage (2).  The binaries stay fixed, so
+        check on a fresh model.
+        """
+        if len(paths) != self.num_paths:
+            raise ValueError(f"{len(paths)} paths for a {self.num_paths}-path model")
+        firsts, lasts = set(self.problem.terminals_a), set(self.problem.terminals_b)
+        for k, path in enumerate(paths):
+            nodes = path.nodes
+            if nodes and not (nodes[0] in firsts and nodes[-1] in lasts):
+                nodes = nodes[::-1]
+            if not nodes or nodes[0] not in firsts or nodes[-1] not in lasts:
+                return False
+            used = {edge_key(u, w) for u, w in zip(nodes, nodes[1:])}
+            used |= {frozenset((_TA, nodes[0])), frozenset((_TB, nodes[-1]))}
+            if not used <= self.var_v[k].keys():
+                return False
+            on_path = set(nodes)
+            for n, var in self.var_c[k].items():
+                var.lb = var.ub = float(n in on_path)
+            for e, var in self.var_v[k].items():
+                var.lb = var.ub = float(e in used)
+            self.var_p[k].lb = self.var_p[k].ub = 1.0
+        return solve(self.model, options).has_solution
 
     def _extract_path(self, sol, k: int) -> CoverPath:
         """Turn the v-variable assignment of path k into an ordered walk."""
@@ -354,7 +393,8 @@ class PathCoverILP:
 
 @dataclass
 class PathCoverSolution:
-    """Paths extracted from one ILP solve."""
+    """Paths extracted from one ILP solve, or a certified incumbent (whose
+    ``wall_time`` is 0: no solve produced it)."""
 
     paths: list[CoverPath]
     objective: float | None
@@ -373,20 +413,60 @@ def solve_path_cover(
     start_paths: int | None = None,
     max_paths: int = 64,
     solve_options: SolveOptions | None = None,
+    incumbent: Sequence[CoverPath] = (),
 ) -> PathCoverSolution:
-    """The incremental outer loop of section III-B-3.
+    """The incremental outer loop of section III-B-3, or a certificate.
 
     Try ``n_p = start, start+1, ...`` until the coverage ILP becomes feasible
     (the paper: "if this happens, we increase n_p and solve the optimization
-    problem again").
+    problem again").  The model at ``n`` admits every cover of at most
+    ``n`` paths and minimizes their number, so the first rung solved to
+    optimality gives the optimum.  It is reported ``proven_optimal`` only
+    if every lower rung was proven infeasible: a rung that ran out of time
+    leaves which cover is returned up to the machine's speed.
+
+    An ``incumbent`` cover of ``U`` paths that the model admits
+    (:meth:`PathCoverILP.admits`) replaces the ladder: one MILP at
+    ``U - 1`` paths either returns the better optimum or, infeasible,
+    proves the incumbent optimal, which is then returned as is (unproven
+    if that solve ran out of time; with no MILP at all if ``U`` is at the
+    coverage lower bound).  A refused incumbent leaves the ladder as it is.
     """
+    if incumbent and PathCoverILP(problem, len(incumbent)).admits(
+        incumbent, solve_options
+    ):
+        return _certify(problem, list(incumbent), solve_options)
     start = start_paths or problem.coverage_lower_bound()
+    proven = True
     for num_paths in range(start, max_paths + 1):
         ilp = PathCoverILP(problem, num_paths)
         solution = ilp.solve(solve_options)
         if solution is not None:
+            solution.proven_optimal = solution.proven_optimal and proven
             return solution
+        proven = proven and ilp.status is SolveStatus.INFEASIBLE
     raise PathCoverError(
         f"no feasible cover with up to {max_paths} paths "
         f"({len(problem.cover_edges)} edges to cover)"
+    )
+
+
+def _certify(
+    problem: PathCoverProblem,
+    incumbent: list[CoverPath],
+    solve_options: SolveOptions | None,
+) -> PathCoverSolution:
+    """The admitted ``incumbent``, unless a cover with fewer paths exists."""
+    status = SolveStatus.INFEASIBLE
+    if len(incumbent) > problem.coverage_lower_bound():
+        ilp = PathCoverILP(problem, len(incumbent) - 1)
+        solution = ilp.solve(solve_options)
+        if solution is not None:
+            return solution
+        status = ilp.status
+    return PathCoverSolution(
+        paths=incumbent,
+        objective=float(len(incumbent)),
+        proven_optimal=status is SolveStatus.INFEASIBLE,
+        wall_time=0.0,
     )

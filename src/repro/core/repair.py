@@ -13,8 +13,8 @@ class is the *mixed* pair — ``SA0(e1)`` masked by ``SA1(e2)``:
 * the cut vector that would expose ``e2``'s leak needs the leak's route
   to the meter, which the broken ``e1`` severs.
 
-Hypothesis found exactly this on a 5x4 obstacle layout (a stored
-counterexample now pinned in ``tests/test_repair.py``).  This module
+Hypothesis found exactly this on a 5x4 obstacle layout; a 5x3 one is
+pinned in ``tests/test_repair.py``.  This module
 audits a generated suite for mixed pairs the suite misses and
 synthesizes one breaker vector per miss:
 

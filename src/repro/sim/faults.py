@@ -241,6 +241,16 @@ def compatibility_key(fault: Fault) -> object:
     return fault
 
 
+def max_compatible_faults(universe: Iterable[Fault]) -> int:
+    """Size of the largest compatible fault set drawn from ``universe``.
+
+    Faults whose :func:`compatibility_key` compares equal are pairwise
+    incompatible, and faults with distinct keys are compatible, so a chip
+    carries at most one fault per key.
+    """
+    return len({compatibility_key(f) for f in universe})
+
+
 def faulty_valves(faults: Iterable[Fault]) -> set[Edge]:
     """All valves/edges touched by any fault in the set."""
     out: set[Edge] = set()

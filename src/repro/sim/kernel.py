@@ -30,8 +30,8 @@ hashing, no per-call dict rebuilds, and no per-call buffer allocation (the
 visited map is a hoisted scratch buffer reset in O(visited)).
 This module is the one place a fault set becomes an effective state.
 :class:`CompiledFaultSet` defines the fault model on masks;
-:meth:`ReachabilityKernel.fault_readings` applies it to one chip and one
-vector (the :class:`~repro.sim.tester.Tester` path), and
+:meth:`ReachabilityKernel.compile_faults` builds one for a chip, which the
+:class:`~repro.sim.tester.Tester` applies vector by vector, and
 :meth:`BatchEvaluator.slot_rows` to many fault sets over a suite:
 stuck-ats and blockages compose there by bit arithmetic over per-fault
 masks, and a set with a control leak or an intermittent fault goes
@@ -391,15 +391,11 @@ class ReachabilityKernel:
         seen[:] = self._scalar_zero
         return dict(zip(self.sink_names, hits))
 
-    def fault_readings(
-        self, faults: Sequence[Fault], vector: TestVector
-    ) -> dict[str, bool]:
-        """Sink readings of a chip carrying ``faults`` under one vector."""
-        return self.readings(
-            *CompiledFaultSet(self, faults).effective_masks(
-                self.valve_mask(vector.open_valves), vector.name
-            )
-        )
+    def compile_faults(self, faults: Sequence[Fault]) -> "CompiledFaultSet":
+        """``faults`` compiled to masks, once for any number of vectors:
+        ``self.readings(*compiled.effective_masks(open_mask, vector_name))``
+        reads one chip under one vector."""
+        return CompiledFaultSet(self, faults)
 
     # -- batched path (64 scenarios per word) ------------------------------
     def _propagate(self, arc_open: np.ndarray, words: int) -> np.ndarray:

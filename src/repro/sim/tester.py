@@ -4,21 +4,28 @@ The tester applies a suite of vectors to a (possibly faulty) chip, compares
 the meter readings against the fault-free expectations stored in each
 vector, and reports the *syndrome* — which vectors failed and what the
 meters actually showed.  A chip is applied through its array's compiled
-kernel (:meth:`~repro.sim.kernel.ReachabilityKernel.fault_readings`), so
-one vector costs one mask-level fault application and one scalar
-reachability query.
+kernel: its faults compile once per run
+(:meth:`~repro.sim.kernel.ReachabilityKernel.compile_faults`), and each
+vector costs one mask-level fault application and one scalar
+reachability query.  Each tester memoizes its vectors' commanded open
+masks.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Sequence
+from typing import Callable, Sequence
 
 from repro.core.vectors import TestVector
 from repro.fpva.array import FPVA
+from repro.fpva.geometry import Edge
 from repro.sim.chip import ChipUnderTest
 from repro.sim.faults import Fault
 from repro.sim.kernel import ReachabilityKernel
+
+#: FIFO bound on one tester's memo of commanded open masks (a suite has
+#: tens to a few hundred vectors).
+_OPEN_MASK_LIMIT = 4096
 
 
 @dataclass(frozen=True)
@@ -72,10 +79,11 @@ class Tester:
             raise ValueError("kernel was compiled for a different array")
         self.fpva = fpva
         self.kernel = kernel if kernel is not None else ReachabilityKernel(fpva)
+        self._open_masks: dict[frozenset[Edge], int] = {}
 
     def apply(self, chip: ChipUnderTest, vector: TestVector) -> VectorOutcome:
         """Apply one vector and read the meters."""
-        return VectorOutcome(vector, self.kernel.fault_readings(chip.faults, vector))
+        return self._reader(chip)(vector)
 
     def run(
         self,
@@ -85,8 +93,9 @@ class Tester:
     ) -> TestRunResult:
         """Apply a suite; optionally stop at the first failing vector."""
         result = TestRunResult()
+        read = self._reader(chip)
         for vector in vectors:
-            outcome = self.apply(chip, vector)
+            outcome = read(vector)
             result.outcomes.append(outcome)
             if stop_at_first_fail and not outcome.passed:
                 result.stopped_early = True
@@ -97,3 +106,22 @@ class Tester:
         """True if the suite flags a chip carrying exactly these faults."""
         chip = ChipUnderTest(self.fpva, faults)
         return self.run(chip, vectors, stop_at_first_fail=True).fault_detected
+
+    def _reader(self, chip: ChipUnderTest) -> Callable[[TestVector], VectorOutcome]:
+        """Applies vectors to ``chip``, whose faults compile once here."""
+        kernel, masks = self.kernel, self._open_masks
+        faults = kernel.compile_faults(chip.faults)
+
+        def read(vector: TestVector) -> VectorOutcome:
+            mask = masks.get(vector.open_valves)
+            if mask is None:
+                while len(masks) >= _OPEN_MASK_LIMIT:
+                    masks.pop(next(iter(masks)))
+                mask = masks[vector.open_valves] = kernel.valve_mask(
+                    vector.open_valves
+                )
+            return VectorOutcome(
+                vector, kernel.readings(*faults.effective_masks(mask, vector.name))
+            )
+
+        return read

@@ -31,6 +31,7 @@ Nothing under ``src/`` imports this module.
 
 from __future__ import annotations
 
+import functools
 import itertools
 import math
 import random
@@ -255,6 +256,10 @@ class ObjectTester(Tester):
         return VectorOutcome(
             vector, self.simulator.meter_readings(opened, blocked=blocked)
         )
+
+    def _reader(self, chip):
+        """``run`` and ``detects`` apply through :meth:`apply` too."""
+        return functools.partial(self.apply, chip)
 
 
 def object_tester(fpva) -> ObjectTester:

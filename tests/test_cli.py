@@ -42,6 +42,28 @@ class TestParser:
         assert exited.value.code == 2
         assert "must be at least" in capsys.readouterr().err
 
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["diagnose", "--size", "3", "--full", "--faults", "500"],
+            ["campaign", "--size", "3", "--full", "--max-faults", "100",
+             "--trials", "2"],
+        ],
+        ids=["diagnose-faults", "max-faults"],
+    )
+    def test_fault_counts_above_the_largest_compatible_set_exit_2(
+        self, argv, capsys, monkeypatch
+    ):
+        """A full 3x3's stuck-at universe has 34 compatibility keys, so no
+        chip carries more faults; refused before any suite is generated."""
+        monkeypatch.setattr(
+            "repro.context.ExecutionContext.suite",
+            lambda self: pytest.fail("generated a suite"),
+        )
+        assert main(argv) == 2
+        err = capsys.readouterr().err
+        assert "exceeds 34, the largest compatible fault set" in err
+
 
 class TestCommands:
     def test_show(self, capsys):

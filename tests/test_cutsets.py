@@ -1,13 +1,19 @@
 """Cut-set generation: separation, observability, constraint (9)."""
 
-import pytest
+from unittest import mock
 
+import pytest
+from hypothesis import HealthCheck, given, settings
+
+import repro.core.cutsets as cutsets
 from repro.core.cutsets import CutSetGenerator, Wall, closure_repair
 from repro.core.validate import validate_vector
-from repro.fpva import table1_layout
-from repro.fpva.geometry import Junction
-from repro.ilp import SolveOptions
+from repro.fpva import FPVABuilder, Side, full_layout, table1_layout
+from repro.fpva.geometry import Cell, Junction
+from repro.ilp import SolveOptions, SolveStatus
 from repro.sim import ChipUnderTest, StuckAt1, Tester
+from test_integration import small_layouts
+from test_pathmodel import record_solves
 
 OPTS = SolveOptions(time_limit=60)
 
@@ -88,3 +94,96 @@ class TestWallThrough:
         for wall, vec in zip(result.walls, result.vectors):
             observable = gen.observable_members(wall)
             assert observable <= wall.valves
+
+
+def _ilp_cuts(fpva, certify: bool = True):
+    """``strategy="ilp"`` cut-sets; ``certify=False`` passes the solver no
+    incumbent, so the ladder finds the walls."""
+    generator = CutSetGenerator(fpva, strategy="ilp", solve_options=OPTS)
+    if certify:
+        return generator.generate()
+    real = cutsets.solve_path_cover
+
+    def ladder(problem, **kwargs):
+        return real(problem, **dict(kwargs, incumbent=()))
+
+    with mock.patch.object(cutsets, "solve_path_cover", ladder):
+        return generator.generate()
+
+
+def _assert_certificate_matches_ladder(fpva):
+    certified, ladder = _ilp_cuts(fpva), _ilp_cuts(fpva, certify=False)
+    assert certified.nc_cuts == ladder.nc_cuts
+    assert certified.uncovered == ladder.uncovered
+
+
+class TestCertificate:
+    """The ILP strategy certifies the sweep's walls instead of searching."""
+
+    @pytest.mark.parametrize(
+        "fpva",
+        [table1_layout(5), full_layout(3, 3), full_layout(4, 4), full_layout(5, 5)],
+        ids=lambda fpva: fpva.name,
+    )
+    def test_same_count_and_coverage_as_the_ladder(self, fpva):
+        _assert_certificate_matches_ladder(fpva)
+
+    @pytest.mark.slow
+    @settings(
+        max_examples=6,
+        deadline=None,
+        suppress_health_check=[HealthCheck.too_slow, HealthCheck.data_too_large],
+    )
+    @given(small_layouts())
+    def test_same_count_and_coverage_as_the_ladder_on_random_layouts(self, fpva):
+        _assert_certificate_matches_ladder(fpva)
+
+    def test_table5_cut_stage_makes_two_solver_calls(self, monkeypatch):
+        """The admission LP at the sweep's 8 walls, then the proof at 7
+        (the ladder made 7 solves, n = 2..8)."""
+        generator = CutSetGenerator(table1_layout(5), solve_options=OPTS)
+        sweep = [wall.valves for wall in generator._walls_sweep()]
+        calls = record_solves(monkeypatch)
+        result = generator.generate()
+        assert calls == [
+            ("path-cover-8", SolveStatus.OPTIMAL),
+            ("path-cover-7", SolveStatus.INFEASIBLE),
+        ]
+        assert [wall.valves for wall in result.walls] == sweep
+        assert result.nc_cuts == 8 and not result.uncovered
+
+    def test_time_limit_returns_the_sweep_walls_unproven(self, monkeypatch):
+        generator = CutSetGenerator(table1_layout(5), solve_options=OPTS)
+        sweep = [wall.valves for wall in generator._walls_sweep()]
+        record_solves(monkeypatch, time_out={f"path-cover-{len(sweep) - 1}"})
+        solutions = []
+        real = cutsets.solve_path_cover
+
+        def spy(problem, **kwargs):
+            solutions.append(real(problem, **kwargs))
+            return solutions[-1]
+
+        monkeypatch.setattr(cutsets, "solve_path_cover", spy)
+        assert [wall.valves for wall in generator._walls_ilp()] == sweep
+        assert not solutions[0].proven_optimal
+
+    def test_a_refused_incumbent_runs_the_ladder(self, monkeypatch):
+        """On this layout the sweep's walls leave a valve dual edge
+        untraversed, so coverage (2) refuses them."""
+        fpva = (
+            FPVABuilder(5, 5, name="refused-5x5")
+            .obstacle(3, 3)
+            .channel(Cell(4, 1), "east", 1)
+            .source(Side.WEST, 1)
+            .sink(Side.EAST, 5)
+            .build()
+        )
+        generator = CutSetGenerator(fpva, strategy="ilp", solve_options=OPTS)
+        walls = len(generator._walls_sweep())
+        calls = record_solves(monkeypatch)
+        result = generator.generate()
+        assert calls[0] == (f"path-cover-{walls}", SolveStatus.INFEASIBLE)
+        rungs = [int(name.rsplit("-", 1)[1]) for name, _ in calls[1:]]
+        assert rungs == list(range(rungs[0], rungs[0] + len(rungs)))
+        assert calls[-1][1] is SolveStatus.OPTIMAL
+        assert not result.uncovered

@@ -2,6 +2,7 @@
 
 import pytest
 
+from repro.engine import get_scenario, scenario_names
 from repro.fpva import full_layout
 from repro.fpva.geometry import Cell, edge_between
 from repro.sim import (
@@ -17,6 +18,7 @@ from repro.sim import (
     faulty_valves,
     stuck_at_faults,
 )
+from repro.sim.faults import compatibility_key, max_compatible_faults
 
 
 class TestFaultUniverse:
@@ -45,6 +47,20 @@ class TestFaultUniverse:
         assert not faults_compatible([StuckAt0(v), StuckAt1(v)])
         assert not faults_compatible([StuckAt0(v), StuckAt0(v)])
         assert faults_compatible([StuckAt0(v), StuckAt1(tiny.valves[1])])
+
+    @pytest.mark.parametrize("scenario_name", scenario_names())
+    def test_max_compatible_faults_is_one_per_key(self, tiny, scenario_name):
+        """One fault per compatibility key is compatible, and no universe
+        fault can join it."""
+        universe = get_scenario(scenario_name).universe(tiny)
+        one_per_key = list(
+            {compatibility_key(f): f for f in universe}.values()
+        )
+        assert max_compatible_faults(universe) == len(one_per_key)
+        assert faults_compatible(one_per_key)
+        for extra in universe:
+            if extra not in one_per_key:
+                assert not faults_compatible(one_per_key + [extra])
 
     def test_faulty_valves(self, tiny):
         a, b, c = tiny.valves[:3]

@@ -3,14 +3,18 @@
 import networkx as nx
 import pytest
 
+import repro.core.pathmodel as pathmodel
+from repro.core.paths import build_flow_path_problem
 from repro.core.pathmodel import (
+    CoverPath,
     PathCoverError,
     PathCoverILP,
     PathCoverProblem,
     edge_key,
     solve_path_cover,
 )
-from repro.ilp import SolveOptions
+from repro.fpva import table1_layout
+from repro.ilp import Solution, SolveOptions, SolveStatus
 
 OPTS = SolveOptions(time_limit=60)
 
@@ -26,6 +30,28 @@ def grid_graph(rows, cols):
 
 def all_keys(g):
     return {edge_key(u, v) for u, v in g.edges}
+
+
+def cover_path(*nodes):
+    return CoverPath(nodes=nodes, edges=tuple(map(edge_key, nodes, nodes[1:])))
+
+
+def record_solves(monkeypatch, time_out=()):
+    """``[(model name, status)]`` of every solve from now on; models named
+    in ``time_out`` return ``TIME_LIMIT`` without being solved."""
+    calls = []
+    real = pathmodel.solve
+
+    def solve(model, options=None):
+        if model.name in time_out:
+            sol = Solution(status=SolveStatus.TIME_LIMIT)
+        else:
+            sol = real(model, options)
+        calls.append((model.name, sol.status))
+        return sol
+
+    monkeypatch.setattr(pathmodel, "solve", solve)
+    return calls
 
 
 class TestBasicCover:
@@ -185,3 +211,113 @@ class TestWeightedObjective:
         g = path_graph(3)
         prob = PathCoverProblem(g, [0], [2], all_keys(g))
         assert prob.coverage_lower_bound() == 1
+
+
+class TestLadderProof:
+    def test_timed_out_rung_is_not_a_proof(self, monkeypatch):
+        """The Table I 5x5 flow-path ladder still finds its 3-path cover
+        when the 2-path rung runs out of time, but proves nothing."""
+        problem = build_flow_path_problem(table1_layout(5))
+        calls = record_solves(monkeypatch, time_out={"path-cover-2"})
+        sol = solve_path_cover(problem, solve_options=OPTS)
+        assert ("path-cover-2", SolveStatus.TIME_LIMIT) in calls
+        assert len(sol.paths) == 3
+        assert not sol.proven_optimal
+
+
+class TestAdmission:
+    """``admits`` lets the model's own constraints judge given paths."""
+
+    @staticmethod
+    def square(cover, closure=()):
+        # 0-1-2-3-0, one path from 0 to 3.
+        g = nx.cycle_graph(4)
+        return PathCoverProblem(g, [0], [3], cover, closure_edges=set(closure))
+
+    def test_admits_a_cover_either_way_round(self):
+        prob = self.square({edge_key(0, 1), edge_key(1, 2), edge_key(2, 3)})
+        assert PathCoverILP(prob, 1).admits([cover_path(0, 1, 2, 3)], OPTS)
+        assert PathCoverILP(prob, 1).admits([cover_path(3, 2, 1, 0)], OPTS)
+
+    def test_refuses_a_chord_violation(self):
+        """0→1→2→3 visits both ends of the closure edge (0, 3) without
+        using it: constraint (9)."""
+        prob = self.square(
+            {edge_key(0, 1), edge_key(1, 2), edge_key(2, 3)},
+            closure=[edge_key(0, 3)],
+        )
+        assert not PathCoverILP(prob, 1).admits([cover_path(0, 1, 2, 3)], OPTS)
+
+    def test_refuses_a_path_off_the_terminals(self):
+        prob = self.square({edge_key(1, 2), edge_key(2, 3)})
+        assert PathCoverILP(prob, 1).admits([cover_path(0, 1, 2, 3)], OPTS)
+        assert not PathCoverILP(prob, 1).admits([cover_path(1, 2, 3)], OPTS)
+
+    def test_refuses_an_incomplete_cover(self):
+        prob = self.square(all_keys(nx.cycle_graph(4)))
+        assert not PathCoverILP(prob, 1).admits([cover_path(0, 1, 2, 3)], OPTS)
+        assert PathCoverILP(prob, 2).admits(
+            [cover_path(0, 1, 2, 3), cover_path(0, 3)], OPTS
+        )
+
+
+class TestCertificate:
+    """An admitted incumbent of U paths costs one MILP, at U - 1."""
+
+    HALVES = (cover_path(0, 1, 2, 3), cover_path(0, 5, 4, 3))
+
+    @staticmethod
+    def hexagon():
+        g = nx.cycle_graph(6)
+        return PathCoverProblem(g, [0], [3], all_keys(g))
+
+    def test_optimal_incumbent_is_returned_proven(self, monkeypatch):
+        calls = record_solves(monkeypatch)
+        sol = solve_path_cover(
+            self.hexagon(), solve_options=OPTS, incumbent=self.HALVES
+        )
+        assert sol.paths == list(self.HALVES)
+        assert sol.proven_optimal
+        assert calls == [
+            ("path-cover-2", SolveStatus.OPTIMAL),  # the admission LP
+            ("path-cover-1", SolveStatus.INFEASIBLE),
+        ]
+
+    def test_a_better_cover_replaces_the_incumbent(self):
+        incumbent = self.HALVES + (cover_path(0, 1, 2, 3),)
+        sol = solve_path_cover(
+            self.hexagon(), solve_options=OPTS, incumbent=incumbent
+        )
+        assert len(sol.paths) == 2
+        assert sol.covered() == all_keys(nx.cycle_graph(6))
+        assert sol.proven_optimal
+
+    def test_time_limit_leaves_the_incumbent_unproven(self, monkeypatch):
+        record_solves(monkeypatch, time_out={"path-cover-1"})
+        sol = solve_path_cover(
+            self.hexagon(), solve_options=OPTS, incumbent=self.HALVES
+        )
+        assert sol.paths == list(self.HALVES)
+        assert not sol.proven_optimal
+
+    def test_no_milp_at_the_lower_bound(self, monkeypatch):
+        g = path_graph(5)
+        prob = PathCoverProblem(g, [0], [4], all_keys(g))
+        calls = record_solves(monkeypatch)
+        sol = solve_path_cover(
+            prob, solve_options=OPTS, incumbent=[cover_path(4, 3, 2, 1, 0)]
+        )
+        assert len(sol.paths) == 1 and sol.proven_optimal
+        assert calls == [("path-cover-1", SolveStatus.OPTIMAL)]
+
+    def test_a_refused_incumbent_runs_the_ladder(self, monkeypatch):
+        calls = record_solves(monkeypatch)
+        sol = solve_path_cover(
+            self.hexagon(), solve_options=OPTS, incumbent=self.HALVES[:1]
+        )
+        assert len(sol.paths) == 2 and sol.proven_optimal
+        assert [name for name, _ in calls] == [
+            "path-cover-1",  # refused: a half leaves edges uncovered
+            "path-cover-1",
+            "path-cover-2",
+        ]

@@ -1,10 +1,12 @@
 """Double-fault hardening (core/repair.py).
 
-Pins the hypothesis-found counterexample that shipped as a known failure:
-on a 5x4 layout with an obstacle at (3,2), the minimal path/cut suite
-misses the mutually-masking pair SA0(Edge[2,2|2,3]) + SA1(Edge[1,2|2,2])
-— the stuck-open valve re-routes pressure around the broken one, and the
+Pins a counterexample the generated suite misses: on a 5x3 layout with
+an obstacle at (4,2), the minimal path/cut suite misses the
+mutually-masking pair SA0(Edge[2,1|3,1]) + SA1(Edge[3,1|3,2]) — the
+stuck-open valve re-routes pressure around the broken one, and the
 broken one severs the leak route that would expose the stuck-open one.
+Hypothesis first found such a pair on a 5x4 layout with an obstacle at
+(3,2); the certified sweep walls now detect that one.
 """
 
 import pytest
@@ -21,16 +23,23 @@ from repro.fpva.geometry import Cell, Edge
 from repro.ilp import SolveOptions
 from repro.sim import StuckAt0, StuckAt1, Tester
 
-MASKED_SA0 = Edge(Cell(2, 2), Cell(2, 3))
-MASKED_SA1 = Edge(Cell(1, 2), Cell(2, 2))
+MASKED_SA0 = Edge(Cell(2, 1), Cell(3, 1))
+MASKED_SA1 = Edge(Cell(3, 1), Cell(3, 2))
 MASKED_PAIR = [StuckAt0(MASKED_SA0), StuckAt1(MASKED_SA1)]
+
+#: The first counterexample hypothesis found (5x4, obstacle at (3, 2)).
+#: Its suite now detects the pair: the certified sweep walls cut it.
+FIRST_PAIR = [
+    StuckAt0(Edge(Cell(2, 2), Cell(2, 3))),
+    StuckAt1(Edge(Cell(1, 2), Cell(2, 2))),
+]
 
 
 @pytest.fixture(scope="module")
 def counterexample_layout():
     return (
-        FPVABuilder(5, 4, name="masking-cex")
-        .obstacle(3, 2)
+        FPVABuilder(5, 3, name="masking-cex")
+        .obstacle(4, 2)
         .source(Side.WEST, 1)
         .sink(Side.EAST, 5)
         .build()
@@ -58,6 +67,19 @@ class TestCounterexample:
             fpva, include_leakage=False, solve_options=SolveOptions(time_limit=60)
         )
         assert not Tester(fpva).detects(MASKED_PAIR, suite.all_vectors())
+
+    def test_unhardened_suite_detects_the_first_pair(self):
+        fpva = (
+            FPVABuilder(5, 4, name="masking-cex-first")
+            .obstacle(3, 2)
+            .source(Side.WEST, 1)
+            .sink(Side.EAST, 5)
+            .build()
+        )
+        suite = generate_suite(
+            fpva, include_leakage=False, solve_options=SolveOptions(time_limit=60)
+        )
+        assert Tester(fpva).detects(FIRST_PAIR, suite.all_vectors())
 
     def test_hardened_suite_detects_the_pair(self, counterexample_layout, hardened):
         report = hardened.report.hardening
