@@ -3,8 +3,8 @@
 Two acceptance measurements for the PR-5 session refactor:
 
 * **context-shared generation** — generating the full suite compiles the
-  reachability kernel exactly **once** (pre-context, the nine private
-  ``PressureSimulator`` call sites each compiled their own), and a second
+  reachability kernel exactly **once** (before sessions, nine private
+  call sites in the generators each compiled their own), and a second
   generation on the same session compiles **zero**; cold vs shared wall
   clock is recorded alongside for the trajectory.
 * **batched double-fault hardening** — `harden_double_faults` through the

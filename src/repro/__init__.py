@@ -48,7 +48,7 @@ from repro.core import (
     render_paths,
     validate_suite,
 )
-from repro.context import ExecutionContext, Session
+from repro.context import ExecutionContext
 from repro.fpva import (
     FPVA,
     Cell,
@@ -67,7 +67,6 @@ from repro.sim import (
     ChipUnderTest,
     ControlLeak,
     FaultDictionary,
-    PressureSimulator,
     StuckAt0,
     StuckAt1,
     Tester,
@@ -79,7 +78,6 @@ __version__ = "1.0.0"
 
 __all__ = [
     "ExecutionContext",
-    "Session",
     "BaselineGenerator",
     "CutSetGenerator",
     "FlowPathGenerator",
@@ -111,7 +109,6 @@ __all__ = [
     "ChipUnderTest",
     "ControlLeak",
     "FaultDictionary",
-    "PressureSimulator",
     "StuckAt0",
     "StuckAt1",
     "Tester",

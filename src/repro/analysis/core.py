@@ -69,7 +69,7 @@ WORKER_IMPORTED = DETERMINISTIC_PACKAGES
 #: ``uint64`` intermediates to ``int64``/``float64``.
 HOT_PATH = ("src/repro/sim/kernel.py", "src/repro/sim/backends/")
 
-#: The only modules allowed to construct simulators/kernels privately:
+#: The only modules allowed to construct testers/kernels privately:
 #: the session layer itself and the package that defines them.
 SESSION_FACTORIES = (
     "src/repro/context.py",

@@ -1,15 +1,12 @@
 """ExecutionContext: one compiled-kernel session for every layer.
 
-Before this module existed, each layer that needed simulation built its
-own :class:`~repro.sim.pressure.PressureSimulator` — nine independent
-call sites across the ``core`` generators alone — so a single
-``generate`` invocation compiled the same
-:class:`~repro.sim.kernel.ReachabilityKernel` many times over, and every
-caller that wanted warm starts or the batched engine re-threaded
-``kernel=``, ``cache_dir=`` and backend strings by hand through each
-intermediate signature.
+Every layer that simulates — the ``core`` generators, coverage,
+validation, hardening, dictionaries and campaigns — takes ``context=``
+and asks the session, so one ``generate`` invocation compiles one
+:class:`~repro.sim.kernel.ReachabilityKernel`, and warm starts need no
+``kernel=`` or ``cache_dir=`` threaded through intermediate signatures.
 
-An :class:`ExecutionContext` (a.k.a. *session*) owns the tuple
+An :class:`ExecutionContext` (a *session*) owns the tuple
 
     (array, compiled kernel, artifact store, seed)
 
@@ -24,11 +21,11 @@ and hands out the shared per-array machinery derived from it:
   compiles and heals.  It is the one load-heal-or-compile path: a
   campaign sweep takes its kernel from here but runs its shards on a
   session of its own (:mod:`repro.engine.parallel`), so a sweep never
-  grows this session's evaluator memo;
-* :attr:`simulator` — the shared fault-free
-  :class:`~repro.sim.pressure.PressureSimulator` the generators query,
-  and :attr:`tester` — the shared :class:`~repro.sim.tester.Tester` that
-  applies faulty chips; both run on that kernel;
+  grows this session's evaluator memo.  The generators ask it their
+  fault-free questions directly
+  (:meth:`~repro.sim.kernel.ReachabilityKernel.meter_readings`);
+* :attr:`tester` — the shared :class:`~repro.sim.tester.Tester` that
+  applies faulty chips on that kernel;
 * :meth:`suite` — the array's generated test suite, warm-loaded from
   the store's :class:`~repro.store.SuiteStore` when one is configured,
   or generated and published there;
@@ -49,9 +46,8 @@ and adopt through ``kernel=``; the object-graph engine and the serial
 loops the batched paths are pinned to live in ``tests/oracle.py``.
 
 Contexts deliberately stay cheap to create: nothing compiles until the
-first consumer asks, so passing ``context=None`` everywhere retains the
-old build-privately behaviour (now deduplicated behind one lazy session
-instead of per-call-site simulators).
+first consumer asks, so a layer given ``context=None`` builds one lazy
+session of its own.
 """
 
 from __future__ import annotations
@@ -62,7 +58,6 @@ from typing import TYPE_CHECKING, Any, Sequence
 
 from repro.fpva.array import FPVA
 from repro.sim.kernel import BatchEvaluator, ReachabilityKernel
-from repro.sim.pressure import PressureSimulator
 from repro.sim.seeding import mix_seed
 from repro.sim.tester import Tester
 
@@ -84,7 +79,7 @@ class ExecutionContext:
         (the CLI's ``--cache-dir``), enabling kernel warm starts and
         dictionary persistence.
     seed:
-        Session seed; :meth:`rng` derives independent deterministic
+        The session's seed; :meth:`rng` derives independent deterministic
         streams from it per purpose.
     kernel:
         Optional pre-compiled kernel to adopt (it must have been
@@ -118,7 +113,6 @@ class ExecutionContext:
         self.kernel_loads = 0
         #: Corrupt stored kernels this context quarantined and rebuilt.
         self.kernel_heals = 0
-        self._simulator: PressureSimulator | None = None
         self._tester: Tester | None = None
         self._evaluators: dict[tuple, BatchEvaluator] = {}
 
@@ -184,13 +178,6 @@ class ExecutionContext:
         return self._kernel
 
     # -- shared derived machinery -------------------------------------------
-    @property
-    def simulator(self) -> PressureSimulator:
-        """The session's one shared simulator, on top of :attr:`kernel`."""
-        if self._simulator is None:
-            self._simulator = PressureSimulator(self.fpva, kernel=self.kernel)
-        return self._simulator
-
     @property
     def tester(self) -> Tester:
         """The session's one shared tester, on :attr:`kernel`."""
@@ -309,7 +296,3 @@ class ExecutionContext:
             f"ExecutionContext({self.fpva.name!r}, kernel={kernel}, "
             f"store={store}, seed={self.seed})"
         )
-
-
-#: The ISSUE's "a.k.a. session" spelling.
-Session = ExecutionContext

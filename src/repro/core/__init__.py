@@ -3,7 +3,6 @@
 from repro.core.baseline import BaselineGenerator, BaselineResult
 from repro.core.coverage import (
     CoverageReport,
-    leak_covered_pairs,
     measure_coverage,
     sa0_observable_valves,
     sa1_observable_valves,
@@ -55,7 +54,6 @@ __all__ = [
     "BaselineGenerator",
     "BaselineResult",
     "CoverageReport",
-    "leak_covered_pairs",
     "measure_coverage",
     "sa0_observable_valves",
     "sa1_observable_valves",

@@ -49,7 +49,7 @@ class BaselineGenerator:
     def __init__(self, fpva: FPVA, context: ExecutionContext | None = None):
         self.fpva = fpva
         self.context = ExecutionContext.resolve(context, fpva)
-        self.simulator = self.context.simulator
+        self.kernel = self.context.kernel
         self._cuts = CutSetGenerator(fpva, strategy="sweep", context=self.context)
 
     def open_test(self, valve: Edge, name: str) -> TestVector | None:
@@ -64,7 +64,7 @@ class BaselineGenerator:
             edges=tuple(edge_key(u, v) for u, v in zip(nodes, nodes[1:])),
         )
         return path_to_vector(
-            self.fpva, path, self.simulator, name, kind=VectorKind.BASELINE
+            self.kernel, path, name, kind=VectorKind.BASELINE
         )
 
     def closed_test(self, valve: Edge, name: str) -> TestVector | None:
@@ -73,7 +73,7 @@ class BaselineGenerator:
         if wall is None:
             return None
         open_valves = frozenset(self.fpva.valve_set - wall.valves)
-        expected = self.simulator.meter_readings(open_valves)
+        expected = self.kernel.meter_readings(open_valves)
         if any(expected.values()):
             return None
         return TestVector(

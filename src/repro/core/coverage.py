@@ -24,10 +24,10 @@ they replaced (per-candidate readings for SA0, a shared dark-region flood
 for SA1) are the reference in ``tests/oracle.py`` that the batched path
 is property-tested against.
 
-Both observability functions take the same arguments —
-``(source, vector, fpva=None)`` where ``source`` is an
-:class:`~repro.context.ExecutionContext` or a
-:class:`~repro.sim.pressure.PressureSimulator`.
+Both observability functions take the same arguments,
+``(kernel, vector)``: the session's
+:class:`~repro.sim.kernel.ReachabilityKernel` (``context.kernel``) and
+the vector.
 """
 
 from __future__ import annotations
@@ -40,11 +40,10 @@ import networkx as nx
 from repro.context import ExecutionContext
 from repro.core.vectors import TestVector
 from repro.fpva.array import FPVA
-from repro.fpva.control import iter_ordered_pairs
 from repro.fpva.geometry import Cell, Edge
 from repro.fpva.graph import cell_graph
 from repro.fpva.ports import Port
-from repro.sim.pressure import PressureSimulator
+from repro.sim.kernel import ReachabilityKernel
 
 
 def open_edge_graph(fpva: FPVA, vector: TestVector) -> nx.Graph:
@@ -57,11 +56,6 @@ def open_edge_graph(fpva: FPVA, vector: TestVector) -> nx.Graph:
     for port in fpva.ports:
         g.add_edge(port, fpva.port_cell(port))
     return g
-
-
-def _simulator(source: ExecutionContext | PressureSimulator) -> PressureSimulator:
-    """The simulator behind an observability ``source``."""
-    return source.simulator if isinstance(source, ExecutionContext) else source
 
 
 def _sa0_candidates(fpva: FPVA, vector: TestVector) -> set[Edge]:
@@ -85,17 +79,21 @@ def _sa0_candidates(fpva: FPVA, vector: TestVector) -> set[Edge]:
 
 
 def _sa1_candidates(
-    sim: PressureSimulator, vector: TestVector, fpva: FPVA
+    engine: ReachabilityKernel, vector: TestVector
 ) -> tuple[set[str], list[tuple[Edge, Cell]]]:
     """The vector's expected-dark meters, and the closed valves with
     exactly one pressurized end (paired with their dark end) — opening
-    anything else changes no reading."""
+    anything else changes no reading.
+
+    ``engine`` is anything with ``fpva`` and ``pressurized_nodes``: the
+    kernel here, the object-graph simulator in the reference checks.
+    """
     dark_sinks = {name for name, hit in vector.expected.items() if not hit}
     if not dark_sinks:
         return dark_sinks, []
-    pressurized = sim.pressurized_nodes(vector.open_valves)
+    pressurized = engine.pressurized_nodes(vector.open_valves)
     candidates: list[tuple[Edge, Cell]] = []
-    for valve in fpva.valves:
+    for valve in engine.fpva.valves:
         if valve in vector.open_valves:
             continue
         a_live = valve.a in pressurized
@@ -107,20 +105,15 @@ def _sa1_candidates(
 
 
 def sa0_observable_valves(
-    source: ExecutionContext | PressureSimulator,
-    vector: TestVector,
-    fpva: FPVA | None = None,
+    kernel: ReachabilityKernel, vector: TestVector
 ) -> set[Edge]:
     """Open valves whose lone closure changes the vector's meter readings."""
-    sim = _simulator(source)
-    fpva = sim.fpva if fpva is None else fpva
-    candidates = _sa0_candidates(fpva, vector)
+    candidates = _sa0_candidates(kernel.fpva, vector)
     if not candidates:
         return set()
 
     # All candidate closures of this vector in one bit-parallel batch.
     expected = dict(vector.expected)
-    kernel = sim.kernel
     cand = sorted(candidates)
     rows = kernel.toggled_readings(
         kernel.valve_mask(vector.open_valves), cand, set_bit=False
@@ -134,24 +127,19 @@ def sa0_observable_valves(
 
 
 def sa1_observable_valves(
-    source: ExecutionContext | PressureSimulator,
-    vector: TestVector,
-    fpva: FPVA | None = None,
+    kernel: ReachabilityKernel, vector: TestVector
 ) -> set[Edge]:
     """Closed valves whose lone leak changes the vector's meter readings.
 
     Opening a valve can only *add* pressure, so a leak is observable exactly
     when it pressurizes a meter that expected no pressure.
     """
-    sim = _simulator(source)
-    fpva = sim.fpva if fpva is None else fpva
-    dark_sinks, candidates = _sa1_candidates(sim, vector, fpva)
+    dark_sinks, candidates = _sa1_candidates(kernel, vector)
     if not candidates:
         return set()
 
     # All candidate leaks of this vector in one bit-parallel batch: the
     # leak is observable iff some expected-dark meter lights up.
-    kernel = sim.kernel
     rows = kernel.toggled_readings(
         kernel.valve_mask(vector.open_valves),
         [valve for valve, _ in candidates],
@@ -167,40 +155,8 @@ def sa1_observable_valves(
     }
 
 
-def leak_covered_pairs(
-    fpva: FPVA,
-    simulator: PressureSimulator,
-    vector: TestVector,
-    candidate_pairs: Iterable[tuple[Edge, Edge]] | None = None,
-    sa0_observable: set[Edge] | None = None,
-) -> set[tuple[Edge, Edge]]:
-    """Ordered pairs ``(aggressor, victim)`` this vector exercises.
-
-    The vector covers the pair if the aggressor is commanded closed, the
-    victim open, and the victim's forced closure (the leak's effect on a
-    defective chip) changes a meter reading — i.e. the victim is SA0
-    observable.
-    """
-    pairs = (
-        candidate_pairs
-        if candidate_pairs is not None
-        else iter_ordered_pairs(fpva)
-    )
-    observable = (
-        sa0_observable
-        if sa0_observable is not None
-        else sa0_observable_valves(simulator, vector, fpva)
-    )
-    return {
-        (aggressor, victim)
-        for aggressor, victim in pairs
-        if victim in observable and aggressor not in vector.open_valves
-    }
-
-
 def leak_covered_unordered(
-    fpva: FPVA,
-    simulator: PressureSimulator,
+    kernel: ReachabilityKernel,
     vector: TestVector,
     candidate_pairs: Iterable[frozenset],
     sa0_observable: set[Edge] | None = None,
@@ -210,12 +166,14 @@ def leak_covered_unordered(
     The Fig 3(d) defect is symmetric (either pressurized line closes both
     valves), so one exercised direction detects the leak: some vector must
     hold one valve of the pair closed while the other is open on a live,
-    observed path.
+    observed path — its victim SA0-observable.  ``kernel`` simulates only
+    when ``sa0_observable``, the vector's
+    :func:`sa0_observable_valves`, is not given.
     """
     observable = (
         sa0_observable
         if sa0_observable is not None
-        else sa0_observable_valves(simulator, vector, fpva)
+        else sa0_observable_valves(kernel, vector)
     )
     out: set[frozenset] = set()
     for pair in candidate_pairs:
@@ -262,7 +220,7 @@ def measure_coverage(
     context: ExecutionContext | None = None,
 ) -> CoverageReport:
     """Observability-based coverage of a suite over the array's fault list."""
-    sim = ExecutionContext.resolve(context, fpva).simulator
+    kernel = ExecutionContext.resolve(context, fpva).kernel
     report = CoverageReport()
     all_pairs: set[frozenset] = set()
     if include_leak_pairs:
@@ -273,13 +231,13 @@ def measure_coverage(
             untestable_leak_pairs(fpva)
         )
     for vector in vectors:
-        sa0 = sa0_observable_valves(sim, vector, fpva)
+        sa0 = sa0_observable_valves(kernel, vector)
         report.sa0_covered |= sa0
-        report.sa1_covered |= sa1_observable_valves(sim, vector, fpva)
+        report.sa1_covered |= sa1_observable_valves(kernel, vector)
         if include_leak_pairs:
             remaining = all_pairs - report.leak_pairs_covered
             report.leak_pairs_covered |= leak_covered_unordered(
-                fpva, sim, vector, candidate_pairs=remaining, sa0_observable=sa0
+                kernel, vector, candidate_pairs=remaining, sa0_observable=sa0
             )
     valves = set(fpva.valves)
     report.sa0_missing = valves - report.sa0_covered

@@ -23,7 +23,7 @@ Two generation strategies are provided:
   column), detoured around channels and obstacles by weighted dual-graph
   shortest paths, with per-valve mop-up walls for anything left uncovered.
 
-Every generated wall is verified with the pressure simulator: it must
+Every generated wall is verified on the session's compiled kernel: it must
 separate all sources from all sinks, and a valve only counts as covered if
 its single leak (opening just that valve) is observable at a meter.
 """
@@ -112,7 +112,7 @@ class CutSetGenerator:
         self.solve_options = solve_options or SolveOptions(time_limit=120.0)
         self.max_walls = max_walls
         self.context = ExecutionContext.resolve(context, fpva)
-        self.simulator = self.context.simulator
+        self.kernel = self.context.kernel
         self.dual = junction_graph(fpva)
         self.arcs = boundary_arcs(fpva)
 
@@ -120,7 +120,7 @@ class CutSetGenerator:
     def wall_separates(self, wall: Wall) -> bool:
         """True if closing exactly the wall valves blocks every meter."""
         open_valves = frozenset(self.fpva.valve_set - wall.valves)
-        return self.simulator.sink_separated(open_valves)
+        return not any(self.kernel.meter_readings(open_valves).values())
 
     def observable_members(self, wall: Wall) -> set[Edge]:
         """Wall valves whose lone leak re-pressurizes some meter.
@@ -129,7 +129,7 @@ class CutSetGenerator:
         Every member's leak is evaluated in one bit-parallel batch.
         """
         base_open = self.fpva.valve_set - wall.valves
-        kernel = self.simulator.kernel
+        kernel = self.kernel
         members = sorted(wall.valves)
         rows = kernel.toggled_readings(
             kernel.valve_mask(base_open), members, set_bit=True
@@ -138,7 +138,7 @@ class CutSetGenerator:
 
     def wall_to_vector(self, wall: Wall, name: str) -> TestVector:
         open_valves = frozenset(self.fpva.valve_set - wall.valves)
-        expected = self.simulator.meter_readings(open_valves)
+        expected = self.kernel.meter_readings(open_valves)
         if any(expected.values()):
             raise CutSetError(f"wall {name} does not separate source from sinks")
         return vector_from_open_set(
@@ -430,7 +430,7 @@ class CutSetGenerator:
                     valves.add(vv)
 
         for _ in range(len(self.fpva.sinks)):
-            readings = self.simulator.meter_readings(
+            readings = self.kernel.meter_readings(
                 frozenset(self.fpva.valve_set - valves)
             )
             lit = [name for name, hit in readings.items() if hit]

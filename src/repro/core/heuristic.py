@@ -47,7 +47,7 @@ class GreedyPathGenerator:
         self.max_walks = max_walks
         self.graph = cell_graph(fpva)
         self.context = ExecutionContext.resolve(context, fpva)
-        self.simulator = self.context.simulator
+        self.kernel = self.context.kernel
 
     # -- one walk ------------------------------------------------------------
     def walk_once(self, gain_of) -> list[Hashable] | None:
@@ -138,10 +138,8 @@ class GreedyPathGenerator:
                     edge_key(u, v) for u, v in zip(node_seq, node_seq[1:])
                 ),
             )
-            vector = path_to_vector(
-                self.fpva, path, self.simulator, f"path{len(vectors)}"
-            )
-            observable = sa0_observable_valves(self.simulator, vector, self.fpva)
+            vector = path_to_vector(self.kernel, path, f"path{len(vectors)}")
+            observable = sa0_observable_valves(self.kernel, vector)
             if not observable & uncovered:
                 stall += 1
                 if stall > 20:
@@ -166,10 +164,8 @@ class GreedyPathGenerator:
                     edge_key(u, v) for u, v in zip(node_seq, node_seq[1:])
                 ),
             )
-            vector = path_to_vector(
-                self.fpva, path, self.simulator, f"path{len(vectors)}"
-            )
-            observable = sa0_observable_valves(self.simulator, vector, self.fpva)
+            vector = path_to_vector(self.kernel, path, f"path{len(vectors)}")
+            observable = sa0_observable_valves(self.kernel, vector)
             if not observable & uncovered:
                 continue
             vectors.append(vector)

@@ -148,7 +148,7 @@ class HierarchicalPathGenerator:
         self.window_options = window_options or SolveOptions(time_limit=15.0)
         self.max_passes = max_passes
         self.context = ExecutionContext.resolve(context, fpva)
-        self.simulator = self.context.simulator
+        self.kernel = self.context.kernel
         self.graph = cell_graph(fpva)
         self.report = HierarchicalReport()
 
@@ -459,8 +459,8 @@ class HierarchicalPathGenerator:
 
     def _emit(self, node_seq: list[Hashable], index: int) -> tuple[TestVector, set[Edge]]:
         path = _cover_path(node_seq)
-        vector = path_to_vector(self.fpva, path, self.simulator, f"path{index}")
-        observable = sa0_observable_valves(self.simulator, vector, self.fpva)
+        vector = path_to_vector(self.kernel, path, f"path{index}")
+        observable = sa0_observable_valves(self.kernel, vector)
         return vector, observable
 
 

@@ -71,7 +71,7 @@ class LeakageGenerator:
         self.fpva = fpva
         self.seed = seed
         self.context = ExecutionContext.resolve(context, fpva)
-        self.simulator = self.context.simulator
+        self.kernel = self.context.kernel
 
     def generate(
         self,
@@ -98,7 +98,7 @@ class LeakageGenerator:
         scored: list[tuple[TestVector, set]] = []
         for vec in template_vectors:
             covered = leak_covered_unordered(
-                self.fpva, self.simulator, vec, candidate_pairs=remaining
+                self.kernel, vec, candidate_pairs=remaining
             )
             if covered:
                 scored.append((vec, covered))
@@ -131,7 +131,7 @@ class LeakageGenerator:
                 continue
             vec = self._path_vector(node_seq, len(vectors))
             covered = leak_covered_unordered(
-                self.fpva, self.simulator, vec, candidate_pairs=remaining
+                self.kernel, vec, candidate_pairs=remaining
             )
             if not covered:
                 stall += 1
@@ -156,7 +156,7 @@ class LeakageGenerator:
                 remaining.discard(pair)
                 continue
             covered = leak_covered_unordered(
-                self.fpva, self.simulator, vec, candidate_pairs=remaining
+                self.kernel, vec, candidate_pairs=remaining
             )
             vectors.append(vec)
             remaining -= covered
@@ -184,7 +184,7 @@ class LeakageGenerator:
             edges=tuple(edge_key(u, v) for u, v in zip(nodes, nodes[1:])),
         )
         return path_to_vector(
-            self.fpva, path, self.simulator, f"leak{index}", kind=VectorKind.LEAKAGE
+            self.kernel, path, f"leak{index}", kind=VectorKind.LEAKAGE
         )
 
     def _targeted_vector(
@@ -199,6 +199,6 @@ class LeakageGenerator:
             return None
         vector = self._path_vector(route, index)
         # The victim must actually be observable on this path.
-        if victim not in sa0_observable_valves(self.simulator, vector, self.fpva):
+        if victim not in sa0_observable_valves(self.kernel, vector):
             return None
         return vector

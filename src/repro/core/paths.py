@@ -31,7 +31,7 @@ from repro.fpva.geometry import Edge
 from repro.fpva.graph import cell_graph
 from repro.fpva.ports import Port
 from repro.ilp import SolveOptions
-from repro.sim.pressure import PressureSimulator
+from repro.sim.kernel import ReachabilityKernel
 
 
 def channel_region_caps(
@@ -97,15 +97,16 @@ def cover_path_valves(fpva: FPVA, path: CoverPath) -> list[Edge]:
 
 
 def path_to_vector(
-    fpva: FPVA,
+    kernel: ReachabilityKernel,
     path: CoverPath,
-    simulator: PressureSimulator,
     name: str,
     kind: VectorKind = VectorKind.FLOW_PATH,
 ) -> TestVector:
-    """Turn a path into a test vector with fault-free expected readings."""
+    """Turn a path on ``kernel``'s array into a test vector with
+    fault-free expected readings."""
+    fpva = kernel.fpva
     open_valves = frozenset(cover_path_valves(fpva, path))
-    expected = simulator.meter_readings(open_valves)
+    expected = kernel.meter_readings(open_valves)
     if not any(expected.values()):
         raise RuntimeError(
             f"path {name} does not pressurize any sink — not a valid flow path"
@@ -154,7 +155,7 @@ class FlowPathGenerator:
         self.solve_options = solve_options or SolveOptions(time_limit=120.0)
         self.max_paths = max_paths
         self.context = ExecutionContext.resolve(context, fpva)
-        self.simulator = self.context.simulator
+        self.kernel = self.context.kernel
 
     def generate(self, start_paths: int | None = None) -> FlowPathResult:
         problem = build_flow_path_problem(self.fpva)
@@ -165,7 +166,7 @@ class FlowPathGenerator:
             solve_options=self.solve_options,
         )
         vectors = [
-            path_to_vector(self.fpva, path, self.simulator, f"path{i}")
+            path_to_vector(self.kernel, path, f"path{i}")
             for i, path in enumerate(solution.paths)
         ]
         return FlowPathResult(

@@ -54,7 +54,7 @@ from repro.core.routing import RoutingError, disjoint_route_through, route_valve
 from repro.core.vectors import TestSet, TestVector, VectorKind, vector_from_open_set
 from repro.fpva.array import FPVA
 from repro.sim.faults import StuckAt0, StuckAt1
-from repro.sim.pressure import PressureSimulator
+from repro.sim.kernel import ReachabilityKernel
 from repro.sim.tester import Tester
 
 
@@ -133,11 +133,16 @@ def synthesize_pair_breaker(
     fpva: FPVA,
     sa0: StuckAt0,
     sa1: StuckAt1,
-    simulator: PressureSimulator,
+    kernel: ReachabilityKernel,
     tester: Tester,
     name: str,
 ) -> TestVector | None:
-    """One vector that a chip carrying exactly ``{sa0, sa1}`` fails."""
+    """One vector that a chip carrying exactly ``{sa0, sa1}`` fails.
+
+    ``kernel`` gives the vector's fault-free readings; anything with the
+    same ``meter_readings`` serves, so the reference hardening in
+    ``tests/oracle.py`` passes its object-graph simulator.
+    """
     e1, e2 = sa0.valve, sa1.valve
 
     # Detour path: through e1, never touching e2's free cells, so the
@@ -157,7 +162,7 @@ def synthesize_pair_breaker(
             name,
             VectorKind.FLOW_PATH,
             open_valves,
-            simulator.meter_readings(open_valves),
+            kernel.meter_readings(open_valves),
             provenance=("harden-detour", e1, e2),
         )
         if tester.detects([sa0, sa1], [vector]):
@@ -176,7 +181,7 @@ def synthesize_pair_breaker(
             name,
             VectorKind.CUT_SET,
             open_valves,
-            simulator.meter_readings(open_valves),
+            kernel.meter_readings(open_valves),
             provenance=("harden-probe", e1, e2),
         )
         if tester.detects([sa0, sa1], [vector]):
@@ -200,7 +205,6 @@ def harden_double_faults(
     """
     context = ExecutionContext.resolve(context, fpva)
     tester = context.tester
-    simulator = context.simulator
     report = HardeningReport()
     report.pairs_audited, missed = find_masked_stuck_pairs(
         fpva, testset.all_vectors(), context=context
@@ -210,7 +214,7 @@ def harden_double_faults(
         if tester.detects([sa0, sa1], report.vectors_added):
             continue  # an earlier breaker already covers this pair
         vector = synthesize_pair_breaker(
-            fpva, sa0, sa1, simulator, tester, name=f"harden{i}"
+            fpva, sa0, sa1, context.kernel, tester, name=f"harden{i}"
         )
         if vector is None:
             report.pairs_unrepaired.append((sa0, sa1))

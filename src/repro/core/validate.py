@@ -37,8 +37,7 @@ from repro.fpva.array import FPVA
 from repro.fpva.ports import Port
 from repro.sim.diagnosis import DEFAULT_CHUNK_SIZE
 from repro.sim.faults import Fault, fault_universe, faults_compatible
-from repro.sim.kernel import BatchEvaluator
-from repro.sim.pressure import PressureSimulator
+from repro.sim.kernel import BatchEvaluator, ReachabilityKernel
 
 
 @dataclass
@@ -69,22 +68,22 @@ def validate_vector(
     context: ExecutionContext | None = None,
 ) -> ValidationReport:
     """Structural and semantic checks for one vector."""
-    sim = ExecutionContext.resolve(context, fpva).simulator
+    kernel = ExecutionContext.resolve(context, fpva).kernel
     rep = report or ValidationReport()
 
-    actual = sim.meter_readings(vector.open_valves)
+    actual = kernel.meter_readings(vector.open_valves)
     if actual != dict(vector.expected):
         rep.add(vector, f"stored expectation {dict(vector.expected)} != simulated {actual}")
 
     if vector.kind in (VectorKind.FLOW_PATH, VectorKind.LEAKAGE):
-        _validate_path_vector(fpva, vector, sim, rep)
+        _validate_path_vector(fpva, vector, kernel, rep)
     elif vector.kind is VectorKind.CUT_SET:
-        _validate_cut_vector(fpva, vector, sim, rep)
+        _validate_cut_vector(vector, actual, rep)
     return rep
 
 
 def _validate_path_vector(
-    fpva: FPVA, vector: TestVector, sim: PressureSimulator, rep: ValidationReport
+    fpva: FPVA, vector: TestVector, kernel: ReachabilityKernel, rep: ValidationReport
 ) -> None:
     if not any(vector.expected.values()):
         rep.add(vector, "flow-path vector expects no pressure anywhere")
@@ -110,17 +109,17 @@ def _validate_path_vector(
 
     # Fig 5(a): every opened valve must be a bridge, i.e. individually
     # observable.
-    unobservable = vector.open_valves - sa0_observable_valves(sim, vector, fpva)
+    unobservable = vector.open_valves - sa0_observable_valves(kernel, vector)
     for valve in sorted(unobservable):
         rep.add(vector, f"opened valve {valve} not SA0-observable (bypass exists)")
 
 
 def _validate_cut_vector(
-    fpva: FPVA, vector: TestVector, sim: PressureSimulator, rep: ValidationReport
+    vector: TestVector, readings: dict[str, bool], rep: ValidationReport
 ) -> None:
+    """``readings`` are the vector's fault-free readings."""
     if any(vector.expected.values()):
         rep.add(vector, "cut-set vector expects pressure at a meter")
-    readings = sim.meter_readings(vector.open_valves)
     if any(readings.values()):
         rep.add(vector, "closed valves do not separate sources from sinks")
 

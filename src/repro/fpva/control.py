@@ -14,7 +14,6 @@ covers both collinear neighbours and perpendicular "turning" neighbours.
 from __future__ import annotations
 
 from collections import defaultdict
-from typing import Iterator
 
 from repro.fpva.array import FPVA
 from repro.fpva.geometry import Edge, Junction
@@ -48,10 +47,3 @@ def neighbors_of(fpva: FPVA, valve: Edge) -> tuple[Edge, ...]:
     out.discard(valve)
     return tuple(sorted(out))
 
-
-def iter_ordered_pairs(fpva: FPVA) -> Iterator[tuple[Edge, Edge]]:
-    """All ordered control-adjacent pairs ``(aggressor, victim)``."""
-    for pair in control_adjacent_pairs(fpva):
-        a, b = sorted(pair)
-        yield (a, b)
-        yield (b, a)

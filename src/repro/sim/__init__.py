@@ -19,7 +19,6 @@ from repro.sim.faults import (
     stuck_at_faults,
 )
 from repro.sim.kernel import BatchEvaluator, CompiledFaultSet, ReachabilityKernel
-from repro.sim.pressure import PressureSimulator
 from repro.sim.tester import Tester, TestRunResult, VectorOutcome
 
 __all__ = [
@@ -46,7 +45,6 @@ __all__ = [
     "BatchEvaluator",
     "CompiledFaultSet",
     "ReachabilityKernel",
-    "PressureSimulator",
     "Tester",
     "TestRunResult",
     "VectorOutcome",

@@ -20,12 +20,21 @@ from typing import Sequence
 
 from repro.core.vectors import TestVector
 from repro.fpva.array import FPVA
-from repro.sim.faults import Fault, fault_universe, faults_compatible
+from repro.sim.faults import (
+    Fault,
+    compatibility_key,
+    fault_universe,
+    faults_compatible,
+)
 from repro.sim.seeding import mix_seed
 
 #: Trials per logical shard.  Small enough that modest campaigns still fan
 #: out, large enough that per-task pickling stays negligible.
 SHARD_TRIALS = 50
+
+#: Incompatible draws :func:`sample_fault_set` rejects before it draws
+#: exactly instead.
+MAX_ATTEMPTS = 1000
 
 
 @dataclass
@@ -141,14 +150,61 @@ def merge_shards(
 
 
 def sample_fault_set(
-    universe: Sequence[Fault], k: int, rng: random.Random, max_attempts: int = 1000
+    universe: Sequence[Fault], k: int, rng: random.Random
 ) -> tuple[Fault, ...]:
-    """Draw ``k`` distinct, physically compatible faults."""
-    for _ in range(max_attempts):
+    """Draw ``k`` distinct, physically compatible faults, uniformly.
+
+    Rejection first: ``rng.sample`` until a draw is compatible, which is
+    uniform over the compatible ``k``-sets.  Near the largest compatible
+    set almost every draw collides, so after :data:`MAX_ATTEMPTS`
+    rejected draws the set is drawn exactly from the same distribution
+    (:func:`_sample_by_key`).  A ``k`` above
+    :func:`~repro.sim.faults.max_compatible_faults` raises
+    :class:`RuntimeError`.
+    """
+    for _ in range(MAX_ATTEMPTS):
         picked = tuple(rng.sample(universe, k))
         if faults_compatible(picked):
             return picked
-    raise RuntimeError(f"could not sample {k} compatible faults")
+    return _sample_by_key(universe, k, rng)
+
+
+def _sample_by_key(
+    universe: Sequence[Fault], k: int, rng: random.Random
+) -> tuple[Fault, ...]:
+    """A uniform compatible ``k``-set, drawn one key group at a time.
+
+    A set is compatible exactly when no two of its faults share a
+    :func:`~repro.sim.faults.compatibility_key`, so it is ``k`` key groups
+    and one fault from each.  ``ways[i][j]``, the elementary
+    symmetric polynomial of degree ``j`` over the sizes of groups ``i``
+    onward, counts the sets that take ``j`` faults from those groups;
+    taking group ``i`` with probability
+    ``size_i * ways[i + 1][j - 1] / ways[i][j]`` makes every compatible
+    set equally likely.
+    """
+    by_key: dict[object, list[Fault]] = {}
+    for fault in universe:
+        by_key.setdefault(compatibility_key(fault), []).append(fault)
+    groups = list(by_key.values())
+    ways = [[1] + [0] * k]  # no group left: only the empty set
+    for group in reversed(groups):
+        after = ways[-1]
+        ways.append(
+            [1] + [after[j] + len(group) * after[j - 1] for j in range(1, k + 1)]
+        )
+    ways.reverse()
+    if not ways[0][k]:
+        raise RuntimeError(f"could not sample {k} compatible faults")
+    picked: list[Fault] = []
+    for i, group in enumerate(groups):
+        j = k - len(picked)
+        if not j:
+            break
+        if rng.randrange(ways[i][j]) < len(group) * ways[i + 1][j - 1]:
+            picked.append(rng.choice(group))
+    rng.shuffle(picked)
+    return tuple(picked)
 
 
 def campaign_universe(

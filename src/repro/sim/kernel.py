@@ -27,13 +27,18 @@ Representation
 Single queries take the scalar path (:meth:`ReachabilityKernel.readings`),
 a plain BFS over the compiled arrays with int-mask bit tests — no ``Edge``
 hashing, no per-call dict rebuilds, and no per-call buffer allocation (the
-visited map is a hoisted scratch buffer reset in O(visited)).
+visited map is a hoisted scratch buffer reset in O(visited)).  The test
+generators ask their fault-free questions on ``Edge`` sets through
+:meth:`ReachabilityKernel.meter_readings` and
+:meth:`ReachabilityKernel.pressurized_nodes`, named and typed like the
+object-graph reference's in ``tests/oracle.py``.
 This module is the one place a fault set becomes an effective state.
-:class:`CompiledFaultSet` defines the fault model on masks;
-:meth:`ReachabilityKernel.compile_faults` builds one for a chip, which the
-:class:`~repro.sim.tester.Tester` applies vector by vector, and
+:meth:`ReachabilityKernel.fault_masks` decodes a stuck-at or blockage
+fault to masks, and :class:`CompiledFaultSet` defines the fault model on
+masks; :meth:`ReachabilityKernel.compile_faults` builds one for a chip,
+which the :class:`~repro.sim.tester.Tester` applies vector by vector, and
 :meth:`BatchEvaluator.slot_rows` to many fault sets over a suite:
-stuck-ats and blockages compose there by bit arithmetic over per-fault
+stuck-ats and blockages compose there by bit arithmetic over the decoded
 masks, and a set with a control leak or an intermittent fault goes
 through :class:`CompiledFaultSet`.  :class:`BatchEvaluator` memoizes
 distinct ``(open, blocked)`` scenarios so equivalent fault sets are
@@ -263,6 +268,36 @@ class ReachabilityKernel:
                 mask |= bits[i]
         return mask
 
+    def _valve_bit(self, valve: Edge) -> int:
+        """A faulty valve's bit position; one the array lacks raises."""
+        vi = self.valve_index.get(valve)
+        if vi is None:
+            raise ValueError(f"fault on non-existent valve {valve}")
+        return vi
+
+    def fault_masks(self, fault: Fault) -> tuple[int, int, int] | None:
+        """A stuck-at or blockage fault's ``(sa1, keep, blocked)`` masks.
+
+        ``sa1`` sets the valve held open, ``keep`` clears the valve held
+        closed and ``blocked`` sets the obstructed flow edge; a set of such
+        faults ORs its ``sa1`` and ``blocked`` masks, ANDs its ``keep``
+        masks and opens ``(commanded | sa1) & keep``.  ``None`` for a
+        control leak or an intermittent fault.  A valve or flow edge this
+        kernel lacks raises :class:`ValueError`, as
+        :class:`~repro.sim.chip.ChipUnderTest` does.
+        """
+        if isinstance(fault, StuckAt1):
+            return 1 << self._valve_bit(fault.valve), -1, 0
+        if isinstance(fault, StuckAt0):
+            return 0, ~(1 << self._valve_bit(fault.valve)), 0
+        if isinstance(fault, ChannelBlocked):
+            ei = self.edge_index.get(fault.edge)
+            if ei is None:
+                raise ValueError(f"blockage on non-existent flow edge {fault.edge}")
+            vi = self.valve_index.get(fault.edge)
+            return 0, -1 if vi is None else ~(1 << vi), 1 << ei
+        return None
+
     # -- backend seam ------------------------------------------------------
     @property
     def backend(self):
@@ -390,6 +425,18 @@ class ReachabilityKernel:
                     break
         seen[:] = self._scalar_zero
         return dict(zip(self.sink_names, hits))
+
+    def meter_readings(self, open_valves: Iterable[Edge]) -> dict[str, bool]:
+        """Fault-free pressure reading at every sink port, keyed by port
+        name, with exactly ``open_valves`` open."""
+        return self.readings(self.valve_mask(open_valves))
+
+    def pressurized_nodes(self, open_valves: Iterable[Edge]) -> set:
+        """Every cell and port node source pressure reaches, fault-free,
+        with exactly ``open_valves`` open."""
+        nodes = self.nodes
+        seen = self.reach(self.valve_mask(open_valves))
+        return {nodes[i] for i, hit in enumerate(seen) if hit}
 
     def compile_faults(self, faults: Sequence[Fault]) -> "CompiledFaultSet":
         """``faults`` compiled to masks, once for any number of vectors:
@@ -528,21 +575,25 @@ class CompiledFaultSet:
     1. start from the commanded states (open set; everything else closed);
     2. propagate control-layer leaks: pressurizing one leaking line closes
        its partner too — propagation is transitive across chained leaks;
-    3. apply stuck-at overrides: a stuck-at-1 valve is open no matter
-       what, a stuck-at-0 valve is closed no matter what (a physically
-       broken flow channel cannot be re-opened by control pressure, so SA0
-       wins over SA1 in the impossible event both are injected — the fault
-       sampler forbids it);
+    3. apply stuck-at and blockage overrides: a stuck-at-1 valve is open
+       no matter what, a stuck-at-0 valve or an obstructed valve edge is
+       closed no matter what (a physically broken flow channel cannot be
+       re-opened by control pressure, so the closure wins over SA1 in the
+       impossible event both are injected — the fault sampler forbids it);
     4. apply intermittent faults that fire on this vector (a keyed hash of
        the vector name decides, so chip behaviour is a deterministic
        function of the vector — independent of application order or
-       repetition);
-    5. blockage faults override everything: an obstructed valve edge is
-       closed regardless of state, and an obstructed channel edge is set
-       in the blocked mask for propagation to exclude.
+       repetition).  An intermittent fault's seat carries no other fault
+       (:func:`~repro.sim.faults.faults_compatible`), so steps 3 and 4
+       commute;
+    5. set every obstructed flow edge, channel or valve, in the blocked
+       mask for propagation to exclude.
 
     Each step is integer bit arithmetic on the kernel's valve and edge
-    masks.  The object-level pipeline this replays, on ``Edge`` sets, is
+    masks; steps 3 and 5 compose the
+    :meth:`ReachabilityKernel.fault_masks` of the set's stuck-at and
+    blockage faults, exactly as :meth:`BatchEvaluator.slot_rows` does.
+    The object-level pipeline this replays, on ``Edge`` sets, is
     ``tests/oracle.effective_state``; the equivalence tests pin the two.
     """
 
@@ -555,39 +606,28 @@ class CompiledFaultSet:
         self.kernel = kernel
         self.faults = tuple(faults)
         self._fires_cache = fires_cache if fires_cache is not None else {}
-        vidx = kernel.valve_index
-        sa0 = sa1 = blocked_valves = blocked_edges = 0
+        sa1, keep, blocked = 0, -1, 0
         leak_pairs: list[tuple[Edge, Edge]] = []
         intermittent: list[tuple[int, bool, IntermittentStuckAt]] = []
         for f in self.faults:
-            if isinstance(f, StuckAt0):
-                sa0 |= 1 << self._valve_bit(f.valve)
-            elif isinstance(f, StuckAt1):
-                sa1 |= 1 << self._valve_bit(f.valve)
+            masks = kernel.fault_masks(f)
+            if masks is not None:
+                sa1 |= masks[0]
+                keep &= masks[1]
+                blocked |= masks[2]
             elif isinstance(f, IntermittentStuckAt):
                 intermittent.append(
-                    (1 << self._valve_bit(f.valve), f.stuck_open, f)
+                    (1 << kernel._valve_bit(f.valve), f.stuck_open, f)
                 )
-            elif isinstance(f, ChannelBlocked):
-                ei = kernel.edge_index.get(f.edge)
-                if ei is None:
-                    raise ValueError(
-                        f"blockage on non-existent flow edge {f.edge}"
-                    )
-                blocked_edges |= 1 << ei
-                vi = vidx.get(f.edge)
-                if vi is not None:
-                    blocked_valves |= 1 << vi
             elif isinstance(f, ControlLeak):
-                self._valve_bit(f.a)
-                self._valve_bit(f.b)
+                kernel._valve_bit(f.a)
+                kernel._valve_bit(f.b)
                 leak_pairs.append((f.a, f.b))
             else:  # pragma: no cover - exhaustive over the Fault union
                 raise TypeError(f"unknown fault kind {f!r}")
-        self._sa0 = sa0
         self._sa1 = sa1
-        self._blocked_valves = blocked_valves
-        self.blocked_mask = blocked_edges
+        self._keep = keep
+        self.blocked_mask = blocked
         self._intermittent = tuple(intermittent)
 
         # Control leakage spreads transitively, so a leak-graph component
@@ -612,24 +652,18 @@ class CompiledFaultSet:
             for valve in parent:
                 root = find(valve)
                 groups[root] = groups.get(root, 0) | (
-                    1 << vidx[valve]
+                    1 << kernel.valve_index[valve]
                 )
             comp_masks = list(groups.values())
         self._leak_components = tuple(comp_masks)
-
-    def _valve_bit(self, valve: Edge) -> int:
-        vi = self.kernel.valve_index.get(valve)
-        if vi is None:
-            raise ValueError(f"fault on non-existent valve {valve}")
-        return vi
 
     def effective_masks(
         self, commanded_mask: int, vector_key: str | None = None
     ) -> tuple[int, int]:
         """``(open, blocked)`` masks for one commanded pattern.
 
-        The steps run in the class docstring's order: leaks, then SA1,
-        then SA0, then intermittent firings, then blockage.
+        The steps run in the class docstring's order: leaks, then the
+        stuck-at and blockage overrides, then intermittent firings.
         ``vector_key`` names the applied vector; a set holding an
         intermittent fault cannot be evaluated without it.
         """
@@ -637,7 +671,7 @@ class CompiledFaultSet:
         for comp in self._leak_components:
             if commanded_mask & comp != comp:
                 eff &= ~comp
-        eff = (eff | self._sa1) & ~self._sa0
+        eff = (eff | self._sa1) & self._keep
         if self._intermittent:
             if vector_key is None:
                 raise ValueError(
@@ -652,7 +686,6 @@ class CompiledFaultSet:
                     fires = cache[key] = fault.fires_on(vector_key)
                 if fires:
                     eff = eff | bit if stuck_open else eff & ~bit
-        eff &= ~self._blocked_valves
         return eff, self.blocked_mask
 
 
@@ -693,10 +726,6 @@ class BatchEvaluator:
         self._readings: np.ndarray | None = None
         self._observed: list[tuple[bool, ...] | None] = []
         self._items: list[tuple | None] = []
-        #: ``(sa1, keep, blocked)`` masks of each stuck-at or blockage
-        #: fault met so far (``keep`` clears its stuck-closed valves); a
-        #: kernel has finitely many such faults, so the table is bounded.
-        self._fault_masks: dict[Fault, tuple[int, int, int]] = {}
         #: ``(intermittent fault, vector name) -> fires``, shared by every
         #: :class:`CompiledFaultSet` this evaluator compiles.
         self._fires: dict = {}
@@ -715,36 +744,6 @@ class BatchEvaluator:
             self._pending.append(key)
         return s
 
-    def _masks_of(self, fault: Fault) -> tuple[int, int, int] | None:
-        """A stuck-at or blockage fault's ``(sa1, keep, blocked)`` masks.
-
-        ``None`` for every other kind, and for a fault on an edge the
-        kernel lacks, so that :class:`CompiledFaultSet` handles it (and
-        raises for the unknown edge).
-        """
-        masks = self._fault_masks.get(fault)
-        if masks is not None:
-            return masks
-        kernel = self.kernel
-        if isinstance(fault, (StuckAt0, StuckAt1)):
-            vi = kernel.valve_index.get(fault.valve)
-            if vi is None:
-                return None
-            if isinstance(fault, StuckAt1):
-                masks = 1 << vi, -1, 0
-            else:
-                masks = 0, ~(1 << vi), 0
-        elif isinstance(fault, ChannelBlocked):
-            ei = kernel.edge_index.get(fault.edge)
-            if ei is None:
-                return None
-            vi = kernel.valve_index.get(fault.edge)
-            masks = 0, -1 if vi is None else ~(1 << vi), 1 << ei
-        else:
-            return None
-        self._fault_masks[fault] = masks
-        return masks
-
     def slot_row(self, faults: Sequence[Fault]) -> tuple[int, ...]:
         """Per-vector scenario slots for one fault set, registering every
         new scenario for the next :meth:`flush` (:meth:`slot_rows` of the
@@ -757,16 +756,17 @@ class BatchEvaluator:
         """:meth:`slot_row` of each fault set ``[universe[i] for i in idx]``.
 
         This is the bulk form of the fault model.  Each fault's masks are
-        resolved once per call, so a chunk of sets over one universe pays
-        one lookup per fault, not one per set member.
-        Stuck-ats and blockages compose by bit arithmetic: a vector's open
-        mask is ``(commanded | sa1) & ~(sa0 | blocked valves)``, exactly
-        what :meth:`CompiledFaultSet.effective_masks` computes for such a
-        set.  A set holding a control leak or an intermittent fault is
-        compiled to a :class:`CompiledFaultSet` instead, sharing this
-        evaluator's intermittent-firing cache.
+        decoded once per call, so a chunk of sets over one universe pays
+        one decode per fault, not one per set member.
+        Stuck-ats and blockages compose their
+        :meth:`ReachabilityKernel.fault_masks` by bit arithmetic: a
+        vector's open mask is ``(commanded | sa1) & keep``, exactly what
+        :meth:`CompiledFaultSet.effective_masks` computes for such a set.
+        A set holding a control leak or an intermittent fault is compiled
+        to a :class:`CompiledFaultSet` instead, sharing this evaluator's
+        intermittent-firing cache.
         """
-        masks = [self._masks_of(fault) for fault in universe]
+        masks = [self.kernel.fault_masks(fault) for fault in universe]
         commanded = self.commanded_masks
         memo = self._memo
         pending = self._pending

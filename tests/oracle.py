@@ -439,7 +439,7 @@ def sa1_observable_valves(sim: ObjectSimulator, vector) -> set[Edge]:
     graph.
     """
     fpva = sim.fpva
-    dark_sinks, candidates = _sa1_candidates(sim, vector, fpva)
+    dark_sinks, candidates = _sa1_candidates(sim, vector)
     g = open_edge_graph(fpva, vector)
     flood_cache: dict[Cell, bool] = {}
 
@@ -485,7 +485,7 @@ def measure_coverage(fpva, vectors, include_leak_pairs=True) -> CoverageReport:
         if include_leak_pairs:
             remaining = all_pairs - report.leak_pairs_covered
             report.leak_pairs_covered |= leak_covered_unordered(
-                fpva, sim, vector, candidate_pairs=remaining, sa0_observable=sa0
+                sim, vector, candidate_pairs=remaining, sa0_observable=sa0
             )
     valves = set(fpva.valves)
     report.sa0_missing = valves - report.sa0_covered

@@ -172,7 +172,7 @@ def test_r2_reads_and_out_of_scope_writes_are_fine():
 def test_r3_flags_private_construction():
     source = "k = ReachabilityKernel(fpva)\n"
     assert "R3" in codes("src/repro/engine/x.py", source)
-    source = "s = PressureSimulator(fpva)\n"
+    source = "t = Tester(fpva)\n"
     assert "R3" in codes("examples/x.py", source)
     source = "t = Tester(fpva)\n"
     assert "R3" in codes("src/repro/core/x.py", source)
@@ -181,7 +181,7 @@ def test_r3_flags_private_construction():
 
 
 def test_r3_allows_the_session_factories():
-    source = "k = ReachabilityKernel(fpva)\ns = PressureSimulator(fpva)\n"
+    source = "k = ReachabilityKernel(fpva)\nt = Tester(fpva)\n"
     assert codes("src/repro/context.py", source) == []
     assert codes("src/repro/sim/kernel.py", source) == []
 

@@ -4,36 +4,49 @@ Covers the PR-5 tentpole and satellites:
 
 * exactly **one** kernel compile per context across generation, coverage,
   hardening, campaigns and dictionary diagnosis;
-* the unified observability signatures: one ``(source, vector, fpva)``
+* the unified observability signatures: one ``(kernel, vector)``
   order for both checks;
 * batched-vs-reference equivalence properties: kernel-session coverage
   observability sets and hardening output are identical to the
   object-BFS reference in ``tests/oracle.py`` across random layouts,
-  vectors and seeds;
+  vectors and seeds, and so are the helpers both share when handed the
+  kernel or the object-graph simulator;
 * context plumbing (store warm starts, evaluator memoization, seed
   streams).
 """
 
 from __future__ import annotations
 
+import inspect
 import random
 
 import pytest
 
 import oracle
-from repro.context import ExecutionContext, Session
+from repro.context import ExecutionContext
 from repro.core import (
     TestGenerator,
     measure_coverage,
     sa0_observable_valves,
     sa1_observable_valves,
 )
-from repro.core.repair import find_masked_stuck_pairs, harden_double_faults
+from repro.core.coverage import _sa1_candidates
+from repro.core.repair import (
+    find_masked_stuck_pairs,
+    harden_double_faults,
+    synthesize_pair_breaker,
+)
 from repro.core.vectors import TestSet, TestVector, VectorKind
 from repro.engine import run_campaign as run_campaign_sharded
 from repro.fpva import FPVABuilder, Side, full_layout, table1_layout
 from repro.fpva.geometry import Cell
-from repro.sim import ChipUnderTest, FaultDictionary, ReachabilityKernel
+from repro.sim import (
+    ChipUnderTest,
+    FaultDictionary,
+    ReachabilityKernel,
+    StuckAt0,
+    StuckAt1,
+)
 from repro.sim.campaign import run_trials
 from repro.engine import AdaptiveDiagnoser
 
@@ -68,9 +81,6 @@ def _copy_testset(ts: TestSet) -> TestSet:
 
 
 class TestExecutionContext:
-    def test_session_alias(self):
-        assert Session is ExecutionContext
-
     def test_resolve_checks_array_identity(self, small, tiny):
         ctx = ExecutionContext(small)
         assert ExecutionContext.resolve(ctx, small) is ctx
@@ -88,7 +98,6 @@ class TestExecutionContext:
         ctx = ExecutionContext(small)
         assert ctx.kernel_compiles == 0  # nothing compiled yet
         assert ctx.tester.kernel is ctx.kernel
-        assert ctx.simulator.kernel is ctx.kernel
         assert ctx.kernel_compiles == 1
 
     def test_evaluator_memoized_by_suite(self, small):
@@ -104,13 +113,13 @@ class TestExecutionContext:
         cold = ExecutionContext(small, store=tmp_path)
         vectors = _random_vectors(small, seed=5, count=6)
         cold_readings = [
-            cold.simulator.meter_readings(v.open_valves) for v in vectors
+            cold.kernel.meter_readings(v.open_valves) for v in vectors
         ]
         assert cold.kernel_compiles == 1 and cold.kernel_loads == 0
 
         warm = ExecutionContext(small, store=tmp_path)
         warm_readings = [
-            warm.simulator.meter_readings(v.open_valves) for v in vectors
+            warm.kernel.meter_readings(v.open_valves) for v in vectors
         ]
         assert warm.kernel_compiles == 0 and warm.kernel_loads == 1
         assert warm_readings == cold_readings
@@ -162,27 +171,23 @@ class TestUnifiedObservabilitySignatures:
         ).generate().testset.flow_paths[0]
         return table5, ctx, vector
 
-    def test_sa0_accepts_context_simulator_and_legacy(self, setup):
-        fpva, ctx, vector = setup
-        canonical = sa0_observable_valves(ctx, vector)
-        assert canonical  # a flow-path vector observes its own valves
-        assert sa0_observable_valves(ctx.simulator, vector) == canonical
-        assert sa0_observable_valves(ctx.simulator, vector, fpva) == canonical
-
     def test_both_signatures_are_identical(self, setup):
-        fpva, ctx, vector = setup
-        # The satellite's point: one calling convention for both checks.
+        _, ctx, vector = setup
+        # One calling convention for both checks: the session's kernel,
+        # then the vector.
         for func in (sa0_observable_valves, sa1_observable_valves):
-            assert func(ctx, vector) == func(ctx, vector, fpva)
+            assert list(inspect.signature(func).parameters) == ["kernel", "vector"]
+        # A flow-path vector observes each of its own valves.
+        assert sa0_observable_valves(ctx.kernel, vector) == vector.open_valves
 
     def test_missing_vector_rejected(self, setup):
         _, ctx, _ = setup
         with pytest.raises(TypeError, match="vector"):
-            sa0_observable_valves(ctx)
+            sa0_observable_valves(ctx.kernel)
 
     def test_missing_simulator_rejected(self, setup):
         fpva, _, vector = setup
-        with pytest.raises(TypeError, match="source"):
+        with pytest.raises(TypeError, match="kernel"):
             sa0_observable_valves(vector=vector)
 
 
@@ -215,15 +220,42 @@ class TestBatchedEquivalenceProperties:
     @pytest.mark.parametrize("seed", [0, 1, 2])
     def test_observability_sets_identical(self, layout_index, seed):
         fpva = _layouts()[layout_index]
-        kernel_ctx = ExecutionContext(fpva)
+        kernel = ExecutionContext(fpva).kernel
         object_sim = oracle.ObjectSimulator(fpva)
         for vector in _random_vectors(fpva, seed=seed, count=8):
-            assert sa0_observable_valves(kernel_ctx, vector) == (
+            assert sa0_observable_valves(kernel, vector) == (
                 oracle.sa0_observable_valves(object_sim, vector)
             ), vector
-            assert sa1_observable_valves(kernel_ctx, vector) == (
+            assert sa1_observable_valves(kernel, vector) == (
                 oracle.sa1_observable_valves(object_sim, vector)
             ), vector
+            # The candidate scan both sides share, on either engine.
+            assert _sa1_candidates(kernel, vector) == (
+                _sa1_candidates(object_sim, vector)
+            ), vector
+
+    @pytest.mark.parametrize("layout_index", range(4))
+    def test_pair_breaker_identical_on_either_engine(self, layout_index):
+        """synthesize_pair_breaker emits the same vector whether the
+        kernel or the object-graph simulator gives its readings."""
+        fpva = _layouts()[layout_index]
+        ctx = ExecutionContext(fpva)
+        object_sim = oracle.ObjectSimulator(fpva)
+        rng = random.Random(layout_index)
+        valves = sorted(fpva.valves)
+        breakers = []
+        for i in range(12):
+            e0, e1 = rng.sample(valves, 2)
+            pair = (StuckAt0(e0), StuckAt1(e1))
+            on_kernel = synthesize_pair_breaker(
+                fpva, *pair, ctx.kernel, ctx.tester, name=f"b{i}"
+            )
+            on_objects = synthesize_pair_breaker(
+                fpva, *pair, object_sim, ctx.tester, name=f"b{i}"
+            )
+            assert on_kernel == on_objects, pair
+            breakers.append(on_kernel)
+        assert any(breakers)
 
     @pytest.mark.parametrize("layout_index", range(4))
     def test_suite_coverage_identical(self, layout_index):

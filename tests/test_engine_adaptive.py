@@ -15,7 +15,7 @@ from repro.core.vectors import TestVector, VectorKind
 from repro.engine import AdaptiveDiagnoser, adaptive_diagnose, get_scenario, scenario_names
 from repro.fpva import FPVABuilder, Side, full_layout
 from repro.fpva.geometry import Cell
-from repro.sim import ChipUnderTest, FaultDictionary, PressureSimulator, StuckAt0
+from repro.sim import ChipUnderTest, FaultDictionary, ReachabilityKernel, StuckAt0
 from tests import oracle
 
 #: Session budgets every differential case runs under.
@@ -82,7 +82,7 @@ def _synthetic_vectors(fpva, rng, count=10):
     the suite generator does not cover (several meters).  At least half
     the valves open, so faults move several meters at once and a vector's
     readouts split into many ids."""
-    simulator = PressureSimulator(fpva)
+    kernel = ReachabilityKernel(fpva)
     valves = list(fpva.valves)
     vectors = []
     for i in range(count):
@@ -94,7 +94,7 @@ def _synthetic_vectors(fpva, rng, count=10):
                 name=f"rv{i}",
                 kind=VectorKind.BASELINE,
                 open_valves=opened,
-                expected=simulator.meter_readings(opened),
+                expected=kernel.meter_readings(opened),
             )
         )
     return vectors

@@ -30,7 +30,6 @@ from repro.sim import (
     ControlLeak,
     FaultDictionary,
     IntermittentStuckAt,
-    PressureSimulator,
     ReachabilityKernel,
     StuckAt0,
     StuckAt1,
@@ -39,6 +38,7 @@ from repro.sim import (
 )
 from repro.sim.campaign import run_trials
 from repro.sim.kernel import _pack_words, _unpack_words
+from test_context import _layouts
 from test_integration import small_layouts
 
 
@@ -82,7 +82,7 @@ def _random_vectors(fpva, rng, count=8):
     layouts the ILP suite generator does not support)."""
     from repro.core.vectors import TestVector, VectorKind
 
-    sim = PressureSimulator(fpva)
+    kernel = ReachabilityKernel(fpva)
     valves = list(fpva.valves)
     return [
         TestVector(
@@ -91,7 +91,7 @@ def _random_vectors(fpva, rng, count=8):
             open_valves=(opened := frozenset(
                 rng.sample(valves, rng.randrange(len(valves) + 1))
             )),
-            expected=sim.meter_readings(opened),
+            expected=kernel.meter_readings(opened),
         )
         for i in range(count)
     ]
@@ -160,11 +160,10 @@ def arrays(two_sink_array):
 class TestSingleQueryEquivalence:
     def test_random_open_and_blocked_sets(self, arrays):
         """Kernel readings/reach == the object-graph BFS, with and without
-        blocked edges; the fault-free simulator agrees on unblocked sets."""
+        blocked edges; the fault-free queries agree on unblocked sets."""
         rng = random.Random(42)
         for fpva in arrays:
-            sim = PressureSimulator(fpva)
-            kernel = sim.kernel
+            kernel = ReachabilityKernel(fpva)
             ref_sim = oracle.ObjectSimulator(fpva)
             valves = list(fpva.valves)
             edges = list(fpva.flow_edges)
@@ -187,16 +186,38 @@ class TestSingleQueryEquivalence:
                     open_set, blocked=blocked
                 )
                 if not blocked:
-                    assert sim.meter_readings(open_set) == ref
-                    assert sim.pressurized_nodes(open_set) == reached
+                    assert kernel.meter_readings(open_set) == ref
+                    assert kernel.pressurized_nodes(open_set) == reached
+
+    def test_fault_free_queries_match_object_simulator(self, arrays):
+        """meter_readings and pressurized_nodes answer as the object-graph
+        simulator's namesakes do, so the helpers shared with the oracle
+        accept either engine; non-grid layouts (obstacle plus channel,
+        two sinks) included."""
+        rng = random.Random(11)
+        for fpva in (*arrays, *_layouts()):
+            kernel = ReachabilityKernel(fpva)
+            reference = oracle.ObjectSimulator(fpva)
+            valves = list(fpva.valves)
+            open_sets = [frozenset(), frozenset(valves)] + [
+                frozenset(rng.sample(valves, rng.randrange(len(valves) + 1)))
+                for _ in range(60)
+            ]
+            for open_set in open_sets:
+                readings = kernel.meter_readings(open_set)
+                assert readings == reference.meter_readings(open_set)
+                assert list(readings) == list(reference.meter_readings(open_set))
+                assert kernel.pressurized_nodes(open_set) == (
+                    reference.pressurized_nodes(open_set)
+                )
 
     def test_open_iterable_coerced_once(self, arrays):
         """Generators (single-pass iterables) are valid open sets."""
         fpva = arrays[0]
-        sim = PressureSimulator(fpva)
-        all_open = sim.meter_readings(frozenset(fpva.valves))
-        assert sim.meter_readings(v for v in fpva.valves) == all_open
-        assert sim.pressurized_nodes(
+        kernel = ReachabilityKernel(fpva)
+        all_open = kernel.meter_readings(frozenset(fpva.valves))
+        assert kernel.meter_readings(v for v in fpva.valves) == all_open
+        assert kernel.pressurized_nodes(
             v for v in fpva.valves
         ) == oracle.ObjectSimulator(fpva).pressurized_nodes(frozenset(fpva.valves))
 
@@ -204,11 +225,11 @@ class TestSingleQueryEquivalence:
         """Channel edges in the commanded set are ignored, as in the
         object-graph BFS."""
         fpva = table1_layout(5)
-        sim = PressureSimulator(fpva)
+        kernel = ReachabilityKernel(fpva)
         channel = next(iter(fpva.channels))
         opened = frozenset(fpva.valves[:5]) | {channel}
         ref = oracle.ObjectSimulator(fpva).meter_readings(opened)
-        assert sim.meter_readings(opened) == ref
+        assert kernel.meter_readings(opened) == ref
 
     def test_kernel_round_trips_through_pickle(self, arrays):
         """Campaign workers receive kernels by pickling."""

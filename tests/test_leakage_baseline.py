@@ -4,7 +4,7 @@ import pytest
 
 from repro.core import generate_suite
 from repro.core.baseline import BaselineGenerator
-from repro.core.coverage import leak_covered_pairs, measure_coverage
+from repro.core.coverage import measure_coverage
 from repro.core.leakage import LeakageGenerator
 from repro.core.paths import FlowPathGenerator
 from repro.fpva import full_layout
@@ -12,13 +12,13 @@ from repro.ilp import SolveOptions
 from repro.sim import (
     ChipUnderTest,
     ControlLeak,
+    ReachabilityKernel,
     StuckAt0,
     StuckAt1,
     Tester,
     control_leak_faults,
     untestable_leak_pairs,
 )
-from repro.sim.pressure import PressureSimulator
 
 
 @pytest.fixture(scope="module")
@@ -51,13 +51,13 @@ class TestLeakage:
         from repro.core.coverage import leak_covered_unordered
         from repro.fpva.control import control_adjacent_pairs
 
-        sim = PressureSimulator(tiny4)
+        kernel = ReachabilityKernel(tiny4)
         remaining = set(control_adjacent_pairs(tiny4)) - set(
             untestable_leak_pairs(tiny4)
         )
         for vec in leak_result.vectors:
             remaining -= leak_covered_unordered(
-                tiny4, sim, vec, candidate_pairs=remaining
+                kernel, vec, candidate_pairs=remaining
             )
         assert not remaining
 

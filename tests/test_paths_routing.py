@@ -22,7 +22,7 @@ from repro.fpva import FPVABuilder, Side, full_layout
 from repro.fpva.geometry import Cell, edge_between
 from repro.fpva.graph import cell_graph
 from repro.ilp import SolveOptions
-from repro.sim.pressure import PressureSimulator
+from repro.sim import ReachabilityKernel
 
 OPTS = SolveOptions(time_limit=90)
 
@@ -45,9 +45,9 @@ class TestDirectGeneration:
     def test_channel_array(self, table5):
         result = FlowPathGenerator(table5, OPTS).generate()
         covered = set()
-        sim = PressureSimulator(table5)
+        kernel = ReachabilityKernel(table5)
         for vec in result.vectors:
-            covered |= sa0_observable_valves(sim, vec, table5)
+            covered |= sa0_observable_valves(kernel, vec)
         assert covered == set(table5.valves)
 
     def test_obstacle_array(self, obstacle_array):

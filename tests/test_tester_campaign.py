@@ -1,19 +1,28 @@
 """Tester, campaign and diagnosis on small arrays."""
 
+import importlib.util
+import random
+from collections import Counter
+from pathlib import Path
+
 import pytest
 
 from repro.core import generate_suite
+from repro.engine import get_scenario, run_sweep
 from repro.sim import (
     ChipUnderTest,
     FaultDictionary,
     StuckAt0,
     StuckAt1,
     Tester,
+    faults_compatible,
     mix_seed,
     sample_fault_set,
     fault_universe,
 )
-from repro.sim.campaign import run_trials
+from repro.sim import campaign
+from repro.sim.campaign import _sample_by_key, run_trials
+from repro.sim.faults import max_compatible_faults
 
 
 @pytest.fixture(scope="module")
@@ -92,6 +101,68 @@ class TestCampaign:
         for k, result in sweep.items():
             assert result.num_faults == k
             assert result.detection_rate >= 0.99  # paper: all detected
+
+
+def _stored_suite(name):
+    """A pinned suite from ``perfbench/fixtures`` (the benchmark's own)."""
+    path = Path(__file__).resolve().parents[1] / "perfbench" / "suites.py"
+    spec = importlib.util.spec_from_file_location("perfbench_suites", path)
+    suites = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(suites)
+    return suites.load_suite(name)
+
+
+class TestSamplerNearTheBound:
+    @pytest.mark.parametrize("scenario_name", ["stuck-at", "mixed"])
+    def test_every_count_up_to_the_bound_samples(self, tiny, scenario_name):
+        """Every k up to max_compatible_faults draws a compatible set on a
+        full 3x3 (34 for both universes); rejection alone gives up from
+        k = 28.  One more fault than the bound still raises."""
+        scenario = get_scenario(scenario_name)
+        universe = scenario.universe(tiny)
+        bound = max_compatible_faults(universe)
+        assert bound == 34
+        rng = random.Random(5)
+        for k in range(1, bound + 1):
+            faults = scenario.sample(universe, rng, k)
+            assert len(faults) == k
+            assert faults_compatible(faults), k
+        with pytest.raises(RuntimeError, match="could not sample 35"):
+            scenario.sample(universe, rng, bound + 1)
+
+    def test_exact_sampler_is_uniform(self, tiny):
+        """3 valves x SA0/SA1 at k = 2 give 12 compatible sets.  Over
+        24,000 exact draws the chi-square statistic stays below 31.26,
+        the 0.999 quantile for 11 degrees of freedom."""
+        universe = [
+            kind(valve) for valve in tiny.valves[:3] for kind in (StuckAt0, StuckAt1)
+        ]
+        rng = random.Random(1)
+        draws = 24_000
+        counts = Counter(
+            frozenset(_sample_by_key(universe, 2, rng)) for _ in range(draws)
+        )
+        assert len(counts) == 12
+        assert all(faults_compatible(tuple(fault_set)) for fault_set in counts)
+        expected = draws / len(counts)
+        chi2 = sum((n - expected) ** 2 / expected for n in counts.values())
+        assert chi2 < 31.26, chi2
+
+    def test_screening_sweeps_never_draw_exactly(self, monkeypatch):
+        """The k = 1..5 sweeps over the stored full 8x8 suite draw every
+        chip by rejection (a 5-set of its 516 faults is compatible with
+        probability 0.99), so their results are the rejection sampler's."""
+
+        def refuse(universe, k, rng):
+            raise AssertionError(f"exact sampler reached at k = {k}")
+
+        monkeypatch.setattr(campaign, "_sample_by_key", refuse)
+        suite = _stored_suite("full-8x8")
+        sweep = run_sweep(
+            suite.fpva, suite.all_vectors(), fault_counts=(1, 2, 3, 4, 5),
+            trials=2000,
+        )
+        assert [sweep[k].trials for k in (1, 2, 3, 4, 5)] == [2000] * 5
 
 
 class TestDiagnosis:

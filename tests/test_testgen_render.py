@@ -9,7 +9,6 @@ from repro.core.render import coverage_map, render_array, render_paths, render_v
 from repro.core.testgen import GenerationReport
 from repro.core.vectors import TestSet, TestVector, VectorKind, vector_from_open_set
 from repro.fpva import full_layout, table1_layout
-from repro.sim.pressure import PressureSimulator
 
 
 @pytest.fixture(scope="module")

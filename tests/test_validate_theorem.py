@@ -11,7 +11,7 @@ from repro.core.validate import (
 )
 from repro.core.vectors import TestVector, VectorKind
 from repro.fpva import full_layout
-from repro.sim.pressure import PressureSimulator
+from repro.sim import ReachabilityKernel
 from repro.sim.tester import Tester
 
 
@@ -52,7 +52,7 @@ class TestValidation:
             name="branchy",
             kind=VectorKind.FLOW_PATH,
             open_valves=frozenset(fpva.valves),
-            expected=PressureSimulator(fpva).meter_readings(frozenset(fpva.valves)),
+            expected=ReachabilityKernel(fpva).meter_readings(frozenset(fpva.valves)),
         )
         report = validate_vector(fpva, bad)
         assert any("branching" in i.problem or "bypass" in i.problem for i in report.issues)
