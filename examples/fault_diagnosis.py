@@ -31,7 +31,6 @@ def main() -> None:
     dictionary = FaultDictionary(
         fpva,
         suite.all_vectors(),
-        include_control_leaks=True,
         max_cardinality=1,
         context=ctx,
     )

@@ -2,7 +2,7 @@
 Arrays (FPVAs)" (Liu, Li, Bhattacharya, Chakrabarty, Ho, Schlichtmann;
 DATE 2017).
 
-The package is organized in four layers:
+The package is organized in six layers:
 
 * :mod:`repro.ilp`  — MILP modeling language + exact solver backends;
 * :mod:`repro.fpva` — the chip model (lattice, arrays, layouts, devices);
@@ -12,8 +12,8 @@ The package is organized in four layers:
 * :mod:`repro.store` — content-addressed on-disk persistence of compiled
   artifacts (kernels, fault dictionaries) for warm starts;
 * :mod:`repro.engine` — adaptive diagnosis, fault scenarios and the one
-  campaign API (``run_campaign``/``run_sweep``).  It is not re-exported
-  here, so ``import repro`` stays cheap.
+  campaign API (``run_sweep``).  It is not re-exported here, so
+  ``import repro`` stays cheap.
 
 Quickstart::
 

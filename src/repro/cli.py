@@ -187,9 +187,11 @@ def cmd_show(args) -> int:
 
 
 def cmd_campaign(args) -> int:
-    if args.resume and not args.journal_dir:
-        print("--resume requires --journal-dir", file=sys.stderr)
-        return 2
+    for flag, value in (("--resume", args.resume),
+                        ("--max-attempts", args.max_attempts)):
+        if value and not args.journal_dir:
+            print(f"{flag} requires --journal-dir", file=sys.stderr)
+            return 2
     ctx = _context(args)
     fpva = ctx.fpva
     scenario = get_scenario(args.scenario) if args.scenario else None
@@ -495,7 +497,7 @@ def build_parser() -> argparse.ArgumentParser:
                    help="journaled runs: attempts before a repeatedly "
                         "failing shard is quarantined as poison instead of "
                         "retried (default 3); the sweep then completes "
-                        "degraded with exit code 3")
+                        "degraded with exit code 3; requires --journal-dir")
     p.add_argument("--json", default=None, metavar="PATH",
                    help="also write the merged sweep results as JSON "
                         "(a degraded sweep adds a 'quarantined' key "

@@ -20,8 +20,9 @@ and hands out the shared per-array machinery derived from it:
   (:mod:`repro.store.integrity`), and the context counts the loads,
   compiles and heals.  It is the one load-heal-or-compile path: a
   campaign sweep takes its kernel from here but runs its shards on a
-  session of its own (:mod:`repro.engine.parallel`), so a sweep never
-  grows this session's evaluator memo.  The generators ask it their
+  :class:`~repro.sim.kernel.BatchEvaluator` of its own
+  (:mod:`repro.engine.parallel`), as the hardening audit does, so the
+  session holds no scenario pool.  The generators ask it their
   fault-free questions directly
   (:meth:`~repro.sim.kernel.ReachabilityKernel.meter_readings`);
 * :attr:`tester` — the shared :class:`~repro.sim.tester.Tester` that
@@ -29,11 +30,6 @@ and hands out the shared per-array machinery derived from it:
 * :meth:`suite` — the array's generated test suite, warm-loaded from
   the store's :class:`~repro.store.SuiteStore` when one is configured,
   or generated and published there;
-* :meth:`evaluator` — a memoized per-suite
-  :class:`~repro.sim.kernel.BatchEvaluator`, so consumers that batch
-  over the same vector suite (coverage accounting, double-fault
-  hardening, the shards of a campaign sweep) share one scenario-dedup
-  pool;
 * :meth:`rng` — deterministic per-purpose random streams derived from
   the session seed through the splitmix64 mixer
   (:func:`repro.sim.seeding.mix_seed`).
@@ -57,7 +53,7 @@ import random
 from typing import TYPE_CHECKING, Any, Sequence
 
 from repro.fpva.array import FPVA
-from repro.sim.kernel import BatchEvaluator, ReachabilityKernel
+from repro.sim.kernel import ReachabilityKernel
 from repro.sim.seeding import mix_seed
 from repro.sim.tester import Tester
 
@@ -87,10 +83,6 @@ class ExecutionContext:
         kernel keeps whatever backend tier it carries.
     """
 
-    #: Most-recently-used :meth:`evaluator` entries kept per session
-    #: (each holds its accumulated scenario-readings pool).
-    MAX_CACHED_EVALUATORS = 8
-
     def __init__(
         self,
         fpva: FPVA,
@@ -114,7 +106,6 @@ class ExecutionContext:
         #: Corrupt stored kernels this context quarantined and rebuilt.
         self.kernel_heals = 0
         self._tester: Tester | None = None
-        self._evaluators: dict[tuple, BatchEvaluator] = {}
 
     # -- resolution helpers -------------------------------------------------
     @classmethod
@@ -218,45 +209,20 @@ class ExecutionContext:
         self.store.suites.save(digest, generated.testset)
         return generated
 
-    def evaluator(self, vectors: Sequence["TestVector"]) -> BatchEvaluator:
-        """The shared :class:`BatchEvaluator` for one vector suite.
-
-        Memoized by suite content, so every batched consumer of the same
-        suite (coverage, hardening, campaigns) pools its scenario dedup
-        table.
-        """
-        key = tuple(
-            (v.name, v.open_valves, tuple(sorted(v.expected.items())))
-            for v in vectors
-        )
-        evaluator = self._evaluators.get(key)
-        if evaluator is None:
-            evaluator = self._evaluators[key] = BatchEvaluator(
-                self.kernel, vectors
-            )
-            # Evaluators accumulate their scenario pools; bound the memo
-            # so a session that iterates over many distinct suites (e.g.
-            # hardening mutating a testset per round) cannot grow without
-            # limit.  LRU order: a hit below re-registers the key.
-            while len(self._evaluators) > self.MAX_CACHED_EVALUATORS:
-                self._evaluators.pop(next(iter(self._evaluators)))
-        else:
-            self._evaluators[key] = self._evaluators.pop(key)
-        return evaluator
-
     def dictionary(
         self,
         vectors: Sequence["TestVector"],
         *,
         max_cardinality: int = 1,
         universe: Sequence[Any] | None = None,
-        include_control_leaks: bool = True,
         base_digest: str | None = None,
         incremental: bool = True,
         chunk_size: int | None = None,
     ) -> Any:
         """A :class:`~repro.sim.diagnosis.FaultDictionary` on this session.
 
+        ``universe`` names the faults it models; ``None`` is the paper's
+        stuck-at/control-leak space (:func:`~repro.sim.faults.fault_universe`).
         The session's kernel and store are shared; when a
         store is configured the dictionary warm-loads, or — failing that —
         delta-builds from the nearest stored ancestor (same layout and
@@ -271,7 +237,6 @@ class ExecutionContext:
         return FaultDictionary(
             self.fpva,
             vectors,
-            include_control_leaks=include_control_leaks,
             max_cardinality=max_cardinality,
             universe=universe,
             chunk_size=chunk_size or DEFAULT_CHUNK_SIZE,

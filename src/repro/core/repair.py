@@ -34,7 +34,7 @@ The quadratic audit is the hot path, and it runs **batched**: for an
 ordered pair ``(SA0(e0), SA1(e1))`` with ``e0 != e1`` the effective open
 mask of vector ``m`` factorizes as ``(m & ~bit(e0)) | bit(e1)``, so per
 vector only ``(opens + 1) x (closeds + 1)`` distinct scenarios exist.
-They are registered through the shared
+They are registered through one
 :class:`~repro.sim.kernel.BatchEvaluator` (64 scenarios per machine
 word, deduplicated across vectors) and the full pair-by-pair verdict
 matrix falls out of two fancy-indexing ORs — no per-pair simulation at
@@ -54,7 +54,7 @@ from repro.core.routing import RoutingError, disjoint_route_through, route_valve
 from repro.core.vectors import TestSet, TestVector, VectorKind, vector_from_open_set
 from repro.fpva.array import FPVA
 from repro.sim.faults import StuckAt0, StuckAt1
-from repro.sim.kernel import ReachabilityKernel
+from repro.sim.kernel import BatchEvaluator, ReachabilityKernel
 from repro.sim.tester import Tester
 
 
@@ -81,16 +81,16 @@ def find_masked_stuck_pairs(
 
     Only mixed-polarity pairs are audited — the monotonicity argument in
     the module docstring rules the rest out.  The audit is bit-parallel
-    through the session's evaluator: it registers each vector's
-    ``(cleared-open, set-closed)`` scenario grid, flushes once, and ORs
-    per-vector failure grids into the full ``valve x valve`` detection
-    matrix by fancy indexing (row = which open valve the SA0 clears,
-    ``0`` when it clears nothing; column = which closed valve the SA1
-    sets, ``0`` when it sets nothing).  Pair order and verdicts are
+    through one evaluator on the session's kernel: it registers each
+    vector's ``(cleared-open, set-closed)`` scenario grid, flushes once,
+    and ORs per-vector failure grids into the full ``valve x valve``
+    detection matrix by fancy indexing (row = which open valve the SA0
+    clears, ``0`` when it clears nothing; column = which closed valve the
+    SA1 sets, ``0`` when it sets nothing).  Pair order and verdicts are
     identical to the serial reference loop.
     """
-    evaluator = ExecutionContext.resolve(context, fpva).evaluator(list(vectors))
-    kernel = evaluator.kernel
+    kernel = ExecutionContext.resolve(context, fpva).kernel
+    evaluator = BatchEvaluator(kernel, list(vectors))
     valves = list(fpva.valves)
     n = len(valves)
     vidx = {v: i for i, v in enumerate(valves)}
@@ -199,7 +199,7 @@ def harden_double_faults(
     """Audit ``testset`` for masked mixed pairs and append breaker vectors.
 
     Exhaustive over ordered (SA0, SA1) valve pairs; the audit itself is
-    batched through the session's evaluator (see
+    batched through one evaluator on the session's kernel (see
     :func:`find_masked_stuck_pairs`), so arrays well past the old
     benchmark scale stay practical.
     """

@@ -176,9 +176,8 @@ def audit_two_fault_detection(
     Exhaustive over single faults; over fault pairs it is exhaustive when
     their count is below ``max_pairs`` and uniformly sampled otherwise.
     Every single and pair is judged on the session's kernel through one
-    private :class:`~repro.sim.kernel.BatchEvaluator`, chunk by chunk as a
-    dictionary build walks its fault sets, so the session's evaluator memo
-    never grows.
+    :class:`~repro.sim.kernel.BatchEvaluator`, chunk by chunk as a
+    dictionary build walks its fault sets.
     """
     kernel = ExecutionContext.resolve(context, fpva).kernel
     universe = fault_universe(fpva, include_control_leaks=include_control_leaks)

@@ -6,8 +6,8 @@ The three pillars on top of the ``sim`` substrate:
   matches the full-suite dictionary verdict in a fraction of the vectors;
 * :mod:`repro.engine.scenarios` — the pluggable fault-workload registry
   (stuck-at, intermittent, blockage, mixed — and user-registered ones);
-* :mod:`repro.engine.parallel` — sharded process-pool campaign/sweep
-  runners whose results are independent of the worker count.
+* :mod:`repro.engine.parallel` — :func:`run_sweep`, the one campaign
+  API, whose sharded results are independent of the worker count.
 """
 
 from repro.engine.adaptive import (
@@ -18,7 +18,6 @@ from repro.engine.adaptive import (
 )
 from repro.engine.parallel import (
     SHARD_TRIALS,
-    run_campaign,
     run_sweep,
 )
 from repro.engine.scenarios import (
@@ -39,7 +38,6 @@ __all__ = [
     "AdaptiveStep",
     "adaptive_diagnose",
     "SHARD_TRIALS",
-    "run_campaign",
     "run_sweep",
     "BlockageScenario",
     "FaultScenario",

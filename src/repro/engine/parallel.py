@@ -1,31 +1,34 @@
 """Sharded, process-parallel fault-injection campaigns.
 
 The section IV experiment is embarrassingly parallel: trials are
-independent chips.  The runner takes its shards from
-:func:`repro.sim.campaign.shard_plan` — fixed-size splits whose RNG
-streams mix (seed, fault count, shard index), never worker identity —
-and merges them with :func:`~repro.sim.campaign.merge_shards`.  Because
-the plan is a function of the *trial count* alone, the aggregated
+independent chips.  :func:`run_sweep` is the one in-process campaign
+API: it takes its shards from :func:`repro.sim.campaign.shard_plan` —
+fixed-size splits whose RNG streams mix (seed, fault count, shard
+index), never worker identity — runs each through
+:func:`~repro.sim.campaign.run_shard`, and merges them with
+:func:`~repro.sim.campaign.merge_shards`.  Because the plan is a
+function of the *trial count* alone, the aggregated
 :class:`CampaignResult` is bit-identical whatever ``workers`` is; a pool
-only changes wall-clock.
+only changes wall-clock.  A single fault count is
+``run_sweep(..., fault_counts=(k,))[k]``.
 
 The array is compiled into a
 :class:`~repro.sim.kernel.ReachabilityKernel` **once** per campaign, by
 the :class:`~repro.context.ExecutionContext` the caller passes (or a
-fresh one; with a store, that is a warm load).  Every shard of a sweep
-then runs on one session per process, ``ExecutionContext(fpva,
-kernel=kernel)``, built by :func:`_run_shards` and dropped when it
-returns, so the shards of a process share one scenario-dedup pool and
-the caller's own evaluator memo never grows.  With ``workers <= 1``
-that session runs inline over the whole plan; otherwise each of
+fresh one; with a store, that is a warm load).  Every shard of a process
+then runs on one :class:`~repro.sim.kernel.BatchEvaluator` on that
+kernel, built by :func:`_run_shards` and dropped when it returns, so
+the shards of a process share one scenario-dedup pool and the caller's
+session holds nothing of the sweep.  With ``workers <= 1`` that
+evaluator runs inline over the whole plan; otherwise each of
 ``min(workers, shards)`` pool tasks takes the round-robin slice
 ``plan[i::n]`` (the plan is ordered by fault count, so every slice gets
-the same mix), and the kernel, array, suite and fault universe are
-pickled once per task, never once per shard.  Scenario objects and
-arrays ride to the workers via pickling, so custom scenarios must be
-defined at module top level (the registered ones are).  The fault
-universe (:func:`~repro.sim.campaign.campaign_universe`) is derived
-once per sweep.
+the same mix), and the kernel, suite and fault universe are pickled
+once per task, never once per shard.  Scenario objects ride to the
+workers via pickling, so custom scenarios must be defined at module top
+level (the registered ones are).  The fault universe
+(:func:`~repro.sim.campaign.campaign_universe`) is derived once per
+sweep.
 
 With ``journal_dir=`` set, the *identical* plan runs through the campaign
 fabric (:mod:`repro.fabric`) instead of a transient pool: every shard is
@@ -48,76 +51,31 @@ from typing import Sequence
 from repro.core.vectors import TestVector
 from repro.fpva.array import FPVA
 from repro.sim.campaign import (
+    KEEP_UNDETECTED,
     SHARD_TRIALS,
     CampaignResult,
-    _run_trials,
     campaign_universe,
     merge_shards,
+    run_shard,
     shard_plan,
 )
+from repro.sim.kernel import BatchEvaluator
 
 
 def _run_shards(
-    fpva, kernel, vectors, universe, scenario, keep_undetected, shards
+    kernel, vectors, universe, scenario, shards
 ) -> list[CampaignResult]:
-    """Run ``shard_plan`` rows on one session built from ``kernel``.
+    """Run ``shard_plan`` rows on one evaluator built on ``kernel``.
 
-    The session lives for this call only.  Sharing it across the rows is
-    safe for bit-identity: each shard's result is a pure function of its
-    row's seed (``_run_trials`` never consults the session's own seed).
+    The evaluator lives for this call only.  Sharing it across the rows
+    is safe for bit-identity: each shard's result is a pure function of
+    its row's seed, whatever scenarios the pool already holds.
     """
-    from repro.context import ExecutionContext
-
-    session = ExecutionContext(fpva, kernel=kernel)
+    evaluator = BatchEvaluator(kernel, vectors)
     return [
-        _run_trials(
-            fpva, vectors, k, size, shard_seed, keep_undetected, scenario,
-            universe, session,
-        )
+        run_shard(evaluator, universe, scenario, k, size, shard_seed)
         for k, _, size, shard_seed in shards
     ]
-
-
-def run_campaign(
-    fpva: FPVA,
-    vectors: Sequence[TestVector],
-    num_faults: int,
-    trials: int,
-    seed: int = 0,
-    workers: int = 1,
-    include_control_leaks: bool = True,
-    keep_undetected: int = 10,
-    scenario=None,
-    shard_trials: int = SHARD_TRIALS,
-    context=None,
-    journal_dir: str | os.PathLike | None = None,
-    resume: bool = False,
-) -> CampaignResult:
-    """Sharded campaign; result is independent of ``workers`` and of
-    whether ``context`` has a store.  ``context`` supplies the kernel.
-
-    ``journal_dir`` reroutes the identical shard structure through the
-    campaign fabric (:mod:`repro.fabric`): shards publish durably as they
-    finish, a killed run resumes from the last published shard, and the
-    shard space is content-addressed — a sweep touching this ``num_faults``
-    against the same (suite, scenario, seed) reuses these shards.  The
-    no-journal path stays the in-memory fast case.
-    """
-    return run_sweep(
-        fpva,
-        vectors,
-        fault_counts=(num_faults,),
-        trials=trials,
-        seed=seed,
-        workers=workers,
-        include_control_leaks=include_control_leaks,
-        keep_undetected=keep_undetected,
-        scenario=scenario,
-        shard_trials=shard_trials,
-        context=context,
-        journal_dir=journal_dir,
-        resume=resume,
-    )[num_faults]
 
 
 def run_sweep(
@@ -127,8 +85,6 @@ def run_sweep(
     trials: int = 200,
     seed: int = 0,
     workers: int = 1,
-    include_control_leaks: bool = True,
-    keep_undetected: int = 10,
     scenario=None,
     shard_trials: int = SHARD_TRIALS,
     context=None,
@@ -142,7 +98,11 @@ def run_sweep(
     ``mix_seed(seed, k, shard)`` streams come from
     :func:`~repro.sim.campaign.shard_plan` — the fault count is mixed in
     by the finalizer, so no ``seed + k`` arithmetic (whose streams collide
-    across sweeps) ever touches the seed.
+    across sweeps) ever touches the seed.  ``scenario`` names the fault
+    workload (a :class:`~repro.engine.scenarios.FaultScenario`); ``None``
+    is the paper's stuck-at/control-leak space.  ``context`` supplies the
+    kernel; the result is independent of ``workers`` and of whether the
+    context has a store.
 
     ``journal_dir`` reroutes the identical shard structure through the
     campaign fabric: every completed shard publishes atomically into the
@@ -165,8 +125,6 @@ def run_sweep(
             fault_counts=fault_counts,
             trials=trials,
             seed=seed,
-            include_control_leaks=include_control_leaks,
-            keep_undetected=keep_undetected,
             scenario=scenario,
             shard_trials=shard_trials,
         )
@@ -180,11 +138,7 @@ def run_sweep(
         )
         return results
     kernel = ExecutionContext.resolve(context, fpva).kernel
-    task = (
-        fpva, kernel, vectors,
-        campaign_universe(fpva, scenario, include_control_leaks),
-        scenario, keep_undetected,
-    )
+    task = (kernel, vectors, campaign_universe(fpva, scenario), scenario)
     n = min(workers, len(plan))
     if n <= 1:
         shard_results = _run_shards(*task, plan)
@@ -202,6 +156,6 @@ def run_sweep(
     for (k, shard, _, _), result in zip(plan, shard_results, strict=True):
         by_k[k].append((shard, result))
     return {
-        k: merge_shards(k, shards, keep_undetected)
+        k: merge_shards(k, shards, KEEP_UNDETECTED)
         for k, shards in by_k.items()
     }

@@ -15,9 +15,11 @@ order, so the aggregate is bit-identical to the uninterrupted
 ``workers=1`` run whatever happened along the way.
 
 A campaign's shards are :func:`repro.sim.campaign.shard_plan`, the same
-plan the in-memory pool runs.  A multi-process drain hands worker ``i``
-the round-robin slice ``remaining[i::workers]`` of the unfinished shards
-and lets it steal the rest; the lease protocol owns correctness.
+plan the in-memory pool runs, and every worker runs each shard through
+:func:`repro.sim.campaign.run_shard`, as the pool does.  A multi-process
+drain starts no more processes than there are unfinished shards, hands
+worker ``i`` the round-robin slice ``remaining[i::n]`` of them and lets
+it steal the rest; the lease protocol owns correctness.
 
 Supervision (:mod:`repro.fabric.supervision`, :mod:`repro.fabric.retry`)
 bounds what crashes *cost*: durable per-shard attempt counts (burned at
@@ -31,8 +33,8 @@ quarantined out of the store and healed by re-simulation
 merged result.
 
 Entry points: :func:`run_journaled_sweep` here, or ``journal_dir=`` on
-:func:`repro.engine.run_sweep`/:func:`repro.engine.run_campaign` and
-``--journal-dir/--resume`` on the CLI ``campaign`` command.
+:func:`repro.engine.run_sweep` and ``--journal-dir/--resume`` on the CLI
+``campaign`` command.
 """
 
 from repro.fabric.descriptors import CampaignSpec, ShardDescriptor

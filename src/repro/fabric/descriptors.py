@@ -61,8 +61,6 @@ class CampaignSpec:
     fault_counts: tuple[int, ...]
     trials: int
     seed: int = 0
-    include_control_leaks: bool = True
-    keep_undetected: int = 10
     scenario: object = None
     shard_trials: int = SHARD_TRIALS
     _plan: tuple[tuple[int, int, int, int], ...] = field(
@@ -96,10 +94,8 @@ class CampaignSpec:
                     self.fpva,
                     self.vectors,
                     self.scenario,
-                    self.include_control_leaks,
                     self.seed,
                     self.shard_trials,
-                    self.keep_undetected,
                 ),
             )
         return self._key
@@ -141,8 +137,6 @@ class CampaignSpec:
             "fault_counts": list(self.fault_counts),
             "trials": self.trials,
             "seed": self.seed,
-            "include_control_leaks": self.include_control_leaks,
-            "keep_undetected": self.keep_undetected,
             "scenario": getattr(scenario, "name", None),
             "shard_trials": self.shard_trials,
             "shards": len(self.shards()),

@@ -33,11 +33,12 @@ Two supervision layers sit on that loop:
   result; they are replaced by a fresh simulation that is bit-identical
   by the shard's content addressing.
 
-Every worker runs its shards on one session,
-``ExecutionContext(spec.fpva, kernel=kernel)``.  A sweep compiles that
-kernel at most once, in the calling process, and hands each pool
-process the kernel object with its drain task: no kernel is pickled
-per shard, and no kernel path crosses a process boundary.
+Every worker runs its shards through
+:func:`~repro.sim.campaign.run_shard` on one
+:class:`~repro.sim.kernel.BatchEvaluator` of its own.  A sweep compiles
+the kernel under it at most once, in the calling process, and hands
+each pool process the kernel object with its drain task: no kernel is
+pickled per shard, and no kernel path crosses a process boundary.
 
 :class:`ShardWorker` exposes a :meth:`~ShardWorker.checkpoint` hook at
 each named point of its loop (``pre-claim``, ``mid-simulate``,
@@ -57,11 +58,13 @@ from typing import TYPE_CHECKING, Callable, Sequence
 
 from repro.context import ExecutionContext
 from repro.sim.campaign import (
+    KEEP_UNDETECTED,
     CampaignResult,
-    _run_trials,
     campaign_universe,
     merge_shards,
+    run_shard,
 )
+from repro.sim.kernel import BatchEvaluator
 from repro.store.digest import digest_int
 from repro.store.integrity import ArtifactCorruptionError
 
@@ -134,10 +137,9 @@ class ShardWorker:
     ``order`` is the claim preference (typically this worker's round-robin
     slice followed by everyone else's, for work stealing); the journal's
     lease protocol arbitrates every claim, so preferences only shape wall
-    clock.  Every shard runs on one session per worker,
-    ``ExecutionContext(spec.fpva, kernel=kernel)``, built on the first
-    shard along with the spec's fault universe; with ``kernel=None`` that
-    session compiles its own.
+    clock.  Every shard runs on one evaluator per worker, built on
+    ``kernel`` with the first shard, along with the spec's fault
+    universe; with ``kernel=None`` the worker compiles its own.
 
     ``retry`` bounds how this worker treats a shard whose simulation
     raises: the lease is released, the failure recorded durably, and the
@@ -178,28 +180,22 @@ class ShardWorker:
     @cached_property
     def _universe(self) -> "tuple[Fault, ...]":
         """The spec's fault universe, derived once per worker."""
-        spec = self.spec
-        return campaign_universe(
-            spec.fpva, spec.scenario, spec.include_control_leaks
-        )
+        return campaign_universe(self.spec.fpva, self.spec.scenario)
 
     @cached_property
-    def _session(self) -> ExecutionContext:
-        """The session every shard of this worker runs on."""
-        return ExecutionContext(self.spec.fpva, kernel=self.kernel)
+    def _evaluator(self) -> BatchEvaluator:
+        """The evaluator every shard of this worker runs on."""
+        kernel = ExecutionContext(self.spec.fpva, kernel=self.kernel).kernel
+        return BatchEvaluator(kernel, self.spec.vectors)
 
     def run_shard(self, descriptor: ShardDescriptor) -> CampaignResult:
-        spec = self.spec
-        return _run_trials(
-            spec.fpva,
-            spec.vectors,
+        return run_shard(
+            self._evaluator,
+            self._universe,
+            self.spec.scenario,
             descriptor.num_faults,
             descriptor.trials,
             descriptor.seed,
-            spec.keep_undetected,
-            spec.scenario,
-            self._universe,
-            self._session,
         )
 
     def drain(self) -> int:
@@ -263,10 +259,10 @@ class ShardWorker:
 
 
 def _round_robin(
-    remaining: Sequence[ShardDescriptor], workers: int
+    remaining: Sequence[ShardDescriptor], n: int
 ) -> list[list[ShardDescriptor]]:
-    """Worker ``i``'s own queue: the slice ``remaining[i::workers]``."""
-    return [list(remaining[i::workers]) for i in range(workers)]
+    """Worker ``i``'s own queue: the slice ``remaining[i::n]``."""
+    return [list(remaining[i::n]) for i in range(n)]
 
 
 def _stealing_order(
@@ -285,7 +281,7 @@ def _drain_process(
     kernel: "ReachabilityKernel",
     lease_timeout: float,
     retry: RetryPolicy,
-) -> tuple[int, int, int, int]:
+) -> tuple[int, int, int]:
     """Pool-worker entry point: drain with a process-local journal."""
     journal = CampaignJournal(
         journal_root, lease_timeout=lease_timeout, owner=worker_id
@@ -302,7 +298,7 @@ def _drain_process(
         retry=retry,
     )
     executed = worker.drain()
-    return executed, journal.reclaimed, worker.retried, len(worker.quarantined)
+    return executed, journal.reclaimed, worker.retried
 
 
 def _unpublished(descriptor: ShardDescriptor) -> RuntimeError:
@@ -359,7 +355,7 @@ def _load_merging(
                 )
             except ArtifactCorruptionError as error:
                 corrupt.append((descriptor, error))
-        out[k] = merge_shards(k, shards, spec.keep_undetected)
+        out[k] = merge_shards(k, shards, KEEP_UNDETECTED)
     return out, missing, corrupt
 
 
@@ -380,13 +376,15 @@ def run_journaled_sweep(
 
     Re-invoking on a finished journal simulates nothing and reports every
     shard as a cache hit; a killed run resumes from the last published
-    shard, with stale leases reclaimed on the way.  Pool worker ``i``
-    prefers the round-robin slice ``remaining[i::workers]`` of the
-    unfinished shards, then steals from everyone else's; the lease
-    protocol arbitrates every claim.  ``worker_cls`` is the
-    crash-injection seam (single-process drains only).
+    shard, with stale leases reclaimed on the way.  The pool starts
+    ``n = min(workers, unfinished shards)`` processes; worker ``i``
+    prefers the round-robin slice ``remaining[i::n]`` of the unfinished
+    shards, then steals from everyone else's; the lease protocol
+    arbitrates every claim.  :attr:`DrainStats.workers` reports the
+    requested ``workers``.  ``worker_cls`` is the crash-injection seam
+    (single-process drains only).
 
-    ``kernel`` is the compiled kernel every worker's session runs on;
+    ``kernel`` is the compiled kernel every worker's evaluator runs on;
     without one, the sweep compiles it once, in this process, and only
     if a shard is left to run.  Each pool process receives it pickled
     once, with its drain task.
@@ -446,9 +444,12 @@ def run_journaled_sweep(
     def _drain(use_pool: bool) -> None:
         nonlocal executed, reclaimed, retried
         remaining = _unfinished()
-        if remaining and use_pool and workers > 1:
-            queues = _round_robin(remaining, workers)
-            with ProcessPoolExecutor(max_workers=workers) as pool:
+        # No more processes than unfinished shards: the others would each
+        # unpickle the spec and the kernel with no shard of their own.
+        n = min(workers, len(remaining))
+        if use_pool and n > 1:
+            queues = _round_robin(remaining, n)
+            with ProcessPoolExecutor(max_workers=n) as pool:
                 futures = [
                     pool.submit(
                         _drain_process,
@@ -460,11 +461,11 @@ def run_journaled_sweep(
                         lease_timeout,
                         retry,
                     )
-                    for i in range(workers)
+                    for i in range(n)
                 ]
                 try:
                     for future in futures:
-                        done, freed, tried, _ = future.result()
+                        done, freed, tried = future.result()
                         executed += done
                         reclaimed += freed
                         retried += tried

@@ -18,7 +18,6 @@ import random
 from dataclasses import dataclass, field
 from typing import Sequence
 
-from repro.core.vectors import TestVector
 from repro.fpva.array import FPVA
 from repro.sim.faults import (
     Fault,
@@ -26,11 +25,16 @@ from repro.sim.faults import (
     fault_universe,
     faults_compatible,
 )
+from repro.sim.kernel import BatchEvaluator
 from repro.sim.seeding import mix_seed
 
 #: Trials per logical shard.  Small enough that modest campaigns still fan
 #: out, large enough that per-task pickling stays negligible.
 SHARD_TRIALS = 50
+
+#: Undetected chips kept as examples, by each shard and by each merged
+#: fault count: the earliest ones by trial index.
+KEEP_UNDETECTED = 10
 
 #: Incompatible draws :func:`sample_fault_set` rejects before it draws
 #: exactly instead.
@@ -207,76 +211,46 @@ def _sample_by_key(
     return tuple(picked)
 
 
-def campaign_universe(
-    fpva: FPVA, scenario=None, include_control_leaks: bool = True
-) -> tuple[Fault, ...]:
+def campaign_universe(fpva: FPVA, scenario=None) -> tuple[Fault, ...]:
     """The faults a campaign draws its chips from.
 
     ``scenario.universe(fpva)`` when a scenario is given, else the
-    paper's stuck-at/control-leak space.  A sweep derives it once and
-    hands it to every shard, so it is a tuple: no shard can change what
-    the next one draws from.
+    paper's stuck-at/control-leak space (the ``stuck-at`` scenario's
+    universe).  A sweep derives it once and hands it to every shard, so
+    it is a tuple: no shard can change what the next one draws from.
     """
     if scenario is None:
-        return tuple(
-            fault_universe(fpva, include_control_leaks=include_control_leaks)
-        )
+        return tuple(fault_universe(fpva))
     return tuple(scenario.universe(fpva))
 
 
-def run_trials(
-    fpva: FPVA,
-    vectors: Sequence[TestVector],
-    num_faults: int,
-    trials: int,
-    seed: int = 0,
-    include_control_leaks: bool = True,
-    keep_undetected: int = 10,
-    scenario=None,
-    context=None,
-) -> CampaignResult:
-    """Inject ``num_faults`` random faults ``trials`` times; count detections.
-
-    One RNG stream seeded by ``seed`` draws every trial — this is the loop
-    each shard of :func:`repro.engine.run_campaign` runs, which is the
-    public, worker-count-invariant campaign entry point.
-
-    ``scenario`` is any object implementing the
-    :class:`repro.engine.scenarios.FaultScenario` protocol (``universe(fpva)``
-    and ``sample(universe, rng, num_faults)``); when omitted the paper's
-    stuck-at/control-leak fault space is sampled directly.
-
-    ``context`` supplies the compiled-kernel session (kernel and
-    batch-evaluation scenario pool).  Every trial chip is canonicalized
-    to its per-vector effective-state masks, deduplicated, and the whole
-    campaign is evaluated through the compiled bitmask kernel — 64
-    scenarios per machine word.  A chip is detected iff *any* vector
-    reads off-expectation, so the result is bit-identical to applying
-    the suite chip by chip (the reference loop in ``tests/oracle.py``,
-    which draws fault sets in the same RNG order).
-    """
-    return _run_trials(
-        fpva, vectors, num_faults, trials, seed, keep_undetected, scenario,
-        campaign_universe(fpva, scenario, include_control_leaks), context,
-    )
-
-
-def _run_trials(
-    fpva: FPVA,
-    vectors: Sequence[TestVector],
+def run_shard(
+    evaluator: BatchEvaluator,
+    universe: Sequence[Fault],
+    scenario,
     num_faults: int,
     trials: int,
     seed: int,
-    keep_undetected: int,
-    scenario,
-    universe: Sequence[Fault],
-    context,
 ) -> CampaignResult:
-    """:func:`run_trials` over an already-derived :func:`campaign_universe`
-    (the shard path, which derives it once per sweep or worker)."""
-    from repro.context import ExecutionContext  # late: context sits above sim
+    """One :func:`shard_plan` row: ``trials`` chips of ``num_faults`` faults.
 
-    context = ExecutionContext.resolve(context, fpva)
+    One RNG stream seeded by ``seed`` draws every chip from ``universe``
+    (:func:`campaign_universe`): through ``scenario.sample`` when a
+    :class:`repro.engine.scenarios.FaultScenario` is given, else through
+    :func:`sample_fault_set`.  Every chip is slotted into ``evaluator``
+    (a :class:`~repro.sim.kernel.BatchEvaluator` on the suite), which
+    canonicalizes it to per-vector effective-state masks and
+    deduplicates them; one flush then simulates the whole shard, 64
+    scenarios per machine word.  A chip is detected iff *any* vector
+    reads off-expectation, so the result is bit-identical to applying
+    the suite chip by chip (the reference loop in ``tests/oracle.py``,
+    which draws in the same RNG order).  The first
+    :data:`KEEP_UNDETECTED` undetected chips are kept as examples.
+
+    Both runners of the plan call this: the in-memory pool
+    (:func:`repro.engine.run_sweep`) and the fabric's
+    :class:`~repro.fabric.ShardWorker`.
+    """
     rng = random.Random(seed)
     if scenario is None:
         draw = lambda: sample_fault_set(universe, num_faults, rng)  # noqa: E731
@@ -284,7 +258,6 @@ def _run_trials(
         draw = lambda: scenario.sample(universe, rng, num_faults)  # noqa: E731
     result = CampaignResult(num_faults=num_faults, trials=trials, detected=0)
     # Draw everything, simulate once.
-    evaluator = context.evaluator(vectors)
     drawn = [draw() for _ in range(trials)]
     rows = []
     for faults in drawn:
@@ -297,7 +270,7 @@ def _run_trials(
     for trial, (faults, row) in enumerate(zip(drawn, rows)):
         if evaluator.detects(row):
             result.detected += 1
-        elif len(result.undetected_examples) < keep_undetected:
+        elif len(result.undetected_examples) < KEEP_UNDETECTED:
             result.undetected_examples.append(faults)
             result.undetected_trials.append(trial)
     return result

@@ -232,18 +232,19 @@ class FaultDictionary:
     :class:`~repro.context.ExecutionContext`: the session's kernel, tester
     and artifact store are shared instead of re-derived.  Without one the
     dictionary resolves a private session, exactly as every other layer
-    does.  ``store`` (an :class:`~repro.store.ArtifactStore` or a
-    cache-directory path) enables the warm-start/streaming persistence
-    described in the module docstring; it may supplement a store-less
-    context, never override a context's own store.  The kernel is
-    compiled lazily, on first need.
+    does.  ``universe`` is the ordered faults the table models; ``None``
+    is the paper's stuck-at/control-leak space
+    (:func:`~repro.sim.faults.fault_universe`).  ``store`` (an
+    :class:`~repro.store.ArtifactStore` or a cache-directory path)
+    enables the warm-start/streaming persistence described in the module
+    docstring; it may supplement a store-less context, never override a
+    context's own store.  The kernel is compiled lazily, on first need.
     """
 
     def __init__(
         self,
         fpva: FPVA,
         vectors: Sequence[TestVector],
-        include_control_leaks: bool = True,
         max_cardinality: int = 1,
         universe: Sequence[Fault] | None = None,
         store=None,
@@ -287,9 +288,7 @@ class FaultDictionary:
         self._table: dict[Syndrome, list[tuple[Fault, ...]]] = defaultdict(list)
 
         if universe is None:
-            universe = fault_universe(
-                fpva, include_control_leaks=include_control_leaks
-            )
+            universe = fault_universe(fpva)
         self.universe: list[Fault] = list(universe)
 
         self.store = as_store(store)

@@ -27,6 +27,7 @@ from typing import Any, Iterable, Mapping, Sequence
 from repro.core.vectors import TestVector
 from repro.fpva.array import FPVA
 from repro.fpva.geometry import Edge
+from repro.sim.campaign import KEEP_UNDETECTED
 from repro.sim.faults import (
     ChannelBlocked,
     ControlLeak,
@@ -136,17 +137,18 @@ def suite_digest(
     )
 
 
-def scenario_key(scenario: Any, include_control_leaks: bool = True) -> tuple:
+def scenario_key(scenario: Any) -> tuple:
     """Canonical identity of a campaign's fault workload.
 
-    ``None`` is the paper's default stuck-at space, whose universe is a
-    function of ``include_control_leaks`` alone.  Registered scenarios are
-    frozen dataclasses, so ``repr`` canonically captures their parameters
-    (a custom scenario must likewise keep its ``repr`` a pure function of
-    its sampling behaviour to address shards correctly).
+    ``None`` is the paper's default stuck-at/control-leak space, keyed
+    ``("default", True)`` as it was when that space could drop its
+    control leaks, so its shards keep their addresses.  Registered
+    scenarios are frozen dataclasses, so ``repr`` canonically captures
+    their parameters (a custom scenario must likewise keep its ``repr`` a
+    pure function of its sampling behaviour to address shards correctly).
     """
     if scenario is None:
-        return ("default", bool(include_control_leaks))
+        return ("default", True)
     return ("scenario", scenario.name, repr(scenario))
 
 
@@ -154,10 +156,8 @@ def campaign_key(
     fpva: FPVA,
     vectors: Sequence[TestVector],
     scenario: Any,
-    include_control_leaks: bool,
     seed: int,
     shard_trials: int,
-    keep_undetected: int,
 ) -> tuple:
     """The shared identity prefix of a campaign's shard space.
 
@@ -165,16 +165,18 @@ def campaign_key(
     a shard is addressed by what it *simulates*, so a single-``k``
     campaign and a sweep containing that ``k`` hit the same shard
     artifacts, and extending ``trials`` reuses every full shard already
-    published.
+    published.  A shard's result keeps up to
+    :data:`~repro.sim.campaign.KEEP_UNDETECTED` undetected examples, so
+    that count closes the key.
     """
     return (
         STORE_FORMAT_VERSION,
         layout_key(fpva),
         tuple(vector_key(v) for v in vectors),
-        scenario_key(scenario, include_control_leaks),
+        scenario_key(scenario),
         int(seed),
         int(shard_trials),
-        int(keep_undetected),
+        KEEP_UNDETECTED,
     )
 
 

@@ -14,7 +14,9 @@ exact equality against them:
 * :class:`ReferenceDictionary` — one full-suite simulation per fault set,
   and full-suite diagnosis by syndrome lookup;
 * :func:`run_trials` — the chip-at-a-time campaign loop, drawing fault
-  sets in the same RNG order as :func:`repro.sim.campaign.run_trials`;
+  sets in the same RNG order as one shard of
+  :func:`repro.sim.campaign.run_shard` (``seed`` is the shard's seed,
+  ``mix_seed(sweep seed, k, shard)``);
 * :func:`audit_two_fault_detection` — the chip-at-a-time single and
   pair audit;
 * :func:`find_masked_stuck_pairs` and :func:`harden_double_faults` — the
@@ -58,7 +60,12 @@ from repro.engine.adaptive import (
 from repro.fpva.control import control_adjacent_pairs
 from repro.fpva.geometry import Cell, Edge
 from repro.fpva.ports import Port
-from repro.sim.campaign import CampaignResult, campaign_universe, sample_fault_set
+from repro.sim.campaign import (
+    KEEP_UNDETECTED,
+    CampaignResult,
+    campaign_universe,
+    sample_fault_set,
+)
 from repro.sim.chip import ChipUnderTest
 from repro.sim.diagnosis import (
     DiagnosisReport,
@@ -274,16 +281,13 @@ class ReferenceDictionary:
         self,
         fpva,
         vectors,
-        include_control_leaks: bool = True,
         max_cardinality: int = 1,
         universe=None,
     ):
         self.fpva = fpva
         self.vectors = list(vectors)
         if universe is None:
-            universe = fault_universe(
-                fpva, include_control_leaks=include_control_leaks
-            )
+            universe = fault_universe(fpva)
         self.tester = object_tester(fpva)
         self._table: dict = defaultdict(list)
         for faults in iter_fault_sets(list(universe), max_cardinality):
@@ -317,12 +321,10 @@ def run_trials(
     num_faults: int,
     trials: int,
     seed: int = 0,
-    include_control_leaks: bool = True,
-    keep_undetected: int = 10,
     scenario=None,
 ) -> CampaignResult:
     """The chip-at-a-time campaign, stopping each chip at its first fail."""
-    universe = campaign_universe(fpva, scenario, include_control_leaks)
+    universe = campaign_universe(fpva, scenario)
     rng = random.Random(seed)
     if scenario is None:
         draw = lambda: sample_fault_set(universe, num_faults, rng)  # noqa: E731
@@ -336,7 +338,7 @@ def run_trials(
         run = tester.run(chip, vectors, stop_at_first_fail=True)
         if run.fault_detected:
             result.detected += 1
-        elif len(result.undetected_examples) < keep_undetected:
+        elif len(result.undetected_examples) < KEEP_UNDETECTED:
             result.undetected_examples.append(faults)
             result.undetected_trials.append(trial)
     return result

@@ -64,6 +64,20 @@ class TestParser:
         err = capsys.readouterr().err
         assert "exceeds 34, the largest compatible fault set" in err
 
+    def test_max_attempts_without_journal_exits_2(self, capsys, monkeypatch):
+        """Only the journaled fabric retries shards, so the flag would do
+        nothing; refused before any suite is generated."""
+        monkeypatch.setattr(
+            "repro.context.ExecutionContext.suite",
+            lambda self: pytest.fail("generated a suite"),
+        )
+        argv = ["campaign", "--size", "3", "--full", "--trials", "2",
+                "--max-faults", "1", "--max-attempts", "5"]
+        assert main(argv) == 2
+        assert capsys.readouterr().err == (
+            "--max-attempts requires --journal-dir\n"
+        )
+
 
 class TestCommands:
     def test_show(self, capsys):

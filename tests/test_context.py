@@ -11,8 +11,7 @@ Covers the PR-5 tentpole and satellites:
   object-BFS reference in ``tests/oracle.py`` across random layouts,
   vectors and seeds, and so are the helpers both share when handed the
   kernel or the object-graph simulator;
-* context plumbing (store warm starts, evaluator memoization, seed
-  streams).
+* context plumbing (store warm starts, seed streams).
 """
 
 from __future__ import annotations
@@ -37,7 +36,7 @@ from repro.core.repair import (
     synthesize_pair_breaker,
 )
 from repro.core.vectors import TestSet, TestVector, VectorKind
-from repro.engine import run_campaign as run_campaign_sharded
+from repro.engine import run_sweep
 from repro.fpva import FPVABuilder, Side, full_layout, table1_layout
 from repro.fpva.geometry import Cell
 from repro.sim import (
@@ -47,7 +46,7 @@ from repro.sim import (
     StuckAt0,
     StuckAt1,
 )
-from repro.sim.campaign import run_trials
+from repro.sim.seeding import mix_seed
 from repro.engine import AdaptiveDiagnoser
 
 
@@ -100,15 +99,6 @@ class TestExecutionContext:
         assert ctx.tester.kernel is ctx.kernel
         assert ctx.kernel_compiles == 1
 
-    def test_evaluator_memoized_by_suite(self, small):
-        ctx = ExecutionContext(small)
-        vectors = _random_vectors(small, seed=3, count=4)
-        ev1 = ctx.evaluator(vectors)
-        ev2 = ctx.evaluator(list(vectors))  # same content, fresh list
-        assert ev1 is ev2
-        ev3 = ctx.evaluator(vectors[:2])
-        assert ev3 is not ev1
-
     def test_store_warm_start_bit_identical(self, small, tmp_path):
         cold = ExecutionContext(small, store=tmp_path)
         vectors = _random_vectors(small, seed=5, count=6)
@@ -151,9 +141,8 @@ class TestOneCompilePerContext:
         ).generate().testset
         vectors = suite.all_vectors()
         measure_coverage(fpva, vectors, context=ctx)
-        run_trials(fpva, vectors, num_faults=2, trials=10, context=ctx)
-        run_campaign_sharded(
-            fpva, vectors, num_faults=2, trials=20, workers=1, context=ctx
+        run_sweep(
+            fpva, vectors, fault_counts=(2,), trials=20, workers=1, context=ctx
         )
         dictionary = FaultDictionary(fpva, vectors, context=ctx)
         engine = AdaptiveDiagnoser(dictionary, context=ctx)
@@ -326,12 +315,12 @@ class TestLegacyKeywordShims:
     def test_campaign_context_matches_legacy_kwargs(self, small):
         suite = TestGenerator(small, include_leakage=False).generate().testset
         vectors = suite.all_vectors()
-        via_context = run_trials(
-            small, vectors, num_faults=2, trials=40, seed=3,
-            context=ExecutionContext(small),
-        )
+        via_context = run_sweep(
+            small, vectors, fault_counts=(2,), trials=40, shard_trials=40,
+            seed=3, context=ExecutionContext(small),
+        )[2]
         via_object = oracle.run_trials(
-            small, vectors, num_faults=2, trials=40, seed=3
+            small, vectors, num_faults=2, trials=40, seed=mix_seed(3, 2, 0)
         )
         assert via_context == via_object
 

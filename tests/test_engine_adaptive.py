@@ -15,7 +15,13 @@ from repro.core.vectors import TestVector, VectorKind
 from repro.engine import AdaptiveDiagnoser, adaptive_diagnose, get_scenario, scenario_names
 from repro.fpva import FPVABuilder, Side, full_layout
 from repro.fpva.geometry import Cell
-from repro.sim import ChipUnderTest, FaultDictionary, ReachabilityKernel, StuckAt0
+from repro.sim import (
+    ChipUnderTest,
+    FaultDictionary,
+    ReachabilityKernel,
+    StuckAt0,
+    stuck_at_faults,
+)
 from tests import oracle
 
 #: Session budgets every differential case runs under.
@@ -181,7 +187,7 @@ class TestEquivalenceFixedLayouts:
         """Cardinality-2 hypothesis spaces localize double faults too."""
         fpva, vectors = small_bundle
         dictionary = FaultDictionary(
-            fpva, vectors, include_control_leaks=False, max_cardinality=2
+            fpva, vectors, max_cardinality=2, universe=stuck_at_faults(fpva)
         )
         engine = AdaptiveDiagnoser(dictionary)
         rng = random.Random(5)
@@ -318,7 +324,9 @@ class TestSessionMechanics:
         """A chip the dictionary cannot model gets a best-effort verdict:
         every returned candidate explains every applied outcome."""
         fpva, vectors = small_bundle
-        dictionary = FaultDictionary(fpva, vectors, include_control_leaks=False)
+        dictionary = FaultDictionary(
+            fpva, vectors, universe=stuck_at_faults(fpva)
+        )
         faults = [StuckAt0(v) for v in fpva.valves]  # everything broken
         session = AdaptiveDiagnoser(dictionary).diagnose(
             ChipUnderTest(fpva, faults)

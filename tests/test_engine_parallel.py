@@ -6,9 +6,9 @@ import repro
 import repro.engine
 import repro.sim
 from repro.core import generate_suite
-from repro.engine import get_scenario, run_campaign, run_sweep
+from repro.engine import get_scenario, run_sweep
 from repro.fpva import full_layout
-from repro.sim.campaign import SHARD_TRIALS, run_trials, shard_plan
+from repro.sim.campaign import SHARD_TRIALS, shard_plan
 from repro.sim.seeding import mix_seed
 
 
@@ -27,13 +27,23 @@ def _result_key(result):
     )
 
 
-@pytest.mark.parametrize("name", ["run_campaign", "run_sweep"])
+def _campaign(fpva, vectors, num_faults, **kwargs):
+    """One fault count's result, through the one campaign API."""
+    return run_sweep(fpva, vectors, fault_counts=(num_faults,), **kwargs)[
+        num_faults
+    ]
+
+
+@pytest.mark.parametrize("name", ["run_sweep"])
 def test_one_definition_per_campaign_name(name):
     """Every public spelling of a campaign runner is the sharded,
-    worker-count-invariant one: the same name never means two results."""
+    worker-count-invariant one: the same name never means two results,
+    and the retired single-count runners are gone everywhere."""
     modules = (repro, repro.sim, repro.sim.campaign, repro.engine)
     found = {getattr(module, name, None) for module in modules} - {None}
     assert found == {getattr(repro.engine.parallel, name)}
+    for retired in ("run_campaign", "run_trials"):
+        assert not [m for m in modules if hasattr(m, retired)], retired
 
 
 class TestDeterminism:
@@ -41,8 +51,8 @@ class TestDeterminism:
         """Satellite: the aggregate is a function of the seed alone."""
         fpva, vectors = bundle
         kwargs = dict(num_faults=2, trials=120, seed=7, shard_trials=25)
-        serial = run_campaign(fpva, vectors, workers=1, **kwargs)
-        pooled = run_campaign(fpva, vectors, workers=4, **kwargs)
+        serial = _campaign(fpva, vectors, workers=1, **kwargs)
+        pooled = _campaign(fpva, vectors, workers=4, **kwargs)
         assert _result_key(serial) == _result_key(pooled)
 
     def test_workers_1_vs_4_identical_with_scenario(self, bundle):
@@ -54,8 +64,8 @@ class TestDeterminism:
             shard_trials=20,
             scenario=get_scenario("mixed"),
         )
-        serial = run_campaign(fpva, vectors, workers=1, **kwargs)
-        pooled = run_campaign(fpva, vectors, workers=4, **kwargs)
+        serial = _campaign(fpva, vectors, workers=1, **kwargs)
+        pooled = _campaign(fpva, vectors, workers=4, **kwargs)
         assert _result_key(serial) == _result_key(pooled)
 
     def test_sweep_workers_independent(self, bundle):
@@ -72,15 +82,16 @@ class TestDeterminism:
 
     def test_repeat_runs_identical(self, bundle):
         fpva, vectors = bundle
-        first = run_campaign(fpva, vectors, num_faults=2, trials=50, seed=11, workers=2)
-        second = run_campaign(fpva, vectors, num_faults=2, trials=50, seed=11, workers=2)
+        kwargs = dict(num_faults=2, trials=50, seed=11, workers=2)
+        first = _campaign(fpva, vectors, **kwargs)
+        second = _campaign(fpva, vectors, **kwargs)
         assert _result_key(first) == _result_key(second)
 
 
 class TestSharding:
     def test_uneven_trials_fully_executed(self, bundle):
         fpva, vectors = bundle
-        result = run_campaign(
+        result = _campaign(
             fpva, vectors, num_faults=1, trials=37, seed=0, workers=2,
             shard_trials=10,
         )
@@ -139,16 +150,20 @@ class TestSharding:
         """Sharding changes RNG streams, not statistics: the paper's
         all-detected result must survive the parallel path."""
         fpva, vectors = bundle
-        sharded = run_campaign(
+        sharded = _campaign(
             fpva, vectors, num_faults=2, trials=100, seed=21, workers=4,
             shard_trials=25,
         )
-        serial = run_trials(fpva, vectors, num_faults=2, trials=100, seed=21)
+        # One shard: every chip from a single stream.
+        serial = _campaign(
+            fpva, vectors, num_faults=2, trials=100, seed=21, shard_trials=100
+        )
         assert sharded.all_detected and serial.all_detected
 
 
 class TestOneSessionPerSweep:
-    """A sweep runs every shard of a process on one session of its own."""
+    """A sweep runs every shard of a process on one evaluator of its own,
+    built on the caller's kernel."""
 
     def test_pool_gets_one_task_per_worker(self, bundle, monkeypatch):
         """Each pool task takes a round-robin slice of the plan, so the
@@ -175,8 +190,8 @@ class TestOneSessionPerSweep:
             assert serial[k].undetected_trials == pooled[k].undetected_trials
 
     def test_store_kernel_loads_once(self, bundle, tmp_path, monkeypatch):
-        """The caller's session loads the stored kernel; the sweep's own
-        session adopts that object instead of reading the artifact again."""
+        """The caller's session loads the stored kernel; the sweep's
+        evaluator runs on that object instead of reading the artifact again."""
         from repro.context import ExecutionContext
         from repro.store import KernelStore
 
@@ -197,34 +212,37 @@ class TestOneSessionPerSweep:
         assert loads == [fpva]
 
     def test_session_dies_with_the_sweep(self, bundle, tmp_path, monkeypatch):
-        """No process-global memo keeps a sweep's session (and its
-        scenario pool) alive after the sweep returns."""
+        """No memo keeps a sweep's evaluators (and their scenario pools)
+        alive after the sweep returns, in memory or through a journal."""
         import gc
         import weakref
 
         from repro.context import ExecutionContext
+        from repro.sim.kernel import BatchEvaluator
 
-        sessions = []
-        original = ExecutionContext.__init__
+        evaluators = []
+        original = BatchEvaluator.__init__
 
         def recording(self, *args, **kwargs):
             original(self, *args, **kwargs)
-            sessions.append(weakref.ref(self))
+            evaluators.append(weakref.ref(self))
 
-        monkeypatch.setattr(ExecutionContext, "__init__", recording)
+        monkeypatch.setattr(BatchEvaluator, "__init__", recording)
         fpva, vectors = bundle
-        ctx = ExecutionContext(fpva, store=tmp_path)
-        run_sweep(
-            fpva, vectors, fault_counts=(1, 2), trials=30, seed=2,
-            shard_trials=10, context=ctx,
-        )
-        gc.collect()
-        alive = [ref() for ref in sessions]
-        assert [s for s in alive if s is not None and s is not ctx] == []
+        ctx = ExecutionContext(fpva, store=tmp_path / "store")
+        for journal_dir in (None, tmp_path / "j"):
+            evaluators.clear()
+            run_sweep(
+                fpva, vectors, fault_counts=(1, 2), trials=30, seed=2,
+                shard_trials=10, context=ctx, journal_dir=journal_dir,
+            )
+            gc.collect()
+            assert evaluators, journal_dir  # the sweep simulated something
+            assert all(ref() is None for ref in evaluators), journal_dir
 
 
 class TestFabricPath:
-    """run_sweep/run_campaign rerouted through the campaign fabric."""
+    """run_sweep rerouted through the campaign fabric."""
 
     def test_sweep_worker_count_invariant_under_journal(self, bundle, tmp_path):
         """Satellite: in-memory, journaled-serial and journaled-pooled
@@ -248,11 +266,40 @@ class TestFabricPath:
     def test_campaign_journal_matches_in_memory(self, bundle, tmp_path):
         fpva, vectors = bundle
         kwargs = dict(num_faults=2, trials=50, seed=11, shard_trials=20)
-        memory = run_campaign(fpva, vectors, workers=2, **kwargs)
-        journaled = run_campaign(
+        memory = _campaign(fpva, vectors, workers=2, **kwargs)
+        journaled = _campaign(
             fpva, vectors, workers=2, journal_dir=tmp_path / "j", **kwargs
         )
         assert _result_key(memory) == _result_key(journaled)
+
+    def test_journaled_pool_caps_at_unfinished_shards(
+        self, bundle, tmp_path, monkeypatch
+    ):
+        """A pool process with no shard of its own is never started:
+        2 unfinished shards at ``workers=4`` submit 2 drain tasks."""
+        from concurrent.futures import ProcessPoolExecutor
+
+        import repro.fabric.runner as runner
+
+        tasks = []
+
+        class Recording(ProcessPoolExecutor):
+            def submit(self, fn, /, *args, **kwargs):
+                tasks.append(fn)
+                return super().submit(fn, *args, **kwargs)
+
+        monkeypatch.setattr(runner, "ProcessPoolExecutor", Recording)
+        fpva, vectors = bundle
+        kwargs = dict(fault_counts=(1, 2), trials=10, seed=8, shard_trials=10)
+        pooled = run_sweep(
+            fpva, vectors, workers=4, journal_dir=tmp_path / "pooled", **kwargs
+        )
+        assert len(tasks) == 2  # 2 shards
+        serial = run_sweep(
+            fpva, vectors, workers=1, journal_dir=tmp_path / "serial", **kwargs
+        )
+        assert len(tasks) == 2
+        assert pooled == serial
 
     def test_finished_journal_rerun_simulates_nothing(
         self, bundle, tmp_path, monkeypatch

@@ -10,6 +10,7 @@ from repro.engine import (
     get_scenario,
     iter_scenarios,
     register_scenario,
+    run_sweep,
     scenario_names,
 )
 from repro.engine.scenarios import _REGISTRY, StuckAtScenario
@@ -26,7 +27,6 @@ from repro.sim import (
     Tester,
     faults_compatible,
 )
-from repro.sim.campaign import run_trials
 
 
 @pytest.fixture(scope="module")
@@ -171,14 +171,14 @@ class TestScenariosEndToEnd:
     @pytest.mark.parametrize("scenario_name", scenario_names())
     def test_campaign_end_to_end(self, bundle, scenario_name):
         fpva, vectors = bundle
-        result = run_trials(
+        result = run_sweep(
             fpva,
             vectors,
-            num_faults=2,
+            fault_counts=(2,),
             trials=30,
             seed=9,
             scenario=get_scenario(scenario_name),
-        )
+        )[2]
         assert result.trials == 30
         assert 0 <= result.detected <= 30
         # Injected sets the suite missed are reported for triage.
@@ -199,12 +199,12 @@ class TestScenariosEndToEnd:
     def test_paper_scenario_detects_everything(self, bundle):
         """The stuck-at scenario reproduces the paper's all-detected result."""
         fpva, vectors = bundle
-        result = run_trials(
+        result = run_sweep(
             fpva,
             vectors,
-            num_faults=3,
+            fault_counts=(3,),
             trials=40,
             seed=1,
             scenario=get_scenario("stuck-at"),
-        )
+        )[3]
         assert result.all_detected, result.undetected_examples

@@ -18,6 +18,7 @@ import time
 import pytest
 
 from repro.core import generate_suite
+from repro.engine.scenarios import StuckAtScenario
 from repro.fabric import (
     CampaignJournal,
     CampaignSpec,
@@ -135,8 +136,7 @@ class TestDescriptors:
         for change in (
             dict(seed=1),
             dict(shard_trials=7),
-            dict(keep_undetected=3),
-            dict(include_control_leaks=False),
+            dict(scenario=StuckAtScenario(include_control_leaks=False)),
             dict(vectors=vectors[:-1]),
         ):
             other = CampaignSpec(

@@ -28,6 +28,7 @@ from hypothesis import strategies as st
 from repro.fabric import DONE, CampaignJournal, CampaignSpec, ShardStore
 from repro.fpva import full_layout
 from repro.sim import CampaignResult, merge_shards
+from repro.sim.campaign import KEEP_UNDETECTED
 
 LEASE_TIMEOUT = 60.0
 N_WORKERS = 3
@@ -69,7 +70,7 @@ def serial_reference():
         out[k] = merge_shards(
             k,
             [(d.shard, synth_result(d)) for d in SPEC.shards_for(k)],
-            SPEC.keep_undetected,
+            KEEP_UNDETECTED,
         )
     return out
 
@@ -173,7 +174,7 @@ def test_interleavings_preserve_every_invariant(ops):
                     (d.shard, store.load(d.digest))
                     for d in SPEC.shards_for(k)
                 ],
-                SPEC.keep_undetected,
+                KEEP_UNDETECTED,
             )
             assert merged.trials == SPEC.trials
             assert _result_key(merged) == _result_key(REFERENCE[k])

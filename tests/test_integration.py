@@ -14,9 +14,8 @@ from repro.sim import (
     StuckAt0,
     StuckAt1,
     Tester,
-    mix_seed,
 )
-from repro.sim.campaign import run_trials
+from repro.engine import run_sweep
 
 
 class TestEndToEnd:
@@ -33,13 +32,10 @@ class TestEndToEnd:
     def test_sweep_campaign_mirrors_paper(self, bundle):
         """Section IV: 1..5 random faults, all detected."""
         fpva, suite, tester = bundle
-        sweep = {
-            k: run_trials(
-                fpva, suite.all_vectors(), num_faults=k, trials=60,
-                seed=mix_seed(42, k),
-            )
-            for k in (1, 2, 3, 4, 5)
-        }
+        sweep = run_sweep(
+            fpva, suite.all_vectors(), fault_counts=(1, 2, 3, 4, 5), trials=60,
+            seed=42,
+        )
         for k, result in sweep.items():
             assert result.all_detected, (k, result.undetected_examples)
 

@@ -19,7 +19,12 @@ from hypothesis import strategies as st
 import oracle
 from repro.context import ExecutionContext
 from repro.core import generate_suite
-from repro.engine import AdaptiveDiagnoser, get_scenario, scenario_names
+from repro.engine import (
+    AdaptiveDiagnoser,
+    get_scenario,
+    run_sweep,
+    scenario_names,
+)
 from repro.fpva import FPVABuilder, Side, full_layout, table1_layout
 from repro.fpva.geometry import Cell
 from repro.sim import (
@@ -34,9 +39,9 @@ from repro.sim import (
     StuckAt0,
     StuckAt1,
     Tester,
+    mix_seed,
     sample_fault_set,
 )
-from repro.sim.campaign import run_trials
 from repro.sim.kernel import _pack_words, _unpack_words
 from test_context import _layouts
 from test_integration import small_layouts
@@ -410,8 +415,7 @@ class TestPartialExpectations:
         self, two_sink_array, tmp_path, recwarn, form
     ):
         from repro.core.repair import find_masked_stuck_pairs
-        from repro.engine import run_sweep
-        from repro.sim import fault_universe, mix_seed
+        from repro.sim import fault_universe
         from repro.store import ArtifactStore
 
         fpva = two_sink_array
@@ -477,13 +481,15 @@ class TestCampaignEquivalence:
         scenario = get_scenario(scenario_name)
         vectors = generate_suite(small).all_vectors()
         for k in (1, 2):
-            kwargs = dict(
-                num_faults=k, trials=40, seed=13 + k, scenario=scenario
+            # One shard per fault count: it draws the oracle's stream.
+            fast = run_sweep(
+                small, vectors, fault_counts=(k,), trials=40, shard_trials=40,
+                seed=13 + k, scenario=scenario, context=ExecutionContext(small),
+            )[k]
+            ref = oracle.run_trials(
+                small, vectors, k, 40, seed=mix_seed(13 + k, k, 0),
+                scenario=scenario,
             )
-            fast = run_trials(
-                small, vectors, context=ExecutionContext(small), **kwargs
-            )
-            ref = oracle.run_trials(small, vectors, **kwargs)
             assert fast.trials == ref.trials
             assert fast.detected == ref.detected
             assert fast.undetected_examples == ref.undetected_examples

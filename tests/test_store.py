@@ -13,8 +13,7 @@ import oracle
 from repro.context import ExecutionContext
 from repro.core import TestSet, generate_suite
 from repro.engine import AdaptiveDiagnoser, get_scenario
-from repro.engine.parallel import run_campaign as run_campaign_sharded
-from repro.engine.parallel import run_sweep as run_campaign_sweep
+from repro.engine.parallel import run_sweep
 from repro.fpva import FPVABuilder, Side, full_layout
 from repro.fpva.geometry import Cell
 from repro.sim import (
@@ -23,7 +22,9 @@ from repro.sim import (
     ReachabilityKernel,
     StuckAt0,
     fault_universe,
+    stuck_at_faults,
 )
+from repro.sim.campaign import KEEP_UNDETECTED
 from repro.sim.diagnosis import iter_fault_sets
 from repro.store import (
     ArtifactStore,
@@ -111,7 +112,8 @@ class TestDictionaryWarmStart:
         """Satellite: save → load → diagnose is bit-identical."""
         fpva, vectors = bundle
         store = ArtifactStore(tmp_path)
-        kwargs = dict(max_cardinality=2, include_control_leaks=False)
+        universe = stuck_at_faults(fpva)
+        kwargs = dict(max_cardinality=2, universe=universe)
         cold = FaultDictionary(fpva, vectors, store=store, **kwargs)
         warm = FaultDictionary(fpva, vectors, store=store, **kwargs)
         plain = FaultDictionary(fpva, vectors, **kwargs)
@@ -119,7 +121,6 @@ class TestDictionaryWarmStart:
         assert warm.build_stats["mode"] == "warm"
         assert _table_key(cold) == _table_key(warm) == _table_key(plain)
         rng = random.Random(11)
-        universe = fault_universe(fpva, include_control_leaks=False)
         for _ in range(5):
             chip = ChipUnderTest(fpva, (rng.choice(universe),))
             assert warm.diagnose_chip(chip) == cold.diagnose_chip(chip)
@@ -260,16 +261,16 @@ class TestDeferredKernelCompile:
 class TestParallelCachePath:
     def test_cache_dir_results_bit_identical(self, bundle, tmp_path):
         fpva, vectors = bundle
-        kwargs = dict(num_faults=2, trials=60, seed=9, shard_trials=15)
-        plain = run_campaign_sharded(fpva, vectors, workers=1, **kwargs)
-        cached = run_campaign_sharded(
+        kwargs = dict(fault_counts=(2,), trials=60, seed=9, shard_trials=15)
+        plain = run_sweep(fpva, vectors, workers=1, **kwargs)[2]
+        cached = run_sweep(
             fpva, vectors, workers=1,
             context=ExecutionContext(fpva, store=tmp_path), **kwargs
-        )
-        pooled = run_campaign_sharded(
+        )[2]
+        pooled = run_sweep(
             fpva, vectors, workers=2,
             context=ExecutionContext(fpva, store=tmp_path), **kwargs
-        )
+        )[2]
         for other in (cached, pooled):
             assert (plain.trials, plain.detected) == (other.trials, other.detected)
             assert plain.undetected_examples == other.undetected_examples
@@ -334,13 +335,11 @@ class TestParentWrittenFixture:
         assert _table_key(warm) == _table_key(cold)
 
         manifest = json.loads((root / "journal" / "campaign.json").read_text())
-        params = {
-            key: manifest[key]
-            for key in (
-                "trials", "seed", "shard_trials", "keep_undetected",
-                "include_control_leaks",
-            )
-        }
+        # The parent wrote the two retired workload knobs at the values
+        # every campaign now runs with.
+        assert manifest["keep_undetected"] == KEEP_UNDETECTED
+        assert manifest["include_control_leaks"] is True
+        params = {key: manifest[key] for key in ("trials", "seed", "shard_trials")}
         spec = CampaignSpec(
             fpva=fpva,
             vectors=tuple(vectors),
@@ -349,7 +348,7 @@ class TestParentWrittenFixture:
         )
         results, stats = run_journaled_sweep(spec, root / "journal", resume=True)
         assert (stats.executed, stats.healed) == (0, 0)
-        in_memory = run_campaign_sweep(
+        in_memory = run_sweep(
             fpva, vectors, fault_counts=spec.fault_counts, **params
         )
         assert {k: _result_key(r) for k, r in results.items()} == {

@@ -555,8 +555,8 @@ class TestContextWiring:
     def test_inline_sweep_builds_one_evaluator(
         self, bundle, tmp_path, eval_probe, journaled
     ):
-        """Every shard of an inline sweep runs on one session, so the
-        sweep builds one evaluator, not one per shard."""
+        """Every shard of an inline sweep runs on one evaluator, not one
+        per shard."""
         from repro.engine import run_sweep
 
         fpva, vectors, _ = bundle

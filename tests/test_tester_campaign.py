@@ -16,12 +16,12 @@ from repro.sim import (
     StuckAt1,
     Tester,
     faults_compatible,
-    mix_seed,
     sample_fault_set,
     fault_universe,
+    stuck_at_faults,
 )
 from repro.sim import campaign
-from repro.sim.campaign import _sample_by_key, run_trials
+from repro.sim.campaign import _sample_by_key
 from repro.sim.faults import max_compatible_faults
 
 
@@ -84,19 +84,17 @@ class TestCampaign:
 
     def test_small_campaign_all_detected(self, tiny_suite):
         fpva, suite = tiny_suite
-        result = run_trials(fpva, suite.all_vectors(), num_faults=2, trials=50)
+        result = run_sweep(
+            fpva, suite.all_vectors(), fault_counts=(2,), trials=50
+        )[2]
         assert result.trials == 50
         assert result.all_detected, result.undetected_examples
 
     def test_sweep_shape(self, tiny_suite):
         fpva, suite = tiny_suite
-        sweep = {
-            k: run_trials(
-                fpva, suite.all_vectors(), num_faults=k, trials=20,
-                seed=mix_seed(0, k),
-            )
-            for k in (1, 2, 3)
-        }
+        sweep = run_sweep(
+            fpva, suite.all_vectors(), fault_counts=(1, 2, 3), trials=20
+        )
         assert set(sweep) == {1, 2, 3}
         for k, result in sweep.items():
             assert result.num_faults == k
@@ -169,7 +167,7 @@ class TestDiagnosis:
     def test_single_fault_localization(self, tiny_suite):
         fpva, suite = tiny_suite
         dictionary = FaultDictionary(
-            fpva, suite.all_vectors(), include_control_leaks=False
+            fpva, suite.all_vectors(), universe=stuck_at_faults(fpva)
         )
         target = StuckAt0(fpva.valves[4])
         report = dictionary.diagnose_chip(ChipUnderTest(fpva, [target]))
@@ -179,7 +177,7 @@ class TestDiagnosis:
     def test_fault_free_syndrome_empty(self, tiny_suite):
         fpva, suite = tiny_suite
         dictionary = FaultDictionary(
-            fpva, suite.all_vectors(), include_control_leaks=False
+            fpva, suite.all_vectors(), universe=stuck_at_faults(fpva)
         )
         report = dictionary.diagnose_chip(ChipUnderTest(fpva))
         # An empty syndrome is not in the dictionary (only faulty entries).
@@ -188,7 +186,7 @@ class TestDiagnosis:
     def test_resolution_reasonable(self, tiny_suite):
         fpva, suite = tiny_suite
         dictionary = FaultDictionary(
-            fpva, suite.all_vectors(), include_control_leaks=False
+            fpva, suite.all_vectors(), universe=stuck_at_faults(fpva)
         )
         assert dictionary.distinct_syndromes > fpva.valve_count / 2
         assert dictionary.resolution() < 4.0
