@@ -46,6 +46,7 @@ from repro.sim import (
     ReachabilityKernel,
     Tester,
 )
+from repro.sim.backends import TileBackend, WordBackend
 from repro.sim.faults import stuck_at_faults
 from tests import oracle
 
@@ -174,16 +175,18 @@ def test_campaign_throughput_speedup(benchmark, capsys):
 def _bench_backend_tiers(fpva, vectors, sample):
     """Card-2 dictionary build per backend tier; tables must agree.
 
-    Each tier gets its own kernel compile, attaches the tier with
-    ``set_backend`` and runs under a fresh session adopting that kernel,
+    Each tier gets its own kernel compile, is assigned as that kernel's
+    ``backend`` and runs under a fresh session adopting that kernel,
     all inside the timed region — so it covers exactly what the tier
     pays, including the tile backend's elimination-plan compile.
     """
     stats: dict = {}
     tables = {}
-    for name in ("word", "tile"):
+    for tier in (WordBackend, TileBackend):
+        name = tier.name
         t0 = time.perf_counter()
-        kernel = ReachabilityKernel(fpva).set_backend(name)
+        kernel = ReachabilityKernel(fpva)
+        kernel.backend = tier(kernel)
         built = FaultDictionary(
             fpva,
             vectors,

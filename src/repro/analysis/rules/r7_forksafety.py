@@ -6,9 +6,10 @@ workers diverge silently between processes, and mutable default
 arguments accumulate state across calls within one worker — both make
 "same shard, same bytes" a lie that only shows up under ``--workers``.
 
-Deliberate per-process caches (the kernel memo, the backend registry)
-are real and stay — with an inline ``# repro: ignore[R7]`` naming the
-reason, so every shared-state site is enumerable by grep.
+Deliberate per-process state (the scenario registry, the store's
+verified-digest cache) is real and stays — with an inline
+``# repro: ignore[R7]`` naming the reason, so every shared-state site
+is enumerable by grep.
 """
 
 from __future__ import annotations

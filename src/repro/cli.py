@@ -2,7 +2,7 @@
 
 Every command builds one :class:`~repro.context.ExecutionContext` per
 array — the session owning the compiled kernel, the artifact store and
-the shared simulator/tester — and threads it through generation,
+the shared tester — and threads it through generation,
 campaigns and diagnosis, so ``--cache-dir`` warm-starts *every*
 subcommand (generation included) and nothing compiles twice.  The
 commands that consume a suite (``campaign``, ``diagnose``, ``warm``) get
@@ -88,7 +88,6 @@ def _context(args, fpva=None) -> ExecutionContext:
     return ExecutionContext(
         fpva if fpva is not None else _layout(args),
         store=getattr(args, "cache_dir", None),
-        seed=getattr(args, "seed", 0),
     )
 
 
@@ -136,7 +135,9 @@ def _at_least(minimum: int):
 
 
 def _add_array_args(p):
-    p.add_argument("--size", type=int, default=5, help="array dimension n (n x n)")
+    # A full 1x1 array has no valve, so every array command needs n >= 2.
+    p.add_argument("--size", type=_at_least(2), default=5,
+                   help="array dimension n (n x n), at least 2")
     p.add_argument(
         "--full",
         action="store_true",
@@ -192,6 +193,14 @@ def cmd_campaign(args) -> int:
         if value and not args.journal_dir:
             print(f"{flag} requires --journal-dir", file=sys.stderr)
             return 2
+    if args.resume:
+        from repro.fabric import CampaignJournal
+
+        journal = CampaignJournal(args.journal_dir)
+        if journal.manifest() is None:
+            print(f"--resume: no campaign journal at {journal.root}",
+                  file=sys.stderr)
+            return 2
     ctx = _context(args)
     fpva = ctx.fpva
     scenario = get_scenario(args.scenario) if args.scenario else None
@@ -210,6 +219,7 @@ def cmd_campaign(args) -> int:
         from repro.fabric import (
             DEFAULT_MAX_ATTEMPTS,
             CampaignSpec,
+            JournalMismatch,
             RetryPolicy,
             run_journaled_sweep,
         )
@@ -222,16 +232,22 @@ def cmd_campaign(args) -> int:
             seed=args.seed,
             scenario=scenario,
         )
-        sweep, stats = run_journaled_sweep(
-            spec,
-            args.journal_dir,
-            workers=args.workers,
-            resume=args.resume,
-            kernel=ctx.kernel,
-            retry=RetryPolicy(
-                max_attempts=args.max_attempts or DEFAULT_MAX_ATTEMPTS
-            ),
-        )
+        try:
+            sweep, stats = run_journaled_sweep(
+                spec,
+                args.journal_dir,
+                workers=args.workers,
+                resume=args.resume,
+                kernel=ctx.kernel,
+                retry=RetryPolicy(
+                    max_attempts=args.max_attempts or DEFAULT_MAX_ATTEMPTS
+                ),
+            )
+        except JournalMismatch as error:
+            # The directory holds another campaign: a usage error, not
+            # the exit 1 of a chip that escaped detection.
+            print(error, file=sys.stderr)
+            return 2
         print(f"journal: {stats.summary()}")
     else:
         stats = None

@@ -8,7 +8,7 @@ and asks the session, so one ``generate`` invocation compiles one
 
 An :class:`ExecutionContext` (a *session*) owns the tuple
 
-    (array, compiled kernel, artifact store, seed)
+    (array, compiled kernel, artifact store)
 
 and hands out the shared per-array machinery derived from it:
 
@@ -29,16 +29,14 @@ and hands out the shared per-array machinery derived from it:
   applies faulty chips on that kernel;
 * :meth:`suite` — the array's generated test suite, warm-loaded from
   the store's :class:`~repro.store.SuiteStore` when one is configured,
-  or generated and published there;
-* :meth:`rng` — deterministic per-purpose random streams derived from
-  the session seed through the splitmix64 mixer
-  (:func:`repro.sim.seeding.mix_seed`).
+  or generated and published there.
 
 Every session simulates through the compiled bitmask kernel, and
 batched propagation runs on the ``tile`` tier of
-:mod:`repro.sim.backends`.  The ``word`` reference tier is attached only
-by tests and the kernel benchmark, on a kernel they compile themselves
-and adopt through ``kernel=``; the object-graph engine and the serial
+:mod:`repro.sim.backends`.  Only tests and the kernel benchmark put the
+``word`` reference tier on a kernel, by assigning
+``kernel.backend = WordBackend(kernel)`` on one they compile themselves,
+and adopt it through ``kernel=``; the object-graph engine and the serial
 loops the batched paths are pinned to live in ``tests/oracle.py``.
 
 Contexts deliberately stay cheap to create: nothing compiles until the
@@ -49,12 +47,10 @@ session of its own.
 from __future__ import annotations
 
 import os
-import random
 from typing import TYPE_CHECKING, Any, Sequence
 
 from repro.fpva.array import FPVA
 from repro.sim.kernel import ReachabilityKernel
-from repro.sim.seeding import mix_seed
 from repro.sim.tester import Tester
 
 if TYPE_CHECKING:  # pragma: no cover - annotation-only dependencies
@@ -74,9 +70,6 @@ class ExecutionContext:
         An :class:`~repro.store.ArtifactStore`, or a cache-directory path
         (the CLI's ``--cache-dir``), enabling kernel warm starts and
         dictionary persistence.
-    seed:
-        The session's seed; :meth:`rng` derives independent deterministic
-        streams from it per purpose.
     kernel:
         Optional pre-compiled kernel to adopt (it must have been
         compiled for ``fpva``); the context then never compiles, and the
@@ -88,7 +81,6 @@ class ExecutionContext:
         fpva: FPVA,
         *,
         store: "ArtifactStore | str | os.PathLike | None" = None,
-        seed: int = 0,
         kernel: ReachabilityKernel | None = None,
     ) -> None:
         if kernel is not None and kernel.fpva is not fpva:
@@ -96,7 +88,6 @@ class ExecutionContext:
         from repro.store import as_store
 
         self.fpva = fpva
-        self.seed = seed
         self.store: ArtifactStore | None = as_store(store)
         self._kernel = kernel
         #: Cold kernel compiles this context paid (asserted == 1 by test).
@@ -140,7 +131,7 @@ class ExecutionContext:
         With a :attr:`store` configured, a stored artifact is loaded
         verbatim (bit-identical readings, no compile); a cold compile is
         persisted so the *next* session warm-starts.  Stored artifacts
-        hold only the arc table, so a loaded kernel attaches the ``tile``
+        hold only the arc table, so a loaded kernel builds its ``tile``
         tier on first batched use, exactly like a fresh compile.
 
         A stored artifact that fails checksum verification is
@@ -245,19 +236,10 @@ class ExecutionContext:
             incremental=incremental,
         )
 
-    def rng(self, *stream: int) -> random.Random:
-        """A deterministic RNG for one purpose-stream of the session.
-
-        ``stream`` components are mixed into :attr:`seed` through the
-        splitmix64 finalizer, so ``rng(1)`` and ``rng(2)`` never collide
-        the way naive ``seed + k`` arithmetic does.
-        """
-        return random.Random(mix_seed(self.seed, *stream) if stream else self.seed)
-
     def __repr__(self) -> str:
         kernel = "compiled" if self._kernel is not None else "lazy"
         store = repr(str(self.store.root)) if self.store is not None else None
         return (
             f"ExecutionContext({self.fpva.name!r}, kernel={kernel}, "
-            f"store={store}, seed={self.seed})"
+            f"store={store})"
         )

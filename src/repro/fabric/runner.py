@@ -116,20 +116,6 @@ class DrainStats:
         text += f" ({self.total} shards, {self.workers} worker(s))"
         return text
 
-    def report(self) -> dict:
-        """JSON-able stats payload (the CLI ``--json`` ``"journal"`` key)."""
-        return {
-            "total": self.total,
-            "executed": self.executed,
-            "cache_hits": self.cache_hits,
-            "reclaimed": self.reclaimed,
-            "workers": self.workers,
-            "retried": self.retried,
-            "healed": self.healed,
-            "degraded": self.degraded,
-            "quarantined": list(self.quarantined),
-        }
-
 
 class ShardWorker:
     """One supervised drain loop over a journal.

@@ -32,15 +32,12 @@ cone of those rows is substituted.
 
 Word columns are processed in ``(n_nodes, W)`` tiles so the gathered
 working set stays cache-sized; :func:`pick_tile_words` chooses ``W`` from
-the batch size (the hook :class:`~repro.sim.kernel.BatchEvaluator` uses
-when flushing its scenario pool).
+the batch size.
 """
 
 from __future__ import annotations
 
 import numpy as np
-
-from repro.sim.backends.base import KernelBackend
 
 _FULL = ~np.uint64(0)
 
@@ -48,15 +45,11 @@ _FULL = ~np.uint64(0)
 def pick_tile_words(batch: int) -> int:
     """Tile width (in 64-scenario words) for a batch of ``batch`` scenarios.
 
-    Small batches fit one tile outright; large batches are capped so one
-    tile's gathered edge rows stay comfortably inside cache: 4/8/16-word
-    tiles for the mid range, 32 words (2048 scenarios) at the top.
+    A batch of up to 2048 scenarios is one tile of just enough words;
+    larger batches are cut into 32-word tiles, so one tile's gathered
+    edge rows stay comfortably inside cache.
     """
-    words = max(1, (batch + 63) // 64)
-    for w in (4, 8, 16):
-        if words <= w:
-            return words
-    return min(words, 32)
+    return min(max(1, (batch + 63) // 64), 32)
 
 
 class _ElimLevel:
@@ -301,13 +294,17 @@ class EliminationPlan:
         return reach[rows]
 
 
-class TileBackend(KernelBackend):
-    """Elimination-scheduled tiles — the production batched backend."""
+class TileBackend:
+    """Elimination-scheduled tiles — the production batched backend.
+
+    It holds only the kernel and plain arrays derived from it, so a kernel
+    pickled into a pool task carries its tier and compiled schedule along.
+    """
 
     name = "tile"
 
     def __init__(self, kernel):
-        super().__init__(kernel)
+        self.kernel = kernel
         self._plan: EliminationPlan | None = None
 
     @property
@@ -323,11 +320,19 @@ class TileBackend(KernelBackend):
         blocked_words: np.ndarray | None,
         words: int,
         rows: np.ndarray | None = None,
-        tile_words: int | None = None,
     ) -> np.ndarray:
+        """Reach words for a packed scenario batch.
+
+        ``valve_words`` is ``(n_valves, words)`` uint64 (bit ``s`` of word
+        ``w`` = valve open in scenario ``64*w + s``), ``blocked_words``
+        optionally ``(n_edges, words)``.  Returns ``(len(rows), words)``
+        (``(n_nodes, words)`` when ``rows`` is ``None``).  Both tiers
+        share this contract, so a tier changes *how* words propagate,
+        never what a scenario or a reading is.  Columns are solved in
+        tiles of :func:`pick_tile_words` words.
+        """
         plan = self.plan
-        width = tile_words if tile_words else pick_tile_words(words * 64)
-        width = max(1, min(width, words))
+        width = pick_tile_words(words * 64)
         n_rows = plan.n_nodes if rows is None else len(rows)
         out = np.empty((n_rows, words), dtype=np.uint64)
         for lo in range(0, words, width):
@@ -343,10 +348,3 @@ class TileBackend(KernelBackend):
                 rows,
             )
         return out
-
-    def describe(self) -> str:
-        plan = self.plan
-        return (
-            f"tile backend: {len(plan.levels)} elimination levels, "
-            f"{plan.n_base} base + {plan.fill_edges} fill edges"
-        )

@@ -20,9 +20,9 @@ Representation
   ``numpy`` ``uint64`` words for batches — bit ``s`` of word ``w`` belongs
   to scenario ``64*w + s``, i.e. **64 scenarios propagate per word** per
   sweep.
-* Propagation is level-synchronous bit-parallel BFS: ``reach[node]`` holds
-  one bit per scenario; each sweep ORs ``reach[src] & arc_open`` into every
-  destination until a fixpoint (at most graph-diameter iterations).
+* Batched propagation is bit-parallel: ``reach[node]`` holds one bit per
+  scenario, and a node is reached when some arc into it conducts from a
+  reached node.
 
 Single queries take the scalar path (:meth:`ReachabilityKernel.readings`),
 a plain BFS over the compiled arrays with int-mask bit tests — no ``Edge``
@@ -45,22 +45,25 @@ distinct ``(open, blocked)`` scenarios so equivalent fault sets are
 simulated exactly once; :meth:`BatchEvaluator.detects` and
 :meth:`BatchEvaluator.syndrome` judge a simulated slot row.
 
-*How* packed words propagate is delegated to a
-:mod:`~repro.sim.backends` tier (:meth:`ReachabilityKernel.set_backend`):
-the production ``tile`` backend runs diameter-free elimination-scheduled
-passes, and ``word`` retains the level-synchronous reduceat sweep below
-as the reference.  Both share this module's compiled CSR arrays and are
-pinned bit-identical to the object-graph reference in ``tests/oracle.py``.
+*How* packed words propagate is the job of the kernel's
+:attr:`~ReachabilityKernel.backend`, a :mod:`~repro.sim.backends` tier:
+the ``tile`` tier every batched reading runs through solves diameter-free
+elimination-scheduled passes, and the ``word`` reference tier, which
+tests attach by assignment, sweeps level by level to a fixpoint.  Both
+share this module's compiled CSR arrays and are pinned bit-identical to
+the object-graph reference in ``tests/oracle.py``.
 """
 
 from __future__ import annotations
 
+from functools import cached_property
 from typing import TYPE_CHECKING, Iterable, Sequence
 
 import numpy as np
 
 from repro.fpva.array import FPVA
 from repro.fpva.geometry import Edge
+from repro.sim.backends import TileBackend
 from repro.sim.faults import (
     ChannelBlocked,
     ControlLeak,
@@ -73,7 +76,9 @@ from repro.sim.faults import (
 if TYPE_CHECKING:  # pragma: no cover - annotation-only dependency
     from repro.core.vectors import TestVector
 
-_FULL_WORD = ~np.uint64(0)
+#: Scenarios :meth:`ReachabilityKernel.batch_readings` packs and
+#: propagates per pass, bounding the packed working set.
+_CHUNK = 4096
 _WORD_SHIFTS = np.arange(64, dtype=np.uint64)
 
 
@@ -167,8 +172,6 @@ class ReachabilityKernel:
         self._sink_pos = tuple(sink_pos)
         self.n_sinks = len(self.sink_names)
 
-        #: Propagation backend (attached lazily; see :meth:`set_backend`).
-        self._backend = None
         #: Scalar-path scratch: visited flags reused across queries and
         #: reset by one memset — replaces the per-call bytearray/deque
         #: allocation on size-1 workloads like adaptive diagnosis.
@@ -298,39 +301,16 @@ class ReachabilityKernel:
             return 0, -1 if vi is None else ~(1 << vi), 1 << ei
         return None
 
-    # -- backend seam ------------------------------------------------------
-    @property
+    # -- propagation tier --------------------------------------------------
+    @cached_property
     def backend(self):
-        """The propagation backend: ``tile`` unless :meth:`set_backend`
-        attached another tier first."""
-        if self._backend is None:
-            from repro.sim.backends import DEFAULT_BACKEND, create
+        """The propagation tier, built on first batched use: ``tile``.
 
-            self._backend = create(DEFAULT_BACKEND, self)
-        return self._backend
-
-    def set_backend(self, backend) -> "ReachabilityKernel":
-        """Attach a propagation backend (name or instance); returns self.
-
-        Attaching the already-attached backend name is a no-op, so a
-        compiled backend schedule is never rebuilt.  Instances must have
-        been built for this kernel.
+        Tests attach the ``word`` reference tier by assignment,
+        ``kernel.backend = WordBackend(kernel)``.  A pickled kernel, and a
+        kernel a session adopts, keeps the tier it carries.
         """
-        from repro.sim.backends import KernelBackend, create
-
-        if isinstance(backend, str):
-            if self._backend is None or self._backend.name != backend:
-                self._backend = create(backend, self)
-            return self
-        if not isinstance(backend, KernelBackend):
-            raise TypeError(
-                f"backend must be a registry name or KernelBackend, "
-                f"got {type(backend).__name__}"
-            )
-        if backend.kernel is not self:
-            raise ValueError("backend was built for a different kernel")
-        self._backend = backend
-        return self
+        return TileBackend(self)
 
     # -- scalar path (one scenario) ----------------------------------------
     def reach(self, open_mask: int, blocked_mask: int = 0) -> bytearray:
@@ -445,73 +425,20 @@ class ReachabilityKernel:
         return CompiledFaultSet(self, faults)
 
     # -- batched path (64 scenarios per word) ------------------------------
-    def _propagate(self, arc_open: np.ndarray, words: int) -> np.ndarray:
-        """Bit-parallel frontier propagation to a fixpoint.
-
-        ``arc_open`` is ``(n_arcs, words)`` uint64: bit ``s`` of word ``w``
-        says whether the arc conducts in scenario ``64*w + s``.  Returns the
-        ``(n_nodes, words)`` reach matrix.
-        """
-        reach = np.zeros((self.n_nodes, words), dtype=np.uint64)
-        if not len(self._arc_src):
-            return reach
-        reach[list(self._source_idx)] = _FULL_WORD
-        src, starts, dst = self._arc_src, self._dst_starts, self._dst_nodes
-        while True:
-            spread = reach[src] & arc_open
-            agg = np.bitwise_or.reduceat(spread, starts, axis=0)
-            new = reach[dst] | agg
-            if np.array_equal(new, reach[dst]):
-                return reach
-            reach[dst] = new
-
-    def batch_readings_bool(
-        self,
-        open_bool: np.ndarray,
-        blocked_bool: np.ndarray | None = None,
-        tile_words: int | None = None,
-    ) -> np.ndarray:
-        """Sink readings for a batch of scenarios.
-
-        ``open_bool`` is ``(B, n_valves)``; ``blocked_bool`` optionally
-        ``(B, n_edges)``.  Returns ``(B, n_sinks)`` bool, columns in
-        :attr:`sink_names` order.  Packing happens here; propagation is
-        delegated to the attached backend, with ``tile_words`` bounding
-        the per-pass word-column width for backends that tile.
-        """
-        batch = open_bool.shape[0]
-        words = (batch + 63) // 64
-        valve_words = _pack_words(open_bool)
-        edge_words = None
-        if blocked_bool is not None and blocked_bool.any():
-            edge_words = _pack_words(blocked_bool)
-        reach = self.backend.reach_words(
-            valve_words,
-            edge_words,
-            words,
-            rows=self._sink_rows,
-            tile_words=tile_words,
-        )
-        return _unpack_words(reach, batch)
-
-    def batch_readings(
-        self,
-        scenarios: Sequence[tuple[int, int]],
-        chunk: int = 4096,
-        tile_words: int | None = None,
-    ) -> np.ndarray:
+    def batch_readings(self, scenarios: Sequence[tuple[int, int]]) -> np.ndarray:
         """Sink readings for ``(open_mask, blocked_mask)`` int-mask pairs.
 
-        Evaluates in chunks of ``chunk`` scenarios to bound the packed
-        working set.  Returns ``(len(scenarios), n_sinks)`` bool.
+        Returns ``(len(scenarios), n_sinks)`` bool, columns in
+        :attr:`sink_names` order.  Scenarios are packed :data:`_CHUNK` at
+        a time, and :attr:`backend` propagates each chunk's words.
         """
         if not scenarios:
             return np.zeros((0, self.n_sinks), dtype=bool)
         stride_v = (self.n_valves + 7) // 8 or 1
         stride_e = (self.n_edges + 7) // 8 or 1
         parts = []
-        for lo in range(0, len(scenarios), chunk):
-            batch = scenarios[lo : lo + chunk]
+        for lo in range(0, len(scenarios), _CHUNK):
+            batch = scenarios[lo : lo + _CHUNK]
             opens = b"".join(m.to_bytes(stride_v, "little") for m, _ in batch)
             open_bool = np.unpackbits(
                 np.frombuffer(opens, np.uint8).reshape(len(batch), stride_v),
@@ -519,7 +446,7 @@ class ReachabilityKernel:
                 bitorder="little",
                 count=self.n_valves,
             ).astype(bool)
-            blocked_bool = None
+            edge_words = None
             if any(b for _, b in batch):
                 blks = b"".join(b.to_bytes(stride_e, "little") for _, b in batch)
                 blocked_bool = np.unpackbits(
@@ -528,9 +455,16 @@ class ReachabilityKernel:
                     bitorder="little",
                     count=self.n_edges,
                 ).astype(bool)
-            parts.append(
-                self.batch_readings_bool(open_bool, blocked_bool, tile_words)
+                edge_words = _pack_words(blocked_bool)
+            # Looked up per chunk, never bound once: a tracer may wrap a
+            # tier's reach_words on its class after this kernel built it.
+            reach = self.backend.reach_words(
+                _pack_words(open_bool),
+                edge_words,
+                (len(batch) + 63) // 64,
+                rows=self._sink_rows,
             )
+            parts.append(_unpack_words(reach, len(batch)))
         return np.concatenate(parts, axis=0) if len(parts) > 1 else parts[0]
 
     def toggled_readings(
@@ -824,11 +758,7 @@ class BatchEvaluator:
         """Simulate every pending scenario through the kernel."""
         if not self._pending:
             return
-        from repro.sim.backends import pick_tile_words
-
-        fresh = self.kernel.batch_readings(
-            self._pending, tile_words=pick_tile_words(len(self._pending))
-        )
+        fresh = self.kernel.batch_readings(self._pending)
         self._pending = []
         if self._readings is None:
             self._readings = fresh

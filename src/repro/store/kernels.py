@@ -6,9 +6,9 @@ Loading installs the arrays verbatim — no graph walk, no sort — so a warm
 kernel is bit-identical to a cold compile.
 
 Artifacts are **backend-agnostic**: only the arc table is persisted,
-never a propagation backend or its compiled schedule, so a loaded kernel
-attaches a :mod:`repro.sim.backends` tier (``tile``, or ``word`` when a
-test asks for it) on first batched use and replays bit-identical
+never a propagation tier or its compiled schedule, so a loaded kernel
+builds its :mod:`repro.sim.backends` ``tile`` tier on first batched use
+(a test may assign the ``word`` tier instead) and replays bit-identical
 readings.
 
 A kernel publishes through the store's one protocol

@@ -1,14 +1,14 @@
-"""The backend-registry spine: both tiers pinned to the object reference.
+"""The propagation-tier spine: both tiers pinned to the object reference.
 
-* each registered backend (``tile``, the production tier, and ``word``,
-  the reference tier) produces **bit identical** readings to the
-  object-graph reference in ``tests/oracle.py``;
+* each tier (``tile``, the production tier, and ``word``, the reference
+  tier) produces **bit identical** readings to the object-graph
+  reference in ``tests/oracle.py``, across tile and chunk boundaries;
 * a :class:`~repro.store.KernelStore`-persisted kernel warm-loads and
   replays identical readings under either tier (artifacts are
   backend-agnostic);
-* production kernels propagate through ``tile``; only an explicit
-  :meth:`~repro.sim.kernel.ReachabilityKernel.set_backend` attaches
-  ``word``, and a session adopting such a kernel keeps it.
+* production kernels propagate through ``tile``; only an assignment,
+  ``kernel.backend = WordBackend(kernel)``, attaches ``word``, and a
+  session adopting such a kernel keeps it.
 """
 
 from __future__ import annotations
@@ -21,16 +21,22 @@ import pytest
 
 import oracle
 from repro.context import ExecutionContext
-from repro.fpva import full_layout, table1_layout
+from repro.fpva import table1_layout
 from repro.sim.backends import (
-    KernelBackend,
+    TileBackend,
+    WordBackend,
     availability,
-    backend_names,
-    create,
     default_backend,
     pick_tile_words,
 )
-from repro.sim.kernel import ReachabilityKernel
+from repro.sim.kernel import BatchEvaluator, ReachabilityKernel
+
+
+def _kernel_on(fpva, tier):
+    """A fresh kernel propagating through ``tier``."""
+    kernel = ReachabilityKernel(fpva)
+    kernel.backend = tier(kernel)
+    return kernel
 
 
 def _random_scenarios(kernel, rng, count):
@@ -77,26 +83,28 @@ def reference(fpva):
     return scenarios, np.array(rows, dtype=bool)
 
 
-@pytest.mark.parametrize("name", backend_names())
+@pytest.mark.parametrize(
+    "tier", [WordBackend, TileBackend], ids=lambda tier: tier.name
+)
 class TestBackendEquivalence:
     """Tentpole spine: every tier bit-identical to the object engine."""
 
-    def test_batched_matches_object_reference(self, fpva, reference, name):
+    def test_batched_matches_object_reference(self, fpva, reference, tier):
         scenarios, expected = reference
-        kernel = ReachabilityKernel(fpva).set_backend(name)
+        kernel = _kernel_on(fpva, tier)
         got = kernel.batch_readings(scenarios)
         assert got.dtype == bool and got.shape == expected.shape
         assert np.array_equal(got, expected)
 
-    def test_scalar_matches_object_reference(self, fpva, reference, name):
+    def test_scalar_matches_object_reference(self, fpva, reference, tier):
         scenarios, expected = reference
-        kernel = ReachabilityKernel(fpva).set_backend(name)
+        kernel = _kernel_on(fpva, tier)
         for (open_mask, blocked_mask), row in zip(scenarios[:40], expected):
             readings = kernel.readings(open_mask, blocked_mask)
             assert [readings[s] for s in kernel.sink_names] == list(row)
 
-    def test_reach_matches_scalar_reference(self, fpva, name):
-        kernel = ReachabilityKernel(fpva).set_backend(name)
+    def test_reach_matches_scalar_reference(self, fpva, tier):
+        kernel = _kernel_on(fpva, tier)
         sim = oracle.ObjectSimulator(fpva)
         valve_order = list(kernel.valve_index)
         edge_order = list(kernel.edge_index)
@@ -113,74 +121,54 @@ class TestBackendEquivalence:
                 node for node, hit in zip(kernel.nodes, reached) if hit
             } == sim.pressurized_nodes(opened, blocked=blocked)
 
-    def test_odd_batch_widths(self, fpva, name):
-        """Non-multiple-of-64 batches exercise the padded tail word."""
-        kernel = ReachabilityKernel(fpva).set_backend(name)
-        ref_kernel = ReachabilityKernel(fpva).set_backend("word")
+    def test_odd_batch_widths(self, fpva, tier):
+        """Non-multiple-of-64 batches exercise the padded tail word; 2,113
+        scenarios are a 32-word tile plus a 2-word one, and 4,097 cross
+        the kernel's 4,096-scenario chunk."""
+        kernel = _kernel_on(fpva, tier)
+        ref_kernel = _kernel_on(fpva, WordBackend)
         rng = random.Random(3)
-        for size in (1, 63, 64, 65, 130):
+        for size in (1, 63, 64, 65, 130, 2113, 4097):
             scenarios = _random_scenarios(kernel, rng, size)[:size]
             assert np.array_equal(
                 kernel.batch_readings(scenarios),
                 ref_kernel.batch_readings(scenarios),
             )
 
-    def test_warm_start_roundtrip(self, fpva, reference, name, tmp_path):
+    def test_warm_start_roundtrip(self, fpva, reference, tier, tmp_path):
         """Acceptance: a persisted kernel loads into any tier identically."""
         scenarios, expected = reference
         seed_ctx = ExecutionContext(fpva, store=tmp_path)
         seed_ctx.kernel  # cold compile persists the artifact
         assert seed_ctx.kernel_compiles == 1
         ctx = ExecutionContext(fpva, store=tmp_path)
-        kernel = ctx.kernel.set_backend(name)
+        kernel = ctx.kernel
+        kernel.backend = tier(kernel)
         assert ctx.kernel_loads == 1 and ctx.kernel_compiles == 0
-        assert kernel.backend.name == name
         assert np.array_equal(kernel.batch_readings(scenarios), expected)
 
-    def test_pickle_roundtrip(self, fpva, name):
+    def test_pickle_roundtrip(self, fpva, tier):
         """Shard payloads carry the backend; readings survive the trip."""
-        kernel = ReachabilityKernel(fpva).set_backend(name)
+        kernel = _kernel_on(fpva, tier)
         scenarios = _random_scenarios(kernel, random.Random(5), 40)
         expected = kernel.batch_readings(scenarios)
         clone = pickle.loads(pickle.dumps(kernel))
-        assert clone.backend.name == name
+        assert isinstance(clone.backend, tier)
         assert np.array_equal(clone.batch_readings(scenarios), expected)
 
 
 class TestRegistry:
-    def test_registry_names_and_alias(self, fpva):
-        assert backend_names() == ("word", "tile")
-        kernel = ReachabilityKernel(fpva)
-        # "kernel" (an alias before sessions existed) is not a tier name.
-        for name in ("kernel", "warp"):
-            with pytest.raises(ValueError, match="unknown kernel backend"):
-                kernel.set_backend(name)
-
     def test_always_available_tiers(self):
-        status = availability()
-        assert status["word"] is None and status["tile"] is None
+        assert availability() == {"word": None, "tile": None}
 
     def test_production_kernels_propagate_through_tile(self, fpva):
         assert default_backend() == "tile"
-        assert ReachabilityKernel(fpva).backend.name == "tile"
-        assert ExecutionContext(fpva).kernel.backend.name == "tile"
+        assert isinstance(ReachabilityKernel(fpva).backend, TileBackend)
+        assert isinstance(ExecutionContext(fpva).kernel.backend, TileBackend)
         # A session adopting a kernel keeps the tier that kernel carries.
-        word = ReachabilityKernel(fpva).set_backend("word")
+        word = _kernel_on(fpva, WordBackend)
         adopted = ExecutionContext(fpva, kernel=word).kernel
-        assert adopted is word and adopted.backend.name == "word"
-
-    def test_set_backend_same_name_is_noop(self, fpva):
-        kernel = ReachabilityKernel(fpva).set_backend("tile")
-        attached = kernel.backend
-        assert kernel.set_backend("tile").backend is attached
-
-    def test_set_backend_rejects_foreign_instances(self, fpva):
-        kernel = ReachabilityKernel(fpva)
-        other = ReachabilityKernel(full_layout(3, 3))
-        with pytest.raises(ValueError, match="different kernel"):
-            kernel.set_backend(create("word", other))
-        with pytest.raises(TypeError, match="registry name"):
-            kernel.set_backend(42)
+        assert adopted is word and isinstance(adopted.backend, WordBackend)
 
     def test_pick_tile_words(self):
         # Small batches fit one tile exactly; huge batches cap at 32 words.
@@ -195,23 +183,35 @@ class TestRegistry:
 
 
 class TestBackendObjects:
-    def test_describe_and_repr(self, fpva):
-        kernel = ReachabilityKernel(fpva)
-        backend = create("tile", kernel)
-        assert "tile" in backend.describe()
-        assert fpva.name in repr(backend)
-        assert isinstance(backend, KernelBackend)
-
-    def test_base_reach_words_is_abstract(self, fpva):
-        kernel = ReachabilityKernel(fpva)
-        with pytest.raises(NotImplementedError):
-            KernelBackend(kernel).reach_words(
-                np.zeros((kernel.n_valves, 1), dtype=np.uint64), None, 1
-            )
-
     def test_tile_plan_compiles_once(self, fpva):
-        kernel = ReachabilityKernel(fpva).set_backend("tile")
+        kernel = ReachabilityKernel(fpva)
         kernel.batch_readings([(0, 0), (1, 0)])
-        plan = kernel.backend.plan
-        kernel.batch_readings([(3, 0)] * 70, tile_words=1)
-        assert kernel.backend.plan is plan
+        tier, plan = kernel.backend, kernel.backend.plan
+        # 5,000 scenarios cross the 4,096-scenario chunk and a 32-word tile.
+        kernel.batch_readings([(3, 0)] * 5000)
+        assert kernel.backend is tier and tier.plan is plan
+
+    def test_class_patch_reaches_an_existing_tier(self, fpva, monkeypatch):
+        """A probe wrapping ``TileBackend.reach_words`` on the class, as
+        ``perfbench/tracing.py`` does, sees the flushes of a kernel whose
+        tier was built before the patch."""
+        kernel = ReachabilityKernel(fpva)
+        kernel.batch_readings([(0, 0)])
+        original = TileBackend.reach_words
+        widths = []
+
+        def probe(self, valve_words, blocked_words, words, rows=None):
+            widths.append(words)
+            return original(self, valve_words, blocked_words, words, rows=rows)
+
+        monkeypatch.setattr(TileBackend, "reach_words", probe)
+        scenarios = _random_scenarios(kernel, random.Random(9), 100)
+        evaluator = BatchEvaluator(kernel, [])
+        slots = [evaluator.slot(*scenario) for scenario in scenarios]
+        evaluator.flush()
+        assert widths == [(evaluator.distinct_scenarios + 63) // 64]
+        for (open_mask, blocked_mask), slot in zip(scenarios, slots):
+            readings = kernel.readings(open_mask, blocked_mask)
+            assert evaluator.observed_row(slot) == tuple(
+                readings[name] for name in kernel.sink_names
+            )

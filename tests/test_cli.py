@@ -29,10 +29,14 @@ class TestParser:
             ["campaign", "--workers", "0"],
             ["diagnose", "--faults", "0"],
             ["campaign", "--max-faults", "0"],
+            ["show", "--size", "0"],
+            ["generate", "--size", "-3"],
+            ["warm", "--size", "1", "--cache-dir", "c"],
         ],
         ids=[
             "campaign-trials", "max-attempts", "diagnose-trials", "workers",
-            "diagnose-faults", "max-faults",
+            "diagnose-faults", "max-faults", "show-size", "generate-size",
+            "warm-size",
         ],
     )
     def test_out_of_range_counts_exit_2(self, argv, capsys):
@@ -77,6 +81,37 @@ class TestParser:
         assert capsys.readouterr().err == (
             "--max-attempts requires --journal-dir\n"
         )
+
+    def test_resume_without_a_journal_exits_2(
+        self, tmp_path, capsys, monkeypatch
+    ):
+        """A mistyped --journal-dir is a usage error, refused before any
+        suite is generated, and creates no directory."""
+        monkeypatch.setattr(
+            "repro.context.ExecutionContext.suite",
+            lambda self: pytest.fail("generated a suite"),
+        )
+        missing = tmp_path / "missing"
+        argv = ["campaign", "--size", "3", "--full", "--trials", "2",
+                "--max-faults", "1", "--journal-dir", str(missing),
+                "--resume"]
+        assert main(argv) == 2
+        assert capsys.readouterr().err == (
+            f"--resume: no campaign journal at {missing}\n"
+        )
+        assert not missing.exists()
+
+    def test_journal_of_another_campaign_exits_2(self, tmp_path, capsys):
+        """Exit 1 means a chip escaped detection; a journal directory that
+        holds another campaign is a usage error instead."""
+        argv = ["campaign", "--size", "3", "--full", "--max-faults", "1",
+                "--cache-dir", str(tmp_path / "cache"),
+                "--journal-dir", str(tmp_path / "journal")]
+        assert main(argv + ["--trials", "10"]) == 0
+        capsys.readouterr()
+        assert main(argv + ["--trials", "20"]) == 2
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1 and "holds campaign" in err[0], err
 
 
 class TestCommands:

@@ -11,7 +11,7 @@ Covers the PR-5 tentpole and satellites:
   object-BFS reference in ``tests/oracle.py`` across random layouts,
   vectors and seeds, and so are the helpers both share when handed the
   kernel or the object-graph simulator;
-* context plumbing (store warm starts, seed streams).
+* context plumbing (store warm starts).
 """
 
 from __future__ import annotations
@@ -113,12 +113,6 @@ class TestExecutionContext:
         ]
         assert warm.kernel_compiles == 0 and warm.kernel_loads == 1
         assert warm_readings == cold_readings
-
-    def test_rng_streams_deterministic_and_distinct(self, small):
-        ctx = ExecutionContext(small, seed=42)
-        assert ctx.rng(1).random() == ctx.rng(1).random()
-        assert ctx.rng(1).random() != ctx.rng(2).random()
-        assert ctx.rng().random() == random.Random(42).random()
 
 
 class TestOneCompilePerContext:

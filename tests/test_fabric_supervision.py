@@ -782,7 +782,6 @@ class TestDrainStats:
             workers=1,
         )
         assert not clean.degraded
-        assert clean.report()["degraded"] is False
         assert "QUARANTINED" not in clean.summary()
 
         poisoned = DrainStats(
@@ -791,11 +790,9 @@ class TestDrainStats:
             quarantined=({"digest": "abc", "reason": "poison"},),
         )
         assert poisoned.degraded
-        report = poisoned.report()
-        assert report["quarantined"][0]["digest"] == "abc"
-        assert report["retried"] == 2 and report["healed"] == 1
         text = poisoned.summary()
         assert "1 QUARANTINED" in text and "2 retried" in text
+        assert "1 healed" in text
 
 
 # -- CLI: degraded sweeps exit 3 and list quarantined shards in --json -------
