@@ -215,19 +215,19 @@ def _bench_incremental_append(fpva, vectors, universe, root):
         universe=universe,
         max_cardinality=2,
         store=cold_store,
-        incremental=False,
     )
     t_cold = time.perf_counter() - t0
+    assert cold.build_stats["mode"] == "cold", cold.build_stats
 
     inc_store = ArtifactStore(root / "inc")
-    FaultDictionary(
+    ancestor = FaultDictionary(
         fpva,
         vectors[:-1],
         universe=universe,
         max_cardinality=2,
         store=inc_store,
-        incremental=False,
     )
+    assert ancestor.build_stats["mode"] == "cold", ancestor.build_stats
     # Best-of-2, like the warm-start floor: un-publish the target between
     # attempts (the ancestor stays) so both runs take the delta path.
     t_delta = float("inf")
@@ -311,9 +311,9 @@ def _bench_incremental_promotion(fpva, vectors, universe, root):
         universe=universe,
         max_cardinality=3,
         store=cold_store,
-        incremental=False,
     )
     t_cold = time.perf_counter() - t0
+    assert cold.build_stats["mode"] == "cold", cold.build_stats
 
     inc_store = ArtifactStore(root / "inc")
     ancestor = FaultDictionary(
@@ -322,8 +322,8 @@ def _bench_incremental_promotion(fpva, vectors, universe, root):
         universe=universe,
         max_cardinality=2,
         store=inc_store,
-        incremental=False,
     )
+    assert ancestor.build_stats["mode"] == "cold", ancestor.build_stats
     t0 = time.perf_counter()
     delta = FaultDictionary(
         fpva, vectors, universe=universe, max_cardinality=3, store=inc_store

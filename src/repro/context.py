@@ -207,8 +207,6 @@ class ExecutionContext:
         max_cardinality: int = 1,
         universe: Sequence[Any] | None = None,
         base_digest: str | None = None,
-        incremental: bool = True,
-        chunk_size: int | None = None,
     ) -> Any:
         """A :class:`~repro.sim.diagnosis.FaultDictionary` on this session.
 
@@ -218,22 +216,19 @@ class ExecutionContext:
         store is configured the dictionary warm-loads, or — failing that —
         delta-builds from the nearest stored ancestor (same layout and
         universe, suite/cardinality subsumed), simulating only the new
-        vectors and fault sets.  ``base_digest`` pins the ancestor;
-        ``incremental=False`` forces the pre-lineage cold path.  The
+        vectors and fault sets.  ``base_digest`` pins the ancestor.  The
         dictionary's ``build_stats["mode"]`` records which of the three
         (``"warm"``, ``"delta"`` or ``"cold"``) it took.
         """
-        from repro.sim.diagnosis import DEFAULT_CHUNK_SIZE, FaultDictionary
+        from repro.sim.diagnosis import FaultDictionary
 
         return FaultDictionary(
             self.fpva,
             vectors,
             max_cardinality=max_cardinality,
             universe=universe,
-            chunk_size=chunk_size or DEFAULT_CHUNK_SIZE,
             context=self,
             base_digest=base_digest,
-            incremental=incremental,
         )
 
     def __repr__(self) -> str:

@@ -389,7 +389,7 @@ class HierarchicalPathGenerator:
             if valve not in uncovered:
                 continue
             try:
-                node_seq = disjoint_route_through(self.fpva, valve, graph=self.graph)
+                node_seq = disjoint_route_through(self.fpva, valve)
             except RoutingError:
                 continue
             vector, observable = self._emit(node_seq, len(vectors))

@@ -174,10 +174,7 @@ def _split_digraph(g: nx.Graph) -> nx.DiGraph:
 
 
 def disjoint_route_through(
-    fpva: FPVA,
-    valve: Edge,
-    avoid_valves: Iterable[Edge] = (),
-    graph: nx.Graph | None = None,
+    fpva: FPVA, valve: Edge, avoid_valves: Iterable[Edge] = ()
 ) -> list[Hashable]:
     """A simple path source-port → sink-port using ``valve``.
 
@@ -186,9 +183,6 @@ def disjoint_route_through(
     ``avoid_valves`` are excluded from the route.  Channel regions are
     contracted during the search, so the result is physically simple.
     Raises :class:`RoutingError` when impossible.
-
-    The unused ``graph`` parameter is accepted for API compatibility with
-    callers that precompute the plain cell graph.
     """
     avoid = set(avoid_valves)
     if valve in avoid:

@@ -1,6 +1,7 @@
 """Kernel propagation tiers: how packed scenario words become reach words.
 
-Both tiers answer the same question — batched reach words — against the
+Both tiers answer the same question — the sink rows' reach words for one
+packed batch, ``reach_words(valve_words, blocked_words)`` — against the
 same compiled CSR arc table, and both are pinned bit-identical to the
 object-graph reference in ``tests/oracle.py``.  What varies is the cost
 model:
@@ -8,8 +9,9 @@ model:
 ======  ==================================================================
 name    strategy
 ======  ==================================================================
-tile    **production** — elimination-scheduled multi-word tiles: two
-        diameter-free passes over a precompiled shortcut schedule
+tile    **production** — one elimination-scheduled tile of up to 32
+        words per batch: two diameter-free passes over a precompiled
+        shortcut schedule
 word    reference — single-word packed reduceat sweeps, the baseline
         the ``tile`` floor is measured against
 ======  ==================================================================
@@ -23,7 +25,7 @@ WordBackend(kernel)``, and hand that kernel to a session as
 
 from __future__ import annotations
 
-from repro.sim.backends.tile import EliminationPlan, TileBackend, pick_tile_words
+from repro.sim.backends.tile import EliminationPlan, TileBackend
 from repro.sim.backends.word import WordBackend
 
 
@@ -45,7 +47,6 @@ __all__ = [
     "WordBackend",
     "TileBackend",
     "EliminationPlan",
-    "pick_tile_words",
     "availability",
     "default_backend",
 ]

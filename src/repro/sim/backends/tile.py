@@ -26,13 +26,14 @@ Per word tile the solve is then two diameter-free passes:
 Total work is two passes over (base + fill) edges — for a 16x16 array
 ~2.2k edge rows instead of ~250 sweeps over 964 arcs — and the result is
 bit-identical to the word sweep (pinned by the equivalence suite).  The
-backward pass is additionally *restricted*: when the caller only needs
-sink rows (every ``batch_readings`` call), only the static dependency
-cone of those rows is substituted.
+backward pass is additionally *restricted* to the static dependency cone
+of the sink rows, the only rows a reading needs; the plan compiles that
+cone once.
 
-Word columns are processed in ``(n_nodes, W)`` tiles so the gathered
-working set stays cache-sized; :func:`pick_tile_words` chooses ``W`` from
-the batch size.
+Each call solves its word columns as one tile:
+:meth:`~repro.sim.kernel.ReachabilityKernel.batch_readings` passes at
+most 32 words (2,048 scenarios), which keeps the gathered edge rows
+cache-sized.
 """
 
 from __future__ import annotations
@@ -40,16 +41,6 @@ from __future__ import annotations
 import numpy as np
 
 _FULL = ~np.uint64(0)
-
-
-def pick_tile_words(batch: int) -> int:
-    """Tile width (in 64-scenario words) for a batch of ``batch`` scenarios.
-
-    A batch of up to 2048 scenarios is one tile of just enough words;
-    larger batches are cut into 32-word tiles, so one tile's gathered
-    edge rows stay comfortably inside cache.
-    """
-    return min(max(1, (batch + 63) // 64), 32)
 
 
 class _ElimLevel:
@@ -96,10 +87,9 @@ class EliminationPlan:
     def __init__(self, kernel) -> None:
         self.n_nodes = kernel.n_nodes
         self.source_node = kernel.n_nodes  # virtual S
+        self.sink_rows = kernel._sink_rows
         self._compile(kernel)
-        #: Backward schedules filtered to a dependency cone, keyed by the
-        #: requested output rows (None = full substitution).
-        self._restricted: dict[bytes | None, list] = {}
+        self.backward = self._sink_cone()
 
     # -- static compilation -------------------------------------------------
     def _compile(self, kernel) -> None:
@@ -213,55 +203,39 @@ class EliminationPlan:
         self.fill_edges = total_edges - self.n_base
 
     # -- backward-pass restriction ------------------------------------------
-    def _backward_levels(self, rows: np.ndarray | None) -> list:
-        """Per-level backward schedules covering ``rows``'s dependency cone.
+    def _sink_cone(self) -> list:
+        """Per-level backward schedules covering the sink rows' dependency
+        cone.
 
         ``reach(v)`` depends on the reach of ``v``'s elimination-time
         neighbours, which are eliminated strictly later (or are S), so one
         pass over the levels in elimination order closes the cone; levels
-        are then filtered to needed nodes.  Entries are precomputed once
-        per distinct ``rows`` and reused for every batch.
+        are then filtered to needed nodes.
         """
-        key = None if rows is None else np.asarray(rows).tobytes()
-        cached = self._restricted.get(key)
-        if cached is not None:
-            return cached
-        if rows is None:
-            schedules = [
-                (lvl.bs_nbr, lvl.bs_edge, lvl.bs_seg, lvl.bs_nodes)
-                for lvl in self.levels
-            ]
-        else:
-            needed = np.zeros(self.n_nodes + 1, dtype=bool)
-            needed[np.asarray(rows, dtype=np.intp)] = True
-            schedules = []
-            for lvl in self.levels:
-                keep = needed[lvl.bs_entry_node]
-                if keep.all():
-                    needed[lvl.bs_nbr] = True
-                    schedules.append(
-                        (lvl.bs_nbr, lvl.bs_edge, lvl.bs_seg, lvl.bs_nodes)
-                    )
-                    continue
-                nbr = lvl.bs_nbr[keep]
-                needed[nbr] = True
-                entry = lvl.bs_entry_node[keep]
-                seg = _group_starts(entry)
+        needed = np.zeros(self.n_nodes + 1, dtype=bool)
+        needed[self.sink_rows] = True
+        schedules = []
+        for lvl in self.levels:
+            keep = needed[lvl.bs_entry_node]
+            if keep.all():
+                needed[lvl.bs_nbr] = True
                 schedules.append(
-                    (nbr, lvl.bs_edge[keep], seg, entry[seg])
+                    (lvl.bs_nbr, lvl.bs_edge, lvl.bs_seg, lvl.bs_nodes)
                 )
-        self._restricted[key] = schedules
+                continue
+            nbr = lvl.bs_nbr[keep]
+            needed[nbr] = True
+            entry = lvl.bs_entry_node[keep]
+            seg = _group_starts(entry)
+            schedules.append((nbr, lvl.bs_edge[keep], seg, entry[seg]))
         return schedules
 
     # -- per-tile solve ------------------------------------------------------
     def solve(
-        self,
-        valve_words: np.ndarray,
-        blocked_words: np.ndarray | None,
-        width: int,
-        rows: np.ndarray | None,
+        self, valve_words: np.ndarray, blocked_words: np.ndarray | None
     ) -> np.ndarray:
-        """Reach words for one tile of ``width`` word columns."""
+        """Sink rows' reach words for one tile of word columns."""
+        width = valve_words.shape[1]
         edge_open = np.empty((self.total_edges, width), dtype=np.uint64)
         has_valve = self.base_valve >= 0
         free = np.flatnonzero(~has_valve)
@@ -284,14 +258,12 @@ class EliminationPlan:
 
         reach = np.zeros((self.n_nodes + 1, width), dtype=np.uint64)
         reach[self.source_node] = _FULL
-        for nbr, edge, seg, nodes in reversed(self._backward_levels(rows)):
+        for nbr, edge, seg, nodes in reversed(self.backward):
             if not len(nodes):
                 continue
             spread = reach[nbr] & edge_open[edge]
             reach[nodes] = np.bitwise_or.reduceat(spread, seg, axis=0)
-        if rows is None:
-            return reach[: self.n_nodes]
-        return reach[rows]
+        return reach[self.sink_rows]
 
 
 class TileBackend:
@@ -315,36 +287,16 @@ class TileBackend:
         return self._plan
 
     def reach_words(
-        self,
-        valve_words: np.ndarray,
-        blocked_words: np.ndarray | None,
-        words: int,
-        rows: np.ndarray | None = None,
+        self, valve_words: np.ndarray, blocked_words: np.ndarray | None
     ) -> np.ndarray:
-        """Reach words for a packed scenario batch.
+        """The sink rows' reach words for a packed scenario batch.
 
         ``valve_words`` is ``(n_valves, words)`` uint64 (bit ``s`` of word
         ``w`` = valve open in scenario ``64*w + s``), ``blocked_words``
-        optionally ``(n_edges, words)``.  Returns ``(len(rows), words)``
-        (``(n_nodes, words)`` when ``rows`` is ``None``).  Both tiers
+        ``(n_edges, words)`` or ``None`` for no debris.  Returns
+        ``(n_sinks, words)``, rows in the kernel's sink order.  Both tiers
         share this contract, so a tier changes *how* words propagate,
-        never what a scenario or a reading is.  Columns are solved in
-        tiles of :func:`pick_tile_words` words.
+        never what a scenario or a reading is.  The batch is solved as
+        one tile.
         """
-        plan = self.plan
-        width = pick_tile_words(words * 64)
-        n_rows = plan.n_nodes if rows is None else len(rows)
-        out = np.empty((n_rows, words), dtype=np.uint64)
-        for lo in range(0, words, width):
-            hi = min(lo + width, words)
-            blocked_tile = (
-                None if blocked_words is None
-                else np.ascontiguousarray(blocked_words[:, lo:hi])
-            )
-            out[:, lo:hi] = plan.solve(
-                np.ascontiguousarray(valve_words[:, lo:hi]),
-                blocked_tile,
-                hi - lo,
-                rows,
-            )
-        return out
+        return self.plan.solve(valve_words, blocked_words)

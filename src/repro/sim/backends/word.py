@@ -2,10 +2,11 @@
 
 One ``(n_arcs, words)`` conduction matrix, level-synchronous
 ``reach[dst] |= reach[src] & arc_open`` sweeps to a fixpoint via one
-``np.bitwise_or.reduceat`` over the destination-sorted arc table.  Runtime
-is ``O(diameter x arcs x words)``: exact, branch-free, and the reference
-cost model the ``tile`` floor is measured against.  No production path
-runs it; tests attach it with ``kernel.backend = WordBackend(kernel)``.
+``np.bitwise_or.reduceat`` over the destination-sorted arc table, then
+the sink rows.  Runtime is ``O(diameter x arcs x words)``: exact,
+branch-free, and the reference cost model the ``tile`` floor is measured
+against.  No production path runs it; tests attach it with
+``kernel.backend = WordBackend(kernel)``.
 """
 
 from __future__ import annotations
@@ -29,16 +30,13 @@ class WordBackend:
         self.kernel = kernel
 
     def reach_words(
-        self,
-        valve_words: np.ndarray,
-        blocked_words: np.ndarray | None,
-        words: int,
-        rows: np.ndarray | None = None,
+        self, valve_words: np.ndarray, blocked_words: np.ndarray | None
     ) -> np.ndarray:
         """:meth:`TileBackend.reach_words
         <repro.sim.backends.tile.TileBackend.reach_words>`, by sweeps to a
         fixpoint (at most graph-diameter of them)."""
         kernel = self.kernel
+        words = valve_words.shape[1]
         arc_open = np.full((len(kernel._arc_src), words), _FULL, dtype=np.uint64)
         arc_open[kernel._valve_arcs] = valve_words[kernel._valve_arc_ids]
         if blocked_words is not None:
@@ -54,4 +52,4 @@ class WordBackend:
                 if np.array_equal(new, reach[dst]):
                     break
                 reach[dst] = new
-        return reach if rows is None else reach[rows]
+        return reach[kernel._sink_rows]

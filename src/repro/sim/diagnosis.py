@@ -27,7 +27,11 @@ syndrome id)`` rows, starting from the nearest stored ancestor (see
 set in a tier the ancestor holds is judged only on the vectors it lacks,
 and every other set on every vector.  Suite appends, cardinality
 promotions and both at once therefore publish exactly the artifact a
-cold build of the same key would.
+cold build of the same key would, so a build with a store always looks
+for an ancestor; one without a store, or with no ancestor stored, is
+cold.  The sets are enumerated on interned
+:func:`~repro.sim.faults.compatibility_key` values alone: a set is
+diagnosable exactly when no two of its faults share a key.
 
 Construction also **streams**: fault sets are enumerated lazily
 (:func:`iter_fault_sets` and the build share one index enumerator) and
@@ -53,12 +57,7 @@ from typing import Iterable, Iterator, Sequence
 from repro.core.vectors import TestVector
 from repro.fpva.array import FPVA
 from repro.sim.chip import ChipUnderTest
-from repro.sim.faults import (
-    Fault,
-    compatibility_key,
-    fault_universe,
-    faults_compatible,
-)
+from repro.sim.faults import Fault, compatibility_key, fault_universe
 from repro.sim.kernel import BatchEvaluator
 from repro.sim.tester import Tester, TestRunResult
 
@@ -96,38 +95,26 @@ def _index_sets(
     order: the one enumerator behind :func:`iter_fault_sets` and the
     dictionary build's walk over stored rows.
 
-    Faults with distinct :func:`compatibility_key` values are always
-    consistent, so :func:`faults_compatible` only runs on colliding keys.
+    A set is compatible exactly when its faults' :func:`compatibility_key`
+    values are pairwise distinct, so the sets are chosen on interned keys
+    alone.
     """
     n = len(universe)
-    keys = _interned_keys(universe)
+    ids: dict = {}
+    keys = [ids.setdefault(compatibility_key(f), len(ids)) for f in universe]
     for cardinality in range(min_cardinality, max_cardinality + 1):
         if cardinality == 1:
             yield from zip(range(n))
         elif cardinality == 2:
             for i in range(n):
-                key, fault = keys[i], universe[i]
-                partners = [
-                    j
-                    for j in range(i + 1, n)
-                    if keys[j] != key or faults_compatible((fault, universe[j]))
-                ]
+                key = keys[i]
+                partners = [j for j in range(i + 1, n) if keys[j] != key]
                 yield from zip(itertools.repeat(i), partners)
         else:
             for idx in itertools.combinations(range(n), cardinality):
                 a, b, c = idx
-                if (
-                    keys[a] != keys[b] and keys[a] != keys[c] and keys[b] != keys[c]
-                ) or faults_compatible((universe[a], universe[b], universe[c])):
+                if keys[a] != keys[b] and keys[a] != keys[c] and keys[b] != keys[c]:
                     yield idx
-
-
-def _interned_keys(universe: Sequence[Fault]) -> list[int]:
-    """Per-fault :func:`compatibility_key`, interned to small integers."""
-    ids: dict = {}
-    return [
-        ids.setdefault(compatibility_key(f), len(ids)) for f in universe
-    ]
 
 
 def _merged_rows(
@@ -251,7 +238,6 @@ class FaultDictionary:
         chunk_size: int = DEFAULT_CHUNK_SIZE,
         context=None,
         base_digest: str | None = None,
-        incremental: bool = True,
     ):
         if max_cardinality not in (1, 2, 3):
             raise ValueError(
@@ -259,8 +245,6 @@ class FaultDictionary:
             )
         if chunk_size < 1:
             raise ValueError("chunk_size must be positive")
-        if base_digest is not None and not incremental:
-            raise ValueError("base_digest requires incremental builds")
         # Late imports: context and store sit above sim.
         from repro.context import ExecutionContext
         from repro.store import as_store
@@ -321,7 +305,7 @@ class FaultDictionary:
                     self.build_stats = {"mode": "warm"}
                     return
             lineage = self._lineage_meta()
-            if incremental and self.vectors and self.universe:
+            if self.vectors and self.universe:
                 start = self._ancestor(lineage, base_digest)
                 if start is not None:
                     try:

@@ -126,11 +126,6 @@ class ChannelBlocked:
 
 Fault = Union[StuckAt0, StuckAt1, ControlLeak, IntermittentStuckAt, ChannelBlocked]
 
-#: Fault kinds that occupy a valve/channel seat exclusively: a seat carrying
-#: one of these cannot also carry any other seat-level fault (the behaviours
-#: are physically contradictory or indistinguishable compositions).
-_SEAT_EXCLUSIVE = (IntermittentStuckAt, ChannelBlocked)
-
 
 def stuck_at_faults(fpva: FPVA) -> list[Fault]:
     """Both stuck-at faults for every valve."""
@@ -198,56 +193,40 @@ def fault_universe(
 
 
 def faults_compatible(faults: Sequence[Fault]) -> bool:
-    """True if the fault set is physically consistent.
+    """True if the fault set is physically consistent: no two of its
+    faults share a :func:`compatibility_key`.
 
     A single valve cannot be simultaneously stuck-at-0 and stuck-at-1 (a
     flow channel cannot be both permanently blocked and permanently leaking
     at the same valve seat).  Intermittent and blockage faults occupy their
     seat exclusively: stacking one on a seat that already carries any other
-    seat-level fault is rejected.
+    seat-level fault is rejected, since the behaviours are physically
+    contradictory or indistinguishable compositions.  Duplicate faults are
+    rejected too.
     """
-    sa0 = {f.valve for f in faults if isinstance(f, StuckAt0)}
-    sa1 = {f.valve for f in faults if isinstance(f, StuckAt1)}
-    if sa0 & sa1:
-        return False
-    seats: list[Edge] = []
-    for f in faults:
-        if isinstance(f, _SEAT_EXCLUSIVE):
-            seats.append(f.valve if isinstance(f, IntermittentStuckAt) else f.edge)
-    if seats:
-        if len(seats) != len(set(seats)):
-            return False
-        if set(seats) & (sa0 | sa1):
-            return False
-    # Duplicate faults are also rejected.
-    return len(set(faults)) == len(faults)
+    keys = [compatibility_key(f) for f in faults]
+    return len(set(keys)) == len(keys)
 
 
 def compatibility_key(fault: Fault) -> object:
-    """The one array resource :func:`faults_compatible` arbitrates over.
+    """The one array resource a fault occupies.
 
-    Every inconsistency that function rejects — stuck-at-0 against
-    stuck-at-1, seat-exclusive stacking, a seat fault on an already-stuck
-    valve, duplicate faults — requires two faults whose keys compare
-    equal, so a set with pairwise-distinct keys is compatible without
-    further inspection.  Enumeration hot loops use this as an exact
-    prefilter and fall back to :func:`faults_compatible` only on key
-    collisions.
+    A stuck-at or intermittent fault holds its valve's seat, a blockage
+    its flow edge (a valve edge's seat is the valve), and a control leak
+    only itself; :func:`faults_compatible` admits a set exactly when its
+    keys are pairwise distinct, which enumeration hot loops test on
+    interned keys alone.
     """
     if isinstance(fault, (StuckAt0, StuckAt1, IntermittentStuckAt)):
         return fault.valve
-    if isinstance(fault, _SEAT_EXCLUSIVE):
+    if isinstance(fault, ChannelBlocked):
         return fault.edge
     return fault
 
 
 def max_compatible_faults(universe: Iterable[Fault]) -> int:
-    """Size of the largest compatible fault set drawn from ``universe``.
-
-    Faults whose :func:`compatibility_key` compares equal are pairwise
-    incompatible, and faults with distinct keys are compatible, so a chip
-    carries at most one fault per key.
-    """
+    """Size of the largest compatible fault set drawn from ``universe``:
+    a chip carries at most one fault per :func:`compatibility_key`."""
     return len({compatibility_key(f) for f in universe})
 
 

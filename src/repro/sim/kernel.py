@@ -24,12 +24,11 @@ Representation
   scenario, and a node is reached when some arc into it conducts from a
   reached node.
 
-Single queries take the scalar path (:meth:`ReachabilityKernel.readings`),
-a plain BFS over the compiled arrays with int-mask bit tests — no ``Edge``
-hashing, no per-call dict rebuilds, and no per-call buffer allocation (the
-visited map is a hoisted scratch buffer reset in O(visited)).  The test
-generators ask their fault-free questions on ``Edge`` sets through
-:meth:`ReachabilityKernel.meter_readings` and
+Single queries take the scalar path: :meth:`ReachabilityKernel.reach` is
+the one BFS over the compiled adjacency, with int-mask bit tests and no
+``Edge`` hashing, and :meth:`ReachabilityKernel.readings` reads the sink
+flags off it.  The test generators ask their fault-free questions on
+``Edge`` sets through :meth:`ReachabilityKernel.meter_readings` and
 :meth:`ReachabilityKernel.pressurized_nodes`, named and typed like the
 object-graph reference's in ``tests/oracle.py``.
 This module is the one place a fault set becomes an effective state.
@@ -47,11 +46,13 @@ simulated exactly once; :meth:`BatchEvaluator.detects` and
 
 *How* packed words propagate is the job of the kernel's
 :attr:`~ReachabilityKernel.backend`, a :mod:`~repro.sim.backends` tier:
-the ``tile`` tier every batched reading runs through solves diameter-free
-elimination-scheduled passes, and the ``word`` reference tier, which
-tests attach by assignment, sweeps level by level to a fixpoint.  Both
-share this module's compiled CSR arrays and are pinned bit-identical to
-the object-graph reference in ``tests/oracle.py``.
+:meth:`ReachabilityKernel.batch_readings` packs :data:`_CHUNK` scenarios
+(32 words) per pass and the tier returns the sink rows' reach words.  The
+``tile`` tier every batched reading runs through solves each pass as one
+diameter-free elimination-scheduled tile, and the ``word`` reference
+tier, which tests attach by assignment, sweeps level by level to a
+fixpoint.  Both share this module's compiled CSR arrays and are pinned
+bit-identical to the object-graph reference in ``tests/oracle.py``.
 """
 
 from __future__ import annotations
@@ -77,8 +78,8 @@ if TYPE_CHECKING:  # pragma: no cover - annotation-only dependency
     from repro.core.vectors import TestVector
 
 #: Scenarios :meth:`ReachabilityKernel.batch_readings` packs and
-#: propagates per pass, bounding the packed working set.
-_CHUNK = 4096
+#: propagates per pass: 32 words, one tile of the ``tile`` tier.
+_CHUNK = 2048
 _WORD_SHIFTS = np.arange(64, dtype=np.uint64)
 
 
@@ -163,20 +164,9 @@ class ReachabilityKernel:
 
         self._source_idx = tuple(index[p] for p in fpva.sources)
         self.sink_names: tuple[str, ...] = tuple(p.name for p in fpva.sinks)
-        self._sink_rows = np.array(
-            [index[p] for p in fpva.sinks], dtype=np.intp
-        )
-        sink_pos = [-1] * self.n_nodes
-        for j, p in enumerate(fpva.sinks):
-            sink_pos[index[p]] = j
-        self._sink_pos = tuple(sink_pos)
+        self._sink_idx = tuple(index[p] for p in fpva.sinks)
+        self._sink_rows = np.array(self._sink_idx, dtype=np.intp)
         self.n_sinks = len(self.sink_names)
-
-        #: Scalar-path scratch: visited flags reused across queries and
-        #: reset by one memset — replaces the per-call bytearray/deque
-        #: allocation on size-1 workloads like adaptive diagnosis.
-        self._scalar_seen = bytearray(self.n_nodes)
-        self._scalar_zero = bytes(self.n_nodes)
         return index
 
     def _install_arcs(self, arcs: Sequence[tuple[int, int, int, int]]) -> None:
@@ -316,95 +306,34 @@ class ReachabilityKernel:
     def reach(self, open_mask: int, blocked_mask: int = 0) -> bytearray:
         """Per-node reachability flags for one scenario.
 
-        Uses the hoisted visited buffer (returning a fresh copy) and
-        resets it with one C-level memset instead of re-allocating per
-        query.  Iterating the frontier list while appending to it is the
-        allocation-free BFS idiom: the ``for`` iterator sees pushed nodes.
+        A BFS over the compiled adjacency: iterating the frontier list
+        while appending to it visits every pushed node once.
         """
-        seen = self._scalar_seen
+        seen = bytearray(self.n_nodes)
         queue = [*self._source_idx]
         for s in queue:
             seen[s] = 1
         out = self._out
         push = queue.append
-        if blocked_mask:
-            for u in queue:
-                for w, vi, ei in out[u]:
-                    if seen[w]:
-                        continue
-                    if vi >= 0 and not (open_mask >> vi) & 1:
-                        continue
-                    if ei >= 0 and (blocked_mask >> ei) & 1:
-                        continue
-                    seen[w] = 1
-                    push(w)
-        else:
-            for u in queue:
-                for w, vi, _ in out[u]:
-                    if seen[w]:
-                        continue
-                    if vi >= 0 and not (open_mask >> vi) & 1:
-                        continue
-                    seen[w] = 1
-                    push(w)
-        result = bytearray(seen)
-        seen[:] = self._scalar_zero
-        return result
+        for u in queue:
+            for w, vi, ei in out[u]:
+                if (
+                    seen[w]
+                    or (vi >= 0 and not (open_mask >> vi) & 1)
+                    or (ei >= 0 and (blocked_mask >> ei) & 1)
+                ):
+                    continue
+                seen[w] = 1
+                push(w)
+        return seen
 
     def readings(self, open_mask: int, blocked_mask: int = 0) -> dict[str, bool]:
-        """Sink readings for one scenario, keyed by port name.
-
-        Early-exits once every meter has been reached, like the reference
-        BFS.  The visited buffer is the hoisted shared scratch — reset by
-        one memset on the way out — and the common ``blocked_mask == 0``
-        case (every stuck-at query adaptive diagnosis issues) runs a
-        specialized loop without the per-arc blocked test; the
-        allocation-free fast path is pinned by the scalar micro-benchmark.
-        """
-        n_sinks = self.n_sinks
-        hits = [False] * n_sinks
-        seen = self._scalar_seen
-        queue = [*self._source_idx]
-        for s in queue:
-            seen[s] = 1
-        out = self._out
-        sink_pos = self._sink_pos
-        found = 0
-        push = queue.append
-        if blocked_mask:
-            for u in queue:
-                for w, vi, ei in out[u]:
-                    if seen[w]:
-                        continue
-                    if vi >= 0 and not (open_mask >> vi) & 1:
-                        continue
-                    if ei >= 0 and (blocked_mask >> ei) & 1:
-                        continue
-                    seen[w] = 1
-                    sp = sink_pos[w]
-                    if sp >= 0:
-                        hits[sp] = True
-                        found += 1
-                    push(w)
-                if found == n_sinks:
-                    break
-        else:
-            for u in queue:
-                for w, vi, _ in out[u]:
-                    if seen[w]:
-                        continue
-                    if vi >= 0 and not (open_mask >> vi) & 1:
-                        continue
-                    seen[w] = 1
-                    sp = sink_pos[w]
-                    if sp >= 0:
-                        hits[sp] = True
-                        found += 1
-                    push(w)
-                if found == n_sinks:
-                    break
-        seen[:] = self._scalar_zero
-        return dict(zip(self.sink_names, hits))
+        """Sink readings for one scenario, keyed by port name: the sink
+        flags of :meth:`reach`."""
+        seen = self.reach(open_mask, blocked_mask)
+        return {
+            name: seen[i] == 1 for name, i in zip(self.sink_names, self._sink_idx)
+        }
 
     def meter_readings(self, open_valves: Iterable[Edge]) -> dict[str, bool]:
         """Fault-free pressure reading at every sink port, keyed by port
@@ -430,7 +359,7 @@ class ReachabilityKernel:
 
         Returns ``(len(scenarios), n_sinks)`` bool, columns in
         :attr:`sink_names` order.  Scenarios are packed :data:`_CHUNK` at
-        a time, and :attr:`backend` propagates each chunk's words.
+        a time, and :attr:`backend` returns each chunk's sink rows.
         """
         if not scenarios:
             return np.zeros((0, self.n_sinks), dtype=bool)
@@ -458,12 +387,7 @@ class ReachabilityKernel:
                 edge_words = _pack_words(blocked_bool)
             # Looked up per chunk, never bound once: a tracer may wrap a
             # tier's reach_words on its class after this kernel built it.
-            reach = self.backend.reach_words(
-                _pack_words(open_bool),
-                edge_words,
-                (len(batch) + 63) // 64,
-                rows=self._sink_rows,
-            )
+            reach = self.backend.reach_words(_pack_words(open_bool), edge_words)
             parts.append(_unpack_words(reach, len(batch)))
         return np.concatenate(parts, axis=0) if len(parts) > 1 else parts[0]
 

@@ -11,6 +11,8 @@ exact equality against them:
   pipeline :class:`~repro.sim.kernel.CompiledFaultSet` replays on masks;
   :func:`object_tester` applies chips through it and
   :class:`ObjectSimulator`;
+* :func:`faults_compatible` — the fault-kind rules the one-key-per-fault
+  :func:`repro.sim.faults.faults_compatible` replaced;
 * :class:`ReferenceDictionary` — one full-suite simulation per fault set,
   and full-suite diagnosis by syndrome lookup;
 * :func:`run_trials` — the chip-at-a-time campaign loop, drawing fault
@@ -81,7 +83,6 @@ from repro.sim.faults import (
     StuckAt0,
     StuckAt1,
     fault_universe,
-    faults_compatible,
     untestable_leak_pairs,
 )
 from repro.sim.tester import Tester, VectorOutcome
@@ -183,6 +184,28 @@ class ObjectSimulator:
                     found += 1
                 queue.append(w)
         return readings
+
+
+def faults_compatible(faults: Sequence[Fault]) -> bool:
+    """:func:`repro.sim.faults.faults_compatible` by fault-kind rules: no
+    valve both stuck-at-0 and stuck-at-1, an intermittent or blockage
+    fault alone on its seat, and no duplicate fault."""
+    sa0 = {f.valve for f in faults if isinstance(f, StuckAt0)}
+    sa1 = {f.valve for f in faults if isinstance(f, StuckAt1)}
+    if sa0 & sa1:
+        return False
+    seats: list[Edge] = []
+    for f in faults:
+        if isinstance(f, IntermittentStuckAt):
+            seats.append(f.valve)
+        elif isinstance(f, ChannelBlocked):
+            seats.append(f.edge)
+    if seats:
+        if len(seats) != len(set(seats)):
+            return False
+        if set(seats) & (sa0 | sa1):
+            return False
+    return len(set(faults)) == len(faults)
 
 
 def effective_state(chip: ChipUnderTest, vector):

@@ -27,7 +27,6 @@ from repro.sim.backends import (
     WordBackend,
     availability,
     default_backend,
-    pick_tile_words,
 )
 from repro.sim.kernel import BatchEvaluator, ReachabilityKernel
 
@@ -122,13 +121,13 @@ class TestBackendEquivalence:
             } == sim.pressurized_nodes(opened, blocked=blocked)
 
     def test_odd_batch_widths(self, fpva, tier):
-        """Non-multiple-of-64 batches exercise the padded tail word; 2,113
-        scenarios are a 32-word tile plus a 2-word one, and 4,097 cross
-        the kernel's 4,096-scenario chunk."""
+        """Non-multiple-of-64 batches exercise the padded tail word; 2,048
+        scenarios fill one 32-word pass exactly, 2,049 and 2,113 cross the
+        kernel's 2,048-scenario chunk, and 4,097 takes three passes."""
         kernel = _kernel_on(fpva, tier)
         ref_kernel = _kernel_on(fpva, WordBackend)
         rng = random.Random(3)
-        for size in (1, 63, 64, 65, 130, 2113, 4097):
+        for size in (1, 63, 64, 65, 130, 2048, 2049, 2113, 4097):
             scenarios = _random_scenarios(kernel, rng, size)[:size]
             assert np.array_equal(
                 kernel.batch_readings(scenarios),
@@ -170,24 +169,13 @@ class TestRegistry:
         adopted = ExecutionContext(fpva, kernel=word).kernel
         assert adopted is word and isinstance(adopted.backend, WordBackend)
 
-    def test_pick_tile_words(self):
-        # Small batches fit one tile exactly; huge batches cap at 32 words.
-        assert pick_tile_words(1) == 1
-        assert pick_tile_words(64) == 1
-        assert pick_tile_words(65) == 2
-        assert pick_tile_words(256) == 4
-        assert pick_tile_words(257) == 5
-        assert pick_tile_words(1024) == 16
-        assert pick_tile_words(4096) == 32
-        assert pick_tile_words(10**6) == 32
-
 
 class TestBackendObjects:
     def test_tile_plan_compiles_once(self, fpva):
         kernel = ReachabilityKernel(fpva)
         kernel.batch_readings([(0, 0), (1, 0)])
         tier, plan = kernel.backend, kernel.backend.plan
-        # 5,000 scenarios cross the 4,096-scenario chunk and a 32-word tile.
+        # 5,000 scenarios cross the 2,048-scenario chunk twice.
         kernel.batch_readings([(3, 0)] * 5000)
         assert kernel.backend is tier and tier.plan is plan
 
@@ -200,9 +188,9 @@ class TestBackendObjects:
         original = TileBackend.reach_words
         widths = []
 
-        def probe(self, valve_words, blocked_words, words, rows=None):
-            widths.append(words)
-            return original(self, valve_words, blocked_words, words, rows=rows)
+        def probe(self, valve_words, blocked_words):
+            widths.append(valve_words.shape[1])
+            return original(self, valve_words, blocked_words)
 
         monkeypatch.setattr(TileBackend, "reach_words", probe)
         scenarios = _random_scenarios(kernel, random.Random(9), 100)

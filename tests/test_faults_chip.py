@@ -1,9 +1,13 @@
 """Fault model and chip-under-test semantics."""
 
+import itertools
+import random
+
 import pytest
 
+import oracle
 from repro.engine import get_scenario, scenario_names
-from repro.fpva import full_layout
+from repro.fpva import full_layout, table1_layout
 from repro.fpva.geometry import Cell, edge_between
 from repro.sim import (
     ChipUnderTest,
@@ -18,7 +22,15 @@ from repro.sim import (
     faulty_valves,
     stuck_at_faults,
 )
+from repro.sim.diagnosis import iter_fault_sets
 from repro.sim.faults import compatibility_key, max_compatible_faults
+
+#: The arrays the compatibility rule is pinned on, built on demand.
+COMPAT_LAYOUTS = {
+    "full-3x3": lambda: full_layout(3, 3),
+    "full-4x4": lambda: full_layout(4, 4),
+    "table1-5x5": lambda: table1_layout(5),
+}
 
 
 class TestFaultUniverse:
@@ -61,6 +73,56 @@ class TestFaultUniverse:
         for extra in universe:
             if extra not in one_per_key:
                 assert not faults_compatible(one_per_key + [extra])
+
+    @pytest.mark.parametrize("scenario_name", scenario_names())
+    @pytest.mark.parametrize("layout", sorted(COMPAT_LAYOUTS))
+    def test_key_rule_matches_the_kind_rules(self, layout, scenario_name):
+        """One fault per key is exactly the fault-kind rules of the
+        reference: on every pair (a fault with itself included) and on
+        random 3- to 5-fault draws, duplicates included."""
+        universe = get_scenario(scenario_name).universe(COMPAT_LAYOUTS[layout]())
+        for pair in itertools.combinations_with_replacement(universe, 2):
+            assert faults_compatible(pair) == oracle.faults_compatible(pair), pair
+        by_key: dict = {}
+        for fault in universe:
+            by_key.setdefault(compatibility_key(fault), []).append(fault)
+        groups = list(by_key.values())
+        rng = random.Random(f"{layout}/{scenario_name}")
+        verdicts = set()
+        for _ in range(1500):
+            k = rng.randint(3, 5)
+            # Drawing with replacement from about k key groups makes
+            # shared keys and duplicates common; the whole universe
+            # mostly gives compatible sets.
+            pool = universe
+            if rng.random() < 0.7:
+                few = rng.sample(groups, min(len(groups), rng.randint(2, k + 1)))
+                pool = [fault for group in few for fault in group]
+            faults = rng.choices(pool, k=k)
+            verdict = faults_compatible(faults)
+            assert verdict == oracle.faults_compatible(faults), faults
+            verdicts.add(verdict)
+        assert verdicts == {True, False}
+
+    @pytest.mark.parametrize("scenario_name", scenario_names())
+    def test_enumeration_matches_the_kind_rules(self, scenario_name):
+        """The dictionary's pairs and triples, chosen on keys alone, are
+        the compatible sets of the reference rules in enumeration order."""
+        universe = get_scenario(scenario_name).universe(full_layout(3, 3))
+        assert list(iter_fault_sets(universe, 2)) == [
+            (fault,) for fault in universe
+        ] + [
+            pair
+            for pair in itertools.combinations(universe, 2)
+            if oracle.faults_compatible(pair)
+        ]
+        first = list(dict.fromkeys(map(compatibility_key, universe)))[:6]
+        dense = [f for f in universe if compatibility_key(f) in first]
+        assert list(iter_fault_sets(dense, 3, min_cardinality=3)) == [
+            triple
+            for triple in itertools.combinations(dense, 3)
+            if oracle.faults_compatible(triple)
+        ]
 
     def test_faulty_valves(self, tiny):
         a, b, c = tiny.valves[:3]

@@ -104,6 +104,7 @@ def eval_probe(monkeypatch):
 
 
 def _assert_identical(delta, cold, store_a, store_b):
+    assert cold.build_stats["mode"] == "cold"
     assert _table_key(delta) == _table_key(cold)
     assert delta.digest == cold.digest
     assert _canonical_artifact(store_a, delta.digest) == _canonical_artifact(
@@ -136,7 +137,7 @@ class TestDeltaBitIdentity:
         cold_store = ArtifactStore(tmp_path / "b")
         cold = FaultDictionary(
             fpva, vectors, universe=universe, max_cardinality=2,
-            store=cold_store, incremental=False,
+            store=cold_store,
         )
         assert cold.build_stats["mode"] == "cold"
         assert simulated < cold.build_stats["simulated_scenarios"]
@@ -166,7 +167,7 @@ class TestDeltaBitIdentity:
         cold_store = ArtifactStore(tmp_path / "b")
         cold = FaultDictionary(
             fpva, vectors, universe=universe, max_cardinality=2,
-            store=cold_store, incremental=False,
+            store=cold_store,
         )
         _assert_identical(delta, cold, store, cold_store)
         # Distinct-scenario counts can tie when every singles-tier scenario
@@ -214,7 +215,7 @@ class TestDeltaBitIdentity:
         cold_store = ArtifactStore(root / "b")
         cold = FaultDictionary(
             fpva, target, universe=universe, max_cardinality=cardinality,
-            store=cold_store, incremental=False,
+            store=cold_store,
         )
         _assert_identical(delta, cold, store, cold_store)
 
@@ -249,7 +250,7 @@ class TestDeltaBitIdentity:
         cold_store = ArtifactStore(root / "b")
         cold = FaultDictionary(
             fpva, vectors, universe=small, max_cardinality=3,
-            store=cold_store, incremental=False,
+            store=cold_store,
         )
         _assert_identical(delta, cold, store, cold_store)
 
@@ -275,7 +276,7 @@ class TestDeltaBitIdentity:
         cold_store = ArtifactStore(tmp_path / "b")
         cold = FaultDictionary(
             fpva, vectors, universe=universe, max_cardinality=2,
-            store=cold_store, incremental=False,
+            store=cold_store,
         )
         _assert_identical(delta, cold, store, cold_store)
 
@@ -335,23 +336,6 @@ class TestDeltaFallbacks:
         fpva, vectors, _ = bundle
         with pytest.raises(ValueError, match="artifact store"):
             FaultDictionary(fpva, vectors, base_digest="abc")
-        with pytest.raises(ValueError, match="incremental"):
-            FaultDictionary(
-                fpva, vectors, base_digest="abc", incremental=False
-            )
-
-    def test_incremental_false_is_cold(self, bundle, tmp_path):
-        fpva, vectors, universe = bundle
-        store = ArtifactStore(tmp_path)
-        FaultDictionary(
-            fpva, vectors[:-1], universe=universe, max_cardinality=1,
-            store=store,
-        )
-        forced = FaultDictionary(
-            fpva, vectors, universe=universe, max_cardinality=1,
-            store=store, incremental=False,
-        )
-        assert forced.build_stats["mode"] == "cold"
 
     def test_different_universe_never_reuses(self, bundle, tmp_path):
         fpva, vectors, universe = bundle
