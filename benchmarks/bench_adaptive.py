@@ -13,11 +13,12 @@ identical before any time is compared.  Floors: >=7x at 8x8 card-2,
 >=10x at 10x10 card-2 on a hierarchical suite (``REPRO_BENCH_FULL=1``
 only); 8x8 card-1 is recorded without a floor.  ``REPRO_BENCH_SMOKE=1``
 runs 5x5 card-2 alone, floored at >=2x.  Results are written to
-``BENCH_adaptive.json``.
+``BENCH_adaptive.json`` (override with ``REPRO_BENCH_ADAPTIVE_JSON``).
 """
 
 from __future__ import annotations
 
+import os
 import random
 import time
 
@@ -31,7 +32,7 @@ from repro.sim import ChipUnderTest, FaultDictionary
 from repro.sim.faults import stuck_at_faults
 from tests import oracle
 
-BENCH_JSON = "BENCH_adaptive.json"
+BENCH_JSON = os.environ.get("REPRO_BENCH_ADAPTIVE_JSON", "BENCH_adaptive.json")
 
 #: (array size, dictionary cardinality, path strategy, speedup floor).
 #: Recorded on a 2-core container: 19.6x at 8x8 card-2, 25.8x at 10x10

@@ -129,9 +129,14 @@ def _bench_campaign(fpva, vectors, trials):
 
     t0 = time.perf_counter()  # kernel compile is part of the batched cost
     evaluator = BatchEvaluator(Tester(fpva).kernel, vectors)
-    rows = [evaluator.slot_row(faults) for faults in chips]
+    position = {fault: i for i, fault in enumerate(universe)}
+    rows = evaluator.slot_rows(
+        universe, [[position[f] for f in faults] for faults in chips]
+    )
     evaluator.flush()
-    kernel_syndromes = [evaluator.syndrome(row) for row in rows]
+    kernel_syndromes = [
+        evaluator.syndrome(pattern) for pattern in evaluator.patterns(rows).tolist()
+    ]
     t_kernel = time.perf_counter() - t0
 
     assert kernel_syndromes == legacy_syndromes

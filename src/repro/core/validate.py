@@ -195,8 +195,8 @@ def audit_two_fault_detection(
         chunk = index_sets[lo : lo + DEFAULT_CHUNK_SIZE]
         rows = evaluator.slot_rows(universe, chunk)
         evaluator.flush()
-        for idx, row in zip(chunk, rows):
-            if not evaluator.detects(row):
+        for idx, hit in zip(chunk, evaluator.detects(rows).tolist()):
+            if not hit:
                 missed = audit.singles_missed if len(idx) == 1 else audit.pairs_missed
                 missed.append(tuple(universe[i] for i in idx))
     return audit

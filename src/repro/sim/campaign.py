@@ -237,9 +237,10 @@ def run_shard(
     One RNG stream seeded by ``seed`` draws every chip from ``universe``
     (:func:`campaign_universe`): through ``scenario.sample`` when a
     :class:`repro.engine.scenarios.FaultScenario` is given, else through
-    :func:`sample_fault_set`.  Every chip is slotted into ``evaluator``
-    (a :class:`~repro.sim.kernel.BatchEvaluator` on the suite), which
-    canonicalizes it to per-vector effective-state masks and
+    :func:`sample_fault_set`.  The shard's chips go to ``evaluator`` (a
+    :class:`~repro.sim.kernel.BatchEvaluator` on the suite) in one
+    :meth:`~repro.sim.kernel.BatchEvaluator.slot_rows` call, which
+    canonicalizes them to per-vector effective-state masks and
     deduplicates them; one flush then simulates the whole shard, 64
     scenarios per machine word.  A chip is detected iff *any* vector
     reads off-expectation, so the result is bit-identical to applying
@@ -259,16 +260,18 @@ def run_shard(
     result = CampaignResult(num_faults=num_faults, trials=trials, detected=0)
     # Draw everything, simulate once.
     drawn = [draw() for _ in range(trials)]
-    rows = []
+    faults_seen: dict = {}  # the shard's distinct faults, as slot_rows' universe
+    index_sets = []
     for faults in drawn:
         # Same physical-consistency gate ChipUnderTest applies
         # (scenarios are expected to sample compatible sets).
         if not faults_compatible(faults):
             raise ValueError(f"incompatible fault set: {tuple(faults)}")
-        rows.append(evaluator.slot_row(faults))
+        index_sets.append([faults_seen.setdefault(f, len(faults_seen)) for f in faults])
+    rows = evaluator.slot_rows(list(faults_seen), index_sets)
     evaluator.flush()
-    for trial, (faults, row) in enumerate(zip(drawn, rows)):
-        if evaluator.detects(row):
+    for trial, (faults, hit) in enumerate(zip(drawn, evaluator.detects(rows).tolist())):
+        if hit:
             result.detected += 1
         elif len(result.undetected_examples) < KEEP_UNDETECTED:
             result.undetected_examples.append(faults)

@@ -11,15 +11,16 @@ Construction cost is dominated by repeated reachability simulation, and
 most fault sets induce states the suite has already seen — a stuck-at-0 on
 a valve a vector commands closed changes nothing, and thousands of double
 faults collapse onto the same effective ``(open, blocked)`` masks.  The
-build therefore canonicalizes every (fault set, vector) pair to its
-effective-state masks (:meth:`BatchEvaluator.slot_rows
+build therefore runs on arrays, a chunk of fault sets at a time: it
+canonicalizes every (fault set, vector) pair to its effective-state
+masks in one broadcast (:meth:`BatchEvaluator.slot_rows
 <repro.sim.kernel.BatchEvaluator.slot_rows>`), simulates each
 **distinct** scenario exactly once through the compiled bitmask kernel
-(64 scenarios per machine word), and assembles syndromes from the shared
-slot table (:meth:`~repro.sim.kernel.BatchEvaluator.syndrome`).  The
-tables equal the one-chip-at-a-time reference build in
-``tests/oracle.py`` (asserted by the equivalence property tests and
-``benchmarks/bench_kernel.py``).
+(64 scenarios per machine word), reads each set's observation pattern
+(:meth:`~repro.sim.kernel.BatchEvaluator.patterns`) and assembles one
+syndrome per distinct pattern.  The tables equal the
+one-chip-at-a-time reference build in ``tests/oracle.py`` (asserted by
+the equivalence property tests and ``benchmarks/bench_kernel.py``).
 
 Every build is **one pass** over canonical ``(universe indices, stored
 syndrome id)`` rows, starting from the nearest stored ancestor (see
@@ -33,9 +34,10 @@ cold.  The sets are enumerated on interned
 :func:`~repro.sim.faults.compatibility_key` values alone: a set is
 diagnosable exactly when no two of its faults share a key.
 
-Construction also **streams**: fault sets are enumerated lazily
-(:func:`iter_fault_sets` and the build share one index enumerator) and
-evaluated in bounded-size chunks, so the double-fault universe is never
+Construction also **streams**: fault sets are enumerated lazily, as
+index blocks (:func:`iter_fault_sets` and the build share one
+enumerator), and evaluated in bounded-size chunks, so the double-fault
+universe is never
 materialized as one list, and — when a
 :class:`~repro.store.ArtifactStore` is supplied — each chunk of detected
 sets is appended to the on-disk artifact as it is produced.  A later
@@ -49,10 +51,11 @@ from __future__ import annotations
 
 import contextlib
 import gc
-import itertools
 from collections import defaultdict
 from dataclasses import dataclass
 from typing import Iterable, Iterator, Sequence
+
+import numpy as np
 
 from repro.core.vectors import TestVector
 from repro.fpva.array import FPVA
@@ -80,73 +83,139 @@ def iter_fault_sets(
     by cardinality, so the cardinality-``c`` enumeration is an exact
     *prefix* of the cardinality-``c+1`` one — the property incremental
     cardinality promotion leans on; ``min_cardinality`` starts the
-    stream at a later tier.  The sets are :func:`_index_sets` mapped onto
-    the universe, the same enumeration the dictionary build walks.
+    stream at a later tier.  The sets are :func:`_index_blocks` mapped
+    onto the universe, the same enumeration the dictionary build walks.
     """
     get = universe.__getitem__
-    for idx in _index_sets(universe, max_cardinality, min_cardinality):
-        yield tuple(map(get, idx))
+    for block in _index_blocks(universe, max_cardinality, min_cardinality):
+        yield from zip(*(map(get, column) for column in block.T.tolist()))
 
 
-def _index_sets(
+def _index_blocks(
     universe: Sequence[Fault], max_cardinality: int, min_cardinality: int = 1
-) -> Iterator[tuple[int, ...]]:
-    """Universe-index tuples of every diagnosable fault set, in canonical
-    order: the one enumerator behind :func:`iter_fault_sets` and the
-    dictionary build's walk over stored rows.
+) -> Iterator[np.ndarray]:
+    """Universe-index rows of every diagnosable fault set, in canonical
+    order, as ``(sets, cardinality)`` blocks: the one enumerator behind
+    :func:`iter_fault_sets` and the dictionary build.
 
-    A set is compatible exactly when its faults' :func:`compatibility_key`
-    values are pairwise distinct, so the sets are chosen on interned keys
-    alone.
+    A set is compatible exactly when its faults'
+    :func:`compatibility_key` values are pairwise distinct, so the sets
+    are chosen on interned keys alone: a block holds the pairs or the
+    triples of one first fault.
     """
     n = len(universe)
     ids: dict = {}
-    keys = [ids.setdefault(compatibility_key(f), len(ids)) for f in universe]
+    keys = np.array(
+        [ids.setdefault(compatibility_key(f), len(ids)) for f in universe],
+        dtype=np.intp,
+    )
     for cardinality in range(min_cardinality, max_cardinality + 1):
         if cardinality == 1:
-            yield from zip(range(n))
+            yield np.arange(n, dtype=np.intp)[:, None]
         elif cardinality == 2:
             for i in range(n):
-                key = keys[i]
-                partners = [j for j in range(i + 1, n) if keys[j] != key]
-                yield from zip(itertools.repeat(i), partners)
+                j = np.flatnonzero(keys[i + 1 :] != keys[i]) + (i + 1)
+                yield np.column_stack((np.full_like(j, i), j))
         else:
-            for idx in itertools.combinations(range(n), cardinality):
-                a, b, c = idx
-                if keys[a] != keys[b] and keys[a] != keys[c] and keys[b] != keys[c]:
-                    yield idx
+            for i in range(n):
+                rest = np.flatnonzero(keys[i + 1 :] != keys[i]) + (i + 1)
+                first, second = np.triu_indices(len(rest), 1)
+                j, k = rest[first], rest[second]
+                keep = keys[j] != keys[k]
+                yield np.column_stack((np.full_like(j[keep], i), j[keep], k[keep]))
 
 
-def _merged_rows(
-    stored: Iterable[tuple[tuple[int, ...], int]],
+def _chunked(blocks: Iterable[np.ndarray], size: int) -> Iterator[np.ndarray]:
+    """Re-cut index blocks into chunks of ``size`` sets (the last may be
+    shorter), each padded with ``-1`` to its widest set."""
+    parts: list[np.ndarray] = []
+    count = 0
+    for block in blocks:
+        while len(block):
+            take = block[: size - count]
+            block = block[len(take) :]
+            parts.append(take)
+            count += len(take)
+            if count == size:
+                yield _stacked(parts)
+                parts, count = [], 0
+    if parts:
+        yield _stacked(parts)
+
+
+def _stacked(parts: list[np.ndarray]) -> np.ndarray:
+    width = max(part.shape[1] for part in parts)
+    out = np.full((sum(map(len, parts)), width), -1, dtype=np.intp)
+    row = 0
+    for part in parts:
+        out[row : row + len(part), : part.shape[1]] = part
+        row += len(part)
+    return out
+
+
+def _canonical_keys(sets: np.ndarray, base: int) -> np.ndarray:
+    """One int64 per ``-1``-padded index row, increasing along the
+    canonical enumeration: the cardinality, then the indices, as digits
+    in base ``len(universe) + 1`` (exact below 2**20 faults)."""
+    keys = (sets >= 0).sum(axis=1, dtype=np.int64)
+    for k in range(3):
+        keys = keys * base + (sets[:, k] + 1 if k < sets.shape[1] else 0)
+    return keys
+
+
+def _held_chunks(
+    stored: Iterable[tuple[np.ndarray, np.ndarray]],
     universe: Sequence[Fault],
     held: int,
+    size: int,
     path,
-) -> Iterator[tuple[tuple[int, ...], int]]:
+) -> Iterator[tuple[np.ndarray, np.ndarray]]:
     """The sets of an ancestor's ``held`` tiers, with its stored rows merged in.
 
-    Yields ``(universe indices, stored syndrome id)`` in canonical
-    enumeration order, with id ``-1`` for a set the ancestor holds no row
-    for (it went undetected).  Stored rows that are not an ordered
-    subsequence of the enumeration raise
+    Yields ``(sets, ids)`` chunks in canonical enumeration order: ``ids``
+    holds each set's stored syndrome id, or ``-1`` for a set the ancestor
+    holds no row for (it went undetected).  ``stored`` yields the
+    ancestor's ``(rows, ids)`` chunks.  Stored rows that are not an
+    ordered subsequence of the enumeration raise
     :class:`~repro.store.ArtifactCorruptionError` against ``path``.
     """
-    rows = iter(stored)
-    row = next(rows, None)
-    for idx in _index_sets(universe, held):
-        if row is not None and row[0] == idx:
-            yield row
-            row = next(rows, None)
-        else:
-            yield idx, -1
-    if row is not None:
-        from repro.store import ArtifactCorruptionError
+    from repro.store import ArtifactCorruptionError
 
-        raise ArtifactCorruptionError(
+    def corrupt():
+        return ArtifactCorruptionError(
             path,
             "stored fault-set rows are not a subsequence of the "
             "canonical enumeration",
         )
+
+    base = len(universe) + 1
+    chunks = iter(stored)
+    keys = np.zeros(0, dtype=np.int64)  # stored rows read, not yet merged
+    ids = np.zeros(0, dtype=np.intp)
+    last = -1
+    for sets in _chunked(_index_blocks(universe, held), size):
+        enumerated = _canonical_keys(sets, base)
+        top = enumerated[-1]
+        while not len(keys) or keys[-1] <= top:
+            chunk = next(chunks, None)
+            if chunk is None:
+                break
+            more = _canonical_keys(chunk[0], base)
+            if len(more) and (more[0] <= last or (np.diff(more) <= 0).any()):
+                raise corrupt()
+            last = more[-1] if len(more) else last
+            keys = np.concatenate((keys, more))
+            ids = np.concatenate((ids, chunk[1]))
+        take = np.searchsorted(keys, top, side="right")
+        at = np.searchsorted(enumerated, keys[:take])
+        if (enumerated[at] != keys[:take]).any():
+            raise corrupt()
+        found = np.full(len(sets), -1, dtype=np.intp)
+        found[at] = ids[:take]
+        keys, ids = keys[take:], ids[take:]
+        yield sets, found
+    if len(keys) or next(chunks, None) is not None:
+        raise corrupt()
 
 
 @contextlib.contextmanager
@@ -170,15 +239,6 @@ def _collector_paused() -> Iterator[None]:
     finally:
         gc.enable()
         gc.collect()
-
-
-def _iter_chunks(iterable: Iterable, size: int) -> Iterator[list]:
-    it = iter(iterable)
-    while True:
-        chunk = list(itertools.islice(it, size))
-        if not chunk:
-            return
-        yield chunk
 
 
 @dataclass
@@ -381,20 +441,26 @@ class FaultDictionary:
 
     @_collector_paused()
     def _build(self, start: "_Ancestor", lineage: dict | None) -> None:
-        """Build the table in one pass over canonical ``(indices, id)`` rows.
+        """Build the table in one pass over canonical ``(sets, ids)`` chunks.
 
         Every diagnosable fault set is visited once, in canonical order:
         first the tiers ``start`` holds, with its stored rows merged in
-        (:func:`_merged_rows`), then the tiers it lacks.  A held set is
+        (:func:`_held_chunks`), then the tiers it lacks.  A held set is
         judged only on the vectors the ancestor lacks, and its carried
         syndrome entries merge with the new ones in suite order; every
         other set is judged on every vector.  A cold build is the same pass
         from the empty ancestor, which holds no tier and lacks every
-        vector.  Streams: each chunk of sets is canonicalized
-        (:meth:`BatchEvaluator.slot_rows`), its distinct scenarios are
-        simulated, and its detected sets are folded into the table and the
-        store's writer before the next chunk is enumerated, so peak memory
-        is bounded by the chunk size plus the *distinct* scenario pool.
+        vector.
+
+        Each chunk is judged on arrays and streamed: its sets are
+        canonicalized (:meth:`BatchEvaluator.slot_rows`), its new distinct
+        scenarios simulated, and each set's observation pattern read
+        (:meth:`BatchEvaluator.patterns`).  A syndrome is assembled, and a
+        stored one merged, once per distinct ``(stored id, pattern)``
+        key, and the chunk's detected sets reach the table and the
+        store's writer a syndrome group at a time before the next chunk is
+        enumerated, so peak memory is bounded by the chunk size plus the
+        *distinct* scenario pool.
 
         The published artifact is complete and self-contained under the
         target digest, and its table entries, interned syndrome order and
@@ -402,6 +468,8 @@ class FaultDictionary:
         incremental property tests).  The evaluators are private to the
         build, so their scenario pools are freed with it.
         """
+        from repro.store.dictionaries import extend_buckets
+
         universe = self.universe
         kernel = self._context.kernel
         held = start.cardinality
@@ -424,53 +492,79 @@ class FaultDictionary:
                 },
             )
             if start.digest is not None:
-                stored = dicts.iter_rows(start.digest)
+                stored = dicts.iter_chunks(start.digest, len(finals))
                 path = dicts.path_for(start.digest)
         stages = (
             (
                 BatchEvaluator(kernel, [self.vectors[i] for i in start.lacking]),
-                _merged_rows(stored, universe, held, path),
+                _held_chunks(stored, universe, held, self.chunk_size, path),
             ),
             (
                 new,
-                zip(
-                    _index_sets(universe, self.max_cardinality, held + 1),
-                    itertools.repeat(-1),
+                (
+                    (sets, np.full(len(sets), -1, dtype=np.intp))
+                    for sets in _chunked(
+                        _index_blocks(universe, self.max_cardinality, held + 1),
+                        self.chunk_size,
+                    )
                 ),
             ),
         )
         table = self._table
-        get = universe.__getitem__
+        buckets: list[list] = []  # the table's values, in syndrome-id order
+        syndrome_ids: dict = {}
+        faults = np.fromiter(universe, dtype=object, count=len(universe))
         reused = 0
+
+        def judge(evaluator: BatchEvaluator, key: list[int]) -> int:
+            """The table's syndrome id for one ``(stored id, *pattern)``
+            key, or -1 for a set no vector detects."""
+            stored_id, syndrome = key[0], evaluator.syndrome(key[1:])
+            if stored_id >= 0:
+                if syndrome:
+                    merged = sorted([
+                        *start.carried[stored_id],
+                        *((position[e[0]], e) for e in syndrome),
+                    ])
+                    syndrome = tuple(entry for _, entry in merged)
+                else:
+                    syndrome = finals[stored_id]
+            elif not syndrome:
+                return -1  # undetectable sets cannot be diagnosed
+            found = syndrome_ids.get(syndrome)
+            if found is None:
+                found = syndrome_ids[syndrome] = len(buckets)
+                buckets.append(table[syndrome])
+                if writer is not None:
+                    writer.intern(syndrome)
+            return found
+
         try:
-            for evaluator, rows in stages:
+            for evaluator, chunks in stages:
                 # The last stage's sets are the tiers the ancestor lacks.
                 promoted_from = self.total_fault_sets
-                judged: dict = {}  # distinct slot row -> its syndrome
-                for chunk in _iter_chunks(rows, self.chunk_size):
-                    slot_rows = evaluator.slot_rows(
-                        universe, [idx for idx, _ in chunk]
-                    )
+                judged: dict[bytes, int] = {}  # key bytes -> syndrome id
+                for sets, ids in chunks:
+                    slots = evaluator.slot_rows(universe, sets)
                     evaluator.flush()
-                    for (idx, sid), row in zip(chunk, slot_rows):
-                        syndrome = judged.get(row)
-                        if syndrome is None:
-                            syndrome = judged[row] = evaluator.syndrome(row)
-                        if sid >= 0:
-                            reused += 1
-                            if syndrome:
-                                merged = sorted([
-                                    *start.carried[sid],
-                                    *((position[e[0]], e) for e in syndrome),
-                                ])
-                                syndrome = tuple(entry for _, entry in merged)
-                            else:
-                                syndrome = finals[sid]
-                        elif not syndrome:
-                            continue  # undetectable sets cannot be diagnosed
-                        table[syndrome].append(tuple(map(get, idx)))
-                        if writer is not None:
-                            writer.add(idx, syndrome)
+                    keys = np.column_stack(
+                        (ids, evaluator.patterns(slots))
+                    ).astype(np.int32)
+                    found = []
+                    for r, key in enumerate(
+                        keys.view(f"V{keys.itemsize * keys.shape[1]}").ravel().tolist()
+                    ):
+                        sid = judged.get(key)
+                        if sid is None:
+                            sid = judged[key] = judge(evaluator, keys[r].tolist())
+                        found.append(sid)
+                    row_ids = np.array(found, dtype=np.intp)
+                    reused += int(np.count_nonzero(ids >= 0))
+                    detected = row_ids >= 0
+                    sets, row_ids = sets[detected], row_ids[detected]
+                    extend_buckets(buckets, faults, sets, row_ids)
+                    if writer is not None:
+                        writer.extend(sets, row_ids)
             self.build_stats = {"mode": "cold"}
             if start.digest is not None:
                 self.build_stats = {

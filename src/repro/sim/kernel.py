@@ -36,17 +36,20 @@ This module is the one place a fault set becomes an effective state.
 fault to masks, and :class:`CompiledFaultSet` defines the fault model on
 masks; :meth:`ReachabilityKernel.compile_faults` builds one for a chip,
 which the :class:`~repro.sim.tester.Tester` applies vector by vector, and
-:meth:`BatchEvaluator.slot_rows` to many fault sets over a suite:
-stuck-ats and blockages compose there by bit arithmetic over the decoded
-masks, and a set with a control leak or an intermittent fault goes
-through :class:`CompiledFaultSet`.  :class:`BatchEvaluator` memoizes
-distinct ``(open, blocked)`` scenarios so equivalent fault sets are
-simulated exactly once; :meth:`BatchEvaluator.detects` and
-:meth:`BatchEvaluator.syndrome` judge a simulated slot row.
+:meth:`BatchEvaluator.slot_rows` applies it to many fault sets over a
+suite on arrays: each stuck-at and blockage set ORs and ANDs its faults'
+decoded mask words in one ``(sets x vectors x words)`` broadcast, and a
+set with a control leak or an intermittent fault takes its rows from a
+:class:`CompiledFaultSet`.  :class:`BatchEvaluator` interns the rows,
+one sort per call, into one memo of distinct ``(open, blocked)``
+scenarios, so equivalent fault sets are simulated exactly once; its
+verdicts (:meth:`BatchEvaluator.detects`,
+:meth:`BatchEvaluator.patterns`) compare readout codes with the suite's
+expected codes on arrays.
 
 *How* packed words propagate is the job of the kernel's
 :attr:`~ReachabilityKernel.backend`, a :mod:`~repro.sim.backends` tier:
-:meth:`ReachabilityKernel.batch_readings` packs :data:`_CHUNK` scenarios
+:meth:`ReachabilityKernel.row_readings` packs :data:`_CHUNK` scenarios
 (32 words) per pass and the tier returns the sink rows' reach words.  The
 ``tile`` tier every batched reading runs through solves each pass as one
 diameter-free elimination-scheduled tile, and the ``word`` reference
@@ -57,6 +60,7 @@ bit-identical to the object-graph reference in ``tests/oracle.py``.
 
 from __future__ import annotations
 
+import itertools
 from functools import cached_property
 from typing import TYPE_CHECKING, Iterable, Sequence
 
@@ -77,10 +81,12 @@ from repro.sim.faults import (
 if TYPE_CHECKING:  # pragma: no cover - annotation-only dependency
     from repro.core.vectors import TestVector
 
-#: Scenarios :meth:`ReachabilityKernel.batch_readings` packs and
+#: Scenarios :meth:`ReachabilityKernel.row_readings` packs and
 #: propagates per pass: 32 words, one tile of the ``tile`` tier.
 _CHUNK = 2048
 _WORD_SHIFTS = np.arange(64, dtype=np.uint64)
+#: Odd multiplier of :func:`_unique_rows`' row hash (the 64-bit golden ratio).
+_HASH_MIX = np.uint64(0x9E3779B97F4A7C15)
 
 
 def _pack_words(bools: np.ndarray) -> np.ndarray:
@@ -105,6 +111,72 @@ def _unpack_words(words: np.ndarray, batch: int) -> np.ndarray:
     k = words.shape[0]
     bits = (words[:, :, None] >> _WORD_SHIFTS[None, None, :]) & np.uint64(1)
     return bits.reshape(k, -1)[:, :batch].T.astype(bool)
+
+
+def _row_bits(words: np.ndarray, count: int) -> np.ndarray:
+    """``(n, width)`` uint64 mask rows → their ``(n, count)`` low bits."""
+    return np.unpackbits(
+        np.ascontiguousarray(words).view(np.uint8),
+        axis=1,
+        count=count,
+        bitorder="little",
+    )
+
+
+def _mask_words(masks: Iterable[int], width: int) -> np.ndarray:
+    """Nonnegative int masks → a ``(len, width)`` uint64 row each: bit ``i``
+    of a mask is bit ``i % 64`` of word ``i // 64``."""
+    size = itertools.repeat(8 * width)
+    blob = b"".join(map(int.to_bytes, masks, size, itertools.repeat("little")))
+    return np.frombuffer(blob, dtype=np.uint64).reshape(-1, width)
+
+
+def _unique_rows(rows: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The distinct rows of a 2-D integer array, by one sort.
+
+    Returns ``(first, inverse)``: ``rows[first]`` are the distinct rows in
+    first-occurrence order, and ``inverse[r]`` is row ``r``'s position
+    among them.  The rows are sorted on one 64-bit hash of their nonzero
+    columns, so equal rows end up adjacent; should two different rows
+    that share a hash meet, the batch is sorted on all its columns
+    instead.  Either way the groups are exact.
+    """
+    n = len(rows)
+    keys = rows[:, np.flatnonzero(np.bitwise_or.reduce(rows, axis=0))]
+    hashes = np.zeros(n, dtype=np.uint64)
+    for column in keys.T:
+        hashes ^= column.astype(np.uint64, copy=False)
+        hashes *= _HASH_MIX
+        hashes ^= hashes >> np.uint64(29)
+    order = np.argsort(hashes)
+    srt = keys[order]
+    head = np.ones(n, dtype=bool)
+    np.any(srt[1:] != srt[:-1], axis=1, out=head[1:])
+    sorted_hashes = hashes[order]
+    if (head[1:] & (sorted_hashes[1:] == sorted_hashes[:-1])).any():
+        order = np.lexsort(keys.T)
+        srt = keys[order]
+        np.any(srt[1:] != srt[:-1], axis=1, out=head[1:])
+    starts = np.flatnonzero(head)
+    first = np.minimum.reduceat(order, starts) if n else order
+    rank = np.argsort(first)
+    relabel = np.empty_like(rank)
+    relabel[rank] = np.arange(len(rank), dtype=np.intp)
+    inverse = np.empty(n, dtype=np.intp)
+    inverse[order] = relabel[np.cumsum(head) - 1]
+    return first[rank], inverse
+
+
+def _index_array(index_sets) -> np.ndarray:
+    """Fault sets as a ``(sets, width)`` universe-index array, each row
+    padded with ``-1`` to the widest set."""
+    if isinstance(index_sets, np.ndarray):
+        return index_sets
+    sets = [tuple(idx) for idx in index_sets]
+    out = np.full((len(sets), max(map(len, sets), default=0)), -1, dtype=np.intp)
+    for r, idx in enumerate(sets):
+        out[r, : len(idx)] = idx
+    return out
 
 
 class ReachabilityKernel:
@@ -156,6 +228,9 @@ class ReachabilityKernel:
         }
         self.n_valves = len(self.valve_index)
         self.n_edges = len(self.edge_index)
+        # Words per open and per blocked mask in a scenario row.
+        self._open_width = (self.n_valves + 63) // 64 or 1
+        self._blocked_width = (self.n_edges + 63) // 64 or 1
 
         # Precomputed single-bit ints: valve_mask/edge_mask OR these instead
         # of shifting per element (hot on dense cut-set open sets).
@@ -355,41 +430,40 @@ class ReachabilityKernel:
 
     # -- batched path (64 scenarios per word) ------------------------------
     def batch_readings(self, scenarios: Sequence[tuple[int, int]]) -> np.ndarray:
-        """Sink readings for ``(open_mask, blocked_mask)`` int-mask pairs.
+        """Sink readings for ``(open_mask, blocked_mask)`` int-mask pairs:
+        :meth:`row_readings` of their scenario rows."""
+        return self.row_readings(
+            np.hstack((
+                _mask_words((m for m, _ in scenarios), self._open_width),
+                _mask_words((b for _, b in scenarios), self._blocked_width),
+            ))
+        )
 
-        Returns ``(len(scenarios), n_sinks)`` bool, columns in
-        :attr:`sink_names` order.  Scenarios are packed :data:`_CHUNK` at
-        a time, and :attr:`backend` returns each chunk's sink rows.
+    def row_readings(self, rows: np.ndarray) -> np.ndarray:
+        """Sink readings for scenario rows.
+
+        ``rows`` is ``(n, open words + blocked words)`` uint64: a scenario's
+        open mask in the kernel's first ``ceil(n_valves / 64)`` words, its
+        blocked mask in the rest, bit ``i`` of a mask in bit ``i % 64`` of
+        word ``i // 64``.  Returns ``(n, n_sinks)`` bool, columns in
+        :attr:`sink_names` order.  Rows are transposed into scenario words
+        :data:`_CHUNK` at a time, and :attr:`backend` returns each pass's
+        sink rows.
         """
-        if not scenarios:
-            return np.zeros((0, self.n_sinks), dtype=bool)
-        stride_v = (self.n_valves + 7) // 8 or 1
-        stride_e = (self.n_edges + 7) // 8 or 1
-        parts = []
-        for lo in range(0, len(scenarios), _CHUNK):
-            batch = scenarios[lo : lo + _CHUNK]
-            opens = b"".join(m.to_bytes(stride_v, "little") for m, _ in batch)
-            open_bool = np.unpackbits(
-                np.frombuffer(opens, np.uint8).reshape(len(batch), stride_v),
-                axis=1,
-                bitorder="little",
-                count=self.n_valves,
-            ).astype(bool)
+        out = np.empty((len(rows), self.n_sinks), dtype=bool)
+        width = self._open_width
+        for lo in range(0, len(rows), _CHUNK):
+            batch = np.ascontiguousarray(rows[lo : lo + _CHUNK])
+            valve_words = _pack_words(_row_bits(batch[:, :width], self.n_valves))
+            blocked = batch[:, width:]
             edge_words = None
-            if any(b for _, b in batch):
-                blks = b"".join(b.to_bytes(stride_e, "little") for _, b in batch)
-                blocked_bool = np.unpackbits(
-                    np.frombuffer(blks, np.uint8).reshape(len(batch), stride_e),
-                    axis=1,
-                    bitorder="little",
-                    count=self.n_edges,
-                ).astype(bool)
-                edge_words = _pack_words(blocked_bool)
-            # Looked up per chunk, never bound once: a tracer may wrap a
+            if blocked.any():
+                edge_words = _pack_words(_row_bits(blocked, self.n_edges))
+            # Looked up per pass, never bound once: a tracer may wrap a
             # tier's reach_words on its class after this kernel built it.
-            reach = self.backend.reach_words(_pack_words(open_bool), edge_words)
-            parts.append(_unpack_words(reach, len(batch)))
-        return np.concatenate(parts, axis=0) if len(parts) > 1 else parts[0]
+            reach = self.backend.reach_words(valve_words, edge_words)
+            out[lo : lo + len(batch)] = _unpack_words(reach, len(batch))
+        return out
 
     def toggled_readings(
         self, base_mask: int, valves: Sequence[Edge], set_bit: bool
@@ -548,18 +622,23 @@ class CompiledFaultSet:
 
 
 class BatchEvaluator:
-    """Scenario dedup + batched evaluation over one vector suite.
+    """Scenario dedup + batched evaluation over one vector suite, on arrays.
 
-    Each distinct ``(open, blocked)`` mask pair is assigned a *slot* and
-    simulated exactly once; consumers record a :meth:`slot_row` per fault
-    set, call :meth:`flush`, then read verdicts (:meth:`detects`, or a
-    :meth:`syndrome`) back.
+    Each distinct ``(open, blocked)`` scenario is assigned a *slot* and
+    simulated exactly once.  :meth:`slot_rows` canonicalizes fault sets
+    to ``(sets, vectors)`` slot arrays and registers every new scenario,
+    :meth:`flush` simulates them, and the verdicts are read back on
+    arrays: :meth:`detects` per set, or the observation :meth:`patterns`
+    a dictionary build interns its syndromes on.
 
-    A vector whose expectations do not name exactly the array's sinks
-    fails under every scenario — the verdict
-    :attr:`~repro.sim.tester.VectorOutcome.passed` gives, since the
-    observed readings always name exactly the sinks.  Its
-    :attr:`expected_rows` entry is ``None``.
+    A flushed slot keeps a *readout code*: the id of its sink readings
+    among the distinct readings this evaluator has met, the suite's
+    expected readings first.  A vector reads as expected exactly when its
+    slot's code is its expected code.  A vector whose expectations do not
+    name exactly the array's sinks fails under every scenario — the
+    verdict :attr:`~repro.sim.tester.VectorOutcome.passed` gives, since
+    the observed readings always name exactly the sinks — so its expected
+    code is ``-1``, which no readout has.
     """
 
     def __init__(self, kernel: ReachabilityKernel, vectors: Sequence[TestVector]):
@@ -569,163 +648,221 @@ class BatchEvaluator:
         self.commanded_masks = tuple(
             kernel.valve_mask(v.open_valves) for v in self.vectors
         )
-        sink_set = set(kernel.sink_names)
-        self.expected_rows = tuple(
-            tuple(bool(v.expected[name]) for name in kernel.sink_names)
-            if set(v.expected) == sink_set
-            else None
-            for v in self.vectors
-        )
+        self._commanded = _mask_words(self.commanded_masks, kernel._open_width)
         self._sorted_sinks = tuple(
             sorted(range(kernel.n_sinks), key=lambda j: kernel.sink_names[j])
         )
-        self._memo: dict[tuple[int, int], int] = {}
-        self._pending: list[tuple[int, int]] = []
-        self._readings: np.ndarray | None = None
-        self._observed: list[tuple[bool, ...] | None] = []
-        self._items: list[tuple | None] = []
+        #: Scenario row bytes -> slot; slots count up in insertion order.
+        self._memo: dict[bytes, int] = {}
+        #: Row bytes of the slots registered since the last flush.
+        self._pending: list[bytes] = []
+        self._flushed = 0
+        #: Readout code per flushed slot, grown geometrically.
+        self._codes = np.zeros(_CHUNK, dtype=np.int32)
+        #: Packed readings -> readout code (codes count up in insertion
+        #: order), and per code its ``tuple(sorted(observed.items()))``.
+        self._readout_ids: dict[bytes, int] = {}
+        self._items: list[tuple] = []
         #: ``(intermittent fault, vector name) -> fires``, shared by every
         #: :class:`CompiledFaultSet` this evaluator compiles.
         self._fires: dict = {}
+        sinks = kernel.sink_names
+        complete = [
+            vi for vi, v in enumerate(self.vectors) if set(v.expected) == set(sinks)
+        ]
+        expected = np.array(
+            [[bool(self.vectors[vi].expected[s]) for s in sinks] for vi in complete],
+            dtype=bool,
+        ).reshape(len(complete), kernel.n_sinks)
+        self._expected = np.full(len(self.vectors), -1, dtype=np.int32)
+        self._expected[complete] = self._readout_codes(expected)
 
     @property
     def distinct_scenarios(self) -> int:
         return len(self._memo)
 
+    @property
+    def pending_scenarios(self) -> int:
+        """Scenarios registered and not yet simulated by :meth:`flush`."""
+        return len(self._memo) - self._flushed
+
     def slot(self, open_mask: int, blocked_mask: int) -> int:
         """Slot id for a scenario, registering it for the next flush."""
-        key = (open_mask, blocked_mask)
+        kernel = self.kernel
+        key = open_mask.to_bytes(8 * kernel._open_width, "little")
+        key += blocked_mask.to_bytes(8 * kernel._blocked_width, "little")
         s = self._memo.get(key)
         if s is None:
-            s = len(self._memo)
-            self._memo[key] = s
+            s = self._memo[key] = len(self._memo)
             self._pending.append(key)
         return s
 
-    def slot_row(self, faults: Sequence[Fault]) -> tuple[int, ...]:
-        """Per-vector scenario slots for one fault set, registering every
-        new scenario for the next :meth:`flush` (:meth:`slot_rows` of the
-        one set)."""
-        return self.slot_rows(faults, (range(len(faults)),))[0]
+    def slot_rows(self, universe: Sequence[Fault], index_sets) -> np.ndarray:
+        """Per-vector scenario slots of each fault set
+        ``[universe[i] for i in idx]``, as a ``(sets, vectors)`` array;
+        every new scenario is registered for the next :meth:`flush`.
 
-    def slot_rows(
-        self, universe: Sequence[Fault], index_sets: Iterable[Sequence[int]]
-    ) -> list[tuple[int, ...]]:
-        """:meth:`slot_row` of each fault set ``[universe[i] for i in idx]``.
-
-        This is the bulk form of the fault model.  Each fault's masks are
-        decoded once per call, so a chunk of sets over one universe pays
-        one decode per fault, not one per set member.
-        Stuck-ats and blockages compose their
-        :meth:`ReachabilityKernel.fault_masks` by bit arithmetic: a
-        vector's open mask is ``(commanded | sa1) & keep``, exactly what
+        ``index_sets`` is a sequence of index tuples, or a ``(sets,
+        width)`` integer array padded with ``-1``.  This is the bulk form
+        of the fault model.  Each fault of ``universe`` is decoded once
+        into ``sa1``/``keep``/``blocked`` word rows
+        (:meth:`ReachabilityKernel.fault_masks`; the ``-1`` padding
+        indexes a neutral row), and a stuck-at or blockage set's rows are
+        one broadcast over sets x vectors: a vector's open mask is
+        ``(commanded | OR sa1) & AND keep``, exactly what
         :meth:`CompiledFaultSet.effective_masks` computes for such a set.
-        A set holding a control leak or an intermittent fault is compiled
-        to a :class:`CompiledFaultSet` instead, sharing this evaluator's
-        intermittent-firing cache.
+        A set holding a control leak or an intermittent fault takes its
+        rows from a :class:`CompiledFaultSet`, sharing this evaluator's
+        intermittent-firing cache.  All rows are then interned at once.
         """
-        masks = [self.kernel.fault_masks(fault) for fault in universe]
-        commanded = self.commanded_masks
-        memo = self._memo
-        pending = self._pending
-        rows = []
-        for idx in index_sets:
-            opens, sa1, keep, blocked = commanded, 0, -1, 0
-            for i in idx:
-                fault_masks = masks[i]
-                if fault_masks is None:
-                    # The compiled set's effective open masks replace the
-                    # commanded ones, leaving nothing to compose below.
-                    compiled = CompiledFaultSet(
-                        self.kernel, [universe[j] for j in idx], self._fires
-                    )
-                    opens = [
-                        compiled.effective_masks(c, name)[0]
-                        for c, name in zip(commanded, self.vector_names)
-                    ]
-                    sa1, keep, blocked = 0, -1, compiled.blocked_mask
-                    break
-                sa1 |= fault_masks[0]
-                keep &= fault_masks[1]
-                blocked |= fault_masks[2]
-            row = []
-            for c in opens:  # slot(), inlined: one pass per (set, vector)
-                key = ((c | sa1) & keep, blocked)
-                slot = memo.get(key)
-                if slot is None:
-                    slot = memo[key] = len(memo)
-                    pending.append(key)
-                row.append(slot)
-            rows.append(tuple(row))
-        return rows
-
-    def detects(self, row: Sequence[int]) -> bool:
-        """Whether a flushed slot row reads off-expectation on any vector:
-        the suite detects the fault set the row was recorded for."""
-        observed = self.observed_row
-        expected = self.expected_rows
-        return any(observed(slot) != expected[vi] for vi, slot in enumerate(row))
-
-    def syndrome(self, row: Sequence[int]) -> tuple:
-        """A flushed slot row's syndrome: ``(vector name, observed items)``
-        for every vector reading off-expectation, in suite order."""
-        names = self.vector_names
-        passed = self.passed
-        items = self.observed_items
-        return tuple(
-            (names[vi], items(slot))
-            for vi, slot in enumerate(row)
-            if not passed(vi, slot)
+        idx = _index_array(index_sets)
+        kernel = self.kernel
+        width = kernel._open_width
+        decoded = [kernel.fault_masks(fault) for fault in universe]
+        # keep masks clear bits of all-ones; as words, of the low words.
+        low = (1 << 64 * width) - 1
+        masks = [m or (0, -1, 0) for m in decoded] + [(0, -1, 0)]
+        tables = [
+            _mask_words((m[0] for m in masks), width),
+            _mask_words((m[1] & low for m in masks), width),
+            _mask_words((m[2] for m in masks), kernel._blocked_width),
+        ]
+        # Fold each set's faults column by column from the neutral row.
+        sa1, keep, blocked = (
+            np.repeat(table[-1:], len(idx), axis=0) for table in tables
         )
+        for column in idx.T:
+            sa1 |= tables[0][column]
+            keep &= tables[1][column]
+            blocked |= tables[2][column]
+        rows = np.empty(
+            (len(idx), len(self.vectors), width + kernel._blocked_width),
+            dtype=np.uint64,
+        )
+        rows[:, :, :width] = (self._commanded[None] | sa1[:, None]) & keep[:, None]
+        rows[:, :, width:] = blocked[:, None]
+        compiled_faults = np.array([m is None for m in decoded] + [False], dtype=bool)
+        compiled_sets = np.flatnonzero(compiled_faults[idx].any(axis=1))
+        opens: list[int] = []
+        blocks: list[int] = []
+        for r in compiled_sets.tolist():
+            compiled = CompiledFaultSet(
+                kernel, [universe[i] for i in idx[r].tolist() if i >= 0], self._fires
+            )
+            opens.extend(
+                compiled.effective_masks(c, name)[0]
+                for c, name in zip(self.commanded_masks, self.vector_names)
+            )
+            blocks.append(compiled.blocked_mask)
+        if blocks:
+            rows[compiled_sets, :, :width] = _mask_words(opens, width).reshape(
+                len(blocks), len(self.vectors), width
+            )
+            rows[compiled_sets, :, width:] = _mask_words(
+                blocks, kernel._blocked_width
+            )[:, None]
+        return self._intern(rows.reshape(-1, rows.shape[2])).reshape(rows.shape[:2])
+
+    def _intern(self, rows: np.ndarray) -> np.ndarray:
+        """Slot of every scenario row: the distinct rows of the batch are
+        looked up in the memo, and the new ones registered for flush."""
+        first, inverse = _unique_rows(rows)
+        distinct = rows[first]
+        keys = distinct.view(f"V{distinct.itemsize * rows.shape[1]}").ravel().tolist()
+        memo = self._memo
+        start = len(memo)
+        slots = np.fromiter(
+            map(memo.get, keys, itertools.repeat(-1)), dtype=np.intp, count=len(keys)
+        )
+        fresh = np.flatnonzero(slots < 0)
+        if fresh.size:
+            slots[fresh] = np.arange(start, start + fresh.size, dtype=np.intp)
+            fresh_keys = map(keys.__getitem__, fresh.tolist())
+            memo.update(zip(fresh_keys, range(start, start + fresh.size)))
+            self._pending.append(distinct[fresh].tobytes())
+        return slots[inverse]
 
     def flush(self) -> None:
-        """Simulate every pending scenario through the kernel."""
-        if not self._pending:
+        """Simulate every pending scenario through the kernel's backend."""
+        fresh = self.pending_scenarios
+        if not fresh:
             return
-        fresh = self.kernel.batch_readings(self._pending)
+        rows = np.frombuffer(b"".join(self._pending), dtype=np.uint64)
         self._pending = []
-        if self._readings is None:
-            self._readings = fresh
-        else:
-            self._readings = np.concatenate([self._readings, fresh], axis=0)
-        grow = self._readings.shape[0] - len(self._observed)
-        self._observed.extend([None] * grow)
-        self._items.extend([None] * grow)
+        codes = self._readout_codes(self.kernel.row_readings(rows.reshape(fresh, -1)))
+        start, end = self._flushed, self._flushed + fresh
+        if end > len(self._codes):
+            grown = np.empty(max(end, 2 * len(self._codes)), dtype=np.int32)
+            grown[:start] = self._codes[:start]
+            self._codes = grown
+        self._codes[start:end] = codes
+        self._flushed = end
 
-    def observed_row(self, slot: int) -> tuple[bool, ...]:
-        """Sink readings of a slot as Python bools, in sink order."""
-        row = self._observed[slot]
-        if row is None:
-            row = self._observed[slot] = tuple(
-                bool(x) for x in self._readings[slot]
-            )
-        return row
+    def _readout_codes(self, readings: np.ndarray) -> np.ndarray:
+        """The readout code of each ``(n, n_sinks)`` readings row,
+        interning the readings not met before."""
+        packed = np.packbits(readings, axis=1, bitorder="little")
+        first, inverse = _unique_rows(packed)
+        names = self.kernel.sink_names
+        codes = []
+        for i in first.tolist():
+            key = packed[i].tobytes()
+            code = self._readout_ids.get(key)
+            if code is None:
+                code = self._readout_ids[key] = len(self._items)
+                row = readings[i].tolist()
+                self._items.append(
+                    tuple((names[j], row[j]) for j in self._sorted_sinks)
+                )
+            codes.append(code)
+        return np.array(codes, dtype=np.int32)[inverse]
 
-    def passed(self, vi: int, slot: int) -> bool:
-        """Whether vector ``vi`` reads as expected under scenario ``slot``."""
-        return self.observed_row(slot) == self.expected_rows[vi]
+    def detects(self, rows) -> np.ndarray:
+        """Whether each flushed slot row reads off-expectation on any
+        vector: the suite detects the fault set the row was recorded for."""
+        return (self._codes[np.asarray(rows)] != self._expected).any(axis=-1)
+
+    def patterns(self, rows) -> np.ndarray:
+        """Observation patterns of flushed slot rows: per vector ``-1``
+        where it reads as expected, else its readout code.  Two sets with
+        one pattern share one :meth:`syndrome`."""
+        codes = self._codes[np.asarray(rows)]
+        return np.where(codes == self._expected, -1, codes)
+
+    def syndrome(self, pattern: Sequence[int]) -> tuple:
+        """One :meth:`patterns` row's syndrome: ``(vector name, observed
+        items)`` for every vector reading off-expectation, in suite
+        order."""
+        names, items = self.vector_names, self._items
+        return tuple(
+            (names[vi], items[code]) for vi, code in enumerate(pattern) if code >= 0
+        )
 
     def failed_grid(self, vi: int, slots) -> np.ndarray:
-        """Vectorized verdicts: does vector ``vi`` fail under each slot?
+        """Does vector ``vi`` fail under each slot?
 
         ``slots`` is any integer array-like of flushed slot ids; the
-        result has the same shape with ``True`` where the observed row
-        differs from the vector's expectation.  Equivalent to mapping
-        ``not passed(vi, slot)`` but without a Python call per slot.
+        result has the same shape with ``True`` where the observed
+        readings differ from the vector's expectation.
         """
-        grid = np.asarray(slots, dtype=np.intp)
-        if self.expected_rows[vi] is None:
-            return np.ones(grid.shape, dtype=bool)
-        expected = np.array(self.expected_rows[vi], dtype=bool)
-        return (self._readings[grid] != expected).any(axis=-1)
+        return self._codes[np.asarray(slots, dtype=np.intp)] != self._expected[vi]
 
-    def observed_items(self, slot: int) -> tuple:
-        """``tuple(sorted(observed.items()))`` — the syndrome signature."""
-        items = self._items[slot]
-        if items is None:
-            row = self.observed_row(slot)
-            names = self.kernel.sink_names
-            items = self._items[slot] = tuple(
-                (names[j], row[j]) for j in self._sorted_sinks
-            )
-        return items
+    def observed(self, slots) -> np.ndarray:
+        """Sink readings of flushed slots, ``(..., n_sinks)`` bool in sink
+        order."""
+        packed = np.frombuffer(b"".join(self._readout_ids), dtype=np.uint8)
+        table = np.unpackbits(
+            packed.reshape(len(self._items), -1),
+            axis=1,
+            count=self.kernel.n_sinks,
+            bitorder="little",
+        ).astype(bool)
+        return table[self._codes[np.asarray(slots, dtype=np.intp)]]
+
+    def scenarios(self) -> list[tuple[int, int]]:
+        """Every interned ``(open, blocked)`` mask pair, in slot order."""
+        cut = 8 * self.kernel._open_width
+        return [
+            (int.from_bytes(key[:cut], "little"), int.from_bytes(key[cut:], "little"))
+            for key in self._memo
+        ]

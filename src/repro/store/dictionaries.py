@@ -19,9 +19,14 @@ as a bitmask over the (sorted) sink names, so a syndrome serializes as
 ``[[vector_id, readout_mask], ...]`` — warm loads spend their time
 parsing integers, not re-reading thousands of repeated port-name strings.
 
-The writer appends chunks as a **streaming** build produces them, so the
-producer never holds more than one chunk of encoded rows.  It publishes
-through the store's one protocol (:mod:`repro.store.integrity`): every
+The writer takes a build's detected sets a chunk at a time
+(:meth:`DictionaryWriter.extend`) and writes them out as
+:data:`CHUNK_ROWS`-row files as a **streaming** build produces them, so
+the producer never holds more than one chunk of encoded rows.  A warm
+load groups every chunk's rows by syndrome id on arrays
+(:func:`extend_buckets`), hashing each syndrome once and building one
+fault tuple per row.  The writer publishes through the store's one
+protocol (:mod:`repro.store.integrity`): every
 payload is written durably into a staged directory as the build goes,
 ``meta.json`` — the completeness marker, recording a BLAKE2b checksum per
 file — lands last, and the directory is renamed into place, so a crashed
@@ -30,7 +35,8 @@ chunk behind the marker.  :class:`DictionaryStore` requires those
 checksums: every read verifies each file's bytes before parsing them, and
 any damage — a mismatch, a torn marker, a marker naming another format
 version, lacking a key or disagreeing with the universe the artifact is
-addressed by — raises :exc:`~repro.store.integrity.ArtifactCorruptionError`,
+addressed by, a chunk row outside that universe or the syndrome table —
+raises :exc:`~repro.store.integrity.ArtifactCorruptionError`,
 which callers convert into quarantine-and-rebuild
 (:class:`~repro.sim.diagnosis.FaultDictionary` re-simulates the table).
 """
@@ -67,27 +73,38 @@ CHUNK_ROWS = 16384
 
 
 def encode_syndromes(syndromes: Iterable) -> dict:
-    """Syndrome tuples → the interned JSON payload (see module docstring)."""
+    """Syndrome tuples → the interned JSON payload (see module docstring).
+
+    Each distinct ``(vector, observed items)`` entry is encoded once, and
+    a readout mask computed once per distinct items tuple.
+    """
     vector_ids: dict[str, int] = {}
     sinks: tuple[str, ...] | None = None
+    masks: dict[tuple, int] = {}
+    pairs: dict[tuple, list[int]] = {}
     encoded = []
     for syndrome in syndromes:
         entries = []
-        for name, items in syndrome:
-            vi = vector_ids.setdefault(name, len(vector_ids))
-            names = tuple(sink for sink, _ in items)
-            if sinks is None:
-                sinks = names
-            elif names != sinks:
-                raise ValueError(
-                    f"inconsistent sink signature in syndromes: "
-                    f"{names} vs {sinks}"
-                )
-            mask = 0
-            for j, (_, val) in enumerate(items):
-                if val:
-                    mask |= 1 << j
-            entries.append([vi, mask])
+        for entry in syndrome:
+            pair = pairs.get(entry)
+            if pair is None:
+                name, items = entry
+                mask = masks.get(items)
+                if mask is None:
+                    names = tuple(sink for sink, _ in items)
+                    if sinks is None:
+                        sinks = names
+                    elif names != sinks:
+                        raise ValueError(
+                            f"inconsistent sink signature in syndromes: "
+                            f"{names} vs {sinks}"
+                        )
+                    mask = masks[items] = sum(
+                        1 << j for j, (_, val) in enumerate(items) if val
+                    )
+                vi = vector_ids.setdefault(name, len(vector_ids))
+                pair = pairs[entry] = [vi, mask]
+            entries.append(pair)
         encoded.append(entries)
     return {
         "vectors": list(vector_ids),
@@ -137,16 +154,83 @@ def _read_syndromes(directory: Path, meta: dict) -> list[tuple]:
 
 
 def _read_chunks(
-    directory: Path, meta: dict
-) -> Iterator[tuple[list[list[int]], list[int]]]:
-    """Each chunk's ``(rows, syndrome ids)``, verified, in append order."""
+    directory: Path, meta: dict, syndromes: int
+) -> Iterator[tuple[np.ndarray, np.ndarray]]:
+    """Each chunk's ``(sets, syndrome ids)`` arrays, verified, in append
+    order.
+
+    Besides each file's checksum, the rows must be what the writer
+    writes: ``cardinality`` universe indices per row, ``-1`` padding
+    trailing, and ids below ``syndromes``, the artifact's syndrome count.
+    """
     checksums = meta["checksums"]
+    cardinality, size = meta["cardinality"], meta["universe_size"]
     for chunk in range(meta["chunks"]):
         name = f"chunk-{chunk:05d}.npz"
-        arrays = read_npz(
-            directory / name, checksums.get(name), ("sets", "syndromes")
+        path = directory / name
+        arrays = read_npz(path, checksums.get(name), ("sets", "syndromes"))
+        sets, sids = arrays["sets"], arrays["syndromes"]
+        held = sets >= 0
+        if (
+            sets.dtype.kind not in "iu"
+            or sids.dtype.kind not in "iu"
+            or sids.ndim != 1
+            or sets.shape != (len(sids), cardinality)
+            or (sets < -1).any()
+            or (sets >= size).any()
+            or not held[:, :1].all()
+            or (held[:, 1:] > held[:, :-1]).any()
+            or (sids < 0).any()
+            or (sids >= syndromes).any()
+        ):
+            raise ArtifactCorruptionError(
+                path, "fault-set rows out of the artifact's range"
+            )
+        yield sets, sids
+
+
+def extend_buckets(
+    buckets: Sequence[list],
+    faults: np.ndarray,
+    sets: np.ndarray,
+    ids: np.ndarray,
+) -> None:
+    """Append each set's fault tuple to bucket ``ids[r]``, in row order.
+
+    ``faults`` is the ordered universe as an object array and ``sets``
+    holds ``-1``-padded universe-index rows (padding trailing).  One stable
+    sort groups the rows by bucket and set size, and each group extends
+    its bucket from 1-D index columns at once, so the per-syndrome
+    candidate order is the rows' order.
+    """
+    if not len(sets):
+        return
+    # Ids that fit 16 bits sort as uint16, which numpy radix-sorts.
+    order = np.argsort(
+        ids.astype(np.uint16) if len(buckets) <= 1 << 16 else ids, kind="stable"
+    )
+    sets, ids = sets[order], ids[order]
+    sizes = (sets >= 0).sum(axis=1)
+    cuts = np.flatnonzero((ids[1:] != ids[:-1]) | (sizes[1:] != sizes[:-1])) + 1
+    starts = [0, *cuts.tolist()]
+    # The rows of each size as fault tuples, in order; a group's rows are
+    # a run of its size's list, from the group's offset in it.
+    tuples: dict[int, list] = {}
+    offsets = np.empty(len(sets), dtype=np.intp)
+    for size in np.flatnonzero(np.bincount(sizes)).tolist():
+        rows = np.flatnonzero(sizes == size)
+        offsets[rows] = np.arange(len(rows), dtype=np.intp)
+        tuples[size] = list(
+            zip(*(faults[sets[rows, k]].tolist() for k in range(size)))
         )
-        yield arrays["sets"].tolist(), arrays["syndromes"].tolist()
+    for lo, hi, at, bucket, size in zip(
+        starts,
+        [*starts[1:], len(sets)],
+        offsets[starts].tolist(),
+        ids[starts].tolist(),
+        sizes[starts].tolist(),
+    ):
+        buckets[bucket].extend(tuples[size][at : at + hi - lo])
 
 
 class DictionaryWriter:
@@ -164,8 +248,9 @@ class DictionaryWriter:
         self._cardinality = cardinality
         self._meta = dict(meta)
         self._syndrome_ids: dict = {}
-        self._rows: list[tuple[int, ...]] = []
-        self._row_syndromes: list[int] = []
+        #: Buffered ``(sets, syndrome ids)`` blocks, ``_buffered`` rows.
+        self._blocks: list[tuple[np.ndarray, np.ndarray]] = []
+        self._buffered = 0
         self._checksums: dict[str, str] = {}
         self._chunks = 0
         self._total = 0
@@ -186,37 +271,47 @@ class DictionaryWriter:
         """Write one artifact file durably, recording its checksum."""
         self._checksums[name] = write_durable(self._tmp / name, payload)
 
-    def add(self, indices: Sequence[int], syndrome: Any) -> None:
-        """Record one detected fault set (universe indices) + its syndrome."""
+    def intern(self, syndrome: Any) -> int:
+        """``syndrome``'s id in this artifact: ids count up in first-seen
+        order."""
         ids = self._syndrome_ids
         sid = ids.get(syndrome)
         if sid is None:
             sid = ids[syndrome] = len(ids)
-        pad = self._cardinality - len(indices)
-        self._rows.append(tuple(indices) + (-1,) * pad)
-        self._row_syndromes.append(sid)
-        if len(self._rows) >= CHUNK_ROWS:
-            self._flush_chunk()
+        return sid
 
-    def _flush_chunk(self) -> None:
-        if not self._rows:
+    def add(self, indices: Sequence[int], syndrome: Any) -> None:
+        """Record one detected fault set (universe indices) + its syndrome."""
+        self.extend(np.array([indices]), np.array([self.intern(syndrome)]))
+
+    def extend(self, sets: np.ndarray, sids: np.ndarray) -> None:
+        """Record detected fault sets in bulk: ``sets`` holds universe-index
+        rows (``-1``-padded), ``sids`` their :meth:`intern` ids."""
+        rows = np.full((len(sets), self._cardinality), -1, dtype=np.int32)
+        rows[:, : sets.shape[1]] = sets
+        self._blocks.append((rows, np.asarray(sids, dtype=np.int32)))
+        self._buffered += len(rows)
+        while self._buffered >= CHUNK_ROWS:
+            self._flush_chunk(CHUNK_ROWS)
+
+    def _flush_chunk(self, rows: int) -> None:
+        """Write the first ``rows`` buffered rows as the next chunk file."""
+        if not rows:
             return
+        sets = np.concatenate([block[0] for block in self._blocks])
+        sids = np.concatenate([block[1] for block in self._blocks])
         buffer = io.BytesIO()
-        np.savez(
-            buffer,
-            sets=np.array(self._rows, dtype=np.int32),
-            syndromes=np.array(self._row_syndromes, dtype=np.int32),
-        )
+        np.savez(buffer, sets=sets[:rows], syndromes=sids[:rows])
         self._write_payload(f"chunk-{self._chunks:05d}.npz", buffer.getvalue())
-        self._total += len(self._rows)
-        self._rows = []
-        self._row_syndromes = []
+        self._blocks = [(sets[rows:], sids[rows:])]
+        self._buffered -= rows
+        self._total += rows
         self._chunks += 1
 
     def commit(self) -> Path:
         """Flush, write the syndrome table and metadata, publish atomically
         (:func:`~repro.store.integrity.publish_dir`)."""
-        self._flush_chunk()
+        self._flush_chunk(self._buffered)
         # Insertion order == id order, so the dict iterates id-sorted.
         self._write_payload(
             "syndromes.json",
@@ -272,29 +367,15 @@ class DictionaryStore(ArtifactDirectory):
             )
         syndromes = _read_syndromes(directory, meta)
         # Table keys are created in syndrome-id (= first-seen) order, and
-        # each row appends through a pre-resolved bucket reference — the
-        # nested syndrome tuples are hashed once per *syndrome*, never per
-        # fault set, which is what keeps warm loads 20x+ under cold builds.
+        # the rows extend pre-resolved buckets a syndrome group at a time
+        # — the nested syndrome tuples are hashed once per *syndrome*,
+        # never per fault set, which is what keeps warm loads 20x+ under
+        # cold builds.
         table: dict = defaultdict(list)
         buckets = [table[syndrome] for syndrome in syndromes]
-        faults = list(universe)
-        cardinality = meta["cardinality"]
-        for rows, sids in _read_chunks(directory, meta):
-            if cardinality == 1:
-                for row, sid in zip(rows, sids):
-                    buckets[sid].append((faults[row[0]],))
-            elif cardinality == 2:
-                for (i, j), sid in zip(rows, sids):
-                    buckets[sid].append(
-                        (faults[i], faults[j]) if j >= 0 else (faults[i],)
-                    )
-            else:
-                # Arbitrary cardinality: strip the -1 padding (trailing by
-                # construction, but filtering is order-preserving either way).
-                for row, sid in zip(rows, sids):
-                    buckets[sid].append(
-                        tuple(faults[i] for i in row if i >= 0)
-                    )
+        faults = np.fromiter(universe, dtype=object, count=len(universe))
+        for sets, sids in _read_chunks(directory, meta, len(syndromes)):
+            extend_buckets(buckets, faults, sets, sids)
         return table
 
     # -- lineage-aware access ---------------------------------------------
@@ -307,21 +388,19 @@ class DictionaryStore(ArtifactDirectory):
         """
         return _read_syndromes(self.path_for(digest), self.meta(digest))
 
-    def iter_rows(self, digest: str) -> Iterator[tuple[tuple[int, ...], int]]:
-        """Stream ``(universe-index tuple, syndrome id)`` rows in append order.
+    def iter_chunks(
+        self, digest: str, syndromes: int
+    ) -> Iterator[tuple[np.ndarray, np.ndarray]]:
+        """Stream ``(sets, syndrome ids)`` chunk arrays in append order.
 
-        Padding (-1) is stripped, so rows compare directly against the
-        canonical fault-set enumeration — the merge-walk the incremental
-        build runs against the ancestor artifact.  Verification is lazy
-        per chunk; corruption surfaces as :exc:`ArtifactCorruptionError`
-        mid-iteration and the caller heals + falls back to a cold build.
+        ``sets`` rows are ``-1``-padded universe indices, and ``syndromes``
+        is the artifact's syndrome count, which every id must stay below —
+        the merge-walk the incremental build runs against the ancestor
+        artifact.  Verification is lazy per chunk; corruption surfaces as
+        :exc:`ArtifactCorruptionError` mid-iteration and the caller heals
+        + falls back to a cold build.
         """
-        for rows, sids in _read_chunks(self.path_for(digest), self.meta(digest)):
-            for row, sid in zip(rows, sids):
-                end = len(row)
-                while end and row[end - 1] < 0:
-                    end -= 1
-                yield tuple(row[:end]), sid
+        yield from _read_chunks(self.path_for(digest), self.meta(digest), syndromes)
 
     def catalog(self) -> list[DictionaryInfo]:
         """Every complete, lineage-bearing artifact in the store.

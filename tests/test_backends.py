@@ -200,6 +200,6 @@ class TestBackendObjects:
         assert widths == [(evaluator.distinct_scenarios + 63) // 64]
         for (open_mask, blocked_mask), slot in zip(scenarios, slots):
             readings = kernel.readings(open_mask, blocked_mask)
-            assert evaluator.observed_row(slot) == tuple(
+            assert evaluator.observed(slot).tolist() == [
                 readings[name] for name in kernel.sink_names
-            )
+            ]

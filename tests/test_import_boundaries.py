@@ -109,7 +109,7 @@ def test_warm_commands_load_the_suite_and_no_scipy(tmp_path):
 def test_one_canonicalizer():
     """``CompiledFaultSet(...)`` is constructed only in ``sim/kernel.py``:
     every other layer turns fault sets into scenario slots through
-    ``BatchEvaluator.slot_row``."""
+    ``BatchEvaluator.slot_rows``."""
     kernel = PACKAGE / "sim" / "kernel.py"
     callers = [
         f"{path.relative_to(SRC)}:{node.lineno}"

@@ -42,7 +42,8 @@ from repro.sim import (
     mix_seed,
     sample_fault_set,
 )
-from repro.sim.kernel import _pack_words, _unpack_words
+from repro.sim.diagnosis import DEFAULT_CHUNK_SIZE
+from repro.sim.kernel import _pack_words, _unique_rows, _unpack_words
 from test_context import _layouts
 from test_integration import small_layouts
 
@@ -82,6 +83,53 @@ class TestPackRoundTrip:
         assert (words[:, 1] == np.uint64(1)).all()
 
 
+class TestUniqueRows:
+    """The scenario interner's dedupe is exact, in first-occurrence order."""
+
+    @staticmethod
+    def _reference(rows):
+        seen: dict = {}
+        inverse = [seen.setdefault(tuple(row), len(seen)) for row in rows.tolist()]
+        first = {}
+        for r, group in enumerate(inverse):
+            first.setdefault(group, r)
+        return [first[g] for g in range(len(seen))], inverse
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        n=st.integers(0, 300),
+        cols=st.integers(1, 4),
+        values=st.sampled_from([2, 5, 2**64 - 1]),
+        zero_cols=st.booleans(),
+        seed=st.integers(0, 2**16),
+    )
+    def test_matches_first_occurrence_reference(
+        self, n, cols, values, zero_cols, seed
+    ):
+        import numpy as np
+
+        rng = np.random.default_rng(seed)
+        rows = rng.integers(0, values, size=(n, cols), dtype=np.uint64)
+        if zero_cols:
+            rows[:, ::2] = 0
+        first, inverse = _unique_rows(rows)
+        assert (first.tolist(), inverse.tolist()) == self._reference(rows)
+
+    def test_hash_collisions_fall_back_to_an_exact_sort(self, monkeypatch):
+        """With every row hashing alike, different rows meet in the hash
+        order, and the full-column sort still groups them exactly."""
+        import numpy as np
+
+        import repro.sim.kernel as kernel_module
+
+        monkeypatch.setattr(kernel_module, "_HASH_MIX", np.uint64(0))
+        rows = np.random.default_rng(4).integers(
+            0, 3, size=(500, 3), dtype=np.uint64
+        )
+        first, inverse = _unique_rows(rows)
+        assert (first.tolist(), inverse.tolist()) == self._reference(rows)
+
+
 def _random_vectors(fpva, rng, count=8):
     """Synthetic vectors with simulator-derived expectations (covers
     layouts the ILP suite generator does not support)."""
@@ -103,8 +151,9 @@ def _random_vectors(fpva, rng, count=8):
 
 
 def _assert_slot_rows_intern_compiled_masks(fpva, rng, compiled_branch):
-    """slot_row interns CompiledFaultSet's masks for every single fault of
-    the mixed universe on the chosen branch, plus random sets of 1-3."""
+    """One bulk slot_rows call interns CompiledFaultSet's masks for every
+    single fault of the mixed universe on the chosen branch, plus random
+    sets of 1-3."""
 
     def complex_kind(faults):
         return any(
@@ -121,9 +170,12 @@ def _assert_slot_rows_intern_compiled_masks(fpva, rng, compiled_branch):
             faults = sample_fault_set(universe, cardinality, rng)
             if complex_kind(faults) == compiled_branch:
                 drawn.append(faults)
-    for faults in drawn:
-        row = evaluator.slot_row(faults)
-        interned = {slot: key for key, slot in evaluator._memo.items()}
+    position = {fault: i for i, fault in enumerate(universe)}
+    rows = evaluator.slot_rows(
+        universe, [[position[f] for f in faults] for faults in drawn]
+    )
+    interned = evaluator.scenarios()
+    for faults, row in zip(drawn, rows.tolist()):
         compiled = CompiledFaultSet(kernel, faults)
         assert [interned[slot] for slot in row] == [
             compiled.effective_masks(mask, vector.name)
@@ -273,12 +325,12 @@ class TestCompiledFaultSetEquivalence:
 
     @pytest.mark.parametrize("compiled_branch", [False, True])
     def test_slot_row_interns_the_compiled_masks(self, arrays, compiled_branch):
-        """slot_row(faults) interns, per vector, the (open, blocked) pair
+        """slot_rows interns, per set and vector, the (open, blocked) pair
         CompiledFaultSet.effective_masks gives.
 
-        Stuck-at/blockage-only sets take slot_row's bit-arithmetic branch;
-        sets holding a control leak or an intermittent fault take its
-        compiled branch.  Both run at cardinalities 1-3, and every single
+        Stuck-at/blockage-only sets take slot_rows' word broadcast; sets
+        holding a control leak or an intermittent fault take its compiled
+        branch.  Both run at cardinalities 1-3, and every single
         fault of the universe is checked on its own.
         """
         rng = random.Random(19)
@@ -310,14 +362,14 @@ class TestCompiledFaultSetEquivalence:
             CompiledFaultSet(kernel, (bogus,))
         with pytest.raises(ValueError):
             ChipUnderTest(fpva, (bogus,))
-        # slot_row raises the same error for a valve or a blocked edge
+        # slot_rows raises the same error for a valve or a blocked edge
         # the kernel lacks.
         evaluator = BatchEvaluator(kernel, _random_vectors(fpva, random.Random(5)))
         for fault in (bogus, ChannelBlocked(other.flow_edges[-1])):
             with pytest.raises(ValueError) as compiled_error:
                 CompiledFaultSet(kernel, (fault,))
             with pytest.raises(ValueError) as slot_row_error:
-                evaluator.slot_row((fault,))
+                evaluator.slot_rows((fault,), [(0,)])
             assert str(slot_row_error.value) == str(compiled_error.value)
 
 
@@ -345,10 +397,19 @@ class TestTesterEquivalence:
 
 
 class TestDictionaryEquivalence:
-    @pytest.mark.parametrize("scenario_name", scenario_names())
-    def test_tables_identical_per_scenario(self, arrays, scenario_name):
+    @pytest.mark.parametrize(
+        "scenario_name, chunk_size",
+        [
+            pytest.param(name, DEFAULT_CHUNK_SIZE, id=name)
+            for name in scenario_names()
+        ]
+        + [pytest.param(name, 7, id=f"{name}-chunk7") for name in scenario_names()],
+    )
+    def test_tables_identical_per_scenario(self, arrays, scenario_name, chunk_size):
         """Kernel-built dictionaries equal the reference ones — same
-        syndromes, same candidate lists, same insertion order."""
+        syndromes, same candidate lists, same insertion order.  Seven-set
+        chunks straddle the singles/pairs boundary and meet scenarios an
+        earlier chunk interned."""
         scenario = get_scenario(scenario_name)
         rng = random.Random(3)
         for fpva in arrays[:2]:
@@ -357,7 +418,11 @@ class TestDictionaryEquivalence:
             sub = rng.sample(universe, min(24, len(universe)))
             kwargs = dict(universe=sub, max_cardinality=2)
             fast = FaultDictionary(
-                fpva, vectors, context=ExecutionContext(fpva), **kwargs
+                fpva,
+                vectors,
+                context=ExecutionContext(fpva),
+                chunk_size=chunk_size,
+                **kwargs,
             )
             ref = oracle.ReferenceDictionary(fpva, vectors, **kwargs)
             assert list(fast._table.items()) == list(ref._table.items())

@@ -93,7 +93,7 @@ def eval_probe(monkeypatch):
         probe.constructed.append(len(self.vectors))
 
     def flush(self):
-        pending = len(self._pending)
+        pending = self.pending_scenarios
         if pending:
             probe.flushed.append((len(self.vectors), pending))
         orig_flush(self)
@@ -366,6 +366,68 @@ class TestDeltaFallbacks:
         assert not store.dictionaries.has(anc.digest)  # quarantined
         assert (Path(store.root) / "dictionaries" / "quarantine").is_dir()
         reference = FaultDictionary(fpva, vectors, universe=universe)
+        assert _table_key(rebuilt) == _table_key(reference)
+
+    def test_unordered_ancestor_rows_heal_then_cold_builds(self, bundle, tmp_path):
+        """Ancestor rows that are not an ordered subsequence of the
+        canonical enumeration fail the merge walk, even under valid
+        checksums: the ancestor is quarantined and the build goes cold."""
+        from repro.store.integrity import data_checksum
+
+        fpva, vectors, universe = bundle
+        store = ArtifactStore(tmp_path)
+        anc = FaultDictionary(
+            fpva, vectors[:-1], universe=universe, max_cardinality=2,
+            store=store,
+        )
+        base = store.dictionaries.path_for(anc.digest)
+        with np.load(io.BytesIO((base / "chunk-00000.npz").read_bytes())) as data:
+            sets, sids = data["sets"].copy(), data["syndromes"].copy()
+        sets[[0, -1]], sids[[0, -1]] = sets[[-1, 0]], sids[[-1, 0]]
+        buffer = io.BytesIO()
+        np.savez(buffer, sets=sets, syndromes=sids)
+        (base / "chunk-00000.npz").write_bytes(buffer.getvalue())
+        meta = json.loads((base / "meta.json").read_text())
+        meta["checksums"]["chunk-00000.npz"] = data_checksum(buffer.getvalue())
+        (base / "meta.json").write_text(json.dumps(meta))
+        _reset_verified_cache()
+        rebuilt = FaultDictionary(
+            fpva, vectors, universe=universe, max_cardinality=2, store=store
+        )
+        assert rebuilt.build_stats["mode"] == "cold"
+        assert not store.dictionaries.has(anc.digest)  # quarantined
+        reference = FaultDictionary(
+            fpva, vectors, universe=universe, max_cardinality=2
+        )
+        assert _table_key(rebuilt) == _table_key(reference)
+
+    @pytest.mark.parametrize(
+        "row, sid",
+        [([16, -1], 0), ([-1, 0], 0), ([0, -2], 0), ([0, 1], 1), ([0, 1], -1)],
+        ids=["index-past-universe", "leading-pad", "bad-pad", "unknown-id", "negative-id"],
+    )
+    def test_rows_outside_the_artifact_heal_on_load(
+        self, bundle, tmp_path, row, sid
+    ):
+        """A checksummed chunk whose rows index past the universe, pad
+        anywhere but the tail, or name no stored syndrome is corruption:
+        the warm load quarantines it and the table is rebuilt cold."""
+        fpva, vectors, universe = bundle
+        store = ArtifactStore(tmp_path)
+        digest = dictionary_digest(fpva, vectors, universe, 2)
+        writer = store.dictionaries.writer(
+            digest, 2, meta={"universe_size": len(universe)}
+        )
+        writer.intern((("v", (("sink", True),)),))
+        writer.extend(np.array([row]), np.array([sid]))
+        writer.commit()
+        rebuilt = FaultDictionary(
+            fpva, vectors, universe=universe, max_cardinality=2, store=store
+        )
+        assert rebuilt.build_stats["mode"] == "cold"
+        reference = FaultDictionary(
+            fpva, vectors, universe=universe, max_cardinality=2
+        )
         assert _table_key(rebuilt) == _table_key(reference)
 
 
