@@ -11,6 +11,15 @@ comparing wall-clock:
   double-fault chips, object-engine ``Tester.run`` per chip (the oracle's
   tester) vs one batched kernel evaluation (compile included).
   Floor: >=3x.
+* **default-universe sweep** — the paper's k = 1..5 sweep over the
+  stuck-at/control-leak universe, 2,000 chips per k, the oracle's
+  chip-at-a-time shards merged vs ``run_sweep`` (compile included),
+  results asserted identical.  Floor: >=5x (2x in smoke mode).
+* **default vs stuck-at dictionary** — the card-2 build over the
+  stuck-at/control-leak universe against the stuck-at-only build of the
+  same suite.  On the 8x8 both simulate the same 145,567 scenarios, so
+  the ratio prices the leak-bearing sets' fold and interning.  Floor:
+  <=5x.
 * **backend tiers** — the 16x16 (and, under ``REPRO_BENCH_FULL=1``, 20x20)
   card-2 dictionary build under the ``word`` reference tier and the
   ``tile`` production tier, tables asserted identical.  Floor: tile >=
@@ -35,7 +44,7 @@ import pytest
 from benchmarks.conftest import BENCH_JSON, FULL, SMOKE, pedantic_once, record
 from repro.context import ExecutionContext
 from repro.core import generate_suite
-from repro.engine import get_scenario
+from repro.engine import get_scenario, run_sweep
 from repro.fpva import full_layout
 from repro.sim import (
     BatchEvaluator,
@@ -43,15 +52,22 @@ from repro.sim import (
     FaultDictionary,
     ReachabilityKernel,
     Tester,
+    merge_shards,
 )
 from repro.sim.backends import TileBackend, WordBackend
-from repro.sim.faults import stuck_at_faults
+from repro.sim.campaign import KEEP_UNDETECTED, shard_plan
+from repro.sim.faults import fault_universe, stuck_at_faults
 from tests import oracle
 
 SIZE = 6 if SMOKE else 8
 DICT_MIN_SPEEDUP = 3.0 if SMOKE else 5.0
 CAMPAIGN_MIN_SPEEDUP = 2.0 if SMOKE else 3.0
 CAMPAIGN_TRIALS = 80 if SMOKE else 300
+SWEEP_COUNTS = (1, 2, 3, 4, 5)
+SWEEP_TRIALS = 200 if SMOKE else 2000
+SWEEP_MIN_SPEEDUP = 2.0 if SMOKE else 5.0
+#: Default-universe card-2 build over the stuck-at-only one, at most.
+UNIVERSE_MAX_RATIO = 5.0
 
 #: Backend-tier bench: arrays large enough that the word sweep's diameter
 #: term dominates (the regime the tile backend removes).  20x20 joins
@@ -128,11 +144,9 @@ def _bench_campaign(fpva, vectors, trials):
     t_legacy = time.perf_counter() - t0
 
     t0 = time.perf_counter()  # kernel compile is part of the batched cost
-    evaluator = BatchEvaluator(Tester(fpva).kernel, vectors)
+    evaluator = BatchEvaluator(Tester(fpva).kernel, vectors, universe)
     position = {fault: i for i, fault in enumerate(universe)}
-    rows = evaluator.slot_rows(
-        universe, [[position[f] for f in faults] for faults in chips]
-    )
+    rows = evaluator.slot_rows([[position[f] for f in faults] for faults in chips])
     evaluator.flush()
     kernel_syndromes = [
         evaluator.syndrome(pattern) for pattern in evaluator.patterns(rows).tolist()
@@ -170,6 +184,102 @@ def test_campaign_throughput_speedup(benchmark, capsys):
             f"chips/s -> {stats['speedup']:.1f}x"
         )
     assert stats["speedup"] >= CAMPAIGN_MIN_SPEEDUP, stats
+
+
+def _bench_default_sweep(fpva, vectors, trials):
+    plan = shard_plan(SWEEP_COUNTS, trials)
+    t0 = time.perf_counter()
+    shards: dict = {k: [] for k in SWEEP_COUNTS}
+    for k, shard, size, seed in plan:
+        shards[k].append((shard, oracle.run_trials(fpva, vectors, k, size, seed)))
+    legacy = {k: merge_shards(k, rows, KEEP_UNDETECTED) for k, rows in shards.items()}
+    t_legacy = time.perf_counter() - t0
+
+    t0 = time.perf_counter()  # kernel compile is part of the batched cost
+    swept = run_sweep(
+        fpva, vectors, fault_counts=SWEEP_COUNTS, trials=trials,
+        context=ExecutionContext(fpva),
+    )
+    t_kernel = time.perf_counter() - t0
+
+    assert {k: r.as_dict() for k, r in swept.items()} == {
+        k: r.as_dict() for k, r in legacy.items()
+    }
+    chips = trials * len(SWEEP_COUNTS)
+    return {
+        "fault_counts": list(SWEEP_COUNTS),
+        "trials_per_count": trials,
+        "universe": len(fault_universe(fpva)),
+        "legacy_seconds": t_legacy,
+        "kernel_seconds": t_kernel,
+        "speedup": t_legacy / t_kernel,
+        "legacy_chips_per_second": chips / t_legacy,
+        "kernel_chips_per_second": chips / t_kernel,
+    }
+
+
+def test_default_universe_sweep_speedup(benchmark, capsys):
+    """Acceptance: >=5x on the k = 1..5 sweep over the default universe."""
+    fpva = full_layout(SIZE, SIZE, name=f"kernel-bench-{SIZE}x{SIZE}")
+    vectors = generate_suite(fpva).all_vectors()
+    stats = pedantic_once(benchmark, _bench_default_sweep, fpva, vectors, SWEEP_TRIALS)
+    benchmark.extra_info.update(stats)
+    record(BENCH_JSON, f"default_universe_sweep_{SIZE}x{SIZE}", stats, CONFIG)
+    with capsys.disabled():
+        print(
+            f"\n{SIZE}x{SIZE} default-universe sweep (k = 1..5 x "
+            f"{stats['trials_per_count']} chips, {stats['universe']} faults): "
+            f"legacy {stats['legacy_seconds']:.2f}s vs kernel "
+            f"{stats['kernel_seconds']:.2f}s -> {stats['speedup']:.1f}x"
+        )
+    assert stats["speedup"] >= SWEEP_MIN_SPEEDUP, stats
+
+
+def _bench_universe_ratio(fpva, vectors, reps=3):
+    """Best-of-``reps`` card-2 builds over both universes, one session."""
+    context = ExecutionContext(fpva)
+    context.kernel  # compiled once, outside the timed builds
+    stats = {}
+    for name, universe in (
+        ("default", fault_universe(fpva)),
+        ("stuck_at", stuck_at_faults(fpva)),
+    ):
+        best = float("inf")
+        for _ in range(reps):
+            t0 = time.perf_counter()
+            built = FaultDictionary(
+                fpva, vectors, universe=universe, max_cardinality=2, context=context
+            )
+            best = min(best, time.perf_counter() - t0)
+        stats[name] = {
+            "faults": len(universe),
+            "fault_sets": built.total_fault_sets,
+            "simulated_scenarios": built.build_stats["simulated_scenarios"],
+            "seconds": best,
+        }
+    stats["default_over_stuck_at"] = (
+        stats["default"]["seconds"] / stats["stuck_at"]["seconds"]
+    )
+    return stats
+
+
+def test_default_universe_dictionary_ratio(benchmark, capsys):
+    """Acceptance: the default-universe card-2 build costs <=5x the
+    stuck-at-only build of the same suite."""
+    fpva = full_layout(SIZE, SIZE, name=f"kernel-bench-{SIZE}x{SIZE}")
+    vectors = generate_suite(fpva).all_vectors()
+    stats = pedantic_once(benchmark, _bench_universe_ratio, fpva, vectors)
+    benchmark.extra_info.update(stats)
+    section = f"default_vs_stuck_at_dictionary_{SIZE}x{SIZE}_card2"
+    record(BENCH_JSON, section, stats, CONFIG)
+    with capsys.disabled():
+        print(
+            f"\n{SIZE}x{SIZE} card-2 dictionary, default universe "
+            f"{stats['default']['seconds']:.2f}s vs stuck-at only "
+            f"{stats['stuck_at']['seconds']:.2f}s -> "
+            f"{stats['default_over_stuck_at']:.2f}x"
+        )
+    assert stats["default_over_stuck_at"] <= UNIVERSE_MAX_RATIO, stats
 
 
 def _bench_backend_tiers(fpva, vectors, sample):

@@ -20,16 +20,16 @@ from repro import (
     full_layout,
 )
 from repro.fpva import Cell
-from repro.sim import CompiledFaultSet
+from repro.sim import FaultFold
 
 
 def ring_intact(kernel, chip, mixer) -> bool:
     """Can fluid still circulate the full mixer ring on this chip?"""
     config = mixer.configuration(kernel.fpva)
     opened = {v for v, s in config.items() if s is ValveState.OPEN}
-    effective, _ = CompiledFaultSet(kernel, chip.faults).effective_masks(
-        kernel.valve_mask(opened)
-    )
+    # The chip's faults folded over one commanded configuration.
+    fold = FaultFold(kernel, chip.faults, ["mixer"], [kernel.valve_mask(opened)])
+    ((effective, _),) = fold.masks(range(len(chip.faults)))
     return all((effective >> kernel.valve_index[v]) & 1 for v in mixer.ring_valves)
 
 

@@ -30,15 +30,12 @@ Every synthesized vector is verified by simulation before it is added.
 Adding vectors is monotone — it can only grow the set of detected fault
 combinations — so one audit/synthesize round suffices.
 
-The quadratic audit is the hot path, and it runs **batched**: for an
-ordered pair ``(SA0(e0), SA1(e1))`` with ``e0 != e1`` the effective open
-mask of vector ``m`` factorizes as ``(m & ~bit(e0)) | bit(e1)``, so per
-vector only ``(opens + 1) x (closeds + 1)`` distinct scenarios exist.
-They are registered through one
-:class:`~repro.sim.kernel.BatchEvaluator` (64 scenarios per machine
-word, deduplicated across vectors) and the full pair-by-pair verdict
-matrix falls out of two fancy-indexing ORs — no per-pair simulation at
-all.  The chip-at-a-time loop it replaced is the reference in
+The quadratic audit is the hot path, and it runs **batched**: every
+ordered pair ``(SA0(e0), SA1(e1))`` with ``e0 != e1`` is one fault set
+of a :class:`~repro.sim.kernel.BatchEvaluator`, which folds and
+deduplicates the pairs' effective states (per vector only ``(opens + 1)
+x (closeds + 1)`` of them are distinct) and simulates each once, 64 per
+machine word.  The chip-at-a-time loop it replaced is the reference in
 ``tests/oracle.py``; both produce identical reports and identical
 synthesized vectors.
 """
@@ -53,6 +50,7 @@ from repro.context import ExecutionContext
 from repro.core.routing import RoutingError, disjoint_route_through, route_valves
 from repro.core.vectors import TestSet, TestVector, VectorKind, vector_from_open_set
 from repro.fpva.array import FPVA
+from repro.sim.diagnosis import DEFAULT_CHUNK_SIZE
 from repro.sim.faults import StuckAt0, StuckAt1
 from repro.sim.kernel import BatchEvaluator, ReachabilityKernel
 from repro.sim.tester import Tester
@@ -80,53 +78,27 @@ def find_masked_stuck_pairs(
     """All undetected ``(SA0, SA1)`` pairs under ``vectors``.
 
     Only mixed-polarity pairs are audited — the monotonicity argument in
-    the module docstring rules the rest out.  The audit is bit-parallel
-    through one evaluator on the session's kernel: it registers each
-    vector's ``(cleared-open, set-closed)`` scenario grid, flushes once,
-    and ORs per-vector failure grids into the full ``valve x valve``
-    detection matrix by fancy indexing (row = which open valve the SA0
-    clears, ``0`` when it clears nothing; column = which closed valve the
-    SA1 sets, ``0`` when it sets nothing).  Pair order and verdicts are
+    the module docstring rules the rest out.  Each ordered pair of
+    distinct valves is one fault set of the ``SA0 + SA1`` universe,
+    judged through one evaluator on the session's kernel, a dictionary
+    chunk of pairs per ``slot_rows`` call.  Pair order and verdicts are
     identical to the serial reference loop.
     """
     kernel = ExecutionContext.resolve(context, fpva).kernel
-    evaluator = BatchEvaluator(kernel, list(vectors))
     valves = list(fpva.valves)
-    n = len(valves)
-    vidx = {v: i for i, v in enumerate(valves)}
-    bit = {v: 1 << kernel.valve_index[v] for v in valves}
-
-    grids: list[tuple[int, list[list[int]], np.ndarray, np.ndarray]] = []
-    slot = evaluator.slot
-    for mi, vec in enumerate(evaluator.vectors):
-        m = evaluator.commanded_masks[mi]
-        open_vs = [v for v in valves if v in vec.open_valves]
-        closed_vs = [v for v in valves if v not in vec.open_valves]
-        r_map = np.zeros(n, dtype=np.intp)
-        for k, v in enumerate(open_vs):
-            r_map[vidx[v]] = k + 1
-        c_map = np.zeros(n, dtype=np.intp)
-        for k, v in enumerate(closed_vs):
-            c_map[vidx[v]] = k + 1
-        grid = []
-        for e0 in (None, *open_vs):
-            m0 = m if e0 is None else m & ~bit[e0]
-            grid.append([slot(m0, 0)] + [slot(m0 | bit[e1], 0) for e1 in closed_vs])
-        grids.append((mi, grid, r_map, c_map))
-    evaluator.flush()
-
-    detected = np.zeros((n, n), dtype=bool)
-    for mi, grid, r_map, c_map in grids:
-        fails = evaluator.failed_grid(mi, grid)
-        detected |= fails[np.ix_(r_map, c_map)]
-    np.fill_diagonal(detected, True)  # e0 == e1 is not an audited pair
-
-    sa0s = [StuckAt0(v) for v in valves]
-    sa1s = [StuckAt1(v) for v in valves]
-    missed = [
-        (sa0s[i0], sa1s[i1]) for i0, i1 in np.argwhere(~detected)
-    ]
-    return n * (n - 1), missed
+    universe = [StuckAt0(v) for v in valves] + [StuckAt1(v) for v in valves]
+    evaluator = BatchEvaluator(kernel, list(vectors), universe)
+    pairs = np.argwhere(~np.eye(len(valves), dtype=bool)) + (0, len(valves))
+    missed = []
+    for lo in range(0, len(pairs), DEFAULT_CHUNK_SIZE):
+        chunk = pairs[lo : lo + DEFAULT_CHUNK_SIZE]
+        rows = evaluator.slot_rows(chunk)
+        evaluator.flush()
+        missed += [
+            (universe[i0], universe[i1])
+            for i0, i1 in chunk[~evaluator.detects(rows)].tolist()
+        ]
+    return len(pairs), missed
 
 
 def synthesize_pair_breaker(

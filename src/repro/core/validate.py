@@ -190,10 +190,10 @@ def audit_two_fault_detection(
         pairs = random.Random(seed).sample(pairs, max_pairs)
     audit = TwoFaultAudit(singles_checked=len(universe), pairs_checked=len(pairs))
     index_sets = [(i,) for i in range(len(universe))] + pairs
-    evaluator = BatchEvaluator(kernel, vectors)
+    evaluator = BatchEvaluator(kernel, vectors, universe)
     for lo in range(0, len(index_sets), DEFAULT_CHUNK_SIZE):
         chunk = index_sets[lo : lo + DEFAULT_CHUNK_SIZE]
-        rows = evaluator.slot_rows(universe, chunk)
+        rows = evaluator.slot_rows(chunk)
         evaluator.flush()
         for idx, hit in zip(chunk, evaluator.detects(rows).tolist()):
             if not hit:

@@ -204,6 +204,7 @@ class AdaptiveDiagnoser:
         outcomes: list[VectorOutcome] = []
         steps: list[AdaptiveStep] = []
         exhausted = False
+        self.tester.mount(chip, self.vectors)
         alive = np.arange(len(self._classes), dtype=np.int64)
         unapplied = np.ones(len(self.vectors), dtype=bool)
 

@@ -4,8 +4,8 @@ The section IV experiment is embarrassingly parallel: trials are
 independent chips.  :func:`run_sweep` is the one in-process campaign
 API: it takes its shards from :func:`repro.sim.campaign.shard_plan` —
 fixed-size splits whose RNG streams mix (seed, fault count, shard
-index), never worker identity — runs each through
-:func:`~repro.sim.campaign.run_shard`, and merges them with
+index), never worker identity — runs them through
+:func:`~repro.sim.campaign.run_shards`, and merges them with
 :func:`~repro.sim.campaign.merge_shards`.  Because the plan is a
 function of the *trial count* alone, the aggregated
 :class:`CampaignResult` is bit-identical whatever ``workers`` is; a pool
@@ -18,8 +18,9 @@ the :class:`~repro.context.ExecutionContext` the caller passes (or a
 fresh one; with a store, that is a warm load).  Every shard of a process
 then runs on one :class:`~repro.sim.kernel.BatchEvaluator` on that
 kernel, built by :func:`_run_shards` and dropped when it returns, so
-the shards of a process share one scenario-dedup pool and the caller's
-session holds nothing of the sweep.  With ``workers <= 1`` that
+the shards of a process share one scenario-dedup pool, are folded and
+simulated a batch of whole shards at a time, and the caller's session
+holds nothing of the sweep.  With ``workers <= 1`` that
 evaluator runs inline over the whole plan; otherwise each of
 ``min(workers, shards)`` pool tasks takes the round-robin slice
 ``plan[i::n]`` (the plan is ordered by fault count, so every slice gets
@@ -56,7 +57,7 @@ from repro.sim.campaign import (
     CampaignResult,
     campaign_universe,
     merge_shards,
-    run_shard,
+    run_shards,
     shard_plan,
 )
 from repro.sim.kernel import BatchEvaluator
@@ -71,11 +72,10 @@ def _run_shards(
     is safe for bit-identity: each shard's result is a pure function of
     its row's seed, whatever scenarios the pool already holds.
     """
-    evaluator = BatchEvaluator(kernel, vectors)
-    return [
-        run_shard(evaluator, universe, scenario, k, size, shard_seed)
-        for k, _, size, shard_seed in shards
-    ]
+    evaluator = BatchEvaluator(kernel, vectors, universe)
+    return run_shards(
+        evaluator, scenario, [(k, size, seed) for k, _, size, seed in shards]
+    )
 
 
 def run_sweep(

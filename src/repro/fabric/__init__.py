@@ -16,7 +16,7 @@ order, so the aggregate is bit-identical to the uninterrupted
 
 A campaign's shards are :func:`repro.sim.campaign.shard_plan`, the same
 plan the in-memory pool runs, and every worker runs each shard through
-:func:`repro.sim.campaign.run_shard`, as the pool does.  A multi-process
+:func:`repro.sim.campaign.run_shards`, as the pool does.  A multi-process
 drain starts no more processes than there are unfinished shards, hands
 worker ``i`` the round-robin slice ``remaining[i::n]`` of them and lets
 it steal the rest; the lease protocol owns correctness.

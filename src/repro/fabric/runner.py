@@ -33,8 +33,8 @@ Two supervision layers sit on that loop:
   result; they are replaced by a fresh simulation that is bit-identical
   by the shard's content addressing.
 
-Every worker runs its shards through
-:func:`~repro.sim.campaign.run_shard` on one
+Every worker runs its shards, one at a time, through
+:func:`~repro.sim.campaign.run_shards` on one
 :class:`~repro.sim.kernel.BatchEvaluator` of its own.  A sweep compiles
 the kernel under it at most once, in the calling process, and hands
 each pool process the kernel object with its drain task: no kernel is
@@ -62,7 +62,7 @@ from repro.sim.campaign import (
     CampaignResult,
     campaign_universe,
     merge_shards,
-    run_shard,
+    run_shards,
 )
 from repro.sim.kernel import BatchEvaluator
 from repro.store.digest import digest_int
@@ -73,7 +73,6 @@ from repro.fabric.journal import DEFAULT_LEASE_TIMEOUT, CampaignJournal
 from repro.fabric.retry import POLL_POLICY, RetryPolicy
 
 if TYPE_CHECKING:
-    from repro.sim.faults import Fault
     from repro.sim.kernel import ReachabilityKernel
 
 #: Corruption-healing rounds before the runner gives up: each round can
@@ -164,25 +163,23 @@ class ShardWorker:
         """Crash-injection seam; the production worker never acts here."""
 
     @cached_property
-    def _universe(self) -> "tuple[Fault, ...]":
-        """The spec's fault universe, derived once per worker."""
-        return campaign_universe(self.spec.fpva, self.spec.scenario)
-
-    @cached_property
     def _evaluator(self) -> BatchEvaluator:
-        """The evaluator every shard of this worker runs on."""
+        """The evaluator every shard of this worker runs on, bound to the
+        spec's fault universe."""
         kernel = ExecutionContext(self.spec.fpva, kernel=self.kernel).kernel
-        return BatchEvaluator(kernel, self.spec.vectors)
+        return BatchEvaluator(
+            kernel,
+            self.spec.vectors,
+            campaign_universe(self.spec.fpva, self.spec.scenario),
+        )
 
     def run_shard(self, descriptor: ShardDescriptor) -> CampaignResult:
-        return run_shard(
+        (result,) = run_shards(
             self._evaluator,
-            self._universe,
             self.spec.scenario,
-            descriptor.num_faults,
-            descriptor.trials,
-            descriptor.seed,
+            [(descriptor.num_faults, descriptor.trials, descriptor.seed)],
         )
+        return result
 
     def drain(self) -> int:
         """Claim-and-run until nothing claimable remains; returns the

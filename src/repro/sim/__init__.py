@@ -18,7 +18,7 @@ from repro.sim.faults import (
     faulty_valves,
     stuck_at_faults,
 )
-from repro.sim.kernel import BatchEvaluator, CompiledFaultSet, ReachabilityKernel
+from repro.sim.kernel import BatchEvaluator, FaultFold, ReachabilityKernel
 from repro.sim.tester import Tester, TestRunResult, VectorOutcome
 
 __all__ = [
@@ -43,7 +43,7 @@ __all__ = [
     "faulty_valves",
     "stuck_at_faults",
     "BatchEvaluator",
-    "CompiledFaultSet",
+    "FaultFold",
     "ReachabilityKernel",
     "Tester",
     "TestRunResult",

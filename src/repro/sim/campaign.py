@@ -16,15 +16,10 @@ from __future__ import annotations
 
 import random
 from dataclasses import dataclass, field
-from typing import Sequence
+from typing import Callable, Sequence
 
 from repro.fpva.array import FPVA
-from repro.sim.faults import (
-    Fault,
-    compatibility_key,
-    fault_universe,
-    faults_compatible,
-)
+from repro.sim.faults import Fault, compatibility_key, fault_universe
 from repro.sim.kernel import BatchEvaluator
 from repro.sim.seeding import mix_seed
 
@@ -39,6 +34,10 @@ KEEP_UNDETECTED = 10
 #: Incompatible draws :func:`sample_fault_set` rejects before it draws
 #: exactly instead.
 MAX_ATTEMPTS = 1000
+
+#: Chips of whole shards :func:`run_shards` simulates per call: a few MB
+#: of scenario rows, which per-call overhead barely shows in.
+BATCH_CHIPS = 1024
 
 
 @dataclass
@@ -156,40 +155,49 @@ def merge_shards(
 def sample_fault_set(
     universe: Sequence[Fault], k: int, rng: random.Random
 ) -> tuple[Fault, ...]:
-    """Draw ``k`` distinct, physically compatible faults, uniformly.
+    """Draw ``k`` distinct, physically compatible faults, uniformly:
+    :func:`_sample_indices` over the universe's positions.  A ``k``
+    above :func:`~repro.sim.faults.max_compatible_faults` raises
+    :class:`RuntimeError`."""
+    key = lambda i: compatibility_key(universe[i])  # noqa: E731
+    return tuple(universe[i] for i in _sample_indices(len(universe), key, k, rng))
 
-    Rejection first: ``rng.sample`` until a draw is compatible, which is
-    uniform over the compatible ``k``-sets.  Near the largest compatible
-    set almost every draw collides, so after :data:`MAX_ATTEMPTS`
-    rejected draws the set is drawn exactly from the same distribution
-    (:func:`_sample_by_key`).  A ``k`` above
-    :func:`~repro.sim.faults.max_compatible_faults` raises
-    :class:`RuntimeError`.
+
+def _sample_indices(
+    n: int, key: Callable[[int], object], k: int, rng: random.Random
+) -> list[int]:
+    """``k`` positions of ``range(n)`` with distinct ``key`` values,
+    drawn uniformly.
+
+    Rejection first: ``rng.sample(range(n), k)``, which takes the random
+    numbers ``rng.sample`` takes over any length-``n`` sequence, until a
+    draw is compatible.  After :data:`MAX_ATTEMPTS` rejected draws the
+    set is drawn exactly from the same distribution (:func:`_sample_by_key`).
     """
     for _ in range(MAX_ATTEMPTS):
-        picked = tuple(rng.sample(universe, k))
-        if faults_compatible(picked):
+        picked = rng.sample(range(n), k)
+        if len(set(map(key, picked))) == k:
             return picked
-    return _sample_by_key(universe, k, rng)
+    return _sample_by_key(n, key, k, rng)
 
 
 def _sample_by_key(
-    universe: Sequence[Fault], k: int, rng: random.Random
-) -> tuple[Fault, ...]:
-    """A uniform compatible ``k``-set, drawn one key group at a time.
+    n: int, key: Callable[[int], object], k: int, rng: random.Random
+) -> list[int]:
+    """A uniform compatible ``k``-set of positions, drawn one key group
+    at a time.
 
-    A set is compatible exactly when no two of its faults share a
-    :func:`~repro.sim.faults.compatibility_key`, so it is ``k`` key groups
-    and one fault from each.  ``ways[i][j]``, the elementary
-    symmetric polynomial of degree ``j`` over the sizes of groups ``i``
-    onward, counts the sets that take ``j`` faults from those groups;
-    taking group ``i`` with probability
-    ``size_i * ways[i + 1][j - 1] / ways[i][j]`` makes every compatible
-    set equally likely.
+    A set is compatible exactly when no two of its positions share a
+    ``key``, so it is ``k`` key groups and one position from each.
+    ``ways[i][j]``, the elementary symmetric polynomial of degree ``j``
+    over the sizes of groups ``i`` onward, counts the sets that take
+    ``j`` positions from those groups; taking group ``i`` with
+    probability ``size_i * ways[i + 1][j - 1] / ways[i][j]`` makes every
+    compatible set equally likely.
     """
-    by_key: dict[object, list[Fault]] = {}
-    for fault in universe:
-        by_key.setdefault(compatibility_key(fault), []).append(fault)
+    by_key: dict[object, list[int]] = {}
+    for i in range(n):
+        by_key.setdefault(key(i), []).append(i)
     groups = list(by_key.values())
     ways = [[1] + [0] * k]  # no group left: only the empty set
     for group in reversed(groups):
@@ -200,7 +208,7 @@ def _sample_by_key(
     ways.reverse()
     if not ways[0][k]:
         raise RuntimeError(f"could not sample {k} compatible faults")
-    picked: list[Fault] = []
+    picked: list[int] = []
     for i, group in enumerate(groups):
         j = k - len(picked)
         if not j:
@@ -208,7 +216,7 @@ def _sample_by_key(
         if rng.randrange(ways[i][j]) < len(group) * ways[i + 1][j - 1]:
             picked.append(rng.choice(group))
     rng.shuffle(picked)
-    return tuple(picked)
+    return picked
 
 
 def campaign_universe(fpva: FPVA, scenario=None) -> tuple[Fault, ...]:
@@ -224,56 +232,74 @@ def campaign_universe(fpva: FPVA, scenario=None) -> tuple[Fault, ...]:
     return tuple(scenario.universe(fpva))
 
 
-def run_shard(
+def run_shards(
     evaluator: BatchEvaluator,
-    universe: Sequence[Fault],
     scenario,
-    num_faults: int,
-    trials: int,
-    seed: int,
-) -> CampaignResult:
-    """One :func:`shard_plan` row: ``trials`` chips of ``num_faults`` faults.
+    shards: Sequence[tuple[int, int, int]],
+) -> list[CampaignResult]:
+    """The :class:`CampaignResult` of each :func:`shard_plan` row given
+    as ``(k, trials, seed)``: ``trials`` chips of ``k`` faults.
 
-    One RNG stream seeded by ``seed`` draws every chip from ``universe``
-    (:func:`campaign_universe`): through ``scenario.sample`` when a
-    :class:`repro.engine.scenarios.FaultScenario` is given, else through
-    :func:`sample_fault_set`.  The shard's chips go to ``evaluator`` (a
-    :class:`~repro.sim.kernel.BatchEvaluator` on the suite) in one
-    :meth:`~repro.sim.kernel.BatchEvaluator.slot_rows` call, which
-    canonicalizes them to per-vector effective-state masks and
-    deduplicates them; one flush then simulates the whole shard, 64
-    scenarios per machine word.  A chip is detected iff *any* vector
-    reads off-expectation, so the result is bit-identical to applying
-    the suite chip by chip (the reference loop in ``tests/oracle.py``,
-    which draws in the same RNG order).  The first
-    :data:`KEEP_UNDETECTED` undetected chips are kept as examples.
-
-    Both runners of the plan call this: the in-memory pool
-    (:func:`repro.engine.run_sweep`) and the fabric's
-    :class:`~repro.fabric.ShardWorker`.
+    ``evaluator`` is a :class:`~repro.sim.kernel.BatchEvaluator` on the
+    suite and the sweep's universe (:func:`campaign_universe`).  Whole
+    shards' chips (:func:`_draw`) go to it :data:`BATCH_CHIPS` or more at
+    a time, one ``slot_rows`` call and one flush each.  A chip is
+    detected iff *any* vector reads off-expectation, so every result is
+    bit-identical to applying the suite chip by chip (the reference loop
+    in ``tests/oracle.py``, which draws in the same RNG order), however
+    the shards are batched; the first :data:`KEEP_UNDETECTED` undetected
+    chips of a shard are kept as examples.  The in-memory pool
+    (:func:`repro.engine.run_sweep`) passes its slice of the plan, the
+    fabric's :class:`~repro.fabric.ShardWorker` one shard at a time.
     """
+    results: list[CampaignResult] = []
+    batch: list[tuple[int, list[list[int]]]] = []
+    for k, trials, seed in shards:
+        batch.append((k, _draw(evaluator, scenario, k, trials, seed)))
+        if sum(len(drawn) for _, drawn in batch) >= BATCH_CHIPS:
+            results += _judge(evaluator, batch)
+            batch = []
+    return results + _judge(evaluator, batch)
+
+
+def _draw(
+    evaluator: BatchEvaluator, scenario, k: int, trials: int, seed: int
+) -> list[list[int]]:
+    """One shard's chips as universe-index rows, from the stream ``seed``,
+    as :func:`sample_fault_set` or ``scenario.sample`` draws them."""
     rng = random.Random(seed)
+    universe, keys = evaluator.universe, evaluator.key_ids
     if scenario is None:
-        draw = lambda: sample_fault_set(universe, num_faults, rng)  # noqa: E731
-    else:
-        draw = lambda: scenario.sample(universe, rng, num_faults)  # noqa: E731
-    result = CampaignResult(num_faults=num_faults, trials=trials, detected=0)
-    # Draw everything, simulate once.
-    drawn = [draw() for _ in range(trials)]
-    faults_seen: dict = {}  # the shard's distinct faults, as slot_rows' universe
-    index_sets = []
-    for faults in drawn:
-        # Same physical-consistency gate ChipUnderTest applies
-        # (scenarios are expected to sample compatible sets).
-        if not faults_compatible(faults):
-            raise ValueError(f"incompatible fault set: {tuple(faults)}")
-        index_sets.append([faults_seen.setdefault(f, len(faults_seen)) for f in faults])
-    rows = evaluator.slot_rows(list(faults_seen), index_sets)
+        key = keys.__getitem__
+        return [_sample_indices(len(universe), key, k, rng) for _ in range(trials)]
+    drawn = []
+    for _ in range(trials):
+        faults = scenario.sample(universe, rng, k)
+        row = [evaluator.positions.get(fault, -1) for fault in faults]
+        # The gates ChipUnderTest applies (scenarios are expected to draw
+        # compatible sets from their universe).
+        if -1 in row or len({keys[i] for i in row}) != len(row):
+            raise ValueError(f"scenario drew an incompatible or foreign set: {faults}")
+        drawn.append(row)
+    return drawn
+
+
+def _judge(
+    evaluator: BatchEvaluator, batch: list[tuple[int, list[list[int]]]]
+) -> list[CampaignResult]:
+    """Drawn shards' results, from one ``slot_rows`` call and one flush."""
+    slots = evaluator.slot_rows([row for _, drawn in batch for row in drawn])
     evaluator.flush()
-    for trial, (faults, hit) in enumerate(zip(drawn, evaluator.detects(rows).tolist())):
-        if hit:
-            result.detected += 1
-        elif len(result.undetected_examples) < KEEP_UNDETECTED:
-            result.undetected_examples.append(faults)
-            result.undetected_trials.append(trial)
-    return result
+    hits = iter(evaluator.detects(slots).tolist())
+    results = []
+    for k, drawn in batch:
+        result = CampaignResult(num_faults=k, trials=len(drawn), detected=0)
+        for trial, (row, hit) in enumerate(zip(drawn, hits)):
+            if hit:
+                result.detected += 1
+            elif len(result.undetected_examples) < KEEP_UNDETECTED:
+                faults = tuple(evaluator.universe[i] for i in row)
+                result.undetected_examples.append(faults)
+                result.undetected_trials.append(trial)
+        results.append(result)
+    return results

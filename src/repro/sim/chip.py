@@ -2,8 +2,8 @@
 
 :class:`ChipUnderTest` holds the faults and checks at construction that
 they can coexist on the array.  How they change a commanded test vector
-into effective valve states is the fault model, defined once on masks
-by :class:`~repro.sim.kernel.CompiledFaultSet`;
+into effective valve states is the fault model, defined once on arrays
+by :class:`~repro.sim.kernel.FaultFold`;
 :class:`~repro.sim.tester.Tester` applies a chip through it.
 """
 

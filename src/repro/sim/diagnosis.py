@@ -346,11 +346,10 @@ class FaultDictionary:
             raise ValueError("base_digest requires an artifact store")
         lineage = None
         if self.store is not None:
-            from repro.store import ArtifactCorruptionError, dictionary_digest
+            from repro.store import ArtifactCorruptionError, DictionaryKeys
 
-            self.digest = dictionary_digest(
-                fpva, self.vectors, self.universe, max_cardinality
-            )
+            keys = DictionaryKeys.of(fpva, self.vectors, self.universe, max_cardinality)
+            self.digest = keys.digest()
             if self.store.dictionaries.has(self.digest):
                 try:
                     self._table = self.store.dictionaries.load(
@@ -364,7 +363,8 @@ class FaultDictionary:
                 else:
                     self.build_stats = {"mode": "warm"}
                     return
-            lineage = self._lineage_meta()
+            # A build from a stored ancestor annotates parent and delta.
+            lineage = {**keys.lineage(), "parent": None, "delta": None}
             if self.vectors and self.universe:
                 start = self._ancestor(lineage, base_digest)
                 if start is not None:
@@ -382,19 +382,6 @@ class FaultDictionary:
         )
 
     # -- construction ------------------------------------------------------
-    def _lineage_meta(self) -> dict:
-        """The artifact's lineage block (parentless; a build from a stored
-        ancestor annotates its parent + delta shape over this)."""
-        from repro.store import layout_digest, suite_digests, universe_digest
-
-        return {
-            "layout": layout_digest(self.fpva),
-            "universe": universe_digest(self.universe),
-            "suite": suite_digests(self.vectors),
-            "parent": None,
-            "delta": None,
-        }
-
     def _ancestor(
         self, lineage: dict, base_digest: str | None
     ) -> "_Ancestor | None":
@@ -473,7 +460,7 @@ class FaultDictionary:
         universe = self.universe
         kernel = self._context.kernel
         held = start.cardinality
-        new = BatchEvaluator(kernel, self.vectors)
+        new = BatchEvaluator(kernel, self.vectors, universe)
         position = {name: i for i, name in enumerate(new.vector_names)}
         finals = [tuple(entry for _, entry in pairs) for pairs in start.carried]
         writer = None
@@ -496,7 +483,9 @@ class FaultDictionary:
                 path = dicts.path_for(start.digest)
         stages = (
             (
-                BatchEvaluator(kernel, [self.vectors[i] for i in start.lacking]),
+                BatchEvaluator(
+                    kernel, [self.vectors[i] for i in start.lacking], universe
+                ),
                 _held_chunks(stored, universe, held, self.chunk_size, path),
             ),
             (
@@ -545,7 +534,7 @@ class FaultDictionary:
                 promoted_from = self.total_fault_sets
                 judged: dict[bytes, int] = {}  # key bytes -> syndrome id
                 for sets, ids in chunks:
-                    slots = evaluator.slot_rows(universe, sets)
+                    slots = evaluator.slot_rows(sets)
                     evaluator.flush()
                     keys = np.column_stack(
                         (ids, evaluator.patterns(slots))

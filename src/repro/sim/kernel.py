@@ -31,19 +31,16 @@ flags off it.  The test generators ask their fault-free questions on
 ``Edge`` sets through :meth:`ReachabilityKernel.meter_readings` and
 :meth:`ReachabilityKernel.pressurized_nodes`, named and typed like the
 object-graph reference's in ``tests/oracle.py``.
+
 This module is the one place a fault set becomes an effective state.
-:meth:`ReachabilityKernel.fault_masks` decodes a stuck-at or blockage
-fault to masks, and :class:`CompiledFaultSet` defines the fault model on
-masks; :meth:`ReachabilityKernel.compile_faults` builds one for a chip,
-which the :class:`~repro.sim.tester.Tester` applies vector by vector, and
-:meth:`BatchEvaluator.slot_rows` applies it to many fault sets over a
-suite on arrays: each stuck-at and blockage set ORs and ANDs its faults'
-decoded mask words in one ``(sets x vectors x words)`` broadcast, and a
-set with a control leak or an intermittent fault takes its rows from a
-:class:`CompiledFaultSet`.  :class:`BatchEvaluator` interns the rows,
-one sort per call, into one memo of distinct ``(open, blocked)``
-scenarios, so equivalent fault sets are simulated exactly once; its
-verdicts (:meth:`BatchEvaluator.detects`,
+:class:`FaultFold` is the fault model on arrays: it folds sets of a
+decoded fault universe, every fault kind, into effective ``(open,
+blocked)`` scenario rows over a suite, in one ``(sets x vectors x
+words)`` buffer.  :meth:`BatchEvaluator.slot_rows` folds many sets, and
+the :class:`~repro.sim.tester.Tester` one chip.  :class:`BatchEvaluator`
+interns the rows, one sort per call, into one memo of distinct
+``(open, blocked)`` scenarios, so equivalent fault sets are simulated
+exactly once; its verdicts (:meth:`BatchEvaluator.detects`,
 :meth:`BatchEvaluator.patterns`) compare readout codes with the suite's
 expected codes on arrays.
 
@@ -76,6 +73,7 @@ from repro.sim.faults import (
     IntermittentStuckAt,
     StuckAt0,
     StuckAt1,
+    compatibility_key,
 )
 
 if TYPE_CHECKING:  # pragma: no cover - annotation-only dependency
@@ -343,29 +341,6 @@ class ReachabilityKernel:
             raise ValueError(f"fault on non-existent valve {valve}")
         return vi
 
-    def fault_masks(self, fault: Fault) -> tuple[int, int, int] | None:
-        """A stuck-at or blockage fault's ``(sa1, keep, blocked)`` masks.
-
-        ``sa1`` sets the valve held open, ``keep`` clears the valve held
-        closed and ``blocked`` sets the obstructed flow edge; a set of such
-        faults ORs its ``sa1`` and ``blocked`` masks, ANDs its ``keep``
-        masks and opens ``(commanded | sa1) & keep``.  ``None`` for a
-        control leak or an intermittent fault.  A valve or flow edge this
-        kernel lacks raises :class:`ValueError`, as
-        :class:`~repro.sim.chip.ChipUnderTest` does.
-        """
-        if isinstance(fault, StuckAt1):
-            return 1 << self._valve_bit(fault.valve), -1, 0
-        if isinstance(fault, StuckAt0):
-            return 0, ~(1 << self._valve_bit(fault.valve)), 0
-        if isinstance(fault, ChannelBlocked):
-            ei = self.edge_index.get(fault.edge)
-            if ei is None:
-                raise ValueError(f"blockage on non-existent flow edge {fault.edge}")
-            vi = self.valve_index.get(fault.edge)
-            return 0, -1 if vi is None else ~(1 << vi), 1 << ei
-        return None
-
     # -- propagation tier --------------------------------------------------
     @cached_property
     def backend(self):
@@ -421,12 +396,6 @@ class ReachabilityKernel:
         nodes = self.nodes
         seen = self.reach(self.valve_mask(open_valves))
         return {nodes[i] for i, hit in enumerate(seen) if hit}
-
-    def compile_faults(self, faults: Sequence[Fault]) -> "CompiledFaultSet":
-        """``faults`` compiled to masks, once for any number of vectors:
-        ``self.readings(*compiled.effective_masks(open_mask, vector_name))``
-        reads one chip under one vector."""
-        return CompiledFaultSet(self, faults)
 
     # -- batched path (64 scenarios per word) ------------------------------
     def batch_readings(self, scenarios: Sequence[tuple[int, int]]) -> np.ndarray:
@@ -498,127 +467,178 @@ class ReachabilityKernel:
         )
 
 
-class CompiledFaultSet:
-    """A fault set compiled to masks: the fault model.
+class FaultFold:
+    """The fault model on arrays: a fault universe decoded once against a
+    kernel and a vector suite into ``uint64`` words.
 
-    Under a commanded test vector, :meth:`effective_masks` computes the
-    *effective* open valves and the physically obstructed flow edges:
+    Each fault decodes to an override row ``[sa1 | clear | blocked]`` (a
+    stuck-at-1 sets its valve in ``sa1``; a stuck-at-0, or a blockage on
+    a valve edge, sets the valve in ``clear``; a blockage sets its flow
+    edge in ``blocked``), to the two valve ids of a control leak, or, for
+    an intermittent fault, to per-vector ``sa1 | clear`` words from its
+    row of the ``(faults x vectors)`` firing table
+    (:meth:`~repro.sim.faults.IntermittentStuckAt.fires_on`).  A last,
+    neutral row takes the ``-1`` padding of index sets.
 
-    1. start from the commanded states (open set; everything else closed);
-    2. propagate control-layer leaks: pressurizing one leaking line closes
-       its partner too — propagation is transitive across chained leaks;
-    3. apply stuck-at and blockage overrides: a stuck-at-1 valve is open
-       no matter what, a stuck-at-0 valve or an obstructed valve edge is
-       closed no matter what (a physically broken flow channel cannot be
-       re-opened by control pressure, so the closure wins over SA1 in the
-       impossible event both are injected — the fault sampler forbids it);
-    4. apply intermittent faults that fire on this vector (a keyed hash of
-       the vector name decides, so chip behaviour is a deterministic
-       function of the vector — independent of application order or
-       repetition).  An intermittent fault's seat carries no other fault
-       (:func:`~repro.sim.faults.faults_compatible`), so steps 3 and 4
-       commute;
-    5. set every obstructed flow edge, channel or valve, in the blocked
-       mask for propagation to exclude.
+    Under a commanded vector, a set's effective state is, in order:
 
-    Each step is integer bit arithmetic on the kernel's valve and edge
-    masks; steps 3 and 5 compose the
-    :meth:`ReachabilityKernel.fault_masks` of the set's stuck-at and
-    blockage faults, exactly as :meth:`BatchEvaluator.slot_rows` does.
-    The object-level pipeline this replays, on ``Edge`` sets, is
-    ``tests/oracle.effective_state``; the equivalence tests pin the two.
+    1. the commanded open valves, every other valve closed;
+    2. control-leak closure: a pair with either valve closed closes both,
+       transitively across chained leaks;
+    3. the overrides, ``(open | OR sa1) & ~OR clear`` (a broken channel
+       cannot be reopened by control pressure, so a closure wins over a
+       stuck-at-1, a pair the fault sampler never draws);
+    4. each intermittent fault that fires on the vector, as a stuck-at
+       (its seat carries no other fault, so steps 3 and 4 commute);
+    5. every obstructed flow edge, channel or valve, in the blocked mask.
+
+    :meth:`rows` folds index sets into scenario rows, and :meth:`masks`
+    reads one set's rows back as the int masks the scalar path takes.
+    ``tests/oracle.effective_state`` is the same model on ``Edge`` sets,
+    and the differential tests pin the two.  A valve or flow edge the
+    kernel lacks raises :class:`ValueError`, as
+    :class:`~repro.sim.chip.ChipUnderTest` does, and so does an
+    intermittent fault met with an unnamed vector.
     """
 
     def __init__(
         self,
         kernel: ReachabilityKernel,
-        faults: Sequence[Fault],
-        fires_cache: dict | None = None,
+        universe: Sequence[Fault],
+        names: Sequence[str | None],
+        commanded: Sequence[int],
     ):
-        self.kernel = kernel
-        self.faults = tuple(faults)
-        self._fires_cache = fires_cache if fires_cache is not None else {}
-        sa1, keep, blocked = 0, -1, 0
-        leak_pairs: list[tuple[Edge, Edge]] = []
-        intermittent: list[tuple[int, bool, IntermittentStuckAt]] = []
-        for f in self.faults:
-            masks = kernel.fault_masks(f)
-            if masks is not None:
-                sa1 |= masks[0]
-                keep &= masks[1]
-                blocked |= masks[2]
-            elif isinstance(f, IntermittentStuckAt):
-                intermittent.append(
-                    (1 << kernel._valve_bit(f.valve), f.stuck_open, f)
-                )
-            elif isinstance(f, ControlLeak):
-                kernel._valve_bit(f.a)
-                kernel._valve_bit(f.b)
-                leak_pairs.append((f.a, f.b))
+        self._width = w = kernel._open_width
+        rows = len(universe) + 1
+        overrides = [0] * rows
+        ends = [(-1, -1)] * rows
+        flaky: list[tuple[int, int, IntermittentStuckAt]] = []
+        for i, fault in enumerate(universe):
+            if isinstance(fault, StuckAt1):
+                overrides[i] = 1 << kernel._valve_bit(fault.valve)
+            elif isinstance(fault, StuckAt0):
+                overrides[i] = 1 << (kernel._valve_bit(fault.valve) + 64 * w)
+            elif isinstance(fault, ChannelBlocked):
+                ei = kernel.edge_index.get(fault.edge)
+                if ei is None:
+                    raise ValueError(f"blockage on non-existent flow edge {fault.edge}")
+                overrides[i] = 1 << (ei + 128 * w)
+                vi = kernel.valve_index.get(fault.edge)
+                if vi is not None:
+                    overrides[i] |= 1 << (vi + 64 * w)
+            elif isinstance(fault, ControlLeak):
+                ends[i] = (kernel._valve_bit(fault.a), kernel._valve_bit(fault.b))
+            elif isinstance(fault, IntermittentStuckAt):
+                flaky.append((i, kernel._valve_bit(fault.valve), fault))
             else:  # pragma: no cover - exhaustive over the Fault union
-                raise TypeError(f"unknown fault kind {f!r}")
-        self._sa1 = sa1
-        self._keep = keep
-        self.blocked_mask = blocked
-        self._intermittent = tuple(intermittent)
-
-        # Control leakage spreads transitively, so a leak-graph component
-        # containing any commanded-closed valve closes entirely.
-        comp_masks: list[int] = []
-        if leak_pairs:
-            parent: dict[Edge, Edge] = {}
-
-            def find(x: Edge) -> Edge:
-                while parent[x] != x:
-                    parent[x] = parent[parent[x]]
-                    x = parent[x]
-                return x
-
-            for a, b in leak_pairs:
-                parent.setdefault(a, a)
-                parent.setdefault(b, b)
-                ra, rb = find(a), find(b)
-                if ra != rb:
-                    parent[ra] = rb
-            groups: dict[Edge, int] = {}
-            for valve in parent:
-                root = find(valve)
-                groups[root] = groups.get(root, 0) | (
-                    1 << kernel.valve_index[valve]
-                )
-            comp_masks = list(groups.values())
-        self._leak_components = tuple(comp_masks)
-
-    def effective_masks(
-        self, commanded_mask: int, vector_key: str | None = None
-    ) -> tuple[int, int]:
-        """``(open, blocked)`` masks for one commanded pattern.
-
-        The steps run in the class docstring's order: leaks, then the
-        stuck-at and blockage overrides, then intermittent firings.
-        ``vector_key`` names the applied vector; a set holding an
-        intermittent fault cannot be evaluated without it.
-        """
-        eff = commanded_mask
-        for comp in self._leak_components:
-            if commanded_mask & comp != comp:
-                eff &= ~comp
-        eff = (eff | self._sa1) & self._keep
-        if self._intermittent:
-            if vector_key is None:
+                raise TypeError(f"unknown fault kind {fault!r}")
+        self._overrides = _mask_words(overrides, 2 * w + kernel._blocked_width)
+        self._commanded = _mask_words(commanded, w)
+        self._ends = np.array(ends, dtype=np.intp)
+        #: Per fault, whether it is a leak; None without any leak.
+        self._leaky = self._ends[:, 0] >= 0 if self._ends.max() >= 0 else None
+        #: Per fault, its :attr:`_firing` row (0 is neutral); None without any.
+        self._flaky = None
+        if flaky:
+            if None in names:
                 raise ValueError(
                     "chip has intermittent faults; vector identity is "
                     "required to evaluate them"
                 )
-            cache = self._fires_cache
-            for bit, stuck_open, fault in self._intermittent:
-                key = (fault, vector_key)
-                fires = cache.get(key)
-                if fires is None:
-                    fires = cache[key] = fault.fires_on(vector_key)
-                if fires:
-                    eff = eff | bit if stuck_open else eff & ~bit
-        return eff, self.blocked_mask
+            self._flaky = np.zeros(rows, dtype=np.intp)
+            fires = [0] * len(names)
+            for r, (i, vi, fault) in enumerate(flaky, 1):
+                self._flaky[i] = r
+                bit = 1 << (vi if fault.stuck_open else vi + 64 * w)
+                fires += [bit if fault.fires_on(name) else 0 for name in names]
+            shape = (len(flaky) + 1, len(names), 2 * w)
+            self._firing = _mask_words(fires, 2 * w).reshape(shape)
+
+    def rows(self, index_sets) -> np.ndarray:
+        """Each fault set ``[universe[i] for i in idx]``'s scenario rows,
+        a ``(sets, vectors, open words + blocked words)`` uint64 array.
+
+        ``index_sets`` is a sequence of index tuples, or a ``(sets,
+        width)`` integer array padded with ``-1``.  The steps fold into
+        the one output buffer in place, each a broadcast over sets x
+        vectors; the leak closure visits only the sets that hold a leak.
+        """
+        idx = _index_array(index_sets)
+        w = self._width
+        over = np.bitwise_or.reduce(self._overrides[idx], axis=1)
+        out = np.empty(
+            (len(idx), len(self._commanded), over.shape[1] - w), dtype=np.uint64
+        )
+        # Word by word: an op on whole rows would loop over a few words at
+        # its innermost level.
+        words = [out[:, :, j] for j in range(out.shape[2])]
+        for j in range(w):
+            words[j][...] = self._commanded[:, j]
+        if self._leaky is not None:
+            self._close_leaks(idx, self._leaky[idx], out[:, :, :w])
+        for j in range(w):
+            words[j] |= over[:, j, None]
+            words[j] &= ~over[:, w + j, None]
+        if self._flaky is not None:
+            opened = out[:, :, :w]
+            for column in self._flaky[idx].T:
+                fired = self._firing[column]
+                opened |= fired[:, :, :w]
+                opened &= ~fired[:, :, w:]
+        for j in range(w, out.shape[2]):
+            words[j][...] = over[:, w + j, None]
+        return out
+
+    def _close_leaks(self, idx: np.ndarray, leaks: np.ndarray, opened: np.ndarray):
+        """Step 2 on the open words, in place: a pass closes every leak
+        pair with exactly one valve open, all at once.  Sets whose leaks
+        share no valve settle in one pass; chained leaks pass again until
+        nothing changes, at most once per leak."""
+        sets, columns = np.nonzero(leaks)
+        ends = self._ends[idx[sets, columns]]
+        if not self._close_pairs(opened, sets, ends):
+            return
+        # A set's leaks chain when two of them share a valve; the other
+        # faults' ends are -1.
+        shared = np.sort(self._ends[idx].reshape(len(idx), -1), axis=1)
+        repeats = (shared[:, 1:] == shared[:, :-1]) & (shared[:, 1:] >= 0)
+        again = repeats.any(axis=1)[sets]
+        sets, ends = sets[again], ends[again]
+        for _ in range(1, leaks.sum(axis=1).max()):
+            if not (sets.size and self._close_pairs(opened, sets, ends)):
+                return
+
+    @staticmethod
+    def _close_pairs(opened: np.ndarray, sets: np.ndarray, ends: np.ndarray) -> bool:
+        """One closure pass: each ``sets[i]``'s pair of valve ids
+        ``ends[i]`` closes on the vectors where exactly one of the two is
+        open.  Whether any pair closed."""
+        sets, vectors = sets[:, None], np.arange(opened.shape[1], dtype=np.intp)
+        words = ends >> 6
+        bits = np.uint64(1) << (ends & 63).astype(np.uint64)
+        held = [
+            opened[sets, vectors, words[:, e, None]] & bits[:, e, None] for e in (0, 1)
+        ]
+        shut = (held[0] != 0) ^ (held[1] != 0)
+        if not shut.any():
+            return False
+        for e in (0, 1):
+            # Two leaks of one set may share a word: at applies both.
+            clear = ~np.where(shut, bits[:, e, None], 0)
+            np.bitwise_and.at(opened, (sets, vectors, words[:, e, None]), clear)
+        return True
+
+    def masks(self, index_set: Sequence[int]) -> list[tuple[int, int]]:
+        """One fault set's ``(open, blocked)`` int masks on each vector:
+        its :meth:`rows`, as the scalar path
+        (:meth:`ReachabilityKernel.readings`) takes them."""
+        (rows,) = self.rows(np.array([index_set], dtype=np.intp).reshape(1, -1))
+        words = rows.T.tolist()
+        opened = words[0]
+        for w in range(1, self._width):
+            opened = [low | high << 64 * w for low, high in zip(opened, words[w])]
+        blocked = int.from_bytes(rows[:1, self._width :].tobytes(), "little")
+        return [(mask, blocked) for mask in opened]
 
 
 class BatchEvaluator:
@@ -641,14 +661,23 @@ class BatchEvaluator:
     code is ``-1``, which no readout has.
     """
 
-    def __init__(self, kernel: ReachabilityKernel, vectors: Sequence[TestVector]):
+    def __init__(
+        self,
+        kernel: ReachabilityKernel,
+        vectors: Sequence[TestVector],
+        universe: Sequence[Fault] = (),
+    ):
         self.kernel = kernel
         self.vectors = list(vectors)
+        #: The faults :meth:`slot_rows` indexes, decoded once by the fold.
+        self.universe = tuple(universe)
         self.vector_names = tuple(v.name for v in self.vectors)
         self.commanded_masks = tuple(
             kernel.valve_mask(v.open_valves) for v in self.vectors
         )
-        self._commanded = _mask_words(self.commanded_masks, kernel._open_width)
+        self._fold = FaultFold(
+            kernel, self.universe, self.vector_names, self.commanded_masks
+        )
         self._sorted_sinks = tuple(
             sorted(range(kernel.n_sinks), key=lambda j: kernel.sink_names[j])
         )
@@ -663,9 +692,6 @@ class BatchEvaluator:
         #: order), and per code its ``tuple(sorted(observed.items()))``.
         self._readout_ids: dict[bytes, int] = {}
         self._items: list[tuple] = []
-        #: ``(intermittent fault, vector name) -> fires``, shared by every
-        #: :class:`CompiledFaultSet` this evaluator compiles.
-        self._fires: dict = {}
         sinks = kernel.sink_names
         complete = [
             vi for vi, v in enumerate(self.vectors) if set(v.expected) == set(sinks)
@@ -676,6 +702,19 @@ class BatchEvaluator:
         ).reshape(len(complete), kernel.n_sinks)
         self._expected = np.full(len(self.vectors), -1, dtype=np.int32)
         self._expected[complete] = self._readout_codes(expected)
+
+    @cached_property
+    def key_ids(self) -> tuple[int, ...]:
+        """Per universe fault, its :func:`~repro.sim.faults.compatibility_key`
+        as an int: a set is compatible exactly when its ids are distinct."""
+        ids: dict = {}
+        keys = map(compatibility_key, self.universe)
+        return tuple(ids.setdefault(key, len(ids)) for key in keys)
+
+    @cached_property
+    def positions(self) -> dict:
+        """Universe fault -> its last index, for samplers that draw faults."""
+        return {fault: i for i, fault in enumerate(self.universe)}
 
     @property
     def distinct_scenarios(self) -> int:
@@ -697,70 +736,16 @@ class BatchEvaluator:
             self._pending.append(key)
         return s
 
-    def slot_rows(self, universe: Sequence[Fault], index_sets) -> np.ndarray:
-        """Per-vector scenario slots of each fault set
-        ``[universe[i] for i in idx]``, as a ``(sets, vectors)`` array;
-        every new scenario is registered for the next :meth:`flush`.
+    def slot_rows(self, index_sets) -> np.ndarray:
+        """Per-vector scenario slots of each fault set ``[universe[i] for
+        i in idx]``, as a ``(sets, vectors)`` array; every new scenario is
+        registered for the next :meth:`flush`.
 
         ``index_sets`` is a sequence of index tuples, or a ``(sets,
-        width)`` integer array padded with ``-1``.  This is the bulk form
-        of the fault model.  Each fault of ``universe`` is decoded once
-        into ``sa1``/``keep``/``blocked`` word rows
-        (:meth:`ReachabilityKernel.fault_masks`; the ``-1`` padding
-        indexes a neutral row), and a stuck-at or blockage set's rows are
-        one broadcast over sets x vectors: a vector's open mask is
-        ``(commanded | OR sa1) & AND keep``, exactly what
-        :meth:`CompiledFaultSet.effective_masks` computes for such a set.
-        A set holding a control leak or an intermittent fault takes its
-        rows from a :class:`CompiledFaultSet`, sharing this evaluator's
-        intermittent-firing cache.  All rows are then interned at once.
+        width)`` integer array padded with ``-1``: one
+        :meth:`FaultFold.rows` call, interned at once.
         """
-        idx = _index_array(index_sets)
-        kernel = self.kernel
-        width = kernel._open_width
-        decoded = [kernel.fault_masks(fault) for fault in universe]
-        # keep masks clear bits of all-ones; as words, of the low words.
-        low = (1 << 64 * width) - 1
-        masks = [m or (0, -1, 0) for m in decoded] + [(0, -1, 0)]
-        tables = [
-            _mask_words((m[0] for m in masks), width),
-            _mask_words((m[1] & low for m in masks), width),
-            _mask_words((m[2] for m in masks), kernel._blocked_width),
-        ]
-        # Fold each set's faults column by column from the neutral row.
-        sa1, keep, blocked = (
-            np.repeat(table[-1:], len(idx), axis=0) for table in tables
-        )
-        for column in idx.T:
-            sa1 |= tables[0][column]
-            keep &= tables[1][column]
-            blocked |= tables[2][column]
-        rows = np.empty(
-            (len(idx), len(self.vectors), width + kernel._blocked_width),
-            dtype=np.uint64,
-        )
-        rows[:, :, :width] = (self._commanded[None] | sa1[:, None]) & keep[:, None]
-        rows[:, :, width:] = blocked[:, None]
-        compiled_faults = np.array([m is None for m in decoded] + [False], dtype=bool)
-        compiled_sets = np.flatnonzero(compiled_faults[idx].any(axis=1))
-        opens: list[int] = []
-        blocks: list[int] = []
-        for r in compiled_sets.tolist():
-            compiled = CompiledFaultSet(
-                kernel, [universe[i] for i in idx[r].tolist() if i >= 0], self._fires
-            )
-            opens.extend(
-                compiled.effective_masks(c, name)[0]
-                for c, name in zip(self.commanded_masks, self.vector_names)
-            )
-            blocks.append(compiled.blocked_mask)
-        if blocks:
-            rows[compiled_sets, :, :width] = _mask_words(opens, width).reshape(
-                len(blocks), len(self.vectors), width
-            )
-            rows[compiled_sets, :, width:] = _mask_words(
-                blocks, kernel._blocked_width
-            )[:, None]
+        rows = self._fold.rows(index_sets)
         return self._intern(rows.reshape(-1, rows.shape[2])).reshape(rows.shape[:2])
 
     def _intern(self, rows: np.ndarray) -> np.ndarray:
@@ -837,15 +822,6 @@ class BatchEvaluator:
         return tuple(
             (names[vi], items[code]) for vi, code in enumerate(pattern) if code >= 0
         )
-
-    def failed_grid(self, vi: int, slots) -> np.ndarray:
-        """Does vector ``vi`` fail under each slot?
-
-        ``slots`` is any integer array-like of flushed slot ids; the
-        result has the same shape with ``True`` where the observed
-        readings differ from the vector's expectation.
-        """
-        return self._codes[np.asarray(slots, dtype=np.intp)] != self._expected[vi]
 
     def observed(self, slots) -> np.ndarray:
         """Sink readings of flushed slots, ``(..., n_sinks)`` bool in sink

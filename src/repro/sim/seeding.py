@@ -3,7 +3,7 @@
 The sharded campaign runner (:mod:`repro.engine.parallel`) and the
 campaign fabric (:mod:`repro.fabric`) must derive one independent RNG
 stream per ``(seed, fault count, shard)`` coordinate, which seeds that
-shard's :func:`repro.sim.campaign.run_shard` draws.  Naive arithmetic
+shard's draws in :func:`repro.sim.campaign.run_shards`.  Naive arithmetic
 like ``seed + k`` collides across coordinates — the streams for
 ``(seed=0, k=2)`` and ``(seed=1, k=1)`` would be identical — so every
 runner routes through :func:`mix_seed`, a splitmix64 finalizer over the

@@ -4,24 +4,23 @@ The tester applies a suite of vectors to a (possibly faulty) chip, compares
 the meter readings against the fault-free expectations stored in each
 vector, and reports the *syndrome* — which vectors failed and what the
 meters actually showed.  A chip is applied through its array's compiled
-kernel: its faults compile once per run
-(:meth:`~repro.sim.kernel.ReachabilityKernel.compile_faults`), and each
-vector costs one mask-level fault application and one scalar
-reachability query.  Each tester memoizes its vectors' commanded open
-masks.
+kernel: :meth:`Tester.mount` folds its faults over a suite in one call
+(:class:`~repro.sim.kernel.FaultFold`, the one fault model), and each
+vector read then costs one scalar reachability query.  Each tester
+memoizes its vectors' commanded open masks.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Callable, Sequence
+from typing import Iterator, Sequence
 
 from repro.core.vectors import TestVector
 from repro.fpva.array import FPVA
 from repro.fpva.geometry import Edge
 from repro.sim.chip import ChipUnderTest
 from repro.sim.faults import Fault
-from repro.sim.kernel import ReachabilityKernel
+from repro.sim.kernel import FaultFold, ReachabilityKernel
 
 #: FIFO bound on one tester's memo of commanded open masks (a suite has
 #: tens to a few hundred vectors).
@@ -80,10 +79,12 @@ class Tester:
         self.fpva = fpva
         self.kernel = kernel if kernel is not None else ReachabilityKernel(fpva)
         self._open_masks: dict[frozenset[Edge], int] = {}
+        #: The mounted chip and its masks per (vector name, open valves).
+        self._mounted: tuple[ChipUnderTest | None, dict] = (None, {})
 
     def apply(self, chip: ChipUnderTest, vector: TestVector) -> VectorOutcome:
         """Apply one vector and read the meters."""
-        return self._reader(chip)(vector)
+        return next(self._outcomes(chip, (vector,)))
 
     def run(
         self,
@@ -93,9 +94,7 @@ class Tester:
     ) -> TestRunResult:
         """Apply a suite; optionally stop at the first failing vector."""
         result = TestRunResult()
-        read = self._reader(chip)
-        for vector in vectors:
-            outcome = read(vector)
+        for outcome in self._outcomes(chip, vectors):
             result.outcomes.append(outcome)
             if stop_at_first_fail and not outcome.passed:
                 result.stopped_early = True
@@ -107,21 +106,35 @@ class Tester:
         chip = ChipUnderTest(self.fpva, faults)
         return self.run(chip, vectors, stop_at_first_fail=True).fault_detected
 
-    def _reader(self, chip: ChipUnderTest) -> Callable[[TestVector], VectorOutcome]:
-        """Applies vectors to ``chip``, whose faults compile once here."""
-        kernel, masks = self.kernel, self._open_masks
-        faults = kernel.compile_faults(chip.faults)
-
-        def read(vector: TestVector) -> VectorOutcome:
-            mask = masks.get(vector.open_valves)
+    def mount(self, chip: ChipUnderTest, vectors: Sequence[TestVector]) -> None:
+        """Fold ``chip``'s faults over ``vectors`` in one call and keep the
+        masks, per vector name and open valves, until the next mount: an
+        adaptive session mounts its chip with the whole suite, so each
+        vector it applies is one scalar query."""
+        known, commanded = self._open_masks, []
+        for vector in vectors:
+            mask = known.get(vector.open_valves)
             if mask is None:
-                while len(masks) >= _OPEN_MASK_LIMIT:
-                    masks.pop(next(iter(masks)))
-                mask = masks[vector.open_valves] = kernel.valve_mask(
+                while len(known) >= _OPEN_MASK_LIMIT:
+                    known.pop(next(iter(known)))
+                mask = known[vector.open_valves] = self.kernel.valve_mask(
                     vector.open_valves
                 )
-            return VectorOutcome(
-                vector, kernel.readings(*faults.effective_masks(mask, vector.name))
-            )
+            commanded.append(mask)
+        names = [vector.name for vector in vectors]
+        fold = FaultFold(self.kernel, chip.faults, names, commanded)
+        keys = ((vector.name, vector.open_valves) for vector in vectors)
+        self._mounted = (chip, dict(zip(keys, fold.masks(range(len(chip.faults))))))
 
-        return read
+    def _outcomes(
+        self, chip: ChipUnderTest, vectors: Sequence[TestVector]
+    ) -> Iterator[VectorOutcome]:
+        """``chip`` under each of ``vectors``, mounted first unless the
+        mounted chip holds them all; one scalar query per vector read."""
+        keys = [(vector.name, vector.open_valves) for vector in vectors]
+        mounted, masks = self._mounted
+        if mounted is not chip or not all(map(masks.__contains__, keys)):
+            self.mount(chip, vectors)
+            masks = self._mounted[1]
+        for vector, key in zip(vectors, keys):
+            yield VectorOutcome(vector, self.kernel.readings(*masks[key]))

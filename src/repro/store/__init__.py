@@ -43,6 +43,7 @@ from pathlib import Path
 from repro.store.dictionaries import DictionaryStore, DictionaryWriter
 from repro.store.digest import (
     STORE_FORMAT_VERSION,
+    DictionaryKeys,
     dictionary_digest,
     digest_int,
     fault_key,
@@ -97,6 +98,7 @@ __all__ = [
     "ArtifactStore",
     "DeltaPlan",
     "DictionaryInfo",
+    "DictionaryKeys",
     "DictionaryStore",
     "DictionaryWriter",
     "GcPlan",

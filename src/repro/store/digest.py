@@ -22,7 +22,7 @@ from __future__ import annotations
 
 import hashlib
 import json
-from typing import Any, Iterable, Mapping, Sequence
+from typing import Any, Iterable, Mapping, NamedTuple, Sequence
 
 from repro.core.vectors import TestVector
 from repro.fpva.array import FPVA
@@ -217,7 +217,7 @@ def layout_digest(fpva: FPVA) -> str:
     compare layouts across stored artifacts without re-deriving (or even
     having) the arrays they were built from.
     """
-    return digest_of("layout", STORE_FORMAT_VERSION, layout_key(fpva))
+    return _digest("layout", layout_key(fpva))
 
 
 def universe_digest(universe: Iterable[Fault]) -> str:
@@ -227,9 +227,7 @@ def universe_digest(universe: Iterable[Fault]) -> str:
     stored fault sets are universe indices, so two artifacts are
     row-compatible only when their universes match element for element.
     """
-    return digest_of(
-        "universe", STORE_FORMAT_VERSION, [fault_key(f) for f in universe]
-    )
+    return _digest("universe", [fault_key(f) for f in universe])
 
 
 def suite_digests(vectors: Sequence[TestVector]) -> list[str]:
@@ -240,10 +238,7 @@ def suite_digests(vectors: Sequence[TestVector]) -> list[str]:
     suite's columns for those vectors (syndromes are per-vector readings),
     whatever order either suite lists them in.
     """
-    return [
-        digest_of("vector", STORE_FORMAT_VERSION, vector_key(v))
-        for v in vectors
-    ]
+    return [_digest("vector", vector_key(v)) for v in vectors]
 
 
 def dictionary_digest(
@@ -258,11 +253,37 @@ def dictionary_digest(
     encoded as universe indices — a reordered universe is a different
     artifact even when its contents coincide.
     """
-    return digest_of(
-        "dictionary",
-        STORE_FORMAT_VERSION,
-        layout_key(fpva),
-        [vector_key(v) for v in vectors],
-        [fault_key(f) for f in universe],
-        int(max_cardinality),
-    )
+    return DictionaryKeys.of(fpva, vectors, universe, max_cardinality).digest()
+
+
+class DictionaryKeys(NamedTuple):
+    """The canonical keys of a dictionary's inputs, taken once: its
+    :meth:`digest` and its :meth:`lineage` digests derive from them."""
+
+    layout: tuple
+    vectors: list
+    faults: list
+    cardinality: int
+
+    @classmethod
+    def of(cls, fpva, vectors, universe, max_cardinality) -> "DictionaryKeys":
+        vector_keys = [vector_key(v) for v in vectors]
+        fault_keys = [fault_key(f) for f in universe]
+        return cls(layout_key(fpva), vector_keys, fault_keys, int(max_cardinality))
+
+    def digest(self) -> str:
+        """:func:`dictionary_digest`."""
+        return digest_of("dictionary", STORE_FORMAT_VERSION, *self)
+
+    def lineage(self) -> dict:
+        """:func:`layout_digest`, :func:`universe_digest` and
+        :func:`suite_digests`, keyed as a lineage block is."""
+        return {
+            "layout": _digest("layout", self.layout),
+            "universe": _digest("universe", self.faults),
+            "suite": [_digest("vector", key) for key in self.vectors],
+        }
+
+
+def _digest(kind: str, key) -> str:
+    return digest_of(kind, STORE_FORMAT_VERSION, key)

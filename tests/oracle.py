@@ -8,16 +8,17 @@ exact equality against them:
 * :class:`ObjectSimulator` — reachability by BFS over the object graph
   (``Edge`` hashing per arc);
 * :func:`effective_state` — the fault model on ``Edge`` sets, the
-  pipeline :class:`~repro.sim.kernel.CompiledFaultSet` replays on masks;
-  :func:`object_tester` applies chips through it and
-  :class:`ObjectSimulator`;
+  pipeline :class:`~repro.sim.kernel.FaultFold` folds on ``uint64`` word
+  rows for the dictionary build, the campaign shards and the
+  :class:`~repro.sim.tester.Tester` alike; :func:`object_tester` applies
+  chips through it and :class:`ObjectSimulator`;
 * :func:`faults_compatible` — the fault-kind rules the one-key-per-fault
   :func:`repro.sim.faults.faults_compatible` replaced;
 * :class:`ReferenceDictionary` — one full-suite simulation per fault set,
   and full-suite diagnosis by syndrome lookup;
 * :func:`run_trials` — the chip-at-a-time campaign loop, drawing fault
   sets in the same RNG order as one shard of
-  :func:`repro.sim.campaign.run_shard` (``seed`` is the shard's seed,
+  :func:`repro.sim.campaign.run_shards` (``seed`` is the shard's seed,
   ``mix_seed(sweep seed, k, shard)``);
 * :func:`audit_two_fault_detection` — the chip-at-a-time single and
   pair audit;
@@ -287,9 +288,12 @@ class ObjectTester(Tester):
             vector, self.simulator.meter_readings(opened, blocked=blocked)
         )
 
-    def _reader(self, chip):
+    def mount(self, chip, vectors):
+        """Nothing to fold: :meth:`apply` runs the object-level pipeline."""
+
+    def _outcomes(self, chip, vectors):
         """``run`` and ``detects`` apply through :meth:`apply` too."""
-        return functools.partial(self.apply, chip)
+        return map(functools.partial(self.apply, chip), vectors)
 
 
 def object_tester(fpva) -> ObjectTester:

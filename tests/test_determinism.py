@@ -9,7 +9,9 @@ terminals hash through strings, whose hashes change per process under
 order would change the suite from run to run.  Each case runs in fresh
 interpreters under several hash seeds and compares their output bytes:
 the ``TestSet.to_json`` of a suite, or a dictionary's digest and
-syndrome classes plus campaign sweeps at two worker counts.
+syndrome classes plus campaign sweeps at two worker counts.  Campaign
+sweeps are also pinned to recorded SHA-256s, in process, so a change to
+the fault model or the sampler cannot move their bytes unnoticed.
 """
 
 from __future__ import annotations
@@ -137,3 +139,44 @@ def test_paper_suites_ignore_hash_seed():
         assert len(digests) == 1, (kind, n, strategy, digests)
         if pinned is not None:
             assert digests == {pinned}, (kind, n, strategy)
+
+
+#: (scenario, suite prefix) -> SHA-256 of the sweep JSON on a full 4x4:
+#: k = 1..3, 60 chips each, seed 3, 10 chips a shard, over the generated
+#: suite (14 vectors) and over its first 4 vectors, under which chips of
+#: every scenario escape, so the undetected examples pin the draws.
+#: ``None`` is the default workload, drawn on universe indices; the named
+#: scenarios draw through ``FaultScenario.sample``.  Recorded before the
+#: fault model moved onto arrays for every fault kind.
+CAMPAIGN_SWEEPS = {
+    (None, 14): "c1a4e255c9731b654c61c0a68f3a30edff29445c7b5899014fbaad5e714b5ee9",
+    ("stuck-at", 14): "c1a4e255c9731b654c61c0a68f3a30edff29445c7b5899014fbaad5e714b5ee9",
+    ("mixed", 14): "02593efdee9392f322b7dd1fd4aeb355155bdc4257b49e433f4e33c0fa40c659",
+    ("intermittent", 14): "01dc3dec797031d49c1371bc52bef6051fe4afd039f478ab49a4b5c2e79677a8",
+    (None, 4): "aeb6ab2bc2401b5731e53d0e6f095d1bf59db31ebb388f2b3c5d9d52c7b9df0f",
+    ("stuck-at", 4): "aeb6ab2bc2401b5731e53d0e6f095d1bf59db31ebb388f2b3c5d9d52c7b9df0f",
+    ("mixed", 4): "f9d1678069edabd48e40f5c2db1b4e0921092431f2b61d3a0ccd775a4bfb7369",
+    ("intermittent", 4): "af02d0d29fe349ec6c2cf303d09922d3eb19302234b397dfb10a67acfaf9c5c5",
+}
+
+
+def test_campaign_bytes_are_pinned():
+    """Every pinned sweep prints the bytes it printed when recorded."""
+    import json
+
+    from repro.core import generate_suite
+    from repro.engine import get_scenario, run_sweep
+    from repro.fpva import full_layout
+
+    fpva = full_layout(4, 4)
+    vectors = generate_suite(fpva).all_vectors()
+    assert len(vectors) == 14
+    digests = {}
+    for name, count in CAMPAIGN_SWEEPS:
+        sweep = run_sweep(
+            fpva, vectors[:count], fault_counts=(1, 2, 3), trials=60, seed=3,
+            shard_trials=10, scenario=name and get_scenario(name),
+        )
+        raw = json.dumps({k: r.as_dict() for k, r in sweep.items()}, sort_keys=True)
+        digests[name, count] = hashlib.sha256(raw.encode()).hexdigest()
+    assert digests == CAMPAIGN_SWEEPS

@@ -128,6 +128,33 @@ class TestSharding:
         )
         assert [sweep[k].trials for k in (1, 2)] == [30, 30]
 
+    @pytest.mark.parametrize("scenario_name", [None, "mixed"])
+    def test_batching_changes_no_result(self, bundle, monkeypatch, scenario_name):
+        """run_shards folds whole shards per slot_rows call, BATCH_CHIPS
+        or more at a time: any batch size gives every shard the result
+        it gets alone."""
+        from repro.sim import campaign
+        from repro.sim.kernel import BatchEvaluator, ReachabilityKernel
+
+        fpva, vectors = bundle
+        scenario = scenario_name and get_scenario(scenario_name)
+        kernel = ReachabilityKernel(fpva)
+        universe = campaign.campaign_universe(fpva, scenario)
+        rows = [
+            (k, size, seed)
+            for k, _, size, seed in shard_plan((1, 2, 3), 40, shard_trials=7, seed=4)
+        ]
+
+        def run(shards):
+            evaluator = BatchEvaluator(kernel, vectors, universe)
+            results = campaign.run_shards(evaluator, scenario, shards)
+            return [result.as_dict() for result in results]
+
+        alone = [result for row in rows for result in run([row])]
+        for batch in (1, 10, 50, campaign.BATCH_CHIPS):
+            monkeypatch.setattr(campaign, "BATCH_CHIPS", batch)
+            assert run(rows) == alone, batch
+
     def test_mix_seed_deterministic_and_spread(self):
         assert mix_seed(0, 1, 0) == mix_seed(0, 1, 0)
         seeds = {mix_seed(0, k, s) for k in range(1, 6) for s in range(8)}

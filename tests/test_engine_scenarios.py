@@ -1,9 +1,11 @@
 """Scenario registry, the new fault kinds, and end-to-end workloads."""
 
+import dataclasses
 import random
 
 import pytest
 
+import oracle
 from repro.core import generate_suite
 from repro.engine import (
     FaultScenario,
@@ -18,10 +20,8 @@ from repro.fpva import full_layout, table1_layout
 from repro.sim import (
     ChannelBlocked,
     ChipUnderTest,
-    CompiledFaultSet,
     FaultDictionary,
     IntermittentStuckAt,
-    ReachabilityKernel,
     StuckAt0,
     StuckAt1,
     Tester,
@@ -111,11 +111,23 @@ class TestIntermittentFault:
         assert forward == list(reversed(backward))
 
     def test_requires_vector_identity(self, bundle):
-        fpva, _ = bundle
+        """An unnamed vector cannot fire an intermittent fault: the fold
+        raises as the object-level model does, and a chip without one
+        reads the vector as usual."""
+        fpva, vectors = bundle
+        unnamed = dataclasses.replace(vectors[0], name=None)
         chip = ChipUnderTest(fpva, [IntermittentStuckAt(fpva.valves[0])])
-        compiled = CompiledFaultSet(ReachabilityKernel(fpva), chip.faults)
         with pytest.raises(ValueError, match="vector identity"):
-            compiled.effective_masks(0)
+            oracle.effective_state(chip, unnamed)
+        with pytest.raises(ValueError, match="vector identity"):
+            Tester(fpva).apply(chip, unnamed)
+        with pytest.raises(ValueError, match="vector identity"):
+            Tester(fpva).run(chip, [vectors[1], unnamed])
+        stuck = ChipUnderTest(fpva, [StuckAt0(fpva.valves[0])])
+        assert (
+            Tester(fpva).apply(stuck, unnamed).observed
+            == oracle.object_tester(fpva).apply(stuck, unnamed).observed
+        )
 
 
 class TestBlockageFault:

@@ -9,10 +9,11 @@ import oracle
 from repro.engine import get_scenario, scenario_names
 from repro.fpva import full_layout, table1_layout
 from repro.fpva.geometry import Cell, edge_between
+from repro.core.vectors import TestVector, VectorKind
 from repro.sim import (
     ChipUnderTest,
-    CompiledFaultSet,
     ControlLeak,
+    FaultFold,
     ReachabilityKernel,
     StuckAt0,
     StuckAt1,
@@ -135,13 +136,15 @@ class TestFaultUniverse:
 
 
 def effective_open_valves(chip, commanded):
-    """The valves ``chip`` leaves open under ``commanded``, decoded from
-    the production fault masks."""
+    """The valves ``chip`` leaves open under ``commanded``, read from the
+    production fold, which must agree with the object-level model."""
     kernel = ReachabilityKernel(chip.fpva)
-    open_mask, _ = CompiledFaultSet(kernel, chip.faults).effective_masks(
-        kernel.valve_mask(commanded)
-    )
-    return {v for v, i in kernel.valve_index.items() if (open_mask >> i) & 1}
+    fold = FaultFold(kernel, chip.faults, ["v"], [kernel.valve_mask(commanded)])
+    ((open_mask, _),) = fold.masks(range(len(chip.faults)))
+    opened = {v for v, i in kernel.valve_index.items() if (open_mask >> i) & 1}
+    vector = TestVector("v", VectorKind.BASELINE, frozenset(commanded), {})
+    assert opened == oracle.effective_state(chip, vector)[0]
+    return opened
 
 
 class TestChipUnderTest:

@@ -107,17 +107,27 @@ def test_warm_commands_load_the_suite_and_no_scipy(tmp_path):
 
 
 def test_one_canonicalizer():
-    """``CompiledFaultSet(...)`` is constructed only in ``sim/kernel.py``:
-    every other layer turns fault sets into scenario slots through
-    ``BatchEvaluator.slot_rows``."""
-    kernel = PACKAGE / "sim" / "kernel.py"
+    """``FaultFold`` is the one fault model: it is constructed only by
+    ``BatchEvaluator`` (``sim/kernel.py``) and ``Tester``
+    (``sim/tester.py``), so every other layer turns fault sets into
+    scenarios through ``BatchEvaluator.slot_rows`` or a tester, and the
+    per-set model the fold replaced is gone from ``src/``."""
+    owners = {PACKAGE / "sim" / "kernel.py", PACKAGE / "sim" / "tester.py"}
     callers = [
         f"{path.relative_to(SRC)}:{node.lineno}"
         for path in sorted(PACKAGE.rglob("*.py"))
-        if path != kernel
+        if path not in owners
         for node in ast.walk(ast.parse(path.read_text(), filename=str(path)))
         if isinstance(node, ast.Call)
-        and "CompiledFaultSet"
+        and "FaultFold"
         in (getattr(node.func, "id", None), getattr(node.func, "attr", None))
     ]
     assert callers == []
+    retired = ("CompiledFaultSet", "compile_faults", "effective_masks")
+    mentions = [
+        f"{path.relative_to(SRC)}: {name}"
+        for path in sorted(PACKAGE.rglob("*.py"))
+        for name in retired
+        if name in path.read_text()
+    ]
+    assert mentions == []

@@ -31,9 +31,9 @@ from repro.sim import (
     BatchEvaluator,
     ChannelBlocked,
     ChipUnderTest,
-    CompiledFaultSet,
     ControlLeak,
     FaultDictionary,
+    FaultFold,
     IntermittentStuckAt,
     ReachabilityKernel,
     StuckAt0,
@@ -150,10 +150,39 @@ def _random_vectors(fpva, rng, count=8):
     ]
 
 
-def _assert_slot_rows_intern_compiled_masks(fpva, rng, compiled_branch):
-    """One bulk slot_rows call interns CompiledFaultSet's masks for every
-    single fault of the mixed universe on the chosen branch, plus random
-    sets of 1-3."""
+def _oracle_masks(kernel, faults, vectors):
+    """``oracle.effective_state`` of a chip carrying ``faults``, as the
+    ``(open, blocked)`` int masks of each vector."""
+    chip = ChipUnderTest(kernel.fpva, faults)
+    return [
+        (kernel.valve_mask(opened), kernel.edge_mask(blocked))
+        for opened, blocked in (oracle.effective_state(chip, v) for v in vectors)
+    ]
+
+
+def _assert_fold_matches_oracle(kernel, vectors, fault_sets):
+    """Every set's effective states, from the fold through both of its
+    callers, are ``oracle.effective_state``'s: one bulk ``slot_rows``
+    call over the sets' universe, and the one-chip fold a tester
+    mounts."""
+    universe = list(dict.fromkeys(f for faults in fault_sets for f in faults))
+    position = {fault: i for i, fault in enumerate(universe)}
+    evaluator = BatchEvaluator(kernel, vectors, universe)
+    rows = evaluator.slot_rows([[position[f] for f in faults] for faults in fault_sets])
+    interned = evaluator.scenarios()
+    names = [vector.name for vector in vectors]
+    for faults, row in zip(fault_sets, rows.tolist()):
+        want = _oracle_masks(kernel, faults, vectors)
+        assert [interned[slot] for slot in row] == want, faults
+        fold = FaultFold(kernel, faults, names, evaluator.commanded_masks)
+        assert fold.masks(range(len(faults))) == want, faults
+
+
+def _assert_slot_rows_intern_compiled_masks(fpva, rng, leak_or_flaky):
+    """The fold gives oracle.effective_state for every single fault of the
+    mixed universe of the chosen kinds, plus random sets of 1-3: with
+    ``leak_or_flaky``, every set holds a control leak or an intermittent
+    fault; without, stuck-at and blockage faults only."""
 
     def complex_kind(faults):
         return any(
@@ -161,31 +190,63 @@ def _assert_slot_rows_intern_compiled_masks(fpva, rng, compiled_branch):
         )
 
     vectors = _random_vectors(fpva, rng, count=10)
-    kernel = ReachabilityKernel(fpva)
-    evaluator = BatchEvaluator(kernel, vectors)
     universe = get_scenario("mixed").universe(fpva)
-    drawn = [(f,) for f in universe if complex_kind((f,)) == compiled_branch]
+    drawn = [(f,) for f in universe if complex_kind((f,)) == leak_or_flaky]
     for cardinality in (1, 2, 3):
         while len(drawn) < len(universe) + 10 * cardinality:
             faults = sample_fault_set(universe, cardinality, rng)
-            if complex_kind(faults) == compiled_branch:
+            if complex_kind(faults) == leak_or_flaky:
                 drawn.append(faults)
-    position = {fault: i for i, fault in enumerate(universe)}
-    rows = evaluator.slot_rows(
-        universe, [[position[f] for f in faults] for faults in drawn]
+    _assert_fold_matches_oracle(ReachabilityKernel(fpva), vectors, drawn)
+
+
+def _chain_cases(fpva, rng, count):
+    """Leak chains of 3-5 leaks, each with a vector that closes one end of
+    the chain and opens the rest, plus a fault that shares a chain valve:
+    a stuck-at, a blockage or an intermittent fault of either polarity,
+    or none.  The leaks come in shuffled order, so the closure often
+    needs more than one pass over them."""
+    from repro.core.vectors import TestVector, VectorKind
+
+    valves = list(fpva.valves)
+    others = (
+        None,
+        StuckAt0,
+        StuckAt1,
+        ChannelBlocked,
+        lambda v: IntermittentStuckAt(v, stuck_open=True, rate=1.0),
+        lambda v: IntermittentStuckAt(v, stuck_open=False, rate=1.0),
     )
-    interned = evaluator.scenarios()
-    for faults, row in zip(drawn, rows.tolist()):
-        compiled = CompiledFaultSet(kernel, faults)
-        assert [interned[slot] for slot in row] == [
-            compiled.effective_masks(mask, vector.name)
-            for mask, vector in zip(evaluator.commanded_masks, vectors)
-        ], faults
+    cases = []
+    for n in range(count):
+        chain = rng.sample(valves, rng.randint(4, min(6, len(valves))))
+        leaks = [ControlLeak(a, b) for a, b in zip(chain, chain[1:])]
+        rng.shuffle(leaks)
+        other = others[n % len(others)]
+        faults = tuple(leaks)
+        if other is not None:
+            faults += (other(rng.choice(chain)),)
+        closed = rng.choice((chain[0], chain[-1]))
+        opened = frozenset(v for v in valves if v != closed)
+        vector = TestVector(f"chain{n}", VectorKind.BASELINE, opened, {})
+        cases.append((faults, vector))
+    return cases
+
+
+def _one_pass(leaks, opened):
+    """The open valves after a single pass over ``leaks`` in order, each
+    closing its pair where exactly one valve is open."""
+    opened = set(opened)
+    for leak in leaks:
+        if len(opened & {leak.a, leak.b}) == 1:
+            opened -= {leak.a, leak.b}
+    return opened
 
 
 def _assert_apply_matches_object_tester(fpva, rng):
     """Tester.apply reads every mixed-scenario chip of 1-3 faults as the
-    object-level tester does; returns the fault kinds the chips carried."""
+    object-level tester does, one vector at a time and from a chip mounted
+    with the whole suite; returns the fault kinds the chips carried."""
     vectors = _random_vectors(fpva, rng, count=10)
     tester = Tester(fpva)
     reference = oracle.object_tester(fpva)
@@ -197,11 +258,13 @@ def _assert_apply_matches_object_tester(fpva, rng):
             faults = scenario.sample(universe, rng, cardinality)
             kinds.update(type(f) for f in faults)
             chip = ChipUnderTest(fpva, faults)
-            for vector in vectors:
+            want = [reference.apply(chip, vector).observed for vector in vectors]
+            for vector, expected in zip(vectors, want):
                 got = tester.apply(chip, vector).observed
-                want = reference.apply(chip, vector).observed
-                assert got == want, (faults, vector.name)
-                assert list(got) == list(want)
+                assert got == expected, (faults, vector.name)
+                assert list(got) == list(expected)
+            tester.mount(chip, vectors)
+            assert [tester.apply(chip, v).observed for v in vectors] == want
     return kinds
 
 
@@ -298,8 +361,11 @@ class TestSingleQueryEquivalence:
 
 
 class TestCompiledFaultSetEquivalence:
+    """The fold that replaced the per-set compiled fault model, pinned to
+    ``oracle.effective_state``."""
+
     def test_effective_masks_match_chip_all_fault_kinds(self, arrays):
-        """CompiledFaultSet replays oracle.effective_state exactly.
+        """A chip's one-set fold replays oracle.effective_state exactly.
 
         The mixed scenario draws every fault kind (SA0, SA1, ControlLeak,
         IntermittentStuckAt, ChannelBlocked).
@@ -309,35 +375,33 @@ class TestCompiledFaultSetEquivalence:
         for fpva in arrays:
             vectors = _random_vectors(fpva, rng, count=10)
             kernel = ReachabilityKernel(fpva)
-            evaluator = BatchEvaluator(kernel, vectors)
+            names = [v.name for v in vectors]
+            commanded = [kernel.valve_mask(v.open_valves) for v in vectors]
             universe = scenario.universe(fpva)
+            kinds = set()
             for _ in range(40):
                 faults = scenario.sample(universe, rng, rng.choice((1, 2, 3)))
-                chip = ChipUnderTest(fpva, faults)
-                compiled = CompiledFaultSet(kernel, faults)
-                for vi, vector in enumerate(vectors):
-                    open_ref, blocked_ref = oracle.effective_state(chip, vector)
-                    open_mask, blocked_mask = compiled.effective_masks(
-                        evaluator.commanded_masks[vi], vector.name
-                    )
-                    assert open_mask == kernel.valve_mask(open_ref)
-                    assert blocked_mask == kernel.edge_mask(blocked_ref)
+                kinds.update(map(type, faults))
+                fold = FaultFold(kernel, faults, names, commanded)
+                assert fold.masks(range(len(faults))) == _oracle_masks(
+                    kernel, faults, vectors
+                ), faults
+            assert len(kinds) >= 4
 
-    @pytest.mark.parametrize("compiled_branch", [False, True])
-    def test_slot_row_interns_the_compiled_masks(self, arrays, compiled_branch):
+    @pytest.mark.parametrize("leak_or_flaky", [False, True])
+    def test_slot_row_interns_the_compiled_masks(self, arrays, leak_or_flaky):
         """slot_rows interns, per set and vector, the (open, blocked) pair
-        CompiledFaultSet.effective_masks gives.
+        oracle.effective_state gives, and the one-chip fold agrees.
 
-        Stuck-at/blockage-only sets take slot_rows' word broadcast; sets
-        holding a control leak or an intermittent fault take its compiled
-        branch.  Both run at cardinalities 1-3, and every single
-        fault of the universe is checked on its own.
+        Both kinds of set run at cardinalities 1-3: stuck-at and blockage
+        sets, and sets holding a control leak or an intermittent fault.
+        Every single fault of the universe is checked on its own.
         """
         rng = random.Random(19)
         for fpva in arrays:
-            _assert_slot_rows_intern_compiled_masks(fpva, rng, compiled_branch)
+            _assert_slot_rows_intern_compiled_masks(fpva, rng, leak_or_flaky)
 
-    @pytest.mark.parametrize("compiled_branch", [False, True])
+    @pytest.mark.parametrize("leak_or_flaky", [False, True])
     @settings(
         max_examples=10,
         deadline=None,
@@ -345,32 +409,86 @@ class TestCompiledFaultSetEquivalence:
     )
     @given(small_layouts(), st.integers(0, 2**16))
     def test_slot_row_interns_the_compiled_masks_on_random_layouts(
-        self, compiled_branch, fpva, seed
+        self, leak_or_flaky, fpva, seed
     ):
         """The same property on random layouts with channels and obstacles."""
         rng = random.Random(seed)
-        _assert_slot_rows_intern_compiled_masks(fpva, rng, compiled_branch)
+        _assert_slot_rows_intern_compiled_masks(fpva, rng, leak_or_flaky)
 
     def test_unknown_valve_rejected_like_chip(self, arrays):
+        """A valve or a flow edge the kernel lacks raises ValueError from
+        the fold, with ChipUnderTest's message."""
         fpva = arrays[0]
         other = full_layout(6, 6, name="kernel-other")
         kernel = ReachabilityKernel(fpva)
-        from repro.sim import ChannelBlocked, StuckAt0
+        vectors = _random_vectors(fpva, random.Random(5))
+        for fault in (
+            StuckAt0(other.valves[-1]),
+            ControlLeak(fpva.valves[0], other.valves[-1]),
+            IntermittentStuckAt(other.valves[-1]),
+            ChannelBlocked(other.flow_edges[-1]),
+        ):
+            with pytest.raises(ValueError) as chip_error:
+                ChipUnderTest(fpva, (fault,))
+            with pytest.raises(ValueError) as fold_error:
+                BatchEvaluator(kernel, vectors, (fault,))
+            assert str(fold_error.value) == str(chip_error.value)
 
-        bogus = StuckAt0(other.valves[-1])
-        with pytest.raises(ValueError):
-            CompiledFaultSet(kernel, (bogus,))
-        with pytest.raises(ValueError):
-            ChipUnderTest(fpva, (bogus,))
-        # slot_rows raises the same error for a valve or a blocked edge
-        # the kernel lacks.
-        evaluator = BatchEvaluator(kernel, _random_vectors(fpva, random.Random(5)))
-        for fault in (bogus, ChannelBlocked(other.flow_edges[-1])):
-            with pytest.raises(ValueError) as compiled_error:
-                CompiledFaultSet(kernel, (fault,))
-            with pytest.raises(ValueError) as slot_row_error:
-                evaluator.slot_rows((fault,), [(0,)])
-            assert str(slot_row_error.value) == str(compiled_error.value)
+
+class TestFoldMatchesOracle:
+    """The fold against ``oracle.effective_state`` on the cases a random
+    draw rarely makes: long leak chains, leaks sharing a valve with other
+    faults, and intermittent faults of both polarities."""
+
+    @pytest.mark.parametrize("layout", range(4))
+    def test_leak_chains(self, layout):
+        fpva = _layouts()[layout]
+        rng = random.Random(layout)
+        kernel = ReachabilityKernel(fpva)
+        cases = _chain_cases(fpva, rng, 24)
+        vectors = [vector for _, vector in cases] + _random_vectors(fpva, rng, 6)
+        _assert_fold_matches_oracle(kernel, vectors, [faults for faults, _ in cases])
+        # The crafted vectors make some chains settle only after a second
+        # pass over their leaks.
+        slow = 0
+        for faults, vector in cases:
+            leaks = [f for f in faults if isinstance(f, ControlLeak)]
+            settled, _ = oracle.effective_state(ChipUnderTest(fpva, leaks), vector)
+            slow += _one_pass(leaks, vector.open_valves) != settled
+        assert slow >= 3
+
+    @settings(
+        max_examples=10,
+        deadline=None,
+        suppress_health_check=[HealthCheck.too_slow, HealthCheck.data_too_large],
+    )
+    @given(small_layouts(), st.integers(0, 2**16))
+    def test_leak_chains_on_random_layouts(self, fpva, seed):
+        rng = random.Random(seed)
+        cases = _chain_cases(fpva, rng, 12)
+        vectors = [vector for _, vector in cases] + _random_vectors(fpva, rng, 4)
+        _assert_fold_matches_oracle(
+            ReachabilityKernel(fpva), vectors, [faults for faults, _ in cases]
+        )
+
+    def test_every_kind_with_both_polarities(self, arrays):
+        """Random 1-5-fault sets of the mixed universe, which holds every
+        fault kind and intermittent faults of both polarities."""
+        rng = random.Random(3)
+        for fpva in arrays:
+            universe = get_scenario("mixed").universe(fpva)
+            sets = [
+                sample_fault_set(universe, rng.randint(1, 5), rng) for _ in range(150)
+            ]
+            drawn = [f for faults in sets for f in faults]
+            assert {type(f) for f in drawn} == {
+                StuckAt0, StuckAt1, ControlLeak, IntermittentStuckAt, ChannelBlocked
+            }
+            flaky = {f.stuck_open for f in drawn if isinstance(f, IntermittentStuckAt)}
+            assert flaky == {True, False}
+            _assert_fold_matches_oracle(
+                ReachabilityKernel(fpva), _random_vectors(fpva, rng, 12), sets
+            )
 
 
 class TestTesterEquivalence:

@@ -88,8 +88,8 @@ def eval_probe(monkeypatch):
     orig_init = BatchEvaluator.__init__
     orig_flush = BatchEvaluator.flush
 
-    def init(self, kernel, vectors):
-        orig_init(self, kernel, vectors)
+    def init(self, kernel, vectors, universe=()):
+        orig_init(self, kernel, vectors, universe)
         probe.constructed.append(len(self.vectors))
 
     def flush(self):

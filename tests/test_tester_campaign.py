@@ -22,7 +22,7 @@ from repro.sim import (
 )
 from repro.sim import campaign
 from repro.sim.campaign import _sample_by_key
-from repro.sim.faults import max_compatible_faults
+from repro.sim.faults import compatibility_key, max_compatible_faults
 
 
 @pytest.fixture(scope="module")
@@ -137,8 +137,13 @@ class TestSamplerNearTheBound:
         ]
         rng = random.Random(1)
         draws = 24_000
+
+        def key(i):
+            return compatibility_key(universe[i])
+
         counts = Counter(
-            frozenset(_sample_by_key(universe, 2, rng)) for _ in range(draws)
+            frozenset(universe[i] for i in _sample_by_key(len(universe), key, 2, rng))
+            for _ in range(draws)
         )
         assert len(counts) == 12
         assert all(faults_compatible(tuple(fault_set)) for fault_set in counts)
@@ -151,7 +156,7 @@ class TestSamplerNearTheBound:
         chip by rejection (a 5-set of its 516 faults is compatible with
         probability 0.99), so their results are the rejection sampler's."""
 
-        def refuse(universe, k, rng):
+        def refuse(n, key, k, rng):
             raise AssertionError(f"exact sampler reached at k = {k}")
 
         monkeypatch.setattr(campaign, "_sample_by_key", refuse)
