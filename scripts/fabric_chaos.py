@@ -26,10 +26,10 @@ Usage::
 
     setsid python -m repro campaign ... --workers 2 --journal-dir journal &
     python scripts/fabric_chaos.py journal --victim $! \\
-        --cache-dir .artifact-cache --corruptions 3 --seed 13
+        --corruptions 3 --seed 13
 
-Exits 0 when it corrupted at least one artifact, 1 otherwise (nothing
-published in time — the campaign probably failed to start).
+Exits 0 when it damaged at least one shard artifact, 1 otherwise
+(nothing published in time — the campaign probably failed to start).
 """
 
 from __future__ import annotations
@@ -142,10 +142,6 @@ def main(argv=None) -> int:
     parser.add_argument("--victim", type=int, default=None, metavar="PID",
                         help="drain process (group leader) to SIGKILL "
                              "mid-campaign")
-    parser.add_argument("--cache-dir", type=Path, default=None,
-                        help="artifact cache whose warm kernel gets "
-                             "corrupted too (workers heal it by "
-                             "recompiling)")
     parser.add_argument("--corruptions", type=int, default=3,
                         help="published shard artifacts to damage (the "
                              "kinds cycle: payload bit flip, torn marker, "
@@ -198,18 +194,10 @@ def main(argv=None) -> int:
             os.kill(args.victim, signal.SIGKILL)
         print(f"chaos: SIGKILLed drain process group {args.victim}", flush=True)
 
-    # Phase 3: corrupt the warm kernel artifact the resume will warm-load
-    # by path — its worker must quarantine it and recompile.
-    kernels = 0
-    if args.cache_dir is not None:
-        candidates = sorted((args.cache_dir / "kernels").glob("*.npz"))
-        if candidates and flip_bits(rng.choice(candidates), rng):
-            kernels = 1
-
-    print(f"chaos: damaged {shards} shard artifact(s) and {kernels} "
-          f"kernel(s), {len(published_shards(args.journal))} shards "
-          f"published", flush=True)
-    return 0 if shards + kernels else 1
+    print(f"chaos: damaged {shards} shard artifact(s), "
+          f"{len(published_shards(args.journal))} shards published",
+          flush=True)
+    return 0 if shards else 1
 
 
 if __name__ == "__main__":

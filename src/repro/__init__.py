@@ -9,8 +9,8 @@ The package is organized in six layers:
 * :mod:`repro.sim`  — pressure simulation, fault injection, diagnosis;
 * :mod:`repro.core` — the paper's test generation (flow paths, cut-sets,
   control-leakage, hierarchy, baseline, validation, rendering);
-* :mod:`repro.store` — content-addressed on-disk persistence of compiled
-  artifacts (kernels, fault dictionaries) for warm starts;
+* :mod:`repro.store` — content-addressed on-disk persistence of derived
+  artifacts (generated suites, fault dictionaries) for warm starts;
 * :mod:`repro.engine` — adaptive diagnosis, fault scenarios and the one
   campaign API (``run_sweep``).  It is not re-exported here, so
   ``import repro`` stays cheap.

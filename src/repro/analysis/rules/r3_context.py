@@ -2,10 +2,9 @@
 
 ``ExecutionContext`` guarantees exactly one kernel compile per session
 and one shared tester; a private ``ReachabilityKernel(fpva)`` in caller
-code silently duplicates that work and — worse — bypasses the kernel
-store's warm-load/heal path, so the caller's kernel never benefits from
-(or exercises) artifact integrity checking.  ``Tester(fpva)`` compiles
-a private kernel the same way.
+code silently compiles a second kernel, and the layers it feeds stop
+sharing one session: its propagation tier, its tester and its store.
+``Tester(fpva)`` compiles a private kernel the same way.
 
 Construction is allowed only where it is the point: ``context.py``
 itself and the ``sim/`` package that defines these types.  Everyone
@@ -27,8 +26,8 @@ class ContextDisciplineRule(Rule):
     name = "session-discipline"
     severity = "error"
     rationale = (
-        "exactly-one-kernel-compile and warm-load healing only hold when "
-        "testers and kernels are built via ExecutionContext"
+        "exactly one kernel compile per session only holds when testers "
+        "and kernels are built via ExecutionContext"
     )
 
     def applies_to(self, path: str) -> bool:

@@ -2,27 +2,26 @@
 
 Every command builds one :class:`~repro.context.ExecutionContext` per
 array — the session owning the compiled kernel, the artifact store and
-the shared tester — and threads it through generation,
-campaigns and diagnosis, so ``--cache-dir`` warm-starts *every*
-subcommand (generation included) and nothing compiles twice.  The
-commands that consume a suite (``campaign``, ``diagnose``, ``warm``) get
-it through :meth:`~repro.context.ExecutionContext.suite`, which loads the
-stored suite instead of re-solving its ILPs, and print a line saying
-whether it was warm-loaded or generated.
+the shared tester — and threads it through generation, campaigns and
+diagnosis, so nothing compiles twice.  The commands that consume a suite
+(``campaign``, ``diagnose``, ``warm``) take ``--cache-dir`` and get the
+suite through :meth:`~repro.context.ExecutionContext.suite`, which loads
+the stored suite instead of re-solving its ILPs, and print a line saying
+whether it was warm-loaded or generated.  ``generate`` and ``table1``
+always run the generator, since timing it is their job; they take no
+store.
 
 Commands
 --------
 ``generate``  Generate a test suite for a benchmark or full array and print
-              (or save as JSON) the vectors.  ``--cache-dir`` warm-loads
-              the compiled reachability kernel from the artifact store.
-``table1``    Regenerate the paper's Table I rows (``--cache-dir`` warm
-              starts each row's kernel).
+              (or save as JSON) the vectors.
+``table1``    Regenerate the paper's Table I rows.
 ``show``      Render an array (optionally with its flow paths) as ASCII.
 ``campaign``  Run a random fault-injection campaign against a generated
               suite and report detection rates.  ``--workers N`` shards the
               trials over a process pool (same results, less wall-clock);
               ``--scenario NAME`` swaps the fault workload; ``--cache-dir``
-              loads the suite and the compiled kernel from the store.
+              loads the suite from the store.
               ``--journal-dir`` reroutes the identical shard structure
               through the campaign fabric: completed shards publish
               durably, a killed run resumes from the last published shard
@@ -33,12 +32,9 @@ Commands
               ``--adaptive`` schedules vectors one at a time by information
               gain instead of applying the whole suite; ``--cache-dir``
               warm-starts the dictionary from the artifact store.
-``warm``      Prebuild the cached artifacts (compiled kernel, generated
-              suite and fault dictionary) for an array into
-              ``--cache-dir``, so later runs skip compilation and suite
-              generation entirely; ``--table1`` prebuilds (and reports)
-              the kernel artifacts for every Table I generation layout
-              instead.
+``warm``      Prebuild the cached artifacts (generated suite and fault
+              dictionary) for an array into ``--cache-dir``, so later runs
+              skip suite generation and the dictionary build.
 ``store``     Artifact-store maintenance.  ``store gc`` lists (default:
               dry run) or removes dictionary artifacts that are
               superseded by a lineage descendant — every delta build
@@ -83,12 +79,9 @@ def _layout(args):
     return full_layout(args.size, args.size)
 
 
-def _context(args, fpva=None) -> ExecutionContext:
+def _context(args) -> ExecutionContext:
     """The command's session: one kernel, one store, one tester."""
-    return ExecutionContext(
-        fpva if fpva is not None else _layout(args),
-        store=getattr(args, "cache_dir", None),
-    )
+    return ExecutionContext(_layout(args), store=getattr(args, "cache_dir", None))
 
 
 def _suite(ctx: ExecutionContext):
@@ -166,11 +159,9 @@ def cmd_generate(args) -> int:
 def cmd_table1(args) -> int:
     sizes = [args.size] if args.size else list(TABLE1_SIZES)
     for n in sizes:
-        fpva = table1_layout(n)
-        ctx = _context(args, fpva)
         strategy = "direct" if n == 5 else "hierarchical"
         generated = TestGenerator(
-            fpva, path_strategy=strategy, context=ctx
+            table1_layout(n), path_strategy=strategy
         ).generate()
         print(generated.report.row())
     return 0
@@ -368,32 +359,10 @@ def cmd_diagnose(args) -> int:
     return 0 if localized == args.trials else 1
 
 
-def _warm_kernel(ctx: ExecutionContext) -> None:
-    """Warm-load or compile-and-persist one session kernel; report it."""
-    t0 = time.perf_counter()
-    kernel = ctx.kernel
-    status = "warm" if ctx.kernel_loads else "cold"
-    print(
-        f"kernel  {ctx.store.kernels.path_for(ctx.fpva).name}: {kernel!r} "
-        f"({status}, {time.perf_counter() - t0:.2f}s)"
-    )
-
-
 def cmd_warm(args) -> int:
     """Prebuild the cached artifacts for one array configuration."""
-    if args.table1:
-        # Generation layouts: one kernel artifact per Table I array, so
-        # `generate`/`table1 --cache-dir` warm-start every row.
-        for n in TABLE1_SIZES:
-            ctx = _context(args, table1_layout(n))
-            _warm_kernel(ctx)
-        return 0
-
     ctx = _context(args)
     fpva = ctx.fpva
-    # Kernel first, so the reported time is the actual compile/load (suite
-    # generation below reuses it from the session).
-    _warm_kernel(ctx)
     suite = _suite(ctx)
 
     scenario = get_scenario(args.scenario)
@@ -465,17 +434,11 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--out", help="write the suite as JSON to this path")
     p.add_argument("--coverage", action="store_true",
                    help="also measure observability-based fault coverage")
-    p.add_argument("--cache-dir", default=None,
-                   help="artifact store; generation warm-loads the compiled "
-                        "kernel from here (see `warm --table1`)")
     p.set_defaults(func=cmd_generate)
 
     p = sub.add_parser("table1", help="regenerate the paper's Table I")
     p.add_argument("--size", type=int, choices=TABLE1_SIZES,
                    help="only this array (default: all five)")
-    p.add_argument("--cache-dir", default=None,
-                   help="artifact store; each row warm-loads its compiled "
-                        "kernel from here (see `warm --table1`)")
     p.set_defaults(func=cmd_table1)
 
     p = sub.add_parser("show", help="render an array as ASCII")
@@ -494,9 +457,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--scenario", choices=scenario_names(), default=None,
                    help="fault workload (default: the paper's stuck-at space)")
     p.add_argument("--cache-dir", default=None,
-                   help="artifact store; the suite and the compiled kernel "
-                        "load from here instead of being regenerated and "
-                        "recompiled")
+                   help="artifact store; the suite loads from here instead "
+                        "of being regenerated")
     p.add_argument("--journal-dir", default=None,
                    help="run through the campaign fabric: shards publish "
                         "durably here as they complete, a killed run "
@@ -546,7 +508,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_diagnose)
 
     p = sub.add_parser(
-        "warm", help="prebuild cached artifacts (kernel, suite, dictionary)"
+        "warm", help="prebuild cached artifacts (suite, dictionary)"
     )
     _add_array_args(p)
     p.add_argument("--cache-dir", required=True,
@@ -564,9 +526,6 @@ def build_parser() -> argparse.ArgumentParser:
                         "stored ancestor artifact instead of auto-resolving "
                         "the nearest one (still validated; falls back to a "
                         "cold build when incompatible)")
-    p.add_argument("--table1", action="store_true",
-                   help="instead: prebuild/report the kernel artifacts for "
-                        "every Table I generation layout")
     p.set_defaults(func=cmd_warm)
 
     p = sub.add_parser("store", help="artifact-store maintenance")

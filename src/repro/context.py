@@ -12,14 +12,11 @@ An :class:`ExecutionContext` (a *session*) owns the tuple
 
 and hands out the shared per-array machinery derived from it:
 
-* :attr:`kernel` — compiled **exactly once** per context, warm-loaded
-  from the :class:`~repro.store.KernelStore` when a store is configured
-  (``store=``, an :class:`~repro.store.ArtifactStore` or its directory)
-  and persisted there after a cold compile.  A damaged stored kernel is
-  quarantined and recompiled, as every store artifact heals
-  (:mod:`repro.store.integrity`), and the context counts the loads,
-  compiles and heals.  It is the one load-heal-or-compile path: a
-  campaign sweep takes its kernel from here but runs its shards on a
+* :attr:`kernel` — compiled **exactly once** per context, on first use.
+  Kernels are never stored: a compile costs less than loading and
+  checking a stored copy did (README, "Persistence & warm starts"), so
+  the store keeps only what is dear to derive, suites and dictionaries.
+  A campaign sweep takes its kernel from here but runs its shards on a
   :class:`~repro.sim.kernel.BatchEvaluator` of its own
   (:mod:`repro.engine.parallel`), as the hardening audit does, so the
   session holds no scenario pool.  The generators ask it their
@@ -68,13 +65,17 @@ class ExecutionContext:
         The array every derived object is bound to.
     store:
         An :class:`~repro.store.ArtifactStore`, or a cache-directory path
-        (the CLI's ``--cache-dir``), enabling kernel warm starts and
-        dictionary persistence.
+        (the CLI's ``--cache-dir``), enabling suite and dictionary
+        persistence.
     kernel:
         Optional pre-compiled kernel to adopt (it must have been
         compiled for ``fpva``); the context then never compiles, and the
         kernel keeps whatever backend tier it carries.
     """
+
+    #: Always 0, since kernels are compiled and never loaded; kept only
+    #: because the repository benchmark's tracer (``perfbench``) reads it.
+    kernel_loads = 0
 
     def __init__(
         self,
@@ -90,12 +91,8 @@ class ExecutionContext:
         self.fpva = fpva
         self.store: ArtifactStore | None = as_store(store)
         self._kernel = kernel
-        #: Cold kernel compiles this context paid (asserted == 1 by test).
+        #: Kernel compiles this context paid (asserted == 1 by test).
         self.kernel_compiles = 0
-        #: Kernel warm loads served from :attr:`store`.
-        self.kernel_loads = 0
-        #: Corrupt stored kernels this context quarantined and rebuilt.
-        self.kernel_heals = 0
         self._tester: Tester | None = None
 
     # -- resolution helpers -------------------------------------------------
@@ -126,37 +123,10 @@ class ExecutionContext:
     # -- the compiled kernel ------------------------------------------------
     @property
     def kernel(self) -> ReachabilityKernel:
-        """The compiled kernel — built (or warm-loaded) exactly once.
-
-        With a :attr:`store` configured, a stored artifact is loaded
-        verbatim (bit-identical readings, no compile); a cold compile is
-        persisted so the *next* session warm-starts.  Stored artifacts
-        hold only the arc table, so a loaded kernel builds its ``tile``
-        tier on first batched use, exactly like a fresh compile.
-
-        A stored artifact that fails checksum verification is
-        quarantined and recompiled from the array — the session
-        self-heals instead of crashing (or worse, simulating on corrupt
-        arc tables), and :attr:`kernel_heals` counts the event.
-        """
+        """The compiled kernel — built exactly once, on first use."""
         if self._kernel is None:
-            from repro.store import ArtifactCorruptionError
-
-            loaded = None
-            if self.store is not None:
-                try:
-                    loaded = self.store.kernels.load(self.fpva)
-                except ArtifactCorruptionError as error:
-                    self.store.kernels.heal(self.fpva, error)
-                    self.kernel_heals += 1
-            if loaded is not None:
-                self._kernel = loaded
-                self.kernel_loads += 1
-            else:
-                self._kernel = ReachabilityKernel(self.fpva)
-                self.kernel_compiles += 1
-                if self.store is not None:
-                    self.store.kernels.save(self._kernel)
+            self._kernel = ReachabilityKernel(self.fpva)
+            self.kernel_compiles += 1
         return self._kernel
 
     # -- shared derived machinery -------------------------------------------

@@ -15,13 +15,13 @@ only changes wall-clock.  A single fault count is
 The array is compiled into a
 :class:`~repro.sim.kernel.ReachabilityKernel` **once** per campaign, by
 the :class:`~repro.context.ExecutionContext` the caller passes (or a
-fresh one; with a store, that is a warm load).  Every shard of a process
-then runs on one :class:`~repro.sim.kernel.BatchEvaluator` on that
-kernel, built by :func:`_run_shards` and dropped when it returns, so
-the shards of a process share one scenario-dedup pool, are folded and
-simulated a batch of whole shards at a time, and the caller's session
-holds nothing of the sweep.  With ``workers <= 1`` that
-evaluator runs inline over the whole plan; otherwise each of
+fresh one).  Every shard of a process then runs on one
+:class:`~repro.sim.kernel.BatchEvaluator` on that kernel, built by
+:func:`_run_shards` and dropped when it returns, so the shards of a
+process share one scenario-dedup pool, are folded and simulated a batch
+of whole shards at a time, and the caller's session holds nothing of
+the sweep.  With ``workers <= 1`` that evaluator runs inline over the
+whole plan; otherwise each of
 ``min(workers, shards)`` pool tasks takes the round-robin slice
 ``plan[i::n]`` (the plan is ordered by fault count, so every slice gets
 the same mix), and the kernel, suite and fault universe are pickled

@@ -80,8 +80,7 @@ class EliminationPlan:
     """Compiled elimination schedule for one kernel's topology.
 
     Deterministic: nodes are eliminated in (degree, node id) order within
-    each level, so the same kernel always compiles the same plan — and a
-    warm-loaded kernel (same arc table) compiles an identical one.
+    each level, so the same array always compiles the same plan.
     """
 
     def __init__(self, kernel) -> None:

@@ -182,36 +182,13 @@ class ReachabilityKernel:
 
     The kernel is immutable, reusable and picklable (plain arrays and maps),
     so campaign runners can compile once and ship it to worker processes
-    instead of re-deriving object-graph simulators per shard.
+    instead of re-deriving object-graph simulators per shard.  It is never
+    stored: compiling is linear in the array and costs less than reading
+    and checking a stored copy would, so each session compiles its own
+    (:attr:`repro.context.ExecutionContext.kernel`).
     """
 
     def __init__(self, fpva: FPVA):
-        index = self._init_topology(fpva)
-
-        # Every arc twice (undirected graph): (src, dst, valve id, edge id);
-        # valve -1 marks always-open connections, edge -1 port openings
-        # (which debris cannot block).
-        arcs: list[tuple[int, int, int, int]] = []
-        for edge in fpva.flow_edges:
-            u, w = index[edge.a], index[edge.b]
-            vi = self.valve_index.get(edge, -1)
-            ei = self.edge_index[edge]
-            arcs.append((u, w, vi, ei))
-            arcs.append((w, u, vi, ei))
-        for port in fpva.ports:
-            p, c = index[port], index[fpva.port_cell(port)]
-            arcs.append((p, c, -1, -1))
-            arcs.append((c, p, -1, -1))
-        arcs.sort(key=lambda a: a[1])  # destination-major for reduceat
-        self._install_arcs(arcs)
-
-    def _init_topology(self, fpva: FPVA) -> dict:
-        """Derive the cheap node/valve/port maps from the array.
-
-        Shared by the compiling constructor and :meth:`from_arrays`: only
-        the arc tables are worth persisting, everything here is linear-time
-        dictionary building.  Returns the node index map for arc assembly.
-        """
         self.fpva = fpva
         self.nodes: tuple = tuple(fpva.cells()) + tuple(fpva.ports)
         index = {node: i for i, node in enumerate(self.nodes)}
@@ -240,10 +217,23 @@ class ReachabilityKernel:
         self._sink_idx = tuple(index[p] for p in fpva.sinks)
         self._sink_rows = np.array(self._sink_idx, dtype=np.intp)
         self.n_sinks = len(self.sink_names)
-        return index
 
-    def _install_arcs(self, arcs: Sequence[tuple[int, int, int, int]]) -> None:
-        """Install a destination-sorted arc table and its derived views."""
+        # Every arc twice (undirected graph): (src, dst, valve id, edge id);
+        # valve -1 marks always-open connections, edge -1 port openings
+        # (which debris cannot block).
+        arcs: list[tuple[int, int, int, int]] = []
+        for edge in fpva.flow_edges:
+            u, w = index[edge.a], index[edge.b]
+            vi = self.valve_index.get(edge, -1)
+            ei = self.edge_index[edge]
+            arcs.append((u, w, vi, ei))
+            arcs.append((w, u, vi, ei))
+        for port in fpva.ports:
+            p, c = index[port], index[fpva.port_cell(port)]
+            arcs.append((p, c, -1, -1))
+            arcs.append((c, p, -1, -1))
+        arcs.sort(key=lambda a: a[1])  # destination-major for reduceat
+
         self._arc_src = np.array([a[0] for a in arcs], dtype=np.intp)
         arc_dst = np.array([a[1] for a in arcs], dtype=np.intp)
         self._arc_valve = np.array([a[2] for a in arcs], dtype=np.int64)
@@ -261,53 +251,6 @@ class ReachabilityKernel:
         for u, w, vi, ei in arcs:
             out[u].append((w, vi, ei))
         self._out = tuple(tuple(lst) for lst in out)
-
-    # -- persistence -------------------------------------------------------
-    def to_arrays(self) -> dict[str, np.ndarray]:
-        """The compiled arc table as flat arrays (the persisted artifact).
-
-        Everything else the kernel carries is rebuilt from the array object
-        in linear time by :meth:`from_arrays`; only the destination-sorted
-        CSR arc table embodies actual compilation work.
-        """
-        counts = np.diff(np.r_[self._dst_starts, len(self._arc_src)])
-        return {
-            "arc_src": np.asarray(self._arc_src, dtype=np.int64),
-            "arc_dst": np.repeat(self._dst_nodes, counts).astype(np.int64),
-            "arc_valve": self._arc_valve,
-            "arc_edge": self._arc_edge,
-        }
-
-    @classmethod
-    def from_arrays(
-        cls, fpva: FPVA, arrays: dict[str, np.ndarray]
-    ) -> "ReachabilityKernel":
-        """Rebuild a kernel from :meth:`to_arrays` output without compiling.
-
-        The arc table is installed verbatim (it is already destination
-        sorted), so the reconstructed kernel's arrays — and therefore every
-        reading it produces — are identical to the compiled original.
-        """
-        self = cls.__new__(cls)
-        self._init_topology(fpva)
-        src = np.asarray(arrays["arc_src"]).tolist()
-        dst = np.asarray(arrays["arc_dst"]).tolist()
-        valve = np.asarray(arrays["arc_valve"]).tolist()
-        edge = np.asarray(arrays["arc_edge"]).tolist()
-        if not (len(src) == len(dst) == len(valve) == len(edge)):
-            raise ValueError("inconsistent kernel arc arrays")
-        if any(b < a for a, b in zip(dst, dst[1:])):
-            raise ValueError(
-                "kernel arc table is not destination-sorted (corrupt artifact)"
-            )
-        arcs = list(zip(src, dst, valve, edge))
-        for u, w, vi, ei in arcs:
-            if not (0 <= u < self.n_nodes and 0 <= w < self.n_nodes):
-                raise ValueError("kernel arc references a non-existent node")
-            if not (-1 <= vi < self.n_valves and -1 <= ei < self.n_edges):
-                raise ValueError("kernel arc references a non-existent edge")
-        self._install_arcs(arcs)
-        return self
 
     # -- mask construction -------------------------------------------------
     def valve_mask(self, open_valves: Iterable[Edge]) -> int:

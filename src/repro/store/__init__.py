@@ -1,15 +1,13 @@
-"""Persistent compiled-artifact store: warm starts for heavy workloads.
+"""Persistent artifact store: warm starts for heavy workloads.
 
-Every layer above the simulator compiles something expensive and
-deterministic — the reachability kernel's arc table, the fault
-dictionary's syndrome table — and before this subsystem existed each
-invocation rebuilt them from scratch, which capped dictionary-backed
-diagnosis at 8x8.  The store persists those artifacts on disk,
-content-addressed by a stable digest of what they were compiled from
-(:mod:`repro.store.digest`), so repeated traffic pays the build once:
+Some layers above the simulator derive something expensive and
+deterministic — the ILP-generated test suite, the fault dictionary's
+syndrome table — and before this subsystem existed each invocation
+rebuilt them from scratch, which capped dictionary-backed diagnosis at
+8x8.  The store persists those artifacts on disk, content-addressed by a
+stable digest of what they were derived from (:mod:`repro.store.digest`),
+so repeated traffic pays the build once:
 
-* :class:`KernelStore` — one ``.npz`` of flat CSR arrays per array
-  structure (:mod:`repro.store.kernels`);
 * :class:`SuiteStore` — one generated test suite per (array, generator
   settings, solver, generator version) (:mod:`repro.store.suites`);
 * :class:`DictionaryStore` — chunked syndrome tables that a streaming
@@ -18,21 +16,25 @@ content-addressed by a stable digest of what they were compiled from
 * :class:`ArtifactStore` — the facade bundling them under one cache
   directory (the CLI's ``--cache-dir``).
 
+The compiled reachability kernel is not stored: compiling it costs less
+than loading a stored copy did, so every session compiles its own
+(:attr:`repro.context.ExecutionContext.kernel`).
+
 Cache invalidation is purely by content addressing: any change to the
 layout, generator settings, vector suite, fault universe or cardinality
 produces a new digest and therefore a cold build; stale entries are never
 reinterpreted.
 
-Integrity (:mod:`repro.store.integrity`): every artifact family — kernels,
-suites, dictionaries, and the campaign fabric's shards — publishes,
-verifies and heals through that one module.  Payloads are written durably and the
+Integrity (:mod:`repro.store.integrity`): every artifact family — suites,
+dictionaries, and the campaign fabric's shards — publishes, verifies and
+heals through that one module.  Payloads are written durably and the
 completeness marker recording their BLAKE2b checksums lands last;
 checksums are required, and loads verify exactly the bytes they parse.
 Any damage, payload or marker, raises :class:`ArtifactCorruptionError`,
 which callers convert into quarantine-and-rebuild — the corrupt evidence
 moves to a ``quarantine/`` directory beside the store and the artifact is
-re-derived from source (kernels recompile, suites regenerate, dictionary
-chunks re-simulate, campaign shards re-enter their journal as pending).
+re-derived from source (suites regenerate, dictionary chunks re-simulate,
+campaign shards re-enter their journal as pending).
 """
 
 from __future__ import annotations
@@ -47,7 +49,6 @@ from repro.store.digest import (
     dictionary_digest,
     digest_int,
     fault_key,
-    kernel_digest,
     layout_digest,
     layout_key,
     suite_digest,
@@ -62,7 +63,6 @@ from repro.store.integrity import (
     quarantined_artifacts,
     verify_file,
 )
-from repro.store.kernels import KernelStore
 from repro.store.lineage import (
     DeltaPlan,
     DictionaryInfo,
@@ -78,7 +78,6 @@ class ArtifactStore:
 
     def __init__(self, root: str | os.PathLike) -> None:
         self.root = Path(root)
-        self.kernels = KernelStore(self.root / "kernels")
         self.suites = SuiteStore(self.root / "suites")
         self.dictionaries = DictionaryStore(self.root / "dictionaries")
 
@@ -102,7 +101,6 @@ __all__ = [
     "DictionaryStore",
     "DictionaryWriter",
     "GcPlan",
-    "KernelStore",
     "STORE_FORMAT_VERSION",
     "SuiteStore",
     "as_store",
@@ -110,7 +108,6 @@ __all__ = [
     "dictionary_digest",
     "digest_int",
     "fault_key",
-    "kernel_digest",
     "layout_digest",
     "layout_key",
     "plan_gc",

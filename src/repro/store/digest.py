@@ -1,11 +1,10 @@
-"""Stable content digests for compiled artifacts.
+"""Stable content digests for stored artifacts.
 
-Cached artifacts are keyed by what they were compiled *from*, never by
-where or when: a kernel by the array's structure, a generated suite by
-the array and the generator's settings, solver and version, a dictionary
-by the (array, vector suite, fault universe, cardinality) quadruple — the
-scenario is captured through the ordered universe it induces.  Two
-processes that describe the same workload therefore address the same
+Cached artifacts are keyed by what they were derived *from*, never by
+where or when: a generated suite by the array and the generator's
+settings, solver and version, a dictionary by the (array, vector suite,
+fault universe, cardinality) quadruple — the scenario is captured
+through the ordered universe it induces.  Two processes that describe the same workload therefore address the same
 cache entry, and any change to layout, suite, universe contents/order or
 cardinality changes the digest, which is the entire invalidation story:
 stale entries are never overwritten, they are simply never addressed
@@ -105,11 +104,6 @@ def digest_int(digest: str, bits: int = 64) -> int:
     every host with no RNG state to persist.
     """
     return int(digest[: bits // 4], 16)
-
-
-def kernel_digest(fpva: FPVA) -> str:
-    """Cache key of a compiled :class:`ReachabilityKernel`."""
-    return digest_of("kernel", STORE_FORMAT_VERSION, layout_key(fpva))
 
 
 def suite_digest(

@@ -1,27 +1,28 @@
 """Artifact integrity: the one publish, verify and heal protocol.
 
-Four artifact families persist under a cache or journal directory —
-compiled kernels (:mod:`repro.store.kernels`), generated test suites
-(:mod:`repro.store.suites`), dictionary syndrome tables
-(:mod:`repro.store.dictionaries`) and campaign shards
-(:mod:`repro.fabric.shards`) — and all four publish, verify and heal
+Three artifact families persist under a cache or journal directory —
+generated test suites (:mod:`repro.store.suites`), dictionary syndrome
+tables (:mod:`repro.store.dictionaries`) and campaign shards
+(:mod:`repro.fabric.shards`) — and all three publish, verify and heal
 through this module.  Nothing else in the package calls ``os.fsync``.
+Every artifact is a directory, ``<root>/<digest>/``, whose ``meta.json``
+is its completeness marker.
 
 * **Publish.**  :func:`write_durable` writes each payload to a staging
-  path, fsyncs it and returns its BLAKE2b checksum.  The completeness
-  marker recording those checksums — a directory artifact's
-  ``meta.json``, a kernel's ``<digest>.meta.json`` sidecar — is written
-  last, fsynced, and renamed into place.  A directory artifact is staged
-  whole (:func:`stage_dir`) and published by one rename
-  (:func:`publish_dir`); when a concurrent publisher won that rename its
-  artifact is identical by content addressing, so it is kept.  Neither a
-  crash nor a power loss leaves a half-written artifact addressable.
+  path, fsyncs it and returns its BLAKE2b checksum.  The artifact is
+  staged whole (:func:`stage_dir`); :func:`publish_dir` writes the
+  ``meta.json`` marker recording those checksums last, fsyncs it, and
+  publishes the artifact by one rename.  When a concurrent publisher won
+  that rename its artifact is identical by content addressing, so it is
+  kept.  Neither a crash nor a power loss leaves a half-written artifact
+  addressable.
 
-* **Verify.**  Loads parse the marker through :func:`read_marker` and
-  each payload through :func:`verify_file` (or :func:`read_npz`), which
-  checks the recorded checksum against exactly the bytes about to be
-  parsed.  Checksums are required: a marker that records none is as
-  damaged as one that does not parse.
+* **Verify.**  Loads parse the marker through
+  :meth:`ArtifactDirectory.meta` and each payload through
+  :func:`verify_file` (or :func:`read_npz`), which checks the recorded
+  checksum against exactly the bytes about to be parsed.  Checksums are
+  required: a marker that records none is as damaged as one that does
+  not parse.
 
 * **Heal.**  Every kind of damage — a checksum mismatch, a missing
   payload, a torn marker, a marker that parses but names another format
@@ -31,12 +32,12 @@ through this module.  Nothing else in the package calls ``os.fsync``.
   never deleted — the evidence is for the operator) next to a
   ``<name>.reason.json`` diagnostic.  After the move the artifact is
   simply *absent*, so the ordinary cold-build path regenerates it:
-  kernels recompile, suites regenerate, dictionary chunks re-simulate,
-  shards re-enter their journal as pending.  Corruption heals through the same code
+  suites regenerate, dictionary chunks re-simulate, shards re-enter
+  their journal as pending.  Corruption heals through the same code
   paths a cache miss takes.
 
-:class:`ArtifactDirectory` is the addressing the three directory-artifact
-stores share: ``<root>/<digest>/`` with ``meta.json`` as the marker, and
+:class:`ArtifactDirectory` is the addressing the three stores share:
+``<root>/<digest>/`` with ``meta.json`` as the marker, and
 :meth:`~ArtifactDirectory.heal` to quarantine one.
 """
 
@@ -50,7 +51,7 @@ import shutil
 import time
 import zipfile
 from pathlib import Path
-from typing import Iterable, Sequence
+from typing import Sequence
 
 import numpy as np
 
@@ -260,25 +261,6 @@ def load_json(path: str | os.PathLike) -> dict:
         raise ArtifactCorruptionError(path, f"unreadable metadata: {exc}")
 
 
-def read_marker(path: Path, keys: Iterable[str] = ()) -> dict:
-    """A completeness marker its loader can trust.
-
-    Besides a torn file (:func:`load_json`), a marker that parses but
-    names another format version, or lacks one of ``keys``, is damage:
-    its artifact's digest already pins the format and every field.  An
-    absent marker raises :exc:`FileNotFoundError`, as a cache miss.
-    """
-    meta = load_json(path)
-    if not isinstance(meta, dict) or meta.get("version") != STORE_FORMAT_VERSION:
-        raise ArtifactCorruptionError(
-            path, f"marker does not name format version {STORE_FORMAT_VERSION}"
-        )
-    missing = sorted(set(keys).difference(meta))
-    if missing:
-        raise ArtifactCorruptionError(path, f"marker lacks {', '.join(missing)}")
-    return meta
-
-
 class ArtifactDirectory:
     """A content-addressed store of ``<root>/<digest>/`` directory artifacts.
 
@@ -300,8 +282,24 @@ class ArtifactDirectory:
         return (self.path_for(digest) / MARKER).exists()
 
     def meta(self, digest: str) -> dict:
-        """The completeness marker, validated by :func:`read_marker`."""
-        return read_marker(self.path_for(digest) / MARKER, self.MARKER_KEYS)
+        """The completeness marker, as far as its loader can trust it.
+
+        Besides a torn file (:func:`load_json`), a marker that parses but
+        names another format version, or lacks one of :attr:`MARKER_KEYS`,
+        is damage: the artifact's digest already pins the format and every
+        field.  An absent marker raises :exc:`FileNotFoundError`, as a
+        cache miss.
+        """
+        path = self.path_for(digest) / MARKER
+        meta = load_json(path)
+        if not isinstance(meta, dict) or meta.get("version") != STORE_FORMAT_VERSION:
+            raise ArtifactCorruptionError(
+                path, f"marker does not name format version {STORE_FORMAT_VERSION}"
+            )
+        missing = sorted(set(self.MARKER_KEYS).difference(meta))
+        if missing:
+            raise ArtifactCorruptionError(path, f"marker lacks {', '.join(missing)}")
+        return meta
 
     def heal(self, digest: str, error: ArtifactCorruptionError) -> Path | None:
         """Quarantine one corrupt artifact directory.

@@ -4,7 +4,10 @@ The fixture pins on-disk compatibility: artifacts written by one version
 of the code must stay warm, and a journal it wrote must stay resumable,
 for the next.  It holds
 
-* ``cache/kernels/``: a full 3x3 kernel and its checksum sidecar;
+* ``cache/kernels/``: a full 3x3 kernel and its checksum sidecar, a
+  leftover of the versions that stored kernels.  The code ignores it,
+  since kernels are now compiled and never stored, and a regenerated
+  fixture would not have one;
 * ``cache/dictionaries/``: the cardinality-2 stuck-at dictionary of the
   suite below;
 * ``journal/``: a campaign's ``campaign.json`` and its four published
@@ -41,7 +44,7 @@ def write_fixture(out: Path) -> None:
     out.mkdir(parents=True)
     (out / "suite.json").write_text(suite.to_json(indent=None))
 
-    # The session saves its kernel on first use, then publishes the table.
+    # The session publishes the table (and stores no kernel).
     ExecutionContext(fpva, store=out / "cache").dictionary(
         vectors, max_cardinality=2, universe=stuck_at_faults(fpva)
     )

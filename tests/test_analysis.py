@@ -177,7 +177,7 @@ def test_r3_flags_private_construction():
     source = "t = Tester(fpva)\n"
     assert "R3" in codes("src/repro/core/x.py", source)
     source = "k = ReachabilityKernel(fpva)\n"
-    assert "R3" in codes("src/repro/store/kernels.py", source)
+    assert "R3" in codes("src/repro/store/suites.py", source)
 
 
 def test_r3_allows_the_session_factories():

@@ -2,10 +2,8 @@
 
 * each tier (``tile``, the production tier, and ``word``, the reference
   tier) produces **bit identical** readings to the object-graph
-  reference in ``tests/oracle.py``, across tile and chunk boundaries;
-* a :class:`~repro.store.KernelStore`-persisted kernel warm-loads and
-  replays identical readings under either tier (artifacts are
-  backend-agnostic);
+  reference in ``tests/oracle.py``, across tile and chunk boundaries,
+  and after a pickle round trip;
 * production kernels propagate through ``tile``; only an assignment,
   ``kernel.backend = WordBackend(kernel)``, attaches ``word``, and a
   session adopting such a kernel keeps it.
@@ -133,18 +131,6 @@ class TestBackendEquivalence:
                 kernel.batch_readings(scenarios),
                 ref_kernel.batch_readings(scenarios),
             )
-
-    def test_warm_start_roundtrip(self, fpva, reference, tier, tmp_path):
-        """Acceptance: a persisted kernel loads into any tier identically."""
-        scenarios, expected = reference
-        seed_ctx = ExecutionContext(fpva, store=tmp_path)
-        seed_ctx.kernel  # cold compile persists the artifact
-        assert seed_ctx.kernel_compiles == 1
-        ctx = ExecutionContext(fpva, store=tmp_path)
-        kernel = ctx.kernel
-        kernel.backend = tier(kernel)
-        assert ctx.kernel_loads == 1 and ctx.kernel_compiles == 0
-        assert np.array_equal(kernel.batch_readings(scenarios), expected)
 
     def test_pickle_roundtrip(self, fpva, tier):
         """Shard payloads carry the backend; readings survive the trip."""

@@ -23,6 +23,22 @@ class TestParser:
     @pytest.mark.parametrize(
         "argv",
         [
+            ["warm", "--table1", "--cache-dir", "c"],
+            ["generate", "--cache-dir", "c"],
+            ["table1", "--cache-dir", "c"],
+        ],
+        ids=["warm-table1", "generate-cache-dir", "table1-cache-dir"],
+    )
+    def test_removed_kernel_store_flags_exit_2(self, argv, capsys):
+        """The flags that only served stored kernels are gone."""
+        with pytest.raises(SystemExit) as exited:
+            main(argv)
+        assert exited.value.code == 2
+        assert "unrecognized arguments" in capsys.readouterr().err
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
             ["campaign", "--trials", "-5"],
             ["campaign", "--journal-dir", "j", "--max-attempts", "0"],
             ["diagnose", "--trials", "-1"],
@@ -164,21 +180,15 @@ class TestCommands:
         with pytest.raises(SystemExit):
             build_parser().parse_args(["warm", "--size", "3"])
 
-    def test_warm_table1_then_cached_generate(self, tmp_path, capsys):
-        """`warm --table1` prebuilds generation-layout kernels; `generate
-        --cache-dir` then warm-loads instead of compiling."""
-        cache = str(tmp_path / "cache")
-        assert main(["warm", "--cache-dir", cache, "--table1"]) == 0
-        out = capsys.readouterr().out
-        assert out.count("(cold") == 5 and "table1-30x30" in out
-        assert main(["warm", "--cache-dir", cache, "--table1"]) == 0
-        assert capsys.readouterr().out.count("(warm") == 5
-
-        from repro.context import ExecutionContext
-        from repro.fpva import table1_layout
-
-        ctx = ExecutionContext(table1_layout(5), store=cache)
-        ctx.kernel
-        assert ctx.kernel_loads == 1 and ctx.kernel_compiles == 0
-        assert main(["generate", "--size", "5", "--cache-dir", cache]) == 0
-        assert "nv=" in capsys.readouterr().out
+    def test_cache_dir_holds_suites_and_dictionaries_only(self, tmp_path):
+        """Kernels are compiled, never stored: `warm`, `diagnose` and
+        `campaign` on one cache leave only its suites and dictionaries."""
+        cache = tmp_path / "cache"
+        base = ["--size", "3", "--full", "--cache-dir", str(cache)]
+        assert main(["warm", *base]) == 0
+        assert main(["diagnose", *base, "--trials", "2"]) == 0
+        assert main(["campaign", *base, "--trials", "10",
+                     "--max-faults", "2"]) == 0
+        assert sorted(p.name for p in cache.iterdir()) == [
+            "dictionaries", "suites",
+        ]

@@ -99,21 +99,6 @@ class TestExecutionContext:
         assert ctx.tester.kernel is ctx.kernel
         assert ctx.kernel_compiles == 1
 
-    def test_store_warm_start_bit_identical(self, small, tmp_path):
-        cold = ExecutionContext(small, store=tmp_path)
-        vectors = _random_vectors(small, seed=5, count=6)
-        cold_readings = [
-            cold.kernel.meter_readings(v.open_valves) for v in vectors
-        ]
-        assert cold.kernel_compiles == 1 and cold.kernel_loads == 0
-
-        warm = ExecutionContext(small, store=tmp_path)
-        warm_readings = [
-            warm.kernel.meter_readings(v.open_valves) for v in vectors
-        ]
-        assert warm.kernel_compiles == 0 and warm.kernel_loads == 1
-        assert warm_readings == cold_readings
-
 
 class TestOneCompilePerContext:
     def test_full_pipeline_compiles_exactly_once(self, monkeypatch):

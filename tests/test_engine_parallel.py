@@ -217,26 +217,26 @@ class TestOneSessionPerSweep:
             assert serial[k].undetected_trials == pooled[k].undetected_trials
 
     def test_store_kernel_loads_once(self, bundle, tmp_path, monkeypatch):
-        """The caller's session loads the stored kernel; the sweep's
-        evaluator runs on that object instead of reading the artifact again."""
+        """A store-backed sweep compiles one kernel, the caller's session's,
+        and loads none from the store."""
         from repro.context import ExecutionContext
-        from repro.store import KernelStore
+        from repro.sim.kernel import ReachabilityKernel
 
         fpva, vectors = bundle
-        ExecutionContext(fpva, store=tmp_path).kernel  # publish the artifact
-        loads = []
-        original = KernelStore.load
+        compiles = []
+        original = ReachabilityKernel.__init__
 
         def counting(self, array):
-            loads.append(array)
-            return original(self, array)
+            compiles.append(array)
+            original(self, array)
 
-        monkeypatch.setattr(KernelStore, "load", counting)
+        monkeypatch.setattr(ReachabilityKernel, "__init__", counting)
+        ctx = ExecutionContext(fpva, store=tmp_path)
         run_sweep(
             fpva, vectors, fault_counts=(1, 2), trials=30, seed=2,
-            shard_trials=10, context=ExecutionContext(fpva, store=tmp_path),
+            shard_trials=10, context=ctx,
         )
-        assert loads == [fpva]
+        assert compiles == [fpva] and ctx.kernel_compiles == 1
 
     def test_session_dies_with_the_sweep(self, bundle, tmp_path, monkeypatch):
         """No memo keeps a sweep's evaluators (and their scenario pools)

@@ -4,7 +4,7 @@ Three layers of sabotage:
 
 * **Artifact corruption** — flip bits inside a published shard's
   ``result.npz``, tear its ``meta.json`` mid-write, corrupt a warm
-  kernel, suite or dictionary artifact — then assert the store *quarantines*
+  suite or dictionary artifact — then assert the store *quarantines*
   the evidence and the caller *heals* by re-deriving, with the final
   merged sweep bit-identical to the uninterrupted serial reference.
 * **Poison workloads** — a shard whose simulation always raises must be
@@ -24,7 +24,6 @@ import os
 import shutil
 from pathlib import Path
 
-import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -42,11 +41,9 @@ from repro.fabric import (
 from repro.fabric.supervision import SupervisionLedger
 from repro.fpva import full_layout
 from repro.sim.faults import stuck_at_faults
-from repro.sim.kernel import ReachabilityKernel
 from repro.store import (
     ArtifactCorruptionError,
     ArtifactStore,
-    KernelStore,
     data_checksum,
     digest_int,
     verify_file,
@@ -210,25 +207,7 @@ class TestShardCorruptionHeals:
             load_sweep(journal, spec)
 
 
-# -- kernel and dictionary artifacts heal at their callers -------------------
-
-
-class TestKernelCorruptionHeals:
-    def test_context_warm_load_heals(self, tmp_path, bundle):
-        from repro.context import ExecutionContext
-
-        fpva, _ = bundle
-        cache = tmp_path / "cache"
-        ExecutionContext(fpva, store=cache).kernel  # cold compile + save
-        _flip_bits(KernelStore(cache / "kernels").path_for(fpva))
-        ctx = ExecutionContext(fpva, store=cache)
-        ctx.kernel
-        assert ctx.kernel_heals == 1
-        assert ctx.kernel_compiles == 1  # healed by recompiling
-        # The *next* session warm-loads the republished artifact.
-        nxt = ExecutionContext(fpva, store=cache)
-        nxt.kernel
-        assert nxt.kernel_loads == 1 and nxt.kernel_heals == 0
+# -- suite and dictionary artifacts heal at their callers --------------------
 
 
 class TestSuiteCorruptionHeals:
@@ -313,7 +292,7 @@ def _with(**fields):
 
 #: case -> (artifact family, damage applied to its completeness marker).
 #: ``ancestor`` damages a stored dictionary that a delta build then
-#: resolves as its ancestor; ``kernel`` damages the kernel's sidecar.
+#: resolves as its ancestor.
 DAMAGED_MARKERS = {
     "dictionary-version": ("dictionary", _with(version=0)),
     "dictionary-universe": ("dictionary", _with(universe_size=7)),
@@ -322,8 +301,6 @@ DAMAGED_MARKERS = {
     "ancestor-chunks": ("ancestor", _without("chunks")),
     "shard-version": ("shard", _with(version=0)),
     "shard-checksum": ("shard", _without("checksum")),
-    "kernel-sidecar": ("kernel", Path.unlink),
-    "kernel-checksum": ("kernel", _without("checksum")),
     "suite-version": ("suite", _with(version=0)),
     "suite-checksum": ("suite", _without("checksum")),
 }
@@ -351,23 +328,6 @@ class TestDamagedMarkersHeal:
             assert (stats.healed, stats.executed) == (1, 1)
             assert_sweeps_identical(results, reference)
             pen, evidence = journal_dir, {victim}
-        elif family == "kernel":
-            cache = tmp_path / "cache"
-            store = KernelStore(cache / "kernels")
-            ExecutionContext(fpva, store=cache).kernel
-            path = store.path_for(fpva)
-            sidecar = path.with_name(f"{path.stem}.meta.json")
-            damage(sidecar)
-            evidence = {p.name for p in (path, sidecar) if p.exists()}
-            ctx = ExecutionContext(fpva, store=cache)
-            got = ctx.kernel.to_arrays()
-            assert (ctx.kernel_heals, ctx.kernel_compiles, ctx.kernel_loads) == (
-                1, 1, 0,
-            )
-            clean = ReachabilityKernel(fpva).to_arrays()
-            assert got.keys() == clean.keys()
-            assert all(np.array_equal(got[k], clean[k]) for k in clean)
-            pen = store.root
         elif family == "suite":
             store = ArtifactStore(tmp_path / "cache")
             ExecutionContext(fpva, store=store).suite()
@@ -689,18 +649,11 @@ class TestSupervisionLedger:
 class TestDurability:
     """Each store publishes with exactly the protocol's syscalls.
 
-    Kernel: payload + sidecar + store root fsynced, sidecar then payload
-    renamed.  Shard and suite: payload + marker + staged directory + store
-    root fsynced, one directory rename.  Dictionary of c chunks: the chunks,
+    Shard and suite: payload + marker + staged directory + store root
+    fsynced, one directory rename.  Dictionary of c chunks: the chunks,
     ``syndromes.json``, the marker, the staged directory and the root
     fsynced (c + 4), one directory rename.
     """
-
-    def _publish_kernel(self, tmp_path, bundle, spec):
-        from repro.sim.kernel import ReachabilityKernel
-
-        kernel = ReachabilityKernel(bundle[0])
-        return lambda: KernelStore(tmp_path / "kernels").save(kernel)
 
     def _publish_shard(self, tmp_path, bundle, spec):
         from repro.fabric import ShardStore
@@ -740,7 +693,6 @@ class TestDurability:
     @pytest.mark.parametrize(
         "artifact, fsyncs, renames",
         [
-            pytest.param("kernel", 3, 2, id="kernel"),
             pytest.param("shard", 4, 1, id="shard"),
             pytest.param("suite", 4, 1, id="suite"),
             pytest.param("dictionary", 3 + 4, 1, id="dictionary"),

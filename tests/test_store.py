@@ -26,12 +26,7 @@ from repro.sim import (
 )
 from repro.sim.campaign import KEEP_UNDETECTED
 from repro.sim.diagnosis import iter_fault_sets
-from repro.store import (
-    ArtifactStore,
-    KernelStore,
-    dictionary_digest,
-    kernel_digest,
-)
+from repro.store import ArtifactStore, dictionary_digest, layout_digest
 
 
 @pytest.fixture(scope="module")
@@ -58,7 +53,7 @@ class TestDigests:
     def test_layout_digest_ignores_display_name(self):
         a = full_layout(3, 3, name="first")
         b = full_layout(3, 3, name="second")
-        assert kernel_digest(a) == kernel_digest(b)
+        assert layout_digest(a) == layout_digest(b)
 
     def test_layout_digest_sees_structure(self):
         base = full_layout(3, 3)
@@ -70,7 +65,7 @@ class TestDigests:
             .sink(Side.EAST, 3)
             .build()
         )
-        digests = {kernel_digest(f) for f in (base, bigger, with_channel)}
+        digests = {layout_digest(f) for f in (base, bigger, with_channel)}
         assert len(digests) == 3
 
     def test_dictionary_digest_covers_every_input(self, bundle):
@@ -83,28 +78,6 @@ class TestDigests:
         assert base != dictionary_digest(fpva, vectors, universe[:-1], 1)
         # Stored fault sets are universe indices, so order is identity.
         assert base != dictionary_digest(fpva, vectors, universe[::-1], 1)
-
-
-class TestKernelStore:
-    def test_round_trip_is_bit_identical(self, bundle, tmp_path):
-        fpva, _ = bundle
-        kernel = ReachabilityKernel(fpva)
-        store = KernelStore(tmp_path)
-        assert store.load(fpva) is None
-        store.save(kernel)
-        clone = store.load(fpva)
-        assert (clone._arc_src == kernel._arc_src).all()
-        assert (clone._arc_valve == kernel._arc_valve).all()
-        assert (clone._arc_edge == kernel._arc_edge).all()
-        assert clone._dst_starts.tolist() == kernel._dst_starts.tolist()
-        assert clone._out == kernel._out
-        rng = random.Random(5)
-        valves = list(fpva.valves)
-        for _ in range(25):
-            mask = kernel.valve_mask(
-                rng.sample(valves, rng.randrange(len(valves) + 1))
-            )
-            assert clone.readings(mask) == kernel.readings(mask)
 
 
 class TestDictionaryWarmStart:
@@ -274,8 +247,8 @@ class TestParallelCachePath:
         for other in (cached, pooled):
             assert (plain.trials, plain.detected) == (other.trials, other.detected)
             assert plain.undetected_examples == other.undetected_examples
-        # The kernel artifact was actually published to the store.
-        assert KernelStore(tmp_path / "kernels").load(fpva) is not None
+        # The sessions compiled their kernel and stored none.
+        assert not (tmp_path / "kernels").exists()
 
 
 class TestDiagnosisAfterRoundTrip:
@@ -296,10 +269,12 @@ class TestDiagnosisAfterRoundTrip:
 class TestParentWrittenFixture:
     """Artifacts an earlier version of the store wrote stay warm.
 
-    ``tests/fixtures/store-3x3`` was written by the previous commit's code
-    (``tests/fixtures/write_store_fixture.py``): a 3x3 kernel and its
-    sidecar, a cardinality-2 stuck-at dictionary, and a finished campaign
-    journal, with the suite they were built from.
+    ``tests/fixtures/store-3x3`` was written by an earlier version of the
+    code (``tests/fixtures/write_store_fixture.py``): a cardinality-2
+    stuck-at dictionary and a finished campaign journal, with the suite
+    they were built from.  Its cache also holds the 3x3 kernel artifact
+    and sidecar that versions which stored kernels wrote; the session
+    compiles its kernel instead and leaves that directory alone.
     """
 
     FIXTURE = Path(__file__).resolve().parent / "fixtures" / "store-3x3"
@@ -320,11 +295,12 @@ class TestParentWrittenFixture:
         suite = self._suite((root / "suite.json").read_bytes())
         fpva, vectors = suite.fpva, suite.all_vectors()
 
+        kernels = root / "cache" / "kernels"  # a kernel .npz and its sidecar
+        stored = {path.name: path.read_bytes() for path in kernels.iterdir()}
+        assert len(stored) == 2
         ctx = ExecutionContext(fpva, store=root / "cache")
         ctx.kernel
-        assert (ctx.kernel_loads, ctx.kernel_compiles, ctx.kernel_heals) == (
-            1, 0, 0,
-        )
+        assert ctx.kernel_compiles == 1
 
         universe = stuck_at_faults(fpva)
         warm = ctx.dictionary(vectors, max_cardinality=2, universe=universe)
@@ -356,3 +332,4 @@ class TestParentWrittenFixture:
         }
 
         assert not list(root.rglob("quarantine"))
+        assert {p.name: p.read_bytes() for p in kernels.iterdir()} == stored
